@@ -266,7 +266,7 @@ def check_support_property(rep: N1Representation, theta, tol: float = 1e-6) -> S
     roots = positive_roots(d.type)
     projections = [(r, theta_of_root(d, r)) for r in roots]
     rows: list[SupportReportRow] = []
-    for a, eigs in support(rep).items():
+    for a, eigs in support(rep, tol).items():
         for point in dict.fromkeys(eigs):     # unique, order preserved
             best = None
             for r, p in projections:

@@ -14,7 +14,6 @@ import hashlib
 import json
 import re
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -158,7 +157,8 @@ def cmd_mckay_verify(args, report: RunReport) -> None:
     delta = dynkin.marks(t)
     g = gamma.enumerate_group(t)
     table = gamma.character_table(g, seed=args.seed)
-    adj = gamma.mckay_adjacency(g, table)
+    tol = args.tol if args.tol is not None else 1e-6
+    adj, deviation = gamma.mckay_multiplicities(g, table, tol)
     iso = gamma.find_labeled_isomorphism(
         adj, [int(d) for d in table.dims],
         dynkin.adjacency_matrix(t, affine=True), list(delta.delta),
@@ -179,7 +179,8 @@ def cmd_mckay_verify(args, report: RunReport) -> None:
     report.check("order-equals-sum-of-squared-marks",
                  g.order == delta.group_order,
                  f"{g.order} vs {delta.group_order}")
-    report.check("multiplicities-integral", True, "largest deviation under 1e-6")
+    report.check("multiplicities-integral", deviation <= tol,
+                 f"largest deviation {deviation:.1e}, tol {tol:g}")
     report.check("graph-matches-affine-diagram", iso is not None,
                  "degree-respecting relabelling found" if iso else "no relabelling exists")
 
@@ -274,10 +275,8 @@ def cmd_check_rep(args, report: RunReport) -> None:
         report.add_input(path)
     theta = fileio.load_deformation(args.theta)
     tol = args.tol if args.tol is not None else 1e-6
-    with ThreadPoolExecutor(max_workers=min(8, max(1, len(args.files)))) as pool:
-        results = list(pool.map(
-            lambda p: _check_one_rep(p, theta, tol), args.files
-        ))
+    # every file is checked before any is reported, so one bad file leaves no partial report
+    results = [_check_one_rep(path, theta, tol) for path in args.files]
     per_file = []
     for path, (rep, residual, nondeg, support_report) in zip(args.files, results):
         report.say(f"-- {path} (type {rep.type}, total dimension {rep.total_dim})")
@@ -530,7 +529,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("check-rep", parents=[common],
                        help="node and edge relations, non-degeneracy, support")
     p.add_argument("--theta", required=True, help="deformation parameter file")
-    p.add_argument("files", nargs="+", help="representation files (checked concurrently, reported in order)")
+    p.add_argument("files", nargs="+", help="representation files (checked and reported in order)")
     p.set_defaults(func=cmd_check_rep)
 
     p = sub.add_parser("nondeg", parents=[common], help="non-degeneracy only")

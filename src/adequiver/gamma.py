@@ -232,20 +232,31 @@ def character_table(g: GammaGroup, seed: int = 0, retries: int = 10) -> Characte
     )
 
 
-def mckay_adjacency(g: GammaGroup, table: CharacterTable, tol: float = 1e-6) -> list[list[int]]:
-    """Multiplicity of irrep b inside Q tensor irrep a, Q the defining 2-dim rep."""
+def mckay_multiplicities(g: GammaGroup, table: CharacterTable,
+                         tol: float = 1e-6) -> tuple[list[list[int]], float]:
+    """Multiplicity of irrep b inside Q tensor irrep a, Q the defining 2-dim rep.
+
+    Also returns the largest distance of a computed multiplicity from its
+    rounded integer; beyond tol the matrix is rejected.
+    """
     chi_q = np.array([np.trace(g.elements[r].m) for r in table.class_reps])
     sizes = table.class_sizes.astype(float)
     weights = sizes * chi_q
     raw = np.einsum("j,aj,bj->ab", weights, table.chars, table.chars.conj()) / g.order
     out = np.round(raw.real).astype(int)
-    if np.max(np.abs(raw - out)) > tol:
+    deviation = float(np.max(np.abs(raw - out)))
+    if deviation > tol:
         raise NonIntegralMultiplicity(
-            f"multiplicity matrix for {g.type} is off by {np.max(np.abs(raw - out)):.2e}"
+            f"multiplicity matrix for {g.type} is off by {deviation:.2e}"
         )
     if np.any(out != out.T) or np.any(np.diag(out) != 0):
         raise NonIntegralMultiplicity("multiplicity matrix must be symmetric with zero diagonal")
-    return out.tolist()
+    return out.tolist(), deviation
+
+
+def mckay_adjacency(g: GammaGroup, table: CharacterTable, tol: float = 1e-6) -> list[list[int]]:
+    """The multiplicity matrix of `mckay_multiplicities` alone."""
+    return mckay_multiplicities(g, table, tol)[0]
 
 
 def find_labeled_isomorphism(

@@ -4,15 +4,23 @@ Matrices are lists of rows of Fractions.  Nothing in this module mutates
 its arguments; every function hands back fresh lists.  Empty matrices
 (zero rows or zero columns) are legal everywhere and behave like the
 unique map between zero-dimensional spaces.
+
+Products run on integers: `mat_mul` clears denominators, multiplies
+integer numerators while skipping zero entries, and builds each output
+Fraction once.  Every caller that multiplies (Faddeev-LeVerrier, Jordan
+chains, conjugations, monad composites) goes through that one kernel.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Sequence
 
 Mat = list
 Vec = list
+
+_ZERO = Fraction(0)
 
 
 class NonRationalSpectrum(Exception):
@@ -80,15 +88,32 @@ def mat_scale(c, a: Mat) -> Mat:
 
 
 def mat_mul(a: Mat, b: Mat) -> Mat:
-    # a row-free matrix has lost its column count; the product is [] either way
+    # Integer kernel: b is scaled to integer numerators over the lcm of its
+    # denominators and each row of a over the lcm of that row's.  A row
+    # accumulates on plain ints in i-k-j order, skipping zero entries of
+    # either operand, and each output entry becomes one Fraction at the end.
+    # A row-free matrix has lost its column count; the product is [] either way.
     if not a:
         return []
     ra, ca = shape(a)
     rb, cb = shape(b)
     if ca != rb:
         raise ValueError(f"shape mismatch {shape(a)} @ {shape(b)}")
-    bt = transpose(b)
-    return [[sum((x * y for x, y in zip(row, col)), Fraction(0)) for col in bt] for row in a]
+    db = lcm(*{y.denominator for row in b for y in row})
+    b_rows = [[(j, y.numerator * (db // y.denominator)) for j, y in enumerate(row) if y]
+              for row in b]
+    out = []
+    for row in a:
+        da = lcm(*{x.denominator for x in row})
+        acc = [0] * cb
+        for x, b_row in zip(row, b_rows):
+            if x and b_row:
+                xn = x.numerator * (da // x.denominator)
+                for j, y in b_row:
+                    acc[j] += xn * y
+        d = da * db
+        out.append([Fraction(v, d) if v else _ZERO for v in acc])
+    return out
 
 
 def mat_vec(m: Mat, v: Vec) -> Vec:
@@ -312,8 +337,6 @@ def rational_eigenvalues(m: Mat) -> dict[Fraction, int]:
         eig[Fraction(0)] = mult_zero
         coeffs = coeffs[mult_zero:]
     # clear denominators to list candidate roots p/q
-    from math import lcm
-
     denom = lcm(*[c.denominator for c in coeffs]) if len(coeffs) > 1 else 1
     ints = [int(c * denom) for c in coeffs]
     lead, tail = ints[-1], ints[0]

@@ -125,9 +125,15 @@ class NCElement:
         return [row[col_at[0]:col_at[0] + col_at[1]] for row in m[row_at[0]:row_at[0] + row_at[1]]]
 
 
-def _lambda_matrix(layout: Layout, lam: Mapping[int, Fraction]) -> Mat:
-    blocks = [linalg.mat_scale(lam[node], linalg.identity(dim)) for node, dim in layout]
-    return linalg.block_diag(blocks) if blocks else linalg.zeros(0, 0)
+def _scale_rows(layout: Layout, lam: Mapping[int, Fraction], m: Mat) -> Mat:
+    """lam acting on the rows of m, node by node along the layout."""
+    out: Mat = []
+    at = 0
+    for node, dim in layout:
+        c = lam[node]
+        out.extend([c * x for x in row] for row in m[at:at + dim])
+        at += dim
+    return out
 
 
 def nc_multiply(u: NCElement, v: NCElement, lam: Mapping[int, Fraction]) -> NCElement:
@@ -148,7 +154,6 @@ def nc_multiply(u: NCElement, v: NCElement, lam: Mapping[int, Fraction]) -> NCEl
         else:
             out[mono] = m
 
-    lam_mat = None
     for mu, cu in u.coefficients.items():
         for mv, cv in v.coefficients.items():
             prod = linalg.mat_mul(cu, cv)
@@ -163,9 +168,7 @@ def nc_multiply(u: NCElement, v: NCElement, lam: Mapping[int, Fraction]) -> NCEl
                 raise ValueError(f"product {mu} * {mv} leaves the degree-2 normal form")
             for mono, needs_lam in terms:
                 if needs_lam:
-                    if lam_mat is None:
-                        lam_mat = _lambda_matrix(u.row_layout, lam)
-                    accumulate(mono, linalg.mat_mul(lam_mat, prod))
+                    accumulate(mono, _scale_rows(u.row_layout, lam, prod))
                 else:
                     accumulate(mono, prod)
     return NCElement(u.row_layout, v.col_layout, out)

@@ -167,6 +167,18 @@ def test_support_merges_nearby_eigenvalues():
     assert abs(vals[2] - 5) < 1e-9
 
 
+def test_support_check_merges_eigenvalues_within_its_tol():
+    _, theta = worked_cycle_example()
+    near = Fraction(1, 2) + Fraction(1, 10 ** 7)
+    rep = adhm.N1Representation(A2, {0: 0, 1: 2, 2: 0},
+                                Psi={1: [[Fraction(1, 2), 0], [0, near]]})
+    report = adhm.check_support_property(rep, theta, tol=1e-6)
+    assert report.ok
+    assert len(report.rows) == 1          # 1/2 and 1/2 + 1e-7 are one point at tol 1e-6
+    assert abs(report.rows[0].point - 0.5) < 1e-12
+    assert len(adhm.check_support_property(rep, theta, tol=1e-8).rows) == 2
+
+
 def test_direct_sum_blocks():
     rep, theta = worked_cycle_example()
     both = adhm.direct_sum(rep, rep)

@@ -79,6 +79,23 @@ class TestMckayVerify:
         assert "check order-equals-sum-of-squared-marks: pass" in out
         assert "check graph-matches-affine-diagram: pass" in out
 
+    def test_multiplicities_integral_reports_deviation_and_tol(self, capsys):
+        code, out = run(capsys, "mckay-verify", "D4", "--json")
+        assert code == 0
+        verdict = next(v for v in json.loads(out)["verdicts"]
+                       if v["name"] == "multiplicities-integral")
+        assert verdict["passed"]
+        assert verdict["detail"].startswith("largest deviation ")
+        assert verdict["detail"].endswith(", tol 1e-06")
+        code, out = run(capsys, "mckay-verify", "D4", "--tol", "0.25")
+        assert code == 0
+        assert "check multiplicities-integral: pass" in out
+        assert ", tol 0.25)" in out
+        # no deviation is below a negative tolerance
+        code, out = run(capsys, "mckay-verify", "D4", "--tol", "-1")
+        assert code == 1
+        assert "check non-integral-multiplicity: FAIL" in out
+
     def test_seeded_runs_byte_identical(self, capsys):
         _, first = run(capsys, "mckay-verify", "D4", "--json")
         _, second = run(capsys, "mckay-verify", "D4", "--json")

@@ -3,6 +3,8 @@ from random import Random
 
 import pytest
 import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from adequiver import linalg
 from helpers import mat_from_sympy, rand_invertible, rand_matrix, sympy_nullspace
@@ -41,6 +43,49 @@ def test_mat_mul_against_sympy():
     sa = sympy.Matrix([[sympy.Rational(x) for x in r] for r in a])
     sb = sympy.Matrix([[sympy.Rational(x) for x in r] for r in b])
     assert linalg.mat_mul(a, b) == mat_from_sympy(sa * sb)
+
+
+# ints and Fractions, negative values, large denominators, and many zeros
+_entries = st.one_of(
+    st.just(0),
+    st.just(Fraction(0)),
+    st.integers(-10 ** 6, 10 ** 6),
+    st.fractions(min_value=-10 ** 6, max_value=10 ** 6, max_denominator=10 ** 12),
+)
+
+
+@st.composite
+def _operands(draw):
+    rows, inner, cols = (draw(st.integers(0, 6)) for _ in range(3))
+    a = [[draw(_entries) for _ in range(inner)] for _ in range(rows)]
+    b = [[draw(_entries) for _ in range(cols)] for _ in range(inner)]
+    return a, b
+
+
+def _naive_product(a, b):
+    cols = len(b[0]) if b else 0
+    return [[sum((Fraction(row[k]) * Fraction(b[k][j]) for k in range(len(b))), Fraction(0))
+             for j in range(cols)] for row in a]
+
+
+def _typed(m):
+    return [[(type(x), x) for x in row] for row in m]
+
+
+@settings(max_examples=300, deadline=None)
+@given(_operands())
+def test_mat_mul_matches_naive_fraction_product(operands):
+    a, b = operands
+    before = (_typed(a), _typed(b))
+    out = linalg.mat_mul(a, b)
+    assert out == _naive_product(a, b)
+    assert all(type(x) is Fraction for row in out for x in row)
+    assert (_typed(a), _typed(b)) == before
+
+
+def test_mat_mul_rejects_shape_mismatch():
+    with pytest.raises(ValueError):
+        linalg.mat_mul([[1, 2]], [[1, 2]])
 
 
 def test_rank_and_nullspace_small():
