@@ -110,7 +110,7 @@ def evaluate_on_matrix(p: Polynomial, m: Mat) -> Mat:
     n = linalg.shape(m)[0]
     acc = linalg.zeros(n)
     for c in reversed(p.coefficients):
-        acc = linalg.mat_add(linalg.mat_mul(acc, m), linalg.mat_scale(c, linalg.identity(n)))
+        acc = linalg.mat_shift(linalg.mat_mul(acc, m), c)
     return acc
 
 

@@ -5,16 +5,20 @@ its arguments; every function hands back fresh lists.  Empty matrices
 (zero rows or zero columns) are legal everywhere and behave like the
 unique map between zero-dimensional spaces.
 
-Products run on integers: `mat_mul` clears denominators, multiplies
-integer numerators while skipping zero entries, and builds each output
-Fraction once.  Every caller that multiplies (Faddeev-LeVerrier, Jordan
-chains, conjugations, monad composites) goes through that one kernel.
+The exact kernels run on Python ints and build each output Fraction
+once.  Products (`mat_mul`) clear denominators and multiply integer
+numerators while skipping zero entries.  Elimination (`rref`, and
+through it `rank`, `nullspace`, `inverse` and `solve`) is fraction-free
+Gauss-Jordan on integer rows kept primitive.  The characteristic
+polynomial runs Faddeev-LeVerrier on the integer matrix with one
+common denominator.  Products inside these kernels share one integer
+product loop.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 Mat = list
@@ -87,11 +91,37 @@ def mat_scale(c, a: Mat) -> Mat:
     return [[c * x for x in row] for row in a]
 
 
+def mat_shift(a: Mat, c) -> Mat:
+    """a + c*I for square a: a copy of a with c added on the diagonal only."""
+    c = frac(c)
+    out = [list(row) for row in a]
+    for i, row in enumerate(out):
+        row[i] += c
+    return out
+
+
+def _int_product(a: Mat, scales: list, b: list, cols: int) -> list:
+    # Integer product: row i of a, scaled to integer numerators by
+    # scales[i], times b given as sparse integer rows (lists of nonzero
+    # (column, value) pairs).  Rows accumulate on plain ints in i-k-j
+    # order, skipping zero entries of either operand.  Returns int rows.
+    out = []
+    for row, s in zip(a, scales):
+        acc = [0] * cols
+        for x, b_row in zip(row, b):
+            if x and b_row:
+                xn = x.numerator * (s // x.denominator)
+                for j, y in b_row:
+                    acc[j] += xn * y
+        out.append(acc)
+    return out
+
+
 def mat_mul(a: Mat, b: Mat) -> Mat:
     # Integer kernel: b is scaled to integer numerators over the lcm of its
-    # denominators and each row of a over the lcm of that row's.  A row
-    # accumulates on plain ints in i-k-j order, skipping zero entries of
-    # either operand, and each output entry becomes one Fraction at the end.
+    # denominators and each row of a over the lcm of that row's (per-row
+    # scaling keeps the integers small); each output entry becomes one
+    # Fraction at the end.
     # A row-free matrix has lost its column count; the product is [] either way.
     if not a:
         return []
@@ -102,15 +132,9 @@ def mat_mul(a: Mat, b: Mat) -> Mat:
     db = lcm(*{y.denominator for row in b for y in row})
     b_rows = [[(j, y.numerator * (db // y.denominator)) for j, y in enumerate(row) if y]
               for row in b]
+    das = [lcm(*{x.denominator for x in row}) for row in a]
     out = []
-    for row in a:
-        da = lcm(*{x.denominator for x in row})
-        acc = [0] * cb
-        for x, b_row in zip(row, b_rows):
-            if x and b_row:
-                xn = x.numerator * (da // x.denominator)
-                for j, y in b_row:
-                    acc[j] += xn * y
+    for acc, da in zip(_int_product(a, das, b_rows, cb), das):
         d = da * db
         out.append([Fraction(v, d) if v else _ZERO for v in acc])
     return out
@@ -151,27 +175,44 @@ def block_diag(blocks: Sequence[Mat]) -> Mat:
 
 
 def rref(m: Mat) -> tuple[Mat, list[int]]:
-    """Reduced row echelon form and the pivot column indices."""
-    a = [list(row) for row in m]
+    """Reduced row echelon form and the pivot column indices.
+
+    Fraction-free Gauss-Jordan: rows are scaled to integers, every row
+    operation is an integer one, and each updated row is divided by its
+    content, so rows stay primitive.  Pivot rows are divided by their
+    pivot once at the end.
+    """
+    a = []
+    for row in m:
+        d = lcm(*{x.denominator for x in row})
+        a.append([x.numerator * (d // x.denominator) for x in row])
     r, c = shape(a)
     pivots: list[int] = []
     row = 0
     for col in range(c):
-        piv = next((i for i in range(row, r) if a[i][col] != 0), None)
+        piv = next((i for i in range(row, r) if a[i][col]), None)
         if piv is None:
             continue
         a[row], a[piv] = a[piv], a[row]
-        inv = Fraction(1) / a[row][col]
-        a[row] = [x * inv for x in a[row]]
+        top = a[row]
+        pivot = top[col]
         for i in range(r):
-            if i != row and a[i][col] != 0:
-                f = a[i][col]
-                a[i] = [x - f * y for x, y in zip(a[i], a[row])]
+            f = a[i][col]
+            if i != row and f:
+                g = gcd(pivot, f)
+                p, f = pivot // g, f // g
+                new = [p * x - f * y for x, y in zip(a[i], top)]
+                g = gcd(*new)
+                a[i] = [x // g for x in new] if g > 1 else new
         pivots.append(col)
         row += 1
         if row == r:
             break
-    return a, pivots
+    out = []
+    for i, ints in enumerate(a):
+        p = ints[pivots[i]] if i < len(pivots) else 1
+        out.append([Fraction(x, p) if x else _ZERO for x in ints])
+    return out, pivots
 
 
 def rank(m: Mat) -> int:
@@ -283,18 +324,27 @@ class SpanBasis:
 
 
 def char_poly_coeffs(m: Mat) -> list[Fraction]:
-    """Monic characteristic polynomial, coefficients ascending (Faddeev-LeVerrier)."""
+    """Monic characteristic polynomial, coefficients ascending (Faddeev-LeVerrier).
+
+    Runs on the integer matrix A = d*m, d the lcm of all denominators:
+    A's coefficients c_k are integers, each found by an exact division
+    by k, and m's are c_k / d^(n-k).
+    """
     n, c = shape(m)
     if n != c:
         raise ValueError("characteristic polynomial of a non-square matrix")
-    cs = [Fraction(1)]          # descending: leading first
-    mk = identity(n)
+    d = lcm(*{x.denominator for row in m for x in row})
+    scales = [d] * n            # every row of m over d: the integer matrix A
+    cs = [1]                    # descending: leading first
+    mk = [[(i, 1)] for i in range(n)]
     for k in range(1, n + 1):
-        am = mat_mul(m, mk)
-        ck = -trace(am) / k
+        am = _int_product(m, scales, mk, n)
+        ck = -sum(am[i][i] for i in range(n)) // k
         cs.append(ck)
-        mk = mat_add(am, mat_scale(ck, identity(n)))
-    return list(reversed(cs))
+        for i in range(n):
+            am[i][i] += ck
+        mk = [[(j, y) for j, y in enumerate(row) if y] for row in am]
+    return [Fraction(ck, d ** k) for k, ck in enumerate(cs)][::-1]
 
 
 def _int_divisors(n: int) -> list[int]:
@@ -381,7 +431,7 @@ def jordan_form(m: Mat) -> tuple[Mat, Mat]:
     eig = rational_eigenvalues(m)
     chains: list[tuple[Fraction, list[Vec]]] = []
     for lam in sorted(eig):
-        nmat = mat_sub(m, mat_scale(lam, identity(n)))
+        nmat = mat_shift(m, -lam)
         kernels: list[list[Vec]] = [[]]
         power = identity(n)
         while len(kernels[-1]) < eig[lam]:
@@ -412,7 +462,7 @@ def jordan_form(m: Mat) -> tuple[Mat, Mat]:
     for lam, chain in chains:
         cols.extend(chain)
         size = len(chain)
-        block = mat_scale(lam, identity(size))
+        block = mat_shift(zeros(size), lam)
         for i in range(size - 1):
             block[i][i + 1] = Fraction(1)
         jblocks.append(block)

@@ -79,7 +79,7 @@ class TorsionSheafData:
 
 def _jordan_block(lam, size: int, exact: bool):
     if exact:
-        block = linalg.mat_scale(lam, linalg.identity(size))
+        block = linalg.mat_shift(linalg.zeros(size), lam)
         for i in range(size - 1):
             block[i][i + 1] = Fraction(1)
         return block
@@ -120,7 +120,7 @@ def _endo_to_sheaf_exact(m: Mat) -> TorsionSheafData:
     eig = linalg.rational_eigenvalues(m)
     points = []
     for lam, mult in sorted(eig.items()):
-        nmat = linalg.mat_sub(m, linalg.mat_scale(lam, linalg.identity(n)))
+        nmat = linalg.mat_shift(m, -lam)
         dims = [0]
         power = linalg.identity(n)
         while dims[-1] < mult:
@@ -128,6 +128,17 @@ def _endo_to_sheaf_exact(m: Mat) -> TorsionSheafData:
             dims.append(n - linalg.rank(power))
         points.append((lam, _partition_from_kernel_dims(dims)))
     return TorsionSheafData.of(points)
+
+
+def _jordan_points(j: Mat) -> TorsionSheafData:
+    """Support points and partitions read off the blocks of a Jordan matrix."""
+    blocks: dict[Fraction, list[int]] = {}
+    start = 0
+    for i in range(len(j)):
+        if i + 1 == len(j) or j[i][i + 1] == 0:
+            blocks.setdefault(j[i][i], []).append(i + 1 - start)
+            start = i + 1
+    return TorsionSheafData.of(list(blocks.items()))
 
 
 def _numeric_rank(m: np.ndarray, tol: float) -> int:
@@ -193,6 +204,16 @@ def is_regular(psi: Mat) -> bool:
     return linalg.minimal_poly_degree(m) == linalg.shape(m)[0]
 
 
+def _require_rational(node_sheaves: Mapping[int, TorsionSheafData], nodes) -> None:
+    """ValueError naming the first node and support among nodes that is not rational."""
+    for a in nodes:
+        for s, _ in node_sheaves[a].points:
+            if not isinstance(s, Fraction):
+                raise ValueError(
+                    f"node {a}: support {s} is not rational; matrix form needs rational supports"
+                )
+
+
 @dataclass
 class QuiverSheafData:
     type: DynkinType
@@ -209,6 +230,7 @@ class QuiverSheafData:
         jordan = {a: sheaf_to_endo(self.node_sheaves[a])[1] for a in labels}
         for key, m in self.arrow_maps.items():
             src, tgt, _ = key
+            _require_rational(self.node_sheaves, (src, tgt))
             m = linalg.matrix(m)
             lhs = linalg.mat_mul(jordan[tgt], m)
             rhs = linalg.mat_mul(m, jordan[src])
@@ -232,7 +254,7 @@ def quadruple_to_quintuple(rep: N1Representation) -> tuple[QuiverSheafData, dict
     g: dict[int, Mat] = {}
     for a in labels:
         j, ga = linalg.jordan_form(rep.Psi[a])
-        sheaves[a] = _endo_to_sheaf_exact(rep.Psi[a])
+        sheaves[a] = _jordan_points(j)
         expected_dim, jmat = sheaf_to_endo(sheaves[a])
         if expected_dim != rep.dims[a] or not linalg.mat_eq(jmat, j):
             raise AssertionError("jordan data disagrees with the partition data")
@@ -257,6 +279,7 @@ def quadruple_to_quintuple(rep: N1Representation) -> tuple[QuiverSheafData, dict
 def quintuple_to_quadruple(data: QuiverSheafData) -> N1Representation:
     """Representation with Jordan loops read off the torsion data."""
     labels = node_labels(data.type, data.affine)
+    _require_rational(data.node_sheaves, labels)
     dims = {}
     psi = {}
     for a in labels:

@@ -293,6 +293,20 @@ class TestConversions:
         code, out = run(capsys, "matrixify", path)
         assert code == 2
 
+    @pytest.mark.parametrize("arrows", [[], [{"from": 1, "to": 2, "matrix": [["0"]]}]])
+    def test_matrixify_rejects_complex_support(self, capsys, tmp_path, arrows):
+        path = write(tmp_path, "sheaf.json", {
+            "type": "A2",
+            "nodes": {"1": {"points": [{"support": {"re": 0.5, "im": 1.0}, "partition": [1]}]},
+                      "2": {"points": [{"support": "1", "partition": [1]}]}},
+            "arrows": arrows,
+        })
+        code, out = run(capsys, "matrixify", path, "--json")
+        assert code == 2
+        report = json.loads(out)
+        assert [v["name"] for v in report["verdicts"]] == ["input-well-formed"]
+        assert "node 1: support (0.5+1j) is not rational" in report["verdicts"][0]["detail"]
+
 
 class TestMonadCheck:
     def test_satisfying_fiber(self, capsys, tmp_path):

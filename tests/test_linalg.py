@@ -3,7 +3,9 @@ from random import Random
 
 import pytest
 import sympy
-from hypothesis import given, settings
+from sympy import QQ
+from sympy.polys.matrices import DomainMatrix
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from adequiver import linalg
@@ -86,6 +88,86 @@ def test_mat_mul_matches_naive_fraction_product(operands):
 def test_mat_mul_rejects_shape_mismatch():
     with pytest.raises(ValueError):
         linalg.mat_mul([[1, 2]], [[1, 2]])
+
+
+def _naive_rref(m):
+    """Textbook Gauss-Jordan on Fractions: (reduced rows, pivot columns)."""
+    a = [[Fraction(x) for x in row] for row in m]
+    rows, cols = len(a), len(a[0]) if a else 0
+    pivots = []
+    for col in range(cols):
+        r = len(pivots)
+        piv = next((i for i in range(r, rows) if a[i][col] != 0), None)
+        if piv is None:
+            continue
+        a[r], a[piv] = a[piv], a[r]
+        a[r] = [x / a[r][col] for x in a[r]]
+        for i in range(rows):
+            if i != r:
+                a[i] = [x - a[i][col] * y for x, y in zip(a[i], a[r])]
+        pivots.append(col)
+    return a, pivots
+
+
+@st.composite
+def _rref_inputs(draw):
+    rows, cols = draw(st.integers(0, 6)), draw(st.integers(0, 6))
+    m = [[draw(_entries) for _ in range(cols)] for _ in range(rows)]
+    # rank-deficient inputs: some rows become combinations of two others
+    for i in range(draw(st.integers(0, max(rows - 2, 0)))):
+        j, k = draw(st.integers(0, rows - 1)), draw(st.integers(0, rows - 1))
+        c, e = draw(_entries), draw(_entries)
+        m[i] = [c * x + e * y for x, y in zip(m[j], m[k])]
+    return m
+
+
+@settings(max_examples=300)
+@given(_rref_inputs())
+def test_rref_matches_naive_gauss_jordan(m):
+    before = _typed(m)
+    red, pivots = linalg.rref(m)
+    want, want_pivots = _naive_rref(m)
+    assert pivots == want_pivots
+    assert _typed(red) == _typed(want)
+    assert _typed(m) == before
+
+
+_small_fractions = st.fractions(min_value=-20, max_value=20, max_denominator=12)
+
+
+# no shrink phase: shrinking n x n Fraction matrices ran for minutes and
+# hundreds of MB on a failure; the first failing example is reported as found
+@settings(max_examples=40, phases=(Phase.explicit, Phase.reuse, Phase.generate))
+@given(st.integers(1, 8).flatmap(
+    lambda n: st.lists(st.lists(_small_fractions, min_size=n, max_size=n), min_size=n, max_size=n)))
+def test_char_poly_matches_sympy_up_to_n8(m):
+    # sympy's matrices over QQ: exact, and without the expression cache
+    theirs = DomainMatrix([[QQ(x.numerator, x.denominator) for x in r] for r in m],
+                          (len(m), len(m)), QQ).charpoly()[::-1]
+    ours = linalg.char_poly_coeffs(m)
+    assert all(type(x) is Fraction for x in ours)
+    assert ours == [Fraction(int(c.numerator), int(c.denominator)) for c in theirs]
+
+
+@st.composite
+def _invertible(draw):
+    """Unit lower times upper triangular with a nonzero diagonal, rows permuted."""
+    n = draw(st.integers(1, 6))
+    lower = [[1 if i == j else (draw(_entries) if i > j else 0) for j in range(n)]
+             for i in range(n)]
+    upper = [[(draw(_entries) or 1) if i == j else (draw(_entries) if i < j else 0) for j in range(n)]
+             for i in range(n)]
+    m = _naive_product(lower, upper)
+    return [m[i] for i in draw(st.permutations(range(n)))]
+
+
+@settings(max_examples=150)
+@given(_invertible())
+def test_inverse_times_matrix_is_identity(m):
+    inv = linalg.inverse(m)
+    ident = linalg.identity(len(m))
+    assert _naive_product(inv, m) == ident
+    assert _naive_product(m, inv) == ident
 
 
 def test_rank_and_nullspace_small():

@@ -156,6 +156,30 @@ class TestRegularity:
         assert sheaf.is_regular([[1, 0], [0, 2]])
 
 
+def _intertwiner(rng, tgt, src):
+    """Random X with J_tgt X = X J_src for Jordan matrices given as (eigenvalue, size) blocks.
+
+    Between blocks of one eigenvalue, of sizes n (target) and m (source),
+    X is upper triangular Toeplitz: X[i][j] = c[j - i] for
+    max(0, m - n) <= j - i <= m - 1; elsewhere it is zero.
+    """
+    rows = sum(n for _, n in tgt)
+    cols = sum(m for _, m in src)
+    out = [[Fraction(0)] * cols for _ in range(rows)]
+    r0 = 0
+    for lam_t, n in tgt:
+        c0 = 0
+        for lam_s, m in src:
+            if lam_t == lam_s:
+                c = {t: Fraction(rng.randint(-3, 3), rng.choice((1, 2))) for t in range(max(0, m - n), m)}
+                for i in range(n):
+                    for j in range(m):
+                        out[r0 + i][c0 + j] = c.get(j - i, Fraction(0))
+            c0 += m
+        r0 += n
+    return out
+
+
 def nilpotent_cycle_rep():
     """A2 cycle with a 2-dim node 0, nilpotent loop there, intertwining arrows."""
     return adhm.N1Representation(
@@ -221,6 +245,33 @@ class TestDictionary:
         )
         with pytest.raises(sheaf.EdgeRelationViolated):
             sheaf.quadruple_to_quintuple(broken)
+
+    def test_repeated_blocks_read_off_the_jordan_form(self):
+        # blocks 2, 2, 1 at 1/2 and 3 at -1 at node 0; 3, 1 at 1/2 and 1, 1 at -1 at node 1
+        lam, mu = Fraction(1, 2), Fraction(-1)
+        blocks = {0: [(lam, 2), (lam, 2), (lam, 1), (mu, 3)],
+                  1: [(lam, 3), (mu, 1), (lam, 1), (mu, 1)]}
+        rng = random.Random(17)
+        planted = {a: linalg.block_diag([sheaf._jordan_block(s, n, True) for s, n in bl])
+                   for a, bl in blocks.items()}
+        rep = adhm.N1Representation(
+            A2, {0: 8, 1: 6, 2: 0},
+            B={(0, 1, 0): _intertwiner(rng, blocks[1], blocks[0]),
+               (1, 0, 0): _intertwiner(rng, blocks[0], blocks[1])},
+            Psi=planted,
+        )
+        g0 = {a: rand_invertible(rng, rep.dims[a]) for a in rep.dims}
+        rep = adhm.conjugate(rep, g0)
+        data, g = sheaf.quadruple_to_quintuple(rep)
+        assert data.node_sheaves[0] == sheaf.TorsionSheafData.of([(mu, [3]), (lam, [2, 2, 1])])
+        assert data.node_sheaves[1] == sheaf.TorsionSheafData.of([(mu, [1, 1]), (lam, [3, 1])])
+        for a in (0, 1):
+            # the independent rank-filtration path agrees on the partitions
+            assert data.node_sheaves[a] == sheaf.endo_to_sheaf(rep.Psi[a])
+            j = sheaf.sheaf_to_endo(data.node_sheaves[a])[1]
+            ga = g[a]
+            assert linalg.mat_mul(linalg.mat_mul(ga, rep.Psi[a]), linalg.inverse(ga)) == j
+        assert sheaf.quintuple_to_quadruple(data) == adhm.conjugate(rep, g)
 
     def test_irrational_loop_spectrum_refused(self):
         rep = adhm.N1Representation(A2, {0: 2, 1: 0, 2: 0}, Psi={0: [[0, 1], [2, 0]]})
