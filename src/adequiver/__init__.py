@@ -8,144 +8,64 @@ vanishing loci (`deformation`), relation and non-degeneracy checks for
 quiver representations (`adhm`), the torsion-module dictionary
 (`sheaf`), a symbolic two-term complex checker (`monad`), JSON file
 formats (`io`), and the command line (`cli`).
+
+The names in `__all__` are re-exported lazily: `import adequiver` loads
+no submodule, and the first access to a name such as `adequiver.marks`
+imports its defining submodule and returns the object defined there.
+So a caller, the command line included, loads only the modules it uses,
+and numpy only where a numeric path runs.
 """
 
-from .adhm import (
-    N1Representation,
-    RelationResidual,
-    SupportReport,
-    check_relations,
-    check_support_property,
-    conjugate,
-    direct_sum,
-    edge_residual,
-    is_nondegenerate,
-    node_residual,
-    restrict_finite,
-    support,
-    trace_identity_defect,
-)
-from .deformation import (
-    DeformationParam,
-    ExceptionalLocus,
-    IdenticallyZeroProjection,
-    NotARoot,
-    Polynomial,
-    complete_affine_theta,
-    exceptional_locus,
-    is_generic,
-    make_deformation,
-    theta_of_root,
-)
-from .dynkin import (
-    DynkinType,
-    Root,
-    cartan_matrix,
-    highest_root,
-    is_positive_root,
-    marks,
-    positive_root_count,
-    positive_roots,
-)
-from .gamma import (
-    ClosureOverflow,
-    DegenerateSpectrum,
-    GammaGroup,
-    NonIntegralMultiplicity,
-    character_table,
-    enumerate_group,
-    mckay_adjacency,
-    verify_mckay,
-)
-from .linalg import NonRationalSpectrum
-from .monad import (
-    MonadData,
-    NCElement,
-    build_monad,
-    compose_and_check,
-    nc_multiply,
-    node_relation_defects,
-)
-from .quiver import (
-    QuiverSpec,
-    build_extended_quiver,
-    build_mckay_quiver,
-    build_n1_quiver,
-    to_dot,
-)
-from .sheaf import (
-    EdgeRelationViolated,
-    IllConditioned,
-    QuiverSheafData,
-    TorsionSheafData,
-    endo_to_sheaf,
-    is_regular,
-    quadruple_to_quintuple,
-    quintuple_to_quadruple,
-    sheaf_to_endo,
-)
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ClosureOverflow",
-    "DeformationParam",
-    "DegenerateSpectrum",
-    "DynkinType",
-    "EdgeRelationViolated",
-    "ExceptionalLocus",
-    "GammaGroup",
-    "IdenticallyZeroProjection",
-    "IllConditioned",
-    "MonadData",
-    "N1Representation",
-    "NCElement",
-    "NonIntegralMultiplicity",
-    "NonRationalSpectrum",
-    "NotARoot",
-    "Polynomial",
-    "QuiverSheafData",
-    "QuiverSpec",
-    "RelationResidual",
-    "Root",
-    "SupportReport",
-    "TorsionSheafData",
-    "build_extended_quiver",
-    "build_mckay_quiver",
-    "build_monad",
-    "build_n1_quiver",
-    "cartan_matrix",
-    "character_table",
-    "check_relations",
-    "check_support_property",
-    "complete_affine_theta",
-    "compose_and_check",
-    "conjugate",
-    "direct_sum",
-    "edge_residual",
-    "endo_to_sheaf",
-    "enumerate_group",
-    "exceptional_locus",
-    "highest_root",
-    "is_generic",
-    "is_nondegenerate",
-    "is_positive_root",
-    "is_regular",
-    "make_deformation",
-    "marks",
-    "mckay_adjacency",
-    "nc_multiply",
-    "node_relation_defects",
-    "node_residual",
-    "positive_root_count",
-    "positive_roots",
-    "quadruple_to_quintuple",
-    "quintuple_to_quadruple",
-    "restrict_finite",
-    "sheaf_to_endo",
-    "support",
-    "theta_of_root",
-    "to_dot",
-    "trace_identity_defect",
-    "verify_mckay",
-]
+_EXPORTS = {
+    "adhm": (
+        "N1Representation", "RelationResidual", "SupportReport", "check_relations",
+        "check_support_property", "conjugate", "direct_sum", "edge_residual",
+        "is_nondegenerate", "node_residual", "restrict_finite", "support",
+        "trace_identity_defect",
+    ),
+    "deformation": (
+        "DeformationParam", "ExceptionalLocus", "IdenticallyZeroProjection", "NotARoot",
+        "Polynomial", "complete_affine_theta", "exceptional_locus", "is_generic",
+        "make_deformation", "theta_of_root",
+    ),
+    "dynkin": (
+        "DynkinType", "Root", "cartan_matrix", "highest_root", "is_positive_root", "marks",
+        "positive_root_count", "positive_roots",
+    ),
+    "gamma": (
+        "ClosureOverflow", "DegenerateSpectrum", "GammaGroup", "NonIntegralMultiplicity",
+        "character_table", "enumerate_group", "mckay_adjacency", "verify_mckay",
+    ),
+    "linalg": ("NonRationalSpectrum",),
+    "monad": (
+        "MonadData", "NCElement", "build_monad", "compose_and_check", "nc_multiply",
+        "node_relation_defects",
+    ),
+    "quiver": (
+        "QuiverSpec", "build_extended_quiver", "build_mckay_quiver", "build_n1_quiver",
+        "to_dot",
+    ),
+    "sheaf": (
+        "EdgeRelationViolated", "IllConditioned", "QuiverSheafData", "TorsionSheafData",
+        "endo_to_sheaf", "is_regular", "quadruple_to_quintuple", "quintuple_to_quadruple",
+        "sheaf_to_endo",
+    ),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_MODULE_OF)
+
+
+def __getattr__(name: str):
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(import_module(f"{__name__}.{module}"), name)
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

@@ -19,15 +19,24 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping
 
-import numpy as np
-
 from . import linalg
 from .deformation import DeformationParam, Polynomial, theta_of_root
-from .dynkin import DynkinType, node_labels, positive_roots
+from .dynkin import DynkinType, InputTooLarge, node_labels, positive_roots
 from .linalg import Mat, Vec
 from .quiver import QuiverSpec, build_n1_quiver
 
 ArrowKey = tuple  # (source, target, pair_index)
+
+# Largest total dimension (sum over nodes) accepted for a representation or
+# point data; matrices are square in the node dimensions, so a larger one is
+# refused before any is built.  The tests, README and benchmark stay under 40.
+MAX_TOTAL_DIM = 1000
+
+
+def check_total_dim(total: int) -> None:
+    """InputTooLarge if a total dimension passes MAX_TOTAL_DIM."""
+    if total > MAX_TOTAL_DIM:
+        raise InputTooLarge(f"total dimension {total} exceeds the cap {MAX_TOTAL_DIM}")
 
 
 @dataclass
@@ -44,6 +53,7 @@ class N1Representation:
         labels = node_labels(self.type, self.affine)
         if sorted(self.dims) != labels:
             raise ValueError(f"dims must cover exactly the nodes {labels}")
+        check_total_dim(sum(self.dims.values()))
         q = self.quiver
         valid_keys = {arrow.key for arrow in q.mckay_arrows()}
         stray = set(self.B) - valid_keys
@@ -219,6 +229,8 @@ def restrict_finite(rep: N1Representation) -> N1Representation:
 
 def support(rep: N1Representation, tol: float = 1e-8) -> dict[int, list[complex]]:
     """Loop eigenvalues per node, numerically, nearby values merged at tol."""
+    import numpy as np
+
     out: dict[int, list[complex]] = {}
     for a in node_labels(rep.type, rep.affine):
         if rep.dims[a] == 0:

@@ -17,19 +17,8 @@ import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from . import adhm, deformation, dynkin, gamma, linalg, monad, quiver, sheaf
+from . import adhm, deformation, dynkin, linalg, monad, quiver, sheaf
 from . import io as fileio
-
-_COMPUTE_ERRORS = (
-    gamma.ClosureOverflow,
-    gamma.DegenerateSpectrum,
-    gamma.NonIntegralMultiplicity,
-    deformation.IdenticallyZeroProjection,
-    deformation.NotARoot,
-    sheaf.EdgeRelationViolated,
-    sheaf.IllConditioned,
-    linalg.NonRationalSpectrum,
-)
 
 
 def _kebab(name: str) -> str:
@@ -153,6 +142,8 @@ def cmd_roots(args, report: RunReport) -> None:
 # -- mckay-verify ------------------------------------------------------------
 
 def cmd_mckay_verify(args, report: RunReport) -> None:
+    from . import gamma  # numeric throughout: loads numpy, which no other command needs
+
     t = dynkin.DynkinType.parse(args.type)
     delta = dynkin.marks(t)
     g = gamma.enumerate_group(t)
@@ -569,13 +560,13 @@ def main(argv=None) -> int:
     report = RunReport(command=args.command)
     try:
         args.func(args, report)
-    except fileio.SchemaError as e:
+    except (fileio.SchemaError, ValueError) as e:
         report.check("input-well-formed", False, str(e))
         report.forced_exit = 2
-    except ValueError as e:
-        report.check("input-well-formed", False, str(e))
+    except dynkin.InputTooLarge as e:
+        report.check(_kebab(type(e).__name__), False, str(e))
         report.forced_exit = 2
-    except _COMPUTE_ERRORS as e:
+    except linalg.ComputeFailure as e:
         report.check(_kebab(type(e).__name__), False, str(e))
     print(report.to_json() if args.json else report.to_human())
     return report.exit_code

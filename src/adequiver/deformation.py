@@ -18,17 +18,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-import numpy as np
-
 from .dynkin import DynkinType, Root, marks, node_labels, positive_roots
-from .linalg import frac
+from .linalg import ComputeFailure, frac
 
 
-class NotARoot(Exception):
+class NotARoot(ComputeFailure):
     """The supplied coefficient vector is not a positive root."""
 
 
-class IdenticallyZeroProjection(Exception):
+class IdenticallyZeroProjection(ComputeFailure):
     """A positive-root projection collapsed to the zero polynomial."""
 
     def __init__(self, root: Root):
@@ -170,6 +168,8 @@ def poly_roots(p: Polynomial, tol: float = 1e-8) -> list[tuple[complex, int]]:
     simple roots are well conditioned.  Nearby locations are merged at
     tol as a numerical guard.
     """
+    import numpy as np
+
     if p.is_zero:
         raise ValueError("the zero polynomial has no root locus")
     entries: list[tuple[complex, int]] = []

@@ -23,6 +23,14 @@ FAMILIES = ("A", "D", "E")
 
 _MIN_RANK = {"A": 1, "D": 4}
 _E_RANKS = (6, 7, 8)
+# Largest rank accepted.  Roots, marks and quivers grow with the rank, so a
+# larger one is refused before anything is built; the tests, README and
+# benchmark use ranks up to 8.
+MAX_RANK = 100
+
+
+class InputTooLarge(Exception):
+    """An input past a size cap, refused before anything of its size is allocated."""
 
 
 @dataclass(frozen=True)
@@ -38,6 +46,8 @@ class DynkinType:
                 raise ValueError("family E has ranks 6, 7, 8 only")
         elif self.rank < _MIN_RANK[self.family]:
             raise ValueError(f"family {self.family} needs rank >= {_MIN_RANK[self.family]}")
+        elif self.rank > MAX_RANK:
+            raise InputTooLarge(f"rank {self.rank} exceeds the cap {MAX_RANK}")
 
     @classmethod
     def parse(cls, text: str) -> "DynkinType":
@@ -123,7 +133,15 @@ class MarksVector:
 
 
 def marks(t: DynkinType) -> MarksVector:
-    """Primitive positive null vector of the affine Cartan matrix, entry 1 at node 0."""
+    """Primitive positive null vector of the affine Cartan matrix, entry 1 at node 0.
+
+    Computed once per type; the result is immutable and shared.
+    """
+    return _marks_cached(t)
+
+
+@lru_cache(maxsize=None)
+def _marks_cached(t: DynkinType) -> MarksVector:
     c = cartan_matrix(t, affine=True)
     kernel = linalg.nullspace(linalg.matrix(c.entries))
     if len(kernel) != 1:

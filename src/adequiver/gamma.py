@@ -18,20 +18,21 @@ from math import cos, pi, sin, sqrt
 import numpy as np
 
 from .dynkin import DynkinType, adjacency_matrix, marks
+from .linalg import ComputeFailure
 
 DEDUP_DECIMALS = 9
 CLOSURE_CAP = 200
 
 
-class ClosureOverflow(Exception):
+class ClosureOverflow(ComputeFailure):
     """Generator closure exceeded the element cap without stabilising."""
 
 
-class DegenerateSpectrum(Exception):
+class DegenerateSpectrum(ComputeFailure):
     """No random class-matrix combination produced a simple spectrum."""
 
 
-class NonIntegralMultiplicity(Exception):
+class NonIntegralMultiplicity(ComputeFailure):
     """A McKay multiplicity failed to round to an integer within tolerance."""
 
 

@@ -13,6 +13,10 @@ Gauss-Jordan on integer rows kept primitive.  The characteristic
 polynomial runs Faddeev-LeVerrier on the integer matrix with one
 common denominator.  Products inside these kernels share one integer
 product loop.
+
+Every exception that means "this computation gave up on this input",
+here and in the modules above, derives from `ComputeFailure`; the
+command line reports each as a failed verdict named after its class.
 """
 
 from __future__ import annotations
@@ -27,7 +31,11 @@ Vec = list
 _ZERO = Fraction(0)
 
 
-class NonRationalSpectrum(Exception):
+class ComputeFailure(Exception):
+    """Base of the exceptions by which a computation gives up on a well-formed input."""
+
+
+class NonRationalSpectrum(ComputeFailure):
     """A computation that needs an all-rational spectrum met a matrix without one."""
 
 

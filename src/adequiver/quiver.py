@@ -19,6 +19,7 @@ loops and framing arrows carry sign 0.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .dynkin import DynkinType, adjacency_matrix, affine_edges, finite_edges, node_labels
 
@@ -104,6 +105,12 @@ def build_extended_quiver(t: DynkinType, affine: bool = True) -> QuiverSpec:
 
 
 def build_n1_quiver(t: DynkinType, affine: bool = True) -> QuiverSpec:
+    """The McKay quiver with a loop at every node; built once per (type, affine) and shared."""
+    return _n1_quiver_cached(t, affine)
+
+
+@lru_cache(maxsize=None)
+def _n1_quiver_cached(t: DynkinType, affine: bool) -> QuiverSpec:
     nodes = tuple(node_labels(t, affine))
     arrows = _doubled_arrows(t, affine)
     for a in nodes:

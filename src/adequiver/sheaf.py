@@ -15,24 +15,26 @@ with framing vectors carried along by the same base change.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Mapping, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Mapping, Sequence
 
 from . import linalg
-from .adhm import ArrowKey, N1Representation, edge_residual
+from .adhm import ArrowKey, N1Representation, check_total_dim, edge_residual
 from .deformation import Polynomial
 from .dynkin import DynkinType, node_labels
-from .linalg import Mat, Vec
+from .linalg import ComputeFailure, Mat, Vec
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
-class IllConditioned(Exception):
+class IllConditioned(ComputeFailure):
     """A numeric rank decision landed inside the tolerance band."""
 
 
-class EdgeRelationViolated(Exception):
+class EdgeRelationViolated(ComputeFailure):
     """Arrow maps fail to intertwine the loops, so no sheaf dictionary exists."""
 
 
@@ -83,8 +85,9 @@ def _jordan_block(lam, size: int, exact: bool):
         for i in range(size - 1):
             block[i][i + 1] = Fraction(1)
         return block
-    block = np.eye(size, k=1, dtype=complex) + complex(lam) * np.eye(size, dtype=complex)
-    return block
+    import numpy as np
+
+    return np.eye(size, k=1, dtype=complex) + complex(lam) * np.eye(size, dtype=complex)
 
 
 def sheaf_to_endo(data: TorsionSheafData):
@@ -95,6 +98,8 @@ def sheaf_to_endo(data: TorsionSheafData):
         ]
         mat = linalg.block_diag(blocks) if blocks else linalg.zeros(0, 0)
         return data.dimension, mat
+    import numpy as np
+
     n = data.dimension
     out = np.zeros((n, n), dtype=complex)
     at = 0
@@ -142,6 +147,8 @@ def _jordan_points(j: Mat) -> TorsionSheafData:
 
 
 def _numeric_rank(m: np.ndarray, tol: float) -> int:
+    import numpy as np
+
     if m.size == 0:
         return 0
     s = np.linalg.svd(m, compute_uv=False)
@@ -155,6 +162,8 @@ def _numeric_rank(m: np.ndarray, tol: float) -> int:
 
 
 def _endo_to_sheaf_numeric(m: np.ndarray, tol: float) -> TorsionSheafData:
+    import numpy as np
+
     n = m.shape[0]
     vals = sorted(np.linalg.eigvals(m), key=lambda z: (z.real, z.imag))
     clusters: list[list] = []
@@ -186,9 +195,13 @@ def endo_to_sheaf(psi, tol: float = 1e-8) -> TorsionSheafData:
     complex input is clustered at tol with IllConditioned guarding rank
     decisions near the tolerance.
     """
-    if isinstance(psi, np.ndarray):
+    # an ndarray exists only once numpy is loaded, so exact input never loads it
+    np = sys.modules.get("numpy")
+    if np is not None and isinstance(psi, np.ndarray):
         return _endo_to_sheaf_numeric(np.asarray(psi, dtype=complex), tol)
     if psi and any(isinstance(x, (float, complex)) for row in psi for x in row):
+        import numpy as np
+
         return _endo_to_sheaf_numeric(np.array(psi, dtype=complex), tol)
     return _endo_to_sheaf_exact(linalg.matrix(psi))
 
@@ -227,6 +240,7 @@ class QuiverSheafData:
         labels = node_labels(self.type, self.affine)
         if sorted(self.node_sheaves) != labels:
             raise ValueError(f"need sheaf data for exactly the nodes {labels}")
+        check_total_dim(sum(self.node_sheaves[a].dimension for a in labels))
         jordan = {a: sheaf_to_endo(self.node_sheaves[a])[1] for a in labels}
         for key, m in self.arrow_maps.items():
             src, tgt, _ = key

@@ -5,7 +5,7 @@ import pytest
 
 from adequiver import adhm, linalg
 from adequiver.deformation import DeformationParam, Polynomial, complete_affine_theta
-from adequiver.dynkin import DynkinType, node_labels
+from adequiver.dynkin import DynkinType, InputTooLarge, node_labels
 
 from helpers import finite_pair_example, rand_invertible, worked_cycle_example
 
@@ -238,3 +238,11 @@ def test_trace_identity_defect_tracks_node_traces():
         Psi={1: [[1]], 2: [[Fraction(1, 2)]]}, affine=False,
     )
     assert adhm.trace_identity_defect(moved, theta) == Fraction(1, 2)
+
+
+def test_total_dimension_cap_refuses_before_allocating():
+    adhm.check_total_dim(adhm.MAX_TOTAL_DIM)
+    with pytest.raises(InputTooLarge, match=f"total dimension {adhm.MAX_TOTAL_DIM + 1} exceeds"):
+        adhm.check_total_dim(adhm.MAX_TOTAL_DIM + 1)
+    with pytest.raises(InputTooLarge):
+        adhm.N1Representation(A2, {0: 100000, 1: 0, 2: 0})

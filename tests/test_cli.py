@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from adequiver import cli
+import adequiver
+from adequiver import cli, deformation, dynkin, gamma, linalg, sheaf
 from adequiver import io as fileio
 
 
@@ -388,3 +393,119 @@ class TestParser:
         with pytest.raises(SystemExit) as e:
             cli.main(["monad-check", rep])
         assert e.value.code == 2
+
+
+class TestSizeCaps:
+    def test_huge_rank_is_input_too_large(self, capsys):
+        code, out = run(capsys, "roots", "A100000", "--json")
+        assert code == 2
+        report = json.loads(out)
+        assert [v["name"] for v in report["verdicts"]] == ["input-too-large"]
+        assert report["verdicts"][0]["detail"] == f"rank 100000 exceeds the cap {dynkin.MAX_RANK}"
+
+    def test_huge_dimension_is_input_too_large(self, capsys, tmp_path):
+        rec = {"type": "A2", "dims": {"0": 100000, "1": 0, "2": 0}}
+        rep = write(tmp_path, "rep.json", rec)
+        theta = write(tmp_path, "theta.json", theta_record())
+        for argv in (["nondeg", rep], ["check-rep", "--theta", theta, rep]):
+            code, out = run(capsys, *argv)
+            assert code == 2
+            assert "check input-too-large: FAIL  (total dimension 100000 exceeds" in out
+        points = write(tmp_path, "sheaf.json", {
+            "type": "A2",
+            "nodes": {"1": {"points": [{"support": "0", "partition": [100000]}]},
+                      "2": {"points": []}},
+        })
+        code, out = run(capsys, "matrixify", points)
+        assert code == 2
+        assert "check input-too-large: FAIL" in out
+
+
+COMPUTE_FAILURES = {
+    gamma.ClosureOverflow: "closure-overflow",
+    gamma.DegenerateSpectrum: "degenerate-spectrum",
+    gamma.NonIntegralMultiplicity: "non-integral-multiplicity",
+    deformation.IdenticallyZeroProjection: "identically-zero-projection",
+    deformation.NotARoot: "not-a-root",
+    sheaf.EdgeRelationViolated: "edge-relation-violated",
+    sheaf.IllConditioned: "ill-conditioned",
+    linalg.NonRationalSpectrum: "non-rational-spectrum",
+}
+
+
+@pytest.mark.parametrize("cls", COMPUTE_FAILURES)
+def test_compute_failures_share_one_base_and_keep_their_verdict_names(cls):
+    assert issubclass(cls, linalg.ComputeFailure)
+    assert cli._kebab(cls.__name__) == COMPUTE_FAILURES[cls]
+
+
+# The package directory this suite imported, so a child process runs the same code.
+PACKAGE_ROOT = str(Path(cli.__file__).resolve().parents[1])
+CHILD_MAIN = (
+    "import sys\n"
+    "from adequiver.cli import main\n"
+    "code = main(sys.argv[1:])\n"
+    "sys.stderr.write('numpy' if 'numpy' in sys.modules else 'no numpy')\n"
+    "sys.exit(code)\n"
+)
+
+
+def run_child(*argv, code=CHILD_MAIN):
+    """Run the command line in a fresh interpreter: (exit code, stdout, stderr)."""
+    env = dict(os.environ, PYTHONPATH=PACKAGE_ROOT)
+    done = subprocess.run([sys.executable, "-c", code, *argv], env=env,
+                          capture_output=True, text=True, timeout=120)
+    return done.returncode, done.stdout, done.stderr
+
+
+def startup_fixtures(tmp_path):
+    """Arguments of a run per subcommand, its exit code, and whether it uses numpy."""
+    theta = write(tmp_path, "theta.json", theta_record())
+    rep = write(tmp_path, "rep.json", rep_record())
+    data, _ = sheaf.quadruple_to_quintuple(fileio.representation_from_dict(rep_record()))
+    points = write(tmp_path, "sheaf.json", fileio.sheaf_data_to_dict(data))
+    irrational = write(tmp_path, "irrational.json", {
+        "type": "A2", "dims": {"0": 2, "1": 0, "2": 0}, "psi": {"0": [["0", "1"], ["2", "0"]]},
+    })
+    return [
+        (["roots", "E8"], 0, False),
+        (["quiver-dot", "D4", "--flavor", "n1"], 0, False),
+        (["theta-validate", theta], 0, False),
+        (["nondeg", rep], 0, False),
+        (["sheafify", rep], 0, False),
+        (["sheafify", irrational], 1, False),   # non-rational-spectrum
+        (["matrixify", points], 0, False),
+        (["roundtrip", rep], 0, False),
+        (["monad-check", rep, "--lam", "1,0,-1"], 0, False),
+        (["check-rep", "--theta", theta, rep], 0, False),   # support check skipped
+        (["mckay-verify", "A2"], 0, True),
+        (["exc-locus", theta], 0, True),
+    ]
+
+
+class TestStartup:
+    def test_numpy_loaded_only_by_numeric_subcommands(self, capsys, tmp_path):
+        for argv, exit_code, numeric in startup_fixtures(tmp_path):
+            code, out = run(capsys, *argv)
+            assert code == exit_code, argv
+            assert run_child(*argv) == (code, out, "numpy" if numeric else "no numpy"), argv
+
+    def test_bare_import_loads_no_submodule(self):
+        code, out, err = run_child(code=(
+            "import sys, adequiver\n"
+            "print(sorted(m for m in sys.modules if m.startswith('adequiver')))"
+        ))
+        assert (code, err) == (0, "")
+        assert out.strip() == "['adequiver']"
+
+    def test_every_exported_name_resolves_to_its_definition(self):
+        for name in adequiver.__all__:
+            obj = getattr(adequiver, name)
+            home = sys.modules[obj.__module__]
+            assert home.__name__.startswith("adequiver.")
+            assert getattr(home, name) is obj, name
+        assert set(adequiver.__all__) <= set(dir(adequiver))
+
+    def test_unknown_name_is_attribute_error(self):
+        with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+            adequiver.no_such_name

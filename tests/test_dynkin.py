@@ -150,3 +150,19 @@ def test_affine_diagram_is_connected_with_rank_plus_one_nodes(name):
                     seen.add(y)
                     frontier.append(y)
     assert seen == nodes
+
+
+def test_marks_computed_once_per_type():
+    first = dynkin.marks(dynkin.DynkinType.parse("E7"))
+    assert dynkin.marks(dynkin.DynkinType("E", 7)) is first
+    assert first.delta == (1, 2, 3, 4, 3, 2, 1, 2)
+
+
+def test_rank_cap_refuses_before_building_anything():
+    at_cap = dynkin.DynkinType("A", dynkin.MAX_RANK)
+    assert at_cap.rank == dynkin.MAX_RANK
+    for family in ("A", "D"):
+        with pytest.raises(dynkin.InputTooLarge, match=f"rank {dynkin.MAX_RANK + 1} exceeds"):
+            dynkin.DynkinType(family, dynkin.MAX_RANK + 1)
+    with pytest.raises(dynkin.InputTooLarge):
+        dynkin.DynkinType.parse("A100000")

@@ -86,3 +86,12 @@ def test_validate_rejects_broken_pairing():
     broken = quiver.QuiverSpec(q.type, q.flavor, q.affine, q.nodes, q.arrows[:-1])
     with pytest.raises(AssertionError):
         quiver.validate_quiver(broken)
+
+
+def test_n1_quiver_built_once_per_type_and_affine():
+    t = DynkinType.parse("E6")
+    affine = quiver.build_n1_quiver(t)
+    assert quiver.build_n1_quiver(DynkinType("E", 6), True) is affine
+    finite = quiver.build_n1_quiver(t, affine=False)
+    assert finite is not affine and 0 not in finite.nodes
+    assert quiver.build_n1_quiver(t, False) is finite
