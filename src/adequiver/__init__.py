@@ -51,8 +51,7 @@ _EXPORTS = {
     ),
     "sheaf": (
         "EdgeRelationViolated", "IllConditioned", "QuiverSheafData", "TorsionSheafData",
-        "endo_to_sheaf", "is_regular", "quadruple_to_quintuple", "quintuple_to_quadruple",
-        "sheaf_to_endo",
+        "endo_to_sheaf", "quadruple_to_quintuple", "quintuple_to_quadruple", "sheaf_to_endo",
     ),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -20,7 +20,7 @@ from fractions import Fraction
 from typing import Mapping
 
 from . import linalg
-from .deformation import DeformationParam, Polynomial, theta_of_root
+from .deformation import DeformationParam, Polynomial, cluster_points, theta_of_root
 from .dynkin import DynkinType, InputTooLarge, node_labels, positive_roots
 from .linalg import Mat, Vec
 from .quiver import QuiverSpec, build_n1_quiver
@@ -65,15 +65,9 @@ class N1Representation:
             want = (self.dims[arrow.target], self.dims[arrow.source])
             if m is None:
                 m = linalg.zeros(*want)
-            elif 0 in want:
-                # zero-dim blocks lose their shape in list form; check what survives
-                m = linalg.matrix(m)
-                if len(m) != want[0] or any(len(r) != want[1] for r in m):
-                    raise ValueError(f"arrow {arrow.key} wants shape {want}")
-                m = linalg.zeros(*want)
             else:
                 m = linalg.matrix(m)
-                if linalg.shape(m) != want:
+                if not linalg.has_shape(m, *want):
                     raise ValueError(f"arrow {arrow.key} wants shape {want}")
             b[arrow.key] = m
         self.B = b
@@ -88,7 +82,7 @@ class N1Representation:
                 m = linalg.zeros(self.dims[a])
             else:
                 m = linalg.matrix(m)
-                if linalg.shape(m) != (self.dims[a], self.dims[a]):
+                if not linalg.has_shape(m, self.dims[a], self.dims[a]):
                     raise ValueError(f"loop at {a} must be {self.dims[a]} square")
             psi[a] = m
         self.Psi = psi
@@ -237,14 +231,8 @@ def support(rep: N1Representation, tol: float = 1e-8) -> dict[int, list[complex]
             out[a] = []
             continue
         m = np.array([[complex(x) for x in row] for row in rep.Psi[a]])
-        vals = sorted(np.linalg.eigvals(m), key=lambda z: (z.real, z.imag))
-        merged: list[list] = []
-        for v in vals:
-            if merged and abs(v - merged[-1][0]) < tol:
-                merged[-1][1] += 1
-            else:
-                merged.append([v, 1])
-        out[a] = [complex(v) for v, k in merged for _ in range(k)]
+        groups = cluster_points(((v, 1) for v in np.linalg.eigvals(m)), tol)
+        out[a] = [complex(points[0]) for points, k in groups for _ in range(k)]
     return out
 
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .dynkin import DynkinType, Root, marks, node_labels, positive_roots
 from .linalg import ComputeFailure, frac
@@ -177,14 +177,24 @@ def poly_roots(p: Polynomial, tol: float = 1e-8) -> list[tuple[complex, int]]:
         coeffs = [float(c) for c in reversed(factor.coefficients)]
         for r in np.roots(coeffs):
             entries.append((complex(r), mult))
-    merged: list[tuple[complex, int]] = []
+    return [(points[0], mult) for points, mult in cluster_points(entries, tol)]
+
+
+def cluster_points(entries: Iterable[tuple[complex, int]], tol: float) -> list[tuple[list, int]]:
+    """Group numeric (point, multiplicity) pairs that lie within tol of each other.
+
+    The pairs are sorted by (real, imag); each point joins the current
+    group when it lies within tol of that group's first point.  Returns
+    every group's points, first point first, with their total multiplicity.
+    """
+    groups: list[tuple[list, int]] = []
     for point, mult in sorted(entries, key=lambda e: (e[0].real, e[0].imag)):
-        if merged and abs(merged[-1][0] - point) < tol:
-            prev_point, prev_mult = merged[-1]
-            merged[-1] = (prev_point, prev_mult + mult)
+        if groups and abs(point - groups[-1][0][0]) < tol:
+            points, total = groups[-1]
+            groups[-1] = (points + [point], total + mult)
         else:
-            merged.append((point, mult))
-    return merged
+            groups.append(([point], mult))
+    return groups
 
 
 @dataclass(frozen=True)

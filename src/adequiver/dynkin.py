@@ -166,17 +166,6 @@ class Root:
         return {a + 1: c for a, c in enumerate(self.coefficients)}
 
 
-def _pairing_rows(t: DynkinType) -> tuple[tuple[int, ...], ...]:
-    return cartan_matrix(t, affine=False).entries
-
-
-def root_norm(t: DynkinType, coefficients: tuple[int, ...]) -> int:
-    """Squared length under the Cartan pairing (2 for every root)."""
-    c = _pairing_rows(t)
-    n = t.rank
-    return sum(coefficients[i] * c[i][j] * coefficients[j] for i in range(n) for j in range(n))
-
-
 def positive_roots(t: DynkinType) -> list[Root]:
     """All positive roots, by reflection closure upward from the simple roots.
 
@@ -188,7 +177,7 @@ def positive_roots(t: DynkinType) -> list[Root]:
 @lru_cache(maxsize=None)
 def _positive_roots_cached(t: DynkinType) -> tuple[Root, ...]:
     n = t.rank
-    cart = _pairing_rows(t)
+    cart = cartan_matrix(t, affine=False).entries
     simple = [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
     seen = set(simple)
     frontier = list(simple)

@@ -27,9 +27,15 @@ def frac_to_str(x: Fraction) -> str:
     return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
 
 
+def _expect(v, kinds, what: str):
+    """v itself if it is a JSON value of one of kinds (true and false never are)."""
+    if isinstance(v, bool) or not isinstance(v, kinds):
+        raise SchemaError(f"expected {what}, got {v!r}")
+    return v
+
+
 def frac_from_json(v) -> Fraction:
-    if isinstance(v, bool) or not isinstance(v, (str, int)):
-        raise SchemaError(f"expected an exact rational string, got {v!r}")
+    _expect(v, (str, int), "an exact rational string")
     try:
         return Fraction(v)
     except (ValueError, ZeroDivisionError) as e:
@@ -84,6 +90,36 @@ def _node_table(record: dict, key: str) -> dict[int, Any]:
     return out
 
 
+def _arrows_from_json(record: dict) -> dict[tuple[int, int, int], Mat]:
+    """The 'arrows' array of a representation or point-data file, keyed (from, to, pair_index)."""
+    arrows = record.get("arrows", [])
+    if not isinstance(arrows, list):
+        raise SchemaError("'arrows' must be an array")
+    out = {}
+    for entry in arrows:
+        if not isinstance(entry, dict) or not {"from", "to", "matrix"} <= set(entry):
+            raise SchemaError("each arrow needs 'from', 'to', 'matrix' (and optional 'pair_index')")
+        key = tuple(_expect(entry.get(f, 0), int, f"an integer for arrow '{f}'")
+                    for f in ("from", "to", "pair_index"))
+        if key in out:
+            raise SchemaError(f"duplicate arrow {key}")
+        out[key] = matrix_from_json(entry["matrix"])
+    return out
+
+
+def _framing_from_json(record: dict) -> tuple[dict[int, int], dict[int, list[Vec]]]:
+    """Framing ranks and vectors per node, from the 'framing' object."""
+    ranks = {}
+    vectors = {}
+    for a, v in _node_table(record, "framing").items():
+        if not isinstance(v, dict) or "rank" not in v:
+            raise SchemaError("framing entries are objects with 'rank' and 'vectors'")
+        ranks[a] = _expect(v["rank"], int, f"an integer framing rank at node {a}")
+        ws = _expect(v.get("vectors", []), list, f"an array of framing vectors at node {a}")
+        vectors[a] = [vector_from_json(w) for w in ws]
+    return ranks, vectors
+
+
 # -- deformation files ------------------------------------------------------
 
 def deformation_from_dict(record: Any) -> DeformationParam:
@@ -130,26 +166,9 @@ def representation_from_dict(record: Any) -> N1Representation:
             raise SchemaError(f"dims[{a}] must be a nonnegative integer")
         dims[a] = v
     affine = 0 in dims
-    arrows = record.get("arrows", [])
-    if not isinstance(arrows, list):
-        raise SchemaError("'arrows' must be an array")
-    b = {}
-    for entry in arrows:
-        if not isinstance(entry, dict) or not {"from", "to", "matrix"} <= set(entry):
-            raise SchemaError("each arrow needs 'from', 'to', 'matrix' (and optional 'pair_index')")
-        key = (int(entry["from"]), int(entry["to"]), int(entry.get("pair_index", 0)))
-        if key in b:
-            raise SchemaError(f"duplicate arrow {key}")
-        b[key] = matrix_from_json(entry["matrix"])
+    b = _arrows_from_json(record)
     psi = {a: matrix_from_json(v) for a, v in _node_table(record, "psi").items()}
-    framing_raw = _node_table(record, "framing")
-    ranks = {}
-    vectors = {}
-    for a, v in framing_raw.items():
-        if not isinstance(v, dict) or "rank" not in v:
-            raise SchemaError("framing entries are objects with 'rank' and 'vectors'")
-        ranks[a] = int(v["rank"])
-        vectors[a] = [vector_from_json(w) for w in v.get("vectors", [])]
+    ranks, vectors = _framing_from_json(record)
     try:
         return N1Representation(
             type=t, dims=dims, B=b, Psi=psi,
@@ -200,7 +219,8 @@ def _support_from_json(v):
     if isinstance(v, dict):
         if set(v) != {"re", "im"}:
             raise SchemaError("complex supports are objects {re, im}")
-        return complex(float(v["re"]), float(v["im"]))
+        real, imag = (_expect(v[k], (int, float), f"a number for '{k}'") for k in ("re", "im"))
+        return complex(float(real), float(imag))
     return frac_from_json(v)
 
 
@@ -217,29 +237,15 @@ def sheaf_data_from_dict(record: Any) -> QuiverSheafData:
                 raise SchemaError("points are objects with 'support' and 'partition'")
             if not isinstance(pt["partition"], list):
                 raise SchemaError("'partition' must be an array of positive integers")
-            points.append((_support_from_json(pt["support"]), [int(x) for x in pt["partition"]]))
+            parts = [_expect(x, int, "an integer partition part") for x in pt["partition"]]
+            points.append((_support_from_json(pt["support"]), parts))
         try:
             sheaves[a] = TorsionSheafData.of(points)
         except ValueError as e:
             raise SchemaError(str(e)) from None
     affine = 0 in sheaves
-    arrows = record.get("arrows", [])
-    if not isinstance(arrows, list):
-        raise SchemaError("'arrows' must be an array")
-    maps = {}
-    for entry in arrows:
-        if not isinstance(entry, dict) or not {"from", "to", "matrix"} <= set(entry):
-            raise SchemaError("each arrow needs 'from', 'to', 'matrix' (and optional 'pair_index')")
-        key = (int(entry["from"]), int(entry["to"]), int(entry.get("pair_index", 0)))
-        maps[key] = matrix_from_json(entry["matrix"])
-    framing_raw = _node_table(record, "framing")
-    ranks = {}
-    vectors = {}
-    for a, v in framing_raw.items():
-        if not isinstance(v, dict) or "rank" not in v:
-            raise SchemaError("framing entries are objects with 'rank' and 'vectors'")
-        ranks[a] = int(v["rank"])
-        vectors[a] = [vector_from_json(w) for w in v.get("vectors", [])]
+    maps = _arrows_from_json(record)
+    ranks, vectors = _framing_from_json(record)
     labels = node_labels(t, affine)
     for a in labels:
         ranks.setdefault(a, 0)

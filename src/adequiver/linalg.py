@@ -8,7 +8,7 @@ unique map between zero-dimensional spaces.
 The exact kernels run on Python ints and build each output Fraction
 once.  Products (`mat_mul`) clear denominators and multiply integer
 numerators while skipping zero entries.  Elimination (`rref`, and
-through it `rank`, `nullspace`, `inverse` and `solve`) is fraction-free
+through it `rank`, `nullspace` and `inverse`) is fraction-free
 Gauss-Jordan on integer rows kept primitive.  The characteristic
 polynomial runs Faddeev-LeVerrier on the integer matrix with one
 common denominator.  Products inside these kernels share one integer
@@ -59,6 +59,11 @@ def matrix(rows: Iterable[Iterable]) -> Mat:
 
 def shape(m: Mat) -> tuple[int, int]:
     return (len(m), len(m[0]) if m else 0)
+
+
+def has_shape(m: Mat, rows: int, cols: int) -> bool:
+    """True iff m is rows x cols; unlike `shape`, also for [] standing for 0 x cols."""
+    return len(m) == rows and all(len(r) == cols for r in m)
 
 
 def zeros(r: int, c: int | None = None) -> Mat:
@@ -149,8 +154,7 @@ def mat_mul(a: Mat, b: Mat) -> Mat:
 
 
 def mat_vec(m: Mat, v: Vec) -> Vec:
-    r, c = shape(m)
-    if c != len(v):
+    if any(len(row) != len(v) for row in m):
         raise ValueError("shape mismatch in matrix-vector product")
     return [sum((x * y for x, y in zip(row, v)), Fraction(0)) for row in m]
 
@@ -242,28 +246,6 @@ def nullspace(m: Mat) -> list[Vec]:
     return basis
 
 
-def det(m: Mat) -> Fraction:
-    a = [list(row) for row in m]
-    n, c = shape(a)
-    if n != c:
-        raise ValueError("determinant of a non-square matrix")
-    d = Fraction(1)
-    for col in range(n):
-        piv = next((i for i in range(col, n) if a[i][col] != 0), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != col:
-            a[col], a[piv] = a[piv], a[col]
-            d = -d
-        d *= a[col][col]
-        inv = Fraction(1) / a[col][col]
-        for i in range(col + 1, n):
-            if a[i][col] != 0:
-                f = a[i][col] * inv
-                a[i] = [x - f * y for x, y in zip(a[i], a[col])]
-    return d
-
-
 def inverse(m: Mat) -> Mat:
     n, c = shape(m)
     if n != c:
@@ -273,19 +255,6 @@ def inverse(m: Mat) -> Mat:
     if pivots != list(range(n)):
         raise ValueError("matrix is singular")
     return [row[n:] for row in red]
-
-
-def solve(a: Mat, b: Vec) -> Vec | None:
-    """One solution of a x = b, or None when inconsistent."""
-    r, c = shape(a)
-    aug = [list(row) + [bb] for row, bb in zip(a, b)]
-    red, pivots = rref(aug)
-    if c in pivots:
-        return None
-    x = [Fraction(0)] * c
-    for i, p in enumerate(pivots):
-        x[p] = red[i][c]
-    return x
 
 
 class SpanBasis:
@@ -309,9 +278,6 @@ class SpanBasis:
                 f = w[p]
                 w = [x - f * y for x, y in zip(w, row)]
         return w
-
-    def contains(self, v: Sequence) -> bool:
-        return all(x == 0 for x in self.reduce(v))
 
     def add(self, v: Sequence) -> bool:
         """Insert v; True iff it enlarged the span."""
@@ -414,18 +380,6 @@ def rational_eigenvalues(m: Mat) -> dict[Fraction, int]:
             f"only {sum(eig.values())} of {n} eigenvalues are rational"
         )
     return eig
-
-
-def minimal_poly_degree(m: Mat) -> int:
-    """Degree of the minimal polynomial (smallest dependent power)."""
-    n = shape(m)[0]
-    span = SpanBasis(n * n)
-    power = identity(n)
-    k = 0
-    while span.add([x for row in power for x in row]):
-        power = mat_mul(m, power)
-        k += 1
-    return k
 
 
 def jordan_form(m: Mat) -> tuple[Mat, Mat]:

@@ -73,12 +73,7 @@ class NCElement:
             if mono not in DEGREE:
                 raise ValueError(f"unknown monomial {mono!r}")
             m = linalg.matrix(m)
-            # a 0 x n or n x 0 coefficient carries no entries; keep nothing
-            if rows == 0 or cols == 0:
-                if len(m) != rows or any(len(r) != cols for r in m):
-                    raise ValueError(f"coefficient of {mono} must be {rows}x{cols}")
-                continue
-            if linalg.shape(m) != (rows, cols):
+            if not linalg.has_shape(m, rows, cols):
                 raise ValueError(f"coefficient of {mono} must be {rows}x{cols}")
             if not linalg.is_zero_matrix(m):
                 clean[mono] = m
@@ -91,9 +86,6 @@ class NCElement:
     @property
     def is_zero(self) -> bool:
         return not self.coefficients
-
-    def degrees(self) -> set[int]:
-        return {DEGREE[m] for m in self.coefficients}
 
     def is_homogeneous(self, degree: int) -> bool:
         return all(DEGREE[m] == degree for m in self.coefficients)
@@ -215,12 +207,7 @@ def _assemble(rank: int, blocks: Mapping[int, Mat], row_dims: Mapping[int, int],
         if m is None:
             continue
         m = linalg.matrix(m)
-        if 0 in want:
-            # empty blocks carry no entries; accept any consistent list form
-            if len(m) != want[0] or any(len(r) != want[1] for r in m):
-                raise ValueError(f"block at node {a} must have shape {want}")
-            continue
-        if linalg.shape(m) != want:
+        if not linalg.has_shape(m, *want):
             raise ValueError(f"block at node {a} must have shape {want}")
         for i in range(want[0]):
             for j in range(want[1]):

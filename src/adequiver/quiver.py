@@ -60,15 +60,6 @@ class QuiverSpec:
     def mckay_arrows(self) -> list[Arrow]:
         return [a for a in self.arrows if a.kind == KIND_MCKAY]
 
-    def loops(self) -> list[Arrow]:
-        return [a for a in self.arrows if a.kind == KIND_LOOP]
-
-    def arrow_by_key(self, key: tuple) -> Arrow:
-        for a in self.arrows:
-            if a.kind == KIND_MCKAY and a.key == key:
-                return a
-        raise KeyError(f"no arrow {key}")
-
 
 def _oriented_pairs(t: DynkinType, affine: bool) -> list[tuple[int, int, int]]:
     """(source, target, pair_index) for the positive arrow of every doubled edge."""
@@ -116,16 +107,6 @@ def _n1_quiver_cached(t: DynkinType, affine: bool) -> QuiverSpec:
     for a in nodes:
         arrows.append(Arrow(a, a, KIND_LOOP, 0))
     return QuiverSpec(t, N1, affine, nodes, tuple(arrows))
-
-
-def quiver_adjacency(q: QuiverSpec) -> list[list[int]]:
-    """Arrow counts between distinct diagram nodes, signs and loops forgotten."""
-    base = [n for n in q.nodes if not isinstance(n, str)]
-    index = {a: i for i, a in enumerate(base)}
-    out = [[0] * len(base) for _ in base]
-    for arrow in q.mckay_arrows():
-        out[index[arrow.source]][index[arrow.target]] += 1
-    return out
 
 
 def validate_quiver(q: QuiverSpec) -> None:

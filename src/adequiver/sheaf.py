@@ -22,7 +22,7 @@ from typing import TYPE_CHECKING, Mapping, Sequence
 
 from . import linalg
 from .adhm import ArrowKey, N1Representation, check_total_dim, edge_residual
-from .deformation import Polynomial
+from .deformation import cluster_points
 from .dynkin import DynkinType, node_labels
 from .linalg import ComputeFailure, Mat, Vec
 
@@ -165,17 +165,9 @@ def _endo_to_sheaf_numeric(m: np.ndarray, tol: float) -> TorsionSheafData:
     import numpy as np
 
     n = m.shape[0]
-    vals = sorted(np.linalg.eigvals(m), key=lambda z: (z.real, z.imag))
-    clusters: list[list] = []
-    for v in vals:
-        if clusters and abs(v - clusters[-1][0]) < tol:
-            c = clusters[-1]
-            c[0] = (c[0] * c[1] + v) / (c[1] + 1)
-            c[1] += 1
-        else:
-            clusters.append([v, 1])
     points = []
-    for lam, mult in clusters:
+    for group, mult in cluster_points(((v, 1) for v in np.linalg.eigvals(m)), tol):
+        lam = sum(group) / mult           # the group's mean
         nmat = m - lam * np.eye(n)
         dims = [0]
         power = np.eye(n, dtype=complex)
@@ -204,17 +196,6 @@ def endo_to_sheaf(psi, tol: float = 1e-8) -> TorsionSheafData:
 
         return _endo_to_sheaf_numeric(np.array(psi, dtype=complex), tol)
     return _endo_to_sheaf_exact(linalg.matrix(psi))
-
-
-def char_poly(psi: Mat) -> Polynomial:
-    """Monic characteristic polynomial; the coefficients classify regular data."""
-    return Polynomial.of(linalg.char_poly_coeffs(linalg.matrix(psi)))
-
-
-def is_regular(psi: Mat) -> bool:
-    """True iff the minimal polynomial has full degree (one block per eigenvalue)."""
-    m = linalg.matrix(psi)
-    return linalg.minimal_poly_degree(m) == linalg.shape(m)[0]
 
 
 def _require_rational(node_sheaves: Mapping[int, TorsionSheafData], nodes) -> None:

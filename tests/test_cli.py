@@ -257,6 +257,15 @@ class TestNondeg:
         assert code == 1
         assert "check nondegenerate: FAIL" in out
 
+    def test_empty_node_beside_framed_node(self, capsys, tmp_path):
+        # the arrow 0 -> 1 lands in a zero-dimensional space: a 0 x 1 matrix
+        rec = rep_record()
+        rec["dims"]["1"] = 0
+        rec["arrows"] = [a for a in rec["arrows"] if 1 not in (a["from"], a["to"])]
+        code, out = run(capsys, "nondeg", write(tmp_path, "rep.json", rec))
+        assert code == 0
+        assert "check nondegenerate: pass" in out
+
 
 class TestConversions:
     def test_sheafify_matrixify_roundtrip_chain(self, capsys, tmp_path):
@@ -311,6 +320,60 @@ class TestConversions:
         report = json.loads(out)
         assert [v["name"] for v in report["verdicts"]] == ["input-well-formed"]
         assert "node 1: support (0.5+1j) is not rational" in report["verdicts"][0]["detail"]
+
+
+def points_record():
+    return {
+        "type": "A2",
+        "nodes": {"1": {"points": [{"support": "0", "partition": [1]}]},
+                  "2": {"points": [{"support": "0", "partition": [1]}]}},
+        "arrows": [{"from": 1, "to": 2, "matrix": [["1"]]}],
+    }
+
+
+# (subcommand, record, path to the field inside the record, malformed value)
+MALFORMED_FIELDS = {
+    "from": ("nondeg", rep_record, ("arrows", 0, "from"), None),
+    "to": ("sheafify", rep_record, ("arrows", 0, "to"), None),
+    "pair_index": ("roundtrip", rep_record, ("arrows", 0, "pair_index"), None),
+    "rank": ("check-rep", rep_record, ("framing", "0", "rank"), None),
+    "fractional-rank": ("nondeg", rep_record, ("framing", "0", "rank"), 1.7),
+    "vectors": ("nondeg", rep_record, ("framing", "0", "vectors"), None),
+    "partition-part": ("matrixify", points_record,
+                       ("nodes", "1", "points", 0, "partition", 0), None),
+    "re": ("matrixify", points_record,
+           ("nodes", "1", "points", 0, "support"), {"re": None, "im": 0}),
+    "im": ("matrixify", points_record,
+           ("nodes", "1", "points", 0, "support"), {"re": 0, "im": None}),
+}
+
+
+@pytest.mark.parametrize("field", MALFORMED_FIELDS)
+def test_malformed_field_is_input_well_formed_failure(capsys, tmp_path, field):
+    command, make, where, value = MALFORMED_FIELDS[field]
+    extra = []
+    if command == "check-rep":
+        extra = ["--theta", write(tmp_path, "theta.json", theta_record())]
+    record = make()
+    code, _ = run(capsys, command, *extra, write(tmp_path, "ok.json", record))
+    assert code == 0
+    inner = record
+    for step in where[:-1]:
+        inner = inner[step]
+    inner[where[-1]] = value
+    code, out = run(capsys, command, *extra, write(tmp_path, "bad.json", record), "--json")
+    assert code == 2
+    assert [v["name"] for v in json.loads(out)["verdicts"]] == ["input-well-formed"]
+
+
+def test_point_data_rejects_duplicate_arrow(capsys, tmp_path):
+    record = points_record()
+    record["arrows"].append({"from": 1, "to": 2, "matrix": [["2"]]})
+    code, out = run(capsys, "matrixify", write(tmp_path, "sheaf.json", record), "--json")
+    assert code == 2
+    (verdict,) = json.loads(out)["verdicts"]
+    assert verdict["name"] == "input-well-formed"
+    assert verdict["detail"] == "duplicate arrow (1, 2, 0)"
 
 
 class TestMonadCheck:

@@ -1,8 +1,10 @@
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 import sympy
 
+from adequiver import adhm, sheaf
 from adequiver import deformation as dfm
 from adequiver.dynkin import DynkinType, Root, positive_roots
 
@@ -73,6 +75,35 @@ class TestPolynomial:
         p = dfm.Polynomial.of([1, 0, 1])         # t^2 + 1
         pts = sorted((r for r, _ in dfm.poly_roots(p)), key=lambda z: z.imag)
         assert abs(pts[0] + 1j) < 1e-9 and abs(pts[1] - 1j) < 1e-9
+
+
+CLUSTER_TOL = 1e-3
+
+
+def _clustered(path: str, gap: Fraction) -> list:
+    """(point, multiplicity) pairs that `path` reports for the points 1/2 and 1/2 + gap."""
+    low, high = Fraction(1, 2), Fraction(1, 2) + gap
+    if path == "support":
+        rep = adhm.N1Representation(A1, {0: 0, 1: 2}, Psi={1: [[low, 0], [0, high]]})
+        return sorted(Counter(adhm.support(rep, CLUSTER_TOL)[1]).items(), key=lambda e: e[0].real)
+    if path == "poly_roots":        # (t - low)^2 (t - high)
+        a, b = T - dfm.Polynomial.constant(low), T - dfm.Polynomial.constant(high)
+        return dfm.poly_roots(a * a * b, CLUSTER_TOL)
+    # float input, so the numeric path; the superdiagonal 1 keeps rank decisions clear of tol
+    got = sheaf.endo_to_sheaf([[float(low), 1.0], [0.0, float(high)]], CLUSTER_TOL)
+    return [(s, sum(parts)) for s, parts in got.points]
+
+
+@pytest.mark.parametrize("path, mults", [
+    ("support", [1, 1]), ("poly_roots", [2, 1]), ("endo_to_sheaf", [1, 1]),
+])
+def test_one_clustering_rule_for_every_numeric_path(path, mults):
+    (point, mult), = _clustered(path, Fraction(1, 2000))       # 0.5 tol apart: merged
+    assert abs(point - 0.5) < CLUSTER_TOL
+    assert mult == sum(mults)
+    apart = _clustered(path, Fraction(1, 500))                 # 2 tol apart: separate
+    assert [m for _, m in apart] == mults
+    assert abs(apart[0][0] - 0.5) < 1e-9 and abs(apart[1][0] - 0.502) < 1e-9
 
 
 class TestDeformationParam:

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from adequiver import adhm, linalg, sheaf
-from adequiver.deformation import Polynomial
 from adequiver.dynkin import DynkinType
 from adequiver.linalg import NonRationalSpectrum
 
@@ -140,20 +139,8 @@ class TestEndoToSheaf:
 
 
 def test_char_poly():
-    assert sheaf.char_poly([[1, 2], [0, 3]]) == Polynomial.of([3, -4, 1])
-    assert sheaf.char_poly([]) == Polynomial.of([1])
-
-
-class TestRegularity:
-    def test_single_nilpotent_block_is_regular(self):
-        assert sheaf.is_regular([[0, 1], [0, 0]])
-
-    def test_split_eigenvalue_is_not(self):
-        assert not sheaf.is_regular([[0, 0], [0, 0]])
-        assert not sheaf.is_regular([[1, 0], [0, 1]])
-
-    def test_distinct_eigenvalues_are_regular(self):
-        assert sheaf.is_regular([[1, 0], [0, 2]])
+    assert linalg.char_poly_coeffs(linalg.matrix([[1, 2], [0, 3]])) == [3, -4, 1]
+    assert linalg.char_poly_coeffs([]) == [1]
 
 
 def _intertwiner(rng, tgt, src):
