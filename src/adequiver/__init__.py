@@ -50,8 +50,8 @@ _EXPORTS = {
         "to_dot",
     ),
     "sheaf": (
-        "EdgeRelationViolated", "IllConditioned", "QuiverSheafData", "TorsionSheafData",
-        "endo_to_sheaf", "quadruple_to_quintuple", "quintuple_to_quadruple", "sheaf_to_endo",
+        "EdgeRelationViolated", "QuiverSheafData", "TorsionSheafData", "endo_to_sheaf",
+        "quadruple_to_quintuple", "quintuple_to_quadruple", "sheaf_to_endo",
     ),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -20,8 +20,8 @@ from fractions import Fraction
 from typing import Mapping
 
 from . import linalg
-from .deformation import DeformationParam, Polynomial, cluster_points, theta_of_root
-from .dynkin import DynkinType, InputTooLarge, node_labels, positive_roots
+from .deformation import DeformationParam, Polynomial, poly_gcd, poly_roots, squarefree_part
+from .dynkin import DynkinType, InputTooLarge, node_labels
 from .linalg import Mat, Vec
 from .quiver import QuiverSpec, build_n1_quiver
 
@@ -221,28 +221,31 @@ def restrict_finite(rep: N1Representation) -> N1Representation:
     )
 
 
-def support(rep: N1Representation, tol: float = 1e-8) -> dict[int, list[complex]]:
-    """Loop eigenvalues per node, numerically, nearby values merged at tol."""
-    import numpy as np
+def _char_poly(m: Mat) -> Polynomial:
+    return Polynomial.of(linalg.char_poly_coeffs(m))
 
-    out: dict[int, list[complex]] = {}
-    for a in node_labels(rep.type, rep.affine):
-        if rep.dims[a] == 0:
-            out[a] = []
-            continue
-        m = np.array([[complex(x) for x in row] for row in rep.Psi[a]])
-        groups = cluster_points(((v, 1) for v in np.linalg.eigvals(m)), tol)
-        out[a] = [complex(points[0]) for points, k in groups for _ in range(k)]
-    return out
+
+def support(rep: N1Representation) -> dict[int, list[complex]]:
+    """Loop eigenvalues per node, repeated by their exact multiplicity, as float labels."""
+    return {
+        a: [point for point, k in poly_roots(_char_poly(rep.Psi[a])) for _ in range(k)]
+        for a in node_labels(rep.type, rep.affine)
+    }
 
 
 @dataclass
 class SupportReportRow:
+    """One node: its distinct loop eigenvalues, how many of them each root's
+    projection vanishes at, and how many lie where no projection vanishes."""
+
     node: int
-    point: complex
-    best_root: tuple[int, ...]
-    best_value: float
-    ok: bool
+    distinct: int
+    roots: list[tuple[tuple[int, ...], int]]
+    off_locus: int
+
+    @property
+    def ok(self) -> bool:
+        return self.off_locus == 0
 
 
 @dataclass
@@ -252,36 +255,35 @@ class SupportReport:
 
 
 def check_support_property(rep: N1Representation, theta, tol: float = 1e-6) -> SupportReport:
-    """Every loop eigenvalue must kill some positive-root projection (within tol).
+    """Every loop eigenvalue must kill some positive-root projection; decided exactly.
+
+    At each occupied node, s is the square-free part of the loop's
+    characteristic polynomial, one simple factor per distinct eigenvalue.
+    Every projection takes its common factor with s away; the node passes
+    when nothing of positive degree is left.  tol is ignored: no tolerance
+    enters the decision.
 
     Meaningful for finite representations (node 0 absent or of dimension
     zero); the relation-satisfying hypothesis is the caller's business.
     """
     if rep.affine and rep.dims.get(0, 0) != 0:
         raise ValueError("support check wants a finite representation (node 0 empty)")
-    if isinstance(theta, DeformationParam):
-        d = theta
-    else:
+    if not isinstance(theta, DeformationParam):
         raise TypeError("support check needs a DeformationParam")
-    roots = positive_roots(d.type)
-    projections = [(r, theta_of_root(d, r)) for r in roots]
+    # a zero projection vanishes everywhere, so it stays and shares all of s
+    projections = [(r.coefficients, p) for r, p in theta.projections if p.degree != 0]
     rows: list[SupportReportRow] = []
-    for a, eigs in support(rep, tol).items():
-        for point in dict.fromkeys(eigs):     # unique, order preserved
-            best = None
-            for r, p in projections:
-                value = abs(p(complex(point)))
-                if best is None or value < best[1]:
-                    best = (r, value)
-            rows.append(
-                SupportReportRow(
-                    node=a,
-                    point=point,
-                    best_root=best[0].coefficients,
-                    best_value=best[1],
-                    ok=best[1] < tol,
-                )
-            )
+    for a in node_labels(rep.type, rep.affine):
+        if rep.dims[a] == 0:
+            continue
+        s = left = squarefree_part(_char_poly(rep.Psi[a]))
+        shared = []
+        for r, p in projections:
+            g = poly_gcd(p, s)
+            if g.degree > 0:
+                shared.append((r, g.degree))
+                left = left.divmod(poly_gcd(left, g))[0]
+        rows.append(SupportReportRow(a, s.degree, shared, left.degree))
     return SupportReport(rows, all(r.ok for r in rows))
 
 

@@ -4,7 +4,7 @@ One executable, one subcommand per check.  Reports carry the command
 name, sha256 digests of every input file, and a list of named verdicts;
 exit code 0 means every verdict passed, 1 means some check failed or a
 computation gave up, 2 means the input was malformed or unsupported.
-Identical inputs (and --seed) produce byte-identical output.
+Identical inputs and options produce byte-identical output.
 """
 
 from __future__ import annotations
@@ -148,8 +148,7 @@ def cmd_mckay_verify(args, report: RunReport) -> None:
     delta = dynkin.marks(t)
     g = gamma.enumerate_group(t)
     table = gamma.character_table(g, seed=args.seed)
-    tol = args.tol if args.tol is not None else 1e-6
-    adj, deviation = gamma.mckay_multiplicities(g, table, tol)
+    adj, deviation = gamma.mckay_multiplicities(g, table, args.tol)
     iso = gamma.find_labeled_isomorphism(
         adj, [int(d) for d in table.dims],
         dynkin.adjacency_matrix(t, affine=True), list(delta.delta),
@@ -170,8 +169,8 @@ def cmd_mckay_verify(args, report: RunReport) -> None:
     report.check("order-equals-sum-of-squared-marks",
                  g.order == delta.group_order,
                  f"{g.order} vs {delta.group_order}")
-    report.check("multiplicities-integral", deviation <= tol,
-                 f"largest deviation {deviation:.1e}, tol {tol:g}")
+    report.check("multiplicities-integral", deviation <= args.tol,
+                 f"largest deviation {deviation:.1e}, tol {args.tol:g}")
     report.check("graph-matches-affine-diagram", iso is not None,
                  "degree-respecting relabelling found" if iso else "no relabelling exists")
 
@@ -200,8 +199,8 @@ def cmd_quiver_dot(args, report: RunReport) -> None:
 def cmd_theta_validate(args, report: RunReport) -> None:
     report.add_input(args.file)
     record = fileio.read_json(args.file)
-    given_affine = isinstance(record, dict) and "0" in record.get("theta", {})
     d = fileio.deformation_from_dict(record)
+    given_affine = "0" in record["theta"]
     delta = dynkin.marks(d.type)
     for a in sorted(d.theta):
         coeffs = " ".join(fileio.frac_to_str(c) for c in d.theta[a].coefficients) or "0"
@@ -220,9 +219,8 @@ def cmd_theta_validate(args, report: RunReport) -> None:
 def cmd_exc_locus(args, report: RunReport) -> None:
     report.add_input(args.file)
     d = fileio.load_deformation(args.file)
-    tol = args.tol if args.tol is not None else 1e-8
-    locus = deformation.exceptional_locus(d, tol)
-    generic = deformation.is_generic(d, tol)
+    locus = deformation.exceptional_locus(d)
+    generic = deformation.is_generic(d)
     report.say(f"type {d.type}, {len(locus.entries)} locus points")
     for e in locus.entries:
         root = "(" + ", ".join(str(c) for c in e.root.coefficients) + ")"
@@ -246,7 +244,7 @@ def cmd_exc_locus(args, report: RunReport) -> None:
 
 # -- check-rep ---------------------------------------------------------------
 
-def _check_one_rep(path: str, theta: deformation.DeformationParam, tol: float):
+def _check_one_rep(path: str, theta: deformation.DeformationParam):
     try:
         rep = fileio.load_representation(path)
     except fileio.SchemaError as e:
@@ -256,7 +254,7 @@ def _check_one_rep(path: str, theta: deformation.DeformationParam, tol: float):
     nondeg = adhm.is_nondegenerate(rep) if framed or rep.total_dim == 0 else None
     support_report = None
     if not rep.affine or rep.dims.get(0, 0) == 0:
-        support_report = adhm.check_support_property(rep, theta, tol)
+        support_report = adhm.check_support_property(rep, theta)
     return rep, residual, nondeg, support_report
 
 
@@ -265,9 +263,8 @@ def cmd_check_rep(args, report: RunReport) -> None:
     for path in args.files:
         report.add_input(path)
     theta = fileio.load_deformation(args.theta)
-    tol = args.tol if args.tol is not None else 1e-6
     # every file is checked before any is reported, so one bad file leaves no partial report
-    results = [_check_one_rep(path, theta, tol) for path in args.files]
+    results = [_check_one_rep(path, theta) for path in args.files]
     per_file = []
     for path, (rep, residual, nondeg, support_report) in zip(args.files, results):
         report.say(f"-- {path} (type {rep.type}, total dimension {rep.total_dim})")
@@ -305,13 +302,15 @@ def cmd_check_rep(args, report: RunReport) -> None:
         else:
             entry["support_ok"] = support_report.ok
             for row in support_report.rows:
-                root = "(" + ", ".join(str(c) for c in row.best_root) + ")"
-                report.say(
-                    f"support node {row.node} point {_fmt_complex(row.point)}: "
-                    f"nearest projection {root} value {row.best_value:.3e}"
-                )
+                roots = ", ".join(
+                    "root (" + ", ".join(str(c) for c in r) + f") vanishes at {k}"
+                    for r, k in row.roots
+                ) or "no root vanishes there"
+                plural = "" if row.distinct == 1 else "s"
+                report.say(f"support node {row.node}: {row.distinct} distinct eigenvalue{plural}; "
+                           f"{roots}; {row.off_locus} off the locus")
             report.check(f"{path}: support-on-vanishing-locus", support_report.ok,
-                         f"{len(support_report.rows)} eigenvalues examined")
+                         f"{sum(r.distinct for r in support_report.rows)} eigenvalues examined")
         per_file.append(entry)
     report.data = {"theta": fileio.deformation_to_dict(theta), "files": per_file}
 
@@ -349,9 +348,7 @@ def cmd_sheafify(args, report: RunReport) -> None:
             report.say(f"node {a}: empty")
             continue
         desc = ", ".join(
-            f"point {_fmt_complex(s) if not isinstance(s, Fraction) else fileio.frac_to_str(s)}"
-            f" partition {tuple(parts)}"
-            for s, parts in pts
+            f"point {fileio.frac_to_str(s)} partition {tuple(parts)}" for s, parts in pts
         )
         report.say(f"node {a}: {desc}")
     report.data = {
@@ -481,9 +478,6 @@ def cmd_monad_check(args, report: RunReport) -> None:
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", help="emit the machine-readable report")
-    common.add_argument("--seed", type=int, default=0, help="seed for randomised numerics")
-    common.add_argument("--tol", type=float, default=None,
-                        help="override numeric tolerances (exact checks are unaffected)")
 
     parser = argparse.ArgumentParser(
         prog="adequiver",
@@ -498,6 +492,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("mckay-verify", parents=[common],
                        help="enumerate the subgroup and match its graph to the diagram")
     p.add_argument("type")
+    p.add_argument("--seed", type=int, default=0, help="seed for the character table search")
+    p.add_argument("--tol", type=float, default=1e-6,
+                   help="tolerance on the integrality of the multiplicities")
     p.set_defaults(func=cmd_mckay_verify)
 
     p = sub.add_parser("quiver-dot", parents=[common], help="print a quiver in DOT format")

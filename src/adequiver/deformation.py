@@ -7,18 +7,21 @@ for the affine node's polynomial, and the `constrained` flag records
 whether a given parameter satisfies the identity.
 
 Projections along positive roots, their vanishing loci on the affine
-line, and the genericity test live here too.  Root multiplicities are
-exact (square-free decomposition over the rationals); root locations are
-numeric (companion-matrix eigenvalues), clustered at 1e-8.
+line, and the genericity test live here too.  Genericity and root
+multiplicities are decided exactly (gcds and square-free decomposition
+over the rationals); root locations are float labels (companion-matrix
+eigenvalues of the square-free factors) that no verdict reads.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from math import gcd, lcm
+from typing import Mapping, Sequence
 
-from .dynkin import DynkinType, Root, marks, node_labels, positive_roots
+from .dynkin import DynkinType, InputTooLarge, Root, marks, node_labels, positive_roots
 from .linalg import ComputeFailure, frac
 
 
@@ -131,11 +134,39 @@ class Polynomial:
         return Polynomial.of(q), Polynomial.of(rem)
 
 
+def _integer_primitive(coeffs: Sequence) -> list[int]:
+    """The primitive integer coefficients proportional to nonzero rational ones."""
+    d = lcm(*(c.denominator for c in coeffs))
+    ints = [c.numerator * (d // c.denominator) for c in coeffs]
+    g = gcd(*ints)
+    return [x // g for x in ints] if g > 1 else ints
+
+
 def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
-    """Monic greatest common divisor over the rationals."""
-    while not b.is_zero:
-        a, b = b, a.divmod(b)[1]
-    return a.monic()
+    """Monic greatest common divisor over the rationals.
+
+    Runs the primitive remainder sequence on the integer polynomials
+    proportional to a and b: the content is divided out of every
+    pseudo-remainder, which keeps the integers near the size of the
+    result, where Euclid over Q lets them grow at every step.
+    """
+    if a.degree < b.degree:
+        a, b = b, a
+    if b.is_zero:
+        return a.monic()
+    x, y = _integer_primitive(a.coefficients), _integer_primitive(b.coefficients)
+    while y:
+        lead, r = y[-1], list(x)
+        while len(r) >= len(y):            # pseudo-remainder: lead^k * x mod y
+            f = r.pop()
+            k = len(r) - len(y) + 1
+            r = [c * lead for c in r]
+            for i, c in enumerate(y[:-1]):
+                r[k + i] -= f * c
+            while r and r[-1] == 0:
+                r.pop()
+        x, y = y, (_integer_primitive(r) if r else [])
+    return Polynomial.of(x).monic()
 
 
 def squarefree_decomposition(p: Polynomial) -> list[tuple[Polynomial, int]]:
@@ -160,13 +191,19 @@ def squarefree_decomposition(p: Polynomial) -> list[tuple[Polynomial, int]]:
     return out
 
 
-def poly_roots(p: Polynomial, tol: float = 1e-8) -> list[tuple[complex, int]]:
-    """Complex roots with exact multiplicities.
+def squarefree_part(p: Polynomial) -> Polynomial:
+    """Monic p / gcd(p, p'): one simple factor per distinct root of nonzero p."""
+    return p.divmod(poly_gcd(p, p.derivative()))[0].monic()
 
-    Multiplicities come from the square-free decomposition; each
-    square-free factor is fed to the companion-matrix solver, whose
-    simple roots are well conditioned.  Nearby locations are merged at
-    tol as a numerical guard.
+
+def poly_roots(p: Polynomial) -> list[tuple[complex, int]]:
+    """Complex roots with exact multiplicities, sorted by (real, imag).
+
+    Multiplicities come from the square-free decomposition, whose factors
+    are square-free and coprime, so no root repeats; each factor is fed to
+    the companion-matrix solver, whose simple roots are well conditioned.
+    The locations are float labels: InputTooLarge when a factor's
+    coefficients leave the float range.
     """
     import numpy as np
 
@@ -174,27 +211,12 @@ def poly_roots(p: Polynomial, tol: float = 1e-8) -> list[tuple[complex, int]]:
         raise ValueError("the zero polynomial has no root locus")
     entries: list[tuple[complex, int]] = []
     for factor, mult in squarefree_decomposition(p):
-        coeffs = [float(c) for c in reversed(factor.coefficients)]
-        for r in np.roots(coeffs):
-            entries.append((complex(r), mult))
-    return [(points[0], mult) for points, mult in cluster_points(entries, tol)]
-
-
-def cluster_points(entries: Iterable[tuple[complex, int]], tol: float) -> list[tuple[list, int]]:
-    """Group numeric (point, multiplicity) pairs that lie within tol of each other.
-
-    The pairs are sorted by (real, imag); each point joins the current
-    group when it lies within tol of that group's first point.  Returns
-    every group's points, first point first, with their total multiplicity.
-    """
-    groups: list[tuple[list, int]] = []
-    for point, mult in sorted(entries, key=lambda e: (e[0].real, e[0].imag)):
-        if groups and abs(point - groups[-1][0][0]) < tol:
-            points, total = groups[-1]
-            groups[-1] = (points + [point], total + mult)
-        else:
-            groups.append(([point], mult))
-    return groups
+        try:
+            coeffs = [float(c) for c in reversed(factor.coefficients)]
+        except OverflowError:
+            raise InputTooLarge("a root lies beyond the float range of the points") from None
+        entries.extend((complex(r), mult) for r in np.roots(coeffs))
+    return sorted(entries, key=lambda e: (e[0].real, e[0].imag))
 
 
 @dataclass(frozen=True)
@@ -207,6 +229,11 @@ class DeformationParam:
         labels = node_labels(self.type, affine=True)
         if sorted(self.theta) != labels:
             raise ValueError(f"need one polynomial per node {labels}")
+
+    @cached_property
+    def projections(self) -> tuple[tuple[Root, Polynomial], ...]:
+        """Every positive root with the projection along it, computed once per parameter."""
+        return tuple((root, theta_of_root(self, root)) for root in positive_roots(self.type))
 
 
 def make_deformation(t: DynkinType, theta: Mapping[int, Polynomial]) -> DeformationParam:
@@ -247,11 +274,11 @@ def theta_of_root(d: DeformationParam, root: Root) -> Polynomial:
         raise NotARoot(f"coefficient vector has length {len(root.coefficients)}")
     if root not in set(positive_roots(d.type)):
         raise NotARoot(f"{root.coefficients} is not a positive root of {d.type}")
-    out = Polynomial(())
+    acc = [0] * max(len(p.coefficients) for p in d.theta.values())
     for a, mu in root.as_dict().items():
-        if mu:
-            out = out + d.theta[a].scale(mu)
-    return out
+        for k, c in enumerate(d.theta[a].coefficients):
+            acc[k] += mu * c
+    return Polynomial.of(acc)
 
 
 @dataclass(frozen=True)
@@ -267,31 +294,49 @@ class ExceptionalLocus:
     entries: tuple[LocusEntry, ...]
 
 
-def exceptional_locus(d: DeformationParam, tol: float = 1e-8) -> ExceptionalLocus:
+def _projections(d: DeformationParam) -> list[tuple[Root, Polynomial]]:
+    """Every nonconstant positive-root projection; IdenticallyZeroProjection on a zero one."""
+    for root, p in d.projections:
+        if p.is_zero:
+            raise IdenticallyZeroProjection(root)
+    return [(root, p) for root, p in d.projections if p.degree > 0]
+
+
+def exceptional_locus(d: DeformationParam) -> ExceptionalLocus:
     """Vanishing points of every positive-root projection, with multiplicities.
 
     Raises IdenticallyZeroProjection when some projection collapses;
     constant nonzero projections simply contribute no points.
     """
-    entries: list[LocusEntry] = []
-    for root in positive_roots(d.type):
-        p = theta_of_root(d, root)
-        if p.is_zero:
-            raise IdenticallyZeroProjection(root)
-        if p.degree == 0:
-            continue
-        for point, mult in poly_roots(p, tol):
-            entries.append(LocusEntry(point, root, mult))
+    entries = [
+        LocusEntry(point, root, mult)
+        for root, p in _projections(d)
+        for point, mult in poly_roots(p)
+    ]
     return ExceptionalLocus(d.type, tuple(entries))
 
 
-def is_generic(d: DeformationParam, tol: float = 1e-8) -> bool:
-    """Every locus point is simple and no point is shared by two roots."""
-    locus = exceptional_locus(d, tol)
-    if any(e.multiplicity != 1 for e in locus.entries):
-        return False
-    for i, a in enumerate(locus.entries):
-        for b in locus.entries[i + 1:]:
-            if a.root != b.root and abs(a.point - b.point) < tol:
+def is_generic(d: DeformationParam) -> bool:
+    """Every projection is square-free and no two share a factor; exact.
+
+    Linear projections are compared by their rational roots; gcds run
+    only where a degree is above one.
+    """
+    points: set[Fraction] = set()
+    higher: list[Polynomial] = []
+    for _, p in _projections(d):
+        if p.degree == 1:
+            x = -p.coefficients[0] / p.coefficients[1]
+            if x in points:
                 return False
+            points.add(x)
+        elif squarefree_part(p).degree < p.degree:
+            return False
+        else:
+            higher.append(p)
+    for i, p in enumerate(higher):
+        if any(p(x) == 0 for x in points):
+            return False
+        if any(poly_gcd(p, q).degree > 0 for q in higher[i + 1:]):
+            return False
     return True

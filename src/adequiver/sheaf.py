@@ -4,8 +4,8 @@ A finite-length torsion module is recorded as a list of (support point,
 partition): the partition gives the sizes of the cyclic summands at that
 point.  The matrix side is the multiplication-by-coordinate operator on
 global sections, i.e. a block Jordan matrix.  Both directions are exact
-when supports and matrices are rational; a numeric path with an explicit
-tolerance handles float data.
+and need rational supports and matrices; complex supports can be held
+(point data files allow them) but have no matrix form.
 
 The same dictionary upgraded to quivers: a representation whose loops
 all intertwine with the arrow maps (zero edge defects) corresponds to
@@ -15,30 +15,22 @@ with framing vectors carried along by the same base change.
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import TYPE_CHECKING, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from . import linalg
 from .adhm import ArrowKey, N1Representation, check_total_dim, edge_residual
-from .deformation import cluster_points
 from .dynkin import DynkinType, node_labels
 from .linalg import ComputeFailure, Mat, Vec
-
-if TYPE_CHECKING:
-    import numpy as np
-
-
-class IllConditioned(ComputeFailure):
-    """A numeric rank decision landed inside the tolerance band."""
+from .quiver import build_n1_quiver
 
 
 class EdgeRelationViolated(ComputeFailure):
     """Arrow maps fail to intertwine the loops, so no sheaf dictionary exists."""
 
 
-Support = object   # Fraction for the exact path, complex for the numeric one
+Support = object   # Fraction, or complex as read from a point data file
 
 
 def _support_sort_key(s) -> tuple[float, float]:
@@ -74,40 +66,21 @@ class TorsionSheafData:
     def dimension(self) -> int:
         return sum(sum(parts) for _, parts in self.points)
 
-    @property
-    def exact(self) -> bool:
-        return all(isinstance(s, Fraction) for s, _ in self.points)
+
+def _jordan_block(lam, size: int) -> Mat:
+    block = linalg.mat_shift(linalg.zeros(size), lam)
+    for i in range(size - 1):
+        block[i][i + 1] = Fraction(1)
+    return block
 
 
-def _jordan_block(lam, size: int, exact: bool):
-    if exact:
-        block = linalg.mat_shift(linalg.zeros(size), lam)
-        for i in range(size - 1):
-            block[i][i + 1] = Fraction(1)
-        return block
-    import numpy as np
+def sheaf_to_endo(data: TorsionSheafData) -> tuple[int, Mat]:
+    """(dimension, block Jordan matrix), supports in canonical order, blocks nonincreasing.
 
-    return np.eye(size, k=1, dtype=complex) + complex(lam) * np.eye(size, dtype=complex)
-
-
-def sheaf_to_endo(data: TorsionSheafData):
-    """(dimension, block Jordan matrix), supports in canonical order, blocks nonincreasing."""
-    if data.exact:
-        blocks = [
-            _jordan_block(s, size, True) for s, parts in data.points for size in parts
-        ]
-        mat = linalg.block_diag(blocks) if blocks else linalg.zeros(0, 0)
-        return data.dimension, mat
-    import numpy as np
-
-    n = data.dimension
-    out = np.zeros((n, n), dtype=complex)
-    at = 0
-    for s, parts in data.points:
-        for size in parts:
-            out[at:at + size, at:at + size] = _jordan_block(s, size, False)
-            at += size
-    return n, out
+    TypeError on a support that is not rational.
+    """
+    blocks = [_jordan_block(s, size) for s, parts in data.points for size in parts]
+    return data.dimension, linalg.block_diag(blocks)
 
 
 def _partition_from_kernel_dims(dims: list[int]) -> tuple[int, ...]:
@@ -118,21 +91,6 @@ def _partition_from_kernel_dims(dims: list[int]) -> tuple[int, ...]:
         count = diffs[size - 1] - (diffs[size] if size < len(diffs) else 0)
         parts.extend([size] * count)
     return tuple(sorted(parts, reverse=True))
-
-
-def _endo_to_sheaf_exact(m: Mat) -> TorsionSheafData:
-    n = linalg.shape(m)[0]
-    eig = linalg.rational_eigenvalues(m)
-    points = []
-    for lam, mult in sorted(eig.items()):
-        nmat = linalg.mat_shift(m, -lam)
-        dims = [0]
-        power = linalg.identity(n)
-        while dims[-1] < mult:
-            power = linalg.mat_mul(nmat, power)
-            dims.append(n - linalg.rank(power))
-        points.append((lam, _partition_from_kernel_dims(dims)))
-    return TorsionSheafData.of(points)
 
 
 def _jordan_points(j: Mat) -> TorsionSheafData:
@@ -146,56 +104,27 @@ def _jordan_points(j: Mat) -> TorsionSheafData:
     return TorsionSheafData.of(list(blocks.items()))
 
 
-def _numeric_rank(m: np.ndarray, tol: float) -> int:
-    import numpy as np
+def endo_to_sheaf(psi) -> TorsionSheafData:
+    """Support points and partitions of an endomorphism, from kernel dimensions.
 
-    if m.size == 0:
-        return 0
-    s = np.linalg.svd(m, compute_uv=False)
-    band_lo, band_hi = tol / 16, tol * 16
-    if np.any((s > band_lo) & (s < band_hi)):
-        raise IllConditioned(
-            f"singular value {s[(s > band_lo) & (s < band_hi)][0]:.3e} sits in the "
-            f"tolerance band around {tol:.1e}"
-        )
-    return int(np.sum(s >= band_hi))
-
-
-def _endo_to_sheaf_numeric(m: np.ndarray, tol: float) -> TorsionSheafData:
-    import numpy as np
-
-    n = m.shape[0]
-    points = []
-    for group, mult in cluster_points(((v, 1) for v in np.linalg.eigvals(m)), tol):
-        lam = sum(group) / mult           # the group's mean
-        nmat = m - lam * np.eye(n)
-        dims = [0]
-        power = np.eye(n, dtype=complex)
-        while dims[-1] < mult:
-            power = nmat @ power
-            dims.append(n - _numeric_rank(power, tol))
-            if len(dims) > n + 1:
-                raise IllConditioned("kernel filtration failed to stabilise")
-        points.append((complex(lam), _partition_from_kernel_dims(dims)))
-    return TorsionSheafData.of(points)
-
-
-def endo_to_sheaf(psi, tol: float = 1e-8) -> TorsionSheafData:
-    """Support points and partitions of an endomorphism.
-
-    Rational input runs exactly (rational spectrum required); float or
-    complex input is clustered at tol with IllConditioned guarding rank
-    decisions near the tolerance.
+    Exact: entries must be rational (TypeError otherwise) and so must the
+    spectrum (NonRationalSpectrum).  The partition at each eigenvalue
+    lambda comes from the ranks of the powers of psi - lambda, independently
+    of `linalg.jordan_form`.
     """
-    # an ndarray exists only once numpy is loaded, so exact input never loads it
-    np = sys.modules.get("numpy")
-    if np is not None and isinstance(psi, np.ndarray):
-        return _endo_to_sheaf_numeric(np.asarray(psi, dtype=complex), tol)
-    if psi and any(isinstance(x, (float, complex)) for row in psi for x in row):
-        import numpy as np
-
-        return _endo_to_sheaf_numeric(np.array(psi, dtype=complex), tol)
-    return _endo_to_sheaf_exact(linalg.matrix(psi))
+    m = linalg.matrix(psi)
+    n = linalg.shape(m)[0]
+    eig = linalg.rational_eigenvalues(m)
+    points = []
+    for lam, mult in sorted(eig.items()):
+        nmat = linalg.mat_shift(m, -lam)
+        dims = [0]
+        power = linalg.identity(n)
+        while dims[-1] < mult:
+            power = linalg.mat_mul(nmat, power)
+            dims.append(n - linalg.rank(power))
+        points.append((lam, _partition_from_kernel_dims(dims)))
+    return TorsionSheafData.of(points)
 
 
 def _require_rational(node_sheaves: Mapping[int, TorsionSheafData], nodes) -> None:
@@ -222,10 +151,19 @@ class QuiverSheafData:
         if sorted(self.node_sheaves) != labels:
             raise ValueError(f"need sheaf data for exactly the nodes {labels}")
         check_total_dim(sum(self.node_sheaves[a].dimension for a in labels))
-        jordan = {a: sheaf_to_endo(self.node_sheaves[a])[1] for a in labels}
+        quiver = build_n1_quiver(self.type, self.affine)
+        stray = set(self.arrow_maps) - {arrow.key for arrow in quiver.mckay_arrows()}
+        if stray:
+            raise ValueError(f"arrows {sorted(stray)} are not in the {self.type} quiver")
+        stray = (set(self.framing_ranks) | set(self.framing_vectors)) - set(labels)
+        if stray:
+            raise ValueError(f"framing data at unknown nodes {sorted(stray)}")
+        # Jordan matrices only where an arrow needs one, and only of rational supports
+        touched = list(dict.fromkeys(a for key in self.arrow_maps for a in key[:2]))
+        _require_rational(self.node_sheaves, touched)
+        jordan = {a: sheaf_to_endo(self.node_sheaves[a])[1] for a in touched}
         for key, m in self.arrow_maps.items():
             src, tgt, _ = key
-            _require_rational(self.node_sheaves, (src, tgt))
             m = linalg.matrix(m)
             lhs = linalg.mat_mul(jordan[tgt], m)
             rhs = linalg.mat_mul(m, jordan[src])

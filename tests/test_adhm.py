@@ -56,9 +56,8 @@ def test_finite_pair_example_satisfies_relations():
     assert report.ok
     assert {r.node for r in report.rows} == {1, 2}
     for row in report.rows:
-        assert abs(row.point - 0.5) < 1e-9
-        assert row.best_root == (1, 1)
-        assert row.best_value < 1e-12
+        # the one eigenvalue 1/2 is where the (1, 1) projection 2t - 1 vanishes
+        assert (row.distinct, row.roots, row.off_locus, row.ok) == (1, [((1, 1), 1)], 0, True)
 
 
 def test_support_check_rejects_occupied_affine_node():
@@ -155,28 +154,32 @@ def test_restrict_finite():
 
 
 def test_support_merges_nearby_eigenvalues():
-    rep = adhm.N1Representation(
-        A2, {0: 0, 1: 3, 2: 0},
-        Psi={1: [[1, 0, 0], [0, Fraction(1) + Fraction(1, 10 ** 13), 0], [0, 0, 5]]},
-    )
+    # a conjugated Jordan block: floating-point eigenvalues of such a matrix
+    # scatter around 1/3, the exact characteristic polynomial puts them on one point
+    rng = random.Random(5)
+    block = [[Fraction(1, 3), 1, 0], [0, Fraction(1, 3), 1], [0, 0, Fraction(1, 3)]]
+    g = rand_invertible(rng, 3)
+    loop = linalg.block_diag([linalg.mat_mul(g, linalg.mat_mul(block, linalg.inverse(g))),
+                              [[5]]])
+    rep = adhm.N1Representation(A2, {0: 0, 1: 4, 2: 0}, Psi={1: loop})
     sup = adhm.support(rep)
     assert sup[0] == [] and sup[2] == []
     vals = sup[1]
-    assert len(vals) == 3
-    assert abs(vals[0] - vals[1]) == 0          # merged onto one representative
-    assert abs(vals[2] - 5) < 1e-9
+    assert len(vals) == 4
+    assert vals[0] == vals[1] == vals[2] and abs(vals[0] - 1 / 3) < 1e-12
+    assert abs(vals[3] - 5) < 1e-12
 
 
-def test_support_check_merges_eigenvalues_within_its_tol():
+def test_support_check_separates_an_eigenvalue_near_the_locus():
     _, theta = worked_cycle_example()
     near = Fraction(1, 2) + Fraction(1, 10 ** 7)
     rep = adhm.N1Representation(A2, {0: 0, 1: 2, 2: 0},
                                 Psi={1: [[Fraction(1, 2), 0], [0, near]]})
-    report = adhm.check_support_property(rep, theta, tol=1e-6)
-    assert report.ok
-    assert len(report.rows) == 1          # 1/2 and 1/2 + 1e-7 are one point at tol 1e-6
-    assert abs(report.rows[0].point - 0.5) < 1e-12
-    assert len(adhm.check_support_property(rep, theta, tol=1e-8).rows) == 2
+    report = adhm.check_support_property(rep, theta, tol=1e-6)      # tol is ignored
+    assert not report.ok
+    (row,) = report.rows
+    # 1/2 is on the (1, 1) locus, 1/2 + 1e-7 is on none
+    assert (row.node, row.distinct, row.roots, row.off_locus) == (1, 2, [((1, 1), 1)], 1)
 
 
 def test_direct_sum_blocks():

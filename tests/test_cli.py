@@ -1,7 +1,9 @@
 import json
 import os
+import random
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -9,6 +11,8 @@ import pytest
 import adequiver
 from adequiver import cli, deformation, dynkin, gamma, linalg, sheaf
 from adequiver import io as fileio
+
+from helpers import rand_invertible
 
 
 def run(capsys, *argv):
@@ -141,6 +145,13 @@ class TestThetaValidate:
         assert code == 1
         assert "check marks-weighted-sum-vanishes: FAIL" in out
 
+    @pytest.mark.parametrize("theta", [1000000, True, None])
+    def test_non_object_theta_is_malformed_input(self, capsys, tmp_path, theta):
+        path = write(tmp_path, "theta.json", {"type": "A2", "theta": theta})
+        code, out = run(capsys, "theta-validate", path, "--json")
+        assert code == 2
+        assert [v["name"] for v in json.loads(out)["verdicts"]] == ["input-well-formed"]
+
     def test_malformed_file(self, capsys, tmp_path):
         path = write(tmp_path, "theta.json", {"type": "A2", "theta": {"1": ["1"]}})
         code, out = run(capsys, "theta-validate", path)
@@ -175,6 +186,14 @@ class TestExcLocus:
         assert code == 1
         assert "check identically-zero-projection: FAIL" in out
 
+    def test_coefficient_beyond_float_range_is_input_too_large(self, capsys, tmp_path):
+        # exact checks take it; only the printed float points cannot
+        rec = {"type": "A2", "theta": {"1": ["1e400", "1"], "2": ["0", "1"]}}
+        path = write(tmp_path, "theta.json", rec)
+        code, out = run(capsys, "exc-locus", path, "--json")
+        assert code == 2
+        assert [v["name"] for v in json.loads(out)["verdicts"]] == ["input-too-large"]
+
 
 class TestCheckRep:
     def test_satisfying_affine_rep(self, capsys, tmp_path):
@@ -194,7 +213,29 @@ class TestCheckRep:
         assert code == 0
         assert f"check {rep}: support-on-vanishing-locus: pass" in out
         assert "non-degeneracy skipped (no framing)" in out
-        assert "nearest projection (1, 1)" in out
+        assert ("support node 1: 1 distinct eigenvalue; root (1, 1) vanishes at 1; "
+                "0 off the locus") in out
+        assert f"check {rep}: support-on-vanishing-locus: pass  (2 eigenvalues examined)" in out
+
+    def test_defective_loops_on_the_locus_pass_support(self, capsys, tmp_path):
+        # one conjugated Jordan block of size 3 or 4 at 1/3, where t - 1/3 vanishes
+        theta = write(tmp_path, "theta.json", {"type": "A1", "theta": {"1": ["-1/3", "1"]}})
+        rng = random.Random(7)
+        paths = []
+        for k, size in enumerate((3, 4, 3, 4)):
+            block = [[Fraction(1, 3) if j == i else Fraction(int(j == i + 1)) for j in range(size)]
+                     for i in range(size)]
+            g = rand_invertible(rng, size)
+            loop = linalg.mat_mul(g, linalg.mat_mul(block, linalg.inverse(g)))
+            paths.append(write(tmp_path, f"rep{k}.json", {
+                "type": "A1", "dims": {"1": size}, "psi": {"1": fileio.matrix_to_json(loop)},
+            }))
+        code, out = run(capsys, "check-rep", "--theta", theta, *paths)
+        assert code == 1                         # t - 1/3 does not kill a nilpotent part
+        for path in paths:
+            assert f"check {path}: support-on-vanishing-locus: pass  (1 eigenvalues" in out
+        assert out.count("support node 1: 1 distinct eigenvalue; "
+                         "root (1) vanishes at 1; 0 off the locus") == 4
 
     def test_violating_rep_fails_with_residuals_shown(self, capsys, tmp_path):
         theta = write(tmp_path, "theta.json", theta_record())
@@ -376,6 +417,26 @@ def test_point_data_rejects_duplicate_arrow(capsys, tmp_path):
     assert verdict["detail"] == "duplicate arrow (1, 2, 0)"
 
 
+def test_point_data_rejects_arrow_outside_the_quiver(capsys, tmp_path):
+    record = points_record()
+    record["arrows"] = [{"from": 7, "to": 8, "matrix": [["1"]]}]
+    code, out = run(capsys, "matrixify", write(tmp_path, "sheaf.json", record), "--json")
+    assert code == 2
+    (verdict,) = json.loads(out)["verdicts"]
+    assert verdict["name"] == "input-well-formed"
+    assert verdict["detail"] == "arrows [(7, 8, 0)] are not in the A2 quiver"
+
+
+def test_point_data_rejects_framing_at_unknown_node(capsys, tmp_path):
+    record = points_record()
+    record["framing"] = {"9": {"rank": 1, "vectors": [["1"]]}}
+    code, out = run(capsys, "matrixify", write(tmp_path, "sheaf.json", record), "--json")
+    assert code == 2
+    (verdict,) = json.loads(out)["verdicts"]
+    assert verdict["name"] == "input-well-formed"
+    assert verdict["detail"] == "framing data at unknown nodes [9]"
+
+
 class TestMonadCheck:
     def test_satisfying_fiber(self, capsys, tmp_path):
         rep = write(tmp_path, "rep.json", rep_record())
@@ -491,7 +552,6 @@ COMPUTE_FAILURES = {
     deformation.IdenticallyZeroProjection: "identically-zero-projection",
     deformation.NotARoot: "not-a-root",
     sheaf.EdgeRelationViolated: "edge-relation-violated",
-    sheaf.IllConditioned: "ill-conditioned",
     linalg.NonRationalSpectrum: "non-rational-spectrum",
 }
 
@@ -530,6 +590,13 @@ def startup_fixtures(tmp_path):
     irrational = write(tmp_path, "irrational.json", {
         "type": "A2", "dims": {"0": 2, "1": 0, "2": 0}, "psi": {"0": [["0", "1"], ["2", "0"]]},
     })
+    finite = write(tmp_path, "finite.json", finite_rep_record())
+    complex_points = write(tmp_path, "complex.json", {
+        "type": "A2",
+        "nodes": {"1": {"points": [{"support": {"re": 0.5, "im": 1.0}, "partition": [1]}]},
+                  "2": {"points": [{"support": "1", "partition": [1]}]}},
+        "arrows": [{"from": 1, "to": 2, "matrix": [["0"]]}],
+    })
     return [
         (["roots", "E8"], 0, False),
         (["quiver-dot", "D4", "--flavor", "n1"], 0, False),
@@ -538,9 +605,11 @@ def startup_fixtures(tmp_path):
         (["sheafify", rep], 0, False),
         (["sheafify", irrational], 1, False),   # non-rational-spectrum
         (["matrixify", points], 0, False),
+        (["matrixify", complex_points], 2, False),   # complex support: no matrix form
         (["roundtrip", rep], 0, False),
         (["monad-check", rep, "--lam", "1,0,-1"], 0, False),
         (["check-rep", "--theta", theta, rep], 0, False),   # support check skipped
+        (["check-rep", "--theta", theta, finite], 0, False),   # support check run
         (["mckay-verify", "A2"], 0, True),
         (["exc-locus", theta], 0, True),
     ]

@@ -1,10 +1,10 @@
-from collections import Counter
+import random
+import time
 from fractions import Fraction
 
 import pytest
 import sympy
 
-from adequiver import adhm, sheaf
 from adequiver import deformation as dfm
 from adequiver.dynkin import DynkinType, Root, positive_roots
 
@@ -57,6 +57,32 @@ class TestPolynomial:
         assert dfm.poly_gcd(p, q) == q.monic()
         assert dfm.poly_gcd(q, dfm.Polynomial.of([1, 1])) == ONE
 
+    def test_gcd_matches_sympy(self):
+        rng = random.Random(6)
+        t = sympy.Symbol("t")
+
+        def rand(degree):
+            return dfm.Polynomial.of([Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+                                      for _ in range(degree + 1)])
+
+        for _ in range(25):
+            common = rand(rng.randint(0, 3))
+            a, b = rand(rng.randint(0, 8)) * common, rand(rng.randint(0, 8)) * common
+            want = sympy.Poly(sympy.gcd(to_sympy(a), to_sympy(b)), t)
+            got = dfm.poly_gcd(a, b)
+            assert got.is_zero if want.is_zero else to_sympy(got) == want.monic().as_expr()
+
+    def test_gcd_of_large_polynomials_finishes(self):
+        # Euclid over Q grows these coefficients at every step: about 20 s before
+        rng = random.Random(7)
+        a = dfm.Polynomial.of([Fraction(rng.randint(-2 ** 40, 2 ** 40), rng.randint(1, 2 ** 20))
+                               for _ in range(31)])
+        x = T - dfm.Polynomial.constant(Fraction(1, 3))
+        start = time.perf_counter()
+        assert dfm.poly_gcd(a, a.derivative()) == ONE
+        assert dfm.poly_gcd(a * x * x, (a * x * x).derivative()) == x
+        assert time.perf_counter() - start < 5
+
     def test_squarefree_decomposition(self):
         # t (t-1)^2
         p = dfm.Polynomial.of([0, 1, -2, 1])
@@ -76,34 +102,18 @@ class TestPolynomial:
         pts = sorted((r for r, _ in dfm.poly_roots(p)), key=lambda z: z.imag)
         assert abs(pts[0] + 1j) < 1e-9 and abs(pts[1] - 1j) < 1e-9
 
+    def test_poly_roots_keeps_close_roots_apart(self):
+        # distinct exact roots 1e-12 apart stay two points, sorted by (real, imag)
+        a = T - dfm.Polynomial.constant(Fraction(1, 2))
+        b = T - dfm.Polynomial.constant(Fraction(1, 2) + Fraction(1, 10 ** 12))
+        roots = dfm.poly_roots(a * a * b)
+        assert [m for _, m in roots] == [2, 1]
+        assert roots[0][0].real < roots[1][0].real
 
-CLUSTER_TOL = 1e-3
-
-
-def _clustered(path: str, gap: Fraction) -> list:
-    """(point, multiplicity) pairs that `path` reports for the points 1/2 and 1/2 + gap."""
-    low, high = Fraction(1, 2), Fraction(1, 2) + gap
-    if path == "support":
-        rep = adhm.N1Representation(A1, {0: 0, 1: 2}, Psi={1: [[low, 0], [0, high]]})
-        return sorted(Counter(adhm.support(rep, CLUSTER_TOL)[1]).items(), key=lambda e: e[0].real)
-    if path == "poly_roots":        # (t - low)^2 (t - high)
-        a, b = T - dfm.Polynomial.constant(low), T - dfm.Polynomial.constant(high)
-        return dfm.poly_roots(a * a * b, CLUSTER_TOL)
-    # float input, so the numeric path; the superdiagonal 1 keeps rank decisions clear of tol
-    got = sheaf.endo_to_sheaf([[float(low), 1.0], [0.0, float(high)]], CLUSTER_TOL)
-    return [(s, sum(parts)) for s, parts in got.points]
-
-
-@pytest.mark.parametrize("path, mults", [
-    ("support", [1, 1]), ("poly_roots", [2, 1]), ("endo_to_sheaf", [1, 1]),
-])
-def test_one_clustering_rule_for_every_numeric_path(path, mults):
-    (point, mult), = _clustered(path, Fraction(1, 2000))       # 0.5 tol apart: merged
-    assert abs(point - 0.5) < CLUSTER_TOL
-    assert mult == sum(mults)
-    apart = _clustered(path, Fraction(1, 500))                 # 2 tol apart: separate
-    assert [m for _, m in apart] == mults
-    assert abs(apart[0][0] - 0.5) < 1e-9 and abs(apart[1][0] - 0.502) < 1e-9
+    def test_squarefree_part(self):
+        p = (T - ONE) * (T - ONE) * T          # t (t - 1)^2
+        assert dfm.squarefree_part(p.scale(3)) == (T - ONE) * T
+        assert dfm.squarefree_part(ONE.scale(5)) == ONE
 
 
 class TestDeformationParam:
@@ -181,12 +191,32 @@ class TestExceptionalLocus:
         with pytest.raises(dfm.IdenticallyZeroProjection) as e:
             dfm.exceptional_locus(d)
         assert e.value.root == Root((1, 1))
+        with pytest.raises(dfm.IdenticallyZeroProjection):
+            dfm.is_generic(d)
 
     def test_constant_projection_contributes_nothing(self):
         d = dfm.complete_affine_theta(A2, {1: T, 2: ONE - T})
         locus = dfm.exceptional_locus(d)
         assert all(e.root.coefficients != (1, 1) for e in locus.entries)
         assert dfm.is_generic(d)
+
+    @pytest.mark.parametrize("finite, generic", [
+        # linear projections 1e-12 apart: distinct exact roots, so generic
+        pytest.param({1: T - dfm.Polynomial.constant(Fraction(1, 3)),
+                      2: T - dfm.Polynomial.constant(Fraction(1, 3) + Fraction(1, 10 ** 12))},
+                     True, id="close-linear"),
+        # t^2 - 2, t (t^2 - 3) and their sum (t + 2)(t^2 - t - 1): coprime, square-free
+        pytest.param({1: T * T - dfm.Polynomial.constant(2), 2: T * T * T - T.scale(3)},
+                     True, id="coprime-irrational"),
+        # the quadratic at node 1 vanishes where the linear one at node 2 does
+        pytest.param({1: (T - ONE) * (T - dfm.Polynomial.constant(2)), 2: (T - ONE).scale(2)},
+                     False, id="linear-root-of-quadratic"),
+        # every projection shares the irrational factor t^2 - 2
+        pytest.param({1: T * T - dfm.Polynomial.constant(2), 2: T * T * T - T.scale(2)},
+                     False, id="shared-irrational-factor"),
+    ])
+    def test_genericity_is_exact(self, finite, generic):
+        assert dfm.is_generic(dfm.complete_affine_theta(A2, finite)) is generic
 
     def test_every_positive_root_is_covered_when_degrees_positive(self):
         d = dfm.complete_affine_theta(A2, {1: T, 2: T - ONE})

@@ -18,7 +18,7 @@ class TestTorsionSheafData:
         d = sheaf.TorsionSheafData.of([(3, [1, 3, 2]), (Fraction(-1, 2), [1])])
         assert d.points == ((Fraction(-1, 2), (1,)), (Fraction(3), (3, 2, 1)))
         assert d.dimension == 7
-        assert d.exact
+        assert all(isinstance(x, Fraction) for x, _ in d.points)
 
     def test_duplicate_support_rejected(self):
         with pytest.raises(ValueError):
@@ -33,7 +33,6 @@ class TestTorsionSheafData:
     def test_complex_supports_sort_by_real_then_imag(self):
         d = sheaf.TorsionSheafData.of([(1 + 1j, [1]), (1 - 1j, [1]), (0.5 + 0j, [2])])
         assert [s for s, _ in d.points] == [0.5 + 0j, 1 - 1j, 1 + 1j]
-        assert not d.exact
 
 
 class TestSheafToEndo:
@@ -59,12 +58,9 @@ class TestSheafToEndo:
         ]
         assert m == want
 
-    def test_numeric_supports_build_numeric_matrix(self):
-        d = sheaf.TorsionSheafData.of([(1j, [1])])
-        n, m = sheaf.sheaf_to_endo(d)
-        assert n == 1
-        assert isinstance(m, np.ndarray)
-        assert m[0, 0] == 1j
+    def test_complex_support_has_no_matrix_form(self):
+        with pytest.raises(TypeError):
+            sheaf.sheaf_to_endo(sheaf.TorsionSheafData.of([(1j, [1])]))
 
     def test_empty(self):
         n, m = sheaf.sheaf_to_endo(sheaf.TorsionSheafData.of([]))
@@ -108,34 +104,10 @@ class TestEndoToSheaf:
             assert linalg.mat_eq(j2, j)
             assert linalg.mat_eq(linalg.mat_mul(h, m), linalg.mat_mul(j2, h))
 
-    def test_numeric_clustered_eigenvalues(self):
-        m = np.array([[1 + 1e-12, 0], [0, 1.0]])
-        got = sheaf.endo_to_sheaf(m)
-        assert len(got.points) == 1
-        (s, parts), = got.points
-        assert abs(s - 1) < 1e-9
-        assert parts == (1, 1)
-
-    def test_numeric_complex_pair(self):
-        m = np.array([[0, 1], [-1, 0]], dtype=float)
-        got = sheaf.endo_to_sheaf(m)
-        pts = [s for s, _ in got.points]
-        # the +-i pair, in either order (tiny real parts scramble the sort)
-        assert sorted(z.imag for z in pts) == pytest.approx([-1.0, 1.0])
-        assert max(abs(z.real) for z in pts) < 1e-9
-
-    def test_numeric_ill_conditioned_band(self):
-        m = np.diag([0.0, 4e-8])
-        with pytest.raises(sheaf.IllConditioned):
-            sheaf.endo_to_sheaf(m, tol=1e-8)
-        # widening the tolerance swallows the near-zero eigenvalue pair
-        ok = sheaf.endo_to_sheaf(m, tol=1e-6)
-        assert len(ok.points) == 1
-
-    def test_float_list_dispatches_numeric(self):
-        got = sheaf.endo_to_sheaf([[0.5]])
-        assert not got.exact
-        assert abs(got.points[0][0] - 0.5) < 1e-12
+    def test_float_matrix_is_rejected(self):
+        for m in ([[0.5]], [[1, 0], [0, 1.0]], np.eye(2)):
+            with pytest.raises(TypeError):
+                sheaf.endo_to_sheaf(m)
 
 
 def test_char_poly():
@@ -239,7 +211,7 @@ class TestDictionary:
         blocks = {0: [(lam, 2), (lam, 2), (lam, 1), (mu, 3)],
                   1: [(lam, 3), (mu, 1), (lam, 1), (mu, 1)]}
         rng = random.Random(17)
-        planted = {a: linalg.block_diag([sheaf._jordan_block(s, n, True) for s, n in bl])
+        planted = {a: linalg.block_diag([sheaf._jordan_block(s, n) for s, n in bl])
                    for a, bl in blocks.items()}
         rep = adhm.N1Representation(
             A2, {0: 8, 1: 6, 2: 0},
