@@ -21,7 +21,8 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Mapping, Sequence
 
-from .dynkin import DynkinType, InputTooLarge, Root, marks, node_labels, positive_roots
+from .dynkin import (DynkinType, InputTooLarge, Root, is_positive_root, marks, node_labels,
+                     positive_roots)
 from .linalg import ComputeFailure, frac
 
 
@@ -272,7 +273,7 @@ def theta_of_root(d: DeformationParam, root: Root) -> Polynomial:
     """Projection of the parameter along a positive root."""
     if len(root.coefficients) != d.type.rank:
         raise NotARoot(f"coefficient vector has length {len(root.coefficients)}")
-    if root not in set(positive_roots(d.type)):
+    if not is_positive_root(d.type, root.coefficients):
         raise NotARoot(f"{root.coefficients} is not a positive root of {d.type}")
     acc = [0] * max(len(p.coefficients) for p in d.theta.values())
     for a, mu in root.as_dict().items():

@@ -196,11 +196,16 @@ def _positive_roots_cached(t: DynkinType) -> tuple[Root, ...]:
     return tuple(Root(v) for v in sorted(seen, key=lambda v: (sum(v), v)))
 
 
+@lru_cache(maxsize=None)
+def _positive_root_set(t: DynkinType) -> frozenset[Root]:
+    return frozenset(_positive_roots_cached(t))
+
+
 def is_positive_root(t: DynkinType, coefficients) -> bool:
     coeffs = tuple(int(x) for x in coefficients)
     if len(coeffs) != t.rank:
         raise ValueError(f"expected {t.rank} coefficients, got {len(coeffs)}")
-    return Root(coeffs) in set(_positive_roots_cached(t))
+    return Root(coeffs) in _positive_root_set(t)
 
 
 def highest_root(t: DynkinType) -> Root:

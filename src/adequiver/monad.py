@@ -7,31 +7,35 @@ in the normal-form basis
     1; x1, x2, z; x1x1, x1x2, x2x2, zx1, zx2, zz
 
 via the rewrite x2*x1 -> x1*x2 + lam*zz.  Coefficients are block
-matrices over the rationals; lam acts blockwise (one rational per node)
+matrices over the rationals, stored as their nonzero blocks keyed by
+(row node, column node); lam acts blockwise (one rational per node)
 through left multiplication on the target layout.
 
 Only the cyclic (type A) case is wired up, rank 0 meaning the trivial
 group: the first family of maps runs along a -> a+1, the second along
-a -> a-1 (indices mod rank+1).  The two three-term maps
+a -> a-1 (indices mod rank+1), so blocks sit at a -> a and a -> a+-1
+only.  The two three-term maps
 
     a = (B1 z - x1, -(B2 z - x2), J z)^T
     b = (B2 z - x2,   B1 z - x1,  I z)
 
 compose to a pure zz term whose block at node a is the node relation
 defect B2B1 - B1B2 + IJ + lam there; every other degree-2 coefficient
-cancels identically, whatever the input.
+cancels identically, whatever the input.  Each monad is composed once,
+on the first read of `MonadData.composite`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from itertools import accumulate
 from typing import Mapping
 
 from . import linalg
 from .linalg import Mat
 
-MONOMIALS = ("1", "x1", "x2", "z", "x1x1", "x1x2", "x2x2", "zx1", "zx2", "zz")
 DEGREE = {
     "1": 0,
     "x1": 1, "x2": 1, "z": 1,
@@ -52,80 +56,94 @@ _PRODUCTS: dict[tuple[str, str], list[tuple[str, bool]]] = {
 }
 
 Layout = tuple[tuple[int, int], ...]    # ((node, dim), ...)
+Blocks = dict[tuple[int, int], Mat]     # (row node, column node) -> block
 
 
 def layout_dim(layout: Layout) -> int:
     return sum(d for _, d in layout)
 
 
-@dataclass
+def _starts(layout: Layout) -> dict[int, int]:
+    """First index of each node's block along the layout."""
+    return dict(zip((node for node, _ in layout), accumulate((d for _, d in layout), initial=0)))
+
+
+def _nonzero(blocks: Mapping[str, Blocks]) -> dict[str, Blocks]:
+    """The nonempty nonzero blocks of each monomial; monomials left with none are dropped."""
+    kept = {mono: {key: m for key, m in table.items()
+                   if m and m[0] and not linalg.is_zero_matrix(m)}
+            for mono, table in blocks.items()}
+    return {mono: table for mono, table in kept.items() if table}
+
+
 class NCElement:
-    """Matrix-valued element in the normal-form basis."""
+    """Matrix-valued element in the normal-form basis, stored by nonzero blocks."""
 
-    row_layout: Layout
-    col_layout: Layout
-    coefficients: dict[str, Mat]
-
-    def __post_init__(self):
-        rows, cols = layout_dim(self.row_layout), layout_dim(self.col_layout)
-        clean = {}
-        for mono, m in self.coefficients.items():
+    def __init__(self, row_layout: Layout, col_layout: Layout, coefficients: Mapping[str, Mat]):
+        rows, cols = layout_dim(row_layout), layout_dim(col_layout)
+        r0, c0 = _starts(row_layout), _starts(col_layout)
+        if len(r0) != len(row_layout) or len(c0) != len(col_layout):
+            raise ValueError("a layout lists a node twice")
+        blocks = {}
+        for mono, m in coefficients.items():
             if mono not in DEGREE:
                 raise ValueError(f"unknown monomial {mono!r}")
             m = linalg.matrix(m)
             if not linalg.has_shape(m, rows, cols):
                 raise ValueError(f"coefficient of {mono} must be {rows}x{cols}")
-            if not linalg.is_zero_matrix(m):
-                clean[mono] = m
-        self.coefficients = clean
+            blocks[mono] = {(r, c): [row[c0[c]:c0[c] + dc] for row in m[r0[r]:r0[r] + dr]]
+                            for r, dr in row_layout for c, dc in col_layout}
+        self.row_layout, self.col_layout = row_layout, col_layout
+        self.blocks: dict[str, Blocks] = _nonzero(blocks)
+
+    @classmethod
+    def _from_blocks(cls, row_layout: Layout, col_layout: Layout,
+                     blocks: Mapping[str, Blocks]) -> "NCElement":
+        """Element from its blocks by monomial; zero and empty blocks are dropped."""
+        e = cls.__new__(cls)
+        e.row_layout, e.col_layout, e.blocks = row_layout, col_layout, _nonzero(blocks)
+        return e
+
+    def _dense(self, table: Blocks) -> Mat:
+        r0, c0 = _starts(self.row_layout), _starts(self.col_layout)
+        out = linalg.zeros(layout_dim(self.row_layout), layout_dim(self.col_layout))
+        for (r, c), m in table.items():
+            for i, row in enumerate(m):
+                out[r0[r] + i][c0[c]:c0[c] + len(row)] = row
+        return out
+
+    @property
+    def coefficients(self) -> dict[str, Mat]:
+        """Dense view of the nonzero coefficients, assembled on each read."""
+        return {mono: self._dense(table) for mono, table in self.blocks.items()}
 
     def coefficient(self, mono: str) -> Mat:
-        rows, cols = layout_dim(self.row_layout), layout_dim(self.col_layout)
-        return self.coefficients.get(mono, linalg.zeros(rows, cols))
+        return self._dense(self.blocks.get(mono, {}))
 
     @property
     def is_zero(self) -> bool:
-        return not self.coefficients
+        return not self.blocks
 
     def is_homogeneous(self, degree: int) -> bool:
-        return all(DEGREE[m] == degree for m in self.coefficients)
+        return all(DEGREE[m] == degree for m in self.blocks)
 
     def __add__(self, other: "NCElement") -> "NCElement":
         if self.row_layout != other.row_layout or self.col_layout != other.col_layout:
             raise ValueError("layout mismatch in addition")
-        out = {}
-        for mono in set(self.coefficients) | set(other.coefficients):
-            out[mono] = linalg.mat_add(self.coefficient(mono), other.coefficient(mono))
-        return NCElement(self.row_layout, self.col_layout, out)
+        out = {mono: dict(table) for mono, table in self.blocks.items()}
+        for mono, table in other.blocks.items():
+            acc = out.setdefault(mono, {})
+            for key, m in table.items():
+                acc[key] = linalg.mat_add(acc[key], m) if key in acc else m
+        return NCElement._from_blocks(self.row_layout, self.col_layout, out)
 
     def diagonal_block(self, mono: str, node: int) -> Mat:
-        """Square block of a coefficient at one node (layouts must agree there)."""
-        row_at = col_at = None
-        i = 0
-        for nd, d in self.row_layout:
-            if nd == node:
-                row_at = (i, d)
-            i += d
-        i = 0
-        for nd, d in self.col_layout:
-            if nd == node:
-                col_at = (i, d)
-            i += d
-        if row_at is None or col_at is None:
+        """Square block of a coefficient at one node (layouts must agree there), as a copy."""
+        dr, dc = dict(self.row_layout).get(node), dict(self.col_layout).get(node)
+        if dr is None or dc is None:
             raise KeyError(f"node {node} is not in both layouts")
-        m = self.coefficient(mono)
-        return [row[col_at[0]:col_at[0] + col_at[1]] for row in m[row_at[0]:row_at[0] + row_at[1]]]
-
-
-def _scale_rows(layout: Layout, lam: Mapping[int, Fraction], m: Mat) -> Mat:
-    """lam acting on the rows of m, node by node along the layout."""
-    out: Mat = []
-    at = 0
-    for node, dim in layout:
-        c = lam[node]
-        out.extend([c * x for x in row] for row in m[at:at + dim])
-        at += dim
-    return out
+        m = self.blocks.get(mono, {}).get((node, node))
+        return [list(row) for row in m] if m else linalg.zeros(dr, dc)
 
 
 def nc_multiply(u: NCElement, v: NCElement, lam: Mapping[int, Fraction]) -> NCElement:
@@ -137,33 +155,27 @@ def nc_multiply(u: NCElement, v: NCElement, lam: Mapping[int, Fraction]) -> NCEl
     if u.col_layout != v.row_layout:
         raise ValueError("inner layouts do not match")
     lam = {node: linalg.frac(x) for node, x in lam.items()}
-    out: dict[str, Mat] = {}
-    rows, cols = layout_dim(u.row_layout), layout_dim(v.col_layout)
+    out: dict[str, Blocks] = {}
+    # v's blocks of each monomial, by row node: k -> [(c, block), ...]
+    v_rows: dict[str, dict[int, list[tuple[int, Mat]]]] = {}
+    for mv, table in v.blocks.items():
+        for (k, c), m in table.items():
+            v_rows.setdefault(mv, {}).setdefault(k, []).append((c, m))
 
-    def accumulate(mono: str, m: Mat) -> None:
-        if mono in out:
-            out[mono] = linalg.mat_add(out[mono], m)
-        else:
-            out[mono] = m
-
-    for mu, cu in u.coefficients.items():
-        for mv, cv in v.coefficients.items():
-            prod = linalg.mat_mul(cu, cv)
-            if mu == "1":
-                accumulate(mv, prod)
-                continue
-            if mv == "1":
-                accumulate(mu, prod)
-                continue
-            terms = _PRODUCTS.get((mu, mv))
+    for mu, cu in u.blocks.items():
+        for mv, rows_of in v_rows.items():
+            terms = ([(mv, False)] if mu == "1" else [(mu, False)] if mv == "1"
+                     else _PRODUCTS.get((mu, mv)))
             if terms is None:
                 raise ValueError(f"product {mu} * {mv} leaves the degree-2 normal form")
-            for mono, needs_lam in terms:
-                if needs_lam:
-                    accumulate(mono, _scale_rows(u.row_layout, lam, prod))
-                else:
-                    accumulate(mono, prod)
-    return NCElement(u.row_layout, v.col_layout, out)
+            for (r, k), bu in cu.items():
+                for c, bv in rows_of.get(k, ()):
+                    prod = linalg.mat_mul(bu, bv)
+                    for mono, needs_lam in terms:
+                        term = linalg.mat_scale(lam[r], prod) if needs_lam else prod
+                        acc = out.setdefault(mono, {})
+                        acc[r, c] = linalg.mat_add(acc[r, c], term) if (r, c) in acc else term
+    return NCElement._from_blocks(u.row_layout, v.col_layout, out)
 
 
 @dataclass
@@ -179,40 +191,11 @@ class MonadData:
     def nodes(self) -> list[int]:
         return list(range(self.rank + 1))
 
-
-def _assemble(rank: int, blocks: Mapping[int, Mat], row_dims: Mapping[int, int],
-              col_dims: Mapping[int, int], shift: int) -> Mat:
-    """Block matrix sending node a into node a+shift (mod rank+1)."""
-    n = rank + 1
-    stray = set(blocks) - set(range(n))
-    if stray:
-        raise ValueError(f"blocks at unknown nodes {sorted(stray)}")
-    row_layout = [(a, row_dims[a]) for a in range(n)]
-    col_layout = [(a, col_dims[a]) for a in range(n)]
-    out = linalg.zeros(layout_dim(tuple(row_layout)), layout_dim(tuple(col_layout)))
-    row_at = {}
-    at = 0
-    for a, d in row_layout:
-        row_at[a] = at
-        at += d
-    col_at = {}
-    at = 0
-    for a, d in col_layout:
-        col_at[a] = at
-        at += d
-    for a in range(n):
-        tgt = (a + shift) % n
-        m = blocks.get(a)
-        want = (row_dims[tgt], col_dims[a])
-        if m is None:
-            continue
-        m = linalg.matrix(m)
-        if not linalg.has_shape(m, *want):
-            raise ValueError(f"block at node {a} must have shape {want}")
-        for i in range(want[0]):
-            for j in range(want[1]):
-                out[row_at[tgt] + i][col_at[a] + j] = m[i][j]
-    return out
+    @cached_property
+    def composite(self) -> NCElement:
+        """Normal form of b o a, composed on first read."""
+        first, *rest = [nc_multiply(be, ae, self.lam) for be, ae in zip(self.b, self.a)]
+        return sum(rest, first)
 
 
 def build_monad(rank: int, b1: Mapping[int, Mat], b2: Mapping[int, Mat],
@@ -233,25 +216,39 @@ def build_monad(rank: int, b1: Mapping[int, Mat], b2: Mapping[int, Mat],
     lam_full = {a: linalg.frac(lam.get(a, 0)) for a in range(n)}
     v_layout: Layout = tuple((a, dims[a]) for a in range(n))
     w_layout: Layout = tuple((a, framing[a]) for a in range(n))
-    b1_full = _assemble(rank, b1, dims, dims, +1)
-    b2_full = _assemble(rank, b2, dims, dims, -1)
-    i_full = _assemble(rank, i_blocks, dims, framing, 0)
-    j_full = _assemble(rank, j_blocks, framing, dims, 0)
-    nv = layout_dim(v_layout)
-    ident = linalg.identity(nv)
+
+    def place(blocks: Mapping[int, Mat], row_dims: Mapping[int, int],
+              col_dims: Mapping[int, int], shift: int) -> Blocks:
+        # per-node blocks sending node a into node a+shift (mod rank+1)
+        stray = set(blocks) - set(range(n))
+        if stray:
+            raise ValueError(f"blocks at unknown nodes {sorted(stray)}")
+        out = {}
+        for a in sorted(blocks):
+            tgt = (a + shift) % n
+            m = linalg.matrix(blocks[a])
+            want = (row_dims[tgt], col_dims[a])
+            if not linalg.has_shape(m, *want):
+                raise ValueError(f"block at node {a} must have shape {want}")
+            out[tgt, a] = m
+        return out
+
+    b1_blocks = place(b1, dims, dims, +1)
+    b2_blocks = place(b2, dims, dims, -1)
+    i_z, j_z = place(i_blocks, dims, framing, 0), place(j_blocks, framing, dims, 0)
+    neg_b2 = {key: linalg.mat_neg(m) for key, m in b2_blocks.items()}
+    ident = {(a, a): linalg.identity(dims[a]) for a in range(n)}
+    neg_ident = {key: linalg.mat_neg(m) for key, m in ident.items()}
     a_col = [
-        NCElement(v_layout, v_layout, {"z": b1_full, "x1": linalg.mat_neg(ident)}),
-        NCElement(v_layout, v_layout, {"z": linalg.mat_neg(b2_full), "x2": ident}),
-        NCElement(w_layout, v_layout, {"z": j_full}),
+        NCElement._from_blocks(v_layout, v_layout, {"z": b1_blocks, "x1": neg_ident}),
+        NCElement._from_blocks(v_layout, v_layout, {"z": neg_b2, "x2": ident}),
+        NCElement._from_blocks(w_layout, v_layout, {"z": j_z}),
     ]
     b_row = [
-        NCElement(v_layout, v_layout, {"z": b2_full, "x2": linalg.mat_neg(ident)}),
-        NCElement(v_layout, v_layout, {"z": b1_full, "x1": linalg.mat_neg(ident)}),
-        NCElement(v_layout, w_layout, {"z": i_full}),
+        NCElement._from_blocks(v_layout, v_layout, {"z": b2_blocks, "x2": neg_ident}),
+        NCElement._from_blocks(v_layout, v_layout, {"z": b1_blocks, "x1": neg_ident}),
+        NCElement._from_blocks(v_layout, w_layout, {"z": i_z}),
     ]
-    for e in a_col + b_row:
-        if not e.is_homogeneous(1):
-            raise AssertionError("monad maps must be homogeneous of degree 1")
     return MonadData(rank, dims, framing, lam_full, a_col, b_row)
 
 
@@ -260,14 +257,9 @@ STRUCTURAL_ZERO_MONOMIALS = ("x1x1", "x2x2", "zx1", "zx2", "x1x2")
 
 def compose_and_check(m: MonadData) -> tuple[NCElement, bool]:
     """Normal form of b o a and whether it vanishes identically."""
-    total = None
-    for be, ae in zip(m.b, m.a):
-        term = nc_multiply(be, ae, m.lam)
-        total = term if total is None else total + term
-    return total, total.is_zero
+    return m.composite, m.composite.is_zero
 
 
 def node_relation_defects(m: MonadData) -> dict[int, Mat]:
     """zz blocks of the composite, one square matrix per node."""
-    composite, _ = compose_and_check(m)
-    return {a: composite.diagonal_block("zz", a) for a in m.nodes}
+    return {a: m.composite.diagonal_block("zz", a) for a in m.nodes}

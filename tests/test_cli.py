@@ -437,6 +437,41 @@ def test_point_data_rejects_framing_at_unknown_node(capsys, tmp_path):
     assert verdict["detail"] == "framing data at unknown nodes [9]"
 
 
+MONAD_CHECK_RANK1_SHA = "d2d209285b6d59915b2396f3db0769e3a26ec9f4b7fa87bbd65191b4c8767fa8"
+
+MONAD_CHECK_RANK1_HUMAN = f"""\
+adequiver monad-check
+input rep.json  sha256 {MONAD_CHECK_RANK1_SHA}
+b o a is nonzero; surviving coefficients:
+  zz: [3/2 0; 0 3/2]
+node 0 quadratic block: [3/2 0; 0 3/2]
+node 1 quadratic block: 0
+check structural-cancellation: pass  (x1x1, x1x2, x2x2, zx1, zx2 all vanish)
+check matches-node-relation-residuals: pass  (quadratic blocks equal the node defects)
+check composite-zero: FAIL  (flatness fails)
+exit code 1
+"""
+
+MONAD_CHECK_RANK1_JSON = json.dumps({
+    "command": "monad-check",
+    "inputs": [{"path": "rep.json", "sha256": MONAD_CHECK_RANK1_SHA}],
+    "data": {
+        "lam": {"0": "3/2", "1": "-1"},
+        "zz_blocks": {"0": [["3/2", "0"], ["0", "3/2"]], "1": []},
+        "composite_zero": False,
+    },
+    "verdicts": [
+        {"name": "structural-cancellation", "passed": True,
+         "detail": "x1x1, x1x2, x2x2, zx1, zx2 all vanish"},
+        {"name": "matches-node-relation-residuals", "passed": True,
+         "detail": "quadratic blocks equal the node defects"},
+        {"name": "composite-zero", "passed": False, "detail": "flatness fails"},
+    ],
+    "notes": [],
+    "exit_code": 1,
+}, indent=2) + "\n"
+
+
 class TestMonadCheck:
     def test_satisfying_fiber(self, capsys, tmp_path):
         rep = write(tmp_path, "rep.json", rep_record())
@@ -495,6 +530,22 @@ class TestMonadCheck:
         assert code == 2
         code, out = run(capsys, "monad-check", rep, "--lam", "1,x,2")
         assert code == 2
+
+    def test_violating_rank1_output_is_pinned(self, capsys, tmp_path, monkeypatch):
+        # node 1 has dimension 0 but a framing; the zz block at node 0 is lam[0] I
+        record = {
+            "type": "A1", "dims": {"0": 2, "1": 0}, "psi": {},
+            "framing": {"0": {"rank": 1, "vectors": [["1", "-2"]]},
+                        "1": {"rank": 1, "vectors": [[]]}},
+        }
+        write(tmp_path, "rep.json", record)
+        monkeypatch.chdir(tmp_path)
+        code, out = run(capsys, "monad-check", "rep.json", "--lam", "3/2,-1")
+        assert code == 1
+        assert out == MONAD_CHECK_RANK1_HUMAN
+        code, out = run(capsys, "monad-check", "rep.json", "--lam", "3/2,-1", "--json")
+        assert code == 1
+        assert out == MONAD_CHECK_RANK1_JSON
 
     def test_agrees_with_check_rep_on_same_data(self, capsys, tmp_path):
         theta = write(tmp_path, "theta.json", theta_record())

@@ -158,6 +158,21 @@ class TestDeformationParam:
         with pytest.raises(dfm.NotARoot):
             dfm.theta_of_root(d, Root((2, 0)))
 
+    def test_theta_of_root_rejects_a_non_root_of_e8(self):
+        e8 = DynkinType.parse("E8")
+        d = dfm.complete_affine_theta(e8, {a: T.scale(a) - ONE for a in range(1, 9)})
+        assert len(d.projections) == 120
+        highest = positive_roots(e8)[-1].coefficients
+        for coeffs in [(0,) * 8, (1, 1, 0, 0, 0, 0, 0, 1), highest[:-1] + (highest[-1] + 1,)]:
+            with pytest.raises(dfm.NotARoot, match="is not a positive root of E8"):
+                dfm.theta_of_root(d, Root(coeffs))
+
+    def test_theta_of_root_rejects_a_wrong_length(self):
+        d = dfm.complete_affine_theta(D4, {a: T.scale(a) for a in range(1, 5)})
+        for coeffs in [(1, 0, 0), (1, 0, 0, 0, 0)]:
+            with pytest.raises(dfm.NotARoot, match="coefficient vector has length"):
+                dfm.theta_of_root(d, Root(coeffs))
+
 
 class TestExceptionalLocus:
     def test_worked_a2_locus(self):

@@ -6,7 +6,7 @@ import pytest
 from adequiver import linalg, monad
 from adequiver.monad import NCElement
 
-from helpers import rand_matrix
+from helpers import rand_frac, rand_matrix
 
 ONE_NODE = ((0, 1),)
 
@@ -43,6 +43,19 @@ class TestNCElement:
     def test_add_requires_matching_layouts(self):
         with pytest.raises(ValueError):
             scalar("z", 1) + NCElement(((1, 1),), ((1, 1),), {"z": [[1]]})
+
+    def test_layout_listing_a_node_twice_rejected(self):
+        with pytest.raises(ValueError):
+            NCElement(((0, 1), (0, 1)), ONE_NODE, {"z": [[1], [2]]})
+
+    def test_coefficients_is_a_read_only_dense_view(self):
+        lay = ((0, 1), (1, 0), (2, 2))
+        e = NCElement(lay, lay, {"z": [[1, 0, 2], [0, 0, 0], [0, 3, 0]]})
+        assert e.coefficients == {"z": [[1, 0, 2], [0, 0, 0], [0, 3, 0]]}
+        e.coefficients["z"][0][0] = 9
+        assert e.coefficient("z")[0][0] == 1
+        with pytest.raises(AttributeError):
+            e.coefficients = {}
 
     def test_diagonal_block(self):
         lay = ((0, 1), (1, 2))
@@ -97,6 +110,104 @@ class TestNormalFormProduct:
         v = NCElement(lay, lay, {"x1": linalg.identity(2)})
         got = monad.nc_multiply(u, v, lam)
         assert got.coefficient("zz") == [[Fraction(2), 0], [0, Fraction(-3)]]
+
+
+def dense_mul(p, q, rows, cols):
+    """p @ q, also when the inner dimension is 0 (mat_mul loses the shape there)."""
+    return linalg.mat_mul(p, q) if p and p[0] else linalg.zeros(rows, cols)
+
+
+def reference_terms(mu, mv):
+    """Normal form of the word mu mv: [(monomial, carries lam)], written out by hand."""
+    if mu == "1" or mv == "1":
+        return [(mv if mu == "1" else mu, False)]
+    if "z" in (mu, mv):
+        other = mv if mu == "z" else mu
+        return [("z" + other, False)]
+    if (mu, mv) == ("x2", "x1"):
+        return [("x1x2", False), ("zz", True)]
+    return [(mu + mv, False)]
+
+
+def dense_product(u, v, lam):
+    """Every coefficient of u v from the dense coefficients of u and v."""
+    rows, cols = monad.layout_dim(u.row_layout), monad.layout_dim(v.col_layout)
+    row_lam = [linalg.frac(lam[node]) for node, dim in u.row_layout for _ in range(dim)]
+    out = {mono: linalg.zeros(rows, cols) for mono in monad.DEGREE}
+    for mu in u.coefficients:
+        for mv in v.coefficients:
+            prod = dense_mul(u.coefficient(mu), v.coefficient(mv), rows, cols)
+            for mono, with_lam in reference_terms(mu, mv):
+                term = ([[c * x for x in row] for c, row in zip(row_lam, prod)]
+                        if with_lam else prod)
+                out[mono] = linalg.mat_add(out[mono], term)
+    return out
+
+
+def rand_layout(rng, nodes):
+    return tuple((a, rng.choice((0, 0, 1, 2, 3))) for a in nodes)
+
+
+def rand_element(rng, rows, cols, monos):
+    """Dense random coefficients, nonzero anywhere (not only on the cyclic pattern)."""
+    r, c = monad.layout_dim(rows), monad.layout_dim(cols)
+    coeffs = {}
+    for mono in monos:
+        m = rand_matrix(rng, r, c)
+        coeffs[mono] = [[x if rng.random() < 0.6 else Fraction(0) for x in row] for row in m]
+    return NCElement(rows, cols, coeffs)
+
+
+class TestBlockStorageMatchesDense:
+    def test_products_and_sums_random_layouts(self):
+        rng = random.Random(2026)
+        degree_le1 = ("1", "x1", "x2", "z")
+        for trial in range(150):
+            nodes = rng.sample(range(6), rng.randint(1, 4))
+            rows, inner, cols = (rand_layout(rng, nodes) for _ in range(3))
+            lam = {a: rand_frac(rng) for a in nodes}
+            u = rand_element(rng, rows, inner, rng.sample(degree_le1, rng.randint(0, 4)))
+            if rng.random() < 0.2:
+                u = rand_element(rng, rows, inner, ["1"])
+                v_monos = rng.sample(list(monad.DEGREE), rng.randint(1, 4))
+            else:
+                v_monos = rng.sample(degree_le1, rng.randint(0, 4))
+            v = rand_element(rng, inner, cols, v_monos)
+            got = monad.nc_multiply(u, v, lam)
+            want = dense_product(u, v, lam)
+            for mono in monad.DEGREE:
+                assert got.coefficient(mono) == want[mono], (trial, mono)
+            assert set(got.coefficients) == {
+                mono for mono, m in want.items() if not linalg.is_zero_matrix(m)}
+            w = rand_element(rng, rows, inner, rng.sample(list(monad.DEGREE), 3))
+            total = u + w
+            for mono in monad.DEGREE:
+                assert total.coefficient(mono) == linalg.mat_add(
+                    u.coefficient(mono), w.coefficient(mono)), (trial, mono)
+
+    @pytest.mark.parametrize("rank", [0, 1, 2])
+    def test_monad_products_match_dense(self, rank):
+        # rank 0 puts b1, b2 on a -> a, rank 1 both on a -> a+1 = a-1
+        rng = random.Random(rank)
+        n = rank + 1
+        for trial in range(20):
+            dims = {a: rng.randrange(4) for a in range(n)}
+            framing = {a: rng.randrange(3) for a in range(n)}
+            b1 = {a: rand_matrix(rng, dims[(a + 1) % n], dims[a]) for a in range(n)}
+            b2 = {a: rand_matrix(rng, dims[(a - 1) % n], dims[a]) for a in range(n)}
+            i_blocks = {a: rand_matrix(rng, dims[a], framing[a]) for a in range(n)}
+            j_blocks = {a: rand_matrix(rng, framing[a], dims[a]) for a in range(n)}
+            lam = {a: rand_frac(rng) for a in range(n)}
+            m = monad.build_monad(rank, b1, b2, i_blocks, j_blocks, lam, dims, framing)
+            total = {mono: linalg.zeros(sum(dims.values())) for mono in monad.DEGREE}
+            for be, ae in zip(m.b, m.a):
+                want = dense_product(be, ae, m.lam)
+                got = monad.nc_multiply(be, ae, m.lam)
+                for mono in monad.DEGREE:
+                    assert got.coefficient(mono) == want[mono], (trial, mono)
+                    total[mono] = linalg.mat_add(total[mono], want[mono])
+            for mono in monad.DEGREE:
+                assert m.composite.coefficient(mono) == total[mono], (trial, mono)
 
 
 def cyclic_blockwise_defects(rank, b1, b2, i_blocks, j_blocks, lam, dims, framing):
@@ -229,6 +340,23 @@ class TestMonad:
             monad.build_monad(1, {5: [[1]]}, {}, {}, {}, {}, {0: 1, 1: 1}, {})
         with pytest.raises(ValueError):
             monad.build_monad(1, {0: [[1, 2]]}, {}, {}, {}, {}, {0: 1, 1: 1}, {})
+
+    def test_composed_once_per_monad(self, monkeypatch):
+        products = []
+        multiply = monad.nc_multiply
+
+        def counting(u, v, lam):
+            products.append((u, v))
+            return multiply(u, v, lam)
+
+        monkeypatch.setattr(monad, "nc_multiply", counting)
+        m = monad.build_monad(1, {0: [[4]], 1: [[3]]}, {0: [[5]], 1: [[7]]}, {}, {},
+                              {0: 1, 1: -1}, {0: 1, 1: 1}, {})
+        composite, ok = monad.compose_and_check(m)
+        assert monad.node_relation_defects(m) == {0: [[14]], 1: [[-14]]}
+        assert len(products) == 3
+        assert monad.compose_and_check(m) == (composite, ok)
+        assert len(products) == 3
 
     def test_empty_monad(self):
         m = monad.build_monad(2, {}, {}, {}, {}, {}, {0: 0, 1: 0, 2: 0}, {})
