@@ -185,23 +185,20 @@ def is_nondegenerate(rep: N1Representation) -> bool:
     """No proper subspace collection contains the framing vectors and is arrow/loop stable.
 
     Grows the span of the framing vectors under every arrow map and
-    every loop until it stabilises, then compares dimensions; zero
-    dimensional nodes are vacuously covered.
+    every loop: each vector that enlarges a span passes its images on, once,
+    until none is left.  Then compares dimensions; zero dimensional nodes
+    are vacuously covered.
     """
     labels = node_labels(rep.type, rep.affine)
     spans = {a: linalg.SpanBasis(rep.dims[a]) for a in labels}
-    for a in labels:
-        for v in rep.I[a]:
-            spans[a].add(v)
-    arrows = [(k.source, k.target, rep.B[k.key]) for k in rep.quiver.mckay_arrows()]
-    loops = [(a, a, rep.Psi[a]) for a in labels]
-    changed = True
-    while changed:
-        changed = False
-        for src, tgt, m in arrows + loops:
-            for v in list(spans[src].rows):
-                if spans[tgt].add(linalg.mat_vec(m, v)):
-                    changed = True
+    maps = {a: [(a, rep.Psi[a])] for a in labels}
+    for k in rep.quiver.mckay_arrows():
+        maps[k.source].append((k.target, rep.B[k.key]))
+    todo = [(a, v) for a in labels for v in rep.I[a]]
+    while todo:
+        a, v = todo.pop()
+        if spans[a].add(v):
+            todo += [(b, linalg.mat_vec(m, v)) for b, m in maps[a]]
     return all(spans[a].dim == rep.dims[a] for a in labels)
 
 

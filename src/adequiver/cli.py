@@ -17,8 +17,7 @@ import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from . import adhm, deformation, dynkin, linalg, monad, quiver, sheaf
-from . import io as fileio
+from . import dynkin, linalg, quiver
 
 
 def _kebab(name: str) -> str:
@@ -34,6 +33,7 @@ def _fmt_complex(z) -> str:
 
 
 def _fmt_matrix(m) -> str:
+    from . import io as fileio
     if not m or not m[0]:
         return "(empty)"
     return "[" + "; ".join(" ".join(fileio.frac_to_str(x) for x in row) for row in m) + "]"
@@ -57,6 +57,7 @@ class RunReport:
     forced_exit: int | None = None
 
     def add_input(self, path: str) -> None:
+        from . import io as fileio
         try:
             with open(path, "rb") as fh:
                 digest = hashlib.sha256(fh.read()).hexdigest()
@@ -197,6 +198,7 @@ def cmd_quiver_dot(args, report: RunReport) -> None:
 # -- theta-validate ----------------------------------------------------------
 
 def cmd_theta_validate(args, report: RunReport) -> None:
+    from . import io as fileio
     report.add_input(args.file)
     record = fileio.read_json(args.file)
     d = fileio.deformation_from_dict(record)
@@ -217,6 +219,7 @@ def cmd_theta_validate(args, report: RunReport) -> None:
 # -- exc-locus ---------------------------------------------------------------
 
 def cmd_exc_locus(args, report: RunReport) -> None:
+    from . import deformation, io as fileio
     report.add_input(args.file)
     d = fileio.load_deformation(args.file)
     locus = deformation.exceptional_locus(d)
@@ -245,6 +248,7 @@ def cmd_exc_locus(args, report: RunReport) -> None:
 # -- check-rep ---------------------------------------------------------------
 
 def _check_one_rep(path: str, theta: deformation.DeformationParam):
+    from . import adhm, io as fileio
     try:
         rep = fileio.load_representation(path)
     except fileio.SchemaError as e:
@@ -259,6 +263,7 @@ def _check_one_rep(path: str, theta: deformation.DeformationParam):
 
 
 def cmd_check_rep(args, report: RunReport) -> None:
+    from . import io as fileio
     report.add_input(args.theta)
     for path in args.files:
         report.add_input(path)
@@ -318,6 +323,7 @@ def cmd_check_rep(args, report: RunReport) -> None:
 # -- nondeg ------------------------------------------------------------------
 
 def cmd_nondeg(args, report: RunReport) -> None:
+    from . import adhm, io as fileio
     report.add_input(args.file)
     rep = fileio.load_representation(args.file)
     verdict = adhm.is_nondegenerate(rep)
@@ -338,6 +344,7 @@ def cmd_nondeg(args, report: RunReport) -> None:
 # -- sheafify / matrixify / roundtrip ---------------------------------------
 
 def cmd_sheafify(args, report: RunReport) -> None:
+    from . import io as fileio, sheaf
     report.add_input(args.file)
     rep = fileio.load_representation(args.file)
     data, g = sheaf.quadruple_to_quintuple(rep)
@@ -363,6 +370,7 @@ def cmd_sheafify(args, report: RunReport) -> None:
 
 
 def cmd_matrixify(args, report: RunReport) -> None:
+    from . import io as fileio, sheaf
     report.add_input(args.file)
     data = fileio.load_sheaf_data(args.file)
     rep = sheaf.quintuple_to_quadruple(data)
@@ -378,6 +386,7 @@ def cmd_matrixify(args, report: RunReport) -> None:
 
 
 def cmd_roundtrip(args, report: RunReport) -> None:
+    from . import adhm, io as fileio, sheaf
     report.add_input(args.file)
     rep = fileio.load_representation(args.file)
     data, g = sheaf.quadruple_to_quintuple(rep)
@@ -403,6 +412,7 @@ def _unsupported(report: RunReport, message: str) -> None:
 
 
 def cmd_monad_check(args, report: RunReport) -> None:
+    from . import adhm, deformation, io as fileio, monad
     report.add_input(args.file)
     rep = fileio.load_representation(args.file)
     if rep.type.family != "A" or not rep.affine:
@@ -551,20 +561,25 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _input_errors() -> tuple:
+    from . import io as fileio   # called as an except clause: io loads on that path only
+    return fileio.SchemaError, ValueError
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     report = RunReport(command=args.command)
     try:
         args.func(args, report)
-    except (fileio.SchemaError, ValueError) as e:
-        report.check("input-well-formed", False, str(e))
-        report.forced_exit = 2
     except dynkin.InputTooLarge as e:
         report.check(_kebab(type(e).__name__), False, str(e))
         report.forced_exit = 2
     except linalg.ComputeFailure as e:
         report.check(_kebab(type(e).__name__), False, str(e))
+    except _input_errors() as e:
+        report.check("input-well-formed", False, str(e))
+        report.forced_exit = 2
     print(report.to_json() if args.json else report.to_human())
     return report.exit_code
 

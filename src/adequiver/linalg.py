@@ -6,13 +6,13 @@ its arguments; every function hands back fresh lists.  Empty matrices
 unique map between zero-dimensional spaces.
 
 The exact kernels run on Python ints and build each output Fraction
-once.  Products (`mat_mul`) clear denominators and multiply integer
-numerators while skipping zero entries.  Elimination (`rref`, and
-through it `rank`, `nullspace` and `inverse`) is fraction-free
-Gauss-Jordan on integer rows kept primitive.  The characteristic
-polynomial runs Faddeev-LeVerrier on the integer matrix with one
-common denominator.  Products inside these kernels share one integer
-product loop.
+once.  Products (`mat_mul`, `mat_vec`) clear denominators and multiply
+integer numerators, skipping zero entries.  Elimination (`rref`, and
+through it `rank`, `nullspace` and `inverse`) and `SpanBasis` are
+fraction-free on integer rows kept primitive.  The characteristic
+polynomial runs Faddeev-LeVerrier on the integer matrix with one common
+denominator, and the rational root test evaluates it on ints.  Products
+inside these kernels share one integer product loop.
 
 Every exception that means "this computation gave up on this input",
 here and in the modules above, derives from `ComputeFailure`; the
@@ -21,6 +21,7 @@ command line reports each as a failed verdict named after its class.
 
 from __future__ import annotations
 
+from bisect import bisect
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Sequence
@@ -130,11 +131,15 @@ def _int_product(a: Mat, scales: list, b: list, cols: int) -> list:
     return out
 
 
+def _scaled_product(a: Mat, b_rows: list, db: int, cols: int) -> Mat:
+    # a times b, given as sparse integer rows over the denominator db; each row
+    # of a is scaled over its own lcm, which keeps the integers small.
+    das = [lcm(*{x.denominator for x in row}) for row in a]
+    return [[Fraction(v, da * db) if v else _ZERO for v in acc]
+            for acc, da in zip(_int_product(a, das, b_rows, cols), das)]
+
+
 def mat_mul(a: Mat, b: Mat) -> Mat:
-    # Integer kernel: b is scaled to integer numerators over the lcm of its
-    # denominators and each row of a over the lcm of that row's (per-row
-    # scaling keeps the integers small); each output entry becomes one
-    # Fraction at the end.
     # A row-free matrix has lost its column count; the product is [] either way.
     if not a:
         return []
@@ -145,18 +150,16 @@ def mat_mul(a: Mat, b: Mat) -> Mat:
     db = lcm(*{y.denominator for row in b for y in row})
     b_rows = [[(j, y.numerator * (db // y.denominator)) for j, y in enumerate(row) if y]
               for row in b]
-    das = [lcm(*{x.denominator for x in row}) for row in a]
-    out = []
-    for acc, da in zip(_int_product(a, das, b_rows, cb), das):
-        d = da * db
-        out.append([Fraction(v, d) if v else _ZERO for v in acc])
-    return out
+    return _scaled_product(a, b_rows, db, cb)
 
 
 def mat_vec(m: Mat, v: Vec) -> Vec:
+    # v is the one column of b; a row of m without columns gives 0.
     if any(len(row) != len(v) for row in m):
         raise ValueError("shape mismatch in matrix-vector product")
-    return [sum((x * y for x, y in zip(row, v)), Fraction(0)) for row in m]
+    dv = lcm(*{y.denominator for y in v})
+    column = [[(0, y.numerator * (dv // y.denominator))] if y else [] for y in v]
+    return [x for x, in _scaled_product(m, column, dv, 1)]
 
 
 def transpose(m: Mat) -> Mat:
@@ -258,40 +261,35 @@ def inverse(m: Mat) -> Mat:
 
 
 class SpanBasis:
-    """Incrementally maintained span of rational vectors, kept in reduced echelon form."""
+    """Incrementally maintained span of rational vectors: primitive integer rows in
+    echelon form, pivots increasing; new vectors reduce fraction-free, as in `rref`."""
 
     def __init__(self, ambient_dim: int):
         self.ambient_dim = ambient_dim
-        self.rows: list[Vec] = []   # reduced, pivot columns strictly increasing
+        self.rows: list[list[int]] = []
         self.pivots: list[int] = []
 
     @property
     def dim(self) -> int:
         return len(self.rows)
 
-    def reduce(self, v: Sequence) -> Vec:
-        w = [frac(x) for x in v]
-        if len(w) != self.ambient_dim:
-            raise ValueError("vector has the wrong length")
-        for row, p in zip(self.rows, self.pivots):
-            if w[p] != 0:
-                f = w[p]
-                w = [x - f * y for x, y in zip(w, row)]
-        return w
-
     def add(self, v: Sequence) -> bool:
         """Insert v; True iff it enlarged the span."""
-        w = self.reduce(v)
-        p = next((j for j, x in enumerate(w) if x != 0), None)
-        if p is None:
+        if len(v) != self.ambient_dim:
+            raise ValueError("vector has the wrong length")
+        d = lcm(*{x.denominator for x in v})
+        w = [x.numerator * (d // x.denominator) for x in v]
+        for row, p in zip(self.rows, self.pivots):
+            f = w[p]
+            if f:
+                g = gcd(row[p], f)
+                w = [row[p] // g * x - f // g * y for x, y in zip(w, row)]
+        g = gcd(*w)
+        if not g:
             return False
-        inv = Fraction(1) / w[p]
-        w = [x * inv for x in w]
-        for i in range(len(self.rows)):
-            f = self.rows[i][p]
-            if f != 0:
-                self.rows[i] = [x - f * y for x, y in zip(self.rows[i], w)]
-        at = next((i for i, q in enumerate(self.pivots) if q > p), len(self.pivots))
+        w = [x // g for x in w]
+        p = next(j for j, x in enumerate(w) if x)
+        at = bisect(self.pivots, p)
         self.rows.insert(at, w)
         self.pivots.insert(at, p)
         return True
@@ -334,25 +332,13 @@ def _int_divisors(n: int) -> list[int]:
     return sorted(out)
 
 
-def poly_eval(coeffs: Sequence[Fraction], x: Fraction) -> Fraction:
-    acc = Fraction(0)
-    for c in reversed(coeffs):
-        acc = acc * x + c
-    return acc
-
-
-def _deflate(coeffs: list[Fraction], root: Fraction) -> list[Fraction]:
-    # synthetic division by (t - root); the caller guarantees root is exact
-    n = len(coeffs) - 1
-    q = [Fraction(0)] * n
-    q[n - 1] = coeffs[n]
-    for i in range(n - 1, 0, -1):
-        q[i - 1] = coeffs[i] + root * q[i]
-    return q
-
-
 def rational_eigenvalues(m: Mat) -> dict[Fraction, int]:
-    """Eigenvalues with algebraic multiplicity; error unless the spectrum is rational."""
+    """Eigenvalues with algebraic multiplicity; error unless the spectrum is rational.
+
+    A candidate p/q in lowest terms is a root of the integer characteristic
+    polynomial iff sum_i c_i p^i q^(d-i) = 0; each root found is divided out
+    as the integer factor q t - p.
+    """
     n = shape(m)[0]
     coeffs = char_poly_coeffs(m)
     mult_zero = next((i for i, c in enumerate(coeffs) if c != 0), n)
@@ -360,21 +346,26 @@ def rational_eigenvalues(m: Mat) -> dict[Fraction, int]:
     if mult_zero:
         eig[Fraction(0)] = mult_zero
         coeffs = coeffs[mult_zero:]
-    # clear denominators to list candidate roots p/q
-    denom = lcm(*[c.denominator for c in coeffs]) if len(coeffs) > 1 else 1
-    ints = [int(c * denom) for c in coeffs]
-    lead, tail = ints[-1], ints[0]
-    if len(coeffs) > 1 and tail != 0:
-        candidates = set()
-        for p in _int_divisors(tail):
-            for q in _int_divisors(lead):
-                candidates.add(Fraction(p, q))
-                candidates.add(Fraction(-p, q))
-        work = list(coeffs)
-        for r in sorted(candidates):
-            while len(work) > 1 and poly_eval(work, r) == 0:
-                eig[r] = eig.get(r, 0) + 1
-                work = _deflate(work, r)
+    denom = lcm(*[c.denominator for c in coeffs])
+    work = [c.numerator * (denom // c.denominator) for c in coeffs]
+    found: dict[Fraction, int] = {}
+    heads = _int_divisors(work[0])
+    for q in _int_divisors(work[-1]) if len(work) > 1 else ():
+        for p in [s * h for h in heads if gcd(h, q) == 1 for s in (1, -1)]:
+            while len(work) > 1:
+                acc, qk = work[-1], 1
+                for c in reversed(work[:-1]):
+                    qk *= q
+                    acc = acc * p + c * qk
+                if acc:
+                    break
+                root = Fraction(p, q)
+                found[root] = found.get(root, 0) + 1
+                b = 0
+                for k in range(len(work) - 1, 0, -1):
+                    b = work[k] = (work[k] + p * b) // q
+                del work[0]
+    eig.update(sorted(found.items()))
     if sum(eig.values()) != n:
         raise NonRationalSpectrum(
             f"only {sum(eig.values())} of {n} eigenvalues are rational"
@@ -382,55 +373,47 @@ def rational_eigenvalues(m: Mat) -> dict[Fraction, int]:
     return eig
 
 
-def jordan_form(m: Mat) -> tuple[Mat, Mat]:
-    """Jordan normal form over the rationals.
+def jordan_basis(m: Mat) -> tuple[Mat, Mat]:
+    """Jordan normal form over the rationals and a basis of Jordan chains.
 
-    Returns (J, g) with g m g^{-1} == J exactly; eigenvalues ascending,
-    blocks per eigenvalue nonincreasing.  Raises NonRationalSpectrum when
-    the spectrum is not rational.
+    Returns (J, p) with m p == p J exactly, the columns of p the chains
+    bottom first; eigenvalues ascending, blocks per eigenvalue
+    nonincreasing.  Raises NonRationalSpectrum when the spectrum is not
+    rational.
     """
     n = shape(m)[0]
     eig = rational_eigenvalues(m)
     chains: list[tuple[Fraction, list[Vec]]] = []
     for lam in sorted(eig):
         nmat = mat_shift(m, -lam)
-        kernels: list[list[Vec]] = [[]]
-        power = identity(n)
+        power, kernels = nmat, [[], nullspace(nmat)]
         while len(kernels[-1]) < eig[lam]:
             power = mat_mul(nmat, power)
             kernels.append(nullspace(power))
-        kmax = len(kernels) - 1
-        tops_above: list[Vec] = []
-        lam_chains: list[tuple[int, Vec]] = []
-        for level in range(kmax, 0, -1):
-            carried = [mat_vec(nmat, v) for v in tops_above]
-            span = SpanBasis(n)
-            for v in kernels[level - 1]:
-                span.add(v)
-            for v in carried:
-                span.add(v)
-            new_tops = [v for v in kernels[level] if span.add(v)]
-            for v in new_tops:
-                lam_chains.append((level, v))
-            tops_above = carried + new_tops
-        lam_chains.sort(key=lambda t: -t[0])
-        for length, top in lam_chains:
-            chain = [top]
-            for _ in range(length - 1):
+        # top down: every chain so far steps one level lower, then kernel
+        # vectors independent of the level below and of those steps start chains
+        lam_chains: list[list[Vec]] = []    # each chain top first
+        for level in range(len(kernels) - 1, 0, -1):
+            for chain in lam_chains:
                 chain.append(mat_vec(nmat, chain[-1]))
-            chains.append((lam, list(reversed(chain))))  # bottom of chain first
-    cols: list[Vec] = []
-    jblocks: list[Mat] = []
-    for lam, chain in chains:
-        cols.extend(chain)
-        size = len(chain)
-        block = mat_shift(zeros(size), lam)
-        for i in range(size - 1):
-            block[i][i + 1] = Fraction(1)
-        jblocks.append(block)
-    p = transpose(cols) if cols else zeros(n, 0)  # columns are the chain vectors
-    j = block_diag(jblocks) if jblocks else zeros(0, 0)
+            span = SpanBasis(n)
+            for v in kernels[level - 1] + [chain[-1] for chain in lam_chains]:
+                span.add(v)
+            lam_chains += [[v] for v in kernels[level] if span.add(v)]
+        chains += [(lam, chain[::-1]) for chain in lam_chains]   # bottom of chain first
+    cols = [(lam, k, v) for lam, chain in chains for k, v in enumerate(chain)]
+    p = transpose([v for _, _, v in cols])
+    j = zeros(n)
+    for i, (lam, k, _) in enumerate(cols):
+        j[i][i] = lam
+        if k:                       # not the bottom of its chain
+            j[i - 1][i] = Fraction(1)
     if not mat_eq(mat_mul(m, p), mat_mul(p, j)):
         raise AssertionError("jordan basis failed verification")
-    g = inverse(p)
-    return j, g
+    return j, p
+
+
+def jordan_form(m: Mat) -> tuple[Mat, Mat]:
+    """(J, g) with g m g^{-1} == J exactly: `jordan_basis` with g the inverse of p."""
+    j, p = jordan_basis(m)
+    return j, inverse(p)

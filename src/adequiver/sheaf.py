@@ -20,7 +20,7 @@ from fractions import Fraction
 from typing import Mapping, Sequence
 
 from . import linalg
-from .adhm import ArrowKey, N1Representation, check_total_dim, edge_residual
+from .adhm import ArrowKey, N1Representation, check_total_dim
 from .dynkin import DynkinType, node_labels
 from .linalg import ComputeFailure, Mat, Vec
 from .quiver import build_n1_quiver
@@ -137,6 +137,14 @@ def _require_rational(node_sheaves: Mapping[int, TorsionSheafData], nodes) -> No
                 )
 
 
+def _check_intertwining(loops: Mapping[int, Mat], arrow_maps: Mapping[ArrowKey, Mat]) -> None:
+    """EdgeRelationViolated naming the first arrow map with a nonzero edge defect."""
+    for key, m in arrow_maps.items():
+        src, tgt, _ = key
+        if not linalg.mat_eq(linalg.mat_mul(loops[tgt], m), linalg.mat_mul(m, loops[src])):
+            raise EdgeRelationViolated(f"edge defect at {key} is nonzero")
+
+
 @dataclass
 class QuiverSheafData:
     type: DynkinType
@@ -162,39 +170,36 @@ class QuiverSheafData:
         touched = list(dict.fromkeys(a for key in self.arrow_maps for a in key[:2]))
         _require_rational(self.node_sheaves, touched)
         jordan = {a: sheaf_to_endo(self.node_sheaves[a])[1] for a in touched}
-        for key, m in self.arrow_maps.items():
-            src, tgt, _ = key
-            m = linalg.matrix(m)
-            lhs = linalg.mat_mul(jordan[tgt], m)
-            rhs = linalg.mat_mul(m, jordan[src])
-            if not linalg.mat_eq(lhs, rhs):
-                raise EdgeRelationViolated(f"arrow map {key} does not intertwine the supports")
-            self.arrow_maps[key] = m
+        self.arrow_maps = {key: linalg.matrix(m) for key, m in self.arrow_maps.items()}
+        _check_intertwining(jordan, self.arrow_maps)
 
 
 def quadruple_to_quintuple(rep: N1Representation) -> tuple[QuiverSheafData, dict[int, Mat]]:
     """Per-node torsion data plus transported arrows and framing.
 
-    Requires every edge defect to vanish exactly.  Returns the sheaf
-    data together with the per-node base changes g (new = g * old), so
-    callers can verify the transport.
+    Requires every edge defect to vanish exactly.  Arrows move to g_b B p_a,
+    p a node's Jordan basis and g its inverse; the intertwining is checked
+    once, on the Jordan matrices, when `QuiverSheafData` is built (a broken
+    edge outranks a non-rational spectrum).  Returns the sheaf data and the
+    per-node base changes g (new = g * old), so callers can verify the transport.
     """
     labels = node_labels(rep.type, rep.affine)
-    for arrow in rep.quiver.mckay_arrows():
-        if not linalg.is_zero_matrix(edge_residual(rep, arrow.key)):
-            raise EdgeRelationViolated(f"edge defect at {arrow.key} is nonzero")
     sheaves: dict[int, TorsionSheafData] = {}
     g: dict[int, Mat] = {}
+    p: dict[int, Mat] = {}
     for a in labels:
-        j, ga = linalg.jordan_form(rep.Psi[a])
+        try:
+            j, p[a] = linalg.jordan_basis(rep.Psi[a])
+        except linalg.NonRationalSpectrum:
+            _check_intertwining(rep.Psi, rep.B)
+            raise
         sheaves[a] = _jordan_points(j)
         expected_dim, jmat = sheaf_to_endo(sheaves[a])
         if expected_dim != rep.dims[a] or not linalg.mat_eq(jmat, j):
             raise AssertionError("jordan data disagrees with the partition data")
-        g[a] = ga
-    ginv = {a: linalg.inverse(g[a]) for a in labels}
+        g[a] = linalg.inverse(p[a])
     arrows = {
-        k: linalg.mat_mul(g[k[1]], linalg.mat_mul(m, ginv[k[0]]))
+        k: linalg.mat_mul(g[k[1]], linalg.mat_mul(m, p[k[0]]))
         for k, m in rep.B.items()
     }
     vectors = {a: [linalg.mat_vec(g[a], v) for v in rep.I[a]] for a in labels}

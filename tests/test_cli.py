@@ -681,6 +681,16 @@ class TestStartup:
         assert (code, err) == (0, "")
         assert out.strip() == "['adequiver']"
 
+    def test_subcommands_load_only_the_package_modules_they_use(self, tmp_path):
+        rep = write(tmp_path, "rep.json", rep_record())
+        code = CHILD_MAIN.replace(
+            "'numpy' if 'numpy' in sys.modules else 'no numpy'",
+            "' '.join(sorted(m[10:] for m in sys.modules if m.startswith('adequiver.')))")
+        light = "cli dynkin linalg quiver"
+        for argv, loaded in ((["roots", "A2"], light), (["quiver-dot", "D4"], light),
+                             (["nondeg", rep], "adhm cli deformation dynkin io linalg quiver sheaf")):
+            assert run_child(*argv, code=code)[::2] == (0, loaded), argv
+
     def test_every_exported_name_resolves_to_its_definition(self):
         for name in adequiver.__all__:
             obj = getattr(adequiver, name)

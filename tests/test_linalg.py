@@ -214,6 +214,28 @@ def test_mat_vec_keeps_row_free_shapes():
         linalg.mat_vec([[Fraction(1)]], [Fraction(1), Fraction(2)])
 
 
+@settings(max_examples=100)
+@given(_operands())
+def test_mat_vec_matches_naive_product(operands):
+    a, b = operands
+    v = [row[0] if row else 0 for row in b]
+    want = [sum((Fraction(x) * Fraction(y) for x, y in zip(row, v)), Fraction(0)) for row in a]
+    out = linalg.mat_vec(a, v)
+    assert out == want
+    assert all(type(x) is Fraction for x in out)
+
+
+@settings(max_examples=100)
+@given(_rref_inputs())
+def test_span_basis_dim_is_rank(vectors):
+    n = len(vectors[0]) if vectors else 0
+    sb = linalg.SpanBasis(n)
+    grew = [sb.add(v) for v in vectors]
+    assert sum(grew) == sb.dim == linalg.rank(vectors)
+    # every vector added is a member now: adding it again changes nothing
+    assert not any(sb.add(v) for v in vectors)
+
+
 def test_span_basis_growth_and_membership():
     sb = linalg.SpanBasis(3)
     assert sb.add([Fraction(1), Fraction(0), Fraction(0)])
@@ -253,6 +275,31 @@ def test_rational_eigenvalues_rejects_irrational():
         linalg.rational_eigenvalues(linalg.matrix([[0, 2], [1, 0]]))   # +-sqrt(2)
     with pytest.raises(linalg.NonRationalSpectrum):
         linalg.rational_eigenvalues(linalg.matrix([[0, 1], [-1, 0]]))  # +-i
+
+
+def test_rational_eigenvalues_match_sympy_on_planted_spectra():
+    rng = Random(11)
+    spectra = [{Fraction(0): 1, Fraction(7, 10): 4, Fraction(-3, 8): 2}]
+    for _ in range(6):
+        spectrum = {Fraction(0): rng.randint(1, 2)}
+        for _ in range(2):
+            lam = Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 10))
+            spectrum[lam] = rng.randint(1, 4)
+        spectra.append(spectrum)
+    for spectrum in spectra:
+        blocks = []
+        for lam, mult in spectrum.items():
+            while mult:
+                size = rng.randint(1, mult)
+                blocks.append((lam, size))
+                mult -= size
+        m = _planted(rng, blocks)
+        theirs = sympy.Matrix([[sympy.Rational(x.numerator, x.denominator) for x in row]
+                               for row in m]).eigenvals()
+        want = {Fraction(int(sympy.fraction(k)[0]), int(sympy.fraction(k)[1])): int(v)
+                for k, v in theirs.items()}
+        assert want == spectrum
+        assert linalg.rational_eigenvalues(m) == want
 
 
 def _planted(rng: Random, blocks):
