@@ -143,29 +143,29 @@ def cmd_roots(args, report: RunReport) -> None:
 # -- mckay-verify ------------------------------------------------------------
 
 def cmd_mckay_verify(args, report: RunReport) -> None:
-    from . import gamma  # numeric throughout: loads numpy, which no other command needs
+    from . import gamma  # exact over F_p: loads no numpy
 
     t = dynkin.DynkinType.parse(args.type)
     delta = dynkin.marks(t)
     g = gamma.enumerate_group(t)
-    table = gamma.character_table(g, seed=args.seed)
+    table = gamma.character_table(g)
     adj, deviation = gamma.mckay_multiplicities(g, table, args.tol)
     iso = gamma.find_labeled_isomorphism(
-        adj, [int(d) for d in table.dims],
-        dynkin.adjacency_matrix(t, affine=True), list(delta.delta),
+        adj, table.degrees, dynkin.adjacency_matrix(t, affine=True), list(delta.delta),
     )
     report.say(f"type {t}")
     report.say(f"group order {g.order}")
     report.say(f"conjugacy classes {len(g.classes)}")
-    report.say("character degrees " + " ".join(str(int(d)) for d in table.dims))
+    report.say("character degrees " + " ".join(str(d) for d in table.degrees))
     report.data = {
         "type": str(t),
         "order": g.order,
         "sum_of_squared_marks": delta.group_order,
         "class_count": len(g.classes),
-        "degrees": [int(d) for d in table.dims],
+        "degrees": table.degrees,
         "adjacency": adj,
         "isomorphism": iso,
+        "prime": g.fp.p,
     }
     report.check("order-equals-sum-of-squared-marks",
                  g.order == delta.group_order,
@@ -502,9 +502,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("mckay-verify", parents=[common],
                        help="enumerate the subgroup and match its graph to the diagram")
     p.add_argument("type")
-    p.add_argument("--seed", type=int, default=0, help="seed for the character table search")
+    p.add_argument("--seed", type=int, default=0,
+                   help="accepted for compatibility; the exact table uses no randomness")
     p.add_argument("--tol", type=float, default=1e-6,
-                   help="tolerance on the integrality of the multiplicities")
+                   help="bound on the distance of the multiplicities from integers "
+                        "(exactly 0 over F_p, so only a negative bound fails)")
     p.set_defaults(func=cmd_mckay_verify)
 
     p = sub.add_parser("quiver-dot", parents=[common], help="print a quiver in DOT format")

@@ -9,8 +9,9 @@ whether a given parameter satisfies the identity.
 Projections along positive roots, their vanishing loci on the affine
 line, and the genericity test live here too.  Genericity and root
 multiplicities are decided exactly (gcds and square-free decomposition
-over the rationals); root locations are float labels (companion-matrix
-eigenvalues of the square-free factors) that no verdict reads.
+over the rationals); root locations are float labels that no verdict
+reads: read off directly for linear square-free factors, companion-matrix
+eigenvalues (numpy) for longer ones.
 """
 
 from __future__ import annotations
@@ -201,13 +202,13 @@ def poly_roots(p: Polynomial) -> list[tuple[complex, int]]:
     """Complex roots with exact multiplicities, sorted by (real, imag).
 
     Multiplicities come from the square-free decomposition, whose factors
-    are square-free and coprime, so no root repeats; each factor is fed to
-    the companion-matrix solver, whose simple roots are well conditioned.
-    The locations are float labels: InputTooLarge when a factor's
+    are monic, square-free and coprime, so no root repeats.  A linear
+    factor t + c0 gives its root -c0 directly (0.0 for c0 = 0, as the
+    companion-matrix solver returns it); longer factors go to that
+    solver (numpy), whose simple roots are well conditioned.  The
+    locations are float labels: InputTooLarge when a factor's
     coefficients leave the float range.
     """
-    import numpy as np
-
     if p.is_zero:
         raise ValueError("the zero polynomial has no root locus")
     entries: list[tuple[complex, int]] = []
@@ -216,6 +217,10 @@ def poly_roots(p: Polynomial) -> list[tuple[complex, int]]:
             coeffs = [float(c) for c in reversed(factor.coefficients)]
         except OverflowError:
             raise InputTooLarge("a root lies beyond the float range of the points") from None
+        if factor.degree == 1:
+            entries.append((complex(-coeffs[1] if coeffs[1] else 0.0), mult))
+            continue
+        import numpy as np
         entries.extend((complex(r), mult) for r in np.roots(coeffs))
     return sorted(entries, key=lambda e: (e[0].real, e[0].imag))
 

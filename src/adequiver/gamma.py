@@ -1,27 +1,44 @@
-"""Finite subgroups of SL(2, C), one per simply laced type.
+"""Finite subgroups of SL(2, C), one per simply laced type, and their McKay graphs.
 
 Cyclic groups for A_n, binary dihedral for D_n, and the binary
 tetrahedral / octahedral / icosahedral groups for E6 / E7 / E8, the last
 three realised through the standard quaternion embedding
 i -> diag(i, -i), j -> [[0, 1], [-1, 0]].
 
-Group arithmetic is floating point; elements are deduplicated by
-componentwise rounding at 1e-9, which is three orders of magnitude wider
-than the error accumulated by products of <= 200 unitary 2x2 matrices.
+Everything is decided exactly over a prime field (Dixon's method; Dixon,
+Numer. Math. 10, 1967).  Each generator entry is a rational combination
+of powers of zeta = e^{2 pi i / N}, and zeta is sent to a fixed element
+omega of order N in F_p, p the least prime with N | p - 1.  That is a
+ring map to F_p, and it is injective on the group because p does not
+divide its order.  N = 2520 = lcm(1, ..., 10) serves every type up to
+rank 8, so p = 2521 there; longer cyclic and dihedral generators enlarge
+N to a multiple.  The group is closed on 4-tuples of residues, its class
+algebra split into central characters over F_p, and the McKay
+multiplicities read off as residues in {0, 1, 2}: no tolerance, seed or
+retry decides anything.
+
+The complex matrices, the multiplication table and the complex character
+table are views of the exact data, built (with numpy) only when read:
+element matrices as products of the complex generators along the
+closure's tree, characters from the exact eigenvalues of each class
+representative.
 """
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass, field
-from math import cos, pi, sin, sqrt
-
-import numpy as np
+from fractions import Fraction
+from functools import cached_property, lru_cache
+from itertools import count
+from math import isqrt, lcm
+from operator import mul
 
 from .dynkin import DynkinType, adjacency_matrix, marks
 from .linalg import ComputeFailure
 
-DEDUP_DECIMALS = 9
 CLOSURE_CAP = 200
+BASE_ORDER = 2520     # lcm(1, ..., 10): every root of unity the types up to rank 8 need
 
 
 class ClosureOverflow(ComputeFailure):
@@ -29,18 +46,122 @@ class ClosureOverflow(ComputeFailure):
 
 
 class DegenerateSpectrum(ComputeFailure):
-    """No random class-matrix combination produced a simple spectrum."""
+    """The class algebra did not split into one-dimensional eigenspaces over F_p."""
 
 
 class NonIntegralMultiplicity(ComputeFailure):
-    """A McKay multiplicity failed to round to an integer within tolerance."""
+    """A McKay multiplicity read mod p is not 0, 1 or 2, or the matrix is malformed."""
+
+
+# -- cyclotomic numbers and the prime field -------------------------------------
+#
+# A cyclotomic number is a tuple of (coefficient, turn) terms, standing for
+# sum c * e^{2 pi i turn} with rational c and turn; addition is concatenation.
+
+def _root(turn, c=1) -> tuple:
+    return ((Fraction(c), Fraction(turn) % 1),)
+
+
+def _rotate(x: tuple, turn) -> tuple:
+    """x times e^{2 pi i turn}."""
+    return tuple((c, (t + turn) % 1) for c, t in x)
+
+
+def _quat(a: tuple, b: tuple, c: tuple, d: tuple) -> tuple:
+    """Unit quaternion a + bi + cj + dk as the matrix [[a + bi, c + di], [-c + di, a - bi]]."""
+    i = Fraction(1, 4)
+    return ((a + _rotate(b, i), c + _rotate(d, i)),
+            (_rotate(c, 2 * i) + _rotate(d, i), a + _rotate(b, 3 * i)))
+
+
+def _diag(turn) -> tuple:
+    return ((_root(turn), ()), ((), _root(-turn)))
+
+
+def generators(t: DynkinType) -> list[tuple]:
+    """Generators of the subgroup for t, as 2x2 matrices of cyclotomic numbers."""
+    n = t.rank
+    if t.family == "A":
+        return [_diag(Fraction(1, n + 1))]
+    if t.family == "D":
+        return [_diag(Fraction(1, 2 * (n - 2))), (((), _root(0)), (_root(Fraction(1, 2)), ()))]
+    half = _root(0, Fraction(1, 2))
+    if n == 6:
+        return [_quat((), _root(0), (), ()), _quat(half, half, half, half)]
+    if n == 7:
+        return [_quat(half, half, half, half), _diag(Fraction(1, 8))]
+    # quaternions (phi / 2, 1 / (2 phi), 1/2, 0) and (-1/2, 1/2, 1/2, 1/2), phi the golden
+    # ratio; with s = (sqrt 5 - 1) / 4 = (zeta_5 + zeta_5^4) / 2,
+    # phi / 2 = 1/2 + s and 1 / (2 phi) = s
+    s = _root(Fraction(1, 5), Fraction(1, 2)) + _root(Fraction(4, 5), Fraction(1, 2))
+    return [_quat(half + s, s, half, ()), _quat(_rotate(half, Fraction(1, 2)), half, half, half)]
+
+
+@dataclass(frozen=True)
+class PrimeField:
+    """F_p with omega of order n in it, standing for e^{2 pi i / n}."""
+
+    p: int
+    n: int
+    omega: int
+
+    def root(self, turn) -> int:
+        """The residue of e^{2 pi i turn}; turn * n must be an integer."""
+        e = Fraction(turn) * self.n
+        if e.denominator != 1:
+            raise ValueError(f"e^(2 pi i {turn}) is not an {self.n}-th root of unity")
+        return pow(self.omega, e.numerator % self.n, self.p)
+
+    def reduce(self, x: tuple) -> int:
+        p = self.p
+        return sum(c.numerator * pow(c.denominator, -1, p) * self.root(t) for c, t in x) % p
+
+
+def _prime_factors(m: int) -> list[int]:
+    out, q = [], 2
+    while q * q <= m:
+        if m % q == 0:
+            out.append(q)
+            while m % q == 0:
+                m //= q
+        q += 1
+    return out + ([m] if m > 1 else [])
+
+
+@lru_cache(maxsize=None)
+def prime_field(n: int) -> PrimeField:
+    """The least prime p = 1 mod n, with omega = g^((p - 1) / n) for g its least primitive root."""
+    p = next(m for m in count(n + 1, n) if _prime_factors(m) == [m])
+    factors = _prime_factors(p - 1)
+    g = next(g for g in count(2) if all(pow(g, (p - 1) // q, p) != 1 for q in factors))
+    return PrimeField(p, n, pow(g, (p - 1) // n, p))
+
+
+def _complex(x: tuple) -> complex:
+    return sum(float(c) * cmath.exp(2j * cmath.pi * t) for c, t in x) + 0j
+
+
+# -- the group -------------------------------------------------------------------
+
+def _mul(x: tuple, y: tuple, p: int) -> tuple:
+    a, b, c, d = x
+    e, f, g, h = y
+    return ((a * e + b * g) % p, (a * f + b * h) % p, (c * e + d * g) % p, (c * f + d * h) % p)
+
+
+def _inv(x: tuple, p: int) -> tuple:
+    a, b, c, d = x
+    return (d, -b % p, -c % p, a)
 
 
 @dataclass(frozen=True)
 class GroupElement:
-    m: np.ndarray
+    """A complex 2x2 matrix of determinant one (numeric view)."""
+
+    m: object
 
     def __post_init__(self):
+        import numpy as np
         a = np.asarray(self.m, dtype=complex)
         if a.shape != (2, 2):
             raise ValueError("group elements are 2x2 complex matrices")
@@ -49,210 +170,405 @@ class GroupElement:
         object.__setattr__(self, "m", a)
 
 
-def _quat(a: float, b: float, c: float, d: float) -> np.ndarray:
-    """Unit quaternion a + bi + cj + dk as a special unitary matrix."""
-    return np.array([[a + b * 1j, c + d * 1j], [-c + d * 1j, a - b * 1j]], dtype=complex)
-
-
-def generators(t: DynkinType) -> list[GroupElement]:
-    n = t.rank
-    if t.family == "A":
-        zeta = complex(cos(2 * pi / (n + 1)), sin(2 * pi / (n + 1)))
-        return [GroupElement(np.diag([zeta, zeta.conjugate()]))]
-    if t.family == "D":
-        xi = complex(cos(pi / (n - 2)), sin(pi / (n - 2)))
-        return [
-            GroupElement(np.diag([xi, xi.conjugate()])),
-            GroupElement(np.array([[0, 1], [-1, 0]], dtype=complex)),
-        ]
-    if n == 6:
-        return [GroupElement(_quat(0, 1, 0, 0)), GroupElement(_quat(0.5, 0.5, 0.5, 0.5))]
-    if n == 7:
-        r = 1 / sqrt(2)
-        return [GroupElement(_quat(0.5, 0.5, 0.5, 0.5)), GroupElement(_quat(r, r, 0, 0))]
-    phi = (1 + sqrt(5)) / 2
-    return [
-        GroupElement(_quat(phi / 2, 1 / (2 * phi), 0.5, 0)),
-        GroupElement(_quat(-0.5, 0.5, 0.5, 0.5)),
-    ]
-
-
-def _key(m: np.ndarray) -> bytes:
-    rounded = np.round(np.asarray(m, dtype=complex).reshape(-1), DEDUP_DECIMALS) + 0.0
-    return np.ascontiguousarray(rounded).tobytes()
-
-
 @dataclass
 class GammaGroup:
+    """The closure of the generators over F_p, with its conjugacy classes.
+
+    `residues[r]` holds the entries (a, b, c, d) of element r = [[a, b], [c, d]]
+    mod `fp.p`; element 0 is the identity, and element r > 0 is
+    `residues[tree[r][0]]` times generator `tree[r][1]`.  `elements`,
+    `mult_table`, `inverse` and `class_of` are numpy views built on first
+    use.
+    """
+
     type: DynkinType
-    elements: list[GroupElement]
-    classes: list[list[int]]                # partition of element indices
-    identity_index: int
-    mult_table: np.ndarray = field(repr=False)   # [i, j] -> index of elements[i] @ elements[j]
-    inverse: np.ndarray = field(repr=False)
+    fp: PrimeField
+    gens: list = field(repr=False)            # cyclotomic generator matrices
+    residues: list = field(repr=False)
+    tree: list = field(repr=False)
+    classes: list[list[int]]                   # partition of element indices
+    class_index: list[int] = field(repr=False)
+    index: dict = field(repr=False)            # residues -> element index
 
     @property
     def order(self) -> int:
-        return len(self.elements)
+        return len(self.residues)
+
+    def inverse_index(self, r: int) -> int:
+        return self.index[_inv(self.residues[r], self.fp.p)]
+
+    @cached_property
+    def elements(self) -> list[GroupElement]:
+        import numpy as np
+        gens = [np.array([[_complex(x) for x in row] for row in g]) for g in self.gens]
+        mats = [np.eye(2, dtype=complex)]
+        for parent, s in self.tree[1:]:
+            mats.append(mats[parent] @ gens[s])
+        return [GroupElement(m) for m in mats]
+
+    @cached_property
+    def mult_table(self):
+        """[i, j] -> index of element i times element j."""
+        import numpy as np
+        p, res = self.fp.p, self.residues
+        return np.array([[self.index[_mul(x, y, p)] for y in res] for x in res], dtype=int)
+
+    @cached_property
+    def inverse(self):
+        import numpy as np
+        return np.array([self.inverse_index(r) for r in range(self.order)], dtype=int)
 
     @property
-    def class_of(self) -> np.ndarray:
-        out = np.empty(self.order, dtype=int)
-        for c, members in enumerate(self.classes):
-            out[members] = c
-        return out
+    def class_of(self):
+        import numpy as np
+        return np.array(self.class_index, dtype=int)
 
 
 def enumerate_group(t: DynkinType, cap: int = CLOSURE_CAP) -> GammaGroup:
-    """Closure of the generators, with conjugacy classes and a multiplication table."""
-    gens = [g.m for g in generators(t)]
-    stack = [np.eye(2, dtype=complex)]
-    index = {_key(stack[0]): 0}
-    frontier = list(range(len(stack)))
-    for g in gens:
-        k = _key(g)
-        if k not in index:
-            index[k] = len(stack)
-            stack.append(g)
-            frontier.append(len(stack) - 1)
+    """Closure of the generators over F_p, and conjugacy classes as orbits under them."""
+    gens = generators(t)
+    fld = prime_field(lcm(BASE_ORDER, *(
+        turn.denominator for g in gens for row in g for x in row for _, turn in x)))
+    p = fld.p
+    exact = [tuple(fld.reduce(x) for row in g for x in row) for g in gens]
+    for a, b, c, d in exact:
+        if (a * d - b * c) % p != 1:
+            raise ValueError(f"a generator of {t} has determinant other than 1")
+    residues = [(1, 0, 0, 1)]
+    index = {residues[0]: 0}
+    tree: list = [None]
+    frontier = [0]
     while frontier:
-        fresh: list[int] = []
-        current = np.stack(stack)
-        front = current[frontier]
-        for prods in (
-            np.einsum("aij,bjk->abik", current, front),
-            np.einsum("aij,bjk->abik", front, current),
-        ):
-            for mat in prods.reshape(-1, 2, 2):
-                k = _key(mat)
-                if k not in index:
-                    index[k] = len(stack)
-                    stack.append(mat)
-                    fresh.append(len(stack) - 1)
-                    if len(stack) > cap:
-                        raise ClosureOverflow(
-                            f"closure for {t} exceeded {cap} elements"
-                        )
+        fresh = []
+        for r in frontier:
+            for s, gen in enumerate(exact):
+                y = _mul(residues[r], gen, p)
+                if y not in index:
+                    index[y] = len(residues)
+                    fresh.append(len(residues))
+                    residues.append(y)
+                    tree.append((r, s))
+                    if len(residues) > cap:
+                        raise ClosureOverflow(f"closure for {t} exceeded {cap} elements")
         frontier = fresh
-    n = len(stack)
-    arr = np.stack(stack)
-    prods = np.einsum("aij,bjk->abik", arr, arr).reshape(n, n, 4)
-    rounded = np.round(prods, DEDUP_DECIMALS) + 0.0
-    table = np.empty((n, n), dtype=int)
-    flat = np.ascontiguousarray(rounded).reshape(n * n, 4)
-    for pos in range(n * n):
-        table[pos // n, pos % n] = index[flat[pos].tobytes()]
-    if set(np.unique(table)) != set(range(n)):
-        raise AssertionError("multiplication table does not close")
-    inv = np.argmax(table == 0, axis=1)
+    conjugators = [(gen, _inv(gen, p)) for gen in exact]
+    class_index = [-1] * len(residues)
     classes: list[list[int]] = []
-    assigned = np.full(n, -1, dtype=int)
-    for x in range(n):
-        if assigned[x] >= 0:
+    for x in range(len(residues)):
+        if class_index[x] >= 0:
             continue
-        members = sorted({int(table[table[g, x], inv[g]]) for g in range(n)})
-        for m in members:
-            assigned[m] = len(classes)
-        classes.append(members)
-    return GammaGroup(
-        type=t,
-        elements=[GroupElement(m) for m in stack],
-        classes=classes,
-        identity_index=0,
-        mult_table=table,
-        inverse=inv,
-    )
+        members = [x]
+        class_index[x] = len(classes)
+        for y in members:                      # grows while it is walked
+            for gen, gen_inv in conjugators:
+                z = index[_mul(_mul(gen, residues[y], p), gen_inv, p)]
+                if class_index[z] < 0:
+                    class_index[z] = len(classes)
+                    members.append(z)
+        classes.append(sorted(members))
+    return GammaGroup(type=t, fp=fld, gens=gens, residues=residues, tree=tree,
+                      classes=classes, class_index=class_index, index=index)
+
+
+# -- polynomials over F_p (coefficient lists, lowest degree first) -------------
+
+def _trim(a: list) -> list:
+    while a and a[-1] == 0:
+        a.pop()
+    return a
+
+
+def _divmod(a: list, f: list, p: int) -> tuple[list, list]:
+    """(quotient, remainder) of a by monic f."""
+    a, df, low = list(a), len(f) - 1, f[:-1]
+    q = [0] * max(0, len(a) - df)
+    for k in range(len(a) - 1, df - 1, -1):
+        c = q[k - df] = a[k] % p
+        if c:
+            a[k - df:k] = [x - c * y for x, y in zip(a[k - df:k], low)]
+    return q, _trim([x % p for x in a[:df]])
+
+
+def _mulmod(a: list, b: list, f: list, p: int) -> list:
+    if not a or not b:
+        return []
+    if len(a) > len(b):
+        a, b = b, a
+    out, n = [0] * (len(a) + len(b) - 1), len(b)
+    for i, x in enumerate(a):
+        if x:
+            out[i:i + n] = [o + x * y for o, y in zip(out[i:i + n], b)]
+    return _divmod(out, f, p)[1]
+
+
+def _powmod(base: list, e: int, f: list, p: int) -> list:
+    """base^e mod f, squaring from the top bit down (cheap for a short base)."""
+    out = [1]
+    for bit in bin(e)[2:]:
+        out = _mulmod(out, out, f, p)
+        if bit == "1":
+            out = _mulmod(out, base, f, p)
+    return out
+
+
+def _monic_gcd(a: list, b: list, p: int) -> list:
+    a, b = _trim([c % p for c in a]), _trim([c % p for c in b])
+    while b:
+        lead = pow(b[-1], -1, p)
+        b = [c * lead % p for c in b]
+        a, b = b, _divmod(a, b, p)[1]
+    lead = pow(a[-1], -1, p)
+    return [c * lead % p for c in a]
+
+
+def _quotient(a: list, root: int, p: int) -> tuple[list, int]:
+    """(a / (x - root), a(root)) by synthetic division."""
+    acc, out = 0, []
+    for c in reversed(a):
+        acc = (acc * root + c) % p
+        out.append(acc)
+    return out[-2::-1], out[-1]
+
+
+def _split_roots(f: list, p: int) -> list[int]:
+    """The roots of monic f in F_p, which must split into distinct linear factors there.
+
+    Factors are separated by gcds with (x + a)^((p - 1) / 2) - 1 for
+    a = 0, 1, 2, ... (Cantor and Zassenhaus, with the shifts taken in
+    order, each part going on from the shift that made it); a factor that
+    no shift below p separates is not a product of distinct linear
+    factors, and raises DegenerateSpectrum.
+    """
+    roots, stack = [], [(f, 0)]
+    while stack:
+        g, start = stack.pop()
+        if len(g) == 2:
+            roots.append(-g[0] % p)
+            continue
+        for a in range(start, p):
+            h = _powmod([a, 1], (p - 1) // 2, g, p)
+            h = _trim([(h[0] if h else 0) - 1] + h[1:])
+            d = _monic_gcd(g, h, p) if h else g
+            if 1 < len(d) < len(g):
+                # every shift up to a leaves the roots of each part on one side
+                stack += [(d, a + 1), (_divmod(g, d, p)[0], a + 1)]
+                break
+        else:
+            raise DegenerateSpectrum("a class matrix has eigenvalues outside F_p or repeated ones")
+    return roots
+
+
+# -- the character table ----------------------------------------------------------
+
+def _class_matrices(g: GammaGroup) -> list[list[dict]]:
+    """Structure constants of the class-sum algebra, K_i K_j = sum_k a[j][i][k] K_k.
+
+    a[j][i][k] counts the x in class i with x^-1 z_k in class j, for one z_k
+    in class k: k times |G| products in all.  Zero counts are left out.
+    """
+    p, res, cls = g.fp.p, g.residues, g.class_index
+    k = len(g.classes)
+    a = [[{} for _ in range(k)] for _ in range(k)]
+    inverses = [_inv(x, p) for x in res]
+    for c, members in enumerate(g.classes):
+        z = res[members[0]]
+        for x, x_inv in enumerate(inverses):
+            row = a[cls[g.index[_mul(x_inv, z, p)]]][cls[x]]
+            row[c] = row.get(c, 0) + 1
+    return a
+
+
+def _split(u: list, matrix: list[dict], p: int) -> list[list]:
+    """The components of u in the eigenspaces of a matrix given by sparse rows.
+
+    The Krylov vectors u, Mu, M^2 u, ... are reduced against each other
+    until M^m u depends on the earlier ones; that dependence is the
+    minimal polynomial mu of M on u.  For each root l of mu,
+    (mu / (x - l))(M) u, scaled by 1 / mu'(l), is the component of u
+    at eigenvalue l.
+    """
+    krylov, reduced = [u], []          # reduced: (pivot, vector, combination of krylov)
+    while True:
+        vec = krylov[-1]
+        comb = [0] * (len(krylov) - 1) + [1]
+        for pivot, r, rc in reduced:
+            f = vec[pivot]
+            if f:
+                vec = [(x - f * y) % p for x, y in zip(vec, r)]
+                comb[:len(rc)] = [(x - f * y) % p for x, y in zip(comb, rc)]
+        pivot = next((i for i, x in enumerate(vec) if x), None)
+        if pivot is None:
+            break
+        scale = pow(vec[pivot], -1, p)
+        reduced.append((pivot, [x * scale % p for x in vec], [x * scale % p for x in comb]))
+        y = krylov[-1]
+        krylov.append([sum(c * y[j] for j, c in row.items()) % p for row in matrix])
+    if len(comb) == 2:
+        return [u]
+    out, coordinates = [], list(zip(*krylov[:-1]))
+    for root in _split_roots(comb, p):
+        q, _ = _quotient(comb, root, p)
+        scale = pow(_quotient(q, root, p)[1], -1, p)
+        out.append([sum(map(mul, row, q)) * scale % p for row in coordinates])
+    return out
+
+
+def _eigen_exponents(power_sums: list, roots: dict, p: int) -> list[int]:
+    """Eigenvalues of rho(g) from chi(g^t) mod p for t = 1..deg rho, as exponents m of zeta^m.
+
+    Newton's identities give the characteristic polynomial of rho(g) mod p;
+    its roots are powers of one root of unity zeta, and `roots` maps the
+    residue of each zeta^m to m.
+    """
+    d = len(power_sums)
+    if d == 1:                                   # the eigenvalue is chi(g) itself
+        found = [roots[power_sums[0]]] if power_sums[0] in roots else []
+    else:
+        e = [1]
+        for k in range(1, d + 1):
+            s = sum((-1) ** (i - 1) * e[k - i] * power_sums[i - 1] for i in range(1, k + 1))
+            e.append(s * pow(k, -1, p) % p)
+        poly = [(-1) ** (d - i) * e[d - i] % p for i in range(d + 1)]
+        found = []
+        for r, m in roots.items():
+            while len(poly) > 1:
+                q, value = _quotient(poly, r, p)
+                if value:
+                    break
+                poly = q
+                found.append(m)
+            if len(poly) == 1:
+                break
+    if len(found) != d:
+        raise DegenerateSpectrum(f"a character of degree {d} does not lift to roots of unity")
+    return found
 
 
 @dataclass
 class CharacterTable:
-    chars: np.ndarray        # rows: irreducibles, cols: conjugacy classes
-    dims: np.ndarray         # integer character degrees, one per row
-    class_sizes: np.ndarray
-    class_reps: list[int]    # representative element index per class
+    """Irreducible characters mod p, sorted by degree and then by their complex values.
 
-
-def _class_matrices(g: GammaGroup) -> np.ndarray:
-    """Structure constants of the class-sum algebra: K_i K_j = sum_k a[i,j,k] K_k."""
-    k = len(g.classes)
-    cls = g.class_of
-    counts = np.zeros((k, k, k), dtype=np.int64)
-    left = np.broadcast_to(cls[:, None], g.mult_table.shape)
-    right = np.broadcast_to(cls[None, :], g.mult_table.shape)
-    np.add.at(counts, (left.ravel(), right.ravel(), cls[g.mult_table].ravel()), 1)
-    sizes = np.array([len(c) for c in g.classes])
-    if np.any(counts % sizes[None, None, :] != 0):
-        raise AssertionError("class products are not constant on classes")
-    return counts // sizes[None, None, :]
-
-
-def character_table(g: GammaGroup, seed: int = 0, retries: int = 10) -> CharacterTable:
-    """Character table via simultaneous eigenvectors of the class-sum matrices.
-
-    A random real combination of the structure-constant matrices is
-    diagonalised; its eigenvectors are the central characters, which are
-    rescaled to ordinary characters of positive integer degree.  A
-    degenerate draw (repeated eigenvalue, or a degree failing to round)
-    is retried with fresh coefficients.
+    `values[a][j]` is chi_a at class j mod `group.fp.p`, `degrees[a]`
+    its degree, `lifted[a][j]` its complex value.  `chars`, `dims` and
+    `class_sizes` are numpy views.
     """
+
+    group: GammaGroup = field(repr=False)
+    values: list[list[int]]
+    degrees: list[int]
+    lifted: list[list[complex]] = field(repr=False)
+
+    @property
+    def class_reps(self) -> list[int]:
+        return [c[0] for c in self.group.classes]
+
+    @cached_property
+    def chars(self):
+        import numpy as np
+        return np.array(self.lifted, dtype=complex)
+
+    @property
+    def dims(self):
+        import numpy as np
+        return np.array(self.degrees, dtype=int)
+
+    @property
+    def class_sizes(self):
+        import numpy as np
+        return np.array([len(c) for c in self.group.classes], dtype=int)
+
+
+def _lift(g: GammaGroup, values: list[list[int]], degrees: list[int]) -> list[list[complex]]:
+    """Complex character values: each chi(g_j) summed from the exact eigenvalues of rho(g_j)."""
+    p = g.fp.p
+    out = [[0j] * len(g.classes) for _ in values]
+    for j, members in enumerate(g.classes):
+        x = g.residues[members[0]]
+        powers = [g.class_index[0]]           # class of x^t, t = 0, 1, ...
+        y = x
+        while y != g.residues[0]:
+            powers.append(g.class_index[g.index[y]])
+            y = _mul(y, x, p)
+        order = len(powers)
+        step = g.fp.root(Fraction(1, order))
+        roots = {pow(step, m, p): m for m in range(order)}
+        for a, (row, d) in enumerate(zip(values, degrees)):
+            found = _eigen_exponents([row[powers[t % order]] for t in range(1, d + 1)], roots, p)
+            out[a][j] = sum(cmath.exp(2j * cmath.pi * m / order) for m in found)
+    return out
+
+
+def character_table(g: GammaGroup, seed: int = 0) -> CharacterTable:
+    """Character table over F_p from the simultaneous eigenvectors of the class matrices.
+
+    The class-indicator vector of the identity has a nonzero component
+    chi(1)^2 / |G| along each central character; splitting it by one class
+    matrix after another leaves one component per irreducible, which
+    gives chi(1)^2 and then every chi(g_j).  `seed` is accepted for
+    compatibility and drives nothing.
+    """
+    p, order = g.fp.p, g.order
     k = len(g.classes)
-    a = _class_matrices(g).astype(float)
-    sizes = np.array([len(c) for c in g.classes], dtype=float)
-    id_class = int(g.class_of[g.identity_index])
-    rng = np.random.default_rng(seed)
-    order = float(g.order)
-    last_gap = None
-    for _ in range(retries):
-        combo = np.tensordot(rng.random(k), a, axes=1)
-        vals, vecs = np.linalg.eig(combo)
-        gaps = np.abs(vals[:, None] - vals[None, :]) + np.eye(k)
-        last_gap = gaps.min()
-        if last_gap < 1e-6 * max(1.0, np.abs(vals).max()):
-            continue
-        omega = vecs / vecs[id_class, :][None, :]
-        degs = np.sqrt(order / np.sum(np.abs(omega) ** 2 / sizes[:, None], axis=0))
-        rounded = np.round(degs)
-        if np.any(np.abs(degs - rounded) > 1e-6) or np.any(rounded < 1):
-            continue
-        chars = np.ascontiguousarray((rounded[None, :] * omega / sizes[:, None]).T)
-        key = sorted(
-            range(k),
-            key=lambda r: (
-                int(rounded[r]),
-                tuple(np.round(chars[r].view(float), 6)),
-            ),
-        )
-        return CharacterTable(
-            chars=chars[key],
-            dims=rounded[key].astype(int),
-            class_sizes=sizes.astype(int),
-            class_reps=[c[0] for c in g.classes],
-        )
-    raise DegenerateSpectrum(
-        f"no simple spectrum for {g.type} after {retries} draws (last gap {last_gap:.2e})"
-    )
+    sizes = [len(c) for c in g.classes]
+    a = _class_matrices(g)
+    parts = [[1] + [0] * (k - 1)]
+    for matrix in a[1:]:
+        if len(parts) == k:
+            break
+        parts = [v for u in parts for v in _split(u, matrix, p)]
+    if len(parts) != k:
+        raise DegenerateSpectrum(f"the class algebra of {g.type} splits into {len(parts)} "
+                                 f"of {k} characters over F_{p}")
+    values, degrees = [], []
+    for u in parts:
+        square = order * u[0] % p
+        d = isqrt(square)
+        if d < 1 or d * d != square:
+            raise DegenerateSpectrum(f"a character of {g.type} has chi(1)^2 = {square} mod {p}")
+        scale = d * pow(u[0], -1, p)
+        values.append([x * scale * pow(s, -1, p) % p for x, s in zip(u, sizes)])
+        degrees.append(d)
+    lifted = _lift(g, values, degrees)
+    # degree, then rounded complex values: labels that do not depend on the splitting order
+    ranked = sorted(range(k), key=lambda r: (
+        degrees[r], tuple(round(v, 6) + 0.0 for z in lifted[r] for v in (z.real, z.imag))))
+    return CharacterTable(group=g, values=[values[r] for r in ranked],
+                          degrees=[degrees[r] for r in ranked], lifted=[lifted[r] for r in ranked])
 
 
 def mckay_multiplicities(g: GammaGroup, table: CharacterTable,
                          tol: float = 1e-6) -> tuple[list[list[int]], float]:
     """Multiplicity of irrep b inside Q tensor irrep a, Q the defining 2-dim rep.
 
-    Also returns the largest distance of a computed multiplicity from its
-    rounded integer; beyond tol the matrix is rejected.
+    Computed mod p as (1/|G|) sum_j |C_j| chi_Q(g_j) chi_a(g_j) chi_b(g_j^-1),
+    and read as an integer in {0, 1, 2}; anything else is rejected.  Also
+    returns the distance of the matrix from integers, exactly 0, which
+    must not exceed tol.
     """
-    chi_q = np.array([np.trace(g.elements[r].m) for r in table.class_reps])
-    sizes = table.class_sizes.astype(float)
-    weights = sizes * chi_q
-    raw = np.einsum("j,aj,bj->ab", weights, table.chars, table.chars.conj()) / g.order
-    out = np.round(raw.real).astype(int)
-    deviation = float(np.max(np.abs(raw - out)))
-    if deviation > tol:
+    if tol < 0:
         raise NonIntegralMultiplicity(
-            f"multiplicity matrix for {g.type} is off by {deviation:.2e}"
-        )
-    if np.any(out != out.T) or np.any(np.diag(out) != 0):
+            f"multiplicities for {g.type} are exact; tolerance {tol:g} is below 0")
+    p = g.fp.p
+    reps = table.class_reps
+    weights = [len(c) * (g.residues[r][0] + g.residues[r][3]) for c, r in zip(g.classes, reps)]
+    inverse_class = [g.class_index[g.inverse_index(r)] for r in reps]
+    scale = pow(g.order, -1, p)
+    at_inverse = [[chi[j] for j in inverse_class] for chi in table.values]
+    out = []
+    for a, chi_a in enumerate(table.values):
+        weighted = [w * x for w, x in zip(weights, chi_a)]
+        row = []
+        for b, chi_b in enumerate(at_inverse):
+            m = sum(map(mul, weighted, chi_b)) * scale % p
+            if m > 2:
+                raise NonIntegralMultiplicity(
+                    f"multiplicity ({a}, {b}) for {g.type} reads {m} mod {p}, not 0, 1 or 2")
+            row.append(m)
+        out.append(row)
+    if any(out[a][b] != out[b][a] for a in range(len(out)) for b in range(a)) \
+            or any(out[a][a] for a in range(len(out))):
         raise NonIntegralMultiplicity("multiplicity matrix must be symmetric with zero diagonal")
-    return out.tolist(), deviation
+    return out, 0.0
 
 
 def mckay_adjacency(g: GammaGroup, table: CharacterTable, tol: float = 1e-6) -> list[list[int]]:
@@ -307,11 +623,12 @@ def verify_mckay(g: GammaGroup, seed: int = 0) -> bool:
     """True iff the McKay graph of g matches the affine diagram of g.type.
 
     The match must send character degrees to marks and respect edge
-    multiplicities (the doubled affine A1 bond included).
+    multiplicities (the doubled affine A1 bond included).  `seed` drives
+    nothing.
     """
-    table = character_table(g, seed=seed)
+    table = character_table(g)
     adj = mckay_adjacency(g, table)
     dynkin_adj = adjacency_matrix(g.type, affine=True)
     delta = list(marks(g.type).delta)
-    iso = find_labeled_isomorphism(adj, [int(d) for d in table.dims], dynkin_adj, delta)
+    iso = find_labeled_isomorphism(adj, table.degrees, dynkin_adj, delta)
     return iso is not None

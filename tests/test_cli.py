@@ -1,12 +1,17 @@
+import contextlib
+import io
 import json
 import os
 import random
 import subprocess
 import sys
+import tempfile
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import adequiver
 from adequiver import cli, deformation, dynkin, gamma, linalg, sheaf
@@ -110,6 +115,66 @@ class TestMckayVerify:
         _, second = run(capsys, "mckay-verify", "D4", "--json")
         assert first == second
 
+    # the reports byte for byte, apart from the deviation figure; the JSON
+    # data also carries the prime
+    PINNED_HUMAN = {
+        "D4": "adequiver mckay-verify\ntype D4\ngroup order 8\nconjugacy classes 5\n"
+              "character degrees 1 1 1 1 2\n"
+              "check order-equals-sum-of-squared-marks: pass  (8 vs 8)\n"
+              "check multiplicities-integral: pass  (largest deviation {dev}, tol 1e-06)\n"
+              "check graph-matches-affine-diagram: pass  (degree-respecting relabelling found)\n"
+              "exit code 0\n",
+        "E8": "adequiver mckay-verify\ntype E8\ngroup order 120\nconjugacy classes 9\n"
+              "character degrees 1 2 2 3 3 4 4 5 6\n"
+              "check order-equals-sum-of-squared-marks: pass  (120 vs 120)\n"
+              "check multiplicities-integral: pass  (largest deviation {dev}, tol 1e-06)\n"
+              "check graph-matches-affine-diagram: pass  (degree-respecting relabelling found)\n"
+              "exit code 0\n",
+    }
+    PINNED_DATA = {
+        "D4": {"type": "D4", "order": 8, "sum_of_squared_marks": 8, "class_count": 5,
+               "degrees": [1, 1, 1, 1, 2],
+               "adjacency": [[0, 0, 0, 0, 1], [0, 0, 0, 0, 1], [0, 0, 0, 0, 1],
+                             [0, 0, 0, 0, 1], [1, 1, 1, 1, 0]],
+               "isomorphism": [0, 1, 3, 4, 2]},
+        "E8": {"type": "E8", "order": 120, "sum_of_squared_marks": 120, "class_count": 9,
+               "degrees": [1, 2, 2, 3, 3, 4, 4, 5, 6],
+               "adjacency": [[0, 0, 1, 0, 0, 0, 0, 0, 0], [0, 0, 0, 0, 0, 1, 0, 0, 0],
+                             [1, 0, 0, 0, 1, 0, 0, 0, 0], [0, 0, 0, 0, 0, 0, 0, 0, 1],
+                             [0, 0, 1, 0, 0, 0, 1, 0, 0], [0, 1, 0, 0, 0, 0, 0, 0, 1],
+                             [0, 0, 0, 0, 1, 0, 0, 1, 0], [0, 0, 0, 0, 0, 0, 1, 0, 1],
+                             [0, 0, 0, 1, 0, 1, 0, 1, 0]],
+               "isomorphism": [0, 7, 1, 8, 2, 6, 3, 4, 5]},
+    }
+
+    @pytest.mark.parametrize("name", ["D4", "E8"])
+    def test_pinned_reports(self, capsys, name):
+        code, out = run(capsys, "mckay-verify", name)
+        assert (code, out) == (0, self.PINNED_HUMAN[name].format(dev="0.0e+00"))
+        code, out = run(capsys, "mckay-verify", name, "--json")
+        record = json.loads(out)
+        assert out == json.dumps(record, indent=2) + "\n"
+        assert record["data"] == {**self.PINNED_DATA[name], "prime": 2521}
+        assert [v["detail"] for v in record["verdicts"]] == [
+            f"{record['data']['order']} vs {record['data']['order']}",
+            "largest deviation 0.0e+00, tol 1e-06",
+            "degree-respecting relabelling found",
+        ]
+        assert code == record["exit_code"] == 0
+
+    def test_wrong_generators_fail_without_a_tolerance(self, capsys, monkeypatch):
+        e7 = gamma.generators(dynkin.DynkinType.parse("E7"))
+        monkeypatch.setattr(gamma, "generators", lambda t: e7)
+        code, out = run(capsys, "mckay-verify", "E8", "--json", "--tol", "1e300")
+        record = json.loads(out)
+        assert code == 1
+        assert {v["name"]: v["passed"] for v in record["verdicts"]} == {
+            "order-equals-sum-of-squared-marks": False,
+            "multiplicities-integral": True,
+            "graph-matches-affine-diagram": False,
+        }
+        assert record["data"]["order"] == 48
+
 
 class TestQuiverDot:
     def test_default_flavor(self, capsys):
@@ -193,6 +258,71 @@ class TestExcLocus:
         code, out = run(capsys, "exc-locus", path, "--json")
         assert code == 2
         assert [v["name"] for v in json.loads(out)["verdicts"]] == ["input-too-large"]
+
+
+def _theta_bases():
+    return [
+        theta_record(),
+        {"type": "D4", "theta": {"1": ["1", "1"], "2": ["-1/2", "2"], "3": ["0", "1"],
+                                 "4": ["3", "1/3"]}},
+        {"type": "A1", "theta": {"0": ["1", "-1"], "1": ["-1", "1"]}},
+        {"type": "A2", "theta": {"1": ["1", "0", "1"], "2": ["-1", "1"]}},
+    ]
+
+
+_ODD_VALUES = st.sampled_from([
+    True, False, None, 0, 1, -1, 1.5, -0.0, 1e308, 10 ** 30, float("nan"), float("inf"),
+    "", " ", "1/0", "nan", "inf", "-inf", "1e400", "-1e400", "1e-400", "0x10", "\u00bd",
+    "1_000", "3/-4", " 2 ", "1/2/3", "1e5", "--1", "x", [], ["1"], [["1"]], {}, {"1": "1"},
+])
+_ODD_TYPES = st.sampled_from([
+    "A1", "A3", "D4", "D5", "E6", "E8", "B2", "", "a2", "A0", "A101", "E9", "D3", "A 2",
+    5, None, True, ["A2"], {"A": 2},
+])
+_ODD_LABELS = st.sampled_from(["x", "-1", "99", "", "1.0", " 1", "01", "0", "3", "true"])
+
+
+@st.composite
+def mutated_theta_records(draw):
+    record = draw(st.sampled_from(_theta_bases()))
+    for _ in range(draw(st.integers(1, 3))):
+        theta = record.get("theta") if isinstance(record, dict) else None
+        kind = draw(st.sampled_from(["type", "label", "coefficient", "node", "theta",
+                                     "record", "drop", "extra"]))
+        if kind == "type" and isinstance(record, dict):
+            record["type"] = draw(_ODD_TYPES)
+        elif kind == "label" and isinstance(theta, dict) and theta:
+            key = draw(st.sampled_from(sorted(theta)))
+            theta[draw(_ODD_LABELS)] = theta.pop(key)
+        elif kind == "coefficient" and isinstance(theta, dict) and theta:
+            coeffs = theta[draw(st.sampled_from(sorted(theta)))]
+            if isinstance(coeffs, list) and coeffs:
+                coeffs[draw(st.integers(0, len(coeffs) - 1))] = draw(_ODD_VALUES)
+        elif kind == "node" and isinstance(theta, dict) and theta:
+            theta[draw(st.sampled_from(sorted(theta)))] = draw(_ODD_VALUES)
+        elif kind == "theta" and isinstance(record, dict):
+            record["theta"] = draw(_ODD_VALUES)
+        elif kind == "record":
+            record = draw(_ODD_VALUES)
+        elif kind == "drop" and isinstance(record, dict) and record:
+            record.pop(draw(st.sampled_from(sorted(record))))
+        elif kind == "extra" and isinstance(record, dict):
+            record[draw(st.sampled_from(["extra", "theta ", "Type"]))] = draw(_ODD_VALUES)
+    return record
+
+
+class TestThetaFuzz:
+    @settings(max_examples=150)
+    @given(mutated_theta_records())
+    def test_mutated_theta_files_get_a_verdict(self, record):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "theta.json")
+            with open(path, "w", encoding="utf-8") as fh:
+                json.dump(record, fh)
+            for command in ("theta-validate", "exc-locus"):
+                with contextlib.redirect_stdout(io.StringIO()):
+                    code = cli.main([command, path, "--json"])
+                assert code in (0, 1, 2), (command, record)
 
 
 class TestCheckRep:
@@ -642,6 +772,8 @@ def startup_fixtures(tmp_path):
         "type": "A2", "dims": {"0": 2, "1": 0, "2": 0}, "psi": {"0": [["0", "1"], ["2", "0"]]},
     })
     finite = write(tmp_path, "finite.json", finite_rep_record())
+    quadratic = write(tmp_path, "quadratic.json",
+                      {"type": "A2", "theta": {"1": ["1", "0", "1"], "2": ["-1", "1"]}})
     complex_points = write(tmp_path, "complex.json", {
         "type": "A2",
         "nodes": {"1": {"points": [{"support": {"re": 0.5, "im": 1.0}, "partition": [1]}]},
@@ -661,8 +793,9 @@ def startup_fixtures(tmp_path):
         (["monad-check", rep, "--lam", "1,0,-1"], 0, False),
         (["check-rep", "--theta", theta, rep], 0, False),   # support check skipped
         (["check-rep", "--theta", theta, finite], 0, False),   # support check run
-        (["mckay-verify", "A2"], 0, True),
-        (["exc-locus", theta], 0, True),
+        (["mckay-verify", "A2"], 0, False),
+        (["exc-locus", theta], 0, False),   # linear projections: roots read exactly
+        (["exc-locus", quadratic], 0, True),   # a quadratic factor goes to numpy's solver
     ]
 
 
@@ -672,6 +805,20 @@ class TestStartup:
             code, out = run(capsys, *argv)
             assert code == exit_code, argv
             assert run_child(*argv) == (code, out, "numpy" if numeric else "no numpy"), argv
+
+    def test_mckay_verify_loads_no_numpy_on_any_type(self):
+        types = ["A1", "A2", "A3", "A4", "A5", "A6", "A7", "A8",
+                 "D4", "D5", "D6", "D7", "D8", "E6", "E7", "E8"]
+        code, out, err = run_child(*types, code=(
+            "import contextlib, io, sys\n"
+            "import adequiver.gamma\n"
+            "from adequiver.cli import main\n"
+            "loaded = 'numpy' in sys.modules\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    codes = [main(['mckay-verify', t]) for t in sys.argv[1:]]\n"
+            "print(loaded, 'numpy' in sys.modules, codes)\n"))
+        assert (code, err) == (0, "")
+        assert out.strip() == f"False False {[0] * len(types)}"
 
     def test_bare_import_loads_no_submodule(self):
         code, out, err = run_child(code=(

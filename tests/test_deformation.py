@@ -4,6 +4,8 @@ from fractions import Fraction
 
 import pytest
 import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from adequiver import deformation as dfm
 from adequiver.dynkin import DynkinType, Root, positive_roots
@@ -237,3 +239,36 @@ class TestExceptionalLocus:
         d = dfm.complete_affine_theta(A2, {1: T, 2: T - ONE})
         covered = {e.root for e in dfm.exceptional_locus(d).entries}
         assert covered == set(positive_roots(A2))
+
+
+# roots of linear square-free factors are read without numpy's solver
+_constants = st.one_of(
+    st.just(Fraction(0)),
+    st.fractions(),
+    st.floats(allow_nan=False, allow_infinity=False).map(Fraction),
+)
+
+
+@settings(max_examples=300)
+@given(_constants, _constants.filter(bool), st.integers(1, 3))
+def test_poly_roots_on_linear_inputs_match_the_companion_solver(c0, c1, power):
+    # (c1 t + c0)^power has one square-free factor, t + c0 / c1, of that multiplicity
+    np = pytest.importorskip("numpy")
+    p = dfm.Polynomial.of([1])
+    for _ in range(power):
+        p = p * dfm.Polynomial.of([c0, c1])
+    try:
+        companion = [1.0, float(c0 / c1)]
+    except OverflowError:
+        with pytest.raises(dfm.InputTooLarge):
+            dfm.poly_roots(p)
+        return
+    got = dfm.poly_roots(p)
+    assert got == [(complex(-companion[1] if companion[1] else 0.0), power)]
+    want = complex(np.roots(companion)[0])
+    if companion[1] == 0 or 1e-138 < abs(companion[1]) < 1e138:
+        assert repr(got[0][0]) == repr(want)
+    else:
+        # LAPACK rescales a matrix whose norm leaves [6.7e-139, 1.5e138], which
+        # can cost the solver's root its last bit; the exact root keeps it
+        assert abs(got[0][0] - want) <= 4e-16 * abs(want)
