@@ -11,6 +11,9 @@ Two families of defects are computed exactly:
   plus Theta_a evaluated on the loop at a (matrix Horner);
 * edge defect at an arrow a -> b: Psi_b o B - B o Psi_a, the failure of
   the arrow to intertwine the loops.
+
+Each defect is summed in one integer pass of `linalg.sum_of_products`,
+at its full shape, so empty nodes need no special case.
 """
 
 from __future__ import annotations
@@ -134,27 +137,22 @@ def _theta_table(rep: N1Representation, theta) -> dict[int, Polynomial]:
 def node_residual(rep: N1Representation, theta, a: int) -> Mat:
     """Defect of the node relation at a; the zero matrix iff the relation holds."""
     table = _theta_table(rep, theta)
-    if rep.dims[a] == 0:
-        return []
-    acc = evaluate_on_matrix(table[a], rep.Psi[a])
+    d = rep.dims[a]
+    terms = [(1, linalg.int_matrix(evaluate_on_matrix(table[a], rep.Psi[a])), None)]
     for arrow in rep.quiver.mckay_arrows():
-        # arrows through an empty node contribute nothing
-        if arrow.source != a or rep.dims[arrow.target] == 0:
-            continue
-        back = rep.B[arrow.reversed_key()]
-        forth = rep.B[arrow.key]
-        term = linalg.mat_mul(back, forth)
-        acc = linalg.mat_add(acc, term if arrow.sign > 0 else linalg.mat_neg(term))
-    return acc
+        if arrow.source == a:
+            terms.append((arrow.sign, linalg.int_matrix(rep.B[arrow.reversed_key()]),
+                          linalg.int_matrix(rep.B[arrow.key])))
+    return linalg.rational_matrix(linalg.sum_of_products(terms, d, d), d, d)
 
 
 def edge_residual(rep: N1Representation, key: ArrowKey) -> Mat:
     """Intertwining defect Psi_target o B - B o Psi_source for one arrow."""
     src, tgt, _ = key
-    if rep.dims[src] == 0 or rep.dims[tgt] == 0:
-        return linalg.zeros(rep.dims[tgt], rep.dims[src])
-    b = rep.B[key]
-    return linalg.mat_sub(linalg.mat_mul(rep.Psi[tgt], b), linalg.mat_mul(b, rep.Psi[src]))
+    b = linalg.int_matrix(rep.B[key])
+    terms = [(1, linalg.int_matrix(rep.Psi[tgt]), b), (-1, b, linalg.int_matrix(rep.Psi[src]))]
+    rows, cols = rep.dims[tgt], rep.dims[src]
+    return linalg.rational_matrix(linalg.sum_of_products(terms, rows, cols), rows, cols)
 
 
 @dataclass

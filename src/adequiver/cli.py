@@ -465,8 +465,8 @@ def cmd_monad_check(args, report: RunReport) -> None:
         report.say("b o a = 0")
     else:
         report.say("b o a is nonzero; surviving coefficients:")
-        for mono in sorted(composite.coefficients):
-            report.say(f"  {mono}: {_fmt_matrix(composite.coefficients[mono])}")
+        for mono, c in sorted(composite.coefficients.items()):
+            report.say(f"  {mono}: {_fmt_matrix(c)}")
     for a in range(n):
         text = "0" if linalg.is_zero_matrix(defects[a]) else _fmt_matrix(defects[a])
         report.say(f"node {a} quadratic block: {text}")

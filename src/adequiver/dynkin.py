@@ -17,8 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from . import linalg
-
 FAMILIES = ("A", "D", "E")
 
 _MIN_RANK = {"A": 1, "D": 4}
@@ -132,25 +130,34 @@ class MarksVector:
         return sum(d * d for d in self.delta)
 
 
+# Marks of E6, E7, E8 in the node order of the module docstring.
+_E_MARKS = {
+    6: (1, 1, 2, 3, 2, 1, 2),
+    7: (1, 2, 3, 4, 3, 2, 1, 2),
+    8: (1, 2, 3, 4, 5, 6, 4, 2, 3),
+}
+
+
 def marks(t: DynkinType) -> MarksVector:
     """Primitive positive null vector of the affine Cartan matrix, entry 1 at node 0.
 
-    Computed once per type; the result is immutable and shared.
+    Closed forms: all 1 for A_n; 1 at the four end nodes and 2 along the
+    tail 2..n-2 for D_n; a fixed table for E6, E7, E8.  Built once per
+    type; the result is immutable and shared.
     """
     return _marks_cached(t)
 
 
 @lru_cache(maxsize=None)
 def _marks_cached(t: DynkinType) -> MarksVector:
-    c = cartan_matrix(t, affine=True)
-    kernel = linalg.nullspace(linalg.matrix(c.entries))
-    if len(kernel) != 1:
-        raise AssertionError("affine Cartan matrix must have a one-dimensional kernel")
-    v = kernel[0]
-    v = [x / v[0] for x in v]
-    if any(x.denominator != 1 or x <= 0 for x in v):
-        raise AssertionError("marks must be positive integers once normalised at node 0")
-    return MarksVector(t, tuple(int(x) for x in v))
+    n = t.rank
+    if t.family == "A":
+        delta = (1,) * (n + 1)
+    elif t.family == "D":
+        delta = (1, 1) + (2,) * (n - 3) + (1, 1)
+    else:
+        delta = _E_MARKS[n]
+    return MarksVector(t, delta)
 
 
 @dataclass(frozen=True)

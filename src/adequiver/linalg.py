@@ -14,6 +14,14 @@ polynomial runs Faddeev-LeVerrier on the integer matrix with one common
 denominator, and the rational root test evaluates it on ints.  Products
 inside these kernels share one integer product loop.
 
+`sum_of_products` is the kernel for sums of products held on ints:
+each operand is integer rows over one denominator (`int_matrix`), the
+caller gives the output shape, every term c*a*b or c*a accumulates in
+one integer pass, and the sum comes back over its least denominator,
+or as None when it is zero.  `rational_matrix` reads Fractions back,
+None as the zero matrix of the given shape.  The `monad` blocks and
+the `adhm` residuals run on it.
+
 Every exception that means "this computation gave up on this input",
 here and in the modules above, derives from `ComputeFailure`; the
 command line reports each as a failed verdict named after its class.
@@ -28,6 +36,7 @@ from typing import Iterable, Sequence
 
 Mat = list
 Vec = list
+IntMat = tuple      # (rows of ints, denominator d > 0): the matrix rows / d
 
 _ZERO = Fraction(0)
 
@@ -151,6 +160,58 @@ def mat_mul(a: Mat, b: Mat) -> Mat:
     b_rows = [[(j, y.numerator * (db // y.denominator)) for j, y in enumerate(row) if y]
               for row in b]
     return _scaled_product(a, b_rows, db, cb)
+
+
+def int_matrix(m: Mat) -> IntMat:
+    """m as integer rows over the lcm of its denominators."""
+    d = lcm(*{x.denominator for row in m for x in row})
+    return [[x.numerator * (d // x.denominator) for x in row] for row in m], d
+
+
+def rational_matrix(m: IntMat | None, rows: int, cols: int) -> Mat:
+    """The rows x cols Fraction matrix of m; None, the zero of `sum_of_products`, reads as zeros."""
+    if m is None:
+        return zeros(rows, cols)
+    ints, d = m
+    return [[Fraction(x, d) if x else _ZERO for x in row] for row in ints]
+
+
+def sum_of_products(terms: Iterable[tuple], rows: int, cols: int) -> IntMat | None:
+    """The rows x cols sum of c*a*b over terms (c, a, b), in one integer pass.
+
+    a and b are integer matrices (`int_matrix`), c an int or a Fraction;
+    b None stands for the term c*a alone.  Every term is scaled to the
+    lcm of the terms' denominators and accumulates on one grid of ints,
+    skipping zero entries of a and b.  The sum comes back over its least
+    denominator, or as None when every entry is zero, so a zero result
+    is never built.
+    """
+    terms = list(terms)
+    d = lcm(*(c.denominator * a[1] * (b[1] if b else 1) for c, a, b in terms))
+    acc = [[0] * cols for _ in range(rows)]
+    for c, (a, da), b in terms:
+        if b is None:
+            s = c.numerator * (d // (c.denominator * da))
+            for out, row in zip(acc, a):
+                for j, x in enumerate(row):
+                    if x:
+                        out[j] += s * x
+            continue
+        b, db = b
+        s = c.numerator * (d // (c.denominator * da * db))
+        for out, row in zip(acc, a):
+            for x, b_row in zip(row, b):
+                if x:
+                    x *= s
+                    for j, y in enumerate(b_row):
+                        if y:
+                            out[j] += x * y
+    if not any(map(any, acc)):
+        return None
+    g = gcd(d, *(x for row in acc for x in row))
+    if g > 1:
+        acc, d = [[x // g for x in row] for row in acc], d // g
+    return acc, d
 
 
 def mat_vec(m: Mat, v: Vec) -> Vec:

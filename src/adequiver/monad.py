@@ -9,7 +9,10 @@ in the normal-form basis
 via the rewrite x2*x1 -> x1*x2 + lam*zz.  Coefficients are block
 matrices over the rationals, stored as their nonzero blocks keyed by
 (row node, column node); lam acts blockwise (one rational per node)
-through left multiplication on the target layout.
+through left multiplication on the target layout.  Each block is kept
+as integer rows over one denominator (`linalg.int_matrix`): products
+and sums run on those ints, one `linalg.sum_of_products` pass per
+output block, and Fractions are built only when a coefficient is read.
 
 Only the cyclic (type A) case is wired up, rank 0 meaning the trivial
 group: the first family of maps runs along a -> a+1, the second along
@@ -34,7 +37,7 @@ from itertools import accumulate
 from typing import Mapping
 
 from . import linalg
-from .linalg import Mat
+from .linalg import IntMat, Mat
 
 DEGREE = {
     "1": 0,
@@ -42,7 +45,7 @@ DEGREE = {
     "x1x1": 2, "x1x2": 2, "x2x2": 2, "zx1": 2, "zx2": 2, "zz": 2,
 }
 
-# word concatenation in normal form; None marks the lam * zz correction term
+# word concatenation in normal form; True marks the lam * zz correction term
 _PRODUCTS: dict[tuple[str, str], list[tuple[str, bool]]] = {
     ("x1", "x1"): [("x1x1", False)],
     ("x1", "x2"): [("x1x2", False)],
@@ -56,7 +59,7 @@ _PRODUCTS: dict[tuple[str, str], list[tuple[str, bool]]] = {
 }
 
 Layout = tuple[tuple[int, int], ...]    # ((node, dim), ...)
-Blocks = dict[tuple[int, int], Mat]     # (row node, column node) -> block
+Blocks = dict[tuple[int, int], IntMat]  # (row node, column node) -> nonzero block
 
 
 def layout_dim(layout: Layout) -> int:
@@ -68,16 +71,18 @@ def _starts(layout: Layout) -> dict[int, int]:
     return dict(zip((node for node, _ in layout), accumulate((d for _, d in layout), initial=0)))
 
 
-def _nonzero(blocks: Mapping[str, Blocks]) -> dict[str, Blocks]:
-    """The nonempty nonzero blocks of each monomial; monomials left with none are dropped."""
-    kept = {mono: {key: m for key, m in table.items()
-                   if m and m[0] and not linalg.is_zero_matrix(m)}
-            for mono, table in blocks.items()}
-    return {mono: table for mono, table in kept.items() if table}
+def _int_blocks(blocks: Mapping[tuple[int, int], Mat]) -> Blocks:
+    """The nonzero blocks, each as integer rows over one denominator."""
+    out = {}
+    for key, m in blocks.items():
+        ints, d = linalg.int_matrix(m)
+        if any(map(any, ints)):
+            out[key] = ints, d
+    return out
 
 
 class NCElement:
-    """Matrix-valued element in the normal-form basis, stored by nonzero blocks."""
+    """Matrix-valued element in the normal-form basis, stored by nonzero integer blocks."""
 
     def __init__(self, row_layout: Layout, col_layout: Layout, coefficients: Mapping[str, Mat]):
         rows, cols = layout_dim(row_layout), layout_dim(col_layout)
@@ -91,30 +96,33 @@ class NCElement:
             m = linalg.matrix(m)
             if not linalg.has_shape(m, rows, cols):
                 raise ValueError(f"coefficient of {mono} must be {rows}x{cols}")
-            blocks[mono] = {(r, c): [row[c0[c]:c0[c] + dc] for row in m[r0[r]:r0[r] + dr]]
-                            for r, dr in row_layout for c, dc in col_layout}
+            blocks[mono] = _int_blocks({
+                (r, c): [row[c0[c]:c0[c] + dc] for row in m[r0[r]:r0[r] + dr]]
+                for r, dr in row_layout for c, dc in col_layout})
         self.row_layout, self.col_layout = row_layout, col_layout
-        self.blocks: dict[str, Blocks] = _nonzero(blocks)
+        self.blocks: dict[str, Blocks] = {mono: t for mono, t in blocks.items() if t}
 
     @classmethod
     def _from_blocks(cls, row_layout: Layout, col_layout: Layout,
                      blocks: Mapping[str, Blocks]) -> "NCElement":
-        """Element from its blocks by monomial; zero and empty blocks are dropped."""
+        """Element from its nonzero blocks by monomial; monomials without blocks are dropped."""
         e = cls.__new__(cls)
-        e.row_layout, e.col_layout, e.blocks = row_layout, col_layout, _nonzero(blocks)
+        e.row_layout, e.col_layout = row_layout, col_layout
+        e.blocks = {mono: table for mono, table in blocks.items() if table}
         return e
 
     def _dense(self, table: Blocks) -> Mat:
         r0, c0 = _starts(self.row_layout), _starts(self.col_layout)
+        rows, cols = dict(self.row_layout), dict(self.col_layout)
         out = linalg.zeros(layout_dim(self.row_layout), layout_dim(self.col_layout))
         for (r, c), m in table.items():
-            for i, row in enumerate(m):
+            for i, row in enumerate(linalg.rational_matrix(m, rows[r], cols[c])):
                 out[r0[r] + i][c0[c]:c0[c] + len(row)] = row
         return out
 
     @property
     def coefficients(self) -> dict[str, Mat]:
-        """Dense view of the nonzero coefficients, assembled on each read."""
+        """Dense Fraction view of the nonzero coefficients, built on each read."""
         return {mono: self._dense(table) for mono, table in self.blocks.items()}
 
     def coefficient(self, mono: str) -> Mat:
@@ -130,20 +138,19 @@ class NCElement:
     def __add__(self, other: "NCElement") -> "NCElement":
         if self.row_layout != other.row_layout or self.col_layout != other.col_layout:
             raise ValueError("layout mismatch in addition")
-        out = {mono: dict(table) for mono, table in self.blocks.items()}
-        for mono, table in other.blocks.items():
-            acc = out.setdefault(mono, {})
-            for key, m in table.items():
-                acc[key] = linalg.mat_add(acc[key], m) if key in acc else m
-        return NCElement._from_blocks(self.row_layout, self.col_layout, out)
+        terms_at: dict[str, dict[tuple[int, int], list]] = {}
+        for e in (self, other):
+            for mono, table in e.blocks.items():
+                for key, m in table.items():
+                    terms_at.setdefault(mono, {}).setdefault(key, []).append((1, m, None))
+        return _summed(self.row_layout, self.col_layout, terms_at)
 
     def diagonal_block(self, mono: str, node: int) -> Mat:
-        """Square block of a coefficient at one node (layouts must agree there), as a copy."""
+        """Square block of a coefficient at one node (layouts must agree there), as Fractions."""
         dr, dc = dict(self.row_layout).get(node), dict(self.col_layout).get(node)
         if dr is None or dc is None:
             raise KeyError(f"node {node} is not in both layouts")
-        m = self.blocks.get(mono, {}).get((node, node))
-        return [list(row) for row in m] if m else linalg.zeros(dr, dc)
+        return linalg.rational_matrix(self.blocks.get(mono, {}).get((node, node)), dr, dc)
 
 
 def nc_multiply(u: NCElement, v: NCElement, lam: Mapping[int, Fraction]) -> NCElement:
@@ -151,31 +158,48 @@ def nc_multiply(u: NCElement, v: NCElement, lam: Mapping[int, Fraction]) -> NCEl
 
     The product of the monomial parts must stay inside the degree <= 2
     basis, so both factors of degree 1, or either factor of degree 0.
+    Every term landing in one output block, the lam * zz terms included,
+    is summed in one pass of `linalg.sum_of_products`.
     """
     if u.col_layout != v.row_layout:
         raise ValueError("inner layouts do not match")
     lam = {node: linalg.frac(x) for node, x in lam.items()}
-    out: dict[str, Blocks] = {}
     # v's blocks of each monomial, by row node: k -> [(c, block), ...]
-    v_rows: dict[str, dict[int, list[tuple[int, Mat]]]] = {}
+    v_rows: dict[str, dict[int, list[tuple[int, IntMat]]]] = {}
     for mv, table in v.blocks.items():
         for (k, c), m in table.items():
             v_rows.setdefault(mv, {}).setdefault(k, []).append((c, m))
 
+    # monomial -> output block -> [(scalar, left factor, right factor), ...]
+    terms_at: dict[str, dict[tuple[int, int], list]] = {}
     for mu, cu in u.blocks.items():
         for mv, rows_of in v_rows.items():
-            terms = ([(mv, False)] if mu == "1" else [(mu, False)] if mv == "1"
+            words = ([(mv, False)] if mu == "1" else [(mu, False)] if mv == "1"
                      else _PRODUCTS.get((mu, mv)))
-            if terms is None:
+            if words is None:
                 raise ValueError(f"product {mu} * {mv} leaves the degree-2 normal form")
             for (r, k), bu in cu.items():
                 for c, bv in rows_of.get(k, ()):
-                    prod = linalg.mat_mul(bu, bv)
-                    for mono, needs_lam in terms:
-                        term = linalg.mat_scale(lam[r], prod) if needs_lam else prod
-                        acc = out.setdefault(mono, {})
-                        acc[r, c] = linalg.mat_add(acc[r, c], term) if (r, c) in acc else term
-    return NCElement._from_blocks(u.row_layout, v.col_layout, out)
+                    for mono, needs_lam in words:
+                        scalar = lam[r] if needs_lam else 1
+                        if scalar:
+                            terms_at.setdefault(mono, {}).setdefault((r, c), []).append(
+                                (scalar, bu, bv))
+    return _summed(u.row_layout, v.col_layout, terms_at)
+
+
+def _summed(row_layout: Layout, col_layout: Layout,
+            terms_at: Mapping[str, Mapping[tuple[int, int], list]]) -> NCElement:
+    """Element whose block at each (monomial, row node, column node) sums its terms."""
+    rows, cols = dict(row_layout), dict(col_layout)
+    blocks: dict[str, Blocks] = {}
+    for mono, table in terms_at.items():
+        acc = blocks[mono] = {}
+        for (r, c), terms in table.items():
+            total = linalg.sum_of_products(terms, rows[r], cols[c])
+            if total is not None:
+                acc[r, c] = total
+    return NCElement._from_blocks(row_layout, col_layout, blocks)
 
 
 @dataclass
@@ -231,14 +255,19 @@ def build_monad(rank: int, b1: Mapping[int, Mat], b2: Mapping[int, Mat],
             if not linalg.has_shape(m, *want):
                 raise ValueError(f"block at node {a} must have shape {want}")
             out[tgt, a] = m
-        return out
+        return _int_blocks(out)
+
+    def scalar(c: int) -> Blocks:
+        # c times the identity at every nonempty node
+        return {(a, a): ([[c if i == j else 0 for j in range(d)] for i in range(d)], 1)
+                for a, d in dims.items() if d}
 
     b1_blocks = place(b1, dims, dims, +1)
     b2_blocks = place(b2, dims, dims, -1)
     i_z, j_z = place(i_blocks, dims, framing, 0), place(j_blocks, framing, dims, 0)
-    neg_b2 = {key: linalg.mat_neg(m) for key, m in b2_blocks.items()}
-    ident = {(a, a): linalg.identity(dims[a]) for a in range(n)}
-    neg_ident = {key: linalg.mat_neg(m) for key, m in ident.items()}
+    neg_b2 = {key: ([[-x for x in row] for row in ints], d)
+              for key, (ints, d) in b2_blocks.items()}
+    ident, neg_ident = scalar(1), scalar(-1)
     a_col = [
         NCElement._from_blocks(v_layout, v_layout, {"z": b1_blocks, "x1": neg_ident}),
         NCElement._from_blocks(v_layout, v_layout, {"z": neg_b2, "x2": ident}),

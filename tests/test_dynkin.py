@@ -168,3 +168,15 @@ def test_rank_cap_refuses_before_building_anything():
             dynkin.DynkinType(family, dynkin.MAX_RANK + 1)
     with pytest.raises(dynkin.InputTooLarge):
         dynkin.DynkinType.parse("A100000")
+
+
+def test_marks_are_positive_kernel_vectors_up_to_rank_100():
+    names = ([f"A{n}" for n in range(1, 101)] + [f"D{n}" for n in range(4, 101)]
+             + ["E6", "E7", "E8"])
+    for name in names:
+        t = dynkin.DynkinType.parse(name)
+        delta = dynkin.marks(t).delta
+        c = dynkin.cartan_matrix(t, affine=True).entries
+        assert len(delta) == len(c) == t.rank + 1, name
+        assert delta[0] == 1 and all(x > 0 for x in delta), name
+        assert all(sum(x * y for x, y in zip(row, delta)) == 0 for row in c), name

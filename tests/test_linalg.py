@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 from random import Random
 
@@ -355,3 +356,78 @@ def test_jordan_form_recovers_planted_blocks():
 def test_jordan_form_rejects_irrational():
     with pytest.raises(linalg.NonRationalSpectrum):
         linalg.jordan_form(linalg.matrix([[0, 2], [1, 0]]))
+
+
+def _product_or_zeros(a, b, rows, cols):
+    # mat_mul loses the column count of a product with no rows or no inner dimension
+    return linalg.mat_mul(a, b) if rows and b else linalg.zeros(rows, cols)
+
+
+@st.composite
+def _sum_terms(draw):
+    rows, cols = draw(st.integers(0, 5)), draw(st.integers(0, 5))
+    scalars = st.sampled_from([1, -1, 2, Fraction(3, 7), Fraction(-5, 2)])
+    terms = []
+    for _ in range(draw(st.integers(0, 3))):
+        inner = draw(st.integers(0, 5))
+        a = linalg.matrix([[draw(_entries) for _ in range(inner)] for _ in range(rows)])
+        b = linalg.matrix([[draw(_entries) for _ in range(cols)] for _ in range(inner)])
+        terms.append((draw(scalars), a, b))
+    if draw(st.booleans()):
+        p = linalg.matrix([[draw(_entries) for _ in range(cols)] for _ in range(rows)])
+        terms.append((draw(scalars), p, None))
+    if terms and draw(st.booleans()):
+        c, a, b = terms[0]
+        terms.append((-c, a, b))            # cancels the first term exactly
+    return rows, cols, terms
+
+
+@settings(max_examples=150, deadline=None)
+@given(_sum_terms())
+def test_sum_of_products_matches_mat_mul_and_mat_add(case):
+    rows, cols, terms = case
+    want = linalg.zeros(rows, cols)
+    for c, a, b in terms:
+        term = a if b is None else _product_or_zeros(a, b, rows, cols)
+        want = linalg.mat_add(want, linalg.mat_scale(c, term))
+    ints = [(c, linalg.int_matrix(a), None if b is None else linalg.int_matrix(b))
+            for c, a, b in terms]
+    before = repr(ints)
+    got = linalg.sum_of_products(ints, rows, cols)
+    assert repr(ints) == before
+    assert (got is None) == linalg.is_zero_matrix(want)
+    assert linalg.rational_matrix(got, rows, cols) == want
+    if got is not None:
+        m, d = got
+        assert linalg.has_shape(m, rows, cols) and d > 0
+        assert math.gcd(d, *(x for row in m for x in row)) == 1
+
+
+def test_sum_of_products_keeps_empty_shapes():
+    one = linalg.int_matrix([[Fraction(1, 2), 3]])
+    row_free, col_free = ([], 1), ([[], [], []], 1)
+    assert linalg.sum_of_products([(1, row_free, one)], 0, 2) is None
+    assert linalg.sum_of_products([(1, linalg.int_matrix(linalg.identity(3)), col_free)],
+                                  3, 0) is None
+    assert linalg.sum_of_products([(1, col_free, ([], 1))], 3, 4) is None
+    assert linalg.sum_of_products([], 2, 2) is None
+    assert linalg.rational_matrix(None, 0, 2) == []
+    assert linalg.rational_matrix(None, 3, 0) == [[], [], []]
+    assert linalg.rational_matrix(None, 2, 3) == linalg.zeros(2, 3)
+
+
+def test_sum_of_products_zero_sum_and_least_denominator():
+    a = linalg.int_matrix([[Fraction(1, 2), 0], [0, Fraction(1, 3)]])
+    b = linalg.int_matrix([[2, 1], [0, 3]])
+    assert linalg.sum_of_products([(1, a, b), (-1, a, b)], 2, 2) is None
+    assert linalg.sum_of_products([(Fraction(1, 2), b, None), (-1, b, None),
+                                   (Fraction(1, 2), b, None)], 2, 2) is None
+    assert linalg.sum_of_products([(6, a, b)], 2, 2) == ([[6, 3], [0, 6]], 1)
+    assert linalg.sum_of_products([(Fraction(1, 4), b, None)], 2, 2) == ([[2, 1], [0, 3]], 4)
+
+
+def test_int_matrix_round_trip():
+    m = [[Fraction(1, 2), Fraction(-2, 3)], [0, 5]]
+    assert linalg.int_matrix(m) == ([[3, -4], [0, 30]], 6)
+    assert linalg.rational_matrix(linalg.int_matrix(m), 2, 2) == m
+    assert linalg.int_matrix([]) == ([], 1)

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from adequiver import linalg, monad
 from adequiver.monad import NCElement
@@ -363,3 +365,115 @@ class TestMonad:
         composite, ok = monad.compose_and_check(m)
         assert ok
         assert monad.node_relation_defects(m) == {0: [], 1: [], 2: []}
+
+
+# -- the composite against an independent dense expansion ----------------------
+
+_entry = st.one_of(st.integers(-3, 3), st.fractions(-3, 3, max_denominator=4))
+_nonzero_lam = st.fractions(-5, 5, max_denominator=6).filter(bool)
+
+
+@st.composite
+def cyclic_instances(draw):
+    """Random cyclic monad inputs; about half are flat by construction."""
+    rank = draw(st.integers(0, 5))
+    n = rank + 1
+    lam = {a: draw(_nonzero_lam) for a in range(n)}
+
+    def mat(rows, cols):
+        return [[draw(_entry) for _ in range(cols)] for _ in range(rows)]
+
+    if draw(st.booleans()):
+        # no arrows, and i j = -lam at every node: b o a vanishes
+        dims = {a: draw(st.integers(0, 2)) for a in range(n)}
+        framing = dict(dims)
+        i_blocks = {a: linalg.mat_scale(-lam[a], linalg.identity(dims[a])) for a in range(n)}
+        j_blocks = {a: linalg.identity(dims[a]) for a in range(n)}
+        return rank, {}, {}, i_blocks, j_blocks, lam, dims, framing, True
+    dims = {a: draw(st.integers(0, 3)) for a in range(n)}
+    framing = {a: draw(st.integers(0, 2)) for a in range(n)}
+    b1 = {a: mat(dims[(a + 1) % n], dims[a]) for a in range(n)}
+    b2 = {a: mat(dims[(a - 1) % n], dims[a]) for a in range(n)}
+    i_blocks = {a: mat(dims[a], framing[a]) for a in range(n)}
+    j_blocks = {a: mat(framing[a], dims[a]) for a in range(n)}
+    return rank, b1, b2, i_blocks, j_blocks, lam, dims, framing, False
+
+
+def _dense_mul(p, q, rows, cols):
+    out = [[Fraction(0)] * cols for _ in range(rows)]
+    for i, row in enumerate(p):
+        for k, x in enumerate(row):
+            if x:
+                for j, y in enumerate(q[k]):
+                    out[i][j] += x * y
+    return out
+
+
+def dense_composite(rank, b1, b2, i_blocks, j_blocks, lam, dims, framing):
+    """Every coefficient of b o a, expanded on dense Fraction matrices word by word."""
+    n = rank + 1
+    v_at, w_at = [0], [0]
+    for a in range(n):
+        v_at.append(v_at[-1] + dims[a])
+        w_at.append(w_at[-1] + framing[a])
+    v, w = v_at[-1], w_at[-1]
+
+    def big(blocks, shift, rows, row_at, cols, col_at, sign=1):
+        out = [[Fraction(0)] * cols for _ in range(rows)]
+        for a, m in blocks.items():
+            t = (a + shift) % n
+            for i, row in enumerate(m):
+                for j, x in enumerate(row):
+                    out[row_at[t] + i][col_at[a] + j] = sign * Fraction(x)
+        return out
+
+    ident = {a: [[int(i == j) for j in range(dims[a])] for i in range(dims[a])] for a in range(n)}
+    x1_a = big(ident, 0, v, v_at, v, v_at, -1)
+    lam_rows = [Fraction(lam[a]) for a in range(n) for _ in range(dims[a])]
+    a_col = [{"z": big(b1, 1, v, v_at, v, v_at), "x1": x1_a},
+             {"z": big(b2, -1, v, v_at, v, v_at, -1), "x2": big(ident, 0, v, v_at, v, v_at)},
+             {"z": big(j_blocks, 0, w, w_at, v, v_at)}]
+    b_row = [{"z": big(b2, -1, v, v_at, v, v_at), "x2": x1_a},
+             {"z": big(b1, 1, v, v_at, v, v_at), "x1": x1_a},
+             {"z": big(i_blocks, 0, v, v_at, w, w_at)}]
+    total = {mono: [[Fraction(0)] * v for _ in range(v)] for mono in monad.DEGREE}
+    for be, ae in zip(b_row, a_col):
+        for left, p in be.items():
+            for right, q in ae.items():
+                prod = _dense_mul(p, q, v, v)
+                if (left, right) == ("x2", "x1"):
+                    words = [("x1x2", prod), ("zz", [[c * x for x in row]
+                                                     for c, row in zip(lam_rows, prod)])]
+                elif "z" in (left, right):
+                    words = [("z" + (right if left == "z" else left), prod)]
+                else:
+                    words = [(left + right, prod)]
+                for mono, m in words:
+                    total[mono] = [[x + y for x, y in zip(r, s)] for r, s in zip(total[mono], m)]
+    return total, v_at
+
+
+@settings(max_examples=80)
+@given(cyclic_instances())
+def test_composite_matches_dense_expansion(case):
+    *inputs, flat = case
+    rank, lam, dims = inputs[0], inputs[5], inputs[6]
+    m = monad.build_monad(*inputs)
+    want, at = dense_composite(*inputs)
+    composite = m.composite
+    for mono in monad.DEGREE:
+        assert composite.coefficient(mono) == want[mono], mono
+    nonzero = {mono for mono, c in want.items() if not linalg.is_zero_matrix(c)}
+    assert set(composite.coefficients) == nonzero
+    assert composite.is_zero == (not nonzero)
+    if flat:
+        assert composite.is_zero
+    defects = monad.node_relation_defects(m)
+    for a in range(rank + 1):
+        assert defects[a] == [row[at[a]:at[a + 1]] for row in want["zz"][at[a]:at[a + 1]]]
+    # no zero block and no empty table is stored, in the inputs or in the composite
+    for e in [*m.a, *m.b, composite]:
+        for table in e.blocks.values():
+            assert table
+            for ints, d in table.values():
+                assert d > 0 and any(map(any, ints))
