@@ -24,7 +24,7 @@ _EXPORTS = {
     "adhm": (
         "N1Representation", "RelationResidual", "SupportReport", "check_relations",
         "check_support_property", "conjugate", "direct_sum", "edge_residual",
-        "is_nondegenerate", "node_residual", "restrict_finite", "support",
+        "is_nondegenerate", "node_residual", "support",
         "trace_identity_defect",
     ),
     "deformation": (
@@ -38,7 +38,7 @@ _EXPORTS = {
     ),
     "gamma": (
         "ClosureOverflow", "DegenerateSpectrum", "GammaGroup", "NonIntegralMultiplicity",
-        "character_table", "enumerate_group", "mckay_adjacency", "verify_mckay",
+        "character_table", "enumerate_group", "mckay_adjacency",
     ),
     "linalg": ("NonRationalSpectrum",),
     "monad": (

@@ -125,7 +125,7 @@ def _theta_table(rep: N1Representation, theta) -> dict[int, Polynomial]:
     if isinstance(theta, DeformationParam):
         table = theta.theta
     elif isinstance(theta, Mapping):
-        table = {a: p if isinstance(p, Polynomial) else Polynomial.of(p) for a, p in theta.items()}
+        table = {a: Polynomial.of(p) for a, p in theta.items()}
     else:
         raise TypeError("theta must be a DeformationParam or a node -> polynomial mapping")
     missing = [a for a in node_labels(rep.type, rep.affine) if a not in table]
@@ -200,22 +200,6 @@ def is_nondegenerate(rep: N1Representation) -> bool:
     return all(spans[a].dim == rep.dims[a] for a in labels)
 
 
-def restrict_finite(rep: N1Representation) -> N1Representation:
-    """Drop the affine node with its arrows, loop, and framing."""
-    if not rep.affine:
-        raise ValueError("representation is already finite")
-    keep = node_labels(rep.type, affine=False)
-    return N1Representation(
-        type=rep.type,
-        dims={a: rep.dims[a] for a in keep},
-        B={k: m for k, m in rep.B.items() if k[0] != 0 and k[1] != 0},
-        Psi={a: rep.Psi[a] for a in keep},
-        framing_ranks={a: rep.framing_ranks[a] for a in keep},
-        I={a: rep.I[a] for a in keep},
-        affine=False,
-    )
-
-
 def _char_poly(m: Mat) -> Polynomial:
     return Polynomial.of(linalg.char_poly_coeffs(m))
 
@@ -286,16 +270,18 @@ def direct_sum(r1: N1Representation, r2: N1Representation) -> N1Representation:
     if r1.type != r2.type or r1.affine != r2.affine:
         raise ValueError("direct sum needs matching quivers")
     labels = node_labels(r1.type, r1.affine)
+
+    def stack(m1: Mat, m2: Mat, a: int) -> Mat:
+        # rows of m1 padded right, then rows of m2 padded left, by the dims at
+        # source node a: a block with no rows ([]) still has its width there
+        return ([list(row) + [Fraction(0)] * r2.dims[a] for row in m1]
+                + [[Fraction(0)] * r1.dims[a] + list(row) for row in m2])
+
     dims = {a: r1.dims[a] + r2.dims[a] for a in labels}
-    b = {k: linalg.block_diag([r1.B[k], r2.B[k]]) for k in r1.B}
-    psi = {a: linalg.block_diag([r1.Psi[a], r2.Psi[a]]) for a in labels}
+    b = {k: stack(r1.B[k], r2.B[k], k[0]) for k in r1.B}
+    psi = {a: stack(r1.Psi[a], r2.Psi[a], a) for a in labels}
     ranks = {a: r1.framing_ranks[a] + r2.framing_ranks[a] for a in labels}
-    vectors = {}
-    for a in labels:
-        pad1, pad2 = r1.dims[a], r2.dims[a]
-        vs = [list(v) + [Fraction(0)] * pad2 for v in r1.I[a]]
-        vs += [[Fraction(0)] * pad1 + list(v) for v in r2.I[a]]
-        vectors[a] = vs
+    vectors = {a: stack(r1.I[a], r2.I[a], a) for a in labels}
     return N1Representation(r1.type, dims, b, psi, ranks, vectors, r1.affine)
 
 

@@ -50,7 +50,10 @@ class Polynomial:
     coefficients: tuple[Fraction, ...]
 
     @classmethod
-    def of(cls, coeffs: Sequence) -> "Polynomial":
+    def of(cls, coeffs: Polynomial | Sequence) -> Polynomial:
+        """The polynomial with these ascending coefficients; a Polynomial comes back as is."""
+        if isinstance(coeffs, Polynomial):
+            return coeffs
         out = [frac(c) for c in coeffs]
         while out and out[-1] == 0:
             out.pop()
@@ -247,7 +250,7 @@ def make_deformation(t: DynkinType, theta: Mapping[int, Polynomial]) -> Deformat
     labels = node_labels(t, affine=True)
     if sorted(theta) != labels:
         raise ValueError(f"need one polynomial per node {labels}")
-    theta = {a: p if isinstance(p, Polynomial) else Polynomial.of(p) for a, p in theta.items()}
+    theta = {a: Polynomial.of(p) for a, p in theta.items()}
     delta = marks(t).delta
     total = Polynomial(())
     for a in node_labels(t, affine=True):
@@ -260,9 +263,7 @@ def complete_affine_theta(t: DynkinType, finite_theta: Mapping[int, Polynomial])
     finite = node_labels(t, affine=False)
     if sorted(finite_theta) != finite:
         raise ValueError(f"need one polynomial per finite node {finite}")
-    theta = {
-        a: p if isinstance(p, Polynomial) else Polynomial.of(p) for a, p in finite_theta.items()
-    }
+    theta = {a: Polynomial.of(p) for a, p in finite_theta.items()}
     delta = marks(t).delta
     total = Polynomial(())
     for a in finite:

@@ -34,7 +34,7 @@ from itertools import count
 from math import isqrt, lcm
 from operator import mul
 
-from .dynkin import DynkinType, adjacency_matrix, marks
+from .dynkin import DynkinType
 from .linalg import ComputeFailure
 
 CLOSURE_CAP = 200
@@ -224,8 +224,11 @@ class GammaGroup:
         return np.array(self.class_index, dtype=int)
 
 
-def enumerate_group(t: DynkinType, cap: int = CLOSURE_CAP) -> GammaGroup:
-    """Closure of the generators over F_p, and conjugacy classes as orbits under them."""
+def enumerate_group(t: DynkinType) -> GammaGroup:
+    """Closure of the generators over F_p, and conjugacy classes as orbits under them.
+
+    Raises ClosureOverflow once the closure passes `CLOSURE_CAP` elements.
+    """
     gens = generators(t)
     fld = prime_field(lcm(BASE_ORDER, *(
         turn.denominator for g in gens for row in g for x in row for _, turn in x)))
@@ -248,8 +251,9 @@ def enumerate_group(t: DynkinType, cap: int = CLOSURE_CAP) -> GammaGroup:
                     fresh.append(len(residues))
                     residues.append(y)
                     tree.append((r, s))
-                    if len(residues) > cap:
-                        raise ClosureOverflow(f"closure for {t} exceeded {cap} elements")
+                    if len(residues) > CLOSURE_CAP:
+                        raise ClosureOverflow(
+                            f"closure for {t} exceeded {CLOSURE_CAP} elements")
         frontier = fresh
     conjugators = [(gen, _inv(gen, p)) for gen in exact]
     class_index = [-1] * len(residues)
@@ -536,18 +540,13 @@ def character_table(g: GammaGroup, seed: int = 0) -> CharacterTable:
                           degrees=[degrees[r] for r in ranked], lifted=[lifted[r] for r in ranked])
 
 
-def mckay_multiplicities(g: GammaGroup, table: CharacterTable,
-                         tol: float = 1e-6) -> tuple[list[list[int]], float]:
+def mckay_adjacency(g: GammaGroup, table: CharacterTable) -> list[list[int]]:
     """Multiplicity of irrep b inside Q tensor irrep a, Q the defining 2-dim rep.
 
     Computed mod p as (1/|G|) sum_j |C_j| chi_Q(g_j) chi_a(g_j) chi_b(g_j^-1),
-    and read as an integer in {0, 1, 2}; anything else is rejected.  Also
-    returns the distance of the matrix from integers, exactly 0, which
-    must not exceed tol.
+    and read as an integer in {0, 1, 2}; anything else, or a matrix that is
+    not symmetric with zero diagonal, raises NonIntegralMultiplicity.
     """
-    if tol < 0:
-        raise NonIntegralMultiplicity(
-            f"multiplicities for {g.type} are exact; tolerance {tol:g} is below 0")
     p = g.fp.p
     reps = table.class_reps
     weights = [len(c) * (g.residues[r][0] + g.residues[r][3]) for c, r in zip(g.classes, reps)]
@@ -568,12 +567,7 @@ def mckay_multiplicities(g: GammaGroup, table: CharacterTable,
     if any(out[a][b] != out[b][a] for a in range(len(out)) for b in range(a)) \
             or any(out[a][a] for a in range(len(out))):
         raise NonIntegralMultiplicity("multiplicity matrix must be symmetric with zero diagonal")
-    return out, 0.0
-
-
-def mckay_adjacency(g: GammaGroup, table: CharacterTable, tol: float = 1e-6) -> list[list[int]]:
-    """The multiplicity matrix of `mckay_multiplicities` alone."""
-    return mckay_multiplicities(g, table, tol)[0]
+    return out
 
 
 def find_labeled_isomorphism(
@@ -617,18 +611,3 @@ def find_labeled_isomorphism(
         return False
 
     return mapping if extend(0) else None
-
-
-def verify_mckay(g: GammaGroup, seed: int = 0) -> bool:
-    """True iff the McKay graph of g matches the affine diagram of g.type.
-
-    The match must send character degrees to marks and respect edge
-    multiplicities (the doubled affine A1 bond included).  `seed` drives
-    nothing.
-    """
-    table = character_table(g)
-    adj = mckay_adjacency(g, table)
-    dynkin_adj = adjacency_matrix(g.type, affine=True)
-    delta = list(marks(g.type).delta)
-    iso = find_labeled_isomorphism(adj, table.degrees, dynkin_adj, delta)
-    return iso is not None

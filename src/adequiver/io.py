@@ -46,27 +46,20 @@ def matrix_to_json(m: Mat) -> list[list[str]]:
     return [[frac_to_str(x) for x in row] for row in m]
 
 
-def matrix_from_json(v, rows: int | None = None, cols: int | None = None) -> Mat:
+def matrix_from_json(v) -> Mat:
     if not isinstance(v, list) or any(not isinstance(r, list) for r in v):
         raise SchemaError("matrices are row-major arrays of rational strings")
     m = [[frac_from_json(x) for x in row] for row in v]
     widths = {len(r) for r in m}
     if len(widths) > 1:
         raise SchemaError("ragged matrix")
-    if rows is not None and len(m) != rows:
-        raise SchemaError(f"expected {rows} rows, got {len(m)}")
-    if cols is not None and m and len(m[0]) != cols:
-        raise SchemaError(f"expected {cols} columns")
     return m
 
 
-def vector_from_json(v, length: int | None = None) -> Vec:
+def vector_from_json(v) -> Vec:
     if not isinstance(v, list):
         raise SchemaError("vectors are arrays of rational strings")
-    out = [frac_from_json(x) for x in v]
-    if length is not None and len(out) != length:
-        raise SchemaError(f"expected a vector of length {length}")
-    return out
+    return [frac_from_json(x) for x in v]
 
 
 def _parse_type(record: Any) -> DynkinType:

@@ -105,10 +105,6 @@ def mat_sub(a: Mat, b: Mat) -> Mat:
     return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
 
 
-def mat_neg(a: Mat) -> Mat:
-    return [[-x for x in row] for row in a]
-
-
 def mat_scale(c, a: Mat) -> Mat:
     c = frac(c)
     return [[c * x for x in row] for row in a]

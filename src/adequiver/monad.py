@@ -132,9 +132,6 @@ class NCElement:
     def is_zero(self) -> bool:
         return not self.blocks
 
-    def is_homogeneous(self, degree: int) -> bool:
-        return all(DEGREE[m] == degree for m in self.blocks)
-
     def __add__(self, other: "NCElement") -> "NCElement":
         if self.row_layout != other.row_layout or self.col_layout != other.col_layout:
             raise ValueError("layout mismatch in addition")

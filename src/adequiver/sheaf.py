@@ -33,9 +33,10 @@ class EdgeRelationViolated(ComputeFailure):
 Support = object   # Fraction, or complex as read from a point data file
 
 
-def _support_sort_key(s) -> tuple[float, float]:
+def _support_sort_key(s) -> tuple:
+    # exact: a Fraction compares exactly with the float parts of a complex support
     if isinstance(s, Fraction):
-        return (float(s), 0.0)
+        return (s, 0)
     z = complex(s)
     return (z.real, z.imag)
 

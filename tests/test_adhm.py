@@ -143,16 +143,6 @@ class TestNondegeneracy:
         assert not adhm.is_nondegenerate(both)
 
 
-def test_restrict_finite():
-    rep, _ = worked_cycle_example()
-    fin = adhm.restrict_finite(rep)
-    assert not fin.affine
-    assert sorted(fin.dims) == [1, 2]
-    assert all(k[0] != 0 and k[1] != 0 for k in fin.B)
-    with pytest.raises(ValueError):
-        adhm.restrict_finite(fin)
-
-
 def test_support_merges_nearby_eigenvalues():
     # a conjugated Jordan block: floating-point eigenvalues of such a matrix
     # scatter around 1/3, the exact characteristic polynomial puts them on one point
@@ -190,6 +180,21 @@ def test_direct_sum_blocks():
     assert both.I[0] == [[1, 0], [0, 1]]
     assert adhm.check_relations(both, theta).is_zero
     assert adhm.is_nondegenerate(both)
+
+
+def test_direct_sum_beside_an_empty_node():
+    # node 0 of the first summand is empty, so its arrows out of node 1 have no
+    # rows; their width 2 still has to reach the sum
+    a1 = DynkinType.parse("A1")
+    r1 = adhm.N1Representation(a1, {0: 0, 1: 2}, Psi={1: [[1, 1], [0, 1]]})
+    r2 = adhm.N1Representation(a1, {0: 1, 1: 1}, B={(1, 0, 0): [[2]], (0, 1, 1): [[3]]},
+                               Psi={0: [[4]], 1: [[5]]})
+    both = adhm.direct_sum(r1, r2)
+    assert both.dims == {0: 1, 1: 3}
+    assert both.B[(1, 0, 0)] == [[0, 0, 2]]
+    assert both.B[(0, 1, 1)] == [[0], [0], [3]]
+    assert both.Psi == {0: [[4]], 1: [[1, 1, 0], [0, 1, 0], [0, 0, 5]]}
+    assert adhm.direct_sum(r2, r1).B[(1, 0, 0)] == [[2, 0, 0]]
 
 
 class TestConjugation:

@@ -93,41 +93,38 @@ class TestMckayVerify:
         assert "check order-equals-sum-of-squared-marks: pass" in out
         assert "check graph-matches-affine-diagram: pass" in out
 
-    def test_multiplicities_integral_reports_deviation_and_tol(self, capsys):
-        code, out = run(capsys, "mckay-verify", "D4", "--json")
-        assert code == 0
-        verdict = next(v for v in json.loads(out)["verdicts"]
-                       if v["name"] == "multiplicities-integral")
-        assert verdict["passed"]
-        assert verdict["detail"].startswith("largest deviation ")
-        assert verdict["detail"].endswith(", tol 1e-06")
-        code, out = run(capsys, "mckay-verify", "D4", "--tol", "0.25")
-        assert code == 0
-        assert "check multiplicities-integral: pass" in out
-        assert ", tol 0.25)" in out
-        # no deviation is below a negative tolerance
-        code, out = run(capsys, "mckay-verify", "D4", "--tol", "-1")
-        assert code == 1
-        assert "check non-integral-multiplicity: FAIL" in out
+    def test_multiplicities_integral_reports_the_residues_read(self, capsys):
+        for name, read in (("D4", "0 or 1"), ("A1", "0 or 2")):
+            code, out = run(capsys, "mckay-verify", name, "--json")
+            assert code == 0
+            verdict = next(v for v in json.loads(out)["verdicts"]
+                           if v["name"] == "multiplicities-integral")
+            assert verdict["passed"]
+            assert verdict["detail"] == f"every multiplicity read as {read} mod 2521"
+        # nothing is left to tune: the float-era options are gone
+        for option in ("--tol", "--seed"):
+            with pytest.raises(SystemExit) as exc:
+                cli.main(["mckay-verify", "D4", option, "1"])
+            assert exc.value.code == 2
+        capsys.readouterr()
 
     def test_seeded_runs_byte_identical(self, capsys):
         _, first = run(capsys, "mckay-verify", "D4", "--json")
         _, second = run(capsys, "mckay-verify", "D4", "--json")
         assert first == second
 
-    # the reports byte for byte, apart from the deviation figure; the JSON
-    # data also carries the prime
+    # the reports byte for byte; the JSON data also carries the prime
     PINNED_HUMAN = {
         "D4": "adequiver mckay-verify\ntype D4\ngroup order 8\nconjugacy classes 5\n"
               "character degrees 1 1 1 1 2\n"
               "check order-equals-sum-of-squared-marks: pass  (8 vs 8)\n"
-              "check multiplicities-integral: pass  (largest deviation {dev}, tol 1e-06)\n"
+              "check multiplicities-integral: pass  (every multiplicity read as 0 or 1 mod 2521)\n"
               "check graph-matches-affine-diagram: pass  (degree-respecting relabelling found)\n"
               "exit code 0\n",
         "E8": "adequiver mckay-verify\ntype E8\ngroup order 120\nconjugacy classes 9\n"
               "character degrees 1 2 2 3 3 4 4 5 6\n"
               "check order-equals-sum-of-squared-marks: pass  (120 vs 120)\n"
-              "check multiplicities-integral: pass  (largest deviation {dev}, tol 1e-06)\n"
+              "check multiplicities-integral: pass  (every multiplicity read as 0 or 1 mod 2521)\n"
               "check graph-matches-affine-diagram: pass  (degree-respecting relabelling found)\n"
               "exit code 0\n",
     }
@@ -150,14 +147,14 @@ class TestMckayVerify:
     @pytest.mark.parametrize("name", ["D4", "E8"])
     def test_pinned_reports(self, capsys, name):
         code, out = run(capsys, "mckay-verify", name)
-        assert (code, out) == (0, self.PINNED_HUMAN[name].format(dev="0.0e+00"))
+        assert (code, out) == (0, self.PINNED_HUMAN[name])
         code, out = run(capsys, "mckay-verify", name, "--json")
         record = json.loads(out)
         assert out == json.dumps(record, indent=2) + "\n"
         assert record["data"] == {**self.PINNED_DATA[name], "prime": 2521}
         assert [v["detail"] for v in record["verdicts"]] == [
             f"{record['data']['order']} vs {record['data']['order']}",
-            "largest deviation 0.0e+00, tol 1e-06",
+            "every multiplicity read as 0 or 1 mod 2521",
             "degree-respecting relabelling found",
         ]
         assert code == record["exit_code"] == 0
@@ -165,7 +162,7 @@ class TestMckayVerify:
     def test_wrong_generators_fail_without_a_tolerance(self, capsys, monkeypatch):
         e7 = gamma.generators(dynkin.DynkinType.parse("E7"))
         monkeypatch.setattr(gamma, "generators", lambda t: e7)
-        code, out = run(capsys, "mckay-verify", "E8", "--json", "--tol", "1e300")
+        code, out = run(capsys, "mckay-verify", "E8", "--json")
         record = json.loads(out)
         assert code == 1
         assert {v["name"]: v["passed"] for v in record["verdicts"]} == {
@@ -565,6 +562,19 @@ def test_point_data_rejects_framing_at_unknown_node(capsys, tmp_path):
     (verdict,) = json.loads(out)["verdicts"]
     assert verdict["name"] == "input-well-formed"
     assert verdict["detail"] == "framing data at unknown nodes [9]"
+
+
+def test_support_beyond_the_float_range_gets_a_verdict(capsys, tmp_path):
+    # supports are ordered exactly, so one no float can hold is a plain rational
+    record = {"type": "A2", "nodes": {"1": {"points": [
+        {"support": "1e400", "partition": [1]}, {"support": "0", "partition": [1]}]},
+        "2": {"points": []}}}
+    out_path = tmp_path / "rep.json"
+    code, out = run(capsys, "matrixify", write(tmp_path, "sheaf.json", record),
+                    "--out", str(out_path), "--json")
+    assert code == 0
+    assert [v["name"] for v in json.loads(out)["verdicts"]] == ["converted"]
+    assert json.loads(out_path.read_text())["psi"]["1"] == [["0", "0"], ["0", str(10 ** 400)]]
 
 
 MONAD_CHECK_RANK1_SHA = "d2d209285b6d59915b2396f3db0769e3a26ec9f4b7fa87bbd65191b4c8767fa8"

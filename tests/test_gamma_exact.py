@@ -15,11 +15,11 @@ def test_multiplicities_are_the_affine_diagram_under_the_isomorphism(name):
     t = DynkinType.parse(name)
     g = gamma.enumerate_group(t)
     table = gamma.character_table(g)
-    adj, deviation = gamma.mckay_multiplicities(g, table)
+    adj = gamma.mckay_adjacency(g, table)
     diagram = dynkin.adjacency_matrix(t, affine=True)
     iso = gamma.find_labeled_isomorphism(adj, table.degrees, diagram,
                                          list(dynkin.marks(t).delta))
-    assert g.fp.p == 2521 and deviation == 0.0
+    assert g.fp.p == 2521
     assert iso is not None
     n = len(adj)
     assert all(adj[a][b] == diagram[iso[a]][iso[b]] for a in range(n) for b in range(n))

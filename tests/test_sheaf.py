@@ -37,6 +37,14 @@ class TestTorsionSheafData:
         d = sheaf.TorsionSheafData.of([(1 + 1j, [1]), (1 - 1j, [1]), (0.5 + 0j, [2])])
         assert [s for s, _ in d.points] == [0.5 + 0j, 1 - 1j, 1 + 1j]
 
+    def test_supports_sort_exactly(self):
+        # 1 and 1 + 10^-20 are one float, 10^400 is none; a Fraction sorts
+        # against the float parts of a complex support exactly as well
+        tiny, huge = Fraction(1, 10 ** 20), Fraction(10 ** 400)
+        d = sheaf.TorsionSheafData.of([(huge, [1]), (1 + tiny, [1]), (1 + 1j, [1]),
+                                       (Fraction(1), [1]), (0.5 - 1j, [1])])
+        assert [s for s, _ in d.points] == [0.5 - 1j, Fraction(1), 1 + 1j, 1 + tiny, huge]
+
 
 class TestSheafToEndo:
     def test_distinct_simple_points(self):
