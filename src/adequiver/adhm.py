@@ -13,19 +13,22 @@ Two families of defects are computed exactly:
   the arrow to intertwine the loops.
 
 Each defect is summed in one integer pass of `linalg.sum_of_products`,
-at its full shape, so empty nodes need no special case.
+at its full shape, so empty nodes need no special case; Theta_a(Psi_a)
+is integer Horner, and every arrow and loop is converted to integers
+once per check.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache
 from fractions import Fraction
 from typing import Mapping
 
 from . import linalg
 from .deformation import DeformationParam, Polynomial, poly_gcd, poly_roots, squarefree_part
 from .dynkin import DynkinType, InputTooLarge, node_labels
-from .linalg import Mat, Vec
+from .linalg import IntMat, Mat, Vec
 from .quiver import QuiverSpec, build_n1_quiver
 
 ArrowKey = tuple  # (source, target, pair_index)
@@ -57,38 +60,27 @@ class N1Representation:
         if sorted(self.dims) != labels:
             raise ValueError(f"dims must cover exactly the nodes {labels}")
         check_total_dim(sum(self.dims.values()))
-        q = self.quiver
-        valid_keys = {arrow.key for arrow in q.mckay_arrows()}
-        stray = set(self.B) - valid_keys
+        wants = {k.key: (self.dims[k.target], self.dims[k.source])
+                 for k in self.quiver.mckay_arrows()}
+        stray = set(self.B) - set(wants)
         if stray:
             raise ValueError(f"arrows {sorted(stray)} are not in the {self.type} quiver")
-        b = {}
-        for arrow in q.mckay_arrows():
-            m = self.B.get(arrow.key)
-            want = (self.dims[arrow.target], self.dims[arrow.source])
-            if m is None:
-                m = linalg.zeros(*want)
-            else:
-                m = linalg.matrix(m)
-                if not linalg.has_shape(m, *want):
-                    raise ValueError(f"arrow {arrow.key} wants shape {want}")
-            b[arrow.key] = m
-        self.B = b
+
+        def coerced(m, want: tuple, error: str) -> Mat:
+            # m as Fractions, checked to have the shape want; zeros when absent
+            m = linalg.zeros(*want) if m is None else linalg.matrix(m)
+            if not linalg.has_shape(m, *want):
+                raise ValueError(error)
+            return m
+
+        self.B = {key: coerced(self.B.get(key), want, f"arrow {key} wants shape {want}")
+                  for key, want in wants.items()}
         for table, what in ((self.Psi, "loop"), (self.I, "framing")):
             stray = set(table) - set(labels)
             if stray:
                 raise ValueError(f"{what} data at unknown nodes {sorted(stray)}")
-        psi = {}
-        for a in labels:
-            m = self.Psi.get(a)
-            if m is None:
-                m = linalg.zeros(self.dims[a])
-            else:
-                m = linalg.matrix(m)
-                if not linalg.has_shape(m, self.dims[a], self.dims[a]):
-                    raise ValueError(f"loop at {a} must be {self.dims[a]} square")
-            psi[a] = m
-        self.Psi = psi
+        self.Psi = {a: coerced(self.Psi.get(a), (self.dims[a],) * 2,
+                               f"loop at {a} must be {self.dims[a]} square") for a in labels}
         ranks = {a: int(self.framing_ranks.get(a, 0)) for a in labels}
         if any(r < 0 for r in ranks.values()):
             raise ValueError("framing ranks must be nonnegative")
@@ -112,13 +104,18 @@ class N1Representation:
         return sum(self.dims.values())
 
 
+def _evaluate(p: Polynomial, m: IntMat, n: int) -> IntMat | None:
+    """p(m) for an n x n integer matrix by Horner, one `linalg.sum_of_products` per
+    coefficient (acc <- acc m + c I); None when p(m) is zero."""
+    one, acc = ([[int(i == j) for j in range(n)] for i in range(n)], 1), None
+    for c in reversed(p.coefficients):
+        acc = linalg.sum_of_products([(c, one, None)] + ([(1, acc, m)] if acc else []), n, n)
+    return acc
+
+
 def evaluate_on_matrix(p: Polynomial, m: Mat) -> Mat:
     """p(M) by matrix Horner; exact."""
-    n = linalg.shape(m)[0]
-    acc = linalg.zeros(n)
-    for c in reversed(p.coefficients):
-        acc = linalg.mat_shift(linalg.mat_mul(acc, m), c)
-    return acc
+    return linalg.rational_matrix(_evaluate(p, linalg.int_matrix(m), len(m)), len(m), len(m))
 
 
 def _theta_table(rep: N1Representation, theta) -> dict[int, Polynomial]:
@@ -132,27 +129,6 @@ def _theta_table(rep: N1Representation, theta) -> dict[int, Polynomial]:
     if missing:
         raise ValueError(f"theta lacks polynomials for nodes {missing}")
     return table
-
-
-def node_residual(rep: N1Representation, theta, a: int) -> Mat:
-    """Defect of the node relation at a; the zero matrix iff the relation holds."""
-    table = _theta_table(rep, theta)
-    d = rep.dims[a]
-    terms = [(1, linalg.int_matrix(evaluate_on_matrix(table[a], rep.Psi[a])), None)]
-    for arrow in rep.quiver.mckay_arrows():
-        if arrow.source == a:
-            terms.append((arrow.sign, linalg.int_matrix(rep.B[arrow.reversed_key()]),
-                          linalg.int_matrix(rep.B[arrow.key])))
-    return linalg.rational_matrix(linalg.sum_of_products(terms, d, d), d, d)
-
-
-def edge_residual(rep: N1Representation, key: ArrowKey) -> Mat:
-    """Intertwining defect Psi_target o B - B o Psi_source for one arrow."""
-    src, tgt, _ = key
-    b = linalg.int_matrix(rep.B[key])
-    terms = [(1, linalg.int_matrix(rep.Psi[tgt]), b), (-1, b, linalg.int_matrix(rep.Psi[src]))]
-    rows, cols = rep.dims[tgt], rep.dims[src]
-    return linalg.rational_matrix(linalg.sum_of_products(terms, rows, cols), rows, cols)
 
 
 @dataclass
@@ -173,10 +149,43 @@ class RelationResidual:
         return self.nodes_zero and self.edges_zero
 
 
+def _residuals(rep: N1Representation, theta, nodes, keys) -> RelationResidual:
+    """Node residuals at nodes and edge residuals at arrow keys, each one sum of
+    products on integers; each arrow and loop is converted once, on first use."""
+    table = _theta_table(rep, theta) if nodes else {}
+    b = cache(lambda key: linalg.int_matrix(rep.B[key]))
+    psi = cache(lambda a: linalg.int_matrix(rep.Psi[a]))
+    node_out = {}
+    for a in nodes:                 # theta_a(Psi_a) + sum of sign * reverse o arrow out of a
+        d = rep.dims[a]
+        theta_a = _evaluate(table[a], psi(a), d)
+        terms = [(1, theta_a, None)] if theta_a else []
+        terms += [(arrow.sign, b(arrow.reversed_key()), b(arrow.key))
+                  for arrow in rep.quiver.mckay_arrows() if arrow.source == a]
+        node_out[a] = linalg.rational_matrix(linalg.sum_of_products(terms, d, d), d, d)
+    edge_out = {}
+    for key in keys:                # Psi_target B - B Psi_source
+        src, tgt, _ = key
+        rows, cols = rep.dims[tgt], rep.dims[src]
+        terms = [(1, psi(tgt), b(key)), (-1, b(key), psi(src))]
+        edge_out[key] = linalg.rational_matrix(linalg.sum_of_products(terms, rows, cols),
+                                               rows, cols)
+    return RelationResidual(node_out, edge_out)
+
+
+def node_residual(rep: N1Representation, theta, a: int) -> Mat:
+    """Defect of the node relation at a; the zero matrix iff the relation holds."""
+    return _residuals(rep, theta, [a], []).node_residuals[a]
+
+
+def edge_residual(rep: N1Representation, key: ArrowKey) -> Mat:
+    """Intertwining defect Psi_target o B - B o Psi_source for one arrow."""
+    return _residuals(rep, None, [], [key]).edge_residuals[key]
+
+
 def check_relations(rep: N1Representation, theta) -> RelationResidual:
-    nodes = {a: node_residual(rep, theta, a) for a in node_labels(rep.type, rep.affine)}
-    edges = {arrow.key: edge_residual(rep, arrow.key) for arrow in rep.quiver.mckay_arrows()}
-    return RelationResidual(nodes, edges)
+    return _residuals(rep, theta, node_labels(rep.type, rep.affine),
+                      [arrow.key for arrow in rep.quiver.mckay_arrows()])
 
 
 def is_nondegenerate(rep: N1Representation) -> bool:
@@ -285,16 +294,26 @@ def direct_sum(r1: N1Representation, r2: N1Representation) -> N1Representation:
     return N1Representation(r1.type, dims, b, psi, ranks, vectors, r1.affine)
 
 
+def transport(left: IntMat, m: IntMat, right: IntMat, rows: int, cols: int) -> Mat:
+    """left m right, all integer matrices with m rows x cols, as Fractions: two integer passes."""
+    moved = linalg.sum_of_products([(1, m, right)], rows, cols)
+    moved = moved and linalg.sum_of_products([(1, left, moved)], rows, cols)
+    return linalg.rational_matrix(moved, rows, cols)
+
+
 def conjugate(rep: N1Representation, g: Mapping[int, Mat]) -> N1Representation:
     """Change basis at every node: arrows g_b B g_a^{-1}, loops g Psi g^{-1}, vectors g v."""
     labels = node_labels(rep.type, rep.affine)
     gm = {a: linalg.matrix(g[a]) for a in labels}
-    ginv = {a: linalg.inverse(gm[a]) for a in labels}
-    b = {
-        k: linalg.mat_mul(gm[k[1]], linalg.mat_mul(m, ginv[k[0]]))
-        for k, m in rep.B.items()
-    }
-    psi = {a: linalg.mat_mul(gm[a], linalg.mat_mul(rep.Psi[a], ginv[a])) for a in labels}
+    for a, m in gm.items():
+        if not linalg.has_shape(m, rep.dims[a], rep.dims[a]):
+            raise ValueError(f"base change at {a} must be {rep.dims[a]} square")
+    gi = {a: linalg.int_matrix(gm[a]) for a in labels}
+    ginv = {a: linalg.int_matrix(linalg.inverse(gm[a])) for a in labels}
+    b = {(s, t, i): transport(gi[t], linalg.int_matrix(m), ginv[s], rep.dims[t], rep.dims[s])
+         for (s, t, i), m in rep.B.items()}
+    psi = {a: transport(gi[a], linalg.int_matrix(m), ginv[a], rep.dims[a], rep.dims[a])
+           for a, m in rep.Psi.items()}
     vectors = {a: [linalg.mat_vec(gm[a], v) for v in rep.I[a]] for a in labels}
     return N1Representation(
         rep.type, dict(rep.dims), b, psi, dict(rep.framing_ranks), vectors, rep.affine

@@ -250,10 +250,7 @@ def cmd_exc_locus(args, report: RunReport) -> None:
 
 def _check_one_rep(path: str, theta: deformation.DeformationParam):
     from . import adhm, io as fileio
-    try:
-        rep = fileio.load_representation(path)
-    except fileio.SchemaError as e:
-        raise fileio.SchemaError(f"{path}: {e}") from None
+    rep = fileio.load_representation(path)
     residual = adhm.check_relations(rep, theta)
     framed = any(r > 0 for r in rep.framing_ranks.values())
     nondeg = adhm.is_nondegenerate(rep) if framed or rep.total_dim == 0 else None
@@ -269,10 +266,14 @@ def cmd_check_rep(args, report: RunReport) -> None:
     for path in args.files:
         report.add_input(path)
     theta = fileio.load_deformation(args.theta)
-    # every file is checked before any is reported, so one bad file leaves no partial report
-    results = [_check_one_rep(path, theta) for path in args.files]
     per_file = []
-    for path, (rep, residual, nondeg, support_report) in zip(args.files, results):
+    for path in args.files:
+        # a file refused as input fails its own verdict; the others keep theirs
+        try:
+            rep, residual, nondeg, support_report = _check_one_rep(path, theta)
+        except (dynkin.InputTooLarge, *_input_errors()) as e:
+            _refuse(report, e, f"; file {path}")
+            continue
         report.say(f"-- {path} (type {rep.type}, total dimension {rep.total_dim})")
         for a in sorted(residual.node_residuals):
             m = residual.node_residuals[a]
@@ -564,20 +565,23 @@ def _input_errors() -> tuple:
     return fileio.SchemaError, ValueError
 
 
+def _refuse(report: RunReport, e: Exception, where: str = "") -> None:
+    """A failed verdict for refused input, named after a size cap or input-well-formed; exit 2."""
+    name = _kebab(type(e).__name__) if isinstance(e, dynkin.InputTooLarge) else "input-well-formed"
+    report.check(name, False, str(e) + where)
+    report.forced_exit = 2
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     report = RunReport(command=args.command)
     try:
         args.func(args, report)
-    except dynkin.InputTooLarge as e:
-        report.check(_kebab(type(e).__name__), False, str(e))
-        report.forced_exit = 2
     except linalg.ComputeFailure as e:
         report.check(_kebab(type(e).__name__), False, str(e))
-    except _input_errors() as e:
-        report.check("input-well-formed", False, str(e))
-        report.forced_exit = 2
+    except (dynkin.InputTooLarge, *_input_errors()) as e:
+        _refuse(report, e)
     print(report.to_json() if args.json else report.to_human())
     return report.exit_code
 

@@ -22,8 +22,8 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Mapping, Sequence
 
-from .dynkin import (DynkinType, InputTooLarge, Root, is_positive_root, marks, node_labels,
-                     positive_roots)
+from .dynkin import (MAX_DEGREE, DynkinType, InputTooLarge, Root, is_positive_root, marks,
+                     node_labels, positive_roots)
 from .linalg import ComputeFailure, frac
 
 
@@ -245,12 +245,21 @@ class DeformationParam:
         return tuple((root, theta_of_root(self, root)) for root in positive_roots(self.type))
 
 
+def _of_capped_degree(theta: Mapping[int, Polynomial]) -> dict[int, Polynomial]:
+    """The table as Polynomials; InputTooLarge if a degree passes MAX_DEGREE."""
+    theta = {a: Polynomial.of(p) for a, p in theta.items()}
+    top = max((p.degree for p in theta.values()), default=-1)
+    if top > MAX_DEGREE:
+        raise InputTooLarge(f"theta degree {top} exceeds the cap {MAX_DEGREE}")
+    return theta
+
+
 def make_deformation(t: DynkinType, theta: Mapping[int, Polynomial]) -> DeformationParam:
     """Wrap a full node -> polynomial table; the constraint flag is computed."""
     labels = node_labels(t, affine=True)
     if sorted(theta) != labels:
         raise ValueError(f"need one polynomial per node {labels}")
-    theta = {a: Polynomial.of(p) for a, p in theta.items()}
+    theta = _of_capped_degree(theta)
     delta = marks(t).delta
     total = Polynomial(())
     for a in node_labels(t, affine=True):
@@ -263,7 +272,7 @@ def complete_affine_theta(t: DynkinType, finite_theta: Mapping[int, Polynomial])
     finite = node_labels(t, affine=False)
     if sorted(finite_theta) != finite:
         raise ValueError(f"need one polynomial per finite node {finite}")
-    theta = {a: Polynomial.of(p) for a, p in finite_theta.items()}
+    theta = _of_capped_degree(finite_theta)
     delta = marks(t).delta
     total = Polynomial(())
     for a in finite:

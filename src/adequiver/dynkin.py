@@ -25,6 +25,10 @@ _E_RANKS = (6, 7, 8)
 # larger one is refused before anything is built; the tests, README and
 # benchmark use ranks up to 8.
 MAX_RANK = 100
+# Largest degree of a deformation parameter's polynomials.  The locus and
+# genericity checks run exact gcds whose cost grows with the degree, so a
+# larger one is refused before any projection is formed.
+MAX_DEGREE = 32
 
 
 class InputTooLarge(Exception):

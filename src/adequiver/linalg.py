@@ -7,20 +7,19 @@ unique map between zero-dimensional spaces.
 
 The exact kernels run on Python ints and build each output Fraction
 once.  Products (`mat_mul`, `mat_vec`) clear denominators and multiply
-integer numerators, skipping zero entries.  Elimination (`rref`, and
-through it `rank`, `nullspace` and `inverse`) and `SpanBasis` are
-fraction-free on integer rows kept primitive.  The characteristic
-polynomial runs Faddeev-LeVerrier on the integer matrix with one common
-denominator, and the rational root test evaluates it on ints.  Products
-inside these kernels share one integer product loop.
+integer numerators, skipping zero entries.  Elimination (`rref`, `rank`,
+`nullspace`, `inverse`) and `SpanBasis` are fraction-free on integer
+rows kept primitive; one integer core serves them all.
 
-`sum_of_products` is the kernel for sums of products held on ints:
-each operand is integer rows over one denominator (`int_matrix`), the
-caller gives the output shape, every term c*a*b or c*a accumulates in
-one integer pass, and the sum comes back over its least denominator,
-or as None when it is zero.  `rational_matrix` reads Fractions back,
-None as the zero matrix of the given shape.  The `monad` blocks and
-the `adhm` residuals run on it.
+An `IntMat` is integer rows over one denominator (`int_matrix`;
+`rational_matrix` reads Fractions back).  `sum_of_products` is the
+kernel for sums of products on them: the caller gives the output shape,
+every term c*a*b or c*a accumulates in one integer pass, and the sum
+comes back over its least denominator, or as None when it is zero.  The
+`monad` blocks, the `adhm` residuals and the point-data round trip run
+on it.  `jordan_basis` takes and gives `IntMat`s: the characteristic
+polynomial (Faddeev-LeVerrier), the kernels of the shifted powers and
+the check m p == p J all stay on ints.
 
 Every exception that means "this computation gave up on this input",
 here and in the modules above, derives from `ComputeFailure`; the
@@ -110,38 +109,32 @@ def mat_scale(c, a: Mat) -> Mat:
     return [[c * x for x in row] for row in a]
 
 
-def mat_shift(a: Mat, c) -> Mat:
-    """a + c*I for square a: a copy of a with c added on the diagonal only."""
-    c = frac(c)
-    out = [list(row) for row in a]
-    for i, row in enumerate(out):
-        row[i] += c
-    return out
-
-
-def _int_product(a: Mat, scales: list, b: list, cols: int) -> list:
-    # Integer product: row i of a, scaled to integer numerators by
-    # scales[i], times b given as sparse integer rows (lists of nonzero
-    # (column, value) pairs).  Rows accumulate on plain ints in i-k-j
-    # order, skipping zero entries of either operand.  Returns int rows.
+def _mul_ints(a: list, b: list, cols: int) -> list:
+    # integer rows a times b, i-k-j order over b's nonzero (column, value)
+    # pairs, skipping zero entries of a
+    b = [[(j, y) for j, y in enumerate(row) if y] for row in b]
     out = []
-    for row, s in zip(a, scales):
+    for row in a:
         acc = [0] * cols
         for x, b_row in zip(row, b):
-            if x and b_row:
-                xn = x.numerator * (s // x.denominator)
+            if x:
                 for j, y in b_row:
-                    acc[j] += xn * y
+                    acc[j] += x * y
         out.append(acc)
     return out
 
 
-def _scaled_product(a: Mat, b_rows: list, db: int, cols: int) -> Mat:
-    # a times b, given as sparse integer rows over the denominator db; each row
-    # of a is scaled over its own lcm, which keeps the integers small.
-    das = [lcm(*{x.denominator for x in row}) for row in a]
+def _row_ints(m: Mat) -> tuple[list, list]:
+    # (int rows, denominators): each row over its own lcm keeps the ints small
+    ds = [lcm(*{x.denominator for x in row}) for row in m]
+    return [[x.numerator * (d // x.denominator) for x in row] for row, d in zip(m, ds)], ds
+
+
+def _scaled_product(a: Mat, b: list, db: int, cols: int) -> Mat:
+    # a times b, given as integer rows over the denominator db
+    ints, das = _row_ints(a)
     return [[Fraction(v, da * db) if v else _ZERO for v in acc]
-            for acc, da in zip(_int_product(a, das, b_rows, cols), das)]
+            for acc, da in zip(_mul_ints(ints, b, cols), das)]
 
 
 def mat_mul(a: Mat, b: Mat) -> Mat:
@@ -152,10 +145,8 @@ def mat_mul(a: Mat, b: Mat) -> Mat:
     rb, cb = shape(b)
     if ca != rb:
         raise ValueError(f"shape mismatch {shape(a)} @ {shape(b)}")
-    db = lcm(*{y.denominator for row in b for y in row})
-    b_rows = [[(j, y.numerator * (db // y.denominator)) for j, y in enumerate(row) if y]
-              for row in b]
-    return _scaled_product(a, b_rows, db, cb)
+    b, db = int_matrix(b)
+    return _scaled_product(a, b, db, cb)
 
 
 def int_matrix(m: Mat) -> IntMat:
@@ -214,14 +205,8 @@ def mat_vec(m: Mat, v: Vec) -> Vec:
     # v is the one column of b; a row of m without columns gives 0.
     if any(len(row) != len(v) for row in m):
         raise ValueError("shape mismatch in matrix-vector product")
-    dv = lcm(*{y.denominator for y in v})
-    column = [[(0, y.numerator * (dv // y.denominator))] if y else [] for y in v]
-    return [x for x, in _scaled_product(m, column, dv, 1)]
-
-
-def transpose(m: Mat) -> Mat:
-    r, c = shape(m)
-    return [[m[i][j] for i in range(r)] for j in range(c)]
+    v, dv = int_matrix([v])
+    return [x for x, in _scaled_product(m, [[y] for y in v[0]], dv, 1)]
 
 
 def trace(m: Mat) -> Fraction:
@@ -246,19 +231,15 @@ def block_diag(blocks: Sequence[Mat]) -> Mat:
     return out
 
 
-def rref(m: Mat) -> tuple[Mat, list[int]]:
-    """Reduced row echelon form and the pivot column indices.
+def _rref_ints(a: list) -> tuple[list, list[int]]:
+    """Fraction-free Gauss-Jordan on the integer rows a, and the pivot columns.
 
-    Fraction-free Gauss-Jordan: rows are scaled to integers, every row
-    operation is an integer one, and each updated row is divided by its
-    content, so rows stay primitive.  Pivot rows are divided by their
-    pivot once at the end.
+    Every row operation is an integer one and each updated row is divided
+    by its content, so rows stay primitive: row i comes back as its pivot
+    times row i of the reduced echelon form.  Rows of a are rebound, never
+    changed in place.
     """
-    a = []
-    for row in m:
-        d = lcm(*{x.denominator for x in row})
-        a.append([x.numerator * (d // x.denominator) for x in row])
-    r, c = shape(a)
+    r, c = len(a), len(a[0]) if a else 0
     pivots: list[int] = []
     row = 0
     for col in range(c):
@@ -280,6 +261,12 @@ def rref(m: Mat) -> tuple[Mat, list[int]]:
         row += 1
         if row == r:
             break
+    return a, pivots
+
+
+def rref(m: Mat) -> tuple[Mat, list[int]]:
+    """Reduced row echelon form and the pivot column indices (`_rref_ints`)."""
+    a, pivots = _rref_ints(_row_ints(m)[0])
     out = []
     for i, ints in enumerate(a):
         p = ints[pivots[i]] if i < len(pivots) else 1
@@ -288,33 +275,47 @@ def rref(m: Mat) -> tuple[Mat, list[int]]:
 
 
 def rank(m: Mat) -> int:
-    return len(rref(m)[1])
+    return len(_rref_ints(_row_ints(m)[0])[1])
+
+
+def _reduced(v: list, d: int) -> tuple[list, int]:
+    # the vector v / d with the common factor of v and d taken out
+    g = gcd(d, *v)
+    return ([x // g for x in v], d // g) if g > 1 else (v, d)
+
+
+def _kernel(a: list, cols: int) -> list[tuple[list, int]]:
+    """Right kernel of integer rows, one (integers, denominator) vector per free
+    column f: 1 at f, 0 at the other free columns."""
+    red, pivots = _rref_ints(list(a))
+    basis = []
+    for f in sorted(set(range(cols)) - set(pivots)):
+        e = lcm(*(row[p] for row, p in zip(red, pivots) if row[f]))
+        v = [0] * cols
+        v[f] = e
+        for row, p in zip(red, pivots):
+            v[p] = -row[f] * (e // row[p])
+        basis.append(_reduced(v, e))
+    return basis
 
 
 def nullspace(m: Mat) -> list[Vec]:
     """Basis of the right kernel, one vector per free column."""
-    r, c = shape(m)
-    red, pivots = rref(m)
-    free = [j for j in range(c) if j not in pivots]
-    basis = []
-    for f in free:
-        v = [Fraction(0)] * c
-        v[f] = Fraction(1)
-        for i, p in enumerate(pivots):
-            v[p] = -red[i][f]
-        basis.append(v)
-    return basis
+    return [[Fraction(x, e) if x else _ZERO for x in v]
+            for v, e in _kernel(_row_ints(m)[0], shape(m)[1])]
 
 
 def inverse(m: Mat) -> Mat:
+    """m^-1: row i of m is a_i / d_i, and [a_i | d_i e_i] reduces to [I | m^-1] on ints."""
     n, c = shape(m)
     if n != c:
         raise ValueError("inverse of a non-square matrix")
-    aug = [list(row) + ident_row for row, ident_row in zip(m, identity(n))]
-    red, pivots = rref(aug)
+    ints, ds = _row_ints(m)
+    red, pivots = _rref_ints([row + [d if j == i else 0 for j in range(n)]
+                              for i, (row, d) in enumerate(zip(ints, ds))])
     if pivots != list(range(n)):
         raise ValueError("matrix is singular")
-    return [row[n:] for row in red]
+    return [[Fraction(x, row[i]) if x else _ZERO for x in row[n:]] for i, row in enumerate(red)]
 
 
 class SpanBasis:
@@ -352,27 +353,25 @@ class SpanBasis:
         return True
 
 
-def char_poly_coeffs(m: Mat) -> list[Fraction]:
+def char_poly_coeffs(m: Mat | IntMat) -> list[Fraction]:
     """Monic characteristic polynomial, coefficients ascending (Faddeev-LeVerrier).
 
-    Runs on the integer matrix A = d*m, d the lcm of all denominators:
-    A's coefficients c_k are integers, each found by an exact division
-    by k, and m's are c_k / d^(n-k).
+    m is Fraction rows or an `IntMat` a / d.  It runs on the integer rows
+    a: their coefficients c_k are integers, each found by an exact
+    division by k, and m's are c_k / d^k.
     """
-    n, c = shape(m)
-    if n != c:
+    a, d = m if isinstance(m, tuple) else int_matrix(m)
+    n = len(a)
+    if any(len(row) != n for row in a):
         raise ValueError("characteristic polynomial of a non-square matrix")
-    d = lcm(*{x.denominator for row in m for x in row})
-    scales = [d] * n            # every row of m over d: the integer matrix A
     cs = [1]                    # descending: leading first
-    mk = [[(i, 1)] for i in range(n)]
+    mk = [[int(i == j) for j in range(n)] for i in range(n)]
     for k in range(1, n + 1):
-        am = _int_product(m, scales, mk, n)
-        ck = -sum(am[i][i] for i in range(n)) // k
+        mk = _mul_ints(a, mk, n)
+        ck = -sum(mk[i][i] for i in range(n)) // k
         cs.append(ck)
         for i in range(n):
-            am[i][i] += ck
-        mk = [[(j, y) for j, y in enumerate(row) if y] for row in am]
+            mk[i][i] += ck
     return [Fraction(ck, d ** k) for k, ck in enumerate(cs)][::-1]
 
 
@@ -389,15 +388,16 @@ def _int_divisors(n: int) -> list[int]:
     return sorted(out)
 
 
-def rational_eigenvalues(m: Mat) -> dict[Fraction, int]:
+def rational_eigenvalues(m: Mat | IntMat) -> dict[Fraction, int]:
     """Eigenvalues with algebraic multiplicity; error unless the spectrum is rational.
 
-    A candidate p/q in lowest terms is a root of the integer characteristic
-    polynomial iff sum_i c_i p^i q^(d-i) = 0; each root found is divided out
-    as the integer factor q t - p.
+    m as in `char_poly_coeffs`.  A candidate p/q in lowest terms is a
+    root of the integer characteristic polynomial iff
+    sum_i c_i p^i q^(d-i) = 0; each root found is divided out as the
+    integer factor q t - p.
     """
-    n = shape(m)[0]
     coeffs = char_poly_coeffs(m)
+    n = len(coeffs) - 1
     mult_zero = next((i for i, c in enumerate(coeffs) if c != 0), n)
     eig: dict[Fraction, int] = {}
     if mult_zero:
@@ -430,47 +430,67 @@ def rational_eigenvalues(m: Mat) -> dict[Fraction, int]:
     return eig
 
 
-def jordan_basis(m: Mat) -> tuple[Mat, Mat]:
+def jordan_matrix(blocks: Iterable[tuple]) -> IntMat:
+    """Block diagonal Jordan matrix of (eigenvalue, size) blocks in order, as integer
+    rows over the lcm of the eigenvalue denominators; TypeError on a non-rational one."""
+    diag = [(frac(lam), k) for lam, size in blocks for k in range(size)]
+    d = lcm(*(lam.denominator for lam, _ in diag))
+    rows = [[0] * len(diag) for _ in diag]
+    for i, (lam, k) in enumerate(diag):
+        rows[i][i] = lam.numerator * (d // lam.denominator)
+        if k:                       # not the first of its block
+            rows[i - 1][i] = d
+    return rows, d
+
+
+def jordan_basis(m: IntMat) -> tuple[IntMat, IntMat]:
     """Jordan normal form over the rationals and a basis of Jordan chains.
 
-    Returns (J, p) with m p == p J exactly, the columns of p the chains
-    bottom first; eigenvalues ascending, blocks per eigenvalue
-    nonincreasing.  Raises NonRationalSpectrum when the spectrum is not
-    rational.
+    m, J and p are integer rows over a denominator (`int_matrix`), with
+    m p == p J exactly, the columns of p the chains bottom first;
+    eigenvalues ascending, blocks per eigenvalue nonincreasing.  For
+    m = a/d and an eigenvalue s/q, the integer rows q*a - s*d*I are
+    m - s/q times q*d, so their powers have the same kernels.  Raises
+    NonRationalSpectrum when the spectrum is not rational.
     """
-    n = shape(m)[0]
+    a, d = m
+    n = len(a)
     eig = rational_eigenvalues(m)
-    chains: list[tuple[Fraction, list[Vec]]] = []
+    blocks: list[tuple[Fraction, int]] = []
+    cols: list[tuple[list, int]] = []        # columns of p, as (integers, denominator)
     for lam in sorted(eig):
-        nmat = mat_shift(m, -lam)
-        power, kernels = nmat, [[], nullspace(nmat)]
+        q, s = lam.denominator, lam.numerator * d
+        nmat = [[q * x - (s if j == i else 0) for j, x in enumerate(row)]
+                for i, row in enumerate(a)]
+        power, kernels = nmat, [[], _kernel(nmat, n)]
         while len(kernels[-1]) < eig[lam]:
-            power = mat_mul(nmat, power)
-            kernels.append(nullspace(power))
+            power = _mul_ints(nmat, power, n)
+            kernels.append(_kernel(power, n))
         # top down: every chain so far steps one level lower, then kernel
         # vectors independent of the level below and of those steps start chains
-        lam_chains: list[list[Vec]] = []    # each chain top first
+        lam_chains: list[list[tuple[list, int]]] = []    # each chain top first
         for level in range(len(kernels) - 1, 0, -1):
             for chain in lam_chains:
-                chain.append(mat_vec(nmat, chain[-1]))
+                v, e = chain[-1]
+                chain.append(_reduced([sum(x * y for x, y in zip(row, v)) for row in nmat],
+                                      e * q * d))
             span = SpanBasis(n)
-            for v in kernels[level - 1] + [chain[-1] for chain in lam_chains]:
+            for v, _ in kernels[level - 1] + [chain[-1] for chain in lam_chains]:
                 span.add(v)
-            lam_chains += [[v] for v in kernels[level] if span.add(v)]
-        chains += [(lam, chain[::-1]) for chain in lam_chains]   # bottom of chain first
-    cols = [(lam, k, v) for lam, chain in chains for k, v in enumerate(chain)]
-    p = transpose([v for _, _, v in cols])
-    j = zeros(n)
-    for i, (lam, k, _) in enumerate(cols):
-        j[i][i] = lam
-        if k:                       # not the bottom of its chain
-            j[i - 1][i] = Fraction(1)
-    if not mat_eq(mat_mul(m, p), mat_mul(p, j)):
+            lam_chains += [[v] for v in kernels[level] if span.add(v[0])]
+        for chain in lam_chains:
+            blocks.append((lam, len(chain)))
+            cols += reversed(chain)             # bottom of chain first
+    e = lcm(*(e for _, e in cols))
+    p = [[v[i] * (e // ev) for v, ev in cols] for i in range(n)], e
+    j = jordan_matrix(blocks)
+    if sum_of_products([(1, m, p), (-1, p, j)], n, n) is not None:
         raise AssertionError("jordan basis failed verification")
     return j, p
 
 
 def jordan_form(m: Mat) -> tuple[Mat, Mat]:
     """(J, g) with g m g^{-1} == J exactly: `jordan_basis` with g the inverse of p."""
-    j, p = jordan_basis(m)
-    return j, inverse(p)
+    n = len(m)
+    j, p = jordan_basis(int_matrix(m))
+    return rational_matrix(j, n, n), inverse(rational_matrix(p, n, n))

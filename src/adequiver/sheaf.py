@@ -10,7 +10,10 @@ and need rational supports and matrices; complex supports can be held
 The same dictionary upgraded to quivers: a representation whose loops
 all intertwine with the arrow maps (zero edge defects) corresponds to
 per-node torsion modules plus arrow maps written in the Jordan bases,
-with framing vectors carried along by the same base change.
+with framing vectors carried along by the same base change.  The round
+trip runs on integer rows (`linalg.IntMat`): each loop and arrow is
+converted once, each Jordan matrix is built from its partitions, and
+Fractions are made only for the fields of the results.
 """
 
 from __future__ import annotations
@@ -20,9 +23,9 @@ from fractions import Fraction
 from typing import Mapping, Sequence
 
 from . import linalg
-from .adhm import ArrowKey, N1Representation, check_total_dim
+from .adhm import ArrowKey, N1Representation, check_total_dim, transport
 from .dynkin import DynkinType, node_labels
-from .linalg import ComputeFailure, Mat, Vec
+from .linalg import ComputeFailure, IntMat, Mat, Vec
 from .quiver import build_n1_quiver
 
 
@@ -68,11 +71,13 @@ class TorsionSheafData:
         return sum(sum(parts) for _, parts in self.points)
 
 
+def _jordan_ints(data: TorsionSheafData) -> IntMat:
+    """The block Jordan matrix of the points, as integer rows; TypeError on a complex support."""
+    return linalg.jordan_matrix((s, size) for s, parts in data.points for size in parts)
+
+
 def _jordan_block(lam, size: int) -> Mat:
-    block = linalg.mat_shift(linalg.zeros(size), lam)
-    for i in range(size - 1):
-        block[i][i + 1] = Fraction(1)
-    return block
+    return linalg.rational_matrix(linalg.jordan_matrix([(lam, size)]), size, size)
 
 
 def sheaf_to_endo(data: TorsionSheafData) -> tuple[int, Mat]:
@@ -80,8 +85,8 @@ def sheaf_to_endo(data: TorsionSheafData) -> tuple[int, Mat]:
 
     TypeError on a support that is not rational.
     """
-    blocks = [_jordan_block(s, size) for s, parts in data.points for size in parts]
-    return data.dimension, linalg.block_diag(blocks)
+    n = data.dimension
+    return n, linalg.rational_matrix(_jordan_ints(data), n, n)
 
 
 def _partition_from_kernel_dims(dims: list[int]) -> tuple[int, ...]:
@@ -94,13 +99,14 @@ def _partition_from_kernel_dims(dims: list[int]) -> tuple[int, ...]:
     return tuple(sorted(parts, reverse=True))
 
 
-def _jordan_points(j: Mat) -> TorsionSheafData:
+def _jordan_points(j: IntMat) -> TorsionSheafData:
     """Support points and partitions read off the blocks of a Jordan matrix."""
+    rows, d = j
     blocks: dict[Fraction, list[int]] = {}
     start = 0
-    for i in range(len(j)):
-        if i + 1 == len(j) or j[i][i + 1] == 0:
-            blocks.setdefault(j[i][i], []).append(i + 1 - start)
+    for i, row in enumerate(rows):
+        if i + 1 == len(rows) or row[i + 1] == 0:
+            blocks.setdefault(Fraction(row[i], d), []).append(i + 1 - start)
             start = i + 1
     return TorsionSheafData.of(list(blocks.items()))
 
@@ -118,7 +124,7 @@ def endo_to_sheaf(psi) -> TorsionSheafData:
     eig = linalg.rational_eigenvalues(m)
     points = []
     for lam, mult in sorted(eig.items()):
-        nmat = linalg.mat_shift(m, -lam)
+        nmat = linalg.mat_sub(m, linalg.mat_scale(lam, linalg.identity(n)))
         dims = [0]
         power = linalg.identity(n)
         while dims[-1] < mult:
@@ -138,11 +144,12 @@ def _require_rational(node_sheaves: Mapping[int, TorsionSheafData], nodes) -> No
                 )
 
 
-def _check_intertwining(loops: Mapping[int, Mat], arrow_maps: Mapping[ArrowKey, Mat]) -> None:
-    """EdgeRelationViolated naming the first arrow map with a nonzero edge defect."""
-    for key, m in arrow_maps.items():
+def _check_intertwining(loops: Mapping[int, IntMat], arrows: Mapping[ArrowKey, IntMat]) -> None:
+    """EdgeRelationViolated naming the first arrow B with Psi_target B - B Psi_source nonzero."""
+    for key, b in arrows.items():
         src, tgt, _ = key
-        if not linalg.mat_eq(linalg.mat_mul(loops[tgt], m), linalg.mat_mul(m, loops[src])):
+        terms = [(1, loops[tgt], b), (-1, b, loops[src])]
+        if linalg.sum_of_products(terms, len(b[0]), len(loops[src][0])) is not None:
             raise EdgeRelationViolated(f"edge defect at {key} is nonzero")
 
 
@@ -170,39 +177,43 @@ class QuiverSheafData:
         # Jordan matrices only where an arrow needs one, and only of rational supports
         touched = list(dict.fromkeys(a for key in self.arrow_maps for a in key[:2]))
         _require_rational(self.node_sheaves, touched)
-        jordan = {a: sheaf_to_endo(self.node_sheaves[a])[1] for a in touched}
         self.arrow_maps = {key: linalg.matrix(m) for key, m in self.arrow_maps.items()}
-        _check_intertwining(jordan, self.arrow_maps)
+        for (s, t, i), m in self.arrow_maps.items():
+            want = (self.node_sheaves[t].dimension, self.node_sheaves[s].dimension)
+            if not linalg.has_shape(m, *want):
+                raise ValueError(f"arrow {(s, t, i)} wants shape {want}")
+        _check_intertwining({a: _jordan_ints(self.node_sheaves[a]) for a in touched},
+                            {key: linalg.int_matrix(m) for key, m in self.arrow_maps.items()})
 
 
 def quadruple_to_quintuple(rep: N1Representation) -> tuple[QuiverSheafData, dict[int, Mat]]:
     """Per-node torsion data plus transported arrows and framing.
 
     Requires every edge defect to vanish exactly.  Arrows move to g_b B p_a,
-    p a node's Jordan basis and g its inverse; the intertwining is checked
-    once, on the Jordan matrices, when `QuiverSheafData` is built (a broken
-    edge outranks a non-rational spectrum).  Returns the sheaf data and the
+    p a node's Jordan basis and g its inverse, on integer rows; the intertwining
+    is checked once, on the Jordan matrices, when `QuiverSheafData` is built (a
+    broken edge outranks a non-rational spectrum).  Returns the sheaf data and the
     per-node base changes g (new = g * old), so callers can verify the transport.
     """
     labels = node_labels(rep.type, rep.affine)
+    psi = {a: linalg.int_matrix(rep.Psi[a]) for a in labels}
     sheaves: dict[int, TorsionSheafData] = {}
     g: dict[int, Mat] = {}
-    p: dict[int, Mat] = {}
+    p: dict[int, IntMat] = {}
     for a in labels:
         try:
-            j, p[a] = linalg.jordan_basis(rep.Psi[a])
+            j, p[a] = linalg.jordan_basis(psi[a])
         except linalg.NonRationalSpectrum:
-            _check_intertwining(rep.Psi, rep.B)
+            _check_intertwining(psi, {k: linalg.int_matrix(m) for k, m in rep.B.items()})
             raise
         sheaves[a] = _jordan_points(j)
-        expected_dim, jmat = sheaf_to_endo(sheaves[a])
-        if expected_dim != rep.dims[a] or not linalg.mat_eq(jmat, j):
+        if sheaves[a].dimension != rep.dims[a] or _jordan_ints(sheaves[a]) != j:
             raise AssertionError("jordan data disagrees with the partition data")
-        g[a] = linalg.inverse(p[a])
-    arrows = {
-        k: linalg.mat_mul(g[k[1]], linalg.mat_mul(m, p[k[0]]))
-        for k, m in rep.B.items()
-    }
+        n = rep.dims[a]
+        g[a] = linalg.inverse(linalg.rational_matrix(p[a], n, n))
+    gi = {a: linalg.int_matrix(m) for a, m in g.items()}
+    arrows = {(s, t, i): transport(gi[t], linalg.int_matrix(m), p[s], rep.dims[t], rep.dims[s])
+              for (s, t, i), m in rep.B.items()}
     vectors = {a: [linalg.mat_vec(g[a], v) for v in rep.I[a]] for a in labels}
     data = QuiverSheafData(
         type=rep.type,

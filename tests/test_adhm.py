@@ -236,6 +236,13 @@ class TestConjugation:
         g = {a: linalg.identity(rep.dims[a]) for a in rep.dims}
         assert adhm.conjugate(rep, g) == rep
 
+    def test_base_change_of_the_wrong_size_refused(self):
+        rep, _ = worked_cycle_example()
+        g = {a: linalg.identity(rep.dims[a]) for a in rep.dims}
+        g[1] = linalg.identity(2)
+        with pytest.raises(ValueError, match="base change at 1 must be 1 square"):
+            adhm.conjugate(rep, g)
+
 
 def test_trace_identity_defect_tracks_node_traces():
     rep, theta = finite_pair_example()

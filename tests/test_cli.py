@@ -3,6 +3,7 @@ import io
 import json
 import os
 import random
+import signal
 import subprocess
 import sys
 import tempfile
@@ -394,6 +395,32 @@ class TestCheckRep:
         assert f"check {paths[0]}: node-relations: pass" in out
         assert f"check {paths[2]}: node-relations: FAIL" in out
 
+    def test_refused_file_fails_only_itself(self, capsys, tmp_path):
+        theta = write(tmp_path, "theta.json", theta_record())
+        good = [write(tmp_path, f"good{i}.json", rep_record()) for i in range(2)]
+        malformed = rep_record()
+        malformed["arrows"][0]["from"] = None
+        bad = write(tmp_path, "bad.json", malformed)
+        huge = write(tmp_path, "huge.json", {"type": "A2", "dims": {"0": 100000, "1": 0, "2": 0}})
+        code, out = run(capsys, "check-rep", "--theta", theta, good[0], bad, good[1], huge,
+                        "--json")
+        assert code == 2
+        report = json.loads(out)
+        alone = [json.loads(run(capsys, "check-rep", "--theta", theta, path, "--json")[1])
+                 for path in good]
+        want = alone[0]["verdicts"] + [{"name": "input-well-formed", "passed": False}] \
+            + alone[1]["verdicts"] + [{"name": "input-too-large", "passed": False}]
+        assert [{k: v[k] for k in w} for v, w in zip(report["verdicts"], want)] == want
+        assert len(report["verdicts"]) == len(want)
+        refused = [v["detail"] for v in report["verdicts"] if not v["passed"]]
+        assert refused[0].endswith(f"; file {bad}")
+        assert refused[1] == f"total dimension 100000 exceeds the cap 1000; file {huge}"
+        assert report["data"]["files"] == [alone[0]["data"]["files"][0],
+                                           alone[1]["data"]["files"][0]]
+        _, human = run(capsys, "check-rep", "--theta", theta, good[0], bad, good[1], huge)
+        assert human.count("-- ") == 2
+        assert f"check {good[1]}: nondegenerate: pass" in human
+
     def test_missing_rep_file(self, capsys, tmp_path):
         theta = write(tmp_path, "theta.json", theta_record())
         code, out = run(capsys, "check-rep", "--theta", theta, str(tmp_path / "gone.json"))
@@ -542,6 +569,16 @@ def test_point_data_rejects_duplicate_arrow(capsys, tmp_path):
     (verdict,) = json.loads(out)["verdicts"]
     assert verdict["name"] == "input-well-formed"
     assert verdict["detail"] == "duplicate arrow (1, 2, 0)"
+
+
+@pytest.mark.parametrize("matrix", [[["1", "2"], ["3", "4"]], [["1"], ["2"]], [["1", "2"]]])
+def test_point_data_rejects_arrow_of_the_wrong_shape(capsys, tmp_path, matrix):
+    record = points_record()
+    record["arrows"] = [{"from": 1, "to": 2, "matrix": matrix}]
+    code, out = run(capsys, "matrixify", write(tmp_path, "sheaf.json", record), "--json")
+    assert code == 2
+    (verdict,) = json.loads(out)["verdicts"]
+    assert verdict["name"] == "input-well-formed"
 
 
 def test_point_data_rejects_arrow_outside_the_quiver(capsys, tmp_path):
@@ -734,6 +771,45 @@ class TestSizeCaps:
         code, out = run(capsys, "matrixify", points)
         assert code == 2
         assert "check input-too-large: FAIL" in out
+
+    def test_theta_degree_is_capped(self, capsys, tmp_path):
+        # a degree-3000 theta kept exc-locus busy for over a minute; it is refused at once
+        big = write(tmp_path, "big.json", {"type": "A2",
+                                           "theta": {"1": ["1"] * 3001, "2": ["0", "1"]}})
+        with time_limit(5):
+            for command in ("exc-locus", "theta-validate"):
+                code, out = run(capsys, command, big)
+                assert code == 2
+                assert ("check input-too-large: FAIL  (theta degree 3000 exceeds the cap "
+                        f"{dynkin.MAX_DEGREE})") in out
+        with pytest.raises(dynkin.InputTooLarge):
+            deformation.make_deformation(
+                dynkin.DynkinType.parse("A1"),
+                {0: [0] * dynkin.MAX_DEGREE + [1, 1], 1: [0, 1]})
+        # at the cap a dense rational theta still gets its locus, well inside the limit
+        rng = random.Random(3)
+        dense = {str(a): [f"{rng.randint(-9, 9)}/{rng.randint(1, 9)}"
+                          for _ in range(dynkin.MAX_DEGREE)] + ["1"] for a in (1, 2)}
+        at_cap = write(tmp_path, "cap.json", {"type": "A2", "theta": dense})
+        with time_limit(5):
+            code, out = run(capsys, "exc-locus", at_cap)
+        assert code == 0
+        assert f"type A2, {3 * dynkin.MAX_DEGREE} locus points" in out
+
+
+@contextlib.contextmanager
+def time_limit(seconds: float):
+    """Fail the enclosed block with TimeoutError once seconds of wall time have passed."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 COMPUTE_FAILURES = {

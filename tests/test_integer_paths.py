@@ -1,0 +1,241 @@
+"""The integer-row paths against the Fraction reference kernels.
+
+The relation residuals, the point-data round trip, `conjugate`,
+`jordan_basis` and `inverse` run on integer rows over one denominator.
+Here each is compared with the same quantity built from `mat_mul`,
+`mat_add`, `mat_sub` and `mat_scale` (and sympy for inverses), on
+derandomized cases: affine A2 or A3 representations planted in a Jordan
+basis (node dimensions 0-3, eigenvalues with denominators), random
+intertwining arrows, one arrow sometimes perturbed so that the loops no
+longer intertwine, random framing and node polynomials, and a random
+base change at every node.
+"""
+
+import random
+from fractions import Fraction
+
+import pytest
+import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from adequiver import adhm, linalg, sheaf
+from adequiver.deformation import Polynomial
+from adequiver.dynkin import DynkinType, node_labels
+from adequiver.quiver import build_n1_quiver
+
+from helpers import mat_from_sympy, rand_frac, rand_invertible
+
+TYPES = (DynkinType.parse("A2"), DynkinType.parse("A3"))
+EIGENVALUES = (Fraction(0), Fraction(1, 2), Fraction(-2, 3), Fraction(3))
+
+
+def _mul(a, b, rows, cols):
+    # mat_mul loses the column count of a product with no rows or no inner dimension
+    return linalg.mat_mul(a, b) if rows and b else linalg.zeros(rows, cols)
+
+
+def _inv(m):
+    return mat_from_sympy(sympy.Matrix(m).inv()) if m else []
+
+
+def _jordan(blocks):
+    n = sum(size for _, size in blocks)
+    out = linalg.zeros(n)
+    start = 0
+    for lam, size in blocks:
+        for i in range(start, start + size):
+            out[i][i] = lam
+            if i > start:
+                out[i - 1][i] = Fraction(1)
+        start += size
+    return out
+
+
+def _intertwiner(rng, tgt, src):
+    """Random X with J_tgt X = X J_src: upper triangular Toeplitz between blocks of
+    one eigenvalue, of sizes n and m, on the diagonals max(0, m - n) .. m - 1."""
+    out = linalg.zeros(sum(n for _, n in tgt), sum(m for _, m in src))
+    r0 = 0
+    for lam_t, n in tgt:
+        c0 = 0
+        for lam_s, m in src:
+            if lam_t == lam_s:
+                c = {t: rand_frac(rng) for t in range(max(0, m - n), m)}
+                for i in range(n):
+                    for j in range(m):
+                        out[r0 + i][c0 + j] = c.get(j - i, Fraction(0))
+            c0 += m
+        r0 += n
+    return out
+
+
+def _conjugated(rep, g):
+    """g_b B g_a^-1, g Psi g^-1 and g v by the Fraction kernels."""
+    dims = rep.dims
+    ginv = {a: _inv(g[a]) for a in dims}
+    return adhm.N1Representation(
+        rep.type, dict(dims),
+        {(s, t, i): _mul(_mul(g[t], m, dims[t], dims[s]), ginv[s], dims[t], dims[s])
+         for (s, t, i), m in rep.B.items()},
+        {a: _mul(_mul(g[a], m, dims[a], dims[a]), ginv[a], dims[a], dims[a])
+         for a, m in rep.Psi.items()},
+        dict(rep.framing_ranks),
+        {a: [[sum((x * y for x, y in zip(row, v)), Fraction(0)) for row in g[a]] for v in vs]
+         for a, vs in rep.I.items()},
+    )
+
+
+def _planted_case(rng):
+    """(representation in a random basis, the one planted in the canonical Jordan basis,
+    its point data, theta, rng)."""
+    t = rng.choice(TYPES)
+    labels = node_labels(t, True)
+    palette = rng.sample(EIGENVALUES, 2)
+    blocks = {}
+    for a in labels:
+        left, blocks[a] = rng.randint(0, 3), []
+        while left:
+            size = rng.randint(1, left)
+            blocks[a].append((rng.choice(palette), size))
+            left -= size
+        blocks[a].sort(key=lambda block: (block[0], -block[1]))     # the canonical order
+    dims = {a: sum(n for _, n in bl) for a, bl in blocks.items()}
+    arrows = {k.key: _intertwiner(rng, blocks[k.target], blocks[k.source])
+              for k in build_n1_quiver(t, True).mckay_arrows()}
+    filled = [m for m in arrows.values() if m and m[0]]
+    if filled and rng.random() < 0.4:
+        m = rng.choice(filled)
+        m[rng.randrange(len(m))][rng.randrange(len(m[0]))] += rng.choice((1, Fraction(-1, 2)))
+    ranks = {a: rng.randint(0, 1) if dims[a] else 0 for a in labels}
+    planted = adhm.N1Representation(
+        t, dims, arrows, {a: _jordan(bl) for a, bl in blocks.items()}, ranks,
+        {a: [[rand_frac(rng) for _ in range(dims[a])] for _ in range(ranks[a])]
+         for a in labels})
+    points = {a: sheaf.TorsionSheafData.of(
+        [(lam, [n for mu, n in bl if mu == lam]) for lam in {mu for mu, _ in bl}])
+        for a, bl in blocks.items()}
+    theta = {a: [rand_frac(rng) for _ in range(rng.randint(0, 3))] for a in labels}
+    rep = _conjugated(planted, {a: rand_invertible(rng, dims[a]) for a in labels})
+    return rep, planted, points, theta, rng
+
+
+planted_cases = st.randoms(use_true_random=False).map(_planted_case)
+
+
+def _theta_reference(rep, coeffs, a):
+    d = rep.dims[a]
+    acc = linalg.zeros(d, d)
+    for c in reversed(coeffs):
+        acc = linalg.mat_add(_mul(acc, rep.Psi[a], d, d),
+                             linalg.mat_scale(c, linalg.identity(d)))
+    return acc
+
+
+def _node_reference(rep, coeffs, a):
+    d = rep.dims[a]
+    acc = _theta_reference(rep, coeffs, a)
+    for arrow in rep.quiver.mckay_arrows():
+        if arrow.source == a:
+            term = _mul(rep.B[arrow.reversed_key()], rep.B[arrow.key], d, d)
+            acc = linalg.mat_add(acc, linalg.mat_scale(arrow.sign, term))
+    return acc
+
+
+def _edge_reference(rep, key):
+    src, tgt, _ = key
+    rows, cols = rep.dims[tgt], rep.dims[src]
+    return linalg.mat_sub(_mul(rep.Psi[tgt], rep.B[key], rows, cols),
+                          _mul(rep.B[key], rep.Psi[src], rows, cols))
+
+
+@settings(max_examples=60)
+@given(planted_cases)
+def test_relation_residuals_match_the_fraction_reference(case):
+    rep, _, _, theta, _ = case
+    got = adhm.check_relations(rep, theta)
+    for a in rep.dims:
+        assert got.node_residuals[a] == _node_reference(rep, theta[a], a)
+        assert adhm.node_residual(rep, theta, a) == got.node_residuals[a]
+    for key in rep.B:
+        assert got.edge_residuals[key] == _edge_reference(rep, key)
+        assert adhm.edge_residual(rep, key) == got.edge_residuals[key]
+    want = sum((linalg.trace(_theta_reference(rep, theta[a], a)) for a in rep.dims), Fraction(0))
+    assert adhm.trace_identity_defect(rep, theta) == want
+    for a in rep.dims:
+        assert adhm.evaluate_on_matrix(Polynomial.of(theta[a]), rep.Psi[a]) \
+            == _theta_reference(rep, theta[a], a)
+
+
+@settings(max_examples=60)
+@given(planted_cases)
+def test_round_trip_transport_matches_the_fraction_reference(case):
+    rep, planted, points, _, _ = case
+    broken = any(not linalg.is_zero_matrix(_edge_reference(rep, key)) for key in rep.B)
+    # the same verdict in the planted basis, where the arrows meet the Jordan matrices
+    assert broken == any(not linalg.is_zero_matrix(_edge_reference(planted, key))
+                         for key in planted.B)
+    if broken:
+        with pytest.raises(sheaf.EdgeRelationViolated):
+            sheaf.quadruple_to_quintuple(rep)
+        with pytest.raises(sheaf.EdgeRelationViolated):
+            sheaf.QuiverSheafData(rep.type, points, planted.B)
+        return
+    sheaf.QuiverSheafData(rep.type, points, planted.B)
+    data, g = sheaf.quadruple_to_quintuple(rep)
+    dims = rep.dims
+    assert data.node_sheaves == points
+    p = {a: _inv(g[a]) for a in dims}
+    for a in dims:
+        moved = _mul(_mul(g[a], rep.Psi[a], dims[a], dims[a]), p[a], dims[a], dims[a])
+        assert moved == sheaf.sheaf_to_endo(points[a])[1]
+        assert data.framing_vectors[a] == [linalg.mat_vec(g[a], v) for v in rep.I[a]]
+    for (s, t, i), m in rep.B.items():
+        want = _mul(g[t], _mul(m, p[s], dims[t], dims[s]), dims[t], dims[s])
+        assert data.arrow_maps[s, t, i] == want
+
+
+@settings(max_examples=60)
+@given(planted_cases)
+def test_conjugate_matches_the_fraction_reference(case):
+    rep, _, _, _, rng = case
+    g = {a: rand_invertible(rng, rep.dims[a]) for a in rep.dims}
+    assert adhm.conjugate(rep, g) == _conjugated(rep, g)
+
+
+@settings(max_examples=60)
+@given(planted_cases)
+def test_jordan_basis_and_inverse_match_the_fraction_reference(case):
+    rep, _, points, _, rng = case
+    for a, m in rep.Psi.items():
+        n = rep.dims[a]
+        j, p = linalg.jordan_basis(linalg.int_matrix(m))
+        jm, pm = linalg.rational_matrix(j, n, n), linalg.rational_matrix(p, n, n)
+        assert jm == sheaf.sheaf_to_endo(points[a])[1]
+        assert _mul(m, pm, n, n) == _mul(pm, jm, n, n)
+        assert sympy.Matrix(pm).rank() == n
+        assert linalg.inverse(pm) == _inv(pm)
+        g = rand_invertible(rng, n)
+        assert linalg.inverse(g) == _inv(g)
+
+
+def test_relations_convert_each_matrix_once_and_the_round_trip_calls_no_mat_mul(monkeypatch):
+    # the first seed giving an intertwining case of total dimension 6 or more
+    rep, theta = next((rep, theta) for rep, _, _, theta, _ in
+                      (_planted_case(random.Random(seed)) for seed in range(100))
+                      if rep.total_dim >= 6 and adhm.check_relations(rep, theta).edges_zero)
+    calls = {"int_matrix": 0, "mat_mul": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(linalg, "int_matrix", counted("int_matrix", linalg.int_matrix))
+    monkeypatch.setattr(linalg, "mat_mul", counted("mat_mul", linalg.mat_mul))
+    adhm.check_relations(rep, theta)
+    assert 0 < calls["int_matrix"] <= len(rep.B) + len(rep.Psi)
+    calls["mat_mul"] = 0
+    sheaf.quadruple_to_quintuple(rep)
+    assert calls["mat_mul"] == 0
