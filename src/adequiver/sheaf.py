@@ -76,10 +76,6 @@ def _jordan_ints(data: TorsionSheafData) -> IntMat:
     return linalg.jordan_matrix((s, size) for s, parts in data.points for size in parts)
 
 
-def _jordan_block(lam, size: int) -> Mat:
-    return linalg.rational_matrix(linalg.jordan_matrix([(lam, size)]), size, size)
-
-
 def sheaf_to_endo(data: TorsionSheafData) -> tuple[int, Mat]:
     """(dimension, block Jordan matrix), supports in canonical order, blocks nonincreasing.
 

@@ -126,6 +126,12 @@ def test_char_poly():
     assert linalg.char_poly_coeffs([]) == [1]
 
 
+def _jordan(blocks):
+    """The Jordan matrix of (eigenvalue, size) blocks in the order given."""
+    n = sum(size for _, size in blocks)
+    return linalg.rational_matrix(linalg.jordan_matrix(blocks), n, n)
+
+
 def _intertwiner(rng, tgt, src):
     """Random X with J_tgt X = X J_src for Jordan matrices given as (eigenvalue, size) blocks.
 
@@ -222,8 +228,7 @@ class TestDictionary:
         blocks = {0: [(lam, 2), (lam, 2), (lam, 1), (mu, 3)],
                   1: [(lam, 3), (mu, 1), (lam, 1), (mu, 1)]}
         rng = random.Random(17)
-        planted = {a: linalg.block_diag([sheaf._jordan_block(s, n) for s, n in bl])
-                   for a, bl in blocks.items()}
+        planted = {a: _jordan(bl) for a, bl in blocks.items()}
         rep = adhm.N1Representation(
             A2, {0: 8, 1: 6, 2: 0},
             B={(0, 1, 0): _intertwiner(rng, blocks[1], blocks[0]),
@@ -299,8 +304,7 @@ def _planted_a2(rng):
     return adhm.N1Representation(
         A2, dims,
         B={k.key: _intertwiner(rng, blocks[k.target], blocks[k.source]) for k in arrows},
-        Psi={a: linalg.block_diag([sheaf._jordan_block(s, n) for s, n in bl])
-             for a, bl in blocks.items()},
+        Psi={a: _jordan(bl) for a, bl in blocks.items()},
         framing_ranks={0: framed},
         I={0: [[Fraction(rng.randint(-2, 2)) for _ in range(dims[0])]] * framed},
     )
