@@ -1,13 +1,13 @@
 """ADE root data, finite subgroup quivers, and matrix-data verification.
 
 The pieces, bottom up: exact rational linear algebra (`linalg`), Dynkin
-diagrams with marks and positive roots (`dynkin`), the finite subgroups
-of SL(2, C) with their character tables and graph matching (`gamma`),
-doubled/framed/looped quivers (`quiver`), node polynomials and their
-vanishing loci (`deformation`), relation and non-degeneracy checks for
-quiver representations (`adhm`), the torsion-module dictionary
-(`sheaf`), a symbolic two-term complex checker (`monad`), JSON file
-formats (`io`), and the command line (`cli`).
+diagrams with marks and positive roots (`dynkin`), polynomials over Q, Z
+and F_p (`poly`), the finite subgroups of SL(2, C) with their character
+tables and graph matching (`gamma`), doubled/framed/looped quivers
+(`quiver`), node polynomials and their vanishing loci (`deformation`),
+relation and non-degeneracy checks for quiver representations (`adhm`),
+the torsion-module dictionary (`sheaf`), a symbolic two-term complex
+checker (`monad`), JSON file formats (`io`), and the command line (`cli`).
 
 The names in `__all__` are re-exported lazily: `import adequiver` loads
 no submodule, and the first access to a name such as `adequiver.marks`
@@ -29,8 +29,8 @@ _EXPORTS = {
     ),
     "deformation": (
         "DeformationParam", "ExceptionalLocus", "IdenticallyZeroProjection", "NotARoot",
-        "Polynomial", "complete_affine_theta", "exceptional_locus", "is_generic",
-        "make_deformation", "theta_of_root",
+        "complete_affine_theta", "exceptional_locus", "is_generic", "make_deformation",
+        "theta_of_root",
     ),
     "dynkin": (
         "DynkinType", "Root", "cartan_matrix", "highest_root", "is_positive_root", "marks",
@@ -45,6 +45,7 @@ _EXPORTS = {
         "MonadData", "NCElement", "build_monad", "compose_and_check", "nc_multiply",
         "node_relation_defects",
     ),
+    "poly": ("Polynomial",),
     "quiver": (
         "QuiverSpec", "build_extended_quiver", "build_mckay_quiver", "build_n1_quiver",
         "to_dot",

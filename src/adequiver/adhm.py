@@ -26,9 +26,10 @@ from fractions import Fraction
 from typing import Mapping
 
 from . import linalg
-from .deformation import DeformationParam, Polynomial, poly_gcd, poly_roots, squarefree_part
+from .deformation import DeformationParam
 from .dynkin import DynkinType, InputTooLarge, node_labels
 from .linalg import IntMat, Mat, Vec
+from .poly import Polynomial, poly_gcd, poly_roots, squarefree_part
 from .quiver import QuiverSpec, build_n1_quiver
 
 ArrowKey = tuple  # (source, target, pair_index)
@@ -209,14 +210,11 @@ def is_nondegenerate(rep: N1Representation) -> bool:
     return all(spans[a].dim == rep.dims[a] for a in labels)
 
 
-def _char_poly(m: Mat) -> Polynomial:
-    return Polynomial.of(linalg.char_poly_coeffs(m))
-
-
 def support(rep: N1Representation) -> dict[int, list[complex]]:
     """Loop eigenvalues per node, repeated by their exact multiplicity, as float labels."""
     return {
-        a: [point for point, k in poly_roots(_char_poly(rep.Psi[a])) for _ in range(k)]
+        a: [point for point, k in poly_roots(Polynomial.of(linalg.char_poly_coeffs(rep.Psi[a])))
+            for _ in range(k)]
         for a in node_labels(rep.type, rep.affine)
     }
 
@@ -264,7 +262,7 @@ def check_support_property(rep: N1Representation, theta, tol: float = 1e-6) -> S
     for a in node_labels(rep.type, rep.affine):
         if rep.dims[a] == 0:
             continue
-        s = left = squarefree_part(_char_poly(rep.Psi[a]))
+        s = left = squarefree_part(Polynomial.of(linalg.char_poly_coeffs(rep.Psi[a])))
         shared = []
         for r, p in projections:
             g = poly_gcd(p, s)

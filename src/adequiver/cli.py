@@ -365,8 +365,7 @@ def cmd_sheafify(args, report: RunReport) -> None:
         "base_changes": {str(a): fileio.matrix_to_json(m) for a, m in sorted(g.items())},
     }
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(fileio.dump_json(record))
+        fileio.write_json(args.out, record)
         report.note(f"sheaf data written to {args.out}")
     report.check("converted", True, "loops reduced to point data")
 
@@ -381,8 +380,7 @@ def cmd_matrixify(args, report: RunReport) -> None:
                " ".join(f"{a}:{rep.dims[a]}" for a in sorted(rep.dims)))
     report.data = {"representation": record}
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(fileio.dump_json(record))
+        fileio.write_json(args.out, record)
         report.note(f"representation written to {args.out}")
     report.check("converted", True, "point data realised as matrices")
 
@@ -414,7 +412,7 @@ def _unsupported(report: RunReport, message: str) -> None:
 
 
 def cmd_monad_check(args, report: RunReport) -> None:
-    from . import adhm, deformation, io as fileio, monad
+    from . import adhm, io as fileio, monad, poly
     report.add_input(args.file)
     rep = fileio.load_representation(args.file)
     if rep.type.family != "A" or not rep.affine:
@@ -457,7 +455,7 @@ def cmd_monad_check(args, report: RunReport) -> None:
         for mono in monad.STRUCTURAL_ZERO_MONOMIALS
     )
     defects = {a: composite.diagonal_block("zz", a) for a in m.nodes}
-    theta_table = {a: deformation.Polynomial.constant(lam[a]) for a in range(n)}
+    theta_table = {a: poly.Polynomial.constant(lam[a]) for a in range(n)}
     agree = all(
         linalg.mat_eq(defects[a], adhm.node_residual(rep, theta_table, a))
         for a in range(n)

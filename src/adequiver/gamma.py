@@ -13,9 +13,9 @@ ring map to F_p, and it is injective on the group because p does not
 divide its order.  N = 2520 = lcm(1, ..., 10) serves every type up to
 rank 8, so p = 2521 there; longer cyclic and dihedral generators enlarge
 N to a multiple.  The group is closed on 4-tuples of residues, its class
-algebra split into central characters over F_p, and the McKay
-multiplicities read off as residues in {0, 1, 2}: no tolerance, seed or
-retry decides anything.
+algebra split into central characters over F_p (`poly._split_roots`), and
+the McKay multiplicities read off as residues in {0, 1, 2}: no
+tolerance, seed or retry decides anything.
 
 The complex matrices, the multiplication table and the complex character
 table are views of the exact data, built (with numpy) only when read:
@@ -36,6 +36,7 @@ from operator import mul
 
 from .dynkin import DynkinType
 from .linalg import ComputeFailure
+from .poly import _factor, _quotient, _split_roots
 
 CLOSURE_CAP = 200
 BASE_ORDER = 2520     # lcm(1, ..., 10): every root of unity the types up to rank 8 need
@@ -117,22 +118,11 @@ class PrimeField:
         return sum(c.numerator * pow(c.denominator, -1, p) * self.root(t) for c, t in x) % p
 
 
-def _prime_factors(m: int) -> list[int]:
-    out, q = [], 2
-    while q * q <= m:
-        if m % q == 0:
-            out.append(q)
-            while m % q == 0:
-                m //= q
-        q += 1
-    return out + ([m] if m > 1 else [])
-
-
 @lru_cache(maxsize=None)
 def prime_field(n: int) -> PrimeField:
     """The least prime p = 1 mod n, with omega = g^((p - 1) / n) for g its least primitive root."""
-    p = next(m for m in count(n + 1, n) if _prime_factors(m) == [m])
-    factors = _prime_factors(p - 1)
+    p = next(m for m in count(n + 1, n) if _factor(m) == [m])
+    factors = set(_factor(p - 1))
     g = next(g for g in count(2) if all(pow(g, (p - 1) // q, p) != 1 for q in factors))
     return PrimeField(p, n, pow(g, (p - 1) // n, p))
 
@@ -274,94 +264,6 @@ def enumerate_group(t: DynkinType) -> GammaGroup:
                       classes=classes, class_index=class_index, index=index)
 
 
-# -- polynomials over F_p (coefficient lists, lowest degree first) -------------
-
-def _trim(a: list) -> list:
-    while a and a[-1] == 0:
-        a.pop()
-    return a
-
-
-def _divmod(a: list, f: list, p: int) -> tuple[list, list]:
-    """(quotient, remainder) of a by monic f."""
-    a, df, low = list(a), len(f) - 1, f[:-1]
-    q = [0] * max(0, len(a) - df)
-    for k in range(len(a) - 1, df - 1, -1):
-        c = q[k - df] = a[k] % p
-        if c:
-            a[k - df:k] = [x - c * y for x, y in zip(a[k - df:k], low)]
-    return q, _trim([x % p for x in a[:df]])
-
-
-def _mulmod(a: list, b: list, f: list, p: int) -> list:
-    if not a or not b:
-        return []
-    if len(a) > len(b):
-        a, b = b, a
-    out, n = [0] * (len(a) + len(b) - 1), len(b)
-    for i, x in enumerate(a):
-        if x:
-            out[i:i + n] = [o + x * y for o, y in zip(out[i:i + n], b)]
-    return _divmod(out, f, p)[1]
-
-
-def _powmod(base: list, e: int, f: list, p: int) -> list:
-    """base^e mod f, squaring from the top bit down (cheap for a short base)."""
-    out = [1]
-    for bit in bin(e)[2:]:
-        out = _mulmod(out, out, f, p)
-        if bit == "1":
-            out = _mulmod(out, base, f, p)
-    return out
-
-
-def _monic_gcd(a: list, b: list, p: int) -> list:
-    a, b = _trim([c % p for c in a]), _trim([c % p for c in b])
-    while b:
-        lead = pow(b[-1], -1, p)
-        b = [c * lead % p for c in b]
-        a, b = b, _divmod(a, b, p)[1]
-    lead = pow(a[-1], -1, p)
-    return [c * lead % p for c in a]
-
-
-def _quotient(a: list, root: int, p: int) -> tuple[list, int]:
-    """(a / (x - root), a(root)) by synthetic division."""
-    acc, out = 0, []
-    for c in reversed(a):
-        acc = (acc * root + c) % p
-        out.append(acc)
-    return out[-2::-1], out[-1]
-
-
-def _split_roots(f: list, p: int) -> list[int]:
-    """The roots of monic f in F_p, which must split into distinct linear factors there.
-
-    Factors are separated by gcds with (x + a)^((p - 1) / 2) - 1 for
-    a = 0, 1, 2, ... (Cantor and Zassenhaus, with the shifts taken in
-    order, each part going on from the shift that made it); a factor that
-    no shift below p separates is not a product of distinct linear
-    factors, and raises DegenerateSpectrum.
-    """
-    roots, stack = [], [(f, 0)]
-    while stack:
-        g, start = stack.pop()
-        if len(g) == 2:
-            roots.append(-g[0] % p)
-            continue
-        for a in range(start, p):
-            h = _powmod([a, 1], (p - 1) // 2, g, p)
-            h = _trim([(h[0] if h else 0) - 1] + h[1:])
-            d = _monic_gcd(g, h, p) if h else g
-            if 1 < len(d) < len(g):
-                # every shift up to a leaves the roots of each part on one side
-                stack += [(d, a + 1), (_divmod(g, d, p)[0], a + 1)]
-                break
-        else:
-            raise DegenerateSpectrum("a class matrix has eigenvalues outside F_p or repeated ones")
-    return roots
-
-
 # -- the character table ----------------------------------------------------------
 
 def _class_matrices(g: GammaGroup) -> list[list[dict]]:
@@ -410,7 +312,10 @@ def _split(u: list, matrix: list[dict], p: int) -> list[list]:
     if len(comb) == 2:
         return [u]
     out, coordinates = [], list(zip(*krylov[:-1]))
-    for root in _split_roots(comb, p):
+    roots = _split_roots(comb, p)
+    if roots is None:
+        raise DegenerateSpectrum("a class matrix has eigenvalues outside F_p or repeated ones")
+    for root in roots:
         q, _ = _quotient(comb, root, p)
         scale = pow(_quotient(q, root, p)[1], -1, p)
         out.append([sum(map(mul, row, q)) * scale % p for row in coordinates])

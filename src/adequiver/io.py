@@ -9,13 +9,15 @@ command line maps to exit code 2.
 from __future__ import annotations
 
 import json
+import sys
 from fractions import Fraction
 from typing import Any
 
 from .adhm import N1Representation
-from .deformation import DeformationParam, Polynomial, complete_affine_theta, make_deformation
-from .dynkin import DynkinType, node_labels
+from .deformation import DeformationParam, complete_affine_theta, make_deformation
+from .dynkin import DynkinType, InputTooLarge, node_labels
 from .linalg import Mat, Vec
+from .poly import Polynomial
 from .sheaf import QuiverSheafData, TorsionSheafData
 
 
@@ -24,7 +26,16 @@ class SchemaError(Exception):
 
 
 def frac_to_str(x: Fraction) -> str:
-    return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
+    """x as p/q, or as p when it is an integer; InputTooLarge past the interpreter's
+    cap on the digits of a printed integer."""
+    try:
+        return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
+    except ValueError:
+        n = max(abs(x.numerator), x.denominator)
+        digits = int(n.bit_length() * 0.30102999566398120)      # log10(2), one short at most
+        digits += n >= 10 ** digits
+        raise InputTooLarge(f"a computed value of {digits} digits exceeds the cap "
+                            f"{sys.get_int_max_str_digits()} on printed digits") from None
 
 
 def _expect(v, kinds, what: str):
@@ -291,7 +302,19 @@ def read_json(path: str) -> Any:
         raise SchemaError(f"cannot read {path}: {e}") from None
     except json.JSONDecodeError as e:
         raise SchemaError(f"{path} is not valid JSON: {e}") from None
+    except RecursionError:
+        raise SchemaError(f"{path} nests deeper than the JSON reader can follow") from None
 
 
 def dump_json(record: dict) -> str:
     return json.dumps(record, indent=2, sort_keys=False) + "\n"
+
+
+def write_json(path: str, record: dict) -> None:
+    """record as `dump_json` text at path; SchemaError when path cannot be written."""
+    text = dump_json(record)
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as e:
+        raise SchemaError(f"cannot write {path}: {e}") from None

@@ -18,8 +18,8 @@ every term c*a*b or c*a accumulates in one integer pass, and the sum
 comes back over its least denominator, or as None when it is zero.  The
 `monad` blocks, the `adhm` residuals and the point-data round trip run
 on it.  `jordan_basis` takes and gives `IntMat`s: the characteristic
-polynomial (Faddeev-LeVerrier), the kernels of the shifted powers and
-the check m p == p J all stay on ints.
+polynomial (Faddeev-LeVerrier, its roots by `poly`), the kernels of the
+shifted powers and the check m p == p J all stay on ints.
 
 Every exception that means "this computation gave up on this input",
 here and in the modules above, derives from `ComputeFailure`; the
@@ -375,58 +375,14 @@ def char_poly_coeffs(m: Mat | IntMat) -> list[Fraction]:
     return [Fraction(ck, d ** k) for k, ck in enumerate(cs)][::-1]
 
 
-def _int_divisors(n: int) -> list[int]:
-    n = abs(n)
-    out = []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            if d != n // d:
-                out.append(n // d)
-        d += 1
-    return sorted(out)
-
-
 def rational_eigenvalues(m: Mat | IntMat) -> dict[Fraction, int]:
-    """Eigenvalues with algebraic multiplicity; error unless the spectrum is rational.
-
-    m as in `char_poly_coeffs`.  A candidate p/q in lowest terms is a
-    root of the integer characteristic polynomial iff
-    sum_i c_i p^i q^(d-i) = 0; each root found is divided out as the
-    integer factor q t - p.
-    """
+    """Eigenvalues with algebraic multiplicity, ascending; error unless the spectrum is
+    rational.  m as in `char_poly_coeffs`; the roots come from `poly._rational_roots`."""
+    from .poly import _rational_roots    # only the spectra need polynomial arithmetic
     coeffs = char_poly_coeffs(m)
-    n = len(coeffs) - 1
-    mult_zero = next((i for i, c in enumerate(coeffs) if c != 0), n)
-    eig: dict[Fraction, int] = {}
-    if mult_zero:
-        eig[Fraction(0)] = mult_zero
-        coeffs = coeffs[mult_zero:]
-    denom = lcm(*[c.denominator for c in coeffs])
-    work = [c.numerator * (denom // c.denominator) for c in coeffs]
-    found: dict[Fraction, int] = {}
-    heads = _int_divisors(work[0])
-    for q in _int_divisors(work[-1]) if len(work) > 1 else ():
-        for p in [s * h for h in heads if gcd(h, q) == 1 for s in (1, -1)]:
-            while len(work) > 1:
-                acc, qk = work[-1], 1
-                for c in reversed(work[:-1]):
-                    qk *= q
-                    acc = acc * p + c * qk
-                if acc:
-                    break
-                root = Fraction(p, q)
-                found[root] = found.get(root, 0) + 1
-                b = 0
-                for k in range(len(work) - 1, 0, -1):
-                    b = work[k] = (work[k] + p * b) // q
-                del work[0]
-    eig.update(sorted(found.items()))
+    eig, n = _rational_roots(coeffs), len(coeffs) - 1
     if sum(eig.values()) != n:
-        raise NonRationalSpectrum(
-            f"only {sum(eig.values())} of {n} eigenvalues are rational"
-        )
+        raise NonRationalSpectrum(f"only {sum(eig.values())} of {n} eigenvalues are rational")
     return eig
 
 

@@ -497,6 +497,29 @@ class TestConversions:
         assert code == 1
         assert "check non-rational-spectrum: FAIL" in out
 
+    @pytest.mark.parametrize("command", ["sheafify", "matrixify"])
+    def test_unwritable_out_is_input_well_formed(self, capsys, tmp_path, command):
+        # a missing directory or a directory itself as --out ended in a traceback
+        source = write(tmp_path, "rep.json", rep_record())
+        if command == "matrixify":
+            data, _ = sheaf.quadruple_to_quintuple(fileio.representation_from_dict(rep_record()))
+            source = write(tmp_path, "sheaf.json", fileio.sheaf_data_to_dict(data))
+        for target in (str(tmp_path / "absent" / "out.json"), str(tmp_path)):
+            code, out = run(capsys, command, source, "--out", target)
+            assert code == 2
+            assert f"check input-well-formed: FAIL  (cannot write {target}: " in out
+
+    def test_loop_with_a_large_smooth_eigenvalue_finishes(self, capsys, tmp_path):
+        # the candidate divisors of 2**70 come from its factorisation; trial
+        # division up to 2**35 kept both commands running for minutes
+        rep = write(tmp_path, "rep.json", {"type": "A1", "dims": {"0": 1, "1": 0},
+                                           "psi": {"0": [[str(2 ** 70)]]}})
+        with time_limit(5):
+            code, out = run(capsys, "sheafify", rep)
+            assert code == 0
+            assert f"node 0: point {2 ** 70} partition (1,)" in out
+            assert run(capsys, "roundtrip", rep)[0] == 0
+
     def test_matrixify_malformed(self, capsys, tmp_path):
         path = write(tmp_path, "sheaf.json", {"type": "A2", "nodes": {"0": {}}})
         code, out = run(capsys, "matrixify", path)
@@ -796,6 +819,31 @@ class TestSizeCaps:
         assert code == 0
         assert f"type A2, {3 * dynkin.MAX_DEGREE} locus points" in out
 
+    def test_value_too_long_to_print_is_input_too_large(self, capsys, tmp_path):
+        # a 6000-digit residual was blamed on the input as input-well-formed
+        big = "9" * 3000
+        theta = write(tmp_path, "theta.json", {"type": "A1", "theta": {"1": ["0", big]}})
+        rep = write(tmp_path, "rep.json", {"type": "A1", "dims": {"0": 1, "1": 1},
+                                           "psi": {"0": [[big]], "1": [[big]]}})
+        monad_rep = rep_record()
+        for arrow in monad_rep["arrows"][1:]:
+            arrow["matrix"] = [[big]]
+        monad_path = write(tmp_path, "monad.json", monad_rep)
+        for argv in (["check-rep", "--theta", theta, rep],
+                     ["monad-check", monad_path, "--lam", "0,0,0"]):
+            code, out = run(capsys, *argv)
+            assert code == 2, argv
+            assert "check input-too-large: FAIL  (a computed value of 6000 digits exceeds" in out
+
+
+@pytest.mark.parametrize("command", ["nondeg", "theta-validate", "matrixify"])
+def test_deeply_nested_json_is_input_well_formed(capsys, tmp_path, command):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 5000 + "]" * 5000)
+    code, out = run(capsys, command, str(deep))
+    assert code == 2
+    assert f"check input-well-formed: FAIL  ({deep} nests deeper than" in out
+
 
 @contextlib.contextmanager
 def time_limit(seconds: float):
@@ -916,12 +964,16 @@ class TestStartup:
 
     def test_subcommands_load_only_the_package_modules_they_use(self, tmp_path):
         rep = write(tmp_path, "rep.json", rep_record())
+        theta = write(tmp_path, "theta.json", theta_record())
         code = CHILD_MAIN.replace(
             "'numpy' if 'numpy' in sys.modules else 'no numpy'",
             "' '.join(sorted(m[10:] for m in sys.modules if m.startswith('adequiver.')))")
         light = "cli dynkin linalg quiver"
-        for argv, loaded in ((["roots", "A2"], light), (["quiver-dot", "D4"], light),
-                             (["nondeg", rep], "adhm cli deformation dynkin io linalg quiver sheaf")):
+        for argv, loaded in (
+                (["roots", "A2"], light), (["quiver-dot", "D4"], light),
+                (["nondeg", rep], "adhm cli deformation dynkin io linalg poly quiver sheaf"),
+                (["mckay-verify", "A2"], "cli dynkin gamma linalg poly quiver"),
+                (["exc-locus", theta], "adhm cli deformation dynkin io linalg poly quiver sheaf")):
             assert run_child(*argv, code=code)[::2] == (0, loaded), argv
 
     def test_every_exported_name_resolves_to_its_definition(self):

@@ -7,7 +7,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from adequiver import deformation as dfm
+from adequiver import deformation as dfm, poly
 from adequiver.dynkin import DynkinType, Root, positive_roots
 
 A1 = DynkinType.parse("A1")
@@ -88,7 +88,7 @@ class TestPolynomial:
     def test_squarefree_decomposition(self):
         # t (t-1)^2
         p = dfm.Polynomial.of([0, 1, -2, 1])
-        parts = dfm.squarefree_decomposition(p)
+        parts = poly.squarefree_decomposition(p)
         got = {(tuple(f.coefficients), k) for f, k in parts}
         assert got == {((0, 1), 1), ((-1, 1), 2)}
 

@@ -1,11 +1,12 @@
 import json
+import sys
 from fractions import Fraction
 
 import pytest
 
 from adequiver import adhm, io, sheaf
 from adequiver.deformation import Polynomial
-from adequiver.dynkin import DynkinType
+from adequiver.dynkin import DynkinType, InputTooLarge
 
 from helpers import worked_cycle_example
 
@@ -216,6 +217,14 @@ class TestFiles:
         bad.write_text("{nope")
         with pytest.raises(io.SchemaError):
             io.read_json(str(bad))
+
+    def test_value_past_the_print_cap_names_its_digits(self):
+        cap = sys.get_int_max_str_digits()
+        for x, digits in ((10 ** cap, cap + 1), (-(10 ** cap - 1) * 10, cap + 1),
+                          (Fraction(1, 10 ** (cap + 5) - 1), cap + 5)):
+            with pytest.raises(InputTooLarge, match=f"of {digits} digits exceeds the cap {cap}"):
+                io.frac_to_str(Fraction(x))
+        assert io.frac_to_str(Fraction(10 ** (cap - 1), 3)) == "1" + "0" * (cap - 1) + "/3"
 
     def test_load_representation(self, tmp_path):
         rep, _ = worked_cycle_example()
