@@ -12,16 +12,15 @@ Two families of defects are computed exactly:
 * edge defect at an arrow a -> b: Psi_b o B - B o Psi_a, the failure of
   the arrow to intertwine the loops.
 
-Each defect is summed in one integer pass of `linalg.sum_of_products`,
-at its full shape, so empty nodes need no special case; Theta_a(Psi_a)
-is integer Horner, and every arrow and loop is converted to integers
-once per check.
+Each defect is one integer pass of `linalg.sum_of_products` at its full
+shape, so empty nodes need no special case; Theta_a(Psi_a) is integer
+Horner.  Both read `N1Representation.ints`, the integer rows of B and Psi
+(`linalg.IntMat`), made once when it is built; B and Psi stay unchanged.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cache
 from fractions import Fraction
 from typing import Mapping
 
@@ -46,6 +45,21 @@ def check_total_dim(total: int) -> None:
         raise InputTooLarge(f"total dimension {total} exceeds the cap {MAX_TOTAL_DIM}")
 
 
+def _exact_matrix(ints: dict, key, m, want: tuple, error: str) -> Mat:
+    """m, rows of rationals or an `IntMat` (None: zeros), as Fractions; its integer rows
+    go to ints[key], each made once.  ValueError(error) unless m has the shape want."""
+    if m is None:
+        m = [[0] * want[1] for _ in range(want[0])], 1
+    if isinstance(m, tuple) and len(m) == 2 and isinstance(m[1], int):
+        ints[key], m = m, linalg.rational_matrix(m, *want)
+    else:
+        m = linalg.matrix(m)
+        ints[key] = linalg.int_matrix(m)
+    if not linalg.has_shape(m, *want):
+        raise ValueError(error)
+    return m
+
+
 @dataclass
 class N1Representation:
     type: DynkinType
@@ -66,22 +80,15 @@ class N1Representation:
         stray = set(self.B) - set(wants)
         if stray:
             raise ValueError(f"arrows {sorted(stray)} are not in the {self.type} quiver")
-
-        def coerced(m, want: tuple, error: str) -> Mat:
-            # m as Fractions, checked to have the shape want; zeros when absent
-            m = linalg.zeros(*want) if m is None else linalg.matrix(m)
-            if not linalg.has_shape(m, *want):
-                raise ValueError(error)
-            return m
-
-        self.B = {key: coerced(self.B.get(key), want, f"arrow {key} wants shape {want}")
-                  for key, want in wants.items()}
+        self.ints: dict[object, IntMat] = {}     # B and Psi as integer rows, by key
+        self.B = {k: _exact_matrix(self.ints, k, self.B.get(k), w, f"arrow {k} wants shape {w}")
+                  for k, w in wants.items()}
         for table, what in ((self.Psi, "loop"), (self.I, "framing")):
             stray = set(table) - set(labels)
             if stray:
                 raise ValueError(f"{what} data at unknown nodes {sorted(stray)}")
-        self.Psi = {a: coerced(self.Psi.get(a), (self.dims[a],) * 2,
-                               f"loop at {a} must be {self.dims[a]} square") for a in labels}
+        self.Psi = {a: _exact_matrix(self.ints, a, self.Psi.get(a), (self.dims[a],) * 2,
+                                     f"loop at {a} must be {self.dims[a]} square") for a in labels}
         ranks = {a: int(self.framing_ranks.get(a, 0)) for a in labels}
         if any(r < 0 for r in ranks.values()):
             raise ValueError("framing ranks must be nonnegative")
@@ -152,23 +159,21 @@ class RelationResidual:
 
 def _residuals(rep: N1Representation, theta, nodes, keys) -> RelationResidual:
     """Node residuals at nodes and edge residuals at arrow keys, each one sum of
-    products on integers; each arrow and loop is converted once, on first use."""
+    products on the representation's integer rows."""
     table = _theta_table(rep, theta) if nodes else {}
-    b = cache(lambda key: linalg.int_matrix(rep.B[key]))
-    psi = cache(lambda a: linalg.int_matrix(rep.Psi[a]))
     node_out = {}
     for a in nodes:                 # theta_a(Psi_a) + sum of sign * reverse o arrow out of a
         d = rep.dims[a]
-        theta_a = _evaluate(table[a], psi(a), d)
+        theta_a = _evaluate(table[a], rep.ints[a], d)
         terms = [(1, theta_a, None)] if theta_a else []
-        terms += [(arrow.sign, b(arrow.reversed_key()), b(arrow.key))
+        terms += [(arrow.sign, rep.ints[arrow.reversed_key()], rep.ints[arrow.key])
                   for arrow in rep.quiver.mckay_arrows() if arrow.source == a]
         node_out[a] = linalg.rational_matrix(linalg.sum_of_products(terms, d, d), d, d)
     edge_out = {}
     for key in keys:                # Psi_target B - B Psi_source
         src, tgt, _ = key
         rows, cols = rep.dims[tgt], rep.dims[src]
-        terms = [(1, psi(tgt), b(key)), (-1, b(key), psi(src))]
+        terms = [(1, rep.ints[tgt], rep.ints[key]), (-1, rep.ints[key], rep.ints[src])]
         edge_out[key] = linalg.rational_matrix(linalg.sum_of_products(terms, rows, cols),
                                                rows, cols)
     return RelationResidual(node_out, edge_out)
@@ -213,7 +218,7 @@ def is_nondegenerate(rep: N1Representation) -> bool:
 def support(rep: N1Representation) -> dict[int, list[complex]]:
     """Loop eigenvalues per node, repeated by their exact multiplicity, as float labels."""
     return {
-        a: [point for point, k in poly_roots(Polynomial.of(linalg.char_poly_coeffs(rep.Psi[a])))
+        a: [point for point, k in poly_roots(Polynomial.of(linalg.char_poly_coeffs(rep.ints[a])))
             for _ in range(k)]
         for a in node_labels(rep.type, rep.affine)
     }
@@ -262,7 +267,7 @@ def check_support_property(rep: N1Representation, theta, tol: float = 1e-6) -> S
     for a in node_labels(rep.type, rep.affine):
         if rep.dims[a] == 0:
             continue
-        s = left = squarefree_part(Polynomial.of(linalg.char_poly_coeffs(rep.Psi[a])))
+        s = left = squarefree_part(Polynomial.of(linalg.char_poly_coeffs(rep.ints[a])))
         shared = []
         for r, p in projections:
             g = poly_gcd(p, s)
@@ -292,26 +297,22 @@ def direct_sum(r1: N1Representation, r2: N1Representation) -> N1Representation:
     return N1Representation(r1.type, dims, b, psi, ranks, vectors, r1.affine)
 
 
-def transport(left: IntMat, m: IntMat, right: IntMat, rows: int, cols: int) -> Mat:
-    """left m right, all integer matrices with m rows x cols, as Fractions: two integer passes."""
+def transport(left: IntMat, m: IntMat, right: IntMat, rows: int, cols: int) -> IntMat | None:
+    """left m right, integer matrices with m rows x cols, in two passes; None when zero."""
     moved = linalg.sum_of_products([(1, m, right)], rows, cols)
-    moved = moved and linalg.sum_of_products([(1, left, moved)], rows, cols)
-    return linalg.rational_matrix(moved, rows, cols)
+    return moved and linalg.sum_of_products([(1, left, moved)], rows, cols)
 
 
 def conjugate(rep: N1Representation, g: Mapping[int, Mat]) -> N1Representation:
     """Change basis at every node: arrows g_b B g_a^{-1}, loops g Psi g^{-1}, vectors g v."""
     labels = node_labels(rep.type, rep.affine)
-    gm = {a: linalg.matrix(g[a]) for a in labels}
-    for a, m in gm.items():
-        if not linalg.has_shape(m, rep.dims[a], rep.dims[a]):
-            raise ValueError(f"base change at {a} must be {rep.dims[a]} square")
-    gi = {a: linalg.int_matrix(gm[a]) for a in labels}
-    ginv = {a: linalg.int_matrix(linalg.inverse(gm[a])) for a in labels}
-    b = {(s, t, i): transport(gi[t], linalg.int_matrix(m), ginv[s], rep.dims[t], rep.dims[s])
-         for (s, t, i), m in rep.B.items()}
-    psi = {a: transport(gi[a], linalg.int_matrix(m), ginv[a], rep.dims[a], rep.dims[a])
-           for a, m in rep.Psi.items()}
+    gi: dict[int, IntMat] = {}
+    gm = {a: _exact_matrix(gi, a, g[a], (rep.dims[a],) * 2,
+                           f"base change at {a} must be {rep.dims[a]} square") for a in labels}
+    ginv = {a: linalg.inverse_ints(gi[a]) for a in labels}
+    b = {(s, t, i): transport(gi[t], rep.ints[s, t, i], ginv[s], rep.dims[t], rep.dims[s])
+         for s, t, i in rep.B}
+    psi = {a: transport(gi[a], rep.ints[a], ginv[a], rep.dims[a], rep.dims[a]) for a in labels}
     vectors = {a: [linalg.mat_vec(gm[a], v) for v in rep.I[a]] for a in labels}
     return N1Representation(
         rep.type, dict(rep.dims), b, psi, dict(rep.framing_ranks), vectors, rep.affine

@@ -271,26 +271,22 @@ def cmd_check_rep(args, report: RunReport) -> None:
         # a file refused as input fails its own verdict; the others keep theirs
         try:
             rep, residual, nondeg, support_report = _check_one_rep(path, theta)
+            # formatted here, so a value too long to print fails this file alone
+            nodes = {a: "0" if linalg.is_zero_matrix(m) else _fmt_matrix(m)
+                     for a, m in sorted(residual.node_residuals.items())}
+            edges = {key: _fmt_matrix(m) for key, m in sorted(residual.edge_residuals.items())
+                     if not linalg.is_zero_matrix(m)}
+            node_json = {str(a): "0" if linalg.is_zero_matrix(m) else fileio.matrix_to_json(m)
+                         for a, m in sorted(residual.node_residuals.items())}
         except (dynkin.InputTooLarge, *_input_errors()) as e:
             _refuse(report, e, f"; file {path}")
             continue
         report.say(f"-- {path} (type {rep.type}, total dimension {rep.total_dim})")
-        for a in sorted(residual.node_residuals):
-            m = residual.node_residuals[a]
-            text = "0" if linalg.is_zero_matrix(m) else _fmt_matrix(m)
+        for a, text in nodes.items():
             report.say(f"node {a} residual: {text}")
-        for key in sorted(residual.edge_residuals):
-            m = residual.edge_residuals[key]
-            if not linalg.is_zero_matrix(m):
-                report.say(f"edge {key} residual: {_fmt_matrix(m)}")
-        entry = {
-            "path": path,
-            "node_residuals": {
-                str(a): ("0" if linalg.is_zero_matrix(m) else fileio.matrix_to_json(m))
-                for a, m in sorted(residual.node_residuals.items())
-            },
-            "edges_zero": residual.edges_zero,
-        }
+        for key, text in edges.items():
+            report.say(f"edge {key} residual: {text}")
+        entry = {"path": path, "node_residuals": node_json, "edges_zero": residual.edges_zero}
         report.check(f"{path}: node-relations", residual.nodes_zero,
                      "all node residuals vanish" if residual.nodes_zero
                      else "some node residual is nonzero")

@@ -8,8 +8,8 @@ unique map between zero-dimensional spaces.
 The exact kernels run on Python ints and build each output Fraction
 once.  Products (`mat_mul`, `mat_vec`) clear denominators and multiply
 integer numerators, skipping zero entries.  Elimination (`rref`, `rank`,
-`nullspace`, `inverse`) and `SpanBasis` are fraction-free on integer
-rows kept primitive; one integer core serves them all.
+`nullspace`, `inverse_ints`; `inverse` wraps it) and `SpanBasis` are
+fraction-free on integer rows kept primitive; one core serves them all.
 
 An `IntMat` is integer rows over one denominator (`int_matrix`;
 `rational_matrix` reads Fractions back).  `sum_of_products` is the
@@ -305,17 +305,26 @@ def nullspace(m: Mat) -> list[Vec]:
             for v, e in _kernel(_row_ints(m)[0], shape(m)[1])]
 
 
-def inverse(m: Mat) -> Mat:
-    """m^-1: row i of m is a_i / d_i, and [a_i | d_i e_i] reduces to [I | m^-1] on ints."""
-    n, c = shape(m)
-    if n != c:
+def inverse_ints(m: IntMat) -> IntMat:
+    """m^-1 on integer rows: for m = a / d, [a | d I] reduces to [I | m^-1] fraction-free
+    (`_rref_ints`), and the inverse comes back over its least denominator."""
+    a, d = m
+    n = len(a)
+    if any(len(row) != n for row in a):
         raise ValueError("inverse of a non-square matrix")
-    ints, ds = _row_ints(m)
     red, pivots = _rref_ints([row + [d if j == i else 0 for j in range(n)]
-                              for i, (row, d) in enumerate(zip(ints, ds))])
+                              for i, row in enumerate(a)])
     if pivots != list(range(n)):
         raise ValueError("matrix is singular")
-    return [[Fraction(x, row[i]) if x else _ZERO for x in row[n:]] for i, row in enumerate(red)]
+    e = lcm(*(row[i] for i, row in enumerate(red)))      # row i is its pivot times [e_i | ...]
+    out = [[x * (e // row[i]) for x in row[n:]] for i, row in enumerate(red)]
+    g = gcd(e, *(x for row in out for x in row))
+    return [[x // g for x in row] for row in out], e // g
+
+
+def inverse(m: Mat) -> Mat:
+    """m^-1 as Fractions (`inverse_ints`); ValueError when m is singular or not square."""
+    return rational_matrix(inverse_ints(int_matrix(m)), len(m), len(m))
 
 
 class SpanBasis:
@@ -449,4 +458,4 @@ def jordan_form(m: Mat) -> tuple[Mat, Mat]:
     """(J, g) with g m g^{-1} == J exactly: `jordan_basis` with g the inverse of p."""
     n = len(m)
     j, p = jordan_basis(int_matrix(m))
-    return rational_matrix(j, n, n), inverse(rational_matrix(p, n, n))
+    return rational_matrix(j, n, n), rational_matrix(inverse_ints(p), n, n)

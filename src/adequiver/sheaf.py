@@ -11,19 +11,20 @@ The same dictionary upgraded to quivers: a representation whose loops
 all intertwine with the arrow maps (zero edge defects) corresponds to
 per-node torsion modules plus arrow maps written in the Jordan bases,
 with framing vectors carried along by the same base change.  The round
-trip runs on integer rows (`linalg.IntMat`): each loop and arrow is
-converted once, each Jordan matrix is built from its partitions, and
-Fractions are made only for the fields of the results.
+trip runs on the integer rows (`linalg.IntMat`) that representations and
+`QuiverSheafData` keep and on one Jordan matrix per `TorsionSheafData`
+(`.jordan`), and makes Fractions only for the fields of the results.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Mapping, Sequence
 
 from . import linalg
-from .adhm import ArrowKey, N1Representation, check_total_dim, transport
+from .adhm import ArrowKey, N1Representation, _exact_matrix, check_total_dim, transport
 from .dynkin import DynkinType, node_labels
 from .linalg import ComputeFailure, IntMat, Mat, Vec
 from .quiver import build_n1_quiver
@@ -70,10 +71,10 @@ class TorsionSheafData:
     def dimension(self) -> int:
         return sum(sum(parts) for _, parts in self.points)
 
-
-def _jordan_ints(data: TorsionSheafData) -> IntMat:
-    """The block Jordan matrix of the points, as integer rows; TypeError on a complex support."""
-    return linalg.jordan_matrix((s, size) for s, parts in data.points for size in parts)
+    @cached_property
+    def jordan(self) -> IntMat:
+        """The points' Jordan matrix on integer rows, built once; TypeError on complex supports."""
+        return linalg.jordan_matrix((s, size) for s, parts in self.points for size in parts)
 
 
 def sheaf_to_endo(data: TorsionSheafData) -> tuple[int, Mat]:
@@ -82,7 +83,7 @@ def sheaf_to_endo(data: TorsionSheafData) -> tuple[int, Mat]:
     TypeError on a support that is not rational.
     """
     n = data.dimension
-    return n, linalg.rational_matrix(_jordan_ints(data), n, n)
+    return n, linalg.rational_matrix(data.jordan, n, n)
 
 
 def _partition_from_kernel_dims(dims: list[int]) -> tuple[int, ...]:
@@ -173,13 +174,13 @@ class QuiverSheafData:
         # Jordan matrices only where an arrow needs one, and only of rational supports
         touched = list(dict.fromkeys(a for key in self.arrow_maps for a in key[:2]))
         _require_rational(self.node_sheaves, touched)
-        self.arrow_maps = {key: linalg.matrix(m) for key, m in self.arrow_maps.items()}
-        for (s, t, i), m in self.arrow_maps.items():
-            want = (self.node_sheaves[t].dimension, self.node_sheaves[s].dimension)
-            if not linalg.has_shape(m, *want):
-                raise ValueError(f"arrow {(s, t, i)} wants shape {want}")
-        _check_intertwining({a: _jordan_ints(self.node_sheaves[a]) for a in touched},
-                            {key: linalg.int_matrix(m) for key, m in self.arrow_maps.items()})
+        self.ints: dict[ArrowKey, IntMat] = {}     # the arrow maps as integer rows
+        maps = {}
+        for key, m in self.arrow_maps.items():
+            want = (self.node_sheaves[key[1]].dimension, self.node_sheaves[key[0]].dimension)
+            maps[key] = _exact_matrix(self.ints, key, m, want, f"arrow {key} wants shape {want}")
+        self.arrow_maps = maps
+        _check_intertwining({a: self.node_sheaves[a].jordan for a in touched}, self.ints)
 
 
 def quadruple_to_quintuple(rep: N1Representation) -> tuple[QuiverSheafData, dict[int, Mat]]:
@@ -192,24 +193,21 @@ def quadruple_to_quintuple(rep: N1Representation) -> tuple[QuiverSheafData, dict
     per-node base changes g (new = g * old), so callers can verify the transport.
     """
     labels = node_labels(rep.type, rep.affine)
-    psi = {a: linalg.int_matrix(rep.Psi[a]) for a in labels}
     sheaves: dict[int, TorsionSheafData] = {}
-    g: dict[int, Mat] = {}
     p: dict[int, IntMat] = {}
     for a in labels:
         try:
-            j, p[a] = linalg.jordan_basis(psi[a])
+            j, p[a] = linalg.jordan_basis(rep.ints[a])
         except linalg.NonRationalSpectrum:
-            _check_intertwining(psi, {k: linalg.int_matrix(m) for k, m in rep.B.items()})
+            _check_intertwining(rep.ints, {k: rep.ints[k] for k in rep.B})
             raise
         sheaves[a] = _jordan_points(j)
-        if sheaves[a].dimension != rep.dims[a] or _jordan_ints(sheaves[a]) != j:
+        if sheaves[a].dimension != rep.dims[a] or sheaves[a].jordan != j:
             raise AssertionError("jordan data disagrees with the partition data")
-        n = rep.dims[a]
-        g[a] = linalg.inverse(linalg.rational_matrix(p[a], n, n))
-    gi = {a: linalg.int_matrix(m) for a, m in g.items()}
-    arrows = {(s, t, i): transport(gi[t], linalg.int_matrix(m), p[s], rep.dims[t], rep.dims[s])
-              for (s, t, i), m in rep.B.items()}
+    gi = {a: linalg.inverse_ints(p[a]) for a in labels}
+    g = {a: linalg.rational_matrix(gi[a], rep.dims[a], rep.dims[a]) for a in labels}
+    arrows = {(s, t, i): transport(gi[t], rep.ints[s, t, i], p[s], rep.dims[t], rep.dims[s])
+              for s, t, i in rep.B}
     vectors = {a: [linalg.mat_vec(g[a], v) for v in rep.I[a]] for a in labels}
     data = QuiverSheafData(
         type=rep.type,
@@ -226,15 +224,11 @@ def quintuple_to_quadruple(data: QuiverSheafData) -> N1Representation:
     """Representation with Jordan loops read off the torsion data."""
     labels = node_labels(data.type, data.affine)
     _require_rational(data.node_sheaves, labels)
-    dims = {}
-    psi = {}
-    for a in labels:
-        dims[a], psi[a] = sheaf_to_endo(data.node_sheaves[a])
     return N1Representation(
         type=data.type,
-        dims=dims,
-        B={k: [row[:] for row in m] for k, m in data.arrow_maps.items()},
-        Psi=psi,
+        dims={a: data.node_sheaves[a].dimension for a in labels},
+        B=dict(data.ints),
+        Psi={a: data.node_sheaves[a].jordan for a in labels},
         framing_ranks=dict(data.framing_ranks),
         I={a: [list(v) for v in data.framing_vectors.get(a, [])] for a in labels},
         affine=data.affine,

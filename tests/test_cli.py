@@ -835,6 +835,21 @@ class TestSizeCaps:
             assert code == 2, argv
             assert "check input-too-large: FAIL  (a computed value of 6000 digits exceeds" in out
 
+    def test_value_too_long_to_print_fails_only_its_file(self, capsys, tmp_path):
+        big = "9" * 3000
+        theta = write(tmp_path, "theta.json", {"type": "A1", "theta": {"1": ["0", big]}})
+        huge = write(tmp_path, "big.json", {"type": "A1", "dims": {"0": 1, "1": 1},
+                                            "psi": {"0": [[big]], "1": [[big]]}})
+        small = [write(tmp_path, f"ok{k}.json", {"type": "A1", "dims": {"0": 0, "1": 1}})
+                 for k in (1, 2)]
+        code, out = run(capsys, "check-rep", "--theta", theta, small[0], huge, small[1])
+        assert code == 2
+        assert f"exceeds the cap 4300 on printed digits; file {huge})" in out
+        assert f"-- {huge}" not in out
+        for path in small:
+            assert f"-- {path} (type A1, total dimension 1)" in out
+            assert f"check {path}: node-relations: pass" in out
+
 
 @pytest.mark.parametrize("command", ["nondeg", "theta-validate", "matrixify"])
 def test_deeply_nested_json_is_input_well_formed(capsys, tmp_path, command):

@@ -13,18 +13,19 @@ base change at every node.
 
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from adequiver import adhm, linalg, sheaf
+from adequiver import adhm, io as fileio, linalg, sheaf
 from adequiver.deformation import Polynomial
 from adequiver.dynkin import DynkinType, node_labels
 from adequiver.quiver import build_n1_quiver
 
-from helpers import mat_from_sympy, rand_frac, rand_invertible
+from helpers import mat_from_sympy, rand_frac, rand_invertible, rand_matrix
 
 TYPES = (DynkinType.parse("A2"), DynkinType.parse("A3"))
 EIGENVALUES = (Fraction(0), Fraction(1, 2), Fraction(-2, 3), Fraction(3))
@@ -224,18 +225,87 @@ def test_relations_convert_each_matrix_once_and_the_round_trip_calls_no_mat_mul(
     rep, theta = next((rep, theta) for rep, _, _, theta, _ in
                       (_planted_case(random.Random(seed)) for seed in range(100))
                       if rep.total_dim >= 6 and adhm.check_relations(rep, theta).edges_zero)
-    calls = {"int_matrix": 0, "mat_mul": 0}
+    converted, calls = [], {"mat_mul": 0}
+    int_matrix, mat_mul = linalg.int_matrix, linalg.mat_mul
 
-    def counted(name, fn):
-        def wrapper(*args):
-            calls[name] += 1
-            return fn(*args)
-        return wrapper
+    def convert(m):
+        converted.append(m)         # kept alive, so no two arguments share an id
+        return int_matrix(m)
 
-    monkeypatch.setattr(linalg, "int_matrix", counted("int_matrix", linalg.int_matrix))
-    monkeypatch.setattr(linalg, "mat_mul", counted("mat_mul", linalg.mat_mul))
+    def multiply(*args):
+        calls["mat_mul"] += 1
+        return mat_mul(*args)
+
+    monkeypatch.setattr(linalg, "int_matrix", convert)
+    monkeypatch.setattr(linalg, "mat_mul", multiply)
+    rep = adhm.N1Representation(rep.type, rep.dims, rep.B, rep.Psi, rep.framing_ranks, rep.I)
+    assert len(converted) == len(rep.B) + len(rep.Psi)
+    converted.clear()
     adhm.check_relations(rep, theta)
-    assert 0 < calls["int_matrix"] <= len(rep.B) + len(rep.Psi)
-    calls["mat_mul"] = 0
-    sheaf.quadruple_to_quintuple(rep)
+    data, g = sheaf.quadruple_to_quintuple(rep)
+    back = sheaf.quintuple_to_quadruple(data)
+    moved = adhm.conjugate(rep, g)
+    assert back == moved
     assert calls["mat_mul"] == 0
+    # past construction no matrix of a representation is converted; conjugate converts
+    # each base change once, and each transport each framing vector once
+    held = [*data.arrow_maps.values()] + [m for r in (rep, back, moved)
+                                          for m in [*r.B.values(), *r.Psi.values()]]
+    assert not {id(m) for m in held} & {id(m) for m in converted}
+    assert len({id(m) for m in converted}) == len(converted)
+    assert len(converted) == len(g) + 2 * sum(len(vs) for vs in rep.I.values())
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 5])
+def test_inverse_ints_matches_sympy_over_its_least_denominator(n):
+    rng = random.Random(n)
+    for _ in range(25):
+        m = rand_matrix(rng, n, n)
+        a, d = linalg.int_matrix(m)
+        scale = rng.choice((1, 2, 6))           # the same matrix over a larger denominator
+        ints = [[x * scale for x in row] for row in a], d * scale
+        if n and sympy.Matrix(m).det() == 0:
+            with pytest.raises(ValueError, match="singular"):
+                linalg.inverse_ints(ints)
+            continue
+        rows, e = linalg.inverse_ints(ints)
+        assert e > 0 and gcd(e, *(x for row in rows for x in row)) == 1
+        assert linalg.rational_matrix((rows, e), n, n) == _inv(m)
+
+
+@pytest.mark.parametrize("rows", [[[0]], [[1, 2], [2, 4]],
+                                  [[Fraction(1, 2), 1, 0], [1, 2, 0], [0, 0, 3]]])
+def test_inverse_ints_rejects_singular(rows):
+    with pytest.raises(ValueError, match="singular"):
+        linalg.inverse_ints(linalg.int_matrix(linalg.matrix(rows)))
+
+
+@settings(max_examples=40)
+@given(planted_cases)
+def test_a_representation_built_from_integer_rows_equals_the_fraction_one(case):
+    rep, _, _, _, rng = case
+    scale = rng.choice((1, 3))                  # integer rows not over their least denominator
+    ints = {k: ([[x * scale for x in row] for row in a], d * scale) for k, (a, d) in rep.ints.items()}
+    built = adhm.N1Representation(rep.type, dict(rep.dims), {k: ints[k] for k in rep.B},
+                                  {a: ints[a] for a in rep.Psi}, dict(rep.framing_ranks), rep.I)
+    assert built == rep
+    assert built.ints == ints
+    assert fileio.dump_json(fileio.representation_to_dict(built)) \
+        == fileio.dump_json(fileio.representation_to_dict(rep))
+
+
+def test_round_trip_with_a_zero_dimensional_node():
+    # node 2 is empty; the arrows between nodes 0 and 1 intertwine the Jordan loops
+    planted = adhm.N1Representation(
+        TYPES[0], {0: 2, 1: 1, 2: 0}, {(0, 1, 0): [[0, 2]], (1, 0, 0): [[Fraction(1, 2)], [0]]},
+        {0: [[3, 1], [0, 3]], 1: [[3]]}, {0: 1}, {0: [[1, -1]]})
+    rng = random.Random(3)
+    rep = adhm.conjugate(planted, {a: rand_invertible(rng, n) for a, n in planted.dims.items()})
+    data, g = sheaf.quadruple_to_quintuple(rep)
+    assert data.node_sheaves[2].points == () and g[2] == []
+    assert data.node_sheaves[0] == sheaf.TorsionSheafData.of([(3, [2])])
+    back = sheaf.quintuple_to_quadruple(data)
+    assert back == adhm.conjugate(rep, g)
+    assert back.Psi == {0: [[3, 1], [0, 3]], 1: [[3]], 2: []}
+    assert back.B[1, 2, 0] == [] and back.B[2, 0, 0] == [[], []]
+    assert back.ints[1, 2, 0] == ([], 1) and back.ints[2, 0, 0] == ([[], []], 1)
