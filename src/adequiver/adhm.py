@@ -60,6 +60,31 @@ def _exact_matrix(ints: dict, key, m, want: tuple, error: str) -> Mat:
     return m
 
 
+def _framing(dims: Mapping[int, int], ranks: Mapping, vectors: Mapping) -> tuple[dict, dict]:
+    """Framing ranks and Fraction vectors at every node of dims; ValueError unless every
+    rank is nonnegative and its node holds that many vectors of the node's dimension."""
+    ranks = {a: int(ranks.get(a, 0)) for a in dims}
+    if any(r < 0 for r in ranks.values()):
+        raise ValueError("framing ranks must be nonnegative")
+    out = {}
+    for a, n in dims.items():
+        out[a] = [[linalg.frac(x) for x in v] for v in vectors.get(a, [])]
+        if len(out[a]) != ranks[a]:
+            raise ValueError(f"node {a} wants {ranks[a]} framing vectors")
+        if any(len(v) != n for v in out[a]):
+            raise ValueError(f"framing vectors at {a} must have length {n}")
+    return ranks, out
+
+
+def _images(m: IntMat, vectors: list[Vec], rows: int) -> list[Vec]:
+    """m v as Fractions for every vector v, in one `linalg.sum_of_products`."""
+    if not vectors:
+        return []
+    moved = linalg.sum_of_products([(1, linalg.int_matrix(vectors), linalg._transposed(m))],
+                                   len(vectors), rows)
+    return linalg.rational_matrix(moved, len(vectors), rows)
+
+
 @dataclass
 class N1Representation:
     type: DynkinType
@@ -89,19 +114,8 @@ class N1Representation:
                 raise ValueError(f"{what} data at unknown nodes {sorted(stray)}")
         self.Psi = {a: _exact_matrix(self.ints, a, self.Psi.get(a), (self.dims[a],) * 2,
                                      f"loop at {a} must be {self.dims[a]} square") for a in labels}
-        ranks = {a: int(self.framing_ranks.get(a, 0)) for a in labels}
-        if any(r < 0 for r in ranks.values()):
-            raise ValueError("framing ranks must be nonnegative")
-        self.framing_ranks = ranks
-        vectors = {}
-        for a in labels:
-            vs = [[linalg.frac(x) for x in v] for v in self.I.get(a, [])]
-            if len(vs) != ranks[a]:
-                raise ValueError(f"node {a} wants {ranks[a]} framing vectors")
-            if any(len(v) != self.dims[a] for v in vs):
-                raise ValueError(f"framing vectors at {a} must have length {self.dims[a]}")
-            vectors[a] = vs
-        self.I = vectors
+        self.framing_ranks, self.I = _framing({a: self.dims[a] for a in labels},
+                                              self.framing_ranks, self.I)
 
     @property
     def quiver(self) -> QuiverSpec:
@@ -200,18 +214,25 @@ def is_nondegenerate(rep: N1Representation) -> bool:
     Grows the span of the framing vectors under every arrow map and
     every loop: each vector that enlarges a span passes its images on, once,
     until none is left.  Then compares dimensions; zero dimensional nodes
-    are vacuously covered.
+    are vacuously covered.  It runs on integer rows: the spans' own rows
+    and `rep.ints`, whose denominators a span ignores.
     """
     labels = node_labels(rep.type, rep.affine)
     spans = {a: linalg.SpanBasis(rep.dims[a]) for a in labels}
-    maps = {a: [(a, rep.Psi[a])] for a in labels}
+    maps = {a: [(a, linalg._transposed(rep.ints[a]))] for a in labels}
     for k in rep.quiver.mckay_arrows():
-        maps[k.source].append((k.target, rep.B[k.key]))
-    todo = [(a, v) for a in labels for v in rep.I[a]]
-    while todo:
-        a, v = todo.pop()
-        if spans[a].add(v):
-            todo += [(b, linalg.mat_vec(m, v)) for b, m in maps[a]]
+        maps[k.source].append((k.target, linalg._transposed(rep.ints[k.key])))
+    todo = []
+    for a in labels:
+        for v in rep.I[a]:
+            spans[a].add(v)
+        todo += [(a, w) for w in spans[a].rows]
+    while todo:                     # each w lies in spans[a]; its images are not yet added
+        a, w = todo.pop()
+        for b, mt in maps[a]:
+            image = linalg.sum_of_products([(1, ([w], 1), mt)], 1, rep.dims[b])
+            if image and spans[b].add(image[0][0]):
+                todo.append((b, image[0][0]))
     return all(spans[a].dim == rep.dims[a] for a in labels)
 
 
@@ -307,13 +328,14 @@ def conjugate(rep: N1Representation, g: Mapping[int, Mat]) -> N1Representation:
     """Change basis at every node: arrows g_b B g_a^{-1}, loops g Psi g^{-1}, vectors g v."""
     labels = node_labels(rep.type, rep.affine)
     gi: dict[int, IntMat] = {}
-    gm = {a: _exact_matrix(gi, a, g[a], (rep.dims[a],) * 2,
-                           f"base change at {a} must be {rep.dims[a]} square") for a in labels}
+    for a in labels:
+        _exact_matrix(gi, a, g[a], (rep.dims[a],) * 2,
+                      f"base change at {a} must be {rep.dims[a]} square")
     ginv = {a: linalg.inverse_ints(gi[a]) for a in labels}
     b = {(s, t, i): transport(gi[t], rep.ints[s, t, i], ginv[s], rep.dims[t], rep.dims[s])
          for s, t, i in rep.B}
     psi = {a: transport(gi[a], rep.ints[a], ginv[a], rep.dims[a], rep.dims[a]) for a in labels}
-    vectors = {a: [linalg.mat_vec(gm[a], v) for v in rep.I[a]] for a in labels}
+    vectors = {a: _images(gi[a], rep.I[a], rep.dims[a]) for a in labels}
     return N1Representation(
         rep.type, dict(rep.dims), b, psi, dict(rep.framing_ranks), vectors, rep.affine
     )
@@ -331,5 +353,6 @@ def trace_identity_defect(rep: N1Representation, theta) -> Fraction:
     table = _theta_table(rep, theta)
     total = Fraction(0)
     for a in node_labels(rep.type, rep.affine):
-        total += linalg.trace(evaluate_on_matrix(table[a], rep.Psi[a]))
+        rows, d = _evaluate(table[a], rep.ints[a], rep.dims[a]) or ([], 1)
+        total += Fraction(sum(row[i] for i, row in enumerate(rows)), d)
     return total

@@ -167,8 +167,7 @@ class GammaGroup:
     `residues[r]` holds the entries (a, b, c, d) of element r = [[a, b], [c, d]]
     mod `fp.p`; element 0 is the identity, and element r > 0 is
     `residues[tree[r][0]]` times generator `tree[r][1]`.  `elements`,
-    `mult_table`, `inverse` and `class_of` are numpy views built on first
-    use.
+    `mult_table` and `inverse` are numpy views built on first use.
     """
 
     type: DynkinType
@@ -207,11 +206,6 @@ class GammaGroup:
     def inverse(self):
         import numpy as np
         return np.array([self.inverse_index(r) for r in range(self.order)], dtype=int)
-
-    @property
-    def class_of(self):
-        import numpy as np
-        return np.array(self.class_index, dtype=int)
 
 
 def enumerate_group(t: DynkinType) -> GammaGroup:

@@ -250,10 +250,6 @@ def sheaf_data_from_dict(record: Any) -> QuiverSheafData:
     affine = 0 in sheaves
     maps = _arrows_from_json(record)
     ranks, vectors = _framing_from_json(record)
-    labels = node_labels(t, affine)
-    for a in labels:
-        ranks.setdefault(a, 0)
-        vectors.setdefault(a, [])
     try:
         return QuiverSheafData(
             type=t, node_sheaves=sheaves, arrow_maps=maps,

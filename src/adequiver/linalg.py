@@ -6,20 +6,17 @@ its arguments; every function hands back fresh lists.  Empty matrices
 unique map between zero-dimensional spaces.
 
 The exact kernels run on Python ints and build each output Fraction
-once.  Products (`mat_mul`, `mat_vec`) clear denominators and multiply
-integer numerators, skipping zero entries.  Elimination (`rref`, `rank`,
-`nullspace`, `inverse_ints`; `inverse` wraps it) and `SpanBasis` are
-fraction-free on integer rows kept primitive; one core serves them all.
-
-An `IntMat` is integer rows over one denominator (`int_matrix`;
-`rational_matrix` reads Fractions back).  `sum_of_products` is the
-kernel for sums of products on them: the caller gives the output shape,
-every term c*a*b or c*a accumulates in one integer pass, and the sum
-comes back over its least denominator, or as None when it is zero.  The
-`monad` blocks, the `adhm` residuals and the point-data round trip run
-on it.  `jordan_basis` takes and gives `IntMat`s: the characteristic
-polynomial (Faddeev-LeVerrier, its roots by `poly`), the kernels of the
-shifted powers and the check m p == p J all stay on ints.
+once.  An `IntMat` is integer rows over one denominator (`int_matrix`;
+`rational_matrix` reads Fractions back).  There is one integer product,
+`sum_of_products`: the caller gives the output shape, every term c*a*b
+or c*a on `IntMat`s accumulates in one integer pass, and the sum comes
+back over its least denominator, or as None when it is zero.  `mat_mul`
+is its Fraction front; the `monad` blocks, the `adhm` residuals, the
+point-data round trip, the characteristic polynomial (Faddeev-LeVerrier,
+its roots by `poly`) and the powers and chains of `jordan_basis` run on
+it.  Elimination (`rref`, `rank`, `nullspace`, `inverse_ints`; `inverse`
+wraps it) and `SpanBasis` are fraction-free on integer rows kept
+primitive; one core serves them all.
 
 Every exception that means "this computation gave up on this input",
 here and in the modules above, derives from `ComputeFailure`; the
@@ -109,44 +106,14 @@ def mat_scale(c, a: Mat) -> Mat:
     return [[c * x for x in row] for row in a]
 
 
-def _mul_ints(a: list, b: list, cols: int) -> list:
-    # integer rows a times b, i-k-j order over b's nonzero (column, value)
-    # pairs, skipping zero entries of a
-    b = [[(j, y) for j, y in enumerate(row) if y] for row in b]
-    out = []
-    for row in a:
-        acc = [0] * cols
-        for x, b_row in zip(row, b):
-            if x:
-                for j, y in b_row:
-                    acc[j] += x * y
-        out.append(acc)
-    return out
-
-
-def _row_ints(m: Mat) -> tuple[list, list]:
-    # (int rows, denominators): each row over its own lcm keeps the ints small
-    ds = [lcm(*{x.denominator for x in row}) for row in m]
-    return [[x.numerator * (d // x.denominator) for x in row] for row, d in zip(m, ds)], ds
-
-
-def _scaled_product(a: Mat, b: list, db: int, cols: int) -> Mat:
-    # a times b, given as integer rows over the denominator db
-    ints, das = _row_ints(a)
-    return [[Fraction(v, da * db) if v else _ZERO for v in acc]
-            for acc, da in zip(_mul_ints(ints, b, cols), das)]
-
-
 def mat_mul(a: Mat, b: Mat) -> Mat:
-    # A row-free matrix has lost its column count; the product is [] either way.
+    """a b as Fractions, one `sum_of_products` pass; [] when a has no rows."""
     if not a:
         return []
-    ra, ca = shape(a)
-    rb, cb = shape(b)
+    (ra, ca), (rb, cb) = shape(a), shape(b)
     if ca != rb:
         raise ValueError(f"shape mismatch {shape(a)} @ {shape(b)}")
-    b, db = int_matrix(b)
-    return _scaled_product(a, b, db, cb)
+    return rational_matrix(sum_of_products([(1, int_matrix(a), int_matrix(b))], ra, cb), ra, cb)
 
 
 def int_matrix(m: Mat) -> IntMat:
@@ -163,15 +130,20 @@ def rational_matrix(m: IntMat | None, rows: int, cols: int) -> Mat:
     return [[Fraction(x, d) if x else _ZERO for x in row] for row in ints]
 
 
+def _transposed(m: IntMat) -> IntMat:
+    """m^T, rows as tuples: for vectors v as the rows of V, the rows of V m^T are the m v."""
+    return list(zip(*m[0])), m[1]
+
+
 def sum_of_products(terms: Iterable[tuple], rows: int, cols: int) -> IntMat | None:
     """The rows x cols sum of c*a*b over terms (c, a, b), in one integer pass.
 
     a and b are integer matrices (`int_matrix`), c an int or a Fraction;
     b None stands for the term c*a alone.  Every term is scaled to the
     lcm of the terms' denominators and accumulates on one grid of ints,
-    skipping zero entries of a and b.  The sum comes back over its least
-    denominator, or as None when every entry is zero, so a zero result
-    is never built.
+    skipping zero entries of a; rows of b are added whole, with no test
+    per entry.  The sum comes back over its least denominator, or as
+    None when every entry is zero, so a zero result is never built.
     """
     terms = list(terms)
     d = lcm(*(c.denominator * a[1] * (b[1] if b else 1) for c, a, b in terms))
@@ -191,22 +163,14 @@ def sum_of_products(terms: Iterable[tuple], rows: int, cols: int) -> IntMat | No
                 if x:
                     x *= s
                     for j, y in enumerate(b_row):
-                        if y:
-                            out[j] += x * y
+                        out[j] += x * y
     if not any(map(any, acc)):
         return None
-    g = gcd(d, *(x for row in acc for x in row))
-    if g > 1:
-        acc, d = [[x // g for x in row] for row in acc], d // g
+    if d > 1:
+        g = gcd(d, *(x for row in acc for x in row))
+        if g > 1:
+            acc, d = [[x // g for x in row] for row in acc], d // g
     return acc, d
-
-
-def mat_vec(m: Mat, v: Vec) -> Vec:
-    # v is the one column of b; a row of m without columns gives 0.
-    if any(len(row) != len(v) for row in m):
-        raise ValueError("shape mismatch in matrix-vector product")
-    v, dv = int_matrix([v])
-    return [x for x, in _scaled_product(m, [[y] for y in v[0]], dv, 1)]
 
 
 def trace(m: Mat) -> Fraction:
@@ -266,7 +230,7 @@ def _rref_ints(a: list) -> tuple[list, list[int]]:
 
 def rref(m: Mat) -> tuple[Mat, list[int]]:
     """Reduced row echelon form and the pivot column indices (`_rref_ints`)."""
-    a, pivots = _rref_ints(_row_ints(m)[0])
+    a, pivots = _rref_ints(int_matrix(m)[0])
     out = []
     for i, ints in enumerate(a):
         p = ints[pivots[i]] if i < len(pivots) else 1
@@ -275,7 +239,7 @@ def rref(m: Mat) -> tuple[Mat, list[int]]:
 
 
 def rank(m: Mat) -> int:
-    return len(_rref_ints(_row_ints(m)[0])[1])
+    return len(_rref_ints(int_matrix(m)[0])[1])
 
 
 def _reduced(v: list, d: int) -> tuple[list, int]:
@@ -302,7 +266,7 @@ def _kernel(a: list, cols: int) -> list[tuple[list, int]]:
 def nullspace(m: Mat) -> list[Vec]:
     """Basis of the right kernel, one vector per free column."""
     return [[Fraction(x, e) if x else _ZERO for x in v]
-            for v, e in _kernel(_row_ints(m)[0], shape(m)[1])]
+            for v, e in _kernel(int_matrix(m)[0], shape(m)[1])]
 
 
 def inverse_ints(m: IntMat) -> IntMat:
@@ -366,21 +330,22 @@ def char_poly_coeffs(m: Mat | IntMat) -> list[Fraction]:
     """Monic characteristic polynomial, coefficients ascending (Faddeev-LeVerrier).
 
     m is Fraction rows or an `IntMat` a / d.  It runs on the integer rows
-    a: their coefficients c_k are integers, each found by an exact
-    division by k, and m's are c_k / d^k.
+    a, N_k = a (N_{k-1} + c_{k-1} I) with N_0 = 0, one `sum_of_products`
+    per step: the coefficients c_k = -tr N_k / k are integers, each an
+    exact division, and m's are c_k / d^k.  Once N_k is zero, so are all
+    later N and c.
     """
     a, d = m if isinstance(m, tuple) else int_matrix(m)
     n = len(a)
     if any(len(row) != n for row in a):
         raise ValueError("characteristic polynomial of a non-square matrix")
-    cs = [1]                    # descending: leading first
-    mk = [[int(i == j) for j in range(n)] for i in range(n)]
+    a, cs, nk = (a, 1), [1], None       # cs descending: leading first
     for k in range(1, n + 1):
-        mk = _mul_ints(a, mk, n)
-        ck = -sum(mk[i][i] for i in range(n)) // k
-        cs.append(ck)
-        for i in range(n):
-            mk[i][i] += ck
+        nk = sum_of_products([(cs[-1], a, None)] + ([(1, a, nk)] if nk else []), n, n)
+        if nk is None:
+            break
+        cs.append(-sum(row[i] for i, row in enumerate(nk[0])) // k)
+    cs += [0] * (n + 1 - len(cs))
     return [Fraction(ck, d ** k) for k, ck in enumerate(cs)][::-1]
 
 
@@ -426,19 +391,20 @@ def jordan_basis(m: IntMat) -> tuple[IntMat, IntMat]:
     for lam in sorted(eig):
         q, s = lam.denominator, lam.numerator * d
         nmat = [[q * x - (s if j == i else 0) for j, x in enumerate(row)]
-                for i, row in enumerate(a)]
-        power, kernels = nmat, [[], _kernel(nmat, n)]
-        while len(kernels[-1]) < eig[lam]:
-            power = _mul_ints(nmat, power, n)
-            kernels.append(_kernel(power, n))
+                for i, row in enumerate(a)], 1
+        power, kernels = nmat, [[], _kernel(nmat[0], n)]
+        nmat_t = _transposed(nmat)
+        while len(kernels[-1]) < eig[lam]:         # a zero power has the full kernel
+            power = sum_of_products([(1, nmat, power)], n, n)
+            kernels.append(_kernel(power[0] if power else [], n))
         # top down: every chain so far steps one level lower, then kernel
         # vectors independent of the level below and of those steps start chains
         lam_chains: list[list[tuple[list, int]]] = []    # each chain top first
         for level in range(len(kernels) - 1, 0, -1):
-            for chain in lam_chains:
+            for chain in lam_chains:    # (m - lam) v / e is the row v nmat^T / (e q d), never 0
                 v, e = chain[-1]
-                chain.append(_reduced([sum(x * y for x, y in zip(row, v)) for row in nmat],
-                                      e * q * d))
+                w, f = sum_of_products([(1, ([v], e * q * d), nmat_t)], 1, n)
+                chain.append((w[0], f))
             span = SpanBasis(n)
             for v, _ in kernels[level - 1] + [chain[-1] for chain in lam_chains]:
                 span.add(v)

@@ -24,7 +24,8 @@ from functools import cached_property
 from typing import Mapping, Sequence
 
 from . import linalg
-from .adhm import ArrowKey, N1Representation, _exact_matrix, check_total_dim, transport
+from .adhm import (ArrowKey, N1Representation, _exact_matrix, _framing, _images,
+                   check_total_dim, transport)
 from .dynkin import DynkinType, node_labels
 from .linalg import ComputeFailure, IntMat, Mat, Vec
 from .quiver import build_n1_quiver
@@ -116,17 +117,17 @@ def endo_to_sheaf(psi) -> TorsionSheafData:
     lambda comes from the ranks of the powers of psi - lambda, independently
     of `linalg.jordan_form`.
     """
-    m = linalg.matrix(psi)
-    n = linalg.shape(m)[0]
-    eig = linalg.rational_eigenvalues(m)
+    a, d = m = linalg.int_matrix(linalg.matrix(psi))
+    n = len(a)
     points = []
-    for lam, mult in sorted(eig.items()):
-        nmat = linalg.mat_sub(m, linalg.mat_scale(lam, linalg.identity(n)))
-        dims = [0]
-        power = linalg.identity(n)
+    for lam, mult in sorted(linalg.rational_eigenvalues(m).items()):
+        q, s = lam.denominator, lam.numerator * d           # (psi - lambda) q d
+        nmat = [[q * x - (s if j == i else 0) for j, x in enumerate(row)]
+                for i, row in enumerate(a)], 1
+        power, dims = nmat, [0, n - linalg.rank(nmat[0])]
         while dims[-1] < mult:
-            power = linalg.mat_mul(nmat, power)
-            dims.append(n - linalg.rank(power))
+            power = linalg.sum_of_products([(1, nmat, power)], n, n)
+            dims.append(n - linalg.rank(power[0] if power else []))
         points.append((lam, _partition_from_kernel_dims(dims)))
     return TorsionSheafData.of(points)
 
@@ -181,6 +182,9 @@ class QuiverSheafData:
             maps[key] = _exact_matrix(self.ints, key, m, want, f"arrow {key} wants shape {want}")
         self.arrow_maps = maps
         _check_intertwining({a: self.node_sheaves[a].jordan for a in touched}, self.ints)
+        self.framing_ranks, self.framing_vectors = _framing(
+            {a: self.node_sheaves[a].dimension for a in labels},
+            self.framing_ranks, self.framing_vectors)
 
 
 def quadruple_to_quintuple(rep: N1Representation) -> tuple[QuiverSheafData, dict[int, Mat]]:
@@ -208,7 +212,7 @@ def quadruple_to_quintuple(rep: N1Representation) -> tuple[QuiverSheafData, dict
     g = {a: linalg.rational_matrix(gi[a], rep.dims[a], rep.dims[a]) for a in labels}
     arrows = {(s, t, i): transport(gi[t], rep.ints[s, t, i], p[s], rep.dims[t], rep.dims[s])
               for s, t, i in rep.B}
-    vectors = {a: [linalg.mat_vec(g[a], v) for v in rep.I[a]] for a in labels}
+    vectors = {a: _images(gi[a], rep.I[a], rep.dims[a]) for a in labels}
     data = QuiverSheafData(
         type=rep.type,
         node_sheaves=sheaves,
@@ -230,6 +234,6 @@ def quintuple_to_quadruple(data: QuiverSheafData) -> N1Representation:
         B=dict(data.ints),
         Psi={a: data.node_sheaves[a].jordan for a in labels},
         framing_ranks=dict(data.framing_ranks),
-        I={a: [list(v) for v in data.framing_vectors.get(a, [])] for a in labels},
+        I=data.framing_vectors,
         affine=data.affine,
     )

@@ -2,8 +2,8 @@
 
 Everything random is driven by an explicit random.Random instance so
 tests stay reproducible.  The matrix oracles here (sympy nullspace,
-hand-rolled block formulas) are deliberately independent of the package
-internals they test against.
+the textbook product, hand-rolled block formulas) are deliberately
+independent of the package internals they test against.
 """
 
 from fractions import Fraction
@@ -73,6 +73,14 @@ def finite_pair_example() -> tuple[N1Representation, "DeformationParam"]:
         affine=False,
     )
     return rep, theta
+
+
+def naive_product(a: list, b: list, cols: int | None = None) -> list:
+    """a b by the textbook triple loop on Fractions; cols (b's width by default) keeps
+    the shape of a product whose inner dimension is 0."""
+    cols = (len(b[0]) if b else 0) if cols is None else cols
+    return [[sum((Fraction(row[k]) * Fraction(b[k][j]) for k in range(len(b))), Fraction(0))
+             for j in range(cols)] for row in a]
 
 
 def sympy_nullspace(rows: list) -> list:

@@ -624,6 +624,20 @@ def test_point_data_rejects_framing_at_unknown_node(capsys, tmp_path):
     assert verdict["detail"] == "framing data at unknown nodes [9]"
 
 
+@pytest.mark.parametrize("framing, detail", [
+    ({"rank": -1}, "framing ranks must be nonnegative"),
+    ({"rank": 2, "vectors": [["1", "2", "3"]]}, "node 1 wants 2 framing vectors"),
+])
+def test_point_data_refuses_bad_framing_when_read(capsys, tmp_path, framing, detail):
+    record = points_record()
+    record["framing"] = {"1": framing}
+    code, out = run(capsys, "matrixify", write(tmp_path, "sheaf.json", record), "--json")
+    assert code == 2
+    (verdict,) = json.loads(out)["verdicts"]
+    assert verdict["name"] == "input-well-formed"
+    assert verdict["detail"] == detail
+
+
 def test_support_beyond_the_float_range_gets_a_verdict(capsys, tmp_path):
     # supports are ordered exactly, so one no float can hold is a plain rational
     record = {"type": "A2", "nodes": {"1": {"points": [

@@ -2,8 +2,9 @@
 
 The relation residuals, the point-data round trip, `conjugate`,
 `jordan_basis` and `inverse` run on integer rows over one denominator.
-Here each is compared with the same quantity built from `mat_mul`,
-`mat_add`, `mat_sub` and `mat_scale` (and sympy for inverses), on
+Here each is compared with the same quantity built from the textbook
+product on Fractions (`helpers.naive_product`), `mat_add`, `mat_sub` and
+`mat_scale` (and sympy for inverses), on
 derandomized cases: affine A2 or A3 representations planted in a Jordan
 basis (node dimensions 0-3, eigenvalues with denominators), random
 intertwining arrows, one arrow sometimes perturbed so that the loops no
@@ -25,15 +26,10 @@ from adequiver.deformation import Polynomial
 from adequiver.dynkin import DynkinType, node_labels
 from adequiver.quiver import build_n1_quiver
 
-from helpers import mat_from_sympy, rand_frac, rand_invertible, rand_matrix
+from helpers import mat_from_sympy, naive_product, rand_frac, rand_invertible, rand_matrix
 
 TYPES = (DynkinType.parse("A2"), DynkinType.parse("A3"))
 EIGENVALUES = (Fraction(0), Fraction(1, 2), Fraction(-2, 3), Fraction(3))
-
-
-def _mul(a, b, rows, cols):
-    # mat_mul loses the column count of a product with no rows or no inner dimension
-    return linalg.mat_mul(a, b) if rows and b else linalg.zeros(rows, cols)
 
 
 def _inv(m):
@@ -71,19 +67,23 @@ def _intertwiner(rng, tgt, src):
     return out
 
 
+def _images(m, vectors):
+    """m v for every vector v, by the textbook product."""
+    return [[sum((x * y for x, y in zip(row, v)), Fraction(0)) for row in m] for v in vectors]
+
+
 def _conjugated(rep, g):
-    """g_b B g_a^-1, g Psi g^-1 and g v by the Fraction kernels."""
+    """g_b B g_a^-1, g Psi g^-1 and g v by the textbook product."""
     dims = rep.dims
     ginv = {a: _inv(g[a]) for a in dims}
     return adhm.N1Representation(
         rep.type, dict(dims),
-        {(s, t, i): _mul(_mul(g[t], m, dims[t], dims[s]), ginv[s], dims[t], dims[s])
+        {(s, t, i): naive_product(naive_product(g[t], m, dims[s]), ginv[s], dims[s])
          for (s, t, i), m in rep.B.items()},
-        {a: _mul(_mul(g[a], m, dims[a], dims[a]), ginv[a], dims[a], dims[a])
+        {a: naive_product(naive_product(g[a], m, dims[a]), ginv[a], dims[a])
          for a, m in rep.Psi.items()},
         dict(rep.framing_ranks),
-        {a: [[sum((x * y for x, y in zip(row, v)), Fraction(0)) for row in g[a]] for v in vs]
-         for a, vs in rep.I.items()},
+        {a: _images(g[a], vs) for a, vs in rep.I.items()},
     )
 
 
@@ -128,7 +128,7 @@ def _theta_reference(rep, coeffs, a):
     d = rep.dims[a]
     acc = linalg.zeros(d, d)
     for c in reversed(coeffs):
-        acc = linalg.mat_add(_mul(acc, rep.Psi[a], d, d),
+        acc = linalg.mat_add(naive_product(acc, rep.Psi[a], d),
                              linalg.mat_scale(c, linalg.identity(d)))
     return acc
 
@@ -138,16 +138,16 @@ def _node_reference(rep, coeffs, a):
     acc = _theta_reference(rep, coeffs, a)
     for arrow in rep.quiver.mckay_arrows():
         if arrow.source == a:
-            term = _mul(rep.B[arrow.reversed_key()], rep.B[arrow.key], d, d)
+            term = naive_product(rep.B[arrow.reversed_key()], rep.B[arrow.key], d)
             acc = linalg.mat_add(acc, linalg.mat_scale(arrow.sign, term))
     return acc
 
 
 def _edge_reference(rep, key):
     src, tgt, _ = key
-    rows, cols = rep.dims[tgt], rep.dims[src]
-    return linalg.mat_sub(_mul(rep.Psi[tgt], rep.B[key], rows, cols),
-                          _mul(rep.B[key], rep.Psi[src], rows, cols))
+    cols = rep.dims[src]
+    return linalg.mat_sub(naive_product(rep.Psi[tgt], rep.B[key], cols),
+                          naive_product(rep.B[key], rep.Psi[src], cols))
 
 
 @settings(max_examples=60)
@@ -188,11 +188,11 @@ def test_round_trip_transport_matches_the_fraction_reference(case):
     assert data.node_sheaves == points
     p = {a: _inv(g[a]) for a in dims}
     for a in dims:
-        moved = _mul(_mul(g[a], rep.Psi[a], dims[a], dims[a]), p[a], dims[a], dims[a])
+        moved = naive_product(naive_product(g[a], rep.Psi[a], dims[a]), p[a], dims[a])
         assert moved == sheaf.sheaf_to_endo(points[a])[1]
-        assert data.framing_vectors[a] == [linalg.mat_vec(g[a], v) for v in rep.I[a]]
+        assert data.framing_vectors[a] == _images(g[a], rep.I[a])
     for (s, t, i), m in rep.B.items():
-        want = _mul(g[t], _mul(m, p[s], dims[t], dims[s]), dims[t], dims[s])
+        want = naive_product(g[t], naive_product(m, p[s], dims[s]), dims[s])
         assert data.arrow_maps[s, t, i] == want
 
 
@@ -213,7 +213,7 @@ def test_jordan_basis_and_inverse_match_the_fraction_reference(case):
         j, p = linalg.jordan_basis(linalg.int_matrix(m))
         jm, pm = linalg.rational_matrix(j, n, n), linalg.rational_matrix(p, n, n)
         assert jm == sheaf.sheaf_to_endo(points[a])[1]
-        assert _mul(m, pm, n, n) == _mul(pm, jm, n, n)
+        assert naive_product(m, pm, n) == naive_product(pm, jm, n)
         assert sympy.Matrix(pm).rank() == n
         assert linalg.inverse(pm) == _inv(pm)
         g = rand_invertible(rng, n)
@@ -221,10 +221,11 @@ def test_jordan_basis_and_inverse_match_the_fraction_reference(case):
 
 
 def test_relations_convert_each_matrix_once_and_the_round_trip_calls_no_mat_mul(monkeypatch):
-    # the first seed giving an intertwining case of total dimension 6 or more
+    # the first seed giving a framed intertwining case of total dimension 6 or more
     rep, theta = next((rep, theta) for rep, _, _, theta, _ in
                       (_planted_case(random.Random(seed)) for seed in range(100))
-                      if rep.total_dim >= 6 and adhm.check_relations(rep, theta).edges_zero)
+                      if rep.total_dim >= 6 and any(rep.I.values())
+                      and adhm.check_relations(rep, theta).edges_zero)
     converted, calls = [], {"mat_mul": 0}
     int_matrix, mat_mul = linalg.int_matrix, linalg.mat_mul
 
@@ -241,19 +242,25 @@ def test_relations_convert_each_matrix_once_and_the_round_trip_calls_no_mat_mul(
     rep = adhm.N1Representation(rep.type, rep.dims, rep.B, rep.Psi, rep.framing_ranks, rep.I)
     assert len(converted) == len(rep.B) + len(rep.Psi)
     converted.clear()
+    # the relations, the span growth and the trace identity convert nothing at all
     adhm.check_relations(rep, theta)
+    adhm.is_nondegenerate(rep)
+    adhm.trace_identity_defect(rep, theta)
+    assert converted == []
     data, g = sheaf.quadruple_to_quintuple(rep)
     back = sheaf.quintuple_to_quadruple(data)
     moved = adhm.conjugate(rep, g)
     assert back == moved
     assert calls["mat_mul"] == 0
-    # past construction no matrix of a representation is converted; conjugate converts
-    # each base change once, and each transport each framing vector once
+    # past construction no matrix of a representation is converted: conjugate converts
+    # each base change once, and both transports convert each node's framing vectors once
     held = [*data.arrow_maps.values()] + [m for r in (rep, back, moved)
                                           for m in [*r.B.values(), *r.Psi.values()]]
+    framed = [vs for vs in rep.I.values() if vs]
     assert not {id(m) for m in held} & {id(m) for m in converted}
-    assert len({id(m) for m in converted}) == len(converted)
-    assert len(converted) == len(g) + 2 * sum(len(vs) for vs in rep.I.values())
+    assert {id(m) for m in converted} >= {id(vs) for vs in framed}
+    assert len({id(m) for m in converted}) == len(g) + len(framed)
+    assert len(converted) == len(g) + 2 * len(framed)
 
 
 @pytest.mark.parametrize("n", [0, 1, 2, 3, 5])
@@ -295,10 +302,11 @@ def test_a_representation_built_from_integer_rows_equals_the_fraction_one(case):
 
 
 def test_round_trip_with_a_zero_dimensional_node():
-    # node 2 is empty; the arrows between nodes 0 and 1 intertwine the Jordan loops
+    # node 2 is empty, with one empty framing vector; the arrows between nodes 0 and 1
+    # intertwine the Jordan loops
     planted = adhm.N1Representation(
         TYPES[0], {0: 2, 1: 1, 2: 0}, {(0, 1, 0): [[0, 2]], (1, 0, 0): [[Fraction(1, 2)], [0]]},
-        {0: [[3, 1], [0, 3]], 1: [[3]]}, {0: 1}, {0: [[1, -1]]})
+        {0: [[3, 1], [0, 3]], 1: [[3]]}, {0: 1, 2: 1}, {0: [[1, -1]], 2: [[]]})
     rng = random.Random(3)
     rep = adhm.conjugate(planted, {a: rand_invertible(rng, n) for a, n in planted.dims.items()})
     data, g = sheaf.quadruple_to_quintuple(rep)
@@ -307,5 +315,7 @@ def test_round_trip_with_a_zero_dimensional_node():
     back = sheaf.quintuple_to_quadruple(data)
     assert back == adhm.conjugate(rep, g)
     assert back.Psi == {0: [[3, 1], [0, 3]], 1: [[3]], 2: []}
+    assert back.I[2] == data.framing_vectors[2] == [[]]
+    assert adhm.is_nondegenerate(back) == adhm.is_nondegenerate(planted)
     assert back.B[1, 2, 0] == [] and back.B[2, 0, 0] == [[], []]
     assert back.ints[1, 2, 0] == ([], 1) and back.ints[2, 0, 0] == ([[], []], 1)

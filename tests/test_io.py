@@ -173,6 +173,23 @@ class TestSheafFiles:
         data, _ = sheaf.quadruple_to_quintuple(rep)
         assert io.sheaf_data_from_dict(self.rec()).node_sheaves == data.node_sheaves
 
+    @pytest.mark.parametrize("framing, message", [
+        ({"rank": -1}, "framing ranks must be nonnegative"),
+        ({"rank": 2, "vectors": [["1", "2", "3"]]}, "node 0 wants 2 framing vectors"),
+        ({"rank": 1, "vectors": [["1", "2", "3"]]}, "framing vectors at 0 must have length 1"),
+    ])
+    def test_framing_is_refused_in_the_words_of_a_representation(self, framing, message):
+        # node 0 has dimension 1, in the point data and in its representation alike
+        rec = self.rec()
+        rec["framing"] = {"0": framing}
+        with pytest.raises(io.SchemaError) as refused:
+            io.sheaf_data_from_dict(rec)
+        rep, _ = worked_cycle_example()
+        with pytest.raises(ValueError) as also:
+            adhm.N1Representation(rep.type, rep.dims, rep.B, rep.Psi,
+                                  {0: framing["rank"]}, {0: framing.get("vectors", [])})
+        assert str(refused.value) == str(also.value) == message
+
     def test_complex_support_roundtrip(self):
         rec = {
             "type": "A1",

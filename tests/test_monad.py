@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from adequiver import linalg, monad
 from adequiver.monad import NCElement
 
-from helpers import rand_frac, rand_matrix
+from helpers import naive_product, rand_frac, rand_matrix
 
 ONE_NODE = ((0, 1),)
 
@@ -113,11 +113,6 @@ class TestNormalFormProduct:
         assert got.coefficient("zz") == [[Fraction(2), 0], [0, Fraction(-3)]]
 
 
-def dense_mul(p, q, rows, cols):
-    """p @ q, also when the inner dimension is 0 (mat_mul loses the shape there)."""
-    return linalg.mat_mul(p, q) if p and p[0] else linalg.zeros(rows, cols)
-
-
 def reference_terms(mu, mv):
     """Normal form of the word mu mv: [(monomial, carries lam)], written out by hand."""
     if mu == "1" or mv == "1":
@@ -137,7 +132,7 @@ def dense_product(u, v, lam):
     out = {mono: linalg.zeros(rows, cols) for mono in monad.DEGREE}
     for mu in u.coefficients:
         for mv in v.coefficients:
-            prod = dense_mul(u.coefficient(mu), v.coefficient(mv), rows, cols)
+            prod = naive_product(u.coefficient(mu), v.coefficient(mv), cols)
             for mono, with_lam in reference_terms(mu, mv):
                 term = ([[c * x for x in row] for c, row in zip(row_lam, prod)]
                         if with_lam else prod)
@@ -221,27 +216,16 @@ def cyclic_blockwise_defects(rank, b1, b2, i_blocks, j_blocks, lam, dims, framin
             return linalg.zeros(rows, cols)
         return linalg.matrix(m)
 
-    def safe_mul(p, q, out_dim, inner):
-        if inner == 0:
-            return linalg.zeros(out_dim)
-        return linalg.mat_mul(p, q)
-
     out = {}
     for a in range(n):
         up, down = (a + 1) % n, (a - 1) % n
-        t1 = safe_mul(
-            blk(b2, up, dims[a], dims[up]), blk(b1, a, dims[up], dims[a]),
-            dims[a], dims[up],
-        )
-        t2 = safe_mul(
-            blk(b1, down, dims[a], dims[down]), blk(b2, a, dims[down], dims[a]),
-            dims[a], dims[down],
-        )
-        t3 = safe_mul(
+        t1 = naive_product(
+            blk(b2, up, dims[a], dims[up]), blk(b1, a, dims[up], dims[a]), dims[a])
+        t2 = naive_product(
+            blk(b1, down, dims[a], dims[down]), blk(b2, a, dims[down], dims[a]), dims[a])
+        t3 = naive_product(
             blk(i_blocks, a, dims[a], framing.get(a, 0)),
-            blk(j_blocks, a, framing.get(a, 0), dims[a]),
-            dims[a], framing.get(a, 0),
-        )
+            blk(j_blocks, a, framing.get(a, 0), dims[a]), dims[a])
         acc = linalg.mat_sub(t1, t2)
         acc = linalg.mat_add(acc, t3)
         acc = linalg.mat_add(
