@@ -23,8 +23,7 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "adhm": (
         "N1Representation", "RelationResidual", "SupportReport", "check_relations",
-        "check_support_property", "conjugate", "direct_sum", "edge_residual",
-        "is_nondegenerate", "node_residual", "support",
+        "check_support_property", "conjugate", "direct_sum", "is_nondegenerate", "support",
         "trace_identity_defect",
     ),
     "deformation": (

@@ -60,20 +60,39 @@ def _exact_matrix(ints: dict, key, m, want: tuple, error: str) -> Mat:
     return m
 
 
-def _framing(dims: Mapping[int, int], ranks: Mapping, vectors: Mapping) -> tuple[dict, dict]:
-    """Framing ranks and Fraction vectors at every node of dims; ValueError unless every
-    rank is nonnegative and its node holds that many vectors of the node's dimension."""
-    ranks = {a: int(ranks.get(a, 0)) for a in dims}
+def _quiver_data(t: DynkinType, affine: bool, dims: Mapping[int, int], arrows: Mapping,
+                 ranks: Mapping, vectors: Mapping) -> tuple[dict, dict, dict, dict]:
+    """The arrows and framing of quiver data whose nodes have dimensions dims, validated.
+
+    InputTooLarge past MAX_TOTAL_DIM; ValueError on an arrow not in the quiver or of
+    the wrong shape, on framing at an unknown node, on a negative rank, or unless each
+    node holds rank-many framing vectors of its dimension.  Returns the given arrows
+    (None: zeros) as Fractions, their integer rows, each made once, and the framing
+    ranks and Fraction vectors at every node.
+    """
+    check_total_dim(sum(dims.values()))
+    stray = set(arrows) - {arrow.key for arrow in build_n1_quiver(t, affine).mckay_arrows()}
+    if stray:
+        raise ValueError(f"arrows {sorted(stray)} are not in the {t} quiver")
+    stray = (set(ranks) | set(vectors)) - set(dims)
+    if stray:
+        raise ValueError(f"framing data at unknown nodes {sorted(stray)}")
+    ints: dict[object, IntMat] = {}
+    maps = {}
+    for key, m in arrows.items():
+        want = (dims[key[1]], dims[key[0]])
+        maps[key] = _exact_matrix(ints, key, m, want, f"arrow {key} wants shape {want}")
+    ranks = {a: int(ranks.get(a, 0)) for a in sorted(dims)}
     if any(r < 0 for r in ranks.values()):
         raise ValueError("framing ranks must be nonnegative")
     out = {}
-    for a, n in dims.items():
+    for a, n in sorted(dims.items()):
         out[a] = [[linalg.frac(x) for x in v] for v in vectors.get(a, [])]
         if len(out[a]) != ranks[a]:
             raise ValueError(f"node {a} wants {ranks[a]} framing vectors")
         if any(len(v) != n for v in out[a]):
             raise ValueError(f"framing vectors at {a} must have length {n}")
-    return ranks, out
+    return maps, ints, ranks, out
 
 
 def _images(m: IntMat, vectors: list[Vec], rows: int) -> list[Vec]:
@@ -99,23 +118,16 @@ class N1Representation:
         labels = node_labels(self.type, self.affine)
         if sorted(self.dims) != labels:
             raise ValueError(f"dims must cover exactly the nodes {labels}")
-        check_total_dim(sum(self.dims.values()))
-        wants = {k.key: (self.dims[k.target], self.dims[k.source])
-                 for k in self.quiver.mckay_arrows()}
-        stray = set(self.B) - set(wants)
+        # every arrow of the quiver, zeros where none is given
+        arrows = {**dict.fromkeys(arrow.key for arrow in self.quiver.mckay_arrows()), **self.B}
+        self.B, self.ints, self.framing_ranks, self.I = _quiver_data(
+            self.type, self.affine, self.dims, arrows, self.framing_ranks, self.I)
+        stray = set(self.Psi) - set(labels)
         if stray:
-            raise ValueError(f"arrows {sorted(stray)} are not in the {self.type} quiver")
-        self.ints: dict[object, IntMat] = {}     # B and Psi as integer rows, by key
-        self.B = {k: _exact_matrix(self.ints, k, self.B.get(k), w, f"arrow {k} wants shape {w}")
-                  for k, w in wants.items()}
-        for table, what in ((self.Psi, "loop"), (self.I, "framing")):
-            stray = set(table) - set(labels)
-            if stray:
-                raise ValueError(f"{what} data at unknown nodes {sorted(stray)}")
+            raise ValueError(f"loop data at unknown nodes {sorted(stray)}")
+        # self.ints holds B and Psi as integer rows, by key
         self.Psi = {a: _exact_matrix(self.ints, a, self.Psi.get(a), (self.dims[a],) * 2,
                                      f"loop at {a} must be {self.dims[a]} square") for a in labels}
-        self.framing_ranks, self.I = _framing({a: self.dims[a] for a in labels},
-                                              self.framing_ranks, self.I)
 
     @property
     def quiver(self) -> QuiverSpec:
@@ -133,11 +145,6 @@ def _evaluate(p: Polynomial, m: IntMat, n: int) -> IntMat | None:
     for c in reversed(p.coefficients):
         acc = linalg.sum_of_products([(c, one, None)] + ([(1, acc, m)] if acc else []), n, n)
     return acc
-
-
-def evaluate_on_matrix(p: Polynomial, m: Mat) -> Mat:
-    """p(M) by matrix Horner; exact."""
-    return linalg.rational_matrix(_evaluate(p, linalg.int_matrix(m), len(m)), len(m), len(m))
 
 
 def _theta_table(rep: N1Representation, theta) -> dict[int, Polynomial]:
@@ -171,41 +178,30 @@ class RelationResidual:
         return self.nodes_zero and self.edges_zero
 
 
-def _residuals(rep: N1Representation, theta, nodes, keys) -> RelationResidual:
-    """Node residuals at nodes and edge residuals at arrow keys, each one sum of
-    products on the representation's integer rows."""
-    table = _theta_table(rep, theta) if nodes else {}
-    node_out = {}
-    for a in nodes:                 # theta_a(Psi_a) + sum of sign * reverse o arrow out of a
+def _edge_defects(loops: Mapping[int, IntMat],
+                  arrows: Mapping[ArrowKey, IntMat]) -> dict[ArrowKey, IntMat | None]:
+    """Psi_target B - B Psi_source on integer rows for each arrow B, None where it is
+    zero: one `linalg.sum_of_products` per arrow, shaped by the loops at its ends."""
+    return {(s, t, i): linalg.sum_of_products([(1, loops[t], b), (-1, b, loops[s])],
+                                              len(loops[t][0]), len(loops[s][0]))
+            for (s, t, i), b in arrows.items()}
+
+
+def check_relations(rep: N1Representation, theta) -> RelationResidual:
+    """Every node and edge residual, each one sum of products on the representation's
+    integer rows; all are zero iff the relations hold."""
+    table = _theta_table(rep, theta)
+    nodes = {}
+    for a in node_labels(rep.type, rep.affine):   # theta_a(Psi_a) + sum of sign * reverse o arrow
         d = rep.dims[a]
         theta_a = _evaluate(table[a], rep.ints[a], d)
         terms = [(1, theta_a, None)] if theta_a else []
         terms += [(arrow.sign, rep.ints[arrow.reversed_key()], rep.ints[arrow.key])
                   for arrow in rep.quiver.mckay_arrows() if arrow.source == a]
-        node_out[a] = linalg.rational_matrix(linalg.sum_of_products(terms, d, d), d, d)
-    edge_out = {}
-    for key in keys:                # Psi_target B - B Psi_source
-        src, tgt, _ = key
-        rows, cols = rep.dims[tgt], rep.dims[src]
-        terms = [(1, rep.ints[tgt], rep.ints[key]), (-1, rep.ints[key], rep.ints[src])]
-        edge_out[key] = linalg.rational_matrix(linalg.sum_of_products(terms, rows, cols),
-                                               rows, cols)
-    return RelationResidual(node_out, edge_out)
-
-
-def node_residual(rep: N1Representation, theta, a: int) -> Mat:
-    """Defect of the node relation at a; the zero matrix iff the relation holds."""
-    return _residuals(rep, theta, [a], []).node_residuals[a]
-
-
-def edge_residual(rep: N1Representation, key: ArrowKey) -> Mat:
-    """Intertwining defect Psi_target o B - B o Psi_source for one arrow."""
-    return _residuals(rep, None, [], [key]).edge_residuals[key]
-
-
-def check_relations(rep: N1Representation, theta) -> RelationResidual:
-    return _residuals(rep, theta, node_labels(rep.type, rep.affine),
-                      [arrow.key for arrow in rep.quiver.mckay_arrows()])
+        nodes[a] = linalg.rational_matrix(linalg.sum_of_products(terms, d, d), d, d)
+    edges = _edge_defects(rep.ints, {key: rep.ints[key] for key in rep.B})
+    return RelationResidual(nodes, {(s, t, i): linalg.rational_matrix(m, rep.dims[t], rep.dims[s])
+                                    for (s, t, i), m in edges.items()})
 
 
 def is_nondegenerate(rep: N1Representation) -> bool:
@@ -327,10 +323,10 @@ def transport(left: IntMat, m: IntMat, right: IntMat, rows: int, cols: int) -> I
 def conjugate(rep: N1Representation, g: Mapping[int, Mat]) -> N1Representation:
     """Change basis at every node: arrows g_b B g_a^{-1}, loops g Psi g^{-1}, vectors g v."""
     labels = node_labels(rep.type, rep.affine)
-    gi: dict[int, IntMat] = {}
     for a in labels:
-        _exact_matrix(gi, a, g[a], (rep.dims[a],) * 2,
-                      f"base change at {a} must be {rep.dims[a]} square")
+        if not linalg.has_shape(g[a], rep.dims[a], rep.dims[a]):
+            raise ValueError(f"base change at {a} must be {rep.dims[a]} square")
+    gi = {a: linalg.int_matrix(g[a]) for a in labels}
     ginv = {a: linalg.inverse_ints(gi[a]) for a in labels}
     b = {(s, t, i): transport(gi[t], rep.ints[s, t, i], ginv[s], rep.dims[t], rep.dims[s])
          for s, t, i in rep.B}
@@ -339,13 +335,6 @@ def conjugate(rep: N1Representation, g: Mapping[int, Mat]) -> N1Representation:
     return N1Representation(
         rep.type, dict(rep.dims), b, psi, dict(rep.framing_ranks), vectors, rep.affine
     )
-
-
-def zero_representation(t: DynkinType, dims: Mapping[int, int] | None = None,
-                        affine: bool = True) -> N1Representation:
-    labels = node_labels(t, affine)
-    d = {a: 0 for a in labels} if dims is None else {a: int(dims[a]) for a in labels}
-    return N1Representation(t, d, affine=affine)
 
 
 def trace_identity_defect(rep: N1Representation, theta) -> Fraction:

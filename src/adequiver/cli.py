@@ -408,7 +408,7 @@ def _unsupported(report: RunReport, message: str) -> None:
 
 
 def cmd_monad_check(args, report: RunReport) -> None:
-    from . import adhm, io as fileio, monad, poly
+    from . import adhm, io as fileio, monad
     report.add_input(args.file)
     rep = fileio.load_representation(args.file)
     if rep.type.family != "A" or not rep.affine:
@@ -446,16 +446,10 @@ def cmd_monad_check(args, report: RunReport) -> None:
                           rep.dims, rep.framing_ranks)
     composite, holds = monad.compose_and_check(m)
 
-    structural_ok = all(
-        linalg.is_zero_matrix(composite.coefficient(mono))
-        for mono in monad.STRUCTURAL_ZERO_MONOMIALS
-    )
-    defects = {a: composite.diagonal_block("zz", a) for a in m.nodes}
-    theta_table = {a: poly.Polynomial.constant(lam[a]) for a in range(n)}
-    agree = all(
-        linalg.mat_eq(defects[a], adhm.node_residual(rep, theta_table, a))
-        for a in range(n)
-    )
+    # a monomial has blocks in the composite only where its coefficient is nonzero
+    structural_ok = not any(mono in composite.blocks for mono in monad.STRUCTURAL_ZERO_MONOMIALS)
+    defects = monad.node_relation_defects(m)
+    agree = adhm.check_relations(rep, {a: [lam[a]] for a in range(n)}).node_residuals == defects
 
     if holds:
         report.say("b o a = 0")

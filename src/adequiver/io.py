@@ -124,6 +124,20 @@ def _framing_from_json(record: dict) -> tuple[dict[int, int], dict[int, list[Vec
     return ranks, vectors
 
 
+def _arrows_to_json(arrows: dict) -> list[dict]:
+    """The 'arrows' array of a representation or point-data file, in numeric key order."""
+    return [{"from": s, "to": t, "pair_index": i, "matrix": matrix_to_json(m)}
+            for (s, t, i), m in sorted(arrows.items())]
+
+
+def _framing_to_json(ranks: dict[int, int], vectors: dict[int, list[Vec]]) -> dict:
+    """The 'framing' object: rank and vectors at each node of positive rank."""
+    return {
+        str(a): {"rank": ranks[a], "vectors": [[frac_to_str(x) for x in v] for v in vectors[a]]}
+        for a in sorted(ranks) if ranks[a]
+    }
+
+
 # -- deformation files ------------------------------------------------------
 
 def deformation_from_dict(record: Any) -> DeformationParam:
@@ -183,26 +197,12 @@ def representation_from_dict(record: Any) -> N1Representation:
 
 
 def representation_to_dict(rep: N1Representation) -> dict:
-    arrows = [
-        {
-            "from": k[0], "to": k[1], "pair_index": k[2],
-            "matrix": matrix_to_json(m),
-        }
-        for k, m in sorted(rep.B.items(), key=lambda kv: (str(kv[0][0]), str(kv[0][1]), kv[0][2]))
-    ]
     return {
         "type": str(rep.type),
         "dims": {str(a): rep.dims[a] for a in sorted(rep.dims)},
-        "arrows": arrows,
+        "arrows": _arrows_to_json(rep.B),
         "psi": {str(a): matrix_to_json(rep.Psi[a]) for a in sorted(rep.Psi)},
-        "framing": {
-            str(a): {
-                "rank": rep.framing_ranks[a],
-                "vectors": [[frac_to_str(x) for x in v] for v in rep.I[a]],
-            }
-            for a in sorted(rep.framing_ranks)
-            if rep.framing_ranks[a]
-        },
+        "framing": _framing_to_json(rep.framing_ranks, rep.I),
     }
 
 
@@ -271,18 +271,8 @@ def sheaf_data_to_dict(data: QuiverSheafData) -> dict:
             }
             for a in sorted(data.node_sheaves)
         },
-        "arrows": [
-            {"from": k[0], "to": k[1], "pair_index": k[2], "matrix": matrix_to_json(m)}
-            for k, m in sorted(data.arrow_maps.items(), key=lambda kv: (kv[0][0], kv[0][1], kv[0][2]))
-        ],
-        "framing": {
-            str(a): {
-                "rank": data.framing_ranks[a],
-                "vectors": [[frac_to_str(x) for x in v] for v in data.framing_vectors[a]],
-            }
-            for a in sorted(data.framing_ranks)
-            if data.framing_ranks[a]
-        },
+        "arrows": _arrows_to_json(data.arrow_maps),
+        "framing": _framing_to_json(data.framing_ranks, data.framing_vectors),
     }
 
 

@@ -330,21 +330,25 @@ def char_poly_coeffs(m: Mat | IntMat) -> list[Fraction]:
     """Monic characteristic polynomial, coefficients ascending (Faddeev-LeVerrier).
 
     m is Fraction rows or an `IntMat` a / d.  It runs on the integer rows
-    a, N_k = a (N_{k-1} + c_{k-1} I) with N_0 = 0, one `sum_of_products`
-    per step: the coefficients c_k = -tr N_k / k are integers, each an
-    exact division, and m's are c_k / d^k.  Once N_k is zero, so are all
-    later N and c.
+    a, N_1 = a and N_{k+1} = a (N_k + c_k I), c_k added to the diagonal in
+    place and one `sum_of_products` per later step: the coefficients
+    c_k = -tr N_k / k are integers, each an exact division, and m's are
+    c_k / d^k.  Once N_k is zero, so are all later N and c.
     """
     a, d = m if isinstance(m, tuple) else int_matrix(m)
     n = len(a)
     if any(len(row) != n for row in a):
         raise ValueError("characteristic polynomial of a non-square matrix")
-    a, cs, nk = (a, 1), [1], None       # cs descending: leading first
+    a, cs, nk = (a, 1), [1], ([list(row) for row in a], 1)     # cs descending: leading first
     for k in range(1, n + 1):
-        nk = sum_of_products([(cs[-1], a, None)] + ([(1, a, nk)] if nk else []), n, n)
+        cs.append(-sum(row[i] for i, row in enumerate(nk[0])) // k)
+        if k == n:
+            break
+        for i, row in enumerate(nk[0]):     # N_k has denominator 1, as a has
+            row[i] += cs[-1]
+        nk = sum_of_products([(1, a, nk)], n, n)
         if nk is None:
             break
-        cs.append(-sum(row[i] for i, row in enumerate(nk[0])) // k)
     cs += [0] * (n + 1 - len(cs))
     return [Fraction(ck, d ** k) for k, ck in enumerate(cs)][::-1]
 

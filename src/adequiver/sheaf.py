@@ -24,11 +24,10 @@ from functools import cached_property
 from typing import Mapping, Sequence
 
 from . import linalg
-from .adhm import (ArrowKey, N1Representation, _exact_matrix, _framing, _images,
-                   check_total_dim, transport)
+from .adhm import (ArrowKey, N1Representation, _edge_defects, _images, _quiver_data,
+                   transport)
 from .dynkin import DynkinType, node_labels
 from .linalg import ComputeFailure, IntMat, Mat, Vec
-from .quiver import build_n1_quiver
 
 
 class EdgeRelationViolated(ComputeFailure):
@@ -144,10 +143,8 @@ def _require_rational(node_sheaves: Mapping[int, TorsionSheafData], nodes) -> No
 
 def _check_intertwining(loops: Mapping[int, IntMat], arrows: Mapping[ArrowKey, IntMat]) -> None:
     """EdgeRelationViolated naming the first arrow B with Psi_target B - B Psi_source nonzero."""
-    for key, b in arrows.items():
-        src, tgt, _ = key
-        terms = [(1, loops[tgt], b), (-1, b, loops[src])]
-        if linalg.sum_of_products(terms, len(b[0]), len(loops[src][0])) is not None:
+    for key, defect in _edge_defects(loops, arrows).items():
+        if defect is not None:
             raise EdgeRelationViolated(f"edge defect at {key} is nonzero")
 
 
@@ -164,27 +161,14 @@ class QuiverSheafData:
         labels = node_labels(self.type, self.affine)
         if sorted(self.node_sheaves) != labels:
             raise ValueError(f"need sheaf data for exactly the nodes {labels}")
-        check_total_dim(sum(self.node_sheaves[a].dimension for a in labels))
-        quiver = build_n1_quiver(self.type, self.affine)
-        stray = set(self.arrow_maps) - {arrow.key for arrow in quiver.mckay_arrows()}
-        if stray:
-            raise ValueError(f"arrows {sorted(stray)} are not in the {self.type} quiver")
-        stray = (set(self.framing_ranks) | set(self.framing_vectors)) - set(labels)
-        if stray:
-            raise ValueError(f"framing data at unknown nodes {sorted(stray)}")
+        # self.ints holds the arrow maps as integer rows, by key
+        self.arrow_maps, self.ints, self.framing_ranks, self.framing_vectors = _quiver_data(
+            self.type, self.affine, {a: self.node_sheaves[a].dimension for a in labels},
+            self.arrow_maps, self.framing_ranks, self.framing_vectors)
         # Jordan matrices only where an arrow needs one, and only of rational supports
         touched = list(dict.fromkeys(a for key in self.arrow_maps for a in key[:2]))
         _require_rational(self.node_sheaves, touched)
-        self.ints: dict[ArrowKey, IntMat] = {}     # the arrow maps as integer rows
-        maps = {}
-        for key, m in self.arrow_maps.items():
-            want = (self.node_sheaves[key[1]].dimension, self.node_sheaves[key[0]].dimension)
-            maps[key] = _exact_matrix(self.ints, key, m, want, f"arrow {key} wants shape {want}")
-        self.arrow_maps = maps
         _check_intertwining({a: self.node_sheaves[a].jordan for a in touched}, self.ints)
-        self.framing_ranks, self.framing_vectors = _framing(
-            {a: self.node_sheaves[a].dimension for a in labels},
-            self.framing_ranks, self.framing_vectors)
 
 
 def quadruple_to_quintuple(rep: N1Representation) -> tuple[QuiverSheafData, dict[int, Mat]]:

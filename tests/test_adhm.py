@@ -66,7 +66,8 @@ def test_support_check_rejects_occupied_affine_node():
         adhm.check_support_property(rep, theta)
 
 
-def test_evaluate_on_matrix_matches_direct_expansion():
+def test_node_residual_evaluates_theta_on_the_loop():
+    # no arrow is nonzero, so the residual at node 1 is Theta_1(Psi_1) alone
     p = Polynomial.of([Fraction(1), Fraction(-3), Fraction(2)])
     m = linalg.matrix([[1, 2], [0, 3]])
     sq = linalg.mat_mul(m, m)
@@ -74,7 +75,8 @@ def test_evaluate_on_matrix_matches_direct_expansion():
         linalg.mat_add(linalg.mat_scale(2, sq), linalg.mat_scale(-3, m)),
         linalg.identity(2),
     )
-    assert adhm.evaluate_on_matrix(p, m) == want
+    rep = adhm.N1Representation(A2, {1: 2, 2: 0}, Psi={1: m}, affine=False)
+    assert adhm.check_relations(rep, {1: p, 2: T}).node_residuals[1] == want
 
 
 def test_theta_table_errors():
@@ -102,6 +104,10 @@ class TestValidation:
         with pytest.raises(ValueError):
             adhm.N1Representation(A2, {0: 1, 1: 1, 2: 1}, Psi={5: [[1]]})
 
+    def test_framing_rank_at_unknown_node(self):
+        with pytest.raises(ValueError, match=r"framing data at unknown nodes \[9\]"):
+            adhm.N1Representation(A2, {0: 1, 1: 1, 2: 1}, framing_ranks={9: 1})
+
     def test_framing_vector_length(self):
         with pytest.raises(ValueError):
             adhm.N1Representation(
@@ -122,7 +128,7 @@ class TestNondegeneracy:
         assert not adhm.is_nondegenerate(bare)
 
     def test_zero_rep_vacuously_nondegenerate(self):
-        assert adhm.is_nondegenerate(adhm.zero_representation(A2))
+        assert adhm.is_nondegenerate(adhm.N1Representation(A2, {0: 0, 1: 0, 2: 0}))
 
     def test_framing_spans_under_arrows(self):
         rep, _ = worked_cycle_example()

@@ -143,6 +143,14 @@ class TestRepresentationFiles:
         rep, _ = worked_cycle_example()
         assert set(io.representation_to_dict(rep)["framing"]) == {"0"}
 
+    def test_arrows_written_in_numeric_order_as_in_point_data(self):
+        # from rank 10 on, string order would put (0, 10, 0) before (1, 0, 0)
+        rep = adhm.N1Representation(DynkinType.parse("A10"), {a: 0 for a in range(11)})
+        written = io.representation_to_dict(rep)["arrows"]
+        assert [(e["from"], e["to"], e["pair_index"]) for e in written] == sorted(rep.B)
+        data, _ = sheaf.quadruple_to_quintuple(rep)
+        assert io.sheaf_data_to_dict(data)["arrows"] == written
+
 
 class TestSheafFiles:
     def rec(self):

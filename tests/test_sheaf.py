@@ -267,7 +267,8 @@ class TestDictionary:
         rng = random.Random(5)
         rep = nilpotent_cycle_rep()
         rep = adhm.conjugate(rep, {a: rand_invertible(rng, rep.dims[a]) for a in rep.dims})
-        calls = {"inverse_ints": 0, "edge_residual": 0}
+        calls = {"inverse_ints": 0, "_edge_defects": 0}
+        kernel, loops_seen = adhm._edge_defects, []
 
         def counted(name, fn):
             def wrapper(*args):
@@ -275,14 +276,18 @@ class TestDictionary:
                 return fn(*args)
             return wrapper
 
+        def edge_defects(loops, arrows):
+            loops_seen.append(loops)
+            return kernel(loops, arrows)
+
         monkeypatch.setattr(linalg, "inverse_ints", counted("inverse_ints", linalg.inverse_ints))
-        # every module-level name bound to edge_residual counts, imported copies too
+        # every module-level name bound to the edge kernel counts, imported copies too
         for module in (adhm, sheaf):
-            if hasattr(module, "edge_residual"):
-                monkeypatch.setattr(module, "edge_residual",
-                                    counted("edge_residual", adhm.edge_residual))
+            monkeypatch.setattr(module, "_edge_defects", counted("_edge_defects", edge_defects))
         data, g = sheaf.quadruple_to_quintuple(rep)
-        assert calls == {"inverse_ints": len(rep.dims), "edge_residual": 0}
+        assert calls == {"inverse_ints": len(rep.dims), "_edge_defects": 1}
+        # the one edge pass runs on the Jordan loops of the point data
+        assert loops_seen == [{a: data.node_sheaves[a].jordan for a in rep.dims}]
         monkeypatch.undo()
         assert sheaf.quintuple_to_quadruple(data) == adhm.conjugate(rep, g)
 
