@@ -180,10 +180,12 @@ class RelationResidual:
 
 def _edge_defects(loops: Mapping[int, IntMat],
                   arrows: Mapping[ArrowKey, IntMat]) -> dict[ArrowKey, IntMat | None]:
-    """Psi_target B - B Psi_source on integer rows for each arrow B, None where it is
-    zero: one `linalg.sum_of_products` per arrow, shaped by the loops at its ends."""
-    return {(s, t, i): linalg.sum_of_products([(1, loops[t], b), (-1, b, loops[s])],
-                                              len(loops[t][0]), len(loops[s][0]))
+    """Psi_target B - B Psi_source on integer rows for each arrow B, None where it is zero:
+    one `linalg.sum_of_products` per arrow with a nonzero end loop, on that loop's terms."""
+    live = {a: any(map(any, loops[a][0])) for a in {a for s, t, _ in arrows for a in (s, t)}}
+    return {(s, t, i): linalg.sum_of_products(
+                [(1, loops[t], b)] * live[t] + [(-1, b, loops[s])] * live[s],
+                len(loops[t][0]), len(loops[s][0])) if live[s] or live[t] else None
             for (s, t, i), b in arrows.items()}
 
 

@@ -48,9 +48,7 @@ class NonRationalSpectrum(ComputeFailure):
 def frac(x) -> Fraction:
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, int):
-        return Fraction(x)
-    if isinstance(x, str):
+    if isinstance(x, (int, str)):
         return Fraction(x)
     raise TypeError(f"cannot coerce {x!r} to an exact rational")
 
@@ -117,7 +115,9 @@ def mat_mul(a: Mat, b: Mat) -> Mat:
 
 
 def int_matrix(m: Mat) -> IntMat:
-    """m as integer rows over the lcm of its denominators."""
+    """m as integer rows over the lcm of its denominators; entries as `frac` takes them."""
+    if not {type(x) for row in m for x in row} <= {int, Fraction}:
+        m = matrix(m)
     d = lcm(*{x.denominator for row in m for x in row})
     return [[x.numerator * (d // x.denominator) for x in row] for row in m], d
 

@@ -25,7 +25,9 @@ only.  The two three-term maps
 compose to a pure zz term whose block at node a is the node relation
 defect B2B1 - B1B2 + IJ + lam there; every other degree-2 coefficient
 cancels identically, whatever the input.  Each monad is composed once,
-on the first read of `MonadData.composite`.
+on the first read of `MonadData.composite`, in one pass over the three
+products b_i a_i (`nc_sum_of_products`): every output block is summed
+once, so cancellation and the zz defects come out of that one sum.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate
-from typing import Mapping
+from typing import Iterable, Mapping, Sequence
 
 from . import linalg
 from .linalg import IntMat, Mat
@@ -72,7 +74,7 @@ def _starts(layout: Layout) -> dict[int, int]:
 
 
 def _int_blocks(blocks: Mapping[tuple[int, int], Mat]) -> Blocks:
-    """The nonzero blocks, each as integer rows over one denominator."""
+    """The nonzero blocks, each read once into integer rows over one denominator."""
     out = {}
     for key, m in blocks.items():
         ints, d = linalg.int_matrix(m)
@@ -93,7 +95,6 @@ class NCElement:
         for mono, m in coefficients.items():
             if mono not in DEGREE:
                 raise ValueError(f"unknown monomial {mono!r}")
-            m = linalg.matrix(m)
             if not linalg.has_shape(m, rows, cols):
                 raise ValueError(f"coefficient of {mono} must be {rows}x{cols}")
             blocks[mono] = _int_blocks({
@@ -135,12 +136,9 @@ class NCElement:
     def __add__(self, other: "NCElement") -> "NCElement":
         if self.row_layout != other.row_layout or self.col_layout != other.col_layout:
             raise ValueError("layout mismatch in addition")
-        terms_at: dict[str, dict[tuple[int, int], list]] = {}
-        for e in (self, other):
-            for mono, table in e.blocks.items():
-                for key, m in table.items():
-                    terms_at.setdefault(mono, {}).setdefault(key, []).append((1, m, None))
-        return _summed(self.row_layout, self.col_layout, terms_at)
+        return _summed(self.row_layout, self.col_layout, [
+            (mono, key, (1, m, None))
+            for e in (self, other) for mono, table in e.blocks.items() for key, m in table.items()])
 
     def diagonal_block(self, mono: str, node: int) -> Mat:
         """Square block of a coefficient at one node (layouts must agree there), as Fractions."""
@@ -151,51 +149,62 @@ class NCElement:
 
 
 def nc_multiply(u: NCElement, v: NCElement, lam: Mapping[int, Fraction]) -> NCElement:
-    """Normal-form product; the rewrite's lam acts blockwise on u's row layout.
+    """Normal-form product u v, the one-pair case of `nc_sum_of_products`.
 
     The product of the monomial parts must stay inside the degree <= 2
     basis, so both factors of degree 1, or either factor of degree 0.
-    Every term landing in one output block, the lam * zz terms included,
-    is summed in one pass of `linalg.sum_of_products`.
     """
-    if u.col_layout != v.row_layout:
-        raise ValueError("inner layouts do not match")
+    return nc_sum_of_products([(u, v)], lam)
+
+
+def nc_sum_of_products(pairs: Sequence[tuple[NCElement, NCElement]],
+                       lam: Mapping[int, Fraction]) -> NCElement:
+    """Normal form of the sum of u v over the pairs (u, v), in one pass.
+
+    Every u must have the first u's row layout and every v the first v's
+    column layout (ValueError otherwise); the rewrite's lam acts blockwise on
+    that row layout.  Every term landing in one output block, from all pairs
+    and the lam * zz terms included, is summed in one `linalg.sum_of_products`.
+    """
+    rows_at, cols_at = pairs[0][0].row_layout, pairs[0][1].col_layout
     lam = {node: linalg.frac(x) for node, x in lam.items()}
-    # v's blocks of each monomial, by row node: k -> [(c, block), ...]
-    v_rows: dict[str, dict[int, list[tuple[int, IntMat]]]] = {}
-    for mv, table in v.blocks.items():
-        for (k, c), m in table.items():
-            v_rows.setdefault(mv, {}).setdefault(k, []).append((c, m))
+    terms = []      # (monomial, output block, (scalar, left factor, right factor))
+    for u, v in pairs:
+        if u.col_layout != v.row_layout:
+            raise ValueError("inner layouts do not match")
+        if u.row_layout != rows_at or v.col_layout != cols_at:
+            raise ValueError("outer layouts differ between the products")
+        # v's blocks of each monomial, by row node: k -> [(c, block), ...]
+        v_rows: dict[str, dict[int, list[tuple[int, IntMat]]]] = {}
+        for mv, table in v.blocks.items():
+            for (k, c), m in table.items():
+                v_rows.setdefault(mv, {}).setdefault(k, []).append((c, m))
+        for mu, cu in u.blocks.items():
+            for mv, rows_of in v_rows.items():
+                words = ([(mv, False)] if mu == "1" else [(mu, False)] if mv == "1"
+                         else _PRODUCTS.get((mu, mv)))
+                if words is None:
+                    raise ValueError(f"product {mu} * {mv} leaves the degree-2 normal form")
+                for (r, k), bu in cu.items():
+                    for c, bv in rows_of.get(k, ()):
+                        for mono, needs_lam in words:
+                            scalar = lam[r] if needs_lam else 1
+                            if scalar:
+                                terms.append((mono, (r, c), (scalar, bu, bv)))
+    return _summed(rows_at, cols_at, terms)
 
-    # monomial -> output block -> [(scalar, left factor, right factor), ...]
-    terms_at: dict[str, dict[tuple[int, int], list]] = {}
-    for mu, cu in u.blocks.items():
-        for mv, rows_of in v_rows.items():
-            words = ([(mv, False)] if mu == "1" else [(mu, False)] if mv == "1"
-                     else _PRODUCTS.get((mu, mv)))
-            if words is None:
-                raise ValueError(f"product {mu} * {mv} leaves the degree-2 normal form")
-            for (r, k), bu in cu.items():
-                for c, bv in rows_of.get(k, ()):
-                    for mono, needs_lam in words:
-                        scalar = lam[r] if needs_lam else 1
-                        if scalar:
-                            terms_at.setdefault(mono, {}).setdefault((r, c), []).append(
-                                (scalar, bu, bv))
-    return _summed(u.row_layout, v.col_layout, terms_at)
 
-
-def _summed(row_layout: Layout, col_layout: Layout,
-            terms_at: Mapping[str, Mapping[tuple[int, int], list]]) -> NCElement:
-    """Element whose block at each (monomial, row node, column node) sums its terms."""
+def _summed(row_layout: Layout, col_layout: Layout, terms: Iterable[tuple]) -> NCElement:
+    """Element whose block at each (monomial, block) sums the terms (c, a, b) given there."""
+    at: dict[tuple[str, tuple[int, int]], list] = {}
+    for mono, key, term in terms:
+        at.setdefault((mono, key), []).append(term)
     rows, cols = dict(row_layout), dict(col_layout)
     blocks: dict[str, Blocks] = {}
-    for mono, table in terms_at.items():
-        acc = blocks[mono] = {}
-        for (r, c), terms in table.items():
-            total = linalg.sum_of_products(terms, rows[r], cols[c])
-            if total is not None:
-                acc[r, c] = total
+    for (mono, (r, c)), block_terms in at.items():
+        total = linalg.sum_of_products(block_terms, rows[r], cols[c])
+        if total is not None:
+            blocks.setdefault(mono, {})[r, c] = total
     return NCElement._from_blocks(row_layout, col_layout, blocks)
 
 
@@ -208,15 +217,10 @@ class MonadData:
     a: list[NCElement]             # column of three maps
     b: list[NCElement]             # row of three maps
 
-    @property
-    def nodes(self) -> list[int]:
-        return list(range(self.rank + 1))
-
     @cached_property
     def composite(self) -> NCElement:
-        """Normal form of b o a, composed on first read."""
-        first, *rest = [nc_multiply(be, ae, self.lam) for be, ae in zip(self.b, self.a)]
-        return sum(rest, first)
+        """Normal form of b o a, the sum of the b_i a_i, composed on first read in one pass."""
+        return nc_sum_of_products(list(zip(self.b, self.a)), self.lam)
 
 
 def build_monad(rank: int, b1: Mapping[int, Mat], b2: Mapping[int, Mat],
@@ -244,15 +248,11 @@ def build_monad(rank: int, b1: Mapping[int, Mat], b2: Mapping[int, Mat],
         stray = set(blocks) - set(range(n))
         if stray:
             raise ValueError(f"blocks at unknown nodes {sorted(stray)}")
-        out = {}
-        for a in sorted(blocks):
-            tgt = (a + shift) % n
-            m = linalg.matrix(blocks[a])
-            want = (row_dims[tgt], col_dims[a])
+        for a, m in sorted(blocks.items()):
+            want = (row_dims[(a + shift) % n], col_dims[a])
             if not linalg.has_shape(m, *want):
                 raise ValueError(f"block at node {a} must have shape {want}")
-            out[tgt, a] = m
-        return _int_blocks(out)
+        return _int_blocks({((a + shift) % n, a): m for a, m in blocks.items()})
 
     def scalar(c: int) -> Blocks:
         # c times the identity at every nonempty node
@@ -288,4 +288,4 @@ def compose_and_check(m: MonadData) -> tuple[NCElement, bool]:
 
 def node_relation_defects(m: MonadData) -> dict[int, Mat]:
     """zz blocks of the composite, one square matrix per node."""
-    return {a: m.composite.diagonal_block("zz", a) for a in m.nodes}
+    return {a: m.composite.diagonal_block("zz", a) for a in m.dims}

@@ -7,7 +7,7 @@ from adequiver import adhm, linalg
 from adequiver.deformation import DeformationParam, Polynomial, complete_affine_theta
 from adequiver.dynkin import DynkinType, InputTooLarge, node_labels
 
-from helpers import finite_pair_example, rand_invertible, worked_cycle_example
+from helpers import finite_pair_example, rand_frac, rand_invertible, worked_cycle_example
 
 A2 = DynkinType.parse("A2")
 T = Polynomial.variable()
@@ -47,6 +47,38 @@ def test_edge_residual_detects_nonintertwining_loop():
     assert not res.edges_zero
     # u0: 0 -> 1 with scalar 1, Psi jumps from 0 to 1
     assert res.edge_residuals[(0, 1, 0)] == [[Fraction(1)]]
+
+
+def test_zero_loops_cost_no_edge_product(monkeypatch):
+    # zero loops: every edge residual is zero without a product; one nonzero loop
+    # costs one product per arrow at it, and those residuals stay exact
+    rng = random.Random(5)
+    dims = {0: 2, 1: 3, 2: 1}
+    arrows = {arrow.key: [[rand_frac(rng) for _ in range(dims[arrow.source])]
+                          for _ in range(dims[arrow.target])]
+              for arrow in adhm.N1Representation(A2, dims).quiver.mckay_arrows()}
+    calls = []
+    kernel = linalg.sum_of_products
+
+    def counting(terms, rows, cols):
+        calls.append(len(terms))
+        return kernel(terms, rows, cols)
+
+    monkeypatch.setattr(linalg, "sum_of_products", counting)
+    rep = adhm.N1Representation(A2, dims, arrows)
+    edges = adhm._edge_defects(rep.ints, {key: rep.ints[key] for key in rep.B})
+    assert set(edges) == set(rep.B) and all(m is None for m in edges.values())
+    assert calls == []
+    loops = {a: linalg.zeros(d) for a, d in dims.items()}
+    loops[1] = [[1, 0, 2], [0, 0, 0], [3, 0, 1]]
+    rep = adhm.N1Representation(A2, dims, arrows, Psi={1: loops[1]})
+    edges = adhm._edge_defects(rep.ints, {key: rep.ints[key] for key in rep.B})
+    assert calls == [1, 1, 1, 1]        # one single-term product per arrow at node 1
+    res = adhm.check_relations(rep, {a: [1] for a in range(3)})
+    for (s, t, i), b in rep.B.items():
+        want = linalg.mat_sub(linalg.mat_mul(loops[t], b), linalg.mat_mul(b, loops[s]))
+        assert res.edge_residuals[s, t, i] == want
+        assert (edges[s, t, i] is None) == linalg.is_zero_matrix(want)
 
 
 def test_finite_pair_example_satisfies_relations():

@@ -761,6 +761,36 @@ class TestMonadCheck:
         assert code == 1
         assert out == MONAD_CHECK_RANK1_JSON
 
+    def test_failing_details_name_what_was_found(self, capsys, tmp_path, monkeypatch):
+        # neither check can fail on real data; break the composite and the defects
+        from adequiver import monad
+        compose, defects = monad.compose_and_check, monad.node_relation_defects
+
+        def broken_compose(m):
+            composite, _ = compose(m)
+            lay = composite.row_layout
+            extra = monad.NCElement(lay, lay, {"zx1": linalg.identity(3), "x1x2": [
+                [1, 0, 0], [0, 0, 0], [0, 0, 0]]})
+            return composite + extra, False
+
+        def broken_defects(m):
+            return {a: [[d + a for d in row] for row in block]
+                    for a, block in defects(m).items()}
+
+        rep = write(tmp_path, "rep.json", rep_record())
+        monkeypatch.setattr(monad, "compose_and_check", broken_compose)
+        monkeypatch.setattr(monad, "node_relation_defects", broken_defects)
+        code, out = run(capsys, "monad-check", rep, "--lam", "1,0,-1")
+        assert code == 1
+        assert "check structural-cancellation: FAIL  (x1x2, zx1 survive)" in out
+        assert ("check matches-node-relation-residuals: FAIL  "
+                "(quadratic blocks differ from the node defects at nodes [1, 2])") in out
+        code, out = run(capsys, "monad-check", rep, "--lam", "1,0,-1", "--json")
+        details = {v["name"]: v["detail"] for v in json.loads(out)["verdicts"]}
+        assert details["structural-cancellation"] == "x1x2, zx1 survive"
+        assert details["matches-node-relation-residuals"] == (
+            "quadratic blocks differ from the node defects at nodes [1, 2]")
+
     def test_agrees_with_check_rep_on_same_data(self, capsys, tmp_path):
         theta = write(tmp_path, "theta.json", theta_record())
         for record in (rep_record(),):

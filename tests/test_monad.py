@@ -325,22 +325,77 @@ class TestMonad:
         with pytest.raises(ValueError):
             monad.build_monad(1, {0: [[1, 2]]}, {}, {}, {}, {}, {0: 1, 1: 1}, {})
 
+    def test_blocks_take_every_exact_entry_kind(self):
+        # ints, Fractions and numeric strings are read; anything else is a TypeError
+        exact = monad.build_monad(1, {0: [[Fraction(1, 2)]], 1: [[3]]}, {0: [[5]], 1: [[-2]]},
+                                  {0: [[Fraction(3, 4)]]}, {0: [[2]]}, {0: 1, 1: 0},
+                                  {0: 1, 1: 1}, {0: 1, 1: 0})
+        mixed = monad.build_monad(1, {0: [["1/2"]], 1: [[3]]}, {0: [["5"]], 1: [[-2]]},
+                                  {0: [[Fraction(3, 4)]]}, {0: [["2"]]}, {0: 1, 1: 0},
+                                  {0: 1, 1: 1}, {0: 1, 1: 0})
+        assert monad.node_relation_defects(mixed) == monad.node_relation_defects(exact)
+        assert mixed.composite.blocks == exact.composite.blocks
+        assert NCElement(ONE_NODE, ONE_NODE, {"z": [["-3/2"]]}).coefficient("z") == [
+            [Fraction(-3, 2)]]
+        for bad in (0.5, None, 1j):
+            with pytest.raises(TypeError):
+                monad.build_monad(0, {0: [[bad]]}, {}, {}, {}, {}, {0: 1}, {})
+            with pytest.raises(TypeError):
+                NCElement(ONE_NODE, ONE_NODE, {"z": [[bad]]})
+
     def test_composed_once_per_monad(self, monkeypatch):
-        products = []
-        multiply = monad.nc_multiply
+        calls = []
+        kernel = linalg.sum_of_products
 
-        def counting(u, v, lam):
-            products.append((u, v))
-            return multiply(u, v, lam)
+        def counting(terms, rows, cols):
+            calls.append((rows, cols))
+            return kernel(terms, rows, cols)
 
-        monkeypatch.setattr(monad, "nc_multiply", counting)
+        monkeypatch.setattr(linalg, "sum_of_products", counting)
         m = monad.build_monad(1, {0: [[4]], 1: [[3]]}, {0: [[5]], 1: [[7]]}, {}, {},
                               {0: 1, 1: -1}, {0: 1, 1: 1}, {})
         composite, ok = monad.compose_and_check(m)
         assert monad.node_relation_defects(m) == {0: [[14]], 1: [[-14]]}
-        assert len(products) == 3
+        # one kernel call per output block over all three products: zz, zx1, zx2
+        # and x1x2 (which cancels) at two blocks each; the framing adds none
+        assert len(calls) == 8
         assert monad.compose_and_check(m) == (composite, ok)
-        assert len(products) == 3
+        monad.node_relation_defects(m)
+        assert len(calls) == 8
+
+    def test_one_pass_equals_the_sum_of_the_three_products(self):
+        rng = random.Random(17)
+        for rank in range(4):
+            n = rank + 1
+            for trial in range(12):
+                dims = {a: rng.randrange(4) for a in range(n)}
+                dims[rng.randrange(n)] = 0          # a zero-dimensional node every time
+                framed = trial % 2 == 0
+                framing = {a: rng.randrange(3) if framed else 0 for a in range(n)}
+                b1 = {a: rand_matrix(rng, dims[(a + 1) % n], dims[a]) for a in range(n)}
+                b2 = {a: rand_matrix(rng, dims[(a - 1) % n], dims[a]) for a in range(n)}
+                i_blocks = {a: rand_matrix(rng, dims[a], framing[a]) for a in range(n)}
+                j_blocks = {a: rand_matrix(rng, framing[a], dims[a]) for a in range(n)}
+                lam = {a: 0 if trial % 3 == 0 else rand_frac(rng) for a in range(n)}
+                m = monad.build_monad(rank, b1, b2, i_blocks, j_blocks, lam, dims, framing)
+                (b0, a0), (b1_, a1), (b2_, a2) = zip(m.b, m.a)
+                want = (monad.nc_multiply(b0, a0, m.lam) + monad.nc_multiply(b1_, a1, m.lam)
+                        + monad.nc_multiply(b2_, a2, m.lam))
+                assert m.composite.blocks == want.blocks, (rank, trial)
+                assert m.composite.coefficients == want.coefficients, (rank, trial)
+
+    def test_one_pass_refuses_mismatched_outer_layouts(self):
+        lay2 = ((0, 1), (1, 1))
+        u, v = scalar("x1", 1), scalar("z", 2)
+        wide = NCElement(ONE_NODE, lay2, {"z": [[1, 1]]})
+        tall = NCElement(lay2, ONE_NODE, {"x2": [[1], [1]]})
+        for pairs in ([(u, v), (tall, v)], [(u, v), (u, wide)]):
+            with pytest.raises(ValueError, match="outer layouts"):
+                monad.nc_sum_of_products(pairs, {0: 1, 1: 1})
+        with pytest.raises(ValueError, match="inner layouts"):
+            monad.nc_sum_of_products([(u, v), (u, tall)], {0: 1})
+        assert monad.nc_sum_of_products([(u, v), (u, v)], {0: 1}).coefficients == {
+            "zx1": [[4]]}
 
     def test_empty_monad(self):
         m = monad.build_monad(2, {}, {}, {}, {}, {}, {0: 0, 1: 0, 2: 0}, {})
