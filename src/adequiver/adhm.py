@@ -20,7 +20,6 @@ Horner.  Both read `N1Representation.ints`, the integer rows of B and Psi
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping
 
@@ -104,30 +103,46 @@ def _images(m: IntMat, vectors: list[Vec], rows: int) -> list[Vec]:
     return linalg.rational_matrix(moved, len(vectors), rows)
 
 
-@dataclass
 class N1Representation:
-    type: DynkinType
-    dims: dict[int, int]
-    B: dict[ArrowKey, Mat] = field(default_factory=dict)
-    Psi: dict[int, Mat] = field(default_factory=dict)
-    framing_ranks: dict[int, int] = field(default_factory=dict)
-    I: dict[int, list[Vec]] = field(default_factory=dict)
-    affine: bool = True
+    """Dims, arrows B, loops Psi and framing of a representation; missing blocks are zero.
 
-    def __post_init__(self):
-        labels = node_labels(self.type, self.affine)
-        if sorted(self.dims) != labels:
+    `ints` holds B and Psi as integer rows, by key; it is not a field, so
+    `==` and `repr` do not read it.
+    """
+
+    __slots__ = ("type", "dims", "B", "Psi", "framing_ranks", "I", "affine", "ints")
+
+    def __init__(self, type: DynkinType, dims: dict[int, int],
+                 B: dict[ArrowKey, Mat] | None = None, Psi: dict[int, Mat] | None = None,
+                 framing_ranks: dict[int, int] | None = None,
+                 I: dict[int, list[Vec]] | None = None, affine: bool = True):
+        self.type, self.dims, self.affine = type, dims, affine
+        labels = node_labels(type, affine)
+        if sorted(dims) != labels:
             raise ValueError(f"dims must cover exactly the nodes {labels}")
         # every arrow of the quiver, zeros where none is given
-        arrows = {**dict.fromkeys(arrow.key for arrow in self.quiver.mckay_arrows()), **self.B}
+        arrows = {**dict.fromkeys(arrow.key for arrow in self.quiver.mckay_arrows()), **(B or {})}
         self.B, self.ints, self.framing_ranks, self.I = _quiver_data(
-            self.type, self.affine, self.dims, arrows, self.framing_ranks, self.I)
-        stray = set(self.Psi) - set(labels)
+            type, affine, dims, arrows, framing_ranks or {}, I or {})
+        Psi = Psi or {}
+        stray = set(Psi) - set(labels)
         if stray:
             raise ValueError(f"loop data at unknown nodes {sorted(stray)}")
-        # self.ints holds B and Psi as integer rows, by key
-        self.Psi = {a: _exact_matrix(self.ints, a, self.Psi.get(a), (self.dims[a],) * 2,
-                                     f"loop at {a} must be {self.dims[a]} square") for a in labels}
+        self.Psi = {a: _exact_matrix(self.ints, a, Psi.get(a), (dims[a],) * 2,
+                                     f"loop at {a} must be {dims[a]} square") for a in labels}
+
+    def _values(self) -> tuple:
+        return self.type, self.dims, self.B, self.Psi, self.framing_ranks, self.I, self.affine
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __repr__(self):
+        return (f"N1Representation(type={self.type!r}, dims={self.dims!r}, B={self.B!r}, "
+                f"Psi={self.Psi!r}, framing_ranks={self.framing_ranks!r}, I={self.I!r}, "
+                f"affine={self.affine!r})")
 
     @property
     def quiver(self) -> QuiverSpec:
@@ -160,10 +175,22 @@ def _theta_table(rep: N1Representation, theta) -> dict[int, Polynomial]:
     return table
 
 
-@dataclass
 class RelationResidual:
-    node_residuals: dict[int, Mat]
-    edge_residuals: dict[ArrowKey, Mat]
+    __slots__ = ("node_residuals", "edge_residuals")
+
+    def __init__(self, node_residuals: dict[int, Mat], edge_residuals: dict[ArrowKey, Mat]):
+        self.node_residuals = node_residuals
+        self.edge_residuals = edge_residuals
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.node_residuals, self.edge_residuals)
+                == (other.node_residuals, other.edge_residuals))
+
+    def __repr__(self):
+        return (f"RelationResidual(node_residuals={self.node_residuals!r}, "
+                f"edge_residuals={self.edge_residuals!r})")
 
     @property
     def nodes_zero(self) -> bool:
@@ -243,25 +270,50 @@ def support(rep: N1Representation) -> dict[int, list[complex]]:
     }
 
 
-@dataclass
 class SupportReportRow:
     """One node: its distinct loop eigenvalues, how many of them each root's
     projection vanishes at, and how many lie where no projection vanishes."""
 
-    node: int
-    distinct: int
-    roots: list[tuple[tuple[int, ...], int]]
-    off_locus: int
+    __slots__ = ("node", "distinct", "roots", "off_locus")
+
+    def __init__(self, node: int, distinct: int, roots: list[tuple[tuple[int, ...], int]],
+                 off_locus: int):
+        self.node = node
+        self.distinct = distinct
+        self.roots = roots
+        self.off_locus = off_locus
+
+    def _values(self) -> tuple:
+        return self.node, self.distinct, self.roots, self.off_locus
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __repr__(self):
+        return (f"SupportReportRow(node={self.node!r}, distinct={self.distinct!r}, "
+                f"roots={self.roots!r}, off_locus={self.off_locus!r})")
 
     @property
     def ok(self) -> bool:
         return self.off_locus == 0
 
 
-@dataclass
 class SupportReport:
-    rows: list[SupportReportRow]
-    ok: bool
+    __slots__ = ("rows", "ok")
+
+    def __init__(self, rows: list[SupportReportRow], ok: bool):
+        self.rows = rows
+        self.ok = ok
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.rows, self.ok) == (other.rows, other.ok)
+
+    def __repr__(self):
+        return f"SupportReport(rows={self.rows!r}, ok={self.ok!r})"
 
 
 def check_support_property(rep: N1Representation, theta, tol: float = 1e-6) -> SupportReport:
@@ -337,6 +389,31 @@ def conjugate(rep: N1Representation, g: Mapping[int, Mat]) -> N1Representation:
     return N1Representation(
         rep.type, dict(rep.dims), b, psi, dict(rep.framing_ranks), vectors, rep.affine
     )
+
+
+def is_conjugate(rep: N1Representation, other: N1Representation, g: Mapping[int, Mat]) -> bool:
+    """Whether other == conjugate(rep, g) for invertible g, decided without inverting g.
+
+    Beside equal quivers, dims and framing ranks, that holds exactly when
+    g_a Psi_a = Psi'_a g_a at each node a, g_t B = B' g_s on each arrow s -> t,
+    and g_a v = v' for each framing vector; each is one two-term
+    `linalg.sum_of_products` on integer rows, which is None when it is zero.
+    """
+    if ((rep.type, rep.affine, rep.dims, rep.framing_ranks)
+            != (other.type, other.affine, other.dims, other.framing_ranks)):
+        return False
+    gi = {a: linalg.int_matrix(g[a]) for a in node_labels(rep.type, rep.affine)}
+    dims = rep.dims
+    return not (
+        any(linalg.sum_of_products([(1, gi[a], rep.ints[a]), (-1, other.ints[a], gi[a])],
+                                   dims[a], dims[a]) for a in gi)
+        or any(linalg.sum_of_products([(1, gi[t], rep.ints[s, t, i]),
+                                       (-1, other.ints[s, t, i], gi[s])], dims[t], dims[s])
+               for s, t, i in rep.B)
+        or any(rep.I[a] and linalg.sum_of_products(
+                   [(1, linalg.int_matrix(rep.I[a]), linalg._transposed(gi[a])),
+                    (-1, linalg.int_matrix(other.I[a]), None)], len(rep.I[a]), dims[a])
+               for a in gi))
 
 
 def trace_identity_defect(rep: N1Representation, theta) -> Fraction:

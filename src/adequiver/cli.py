@@ -10,11 +10,9 @@ Identical inputs and options produce byte-identical output.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import re
 import sys
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import dynkin, linalg, quiver
@@ -39,24 +37,53 @@ def _fmt_matrix(m) -> str:
     return "[" + "; ".join(" ".join(fileio.frac_to_str(x) for x in row) for row in m) + "]"
 
 
-@dataclass
 class Verdict:
-    name: str
-    passed: bool
-    detail: str = ""
+    __slots__ = ("name", "passed", "detail")
+
+    def __init__(self, name: str, passed: bool, detail: str = ""):
+        self.name = name
+        self.passed = passed
+        self.detail = detail
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.name, self.passed, self.detail) == (other.name, other.passed, other.detail)
+
+    def __repr__(self):
+        return f"Verdict(name={self.name!r}, passed={self.passed!r}, detail={self.detail!r})"
 
 
-@dataclass
 class RunReport:
-    command: str
-    inputs: list = field(default_factory=list)
-    lines: list = field(default_factory=list)
-    verdicts: list = field(default_factory=list)
-    notes: list = field(default_factory=list)
-    data: dict = field(default_factory=dict)
-    forced_exit: int | None = None
+    __slots__ = ("command", "inputs", "lines", "verdicts", "notes", "data", "forced_exit")
+
+    def __init__(self, command: str, inputs: list | None = None, lines: list | None = None,
+                 verdicts: list | None = None, notes: list | None = None,
+                 data: dict | None = None, forced_exit: int | None = None):
+        self.command = command
+        self.inputs = [] if inputs is None else inputs
+        self.lines = [] if lines is None else lines
+        self.verdicts = [] if verdicts is None else verdicts
+        self.notes = [] if notes is None else notes
+        self.data = {} if data is None else data
+        self.forced_exit = forced_exit
+
+    def _values(self) -> tuple:
+        return (self.command, self.inputs, self.lines, self.verdicts, self.notes, self.data,
+                self.forced_exit)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __repr__(self):
+        return (f"RunReport(command={self.command!r}, inputs={self.inputs!r}, "
+                f"lines={self.lines!r}, verdicts={self.verdicts!r}, notes={self.notes!r}, "
+                f"data={self.data!r}, forced_exit={self.forced_exit!r})")
 
     def add_input(self, path: str) -> None:
+        import hashlib
         from . import io as fileio
         try:
             with open(path, "rb") as fh:
@@ -386,9 +413,7 @@ def cmd_roundtrip(args, report: RunReport) -> None:
     report.add_input(args.file)
     rep = fileio.load_representation(args.file)
     data, g = sheaf.quadruple_to_quintuple(rep)
-    back = sheaf.quintuple_to_quadruple(data)
-    expected = adhm.conjugate(rep, g)
-    same = back == expected
+    same = adhm.is_conjugate(rep, sheaf.quintuple_to_quadruple(data), g)
     for a in sorted(g):
         report.say(f"base change at node {a}: {_fmt_matrix(g[a])}")
     report.data = {

@@ -15,13 +15,12 @@ labels that no verdict reads (`poly.poly_roots`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 from typing import Mapping
 
-from .dynkin import (MAX_DEGREE, DynkinType, InputTooLarge, Root, is_positive_root, marks,
-                     node_labels, positive_roots)
+from .dynkin import (MAX_DEGREE, DynkinType, InputTooLarge, Root, _read_only, is_positive_root,
+                     marks, node_labels, positive_roots)
 from .linalg import ComputeFailure
 from .poly import Polynomial, poly_gcd, poly_roots, squarefree_part
 
@@ -38,16 +37,28 @@ class IdenticallyZeroProjection(ComputeFailure):
         super().__init__(f"projection along {root.coefficients} is identically zero")
 
 
-@dataclass(frozen=True)
 class DeformationParam:
-    type: DynkinType
-    theta: dict[int, Polynomial]      # keyed by affine node label
-    constrained: bool
+    __setattr__ = __delattr__ = _read_only
 
-    def __post_init__(self):
+    def __init__(self, type: DynkinType, theta: dict[int, Polynomial], constrained: bool):
+        object.__setattr__(self, "type", type)
+        object.__setattr__(self, "theta", theta)      # keyed by affine node label
+        object.__setattr__(self, "constrained", constrained)
         labels = node_labels(self.type, affine=True)
         if sorted(self.theta) != labels:
             raise ValueError(f"need one polynomial per node {labels}")
+
+    def _values(self) -> tuple:
+        return self.type, self.theta, self.constrained
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __repr__(self):
+        return (f"DeformationParam(type={self.type!r}, theta={self.theta!r}, "
+                f"constrained={self.constrained!r})")
 
     @cached_property
     def projections(self) -> tuple[tuple[Root, Polynomial], ...]:
@@ -107,17 +118,49 @@ def theta_of_root(d: DeformationParam, root: Root) -> Polynomial:
     return Polynomial.of(acc)
 
 
-@dataclass(frozen=True)
 class LocusEntry:
-    point: complex
-    root: Root
-    multiplicity: int
+    __slots__ = ("point", "root", "multiplicity")
+    __setattr__ = __delattr__ = _read_only
+
+    def __init__(self, point: complex, root: Root, multiplicity: int):
+        object.__setattr__(self, "point", point)
+        object.__setattr__(self, "root", root)
+        object.__setattr__(self, "multiplicity", multiplicity)
+
+    def _values(self) -> tuple:
+        return self.point, self.root, self.multiplicity
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        return (f"LocusEntry(point={self.point!r}, root={self.root!r}, "
+                f"multiplicity={self.multiplicity!r})")
 
 
-@dataclass(frozen=True)
 class ExceptionalLocus:
-    type: DynkinType
-    entries: tuple[LocusEntry, ...]
+    __slots__ = ("type", "entries")
+    __setattr__ = __delattr__ = _read_only
+
+    def __init__(self, type: DynkinType, entries: tuple[LocusEntry, ...]):
+        object.__setattr__(self, "type", type)
+        object.__setattr__(self, "entries", entries)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.type, self.entries) == (other.type, other.entries)
+
+    def __hash__(self):
+        return hash((self.type, self.entries))
+
+    def __repr__(self):
+        return f"ExceptionalLocus(type={self.type!r}, entries={self.entries!r})"
 
 
 def _projections(d: DeformationParam) -> list[tuple[Root, Polynomial]]:

@@ -14,7 +14,6 @@ Node labelling convention, used everywhere in this package:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 FAMILIES = ("A", "D", "E")
@@ -35,12 +34,19 @@ class InputTooLarge(Exception):
     """An input past a size cap, refused before anything of its size is allocated."""
 
 
-@dataclass(frozen=True)
-class DynkinType:
-    family: str
-    rank: int
+def _read_only(self, name: str, value=None):
+    """`__setattr__` and `__delattr__` of the immutable records: their __init__ sets
+    each field once with `object.__setattr__`, and nothing changes one afterwards."""
+    raise AttributeError(f"cannot assign to field {name!r}")
 
-    def __post_init__(self):
+
+class DynkinType:
+    __slots__ = ("family", "rank")
+    __setattr__ = __delattr__ = _read_only
+
+    def __init__(self, family: str, rank: int):
+        object.__setattr__(self, "family", family)
+        object.__setattr__(self, "rank", rank)
         if self.family not in FAMILIES:
             raise ValueError(f"unknown family {self.family!r}")
         if self.family == "E":
@@ -50,6 +56,17 @@ class DynkinType:
             raise ValueError(f"family {self.family} needs rank >= {_MIN_RANK[self.family]}")
         elif self.rank > MAX_RANK:
             raise InputTooLarge(f"rank {self.rank} exceeds the cap {MAX_RANK}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.family, self.rank) == (other.family, other.rank)
+
+    def __hash__(self):
+        return hash((self.family, self.rank))
+
+    def __repr__(self):
+        return f"DynkinType(family={self.family!r}, rank={self.rank!r})"
 
     @classmethod
     def parse(cls, text: str) -> "DynkinType":
@@ -94,11 +111,30 @@ def finite_edges(t: DynkinType) -> list[tuple[int, int]]:
     return [(a, b) for a, b in affine_edges(t) if a != 0 and b != 0]
 
 
-@dataclass(frozen=True)
 class CartanMatrix:
-    entries: tuple[tuple[int, ...], ...]
-    affine: bool
-    node_labels: tuple[int, ...]
+    __slots__ = ("entries", "affine", "node_labels")
+    __setattr__ = __delattr__ = _read_only
+
+    def __init__(self, entries: tuple[tuple[int, ...], ...], affine: bool,
+                 node_labels: tuple[int, ...]):
+        object.__setattr__(self, "entries", entries)
+        object.__setattr__(self, "affine", affine)
+        object.__setattr__(self, "node_labels", node_labels)
+
+    def _values(self) -> tuple:
+        return self.entries, self.affine, self.node_labels
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        return (f"CartanMatrix(entries={self.entries!r}, affine={self.affine!r}, "
+                f"node_labels={self.node_labels!r})")
 
 
 def cartan_matrix(t: DynkinType, affine: bool = False) -> CartanMatrix:
@@ -121,10 +157,24 @@ def adjacency_matrix(t: DynkinType, affine: bool = True) -> list[list[int]]:
     return [[-c.entries[i][j] if i != j else 0 for j in range(n)] for i in range(n)]
 
 
-@dataclass(frozen=True)
 class MarksVector:
-    type: DynkinType
-    delta: tuple[int, ...]          # indexed over affine nodes 0..rank
+    __slots__ = ("type", "delta")
+    __setattr__ = __delattr__ = _read_only
+
+    def __init__(self, type: DynkinType, delta: tuple[int, ...]):
+        object.__setattr__(self, "type", type)
+        object.__setattr__(self, "delta", delta)      # indexed over affine nodes 0..rank
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.type, self.delta) == (other.type, other.delta)
+
+    def __hash__(self):
+        return hash((self.type, self.delta))
+
+    def __repr__(self):
+        return f"MarksVector(type={self.type!r}, delta={self.delta!r})"
 
     def as_dict(self) -> dict[int, int]:
         return dict(enumerate(self.delta))
@@ -164,10 +214,24 @@ def _marks_cached(t: DynkinType) -> MarksVector:
     return MarksVector(t, delta)
 
 
-@dataclass(frozen=True)
 class Root:
     """A root written in the simple-root basis over the finite nodes 1..rank."""
-    coefficients: tuple[int, ...]
+    __slots__ = ("coefficients",)
+    __setattr__ = __delattr__ = _read_only
+
+    def __init__(self, coefficients: tuple[int, ...]):
+        object.__setattr__(self, "coefficients", coefficients)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.coefficients == other.coefficients
+
+    def __hash__(self):
+        return hash((self.coefficients,))
+
+    def __repr__(self):
+        return f"Root(coefficients={self.coefficients!r})"
 
     @property
     def height(self) -> int:

@@ -27,14 +27,13 @@ representative.
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import count
 from math import isqrt, lcm
 from operator import mul
 
-from .dynkin import DynkinType
+from .dynkin import DynkinType, _read_only
 from .linalg import ComputeFailure
 from .poly import _factor, _quotient, _split_roots
 
@@ -98,13 +97,27 @@ def generators(t: DynkinType) -> list[tuple]:
     return [_quat(half + s, s, half, ()), _quat(_rotate(half, Fraction(1, 2)), half, half, half)]
 
 
-@dataclass(frozen=True)
 class PrimeField:
     """F_p with omega of order n in it, standing for e^{2 pi i / n}."""
 
-    p: int
-    n: int
-    omega: int
+    __slots__ = ("p", "n", "omega")
+    __setattr__ = __delattr__ = _read_only
+
+    def __init__(self, p: int, n: int, omega: int):
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "omega", omega)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.p, self.n, self.omega) == (other.p, other.n, other.omega)
+
+    def __hash__(self):
+        return hash((self.p, self.n, self.omega))
+
+    def __repr__(self):
+        return f"PrimeField(p={self.p!r}, n={self.n!r}, omega={self.omega!r})"
 
     def root(self, turn) -> int:
         """The residue of e^{2 pi i turn}; turn * n must be an integer."""
@@ -144,23 +157,30 @@ def _inv(x: tuple, p: int) -> tuple:
     return (d, -b % p, -c % p, a)
 
 
-@dataclass(frozen=True)
 class GroupElement:
     """A complex 2x2 matrix of determinant one (numeric view)."""
 
-    m: object
+    __slots__ = ("m",)
+    __setattr__ = __delattr__ = _read_only
 
-    def __post_init__(self):
+    def __init__(self, m: object):
         import numpy as np
-        a = np.asarray(self.m, dtype=complex)
+        a = np.asarray(m, dtype=complex)
         if a.shape != (2, 2):
             raise ValueError("group elements are 2x2 complex matrices")
         if abs(np.linalg.det(a) - 1.0) >= 1e-9:
             raise ValueError("group elements must have determinant 1")
         object.__setattr__(self, "m", a)
 
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.m,) == (other.m,)
 
-@dataclass
+    def __repr__(self):
+        return f"GroupElement(m={self.m!r})"
+
+
 class GammaGroup:
     """The closure of the generators over F_p, with its conjugacy classes.
 
@@ -170,14 +190,28 @@ class GammaGroup:
     `mult_table` and `inverse` are numpy views built on first use.
     """
 
-    type: DynkinType
-    fp: PrimeField
-    gens: list = field(repr=False)            # cyclotomic generator matrices
-    residues: list = field(repr=False)
-    tree: list = field(repr=False)
-    classes: list[list[int]]                   # partition of element indices
-    class_index: list[int] = field(repr=False)
-    index: dict = field(repr=False)            # residues -> element index
+    def __init__(self, type: DynkinType, fp: PrimeField, gens: list, residues: list,
+                 tree: list, classes: list[list[int]], class_index: list[int], index: dict):
+        self.type = type
+        self.fp = fp
+        self.gens = gens                # cyclotomic generator matrices
+        self.residues = residues
+        self.tree = tree
+        self.classes = classes          # partition of element indices
+        self.class_index = class_index
+        self.index = index              # residues -> element index
+
+    def _values(self) -> tuple:
+        return (self.type, self.fp, self.gens, self.residues, self.tree, self.classes,
+                self.class_index, self.index)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __repr__(self):
+        return f"GammaGroup(type={self.type!r}, fp={self.fp!r}, classes={self.classes!r})"
 
     @property
     def order(self) -> int:
@@ -347,7 +381,6 @@ def _eigen_exponents(power_sums: list, roots: dict, p: int) -> list[int]:
     return found
 
 
-@dataclass
 class CharacterTable:
     """Irreducible characters mod p, sorted by degree and then by their complex values.
 
@@ -356,10 +389,23 @@ class CharacterTable:
     `class_sizes` are numpy views.
     """
 
-    group: GammaGroup = field(repr=False)
-    values: list[list[int]]
-    degrees: list[int]
-    lifted: list[list[complex]] = field(repr=False)
+    def __init__(self, group: GammaGroup, values: list[list[int]], degrees: list[int],
+                 lifted: list[list[complex]]):
+        self.group = group
+        self.values = values
+        self.degrees = degrees
+        self.lifted = lifted
+
+    def _values(self) -> tuple:
+        return self.group, self.values, self.degrees, self.lifted
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __repr__(self):
+        return f"CharacterTable(values={self.values!r}, degrees={self.degrees!r})"
 
     @property
     def class_reps(self) -> list[int]:

@@ -13,12 +13,11 @@ product of distinct linear factors (Cantor-Zassenhaus).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Sequence
 
-from .dynkin import InputTooLarge
+from .dynkin import InputTooLarge, _read_only
 from .linalg import frac
 
 
@@ -31,7 +30,6 @@ def _trim(a: list) -> list:
 
 # -- Q[t] -------------------------------------------------------------------------
 
-@dataclass(frozen=True)
 class Polynomial:
     """Dense univariate polynomial, rational coefficients, ascending order.
 
@@ -39,7 +37,22 @@ class Polynomial:
     polynomial is the empty tuple and degree is len - 1 (or -1 for zero).
     """
 
-    coefficients: tuple[Fraction, ...]
+    __slots__ = ("coefficients",)
+    __setattr__ = __delattr__ = _read_only
+
+    def __init__(self, coefficients: tuple[Fraction, ...]):
+        object.__setattr__(self, "coefficients", coefficients)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.coefficients == other.coefficients
+
+    def __hash__(self):
+        return hash((self.coefficients,))
+
+    def __repr__(self):
+        return f"Polynomial(coefficients={self.coefficients!r})"
 
     @classmethod
     def of(cls, coeffs: Polynomial | Sequence) -> Polynomial:

@@ -18,7 +18,6 @@ trip runs on the integer rows (`linalg.IntMat`) that representations and
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from typing import Mapping, Sequence
@@ -26,7 +25,7 @@ from typing import Mapping, Sequence
 from . import linalg
 from .adhm import (ArrowKey, N1Representation, _edge_defects, _images, _quiver_data,
                    transport)
-from .dynkin import DynkinType, node_labels
+from .dynkin import DynkinType, _read_only, node_labels
 from .linalg import ComputeFailure, IntMat, Mat, Vec
 
 
@@ -45,11 +44,24 @@ def _support_sort_key(s) -> tuple:
     return (z.real, z.imag)
 
 
-@dataclass(frozen=True)
 class TorsionSheafData:
     """Canonicalised: supports sorted and distinct, partitions nonincreasing."""
 
-    points: tuple[tuple[Support, tuple[int, ...]], ...]
+    __setattr__ = __delattr__ = _read_only
+
+    def __init__(self, points: tuple[tuple[Support, tuple[int, ...]], ...]):
+        object.__setattr__(self, "points", points)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.points == other.points
+
+    def __hash__(self):
+        return hash((self.points,))
+
+    def __repr__(self):
+        return f"TorsionSheafData(points={self.points!r})"
 
     @classmethod
     def of(cls, points: Sequence[tuple[object, Sequence[int]]]) -> "TorsionSheafData":
@@ -148,27 +160,41 @@ def _check_intertwining(loops: Mapping[int, IntMat], arrows: Mapping[ArrowKey, I
             raise EdgeRelationViolated(f"edge defect at {key} is nonzero")
 
 
-@dataclass
 class QuiverSheafData:
-    type: DynkinType
-    node_sheaves: dict[int, TorsionSheafData]
-    arrow_maps: dict[ArrowKey, Mat]
-    framing_ranks: dict[int, int] = field(default_factory=dict)
-    framing_vectors: dict[int, list[Vec]] = field(default_factory=dict)
-    affine: bool = True
+    """Torsion data per node, arrow maps and framing; `ints` holds the arrow maps as
+    integer rows, by key, and is not a field, so `==` and `repr` do not read it."""
 
-    def __post_init__(self):
-        labels = node_labels(self.type, self.affine)
-        if sorted(self.node_sheaves) != labels:
+    __slots__ = ("type", "node_sheaves", "arrow_maps", "framing_ranks", "framing_vectors",
+                 "affine", "ints")
+
+    def __init__(self, type: DynkinType, node_sheaves: dict[int, TorsionSheafData],
+                 arrow_maps: dict[ArrowKey, Mat], framing_ranks: dict[int, int] | None = None,
+                 framing_vectors: dict[int, list[Vec]] | None = None, affine: bool = True):
+        self.type, self.node_sheaves, self.affine = type, node_sheaves, affine
+        labels = node_labels(type, affine)
+        if sorted(node_sheaves) != labels:
             raise ValueError(f"need sheaf data for exactly the nodes {labels}")
-        # self.ints holds the arrow maps as integer rows, by key
         self.arrow_maps, self.ints, self.framing_ranks, self.framing_vectors = _quiver_data(
-            self.type, self.affine, {a: self.node_sheaves[a].dimension for a in labels},
-            self.arrow_maps, self.framing_ranks, self.framing_vectors)
+            type, affine, {a: node_sheaves[a].dimension for a in labels},
+            arrow_maps, framing_ranks or {}, framing_vectors or {})
         # Jordan matrices only where an arrow needs one, and only of rational supports
         touched = list(dict.fromkeys(a for key in self.arrow_maps for a in key[:2]))
-        _require_rational(self.node_sheaves, touched)
-        _check_intertwining({a: self.node_sheaves[a].jordan for a in touched}, self.ints)
+        _require_rational(node_sheaves, touched)
+        _check_intertwining({a: node_sheaves[a].jordan for a in touched}, self.ints)
+
+    def _values(self) -> tuple:
+        return (self.type, self.node_sheaves, self.arrow_maps, self.framing_ranks,
+                self.framing_vectors, self.affine)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __repr__(self):
+        return (f"QuiverSheafData(type={self.type!r}, node_sheaves={self.node_sheaves!r}, "
+                f"arrow_maps={self.arrow_maps!r}, framing_ranks={self.framing_ranks!r}, "
+                f"framing_vectors={self.framing_vectors!r}, affine={self.affine!r})")
 
 
 def quadruple_to_quintuple(rep: N1Representation) -> tuple[QuiverSheafData, dict[int, Mat]]:

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import adequiver
-from adequiver import cli, deformation, dynkin, gamma, linalg, sheaf
+from adequiver import adhm, cli, deformation, dynkin, gamma, linalg, sheaf
 from adequiver import io as fileio
 
 from helpers import rand_invertible
@@ -477,6 +477,47 @@ class TestConversions:
         code, out = run(capsys, "roundtrip", rep)
         assert code == 0
         assert "check roundtrip-conjugate-to-input: pass" in out
+
+    @pytest.mark.parametrize("plant", [None, "loop", "arrow", "vector", "rank"])
+    def test_roundtrip_verdict_agrees_with_conjugate(self, capsys, tmp_path, monkeypatch,
+                                                     plant):
+        # loops with eigenvalues 1 and 2 that the arrows intertwine, so the base
+        # changes are not diagonal; a planted change to the returned representation
+        # must fail the verdict exactly when it differs from the transported input
+        m = [["1", "1"], ["0", "2"]]
+        path = write(tmp_path, "rep.json", {
+            "type": "A1", "dims": {"0": 2, "1": 2},
+            "arrows": [{"from": 0, "to": 1, "matrix": m},
+                       {"from": 1, "to": 0, "matrix": [["1", "0"], ["0", "1"]]}],
+            "psi": {"0": m, "1": m},
+            "framing": {"0": {"rank": 1, "vectors": [["1", "3"]]}},
+        })
+        honest, returned = sheaf.quintuple_to_quadruple, []
+
+        def planted(data):
+            back = honest(data)
+            b, psi, ranks, vectors = dict(back.B), dict(back.Psi), dict(back.framing_ranks), {
+                a: [list(v) for v in vs] for a, vs in back.I.items()}
+            if plant == "loop":
+                psi[1] = [[x + (i == 0 and j == 1) for j, x in enumerate(row)]
+                          for i, row in enumerate(psi[1])]
+            elif plant == "arrow":
+                b[0, 1, 0] = [[x + 1 for x in row] for row in b[0, 1, 0]]
+            elif plant == "vector":
+                vectors[0][0][1] += 1
+            elif plant == "rank":
+                ranks[1], vectors[1] = 1, [[1, 0]]
+            returned.append(adhm.N1Representation(back.type, back.dims, b, psi, ranks, vectors))
+            return returned[-1]
+
+        monkeypatch.setattr(sheaf, "quintuple_to_quadruple", planted)
+        code, out = run(capsys, "roundtrip", path, "--json")
+        rep = fileio.load_representation(path)
+        _, g = sheaf.quadruple_to_quintuple(rep)
+        same = returned[0] == adhm.conjugate(rep, g)
+        assert same == (plant is None)
+        assert json.loads(out)["data"]["conjugate_to_input"] is same
+        assert code == (0 if same else 1)
 
     def test_sheafify_rejects_broken_edges(self, capsys, tmp_path):
         rec = rep_record()
@@ -1024,15 +1065,19 @@ class TestStartup:
     def test_subcommands_load_only_the_package_modules_they_use(self, tmp_path):
         rep = write(tmp_path, "rep.json", rep_record())
         theta = write(tmp_path, "theta.json", theta_record())
+        # the package modules, then which of dataclasses and hashlib were imported:
+        # no subcommand needs dataclasses, and only those reading files hash them
         code = CHILD_MAIN.replace(
             "'numpy' if 'numpy' in sys.modules else 'no numpy'",
-            "' '.join(sorted(m[10:] for m in sys.modules if m.startswith('adequiver.')))")
-        light = "cli dynkin linalg quiver"
+            "' '.join(sorted(m[10:] for m in sys.modules if m.startswith('adequiver.')))"
+            " + ' | ' + ' '.join(m for m in ('dataclasses', 'hashlib') if m in sys.modules)")
+        light = "cli dynkin linalg quiver | "
+        files = "adhm cli deformation dynkin io linalg poly quiver sheaf | hashlib"
         for argv, loaded in (
                 (["roots", "A2"], light), (["quiver-dot", "D4"], light),
-                (["nondeg", rep], "adhm cli deformation dynkin io linalg poly quiver sheaf"),
-                (["mckay-verify", "A2"], "cli dynkin gamma linalg poly quiver"),
-                (["exc-locus", theta], "adhm cli deformation dynkin io linalg poly quiver sheaf")):
+                (["nondeg", rep], files),
+                (["mckay-verify", "A2"], "cli dynkin gamma linalg poly quiver | "),
+                (["exc-locus", theta], files)):
             assert run_child(*argv, code=code)[::2] == (0, loaded), argv
 
     def test_every_exported_name_resolves_to_its_definition(self):
