@@ -25,7 +25,7 @@ from typing import Mapping
 
 from . import linalg
 from .deformation import DeformationParam
-from .dynkin import DynkinType, InputTooLarge, node_labels
+from .dynkin import DynkinType, InputTooLarge, _Record, node_labels
 from .linalg import IntMat, Mat, Vec
 from .poly import Polynomial, poly_gcd, poly_roots, squarefree_part
 from .quiver import QuiverSpec, build_n1_quiver
@@ -103,7 +103,7 @@ def _images(m: IntMat, vectors: list[Vec], rows: int) -> list[Vec]:
     return linalg.rational_matrix(moved, len(vectors), rows)
 
 
-class N1Representation:
+class N1Representation(_Record):
     """Dims, arrows B, loops Psi and framing of a representation; missing blocks are zero.
 
     `ints` holds B and Psi as integer rows, by key; it is not a field, so
@@ -111,6 +111,7 @@ class N1Representation:
     """
 
     __slots__ = ("type", "dims", "B", "Psi", "framing_ranks", "I", "affine", "ints")
+    _fields = ("type", "dims", "B", "Psi", "framing_ranks", "I", "affine")
 
     def __init__(self, type: DynkinType, dims: dict[int, int],
                  B: dict[ArrowKey, Mat] | None = None, Psi: dict[int, Mat] | None = None,
@@ -130,19 +131,6 @@ class N1Representation:
             raise ValueError(f"loop data at unknown nodes {sorted(stray)}")
         self.Psi = {a: _exact_matrix(self.ints, a, Psi.get(a), (dims[a],) * 2,
                                      f"loop at {a} must be {dims[a]} square") for a in labels}
-
-    def _values(self) -> tuple:
-        return self.type, self.dims, self.B, self.Psi, self.framing_ranks, self.I, self.affine
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._values() == other._values()
-
-    def __repr__(self):
-        return (f"N1Representation(type={self.type!r}, dims={self.dims!r}, B={self.B!r}, "
-                f"Psi={self.Psi!r}, framing_ranks={self.framing_ranks!r}, I={self.I!r}, "
-                f"affine={self.affine!r})")
 
     @property
     def quiver(self) -> QuiverSpec:
@@ -175,22 +163,12 @@ def _theta_table(rep: N1Representation, theta) -> dict[int, Polynomial]:
     return table
 
 
-class RelationResidual:
-    __slots__ = ("node_residuals", "edge_residuals")
+class RelationResidual(_Record):
+    __slots__ = _fields = ("node_residuals", "edge_residuals")
 
     def __init__(self, node_residuals: dict[int, Mat], edge_residuals: dict[ArrowKey, Mat]):
         self.node_residuals = node_residuals
         self.edge_residuals = edge_residuals
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return ((self.node_residuals, self.edge_residuals)
-                == (other.node_residuals, other.edge_residuals))
-
-    def __repr__(self):
-        return (f"RelationResidual(node_residuals={self.node_residuals!r}, "
-                f"edge_residuals={self.edge_residuals!r})")
 
     @property
     def nodes_zero(self) -> bool:
@@ -270,11 +248,11 @@ def support(rep: N1Representation) -> dict[int, list[complex]]:
     }
 
 
-class SupportReportRow:
+class SupportReportRow(_Record):
     """One node: its distinct loop eigenvalues, how many of them each root's
     projection vanishes at, and how many lie where no projection vanishes."""
 
-    __slots__ = ("node", "distinct", "roots", "off_locus")
+    __slots__ = _fields = ("node", "distinct", "roots", "off_locus")
 
     def __init__(self, node: int, distinct: int, roots: list[tuple[tuple[int, ...], int]],
                  off_locus: int):
@@ -283,37 +261,17 @@ class SupportReportRow:
         self.roots = roots
         self.off_locus = off_locus
 
-    def _values(self) -> tuple:
-        return self.node, self.distinct, self.roots, self.off_locus
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._values() == other._values()
-
-    def __repr__(self):
-        return (f"SupportReportRow(node={self.node!r}, distinct={self.distinct!r}, "
-                f"roots={self.roots!r}, off_locus={self.off_locus!r})")
-
     @property
     def ok(self) -> bool:
         return self.off_locus == 0
 
 
-class SupportReport:
-    __slots__ = ("rows", "ok")
+class SupportReport(_Record):
+    __slots__ = _fields = ("rows", "ok")
 
     def __init__(self, rows: list[SupportReportRow], ok: bool):
         self.rows = rows
         self.ok = ok
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.rows, self.ok) == (other.rows, other.ok)
-
-    def __repr__(self):
-        return f"SupportReport(rows={self.rows!r}, ok={self.ok!r})"
 
 
 def check_support_property(rep: N1Representation, theta, tol: float = 1e-6) -> SupportReport:
@@ -389,31 +347,6 @@ def conjugate(rep: N1Representation, g: Mapping[int, Mat]) -> N1Representation:
     return N1Representation(
         rep.type, dict(rep.dims), b, psi, dict(rep.framing_ranks), vectors, rep.affine
     )
-
-
-def is_conjugate(rep: N1Representation, other: N1Representation, g: Mapping[int, Mat]) -> bool:
-    """Whether other == conjugate(rep, g) for invertible g, decided without inverting g.
-
-    Beside equal quivers, dims and framing ranks, that holds exactly when
-    g_a Psi_a = Psi'_a g_a at each node a, g_t B = B' g_s on each arrow s -> t,
-    and g_a v = v' for each framing vector; each is one two-term
-    `linalg.sum_of_products` on integer rows, which is None when it is zero.
-    """
-    if ((rep.type, rep.affine, rep.dims, rep.framing_ranks)
-            != (other.type, other.affine, other.dims, other.framing_ranks)):
-        return False
-    gi = {a: linalg.int_matrix(g[a]) for a in node_labels(rep.type, rep.affine)}
-    dims = rep.dims
-    return not (
-        any(linalg.sum_of_products([(1, gi[a], rep.ints[a]), (-1, other.ints[a], gi[a])],
-                                   dims[a], dims[a]) for a in gi)
-        or any(linalg.sum_of_products([(1, gi[t], rep.ints[s, t, i]),
-                                       (-1, other.ints[s, t, i], gi[s])], dims[t], dims[s])
-               for s, t, i in rep.B)
-        or any(rep.I[a] and linalg.sum_of_products(
-                   [(1, linalg.int_matrix(rep.I[a]), linalg._transposed(gi[a])),
-                    (-1, linalg.int_matrix(other.I[a]), None)], len(rep.I[a]), dims[a])
-               for a in gi))
 
 
 def trace_identity_defect(rep: N1Representation, theta) -> Fraction:

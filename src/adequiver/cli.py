@@ -16,6 +16,7 @@ import sys
 from fractions import Fraction
 
 from . import dynkin, linalg, quiver
+from .dynkin import _Record
 
 
 def _kebab(name: str) -> str:
@@ -37,25 +38,18 @@ def _fmt_matrix(m) -> str:
     return "[" + "; ".join(" ".join(fileio.frac_to_str(x) for x in row) for row in m) + "]"
 
 
-class Verdict:
-    __slots__ = ("name", "passed", "detail")
+class Verdict(_Record):
+    __slots__ = _fields = ("name", "passed", "detail")
 
     def __init__(self, name: str, passed: bool, detail: str = ""):
         self.name = name
         self.passed = passed
         self.detail = detail
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.name, self.passed, self.detail) == (other.name, other.passed, other.detail)
 
-    def __repr__(self):
-        return f"Verdict(name={self.name!r}, passed={self.passed!r}, detail={self.detail!r})"
-
-
-class RunReport:
-    __slots__ = ("command", "inputs", "lines", "verdicts", "notes", "data", "forced_exit")
+class RunReport(_Record):
+    __slots__ = _fields = ("command", "inputs", "lines", "verdicts", "notes", "data",
+                           "forced_exit")
 
     def __init__(self, command: str, inputs: list | None = None, lines: list | None = None,
                  verdicts: list | None = None, notes: list | None = None,
@@ -67,20 +61,6 @@ class RunReport:
         self.notes = [] if notes is None else notes
         self.data = {} if data is None else data
         self.forced_exit = forced_exit
-
-    def _values(self) -> tuple:
-        return (self.command, self.inputs, self.lines, self.verdicts, self.notes, self.data,
-                self.forced_exit)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._values() == other._values()
-
-    def __repr__(self):
-        return (f"RunReport(command={self.command!r}, inputs={self.inputs!r}, "
-                f"lines={self.lines!r}, verdicts={self.verdicts!r}, notes={self.notes!r}, "
-                f"data={self.data!r}, forced_exit={self.forced_exit!r})")
 
     def add_input(self, path: str) -> None:
         import hashlib
@@ -413,7 +393,9 @@ def cmd_roundtrip(args, report: RunReport) -> None:
     report.add_input(args.file)
     rep = fileio.load_representation(args.file)
     data, g = sheaf.quadruple_to_quintuple(rep)
-    same = adhm.is_conjugate(rep, sheaf.quintuple_to_quadruple(data), g)
+    back = sheaf.quintuple_to_quadruple(data)
+    expected = adhm.conjugate(rep, g)
+    same = back == expected
     for a in sorted(g):
         report.say(f"base change at node {a}: {_fmt_matrix(g[a])}")
     report.data = {

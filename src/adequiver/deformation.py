@@ -19,7 +19,7 @@ from functools import cached_property
 from fractions import Fraction
 from typing import Mapping
 
-from .dynkin import (MAX_DEGREE, DynkinType, InputTooLarge, Root, _read_only, is_positive_root,
+from .dynkin import (MAX_DEGREE, DynkinType, InputTooLarge, Root, _Frozen, is_positive_root,
                      marks, node_labels, positive_roots)
 from .linalg import ComputeFailure
 from .poly import Polynomial, poly_gcd, poly_roots, squarefree_part
@@ -37,8 +37,8 @@ class IdenticallyZeroProjection(ComputeFailure):
         super().__init__(f"projection along {root.coefficients} is identically zero")
 
 
-class DeformationParam:
-    __setattr__ = __delattr__ = _read_only
+class DeformationParam(_Frozen):
+    _fields = ("type", "theta", "constrained")
 
     def __init__(self, type: DynkinType, theta: dict[int, Polynomial], constrained: bool):
         object.__setattr__(self, "type", type)
@@ -47,18 +47,6 @@ class DeformationParam:
         labels = node_labels(self.type, affine=True)
         if sorted(self.theta) != labels:
             raise ValueError(f"need one polynomial per node {labels}")
-
-    def _values(self) -> tuple:
-        return self.type, self.theta, self.constrained
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._values() == other._values()
-
-    def __repr__(self):
-        return (f"DeformationParam(type={self.type!r}, theta={self.theta!r}, "
-                f"constrained={self.constrained!r})")
 
     @cached_property
     def projections(self) -> tuple[tuple[Root, Polynomial], ...]:
@@ -118,49 +106,21 @@ def theta_of_root(d: DeformationParam, root: Root) -> Polynomial:
     return Polynomial.of(acc)
 
 
-class LocusEntry:
-    __slots__ = ("point", "root", "multiplicity")
-    __setattr__ = __delattr__ = _read_only
+class LocusEntry(_Frozen):
+    __slots__ = _fields = ("point", "root", "multiplicity")
 
     def __init__(self, point: complex, root: Root, multiplicity: int):
         object.__setattr__(self, "point", point)
         object.__setattr__(self, "root", root)
         object.__setattr__(self, "multiplicity", multiplicity)
 
-    def _values(self) -> tuple:
-        return self.point, self.root, self.multiplicity
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._values() == other._values()
-
-    def __hash__(self):
-        return hash(self._values())
-
-    def __repr__(self):
-        return (f"LocusEntry(point={self.point!r}, root={self.root!r}, "
-                f"multiplicity={self.multiplicity!r})")
-
-
-class ExceptionalLocus:
-    __slots__ = ("type", "entries")
-    __setattr__ = __delattr__ = _read_only
+class ExceptionalLocus(_Frozen):
+    __slots__ = _fields = ("type", "entries")
 
     def __init__(self, type: DynkinType, entries: tuple[LocusEntry, ...]):
         object.__setattr__(self, "type", type)
         object.__setattr__(self, "entries", entries)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.type, self.entries) == (other.type, other.entries)
-
-    def __hash__(self):
-        return hash((self.type, self.entries))
-
-    def __repr__(self):
-        return f"ExceptionalLocus(type={self.type!r}, entries={self.entries!r})"
 
 
 def _projections(d: DeformationParam) -> list[tuple[Root, Polynomial]]:

@@ -15,6 +15,7 @@ Node labelling convention, used everywhere in this package:
 from __future__ import annotations
 
 from functools import lru_cache
+from operator import attrgetter
 
 FAMILIES = ("A", "D", "E")
 
@@ -40,9 +41,53 @@ def _read_only(self, name: str, value=None):
     raise AttributeError(f"cannot assign to field {name!r}")
 
 
-class DynkinType:
-    __slots__ = ("family", "rank")
+class _Record:
+    """`==` and `repr` of the package's records, read from the class's `_fields` in order.
+
+    Each record writes its own `__init__`; a record equals only a record of the same
+    class, and `repr` shows `_repr_fields` where a class sets it, else every field.
+    Records are unhashable; `_Frozen` ones hash by their fields.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+    _repr_fields: tuple[str, ...] | None = None
+
+    def __init_subclass__(cls, **kwargs):
+        # `_values`, the tuple of the fields, in one attrgetter call: DynkinType is an
+        # lru_cache key, hashed and compared about 8 times per point-data round trip
+        super().__init_subclass__(**kwargs)
+        if cls._fields:
+            get = attrgetter(*cls._fields)
+            cls._values = property(get if len(cls._fields) > 1 else lambda r: (get(r),))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values == other._values
+
+    def __repr__(self):
+        shown = ", ".join(f"{name}={getattr(self, name)!r}"
+                          for name in self._repr_fields or self._fields)
+        return f"{self.__class__.__qualname__}({shown})"
+
+
+class _Frozen(_Record):
+    """A record whose fields its `__init__` sets once: assignment raises AttributeError,
+    it hashes by its fields, and copy and pickle rebuild it by calling the class on them."""
+
+    __slots__ = ()
     __setattr__ = __delattr__ = _read_only
+
+    def __hash__(self):
+        return hash(self._values)
+
+    def __reduce__(self):
+        return self.__class__, self._values
+
+
+class DynkinType(_Frozen):
+    __slots__ = _fields = ("family", "rank")
 
     def __init__(self, family: str, rank: int):
         object.__setattr__(self, "family", family)
@@ -56,17 +101,6 @@ class DynkinType:
             raise ValueError(f"family {self.family} needs rank >= {_MIN_RANK[self.family]}")
         elif self.rank > MAX_RANK:
             raise InputTooLarge(f"rank {self.rank} exceeds the cap {MAX_RANK}")
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.family, self.rank) == (other.family, other.rank)
-
-    def __hash__(self):
-        return hash((self.family, self.rank))
-
-    def __repr__(self):
-        return f"DynkinType(family={self.family!r}, rank={self.rank!r})"
 
     @classmethod
     def parse(cls, text: str) -> "DynkinType":
@@ -111,30 +145,14 @@ def finite_edges(t: DynkinType) -> list[tuple[int, int]]:
     return [(a, b) for a, b in affine_edges(t) if a != 0 and b != 0]
 
 
-class CartanMatrix:
-    __slots__ = ("entries", "affine", "node_labels")
-    __setattr__ = __delattr__ = _read_only
+class CartanMatrix(_Frozen):
+    __slots__ = _fields = ("entries", "affine", "node_labels")
 
     def __init__(self, entries: tuple[tuple[int, ...], ...], affine: bool,
                  node_labels: tuple[int, ...]):
         object.__setattr__(self, "entries", entries)
         object.__setattr__(self, "affine", affine)
         object.__setattr__(self, "node_labels", node_labels)
-
-    def _values(self) -> tuple:
-        return self.entries, self.affine, self.node_labels
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._values() == other._values()
-
-    def __hash__(self):
-        return hash(self._values())
-
-    def __repr__(self):
-        return (f"CartanMatrix(entries={self.entries!r}, affine={self.affine!r}, "
-                f"node_labels={self.node_labels!r})")
 
 
 def cartan_matrix(t: DynkinType, affine: bool = False) -> CartanMatrix:
@@ -157,24 +175,12 @@ def adjacency_matrix(t: DynkinType, affine: bool = True) -> list[list[int]]:
     return [[-c.entries[i][j] if i != j else 0 for j in range(n)] for i in range(n)]
 
 
-class MarksVector:
-    __slots__ = ("type", "delta")
-    __setattr__ = __delattr__ = _read_only
+class MarksVector(_Frozen):
+    __slots__ = _fields = ("type", "delta")
 
     def __init__(self, type: DynkinType, delta: tuple[int, ...]):
         object.__setattr__(self, "type", type)
         object.__setattr__(self, "delta", delta)      # indexed over affine nodes 0..rank
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.type, self.delta) == (other.type, other.delta)
-
-    def __hash__(self):
-        return hash((self.type, self.delta))
-
-    def __repr__(self):
-        return f"MarksVector(type={self.type!r}, delta={self.delta!r})"
 
     def as_dict(self) -> dict[int, int]:
         return dict(enumerate(self.delta))
@@ -214,24 +220,12 @@ def _marks_cached(t: DynkinType) -> MarksVector:
     return MarksVector(t, delta)
 
 
-class Root:
+class Root(_Frozen):
     """A root written in the simple-root basis over the finite nodes 1..rank."""
-    __slots__ = ("coefficients",)
-    __setattr__ = __delattr__ = _read_only
+    __slots__ = _fields = ("coefficients",)
 
     def __init__(self, coefficients: tuple[int, ...]):
         object.__setattr__(self, "coefficients", coefficients)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.coefficients == other.coefficients
-
-    def __hash__(self):
-        return hash((self.coefficients,))
-
-    def __repr__(self):
-        return f"Root(coefficients={self.coefficients!r})"
 
     @property
     def height(self) -> int:

@@ -33,7 +33,7 @@ from itertools import count
 from math import isqrt, lcm
 from operator import mul
 
-from .dynkin import DynkinType, _read_only
+from .dynkin import DynkinType, _Frozen, _Record
 from .linalg import ComputeFailure
 from .poly import _factor, _quotient, _split_roots
 
@@ -97,27 +97,15 @@ def generators(t: DynkinType) -> list[tuple]:
     return [_quat(half + s, s, half, ()), _quat(_rotate(half, Fraction(1, 2)), half, half, half)]
 
 
-class PrimeField:
+class PrimeField(_Frozen):
     """F_p with omega of order n in it, standing for e^{2 pi i / n}."""
 
-    __slots__ = ("p", "n", "omega")
-    __setattr__ = __delattr__ = _read_only
+    __slots__ = _fields = ("p", "n", "omega")
 
     def __init__(self, p: int, n: int, omega: int):
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "omega", omega)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.p, self.n, self.omega) == (other.p, other.n, other.omega)
-
-    def __hash__(self):
-        return hash((self.p, self.n, self.omega))
-
-    def __repr__(self):
-        return f"PrimeField(p={self.p!r}, n={self.n!r}, omega={self.omega!r})"
 
     def root(self, turn) -> int:
         """The residue of e^{2 pi i turn}; turn * n must be an integer."""
@@ -157,11 +145,10 @@ def _inv(x: tuple, p: int) -> tuple:
     return (d, -b % p, -c % p, a)
 
 
-class GroupElement:
+class GroupElement(_Frozen):
     """A complex 2x2 matrix of determinant one (numeric view)."""
 
-    __slots__ = ("m",)
-    __setattr__ = __delattr__ = _read_only
+    __slots__ = _fields = ("m",)
 
     def __init__(self, m: object):
         import numpy as np
@@ -172,16 +159,8 @@ class GroupElement:
             raise ValueError("group elements must have determinant 1")
         object.__setattr__(self, "m", a)
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.m,) == (other.m,)
 
-    def __repr__(self):
-        return f"GroupElement(m={self.m!r})"
-
-
-class GammaGroup:
+class GammaGroup(_Record):
     """The closure of the generators over F_p, with its conjugacy classes.
 
     `residues[r]` holds the entries (a, b, c, d) of element r = [[a, b], [c, d]]
@@ -189,6 +168,9 @@ class GammaGroup:
     `residues[tree[r][0]]` times generator `tree[r][1]`.  `elements`,
     `mult_table` and `inverse` are numpy views built on first use.
     """
+
+    _fields = ("type", "fp", "gens", "residues", "tree", "classes", "class_index", "index")
+    _repr_fields = ("type", "fp", "classes")
 
     def __init__(self, type: DynkinType, fp: PrimeField, gens: list, residues: list,
                  tree: list, classes: list[list[int]], class_index: list[int], index: dict):
@@ -200,18 +182,6 @@ class GammaGroup:
         self.classes = classes          # partition of element indices
         self.class_index = class_index
         self.index = index              # residues -> element index
-
-    def _values(self) -> tuple:
-        return (self.type, self.fp, self.gens, self.residues, self.tree, self.classes,
-                self.class_index, self.index)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._values() == other._values()
-
-    def __repr__(self):
-        return f"GammaGroup(type={self.type!r}, fp={self.fp!r}, classes={self.classes!r})"
 
     @property
     def order(self) -> int:
@@ -381,7 +351,7 @@ def _eigen_exponents(power_sums: list, roots: dict, p: int) -> list[int]:
     return found
 
 
-class CharacterTable:
+class CharacterTable(_Record):
     """Irreducible characters mod p, sorted by degree and then by their complex values.
 
     `values[a][j]` is chi_a at class j mod `group.fp.p`, `degrees[a]`
@@ -389,23 +359,15 @@ class CharacterTable:
     `class_sizes` are numpy views.
     """
 
+    _fields = ("group", "values", "degrees", "lifted")
+    _repr_fields = ("values", "degrees")
+
     def __init__(self, group: GammaGroup, values: list[list[int]], degrees: list[int],
                  lifted: list[list[complex]]):
         self.group = group
         self.values = values
         self.degrees = degrees
         self.lifted = lifted
-
-    def _values(self) -> tuple:
-        return self.group, self.values, self.degrees, self.lifted
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._values() == other._values()
-
-    def __repr__(self):
-        return f"CharacterTable(values={self.values!r}, degrees={self.degrees!r})"
 
     @property
     def class_reps(self) -> list[int]:

@@ -38,6 +38,7 @@ from itertools import accumulate
 from typing import Iterable, Mapping, Sequence
 
 from . import linalg
+from .dynkin import _Record
 from .linalg import IntMat, Mat
 
 DEGREE = {
@@ -164,8 +165,6 @@ def nc_sum_of_products(pairs: Sequence[tuple[NCElement, NCElement]],
     column layout (ValueError otherwise); the rewrite's lam acts blockwise on
     that row layout.  Every term landing in one output block, from all pairs
     and the lam * zz terms included, is summed in one `linalg.sum_of_products`.
-    A right factor s I, such as the x1 and x2 blocks of `build_monad`, enters
-    as the scalar s, so its product costs no more than adding the left factor.
     """
     rows_at, cols_at = pairs[0][0].row_layout, pairs[0][1].col_layout
     lam = {node: linalg.frac(x) for node, x in lam.items()}
@@ -175,11 +174,11 @@ def nc_sum_of_products(pairs: Sequence[tuple[NCElement, NCElement]],
             raise ValueError("inner layouts do not match")
         if u.row_layout != rows_at or v.col_layout != cols_at:
             raise ValueError("outer layouts differ between the products")
-        # v's blocks of each monomial, by row node: k -> [(c, block, `_scalar_of` it), ...]
-        v_rows: dict[str, dict[int, list[tuple[int, IntMat, int | Fraction | None]]]] = {}
+        # v's blocks of each monomial, by row node: k -> [(c, block), ...]
+        v_rows: dict[str, dict[int, list[tuple[int, IntMat]]]] = {}
         for mv, table in v.blocks.items():
             for (k, c), m in table.items():
-                v_rows.setdefault(mv, {}).setdefault(k, []).append((c, m, _scalar_of(m)))
+                v_rows.setdefault(mv, {}).setdefault(k, []).append((c, m))
         for mu, cu in u.blocks.items():
             for mv, rows_of in v_rows.items():
                 words = ([(mv, False)] if mu == "1" else [(mu, False)] if mv == "1"
@@ -187,26 +186,12 @@ def nc_sum_of_products(pairs: Sequence[tuple[NCElement, NCElement]],
                 if words is None:
                     raise ValueError(f"product {mu} * {mv} leaves the degree-2 normal form")
                 for (r, k), bu in cu.items():
-                    for c, bv, s in rows_of.get(k, ()):
+                    for c, bv in rows_of.get(k, ()):
                         for mono, needs_lam in words:
                             scalar = lam[r] if needs_lam else 1
                             if scalar:
-                                terms.append((mono, (r, c), (scalar, bu, bv) if s is None
-                                              else (scalar * s, bu, None)))
+                                terms.append((mono, (r, c), (scalar, bu, bv)))
     return _summed(rows_at, cols_at, terms)
-
-
-def _scalar_of(m: IntMat) -> int | Fraction | None:
-    """s when the block m is s times an identity matrix, else None; an int when m's
-    denominator is 1, as it is for the identity blocks of `build_monad`."""
-    rows, d = m
-    n, s = len(rows), rows[0][0]
-    if not s or len(rows[0]) != n:
-        return None
-    for i, row in enumerate(rows):
-        if row[i] != s or row.count(0) != n - 1:
-            return None
-    return s if d == 1 else Fraction(s, d)
 
 
 def _summed(row_layout: Layout, col_layout: Layout, terms: Iterable[tuple]) -> NCElement:
@@ -223,7 +208,9 @@ def _summed(row_layout: Layout, col_layout: Layout, terms: Iterable[tuple]) -> N
     return NCElement._from_blocks(row_layout, col_layout, blocks)
 
 
-class MonadData:
+class MonadData(_Record):
+    _fields = ("rank", "dims", "framing_dims", "lam", "a", "b")
+
     def __init__(self, rank: int, dims: dict[int, int], framing_dims: dict[int, int],
                  lam: dict[int, Fraction], a: list[NCElement], b: list[NCElement]):
         self.rank = rank                # cyclic group of order rank+1; 0 = trivial
@@ -232,19 +219,6 @@ class MonadData:
         self.lam = lam
         self.a = a                      # column of three maps
         self.b = b                      # row of three maps
-
-    def _values(self) -> tuple:
-        return self.rank, self.dims, self.framing_dims, self.lam, self.a, self.b
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._values() == other._values()
-
-    def __repr__(self):
-        return (f"MonadData(rank={self.rank!r}, dims={self.dims!r}, "
-                f"framing_dims={self.framing_dims!r}, lam={self.lam!r}, a={self.a!r}, "
-                f"b={self.b!r})")
 
     @cached_property
     def composite(self) -> NCElement:

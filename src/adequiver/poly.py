@@ -17,7 +17,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Sequence
 
-from .dynkin import InputTooLarge, _read_only
+from .dynkin import InputTooLarge, _Frozen
 from .linalg import frac
 
 
@@ -30,29 +30,17 @@ def _trim(a: list) -> list:
 
 # -- Q[t] -------------------------------------------------------------------------
 
-class Polynomial:
+class Polynomial(_Frozen):
     """Dense univariate polynomial, rational coefficients, ascending order.
 
     The coefficient tuple is canonical: no trailing zeros, so the zero
     polynomial is the empty tuple and degree is len - 1 (or -1 for zero).
     """
 
-    __slots__ = ("coefficients",)
-    __setattr__ = __delattr__ = _read_only
+    __slots__ = _fields = ("coefficients",)
 
     def __init__(self, coefficients: tuple[Fraction, ...]):
         object.__setattr__(self, "coefficients", coefficients)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.coefficients == other.coefficients
-
-    def __hash__(self):
-        return hash((self.coefficients,))
-
-    def __repr__(self):
-        return f"Polynomial(coefficients={self.coefficients!r})"
 
     @classmethod
     def of(cls, coeffs: Polynomial | Sequence) -> Polynomial:

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .dynkin import (DynkinType, _read_only, adjacency_matrix, affine_edges, finite_edges,
+from .dynkin import (DynkinType, _Frozen, adjacency_matrix, affine_edges, finite_edges,
                      node_labels)
 
 MCKAY = "mckay"
@@ -33,9 +33,8 @@ KIND_FRAMING_IN = "framing_in"
 KIND_FRAMING_OUT = "framing_out"
 
 
-class Arrow:
-    __slots__ = ("source", "target", "kind", "sign", "pair_index")
-    __setattr__ = __delattr__ = _read_only
+class Arrow(_Frozen):
+    __slots__ = _fields = ("source", "target", "kind", "sign", "pair_index")
 
     def __init__(self, source: object, target: object, kind: str, sign: int,
                  pair_index: int = 0):
@@ -45,21 +44,6 @@ class Arrow:
         object.__setattr__(self, "sign", sign)
         object.__setattr__(self, "pair_index", pair_index)
 
-    def _values(self) -> tuple:
-        return self.source, self.target, self.kind, self.sign, self.pair_index
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._values() == other._values()
-
-    def __hash__(self):
-        return hash(self._values())
-
-    def __repr__(self):
-        return (f"Arrow(source={self.source!r}, target={self.target!r}, kind={self.kind!r}, "
-                f"sign={self.sign!r}, pair_index={self.pair_index!r})")
-
     def reversed_key(self) -> tuple:
         return (self.target, self.source, self.pair_index)
 
@@ -68,9 +52,8 @@ class Arrow:
         return (self.source, self.target, self.pair_index)
 
 
-class QuiverSpec:
-    __slots__ = ("type", "flavor", "affine", "nodes", "arrows")
-    __setattr__ = __delattr__ = _read_only
+class QuiverSpec(_Frozen):
+    __slots__ = _fields = ("type", "flavor", "affine", "nodes", "arrows")
 
     def __init__(self, type: DynkinType, flavor: str, affine: bool, nodes: tuple,
                  arrows: tuple[Arrow, ...]):
@@ -79,21 +62,6 @@ class QuiverSpec:
         object.__setattr__(self, "affine", affine)
         object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "arrows", arrows)
-
-    def _values(self) -> tuple:
-        return self.type, self.flavor, self.affine, self.nodes, self.arrows
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._values() == other._values()
-
-    def __hash__(self):
-        return hash(self._values())
-
-    def __repr__(self):
-        return (f"QuiverSpec(type={self.type!r}, flavor={self.flavor!r}, "
-                f"affine={self.affine!r}, nodes={self.nodes!r}, arrows={self.arrows!r})")
 
     def mckay_arrows(self) -> list[Arrow]:
         return [a for a in self.arrows if a.kind == KIND_MCKAY]

@@ -25,7 +25,7 @@ from typing import Mapping, Sequence
 from . import linalg
 from .adhm import (ArrowKey, N1Representation, _edge_defects, _images, _quiver_data,
                    transport)
-from .dynkin import DynkinType, _read_only, node_labels
+from .dynkin import DynkinType, _Frozen, _Record, node_labels
 from .linalg import ComputeFailure, IntMat, Mat, Vec
 
 
@@ -44,24 +44,13 @@ def _support_sort_key(s) -> tuple:
     return (z.real, z.imag)
 
 
-class TorsionSheafData:
+class TorsionSheafData(_Frozen):
     """Canonicalised: supports sorted and distinct, partitions nonincreasing."""
 
-    __setattr__ = __delattr__ = _read_only
+    _fields = ("points",)
 
     def __init__(self, points: tuple[tuple[Support, tuple[int, ...]], ...]):
         object.__setattr__(self, "points", points)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.points == other.points
-
-    def __hash__(self):
-        return hash((self.points,))
-
-    def __repr__(self):
-        return f"TorsionSheafData(points={self.points!r})"
 
     @classmethod
     def of(cls, points: Sequence[tuple[object, Sequence[int]]]) -> "TorsionSheafData":
@@ -160,12 +149,14 @@ def _check_intertwining(loops: Mapping[int, IntMat], arrows: Mapping[ArrowKey, I
             raise EdgeRelationViolated(f"edge defect at {key} is nonzero")
 
 
-class QuiverSheafData:
+class QuiverSheafData(_Record):
     """Torsion data per node, arrow maps and framing; `ints` holds the arrow maps as
     integer rows, by key, and is not a field, so `==` and `repr` do not read it."""
 
     __slots__ = ("type", "node_sheaves", "arrow_maps", "framing_ranks", "framing_vectors",
                  "affine", "ints")
+    _fields = ("type", "node_sheaves", "arrow_maps", "framing_ranks", "framing_vectors",
+               "affine")
 
     def __init__(self, type: DynkinType, node_sheaves: dict[int, TorsionSheafData],
                  arrow_maps: dict[ArrowKey, Mat], framing_ranks: dict[int, int] | None = None,
@@ -181,20 +172,6 @@ class QuiverSheafData:
         touched = list(dict.fromkeys(a for key in self.arrow_maps for a in key[:2]))
         _require_rational(node_sheaves, touched)
         _check_intertwining({a: node_sheaves[a].jordan for a in touched}, self.ints)
-
-    def _values(self) -> tuple:
-        return (self.type, self.node_sheaves, self.arrow_maps, self.framing_ranks,
-                self.framing_vectors, self.affine)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._values() == other._values()
-
-    def __repr__(self):
-        return (f"QuiverSheafData(type={self.type!r}, node_sheaves={self.node_sheaves!r}, "
-                f"arrow_maps={self.arrow_maps!r}, framing_ranks={self.framing_ranks!r}, "
-                f"framing_vectors={self.framing_vectors!r}, affine={self.affine!r})")
 
 
 def quadruple_to_quintuple(rep: N1Representation) -> tuple[QuiverSheafData, dict[int, Mat]]:

@@ -384,36 +384,6 @@ class TestMonad:
                 assert m.composite.blocks == want.blocks, (rank, trial)
                 assert m.composite.coefficients == want.coefficients, (rank, trial)
 
-    def test_no_scalar_identity_right_factor_reaches_the_kernel(self, monkeypatch):
-        # the +-I blocks of x1 and x2 enter a product as scalars: B (s I) is (s, B, None)
-        right = []
-        kernel = linalg.sum_of_products
-
-        def recording(terms, rows, cols):
-            terms = list(terms)
-            right.extend(b for _, _, b in terms)
-            return kernel(terms, rows, cols)
-
-        def scalar_identity(b):
-            rows, _ = b
-            return len(rows) == len(rows[0]) and all(
-                x == (rows[0][0] if i == j else 0)
-                for i, row in enumerate(rows) for j, x in enumerate(row))
-
-        monkeypatch.setattr(linalg, "sum_of_products", recording)
-        rng = random.Random(29)
-        for rank in range(3):
-            n = rank + 1
-            dims = {a: 2 + rng.randrange(3) for a in range(n)}
-            framing = {a: rng.randrange(3) for a in range(n)}
-            b1 = {a: rand_matrix(rng, dims[(a + 1) % n], dims[a]) for a in range(n)}
-            b2 = {a: rand_matrix(rng, dims[(a - 1) % n], dims[a]) for a in range(n)}
-            i_blocks = {a: rand_matrix(rng, dims[a], framing[a]) for a in range(n)}
-            lam = {a: rand_frac(rng) for a in range(n)}
-            monad.build_monad(rank, b1, b2, i_blocks, {}, lam, dims, framing).composite
-        assert None in right
-        assert not any(scalar_identity(b) for b in right if b is not None)
-
     def test_one_pass_refuses_mismatched_outer_layouts(self):
         lay2 = ((0, 1), (1, 1))
         u, v = scalar("x1", 1), scalar("z", 2)

@@ -1,10 +1,14 @@
-"""The package's record classes: construction, equality, hashing, immutability and repr.
+"""The package's record classes: construction, equality, hashing, immutability, repr
+and copying.
 
 Each class takes its fields positionally and by keyword, in one fixed order,
 with fixed defaults; equal fields compare equal; the immutable ones hash by
-their fields and refuse assignment; repr lists the fields a caller reads.
+their fields and refuse assignment; repr lists the fields a caller reads; a
+copy, a deep copy and a pickle round trip give an equal record.
 """
 
+import copy
+import pickle
 from fractions import Fraction as F
 
 import pytest
@@ -120,6 +124,8 @@ def test_record_semantics(cls, args, kwargs, other, text, frozen, hashable):
     assert x == y and not x != y
     assert x != cls(*other)
     assert x != tuple(kwargs.values())
+    for copied in (copy.copy(x), copy.deepcopy(x), pickle.loads(pickle.dumps(x))):
+        assert copied.__class__ is cls and copied == x and repr(copied) == text
     name = next(iter(kwargs))
     if hashable:
         assert hash(x) == hash(y)
