@@ -16,7 +16,6 @@ import sys
 from fractions import Fraction
 
 from . import dynkin, linalg, quiver
-from .dynkin import _Record
 
 
 def _kebab(name: str) -> str:
@@ -38,7 +37,7 @@ def _fmt_matrix(m) -> str:
     return "[" + "; ".join(" ".join(fileio.frac_to_str(x) for x in row) for row in m) + "]"
 
 
-class Verdict(_Record):
+class Verdict(dynkin._Record):
     __slots__ = _fields = ("name", "passed", "detail")
 
     def __init__(self, name: str, passed: bool, detail: str = ""):
@@ -47,7 +46,7 @@ class Verdict(_Record):
         self.detail = detail
 
 
-class RunReport(_Record):
+class RunReport(dynkin._Record):
     __slots__ = _fields = ("command", "inputs", "lines", "verdicts", "notes", "data",
                            "forced_exit")
 
@@ -285,7 +284,7 @@ def cmd_check_rep(args, report: RunReport) -> None:
                      if not linalg.is_zero_matrix(m)}
             node_json = {str(a): "0" if linalg.is_zero_matrix(m) else fileio.matrix_to_json(m)
                          for a, m in sorted(residual.node_residuals.items())}
-        except (dynkin.InputTooLarge, *_input_errors()) as e:
+        except (dynkin.InputTooLarge, ValueError) as e:
             _refuse(report, e, f"; file {path}")
             continue
         report.say(f"-- {path} (type {rep.type}, total dimension {rep.total_dim})")
@@ -553,11 +552,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _input_errors() -> tuple:
-    from . import io as fileio   # called as an except clause: io loads on that path only
-    return fileio.SchemaError, ValueError
-
-
 def _refuse(report: RunReport, e: Exception, where: str = "") -> None:
     """A failed verdict for refused input, named after a size cap or input-well-formed; exit 2."""
     name = _kebab(type(e).__name__) if isinstance(e, dynkin.InputTooLarge) else "input-well-formed"
@@ -573,7 +567,7 @@ def main(argv=None) -> int:
         args.func(args, report)
     except linalg.ComputeFailure as e:
         report.check(_kebab(type(e).__name__), False, str(e))
-    except (dynkin.InputTooLarge, *_input_errors()) as e:
+    except (dynkin.InputTooLarge, ValueError) as e:
         _refuse(report, e)
     print(report.to_json() if args.json else report.to_human())
     return report.exit_code

@@ -37,12 +37,27 @@ class IdenticallyZeroProjection(ComputeFailure):
         super().__init__(f"projection along {root.coefficients} is identically zero")
 
 
+class _ReadOnlyDict(dict):
+    """A dict that refuses in-place edits and hashes by its items."""
+
+    def _refuse(self, *args, **kwargs):
+        raise TypeError("a deformation parameter's table cannot be changed")
+
+    __setitem__ = __delitem__ = __ior__ = clear = pop = popitem = setdefault = update = _refuse
+
+    def __hash__(self):
+        return hash(frozenset(self.items()))
+
+    def __reduce__(self):
+        return self.__class__, (dict(self),)
+
+
 class DeformationParam(_Frozen):
     _fields = ("type", "theta", "constrained")
 
-    def __init__(self, type: DynkinType, theta: dict[int, Polynomial], constrained: bool):
+    def __init__(self, type: DynkinType, theta: Mapping[int, Polynomial], constrained: bool):
         object.__setattr__(self, "type", type)
-        object.__setattr__(self, "theta", theta)      # keyed by affine node label
+        object.__setattr__(self, "theta", _ReadOnlyDict(theta))    # keyed by affine node label
         object.__setattr__(self, "constrained", constrained)
         labels = node_labels(self.type, affine=True)
         if sorted(self.theta) != labels:
@@ -73,7 +88,7 @@ def make_deformation(t: DynkinType, theta: Mapping[int, Polynomial]) -> Deformat
     total = Polynomial(())
     for a in node_labels(t, affine=True):
         total = total + theta[a].scale(delta[a])
-    return DeformationParam(t, dict(theta), total.is_zero)
+    return DeformationParam(t, theta, total.is_zero)
 
 
 def complete_affine_theta(t: DynkinType, finite_theta: Mapping[int, Polynomial]) -> DeformationParam:
@@ -100,7 +115,7 @@ def theta_of_root(d: DeformationParam, root: Root) -> Polynomial:
     if not is_positive_root(d.type, root.coefficients):
         raise NotARoot(f"{root.coefficients} is not a positive root of {d.type}")
     acc = [0] * max(len(p.coefficients) for p in d.theta.values())
-    for a, mu in root.as_dict().items():
+    for a, mu in enumerate(root.coefficients, 1):     # finite node labels 1..rank
         for k, c in enumerate(d.theta[a].coefficients):
             acc[k] += mu * c
     return Polynomial.of(acc)

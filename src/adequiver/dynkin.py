@@ -57,7 +57,7 @@ class _Record:
         # `_values`, the tuple of the fields, in one attrgetter call: DynkinType is an
         # lru_cache key, hashed and compared about 8 times per point-data round trip
         super().__init_subclass__(**kwargs)
-        if cls._fields:
+        if cls._fields and "_values" not in vars(cls):
             get = attrgetter(*cls._fields)
             cls._values = property(get if len(cls._fields) > 1 else lambda r: (get(r),))
 
@@ -74,7 +74,7 @@ class _Record:
 
 class _Frozen(_Record):
     """A record whose fields its `__init__` sets once: assignment raises AttributeError,
-    it hashes by its fields, and copy and pickle rebuild it by calling the class on them."""
+    it hashes by its `_values`, and copy and pickle rebuild it by calling the class on them."""
 
     __slots__ = ()
     __setattr__ = __delattr__ = _read_only
@@ -182,9 +182,6 @@ class MarksVector(_Frozen):
         object.__setattr__(self, "type", type)
         object.__setattr__(self, "delta", delta)      # indexed over affine nodes 0..rank
 
-    def as_dict(self) -> dict[int, int]:
-        return dict(enumerate(self.delta))
-
     @property
     def group_order(self) -> int:
         return sum(d * d for d in self.delta)
@@ -230,9 +227,6 @@ class Root(_Frozen):
     @property
     def height(self) -> int:
         return sum(self.coefficients)
-
-    def as_dict(self) -> dict[int, int]:
-        return {a + 1: c for a, c in enumerate(self.coefficients)}
 
 
 def positive_roots(t: DynkinType) -> list[Root]:

@@ -146,18 +146,24 @@ def _inv(x: tuple, p: int) -> tuple:
 
 
 class GroupElement(_Frozen):
-    """A complex 2x2 matrix of determinant one (numeric view)."""
+    """A complex 2x2 matrix of determinant one (numeric view), held as a read-only copy."""
 
     __slots__ = _fields = ("m",)
 
     def __init__(self, m: object):
         import numpy as np
-        a = np.asarray(m, dtype=complex)
+        a = np.array(m, dtype=complex)
         if a.shape != (2, 2):
             raise ValueError("group elements are 2x2 complex matrices")
         if abs(np.linalg.det(a) - 1.0) >= 1e-9:
             raise ValueError("group elements must have determinant 1")
+        a.flags.writeable = False
         object.__setattr__(self, "m", a)
+
+    @property
+    def _values(self):
+        # the entries as nested tuples: equal matrices give equal, hashable values
+        return (tuple(map(tuple, self.m.tolist())),)
 
 
 class GammaGroup(_Record):

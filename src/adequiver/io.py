@@ -21,7 +21,7 @@ from .poly import Polynomial
 from .sheaf import QuiverSheafData, TorsionSheafData
 
 
-class SchemaError(Exception):
+class SchemaError(ValueError):
     """Input file does not match the documented format."""
 
 

@@ -148,15 +148,6 @@ class NCElement:
         return linalg.rational_matrix(self.blocks.get(mono, {}).get((node, node)), dr, dc)
 
 
-def nc_multiply(u: NCElement, v: NCElement, lam: Mapping[int, Fraction]) -> NCElement:
-    """Normal-form product u v, the one-pair case of `nc_sum_of_products`.
-
-    The product of the monomial parts must stay inside the degree <= 2
-    basis, so both factors of degree 1, or either factor of degree 0.
-    """
-    return nc_sum_of_products([(u, v)], lam)
-
-
 def nc_sum_of_products(pairs: Sequence[tuple[NCElement, NCElement]],
                        lam: Mapping[int, Fraction]) -> NCElement:
     """Normal form of the sum of u v over the pairs (u, v), in one pass.
@@ -165,6 +156,8 @@ def nc_sum_of_products(pairs: Sequence[tuple[NCElement, NCElement]],
     column layout (ValueError otherwise); the rewrite's lam acts blockwise on
     that row layout.  Every term landing in one output block, from all pairs
     and the lam * zz terms included, is summed in one `linalg.sum_of_products`.
+    The product of the monomial parts must stay inside the degree <= 2 basis,
+    so in each pair both factors of degree 1, or either factor of degree 0.
     """
     rows_at, cols_at = pairs[0][0].row_layout, pairs[0][1].col_layout
     lam = {node: linalg.frac(x) for node, x in lam.items()}

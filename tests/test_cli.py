@@ -14,7 +14,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import adequiver
 from adequiver import adhm, cli, deformation, dynkin, gamma, linalg, sheaf
 from adequiver import io as fileio
 
@@ -375,6 +374,47 @@ class TestCheckRep:
         assert f"check {rep}: node-relations: FAIL" in out
         assert "node 0 residual: [-1]" in out
         assert "node 2 residual: [1]" in out
+
+    def test_failed_checks_are_reported_line_by_line(self, capsys, tmp_path):
+        theta = write(tmp_path, "theta.json", theta_record())
+        loops = rep_record()            # loops that break the edge relation at (0, 1, 0)
+        loops["psi"] = {"0": [["0"]], "1": [["1"]], "2": [["0"]]}
+        unframed = rep_record()         # a zero framing vector generates nothing
+        unframed["framing"] = {"0": {"rank": 1, "vectors": [["0"]]}}
+        off = finite_rep_record()       # eigenvalue 5 at node 1, where no root vanishes
+        off["psi"]["1"] = [["5"]]
+        cases = [(write(tmp_path, name, record), lines) for name, record, lines in (
+            ("loops.json", loops, [
+                "-- {} (type A2, total dimension 3)",
+                "node 0 residual: 0", "node 1 residual: [1]", "node 2 residual: 0",
+                "edge (0, 1, 0) residual: [1]",
+                "check {}: node-relations: FAIL  (some node residual is nonzero)",
+                "check {}: edge-relations: FAIL  (some edge residual is nonzero)",
+                "check {}: nondegenerate: pass  (framing generates everything)",
+                "note: {}: support check skipped (node 0 occupied)"]),
+            ("unframed.json", unframed, [
+                "-- {} (type A2, total dimension 3)",
+                "node 0 residual: 0", "node 1 residual: 0", "node 2 residual: 0",
+                "check {}: node-relations: pass  (all node residuals vanish)",
+                "check {}: edge-relations: pass  (all loop intertwiners commute)",
+                "check {}: nondegenerate: FAIL  (a proper invariant collection survives)",
+                "note: {}: support check skipped (node 0 occupied)"]),
+            ("off.json", off, [
+                "-- {} (type A2, total dimension 2)",
+                "node 1 residual: [9/2]", "node 2 residual: 0",
+                "edge (1, 2, 0) residual: [-9/2]", "edge (2, 1, 0) residual: [-9/4]",
+                "support node 1: 1 distinct eigenvalue; no root vanishes there; 1 off the locus",
+                "support node 2: 1 distinct eigenvalue; root (1, 1) vanishes at 1; "
+                "0 off the locus",
+                "check {}: node-relations: FAIL  (some node residual is nonzero)",
+                "check {}: edge-relations: FAIL  (some edge residual is nonzero)",
+                "check {}: support-on-vanishing-locus: FAIL  (2 eigenvalues examined)",
+                "note: {}: non-degeneracy skipped (no framing)"]))]
+        for rep, lines in cases:
+            code, out = run(capsys, "check-rep", "--theta", theta, rep)
+            assert code == 1, rep
+            # after the header and the two input lines
+            assert out.splitlines()[3:] == [line.format(rep) for line in lines] + ["exit code 1"]
 
     def test_multiple_files_keep_order(self, capsys, tmp_path):
         theta = write(tmp_path, "theta.json", theta_record())
@@ -1080,14 +1120,14 @@ class TestStartup:
                 (["exc-locus", theta], files)):
             assert run_child(*argv, code=code)[::2] == (0, loaded), argv
 
-    def test_every_exported_name_resolves_to_its_definition(self):
-        for name in adequiver.__all__:
-            obj = getattr(adequiver, name)
-            home = sys.modules[obj.__module__]
-            assert home.__name__.startswith("adequiver.")
-            assert getattr(home, name) is obj, name
-        assert set(adequiver.__all__) <= set(dir(adequiver))
-
-    def test_unknown_name_is_attribute_error(self):
-        with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
-            adequiver.no_such_name
+    def test_names_are_reached_through_their_submodules(self):
+        code, out, err = run_child(code=(
+            "import adequiver\n"
+            "public = [name for name in vars(adequiver) if not name.startswith('_')]\n"
+            "from adequiver import (adhm, cli, deformation, dynkin, gamma, io, linalg, monad,\n"
+            "                       poly, quiver, sheaf)\n"
+            "print(adequiver.__version__, public, dynkin.marks.__module__)"
+        ))
+        assert (code, err) == (0, "")
+        # the package binds only its version; every other name lives in a submodule
+        assert out.split() == ["0.1.0", "[]", "adequiver.dynkin"]

@@ -76,7 +76,8 @@ def test_e8_marks_explicit():
 
 
 def test_d4_marks_center_two():
-    assert dynkin.marks(dynkin.DynkinType.parse("D4")).as_dict() == {0: 1, 1: 1, 2: 2, 3: 1, 4: 1}
+    m = dynkin.marks(dynkin.DynkinType.parse("D4"))
+    assert dict(enumerate(m.delta)) == {0: 1, 1: 1, 2: 2, 3: 1, 4: 1}
 
 
 @pytest.mark.parametrize("name", ALL_TYPES)
@@ -120,7 +121,7 @@ def test_root_heights_and_dicts():
     t = dynkin.DynkinType.parse("D4")
     top = dynkin.highest_root(t)
     assert top.height == 5
-    assert top.as_dict() == {1: 1, 2: 2, 3: 1, 4: 1}
+    assert dict(enumerate(top.coefficients, 1)) == {1: 1, 2: 2, 3: 1, 4: 1}
 
 
 @pytest.mark.parametrize("name", ALL_TYPES)

@@ -69,27 +69,27 @@ class TestNCElement:
 
 class TestNormalFormProduct:
     def test_plain_concatenation(self):
-        got = monad.nc_multiply(scalar("x1", 1), scalar("x2", 1), {0: 1})
+        got = monad.nc_sum_of_products([(scalar("x1", 1), scalar("x2", 1))], {0: 1})
         assert got.coefficients == {"x1x2": [[Fraction(1)]]}
 
     def test_rewrite_injects_corrector(self):
-        got = monad.nc_multiply(scalar("x2", 3), scalar("x1", 5), {0: 2})
+        got = monad.nc_sum_of_products([(scalar("x2", 3), scalar("x1", 5))], {0: 2})
         assert got.coefficient("x1x2") == [[Fraction(15)]]
         assert got.coefficient("zz") == [[Fraction(30)]]
 
     def test_center_commutes(self):
-        zx = monad.nc_multiply(scalar("z", 1), scalar("x1", 1), {0: 0})
-        xz = monad.nc_multiply(scalar("x1", 1), scalar("z", 1), {0: 0})
+        zx = monad.nc_sum_of_products([(scalar("z", 1), scalar("x1", 1))], {0: 0})
+        xz = monad.nc_sum_of_products([(scalar("x1", 1), scalar("z", 1))], {0: 0})
         assert zx.coefficients == xz.coefficients == {"zx1": [[Fraction(1)]]}
 
     def test_degree_overflow_rejected(self):
         with pytest.raises(ValueError):
-            monad.nc_multiply(scalar("x1x1", 1), scalar("x1", 1), {0: 0})
+            monad.nc_sum_of_products([(scalar("x1x1", 1), scalar("x1", 1))], {0: 0})
 
     def test_inner_layout_mismatch_rejected(self):
         u = NCElement(ONE_NODE, ((0, 2),), {"z": [[1, 0]]})
         with pytest.raises(ValueError):
-            monad.nc_multiply(u, scalar("z", 1), {0: 0})
+            monad.nc_sum_of_products([(u, scalar("z", 1))], {0: 0})
 
     def test_unit_passthrough_and_associativity(self):
         rng = random.Random(7)
@@ -98,10 +98,10 @@ class TestNormalFormProduct:
         u = NCElement(lay, lay, {"x2": rand_matrix(rng, 2, 2), "z": rand_matrix(rng, 2, 2)})
         v = NCElement(lay, lay, {"x1": rand_matrix(rng, 2, 2)})
         w = NCElement(lay, lay, {"1": rand_matrix(rng, 2, 2)})
-        left = monad.nc_multiply(monad.nc_multiply(u, v, lam), w, lam)
-        right = monad.nc_multiply(u, monad.nc_multiply(v, w, lam), lam)
+        left = monad.nc_sum_of_products([(monad.nc_sum_of_products([(u, v)], lam), w)], lam)
+        right = monad.nc_sum_of_products([(u, monad.nc_sum_of_products([(v, w)], lam))], lam)
         assert left.coefficients == right.coefficients
-        wu = monad.nc_multiply(w, u, lam)
+        wu = monad.nc_sum_of_products([(w, u)], lam)
         assert set(wu.coefficients) == set(u.coefficients)
 
     def test_lambda_acts_on_target_blocks(self):
@@ -109,7 +109,7 @@ class TestNormalFormProduct:
         lam = {0: Fraction(2), 1: Fraction(-3)}
         u = NCElement(lay, lay, {"x2": linalg.identity(2)})
         v = NCElement(lay, lay, {"x1": linalg.identity(2)})
-        got = monad.nc_multiply(u, v, lam)
+        got = monad.nc_sum_of_products([(u, v)], lam)
         assert got.coefficient("zz") == [[Fraction(2), 0], [0, Fraction(-3)]]
 
 
@@ -169,7 +169,7 @@ class TestBlockStorageMatchesDense:
             else:
                 v_monos = rng.sample(degree_le1, rng.randint(0, 4))
             v = rand_element(rng, inner, cols, v_monos)
-            got = monad.nc_multiply(u, v, lam)
+            got = monad.nc_sum_of_products([(u, v)], lam)
             want = dense_product(u, v, lam)
             for mono in monad.DEGREE:
                 assert got.coefficient(mono) == want[mono], (trial, mono)
@@ -198,7 +198,7 @@ class TestBlockStorageMatchesDense:
             total = {mono: linalg.zeros(sum(dims.values())) for mono in monad.DEGREE}
             for be, ae in zip(m.b, m.a):
                 want = dense_product(be, ae, m.lam)
-                got = monad.nc_multiply(be, ae, m.lam)
+                got = monad.nc_sum_of_products([(be, ae)], m.lam)
                 for mono in monad.DEGREE:
                     assert got.coefficient(mono) == want[mono], (trial, mono)
                     total[mono] = linalg.mat_add(total[mono], want[mono])
@@ -379,8 +379,9 @@ class TestMonad:
                 lam = {a: 0 if trial % 3 == 0 else rand_frac(rng) for a in range(n)}
                 m = monad.build_monad(rank, b1, b2, i_blocks, j_blocks, lam, dims, framing)
                 (b0, a0), (b1_, a1), (b2_, a2) = zip(m.b, m.a)
-                want = (monad.nc_multiply(b0, a0, m.lam) + monad.nc_multiply(b1_, a1, m.lam)
-                        + monad.nc_multiply(b2_, a2, m.lam))
+                want = (monad.nc_sum_of_products([(b0, a0)], m.lam)
+                        + monad.nc_sum_of_products([(b1_, a1)], m.lam)
+                        + monad.nc_sum_of_products([(b2_, a2)], m.lam))
                 assert m.composite.blocks == want.blocks, (rank, trial)
                 assert m.composite.coefficients == want.coefficients, (rank, trial)
 

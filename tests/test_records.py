@@ -15,9 +15,11 @@ import pytest
 
 from adequiver.adhm import N1Representation, RelationResidual, SupportReport, SupportReportRow
 from adequiver.cli import RunReport, Verdict
-from adequiver.deformation import DeformationParam, ExceptionalLocus, LocusEntry
+from adequiver.deformation import (DeformationParam, ExceptionalLocus, LocusEntry,
+                                   complete_affine_theta, make_deformation, theta_of_root)
 from adequiver.dynkin import CartanMatrix, DynkinType, MarksVector, Root
-from adequiver.gamma import CharacterTable, GammaGroup, PrimeField
+from adequiver.gamma import (CharacterTable, GammaGroup, GroupElement, PrimeField,
+                             enumerate_group)
 from adequiver.monad import MonadData
 from adequiver.poly import Polynomial
 from adequiver.quiver import Arrow, QuiverSpec
@@ -56,7 +58,7 @@ RECORDS = [
      (A1, {0: Polynomial((F(1),)), 1: Polynomial((F(-1),))}, False),
      "DeformationParam(type=DynkinType(family='A', rank=1), "
      "theta={0: Polynomial(coefficients=(Fraction(1, 1),)), "
-     "1: Polynomial(coefficients=(Fraction(-1, 1),))}, constrained=True)", True, False),
+     "1: Polynomial(coefficients=(Fraction(-1, 1),))}, constrained=True)", True, True),
     (LocusEntry, (0.5 + 0j, Root((1,)), 2), dict(point=0.5 + 0j, root=Root((1,)), multiplicity=2),
      (0.5 + 0j, Root((1,)), 1),
      "LocusEntry(point=(0.5+0j), root=Root(coefficients=(1,)), multiplicity=2)", True, True),
@@ -141,6 +143,45 @@ def test_record_semantics(cls, args, kwargs, other, text, frozen, hashable):
     else:
         setattr(x, name, getattr(y, name))
     assert x == y
+
+
+def test_deformation_table_refuses_in_place_edits():
+    # an edit of theta would leave the cached projections stale
+    t = DynkinType("A", 2)
+    d = complete_affine_theta(t, {1: Polynomial.of([1, 1]), 2: Polynomial.of([2, 0, 1])})
+    root = Root((1, 0))
+    assert dict(d.projections)[root] == Polynomial.of([1, 1])
+    five = Polynomial.of([5])
+    for edit in (lambda th: th.__setitem__(1, five), lambda th: th.__delitem__(1),
+                 lambda th: th.update({1: five}), lambda th: th.setdefault(3, five),
+                 lambda th: th.pop(1), lambda th: th.popitem(), lambda th: th.clear()):
+        with pytest.raises(TypeError):
+            edit(d.theta)
+    with pytest.raises(TypeError):
+        d.theta |= {1: five}
+    assert sorted(d.theta) == [0, 1, 2] and d.theta[1] == Polynomial.of([1, 1])
+    assert theta_of_root(d, root) == dict(d.projections)[root] == Polynomial.of([1, 1])
+    assert hash(d) == hash(make_deformation(t, dict(d.theta)))
+
+
+def test_group_elements_compare_and_hash_by_their_matrices():
+    import numpy as np
+    x, y = GroupElement(np.eye(2)), GroupElement([[1, 0], [0, 1]])
+    assert x == y and hash(x) == hash(y) and {x: 1}[y] == 1
+    assert x != GroupElement([[0, 1], [-1, 0]])
+    assert GroupElement([[-0.0, 1], [-1, 0]]) == GroupElement([[0.0, 1], [-1, 0]])
+    assert hash(GroupElement([[-0.0, 1], [-1, 0]])) == hash(GroupElement([[0.0, 1], [-1, 0]]))
+    for copied in (copy.copy(x), copy.deepcopy(x), pickle.loads(pickle.dumps(x))):
+        assert copied.__class__ is GroupElement and copied == x and hash(copied) == hash(x)
+    with pytest.raises(ValueError):
+        x.m[0, 0] = 2               # the matrix is a read-only copy
+    source = np.eye(2, dtype=complex)
+    z = GroupElement(source)
+    source[0, 0] = 2
+    assert z == x
+    elements = enumerate_group(DynkinType("D", 4)).elements
+    assert len(elements) == len(set(elements)) == 8
+    assert all(a != b for i, a in enumerate(elements) for b in elements[i + 1:])
 
 
 def test_dynkin_type_prints_as_its_name():
