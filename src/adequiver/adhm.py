@@ -150,9 +150,15 @@ def _evaluate(p: Polynomial, m: IntMat, n: int) -> IntMat | None:
     return acc
 
 
+def _of_type(rep: N1Representation, theta: DeformationParam) -> DeformationParam:
+    if theta.type != rep.type:
+        raise ValueError(f"theta is of type {theta.type}, the representation of type {rep.type}")
+    return theta
+
+
 def _theta_table(rep: N1Representation, theta) -> dict[int, Polynomial]:
     if isinstance(theta, DeformationParam):
-        table = theta.theta
+        table = _of_type(rep, theta).theta
     elif isinstance(theta, Mapping):
         table = {a: Polynomial.of(p) for a, p in theta.items()}
     else:
@@ -165,10 +171,6 @@ def _theta_table(rep: N1Representation, theta) -> dict[int, Polynomial]:
 
 class RelationResidual(_Record):
     __slots__ = _fields = ("node_residuals", "edge_residuals")
-
-    def __init__(self, node_residuals: dict[int, Mat], edge_residuals: dict[ArrowKey, Mat]):
-        self.node_residuals = node_residuals
-        self.edge_residuals = edge_residuals
 
     @property
     def nodes_zero(self) -> bool:
@@ -254,13 +256,6 @@ class SupportReportRow(_Record):
 
     __slots__ = _fields = ("node", "distinct", "roots", "off_locus")
 
-    def __init__(self, node: int, distinct: int, roots: list[tuple[tuple[int, ...], int]],
-                 off_locus: int):
-        self.node = node
-        self.distinct = distinct
-        self.roots = roots
-        self.off_locus = off_locus
-
     @property
     def ok(self) -> bool:
         return self.off_locus == 0
@@ -268,10 +263,6 @@ class SupportReportRow(_Record):
 
 class SupportReport(_Record):
     __slots__ = _fields = ("rows", "ok")
-
-    def __init__(self, rows: list[SupportReportRow], ok: bool):
-        self.rows = rows
-        self.ok = ok
 
 
 def check_support_property(rep: N1Representation, theta, tol: float = 1e-6) -> SupportReport:
@@ -291,7 +282,8 @@ def check_support_property(rep: N1Representation, theta, tol: float = 1e-6) -> S
     if not isinstance(theta, DeformationParam):
         raise TypeError("support check needs a DeformationParam")
     # a zero projection vanishes everywhere, so it stays and shares all of s
-    projections = [(r.coefficients, p) for r, p in theta.projections if p.degree != 0]
+    projections = [(r.coefficients, p) for r, p in _of_type(rep, theta).projections
+                   if p.degree != 0]
     rows: list[SupportReportRow] = []
     for a in node_labels(rep.type, rep.affine):
         if rep.dims[a] == 0:

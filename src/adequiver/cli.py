@@ -39,11 +39,7 @@ def _fmt_matrix(m) -> str:
 
 class Verdict(dynkin._Record):
     __slots__ = _fields = ("name", "passed", "detail")
-
-    def __init__(self, name: str, passed: bool, detail: str = ""):
-        self.name = name
-        self.passed = passed
-        self.detail = detail
+    _defaults = {"detail": ""}
 
 
 class RunReport(dynkin._Record):
@@ -61,15 +57,14 @@ class RunReport(dynkin._Record):
         self.data = {} if data is None else data
         self.forced_exit = forced_exit
 
-    def add_input(self, path: str) -> None:
+    def add_input(self, path: str) -> bytes:
+        """The bytes of the file at path, read once: the ones listed by their sha256
+        are the ones parsed."""
         import hashlib
         from . import io as fileio
-        try:
-            with open(path, "rb") as fh:
-                digest = hashlib.sha256(fh.read()).hexdigest()
-        except OSError as e:
-            raise fileio.SchemaError(f"cannot read {path}: {e}") from None
-        self.inputs.append({"path": path, "sha256": digest})
+        data = fileio.read_bytes(path)
+        self.inputs.append({"path": path, "sha256": hashlib.sha256(data).hexdigest()})
+        return data
 
     def say(self, line: str) -> None:
         self.lines.append(line)
@@ -206,8 +201,7 @@ def cmd_quiver_dot(args, report: RunReport) -> None:
 
 def cmd_theta_validate(args, report: RunReport) -> None:
     from . import io as fileio
-    report.add_input(args.file)
-    record = fileio.read_json(args.file)
+    record = fileio.read_json(args.file, report.add_input(args.file))
     d = fileio.deformation_from_dict(record)
     given_affine = "0" in record["theta"]
     delta = dynkin.marks(d.type)
@@ -227,8 +221,7 @@ def cmd_theta_validate(args, report: RunReport) -> None:
 
 def cmd_exc_locus(args, report: RunReport) -> None:
     from . import deformation, io as fileio
-    report.add_input(args.file)
-    d = fileio.load_deformation(args.file)
+    d = fileio.load_deformation(args.file, report.add_input(args.file))
     locus = deformation.exceptional_locus(d)
     generic = deformation.is_generic(d)
     report.say(f"type {d.type}, {len(locus.entries)} locus points")
@@ -254,9 +247,10 @@ def cmd_exc_locus(args, report: RunReport) -> None:
 
 # -- check-rep ---------------------------------------------------------------
 
-def _check_one_rep(path: str, theta: deformation.DeformationParam):
+def _check_one_rep(path: str, data: bytes, theta):
+    """The checks of one representation file against theta, a DeformationParam."""
     from . import adhm, io as fileio
-    rep = fileio.load_representation(path)
+    rep = fileio.load_representation(path, data)
     residual = adhm.check_relations(rep, theta)
     framed = any(r > 0 for r in rep.framing_ranks.values())
     nondeg = adhm.is_nondegenerate(rep) if framed or rep.total_dim == 0 else None
@@ -268,15 +262,14 @@ def _check_one_rep(path: str, theta: deformation.DeformationParam):
 
 def cmd_check_rep(args, report: RunReport) -> None:
     from . import io as fileio
-    report.add_input(args.theta)
-    for path in args.files:
-        report.add_input(path)
-    theta = fileio.load_deformation(args.theta)
+    theta_data = report.add_input(args.theta)
+    files = [(path, report.add_input(path)) for path in args.files]
+    theta = fileio.load_deformation(args.theta, theta_data)
     per_file = []
-    for path in args.files:
+    for path, data in files:
         # a file refused as input fails its own verdict; the others keep theirs
         try:
-            rep, residual, nondeg, support_report = _check_one_rep(path, theta)
+            rep, residual, nondeg, support_report = _check_one_rep(path, data, theta)
             # formatted here, so a value too long to print fails this file alone
             nodes = {a: "0" if linalg.is_zero_matrix(m) else _fmt_matrix(m)
                      for a, m in sorted(residual.node_residuals.items())}
@@ -328,8 +321,7 @@ def cmd_check_rep(args, report: RunReport) -> None:
 
 def cmd_nondeg(args, report: RunReport) -> None:
     from . import adhm, io as fileio
-    report.add_input(args.file)
-    rep = fileio.load_representation(args.file)
+    rep = fileio.load_representation(args.file, report.add_input(args.file))
     verdict = adhm.is_nondegenerate(rep)
     report.say(f"type {rep.type}, dims " +
                " ".join(f"{a}:{rep.dims[a]}" for a in sorted(rep.dims)))
@@ -349,8 +341,7 @@ def cmd_nondeg(args, report: RunReport) -> None:
 
 def cmd_sheafify(args, report: RunReport) -> None:
     from . import io as fileio, sheaf
-    report.add_input(args.file)
-    rep = fileio.load_representation(args.file)
+    rep = fileio.load_representation(args.file, report.add_input(args.file))
     data, g = sheaf.quadruple_to_quintuple(rep)
     record = fileio.sheaf_data_to_dict(data)
     for a in sorted(data.node_sheaves):
@@ -374,8 +365,7 @@ def cmd_sheafify(args, report: RunReport) -> None:
 
 def cmd_matrixify(args, report: RunReport) -> None:
     from . import io as fileio, sheaf
-    report.add_input(args.file)
-    data = fileio.load_sheaf_data(args.file)
+    data = fileio.load_sheaf_data(args.file, report.add_input(args.file))
     rep = sheaf.quintuple_to_quadruple(data)
     record = fileio.representation_to_dict(rep)
     report.say(f"type {rep.type}, dims " +
@@ -389,8 +379,7 @@ def cmd_matrixify(args, report: RunReport) -> None:
 
 def cmd_roundtrip(args, report: RunReport) -> None:
     from . import adhm, io as fileio, sheaf
-    report.add_input(args.file)
-    rep = fileio.load_representation(args.file)
+    rep = fileio.load_representation(args.file, report.add_input(args.file))
     data, g = sheaf.quadruple_to_quintuple(rep)
     back = sheaf.quintuple_to_quadruple(data)
     expected = adhm.conjugate(rep, g)
@@ -415,8 +404,7 @@ def _unsupported(report: RunReport, message: str) -> None:
 
 def cmd_monad_check(args, report: RunReport) -> None:
     from . import adhm, io as fileio, monad
-    report.add_input(args.file)
-    rep = fileio.load_representation(args.file)
+    rep = fileio.load_representation(args.file, report.add_input(args.file))
     if rep.type.family != "A" or not rep.affine:
         _unsupported(report, "monad check covers affine type A only")
         return

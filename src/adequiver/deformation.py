@@ -56,9 +56,7 @@ class DeformationParam(_Frozen):
     _fields = ("type", "theta", "constrained")
 
     def __init__(self, type: DynkinType, theta: Mapping[int, Polynomial], constrained: bool):
-        object.__setattr__(self, "type", type)
-        object.__setattr__(self, "theta", _ReadOnlyDict(theta))    # keyed by affine node label
-        object.__setattr__(self, "constrained", constrained)
+        super().__init__(type, _ReadOnlyDict(theta), constrained)  # keyed by affine node label
         labels = node_labels(self.type, affine=True)
         if sorted(self.theta) != labels:
             raise ValueError(f"need one polynomial per node {labels}")
@@ -124,18 +122,9 @@ def theta_of_root(d: DeformationParam, root: Root) -> Polynomial:
 class LocusEntry(_Frozen):
     __slots__ = _fields = ("point", "root", "multiplicity")
 
-    def __init__(self, point: complex, root: Root, multiplicity: int):
-        object.__setattr__(self, "point", point)
-        object.__setattr__(self, "root", root)
-        object.__setattr__(self, "multiplicity", multiplicity)
-
 
 class ExceptionalLocus(_Frozen):
     __slots__ = _fields = ("type", "entries")
-
-    def __init__(self, type: DynkinType, entries: tuple[LocusEntry, ...]):
-        object.__setattr__(self, "type", type)
-        object.__setattr__(self, "entries", entries)
 
 
 def _projections(d: DeformationParam) -> list[tuple[Root, Polynomial]]:

@@ -36,21 +36,22 @@ class InputTooLarge(Exception):
 
 
 def _read_only(self, name: str, value=None):
-    """`__setattr__` and `__delattr__` of the immutable records: their __init__ sets
+    """`__setattr__` and `__delattr__` of the immutable records: construction sets
     each field once with `object.__setattr__`, and nothing changes one afterwards."""
     raise AttributeError(f"cannot assign to field {name!r}")
 
 
 class _Record:
-    """`==` and `repr` of the package's records, read from the class's `_fields` in order.
+    """Construction, `==` and `repr` of the package's records, read from `_fields`.
 
-    Each record writes its own `__init__`; a record equals only a record of the same
-    class, and `repr` shows `_repr_fields` where a class sets it, else every field.
-    Records are unhashable; `_Frozen` ones hash by their fields.
+    A record declares its fields once, in `_fields`; a record equals only a record of
+    the same class, and `repr` shows `_repr_fields` where a class sets it, else every
+    field.  Records are unhashable; `_Frozen` ones hash by their fields.
     """
 
     __slots__ = ()
     _fields: tuple[str, ...] = ()
+    _defaults: dict = {}
     _repr_fields: tuple[str, ...] | None = None
 
     def __init_subclass__(cls, **kwargs):
@@ -60,6 +61,30 @@ class _Record:
         if cls._fields and "_values" not in vars(cls):
             get = attrgetter(*cls._fields)
             cls._values = property(get if len(cls._fields) > 1 else lambda r: (get(r),))
+
+    def __init__(self, *args, **kwargs):
+        """args, then kwargs, then `_defaults` bound to `_fields` as a signature of those
+        parameters would bind them: TypeError for a surplus, unknown, repeated or missing
+        argument.  Each field is set with `object.__setattr__`, so `_Frozen` shares this.
+        """
+        fields = self._fields
+        if kwargs or len(args) != len(fields):      # else every field given in order
+            who = self.__class__.__qualname__
+            if len(args) > len(fields):
+                raise TypeError(f"{who}() takes {len(fields)} arguments, got {len(args)}")
+            given = {**self._defaults, **dict(zip(fields, args))}
+            for key, value in kwargs.items():
+                if key not in fields:
+                    raise TypeError(f"{who}() got an unexpected keyword argument {key!r}")
+                if key in fields[:len(args)]:
+                    raise TypeError(f"{who}() got multiple values for argument {key!r}")
+                given[key] = value
+            missing = [key for key in fields if key not in given]
+            if missing:
+                raise TypeError(f"{who}() missing arguments {missing}")
+            args = [given[key] for key in fields]
+        for name, value in zip(fields, args):
+            object.__setattr__(self, name, value)
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -73,8 +98,9 @@ class _Record:
 
 
 class _Frozen(_Record):
-    """A record whose fields its `__init__` sets once: assignment raises AttributeError,
-    it hashes by its `_values`, and copy and pickle rebuild it by calling the class on them."""
+    """A record whose fields are set once, at construction: assignment raises
+    AttributeError, it hashes by its `_values`, and copy and pickle rebuild it by
+    calling the class on them."""
 
     __slots__ = ()
     __setattr__ = __delattr__ = _read_only
@@ -90,8 +116,7 @@ class DynkinType(_Frozen):
     __slots__ = _fields = ("family", "rank")
 
     def __init__(self, family: str, rank: int):
-        object.__setattr__(self, "family", family)
-        object.__setattr__(self, "rank", rank)
+        super().__init__(family, rank)
         if self.family not in FAMILIES:
             raise ValueError(f"unknown family {self.family!r}")
         if self.family == "E":
@@ -148,12 +173,6 @@ def finite_edges(t: DynkinType) -> list[tuple[int, int]]:
 class CartanMatrix(_Frozen):
     __slots__ = _fields = ("entries", "affine", "node_labels")
 
-    def __init__(self, entries: tuple[tuple[int, ...], ...], affine: bool,
-                 node_labels: tuple[int, ...]):
-        object.__setattr__(self, "entries", entries)
-        object.__setattr__(self, "affine", affine)
-        object.__setattr__(self, "node_labels", node_labels)
-
 
 def cartan_matrix(t: DynkinType, affine: bool = False) -> CartanMatrix:
     labels = node_labels(t, affine)
@@ -176,11 +195,9 @@ def adjacency_matrix(t: DynkinType, affine: bool = True) -> list[list[int]]:
 
 
 class MarksVector(_Frozen):
-    __slots__ = _fields = ("type", "delta")
+    """The marks of a type; `delta` is indexed over the affine nodes 0..rank."""
 
-    def __init__(self, type: DynkinType, delta: tuple[int, ...]):
-        object.__setattr__(self, "type", type)
-        object.__setattr__(self, "delta", delta)      # indexed over affine nodes 0..rank
+    __slots__ = _fields = ("type", "delta")
 
     @property
     def group_order(self) -> int:
@@ -220,9 +237,6 @@ def _marks_cached(t: DynkinType) -> MarksVector:
 class Root(_Frozen):
     """A root written in the simple-root basis over the finite nodes 1..rank."""
     __slots__ = _fields = ("coefficients",)
-
-    def __init__(self, coefficients: tuple[int, ...]):
-        object.__setattr__(self, "coefficients", coefficients)
 
     @property
     def height(self) -> int:

@@ -102,11 +102,6 @@ class PrimeField(_Frozen):
 
     __slots__ = _fields = ("p", "n", "omega")
 
-    def __init__(self, p: int, n: int, omega: int):
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "omega", omega)
-
     def root(self, turn) -> int:
         """The residue of e^{2 pi i turn}; turn * n must be an integer."""
         e = Fraction(turn) * self.n
@@ -155,6 +150,8 @@ class GroupElement(_Frozen):
         a = np.array(m, dtype=complex)
         if a.shape != (2, 2):
             raise ValueError("group elements are 2x2 complex matrices")
+        if not np.isfinite(a).all():
+            raise ValueError("group element entries must be finite")
         if abs(np.linalg.det(a) - 1.0) >= 1e-9:
             raise ValueError("group elements must have determinant 1")
         a.flags.writeable = False
@@ -169,25 +166,16 @@ class GroupElement(_Frozen):
 class GammaGroup(_Record):
     """The closure of the generators over F_p, with its conjugacy classes.
 
-    `residues[r]` holds the entries (a, b, c, d) of element r = [[a, b], [c, d]]
-    mod `fp.p`; element 0 is the identity, and element r > 0 is
-    `residues[tree[r][0]]` times generator `tree[r][1]`.  `elements`,
+    `gens` are the cyclotomic generator matrices.  `residues[r]` holds the entries
+    (a, b, c, d) of element r = [[a, b], [c, d]] mod `fp.p`; element 0 is the
+    identity, and element r > 0 is `residues[tree[r][0]]` times generator
+    `tree[r][1]`.  `classes` partitions the element indices, `class_index[r]` is the
+    class of element r, and `index` maps residues to the element index.  `elements`,
     `mult_table` and `inverse` are numpy views built on first use.
     """
 
     _fields = ("type", "fp", "gens", "residues", "tree", "classes", "class_index", "index")
     _repr_fields = ("type", "fp", "classes")
-
-    def __init__(self, type: DynkinType, fp: PrimeField, gens: list, residues: list,
-                 tree: list, classes: list[list[int]], class_index: list[int], index: dict):
-        self.type = type
-        self.fp = fp
-        self.gens = gens                # cyclotomic generator matrices
-        self.residues = residues
-        self.tree = tree
-        self.classes = classes          # partition of element indices
-        self.class_index = class_index
-        self.index = index              # residues -> element index
 
     @property
     def order(self) -> int:
@@ -367,13 +355,6 @@ class CharacterTable(_Record):
 
     _fields = ("group", "values", "degrees", "lifted")
     _repr_fields = ("values", "degrees")
-
-    def __init__(self, group: GammaGroup, values: list[list[int]], degrees: list[int],
-                 lifted: list[list[complex]]):
-        self.group = group
-        self.values = values
-        self.degrees = degrees
-        self.lifted = lifted
 
     @property
     def class_reps(self) -> list[int]:

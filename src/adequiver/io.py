@@ -169,8 +169,8 @@ def deformation_to_dict(d: DeformationParam) -> dict:
     }
 
 
-def load_deformation(path: str) -> DeformationParam:
-    return deformation_from_dict(read_json(path))
+def load_deformation(path: str, data: bytes | None = None) -> DeformationParam:
+    return deformation_from_dict(read_json(path, data))
 
 
 # -- representation files ---------------------------------------------------
@@ -206,8 +206,8 @@ def representation_to_dict(rep: N1Representation) -> dict:
     }
 
 
-def load_representation(path: str) -> N1Representation:
-    return representation_from_dict(read_json(path))
+def load_representation(path: str, data: bytes | None = None) -> N1Representation:
+    return representation_from_dict(read_json(path, data))
 
 
 # -- sheaf data files -------------------------------------------------------
@@ -276,16 +276,22 @@ def sheaf_data_to_dict(data: QuiverSheafData) -> dict:
     }
 
 
-def load_sheaf_data(path: str) -> QuiverSheafData:
-    return sheaf_data_from_dict(read_json(path))
+def load_sheaf_data(path: str, data: bytes | None = None) -> QuiverSheafData:
+    return sheaf_data_from_dict(read_json(path, data))
 
 
-def read_json(path: str) -> Any:
+def read_bytes(path: str) -> bytes:
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+        with open(path, "rb") as fh:
+            return fh.read()
     except OSError as e:
         raise SchemaError(f"cannot read {path}: {e}") from None
+
+
+def read_json(path: str, data: bytes | None = None) -> Any:
+    """The JSON value of the UTF-8 file at path, or of data, its bytes read already."""
+    try:
+        return json.loads((read_bytes(path) if data is None else data).decode("utf-8"))
     except json.JSONDecodeError as e:
         raise SchemaError(f"{path} is not valid JSON: {e}") from None
     except RecursionError:

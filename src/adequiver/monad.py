@@ -202,16 +202,9 @@ def _summed(row_layout: Layout, col_layout: Layout, terms: Iterable[tuple]) -> N
 
 
 class MonadData(_Record):
+    """The monad for the cyclic group of order `rank` + 1 (rank 0: the trivial group);
+    `a` is a column of three maps, `b` a row of three."""
     _fields = ("rank", "dims", "framing_dims", "lam", "a", "b")
-
-    def __init__(self, rank: int, dims: dict[int, int], framing_dims: dict[int, int],
-                 lam: dict[int, Fraction], a: list[NCElement], b: list[NCElement]):
-        self.rank = rank                # cyclic group of order rank+1; 0 = trivial
-        self.dims = dims
-        self.framing_dims = framing_dims
-        self.lam = lam
-        self.a = a                      # column of three maps
-        self.b = b                      # row of three maps
 
     @cached_property
     def composite(self) -> NCElement:

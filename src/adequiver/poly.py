@@ -39,9 +39,6 @@ class Polynomial(_Frozen):
 
     __slots__ = _fields = ("coefficients",)
 
-    def __init__(self, coefficients: tuple[Fraction, ...]):
-        object.__setattr__(self, "coefficients", coefficients)
-
     @classmethod
     def of(cls, coeffs: Polynomial | Sequence) -> Polynomial:
         """The polynomial with these ascending coefficients; a Polynomial comes back as is."""

@@ -35,14 +35,7 @@ KIND_FRAMING_OUT = "framing_out"
 
 class Arrow(_Frozen):
     __slots__ = _fields = ("source", "target", "kind", "sign", "pair_index")
-
-    def __init__(self, source: object, target: object, kind: str, sign: int,
-                 pair_index: int = 0):
-        object.__setattr__(self, "source", source)
-        object.__setattr__(self, "target", target)
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "sign", sign)
-        object.__setattr__(self, "pair_index", pair_index)
+    _defaults = {"pair_index": 0}
 
     def reversed_key(self) -> tuple:
         return (self.target, self.source, self.pair_index)
@@ -54,14 +47,6 @@ class Arrow(_Frozen):
 
 class QuiverSpec(_Frozen):
     __slots__ = _fields = ("type", "flavor", "affine", "nodes", "arrows")
-
-    def __init__(self, type: DynkinType, flavor: str, affine: bool, nodes: tuple,
-                 arrows: tuple[Arrow, ...]):
-        object.__setattr__(self, "type", type)
-        object.__setattr__(self, "flavor", flavor)
-        object.__setattr__(self, "affine", affine)
-        object.__setattr__(self, "nodes", nodes)
-        object.__setattr__(self, "arrows", arrows)
 
     def mckay_arrows(self) -> list[Arrow]:
         return [a for a in self.arrows if a.kind == KIND_MCKAY]

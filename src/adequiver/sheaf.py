@@ -49,9 +49,6 @@ class TorsionSheafData(_Frozen):
 
     _fields = ("points",)
 
-    def __init__(self, points: tuple[tuple[Support, tuple[int, ...]], ...]):
-        object.__setattr__(self, "points", points)
-
     @classmethod
     def of(cls, points: Sequence[tuple[object, Sequence[int]]]) -> "TorsionSheafData":
         norm = []

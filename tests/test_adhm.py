@@ -119,6 +119,16 @@ def test_theta_table_errors():
         adhm.check_relations(rep, "nope")
 
 
+def test_theta_of_another_type_is_refused():
+    rep = adhm.N1Representation(DynkinType("A", 1), {1: 1}, Psi={1: [[5]]}, affine=False)
+    theta = complete_affine_theta(A2, {1: T, 2: T})
+    for check in (adhm.check_relations, adhm.check_support_property):
+        with pytest.raises(ValueError, match="theta is of type A2, the representation of type A1"):
+            check(rep, theta)
+    # a plain node -> polynomial table is read by its labels, as before
+    assert adhm.check_relations(rep, {0: T, 1: T, 2: T}).node_residuals[1] == [[Fraction(5)]]
+
+
 class TestValidation:
     def test_dims_must_cover_nodes(self):
         with pytest.raises(ValueError):

@@ -1,4 +1,6 @@
+import builtins
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -7,6 +9,7 @@ import signal
 import subprocess
 import sys
 import tempfile
+import typing
 from fractions import Fraction
 from pathlib import Path
 
@@ -461,6 +464,17 @@ class TestCheckRep:
         assert human.count("-- ") == 2
         assert f"check {good[1]}: nondegenerate: pass" in human
 
+    def test_representation_of_another_type_than_theta_is_refused(self, capsys, tmp_path):
+        theta = write(tmp_path, "theta.json", theta_record())             # type A2
+        a1 = write(tmp_path, "a1.json", {"type": "A1", "dims": {"1": 1}, "psi": {"1": [["5"]]}})
+        good = write(tmp_path, "good.json", finite_rep_record())
+        code, out = run(capsys, "check-rep", "--theta", theta, a1, good)
+        assert code == 2
+        assert ("check input-well-formed: FAIL  (theta is of type A2, the representation "
+                f"of type A1; file {a1})") in out
+        assert f"-- {a1}" not in out and f"{a1}: node-relations" not in out
+        assert f"check {good}: support-on-vanishing-locus: pass" in out
+
     def test_missing_rep_file(self, capsys, tmp_path):
         theta = write(tmp_path, "theta.json", theta_record())
         code, out = run(capsys, "check-rep", "--theta", theta, str(tmp_path / "gone.json"))
@@ -880,6 +894,61 @@ class TestMonadCheck:
             check_code, out = run(capsys, "check-rep", "--theta", theta, rep)
             node_ok = f"check {rep}: node-relations: pass" in out
             assert (monad_code == 0) == node_ok
+
+
+def input_argvs(tmp_path):
+    """A call of every subcommand that reads files, with the files it reads."""
+    theta = write(tmp_path, "theta.json", theta_record())
+    rep = write(tmp_path, "rep.json", rep_record())
+    finite = write(tmp_path, "finite.json", finite_rep_record())
+    points = write(tmp_path, "points.json", points_record())
+    return [(["theta-validate", theta], [theta]), (["exc-locus", theta], [theta]),
+            (["check-rep", "--theta", theta, rep, finite], [theta, rep, finite]),
+            (["nondeg", rep], [rep]), (["sheafify", rep], [rep]),
+            (["matrixify", points], [points]), (["roundtrip", rep], [rep]),
+            (["monad-check", rep, "--lam", "1,0,-1"], [rep])]
+
+
+class TestInputs:
+    def test_each_input_is_opened_once(self, capsys, tmp_path, monkeypatch):
+        opened = []
+        real_open = builtins.open
+
+        def counting_open(file, *args, **kwargs):
+            opened.append(str(file))
+            return real_open(file, *args, **kwargs)
+
+        monkeypatch.setattr(builtins, "open", counting_open)
+        for argv, paths in input_argvs(tmp_path):
+            opened.clear()
+            code, _ = run(capsys, *argv)
+            assert code == 0, argv
+            assert sorted(p for p in opened if p in paths) == sorted(paths), argv
+
+    def test_the_listed_digest_is_of_the_bytes_parsed(self, capsys, tmp_path, monkeypatch):
+        # a file rewritten before a second read would be listed under the first digest
+        # and parsed from the new bytes
+        theta = write(tmp_path, "theta.json", theta_record())
+        first = Path(theta).read_bytes()
+        real_open = builtins.open
+        reads = []
+
+        def open_rewritten_after_the_first_read(file, *args, **kwargs):
+            if str(file) == theta:
+                if reads:
+                    Path(theta).write_text(fileio.dump_json(
+                        {"type": "A2", "theta": {"1": ["7"], "2": ["-1", "1"]}}))
+                reads.append(file)
+            return real_open(file, *args, **kwargs)
+
+        monkeypatch.setattr(builtins, "open", open_rewritten_after_the_first_read)
+        code, out = run(capsys, "theta-validate", theta, "--json")
+        report = json.loads(out)
+        assert report["inputs"] == [{"path": theta, "sha256": hashlib.sha256(first).hexdigest()}]
+        assert report["data"]["theta"]["1"] == ["0", "1"] and code == 0
+
+    def test_annotations_resolve(self):
+        typing.get_type_hints(cli._check_one_rep)
 
 
 class TestParser:

@@ -145,6 +145,50 @@ def test_record_semantics(cls, args, kwargs, other, text, frozen, hashable):
     assert x == y
 
 
+def _record_classes():
+    """Every `_Record` subclass the package defines, its modules all imported."""
+    import importlib
+    import pkgutil
+
+    import adequiver
+    from adequiver.dynkin import _Frozen, _Record
+    for info in pkgutil.iter_modules(adequiver.__path__):
+        if not info.name.startswith("__"):
+            importlib.import_module(f"adequiver.{info.name}")
+    found, todo = set(), [_Record]
+    while todo:
+        subclasses = todo.pop().__subclasses__()
+        todo += subclasses
+        found |= {c for c in subclasses if c.__module__.startswith("adequiver.")}
+    return found - {_Frozen}
+
+
+def test_every_record_class_is_covered():
+    # GroupElement has its own test below
+    assert _record_classes() == {row[0] for row in RECORDS} | {GroupElement}
+
+
+def test_only_records_that_convert_their_input_write_a_constructor():
+    assert {c for c in _record_classes() if "__init__" in vars(c)} == {
+        N1Representation, QuiverSheafData, GroupElement, RunReport, DynkinType, DeformationParam}
+
+
+@pytest.mark.parametrize("cls", [Arrow, Verdict], ids=["frozen", "mutable"])
+def test_constructor_refuses_arguments_a_signature_would(cls):
+    args = {Arrow: (0, 1, "mckay", 1, 0), Verdict: ("relations", True, "")}[cls]
+    assert repr(cls(*args)) == repr(cls(*args[:-1]))      # the last field has a default
+    with pytest.raises(TypeError, match="missing arguments"):
+        cls(*args[:-2])
+    with pytest.raises(TypeError, match="missing arguments"):
+        cls(**{name: value for name, value in zip(cls._fields[1:], args[1:])})
+    with pytest.raises(TypeError, match="unexpected keyword argument 'colour'"):
+        cls(*args, colour=1)
+    with pytest.raises(TypeError, match=f"multiple values for argument '{cls._fields[0]}'"):
+        cls(*args, **{cls._fields[0]: args[0]})
+    with pytest.raises(TypeError, match=f"takes {len(args)} arguments, got {len(args) + 1}"):
+        cls(*args, None)
+
+
 def test_deformation_table_refuses_in_place_edits():
     # an edit of theta would leave the cached projections stale
     t = DynkinType("A", 2)
@@ -179,6 +223,9 @@ def test_group_elements_compare_and_hash_by_their_matrices():
     z = GroupElement(source)
     source[0, 0] = 2
     assert z == x
+    for entry in (float("nan"), float("inf"), -float("inf"), complex(0, float("nan"))):
+        with pytest.raises(ValueError, match="finite"):
+            GroupElement([[entry, 0], [0, 1]])
     elements = enumerate_group(DynkinType("D", 4)).elements
     assert len(elements) == len(set(elements)) == 8
     assert all(a != b for i, a in enumerate(elements) for b in elements[i + 1:])
