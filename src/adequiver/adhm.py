@@ -15,12 +15,14 @@ Two families of defects are computed exactly:
 Each defect is one integer pass of `linalg.sum_of_products` at its full
 shape, so empty nodes need no special case; Theta_a(Psi_a) is integer
 Horner.  Both read `N1Representation.ints`, the integer rows of B and Psi
-(`linalg.IntMat`), made once when it is built; B and Psi stay unchanged.
+(`linalg.IntMat`) and their only storage, made once when it is built; B
+and Psi are Fraction views of them, built on first read.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cached_property
 from typing import Mapping
 
 from . import linalg
@@ -44,30 +46,32 @@ def check_total_dim(total: int) -> None:
         raise InputTooLarge(f"total dimension {total} exceeds the cap {MAX_TOTAL_DIM}")
 
 
-def _exact_matrix(ints: dict, key, m, want: tuple, error: str) -> Mat:
-    """m, rows of rationals or an `IntMat` (None: zeros), as Fractions; its integer rows
-    go to ints[key], each made once.  ValueError(error) unless m has the shape want."""
+def _int_rows(m, want: tuple, name: str, error: str) -> IntMat:
+    """m as integer rows of shape want: rationals converted, (rows, d) kept over d made positive,
+    None as zeros.  ValueError(error) on another shape, naming name on a bad d or entry."""
     if m is None:
-        m = [[0] * want[1] for _ in range(want[0])], 1
-    if isinstance(m, tuple) and len(m) == 2 and isinstance(m[1], int):
-        ints[key], m = m, linalg.rational_matrix(m, *want)
+        return [[0] * want[1] for _ in range(want[0])], 1
+    if isinstance(m, tuple) and len(m) == 2 and not isinstance(m[1], (list, tuple)):
+        rows, d = m
+        if type(d) is not int or not d or not {type(x) for row in rows for x in row} <= {int}:
+            raise ValueError(f"{name} wants integer rows as ints over a nonzero int denominator")
+        m = [[-x for x in row] if d < 0 else list(row) for row in rows], abs(d)
     else:
-        m = linalg.matrix(m)
-        ints[key] = linalg.int_matrix(m)
-    if not linalg.has_shape(m, *want):
+        m = linalg.int_matrix(linalg.matrix(m))
+    if not linalg.has_shape(m[0], *want):
         raise ValueError(error)
     return m
 
 
 def _quiver_data(t: DynkinType, affine: bool, dims: Mapping[int, int], arrows: Mapping,
-                 ranks: Mapping, vectors: Mapping) -> tuple[dict, dict, dict, dict]:
+                 ranks: Mapping, vectors: Mapping) -> tuple[dict, dict, dict]:
     """The arrows and framing of quiver data whose nodes have dimensions dims, validated.
 
     InputTooLarge past MAX_TOTAL_DIM; ValueError on an arrow not in the quiver or of
-    the wrong shape, on framing at an unknown node, on a negative rank, or unless each
-    node holds rank-many framing vectors of its dimension.  Returns the given arrows
-    (None: zeros) as Fractions, their integer rows, each made once, and the framing
-    ranks and Fraction vectors at every node.
+    the wrong shape (`_int_rows`), on framing at an unknown node, on a negative rank,
+    or unless each node holds rank-many framing vectors of its dimension.  Returns the
+    given arrows (None: zeros) as integer rows, and the framing ranks and Fraction
+    vectors at every node.
     """
     check_total_dim(sum(dims.values()))
     stray = set(arrows) - {arrow.key for arrow in build_n1_quiver(t, affine).mckay_arrows()}
@@ -77,10 +81,9 @@ def _quiver_data(t: DynkinType, affine: bool, dims: Mapping[int, int], arrows: M
     if stray:
         raise ValueError(f"framing data at unknown nodes {sorted(stray)}")
     ints: dict[object, IntMat] = {}
-    maps = {}
     for key, m in arrows.items():
         want = (dims[key[1]], dims[key[0]])
-        maps[key] = _exact_matrix(ints, key, m, want, f"arrow {key} wants shape {want}")
+        ints[key] = _int_rows(m, want, f"arrow {key}", f"arrow {key} wants shape {want}")
     ranks = {a: int(ranks.get(a, 0)) for a in sorted(dims)}
     if any(r < 0 for r in ranks.values()):
         raise ValueError("framing ranks must be nonnegative")
@@ -91,7 +94,7 @@ def _quiver_data(t: DynkinType, affine: bool, dims: Mapping[int, int], arrows: M
             raise ValueError(f"node {a} wants {ranks[a]} framing vectors")
         if any(len(v) != n for v in out[a]):
             raise ValueError(f"framing vectors at {a} must have length {n}")
-    return maps, ints, ranks, out
+    return ints, ranks, out
 
 
 def _images(m: IntMat, vectors: list[Vec], rows: int) -> list[Vec]:
@@ -103,15 +106,33 @@ def _images(m: IntMat, vectors: list[Vec], rows: int) -> list[Vec]:
     return linalg.rational_matrix(moved, len(vectors), rows)
 
 
-class N1Representation(_Record):
+class _IntRows:
+    """Quiver data stored only as integer rows, `ints` by key.  The fields in `_views` read
+    them as Fractions, cached on first read; `==` compares the other fields, then `ints`
+    by `linalg.equal_ints`, so it builds no Fraction."""
+
+    _views: tuple[str, ...] = ()
+
+    def _fractions(self, keys) -> dict:
+        return {k: linalg.rational_matrix(self.ints[k]) for k in keys}
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (all(getattr(self, f) == getattr(other, f) for f in self._fields
+                    if f not in self._views) and self.ints.keys() == other.ints.keys()
+                and all(linalg.equal_ints(m, other.ints[k]) for k, m in self.ints.items()))
+
+
+class N1Representation(_IntRows, _Record):
     """Dims, arrows B, loops Psi and framing of a representation; missing blocks are zero.
 
-    `ints` holds B and Psi as integer rows, by key; it is not a field, so
-    `==` and `repr` do not read it.
+    `ints` holds B and Psi as integer rows, by key: arrows first, then loops.  B and
+    Psi are its Fraction views (`_IntRows`).
     """
 
-    __slots__ = ("type", "dims", "B", "Psi", "framing_ranks", "I", "affine", "ints")
     _fields = ("type", "dims", "B", "Psi", "framing_ranks", "I", "affine")
+    _views = ("B", "Psi")
 
     def __init__(self, type: DynkinType, dims: dict[int, int],
                  B: dict[ArrowKey, Mat] | None = None, Psi: dict[int, Mat] | None = None,
@@ -123,14 +144,17 @@ class N1Representation(_Record):
             raise ValueError(f"dims must cover exactly the nodes {labels}")
         # every arrow of the quiver, zeros where none is given
         arrows = {**dict.fromkeys(arrow.key for arrow in self.quiver.mckay_arrows()), **(B or {})}
-        self.B, self.ints, self.framing_ranks, self.I = _quiver_data(
+        self.ints, self.framing_ranks, self.I = _quiver_data(
             type, affine, dims, arrows, framing_ranks or {}, I or {})
         Psi = Psi or {}
         stray = set(Psi) - set(labels)
         if stray:
             raise ValueError(f"loop data at unknown nodes {sorted(stray)}")
-        self.Psi = {a: _exact_matrix(self.ints, a, Psi.get(a), (dims[a],) * 2,
-                                     f"loop at {a} must be {dims[a]} square") for a in labels}
+        self.ints.update({a: _int_rows(Psi.get(a), (dims[a],) * 2, f"loop at {a}",
+                                       f"loop at {a} must be {dims[a]} square") for a in labels})
+
+    B = cached_property(lambda self: self._fractions(_arrow_ints(self)))
+    Psi = cached_property(lambda self: self._fractions(node_labels(self.type, self.affine)))
 
     @property
     def quiver(self) -> QuiverSpec:
@@ -139,6 +163,10 @@ class N1Representation(_Record):
     @property
     def total_dim(self) -> int:
         return sum(self.dims.values())
+
+
+def _arrow_ints(rep: N1Representation) -> dict[ArrowKey, IntMat]:
+    return {k: m for k, m in rep.ints.items() if isinstance(k, tuple)}
 
 
 def _evaluate(p: Polynomial, m: IntMat, n: int) -> IntMat | None:
@@ -208,7 +236,7 @@ def check_relations(rep: N1Representation, theta) -> RelationResidual:
         terms += [(arrow.sign, rep.ints[arrow.reversed_key()], rep.ints[arrow.key])
                   for arrow in rep.quiver.mckay_arrows() if arrow.source == a]
         nodes[a] = linalg.rational_matrix(linalg.sum_of_products(terms, d, d), d, d)
-    edges = _edge_defects(rep.ints, {key: rep.ints[key] for key in rep.B})
+    edges = _edge_defects(rep.ints, _arrow_ints(rep))
     return RelationResidual(nodes, {(s, t, i): linalg.rational_matrix(m, rep.dims[t], rep.dims[s])
                                     for (s, t, i), m in edges.items()})
 
@@ -324,18 +352,29 @@ def transport(left: IntMat, m: IntMat, right: IntMat, rows: int, cols: int) -> I
     return moved and linalg.sum_of_products([(1, left, moved)], rows, cols)
 
 
+class BaseChanges(dict):
+    """Base changes g by node as Fraction matrices; `pairs` holds each (g, g^-1) on integer
+    rows, which `conjugate` takes instead of converting and inverting g.  Edit neither."""
+    __slots__ = ("pairs",)
+
+    def __init__(self, pairs: dict[int, tuple[IntMat, IntMat]]):
+        super().__init__((a, linalg.rational_matrix(g)) for a, (g, _) in pairs.items())
+        self.pairs = pairs
+
+
 def conjugate(rep: N1Representation, g: Mapping[int, Mat]) -> N1Representation:
     """Change basis at every node: arrows g_b B g_a^{-1}, loops g Psi g^{-1}, vectors g v."""
     labels = node_labels(rep.type, rep.affine)
     for a in labels:
         if not linalg.has_shape(g[a], rep.dims[a], rep.dims[a]):
             raise ValueError(f"base change at {a} must be {rep.dims[a]} square")
-    gi = {a: linalg.int_matrix(g[a]) for a in labels}
-    ginv = {a: linalg.inverse_ints(gi[a]) for a in labels}
-    b = {(s, t, i): transport(gi[t], rep.ints[s, t, i], ginv[s], rep.dims[t], rep.dims[s])
-         for s, t, i in rep.B}
-    psi = {a: transport(gi[a], rep.ints[a], ginv[a], rep.dims[a], rep.dims[a]) for a in labels}
-    vectors = {a: _images(gi[a], rep.I[a], rep.dims[a]) for a in labels}
+    pairs = g.pairs if isinstance(g, BaseChanges) else {
+        a: (m, linalg.inverse_ints(m)) for a, m in ((a, linalg.int_matrix(g[a])) for a in labels)}
+    b = {(s, t, i): transport(pairs[t][0], m, pairs[s][1], rep.dims[t], rep.dims[s])
+         for (s, t, i), m in _arrow_ints(rep).items()}
+    psi = {a: transport(pairs[a][0], rep.ints[a], pairs[a][1], rep.dims[a], rep.dims[a])
+           for a in labels}
+    vectors = {a: _images(pairs[a][0], rep.I[a], rep.dims[a]) for a in labels}
     return N1Representation(
         rep.type, dict(rep.dims), b, psi, dict(rep.framing_ranks), vectors, rep.affine
     )

@@ -408,7 +408,7 @@ def cmd_monad_check(args, report: RunReport) -> None:
     if rep.type.family != "A" or not rep.affine:
         _unsupported(report, "monad check covers affine type A only")
         return
-    if any(not linalg.is_zero_matrix(m) for m in rep.Psi.values()):
+    if any(any(map(any, rep.ints[a][0])) for a in rep.dims):
         _unsupported(
             report,
             "monad check is fiberwise: loops must be zero "

@@ -7,7 +7,8 @@ unique map between zero-dimensional spaces.
 
 The exact kernels run on Python ints and build each output Fraction
 once.  An `IntMat` is integer rows over one denominator (`int_matrix`;
-`rational_matrix` reads Fractions back).  There is one integer product,
+`rational_matrix` reads Fractions back, `equal_ints` compares two); it is
+the only matrix storage of representations and point data.  There is one integer product,
 `sum_of_products`: the caller gives the output shape, every term c*a*b
 or c*a on `IntMat`s accumulates in one integer pass, and the sum comes
 back over its least denominator, or as None when it is zero.  `mat_mul`
@@ -72,7 +73,7 @@ def has_shape(m: Mat, rows: int, cols: int) -> bool:
 
 def zeros(r: int, c: int | None = None) -> Mat:
     c = r if c is None else c
-    return [[Fraction(0)] * c for _ in range(r)]
+    return [[_ZERO] * c for _ in range(r)]
 
 
 def identity(n: int) -> Mat:
@@ -122,12 +123,18 @@ def int_matrix(m: Mat) -> IntMat:
     return [[x.numerator * (d // x.denominator) for x in row] for row in m], d
 
 
-def rational_matrix(m: IntMat | None, rows: int, cols: int) -> Mat:
-    """The rows x cols Fraction matrix of m; None, the zero of `sum_of_products`, reads as zeros."""
+def rational_matrix(m: IntMat | None, rows: int = 0, cols: int = 0) -> Mat:
+    """The Fraction matrix of m; None, the zero of `sum_of_products`, reads as rows x cols zeros."""
     if m is None:
         return zeros(rows, cols)
     ints, d = m
     return [[Fraction(x, d) if x else _ZERO for x in row] for row in ints]
+
+
+def equal_ints(m: IntMat, n: IntMat) -> bool:
+    """m == n for two matrices of one shape, rows as lists: a/d against b/e as a e == b d."""
+    (a, d), (b, e) = m, n
+    return a == b if d == e else all(x * e == y * d for r, s in zip(a, b) for x, y in zip(r, s))
 
 
 def _transposed(m: IntMat) -> IntMat:

@@ -11,9 +11,9 @@ The same dictionary upgraded to quivers: a representation whose loops
 all intertwine with the arrow maps (zero edge defects) corresponds to
 per-node torsion modules plus arrow maps written in the Jordan bases,
 with framing vectors carried along by the same base change.  The round
-trip runs on the integer rows (`linalg.IntMat`) that representations and
-`QuiverSheafData` keep and on one Jordan matrix per `TorsionSheafData`
-(`.jordan`), and makes Fractions only for the fields of the results.
+trip runs on the integer rows (`linalg.IntMat`), the only matrix storage
+of representations and `QuiverSheafData`, and on one Jordan matrix per
+`TorsionSheafData` (`.jordan`); the base changes carry their inverses.
 """
 
 from __future__ import annotations
@@ -23,8 +23,8 @@ from functools import cached_property
 from typing import Mapping, Sequence
 
 from . import linalg
-from .adhm import (ArrowKey, N1Representation, _edge_defects, _images, _quiver_data,
-                   transport)
+from .adhm import (ArrowKey, BaseChanges, N1Representation, _arrow_ints, _edge_defects,
+                   _images, _IntRows, _quiver_data, transport)
 from .dynkin import DynkinType, _Frozen, _Record, node_labels
 from .linalg import ComputeFailure, IntMat, Mat, Vec
 
@@ -146,14 +146,13 @@ def _check_intertwining(loops: Mapping[int, IntMat], arrows: Mapping[ArrowKey, I
             raise EdgeRelationViolated(f"edge defect at {key} is nonzero")
 
 
-class QuiverSheafData(_Record):
+class QuiverSheafData(_IntRows, _Record):
     """Torsion data per node, arrow maps and framing; `ints` holds the arrow maps as
-    integer rows, by key, and is not a field, so `==` and `repr` do not read it."""
+    integer rows, by key, and `arrow_maps` is its Fraction view (`adhm._IntRows`)."""
 
-    __slots__ = ("type", "node_sheaves", "arrow_maps", "framing_ranks", "framing_vectors",
-                 "affine", "ints")
     _fields = ("type", "node_sheaves", "arrow_maps", "framing_ranks", "framing_vectors",
                "affine")
+    _views = ("arrow_maps",)
 
     def __init__(self, type: DynkinType, node_sheaves: dict[int, TorsionSheafData],
                  arrow_maps: dict[ArrowKey, Mat], framing_ranks: dict[int, int] | None = None,
@@ -162,23 +161,26 @@ class QuiverSheafData(_Record):
         labels = node_labels(type, affine)
         if sorted(node_sheaves) != labels:
             raise ValueError(f"need sheaf data for exactly the nodes {labels}")
-        self.arrow_maps, self.ints, self.framing_ranks, self.framing_vectors = _quiver_data(
+        self.ints, self.framing_ranks, self.framing_vectors = _quiver_data(
             type, affine, {a: node_sheaves[a].dimension for a in labels},
             arrow_maps, framing_ranks or {}, framing_vectors or {})
         # Jordan matrices only where an arrow needs one, and only of rational supports
-        touched = list(dict.fromkeys(a for key in self.arrow_maps for a in key[:2]))
+        touched = list(dict.fromkeys(a for key in self.ints for a in key[:2]))
         _require_rational(node_sheaves, touched)
         _check_intertwining({a: node_sheaves[a].jordan for a in touched}, self.ints)
 
+    arrow_maps = cached_property(lambda self: self._fractions(self.ints))
 
-def quadruple_to_quintuple(rep: N1Representation) -> tuple[QuiverSheafData, dict[int, Mat]]:
+
+def quadruple_to_quintuple(rep: N1Representation) -> tuple[QuiverSheafData, BaseChanges]:
     """Per-node torsion data plus transported arrows and framing.
 
     Requires every edge defect to vanish exactly.  Arrows move to g_b B p_a,
     p a node's Jordan basis and g its inverse, on integer rows; the intertwining
     is checked once, on the Jordan matrices, when `QuiverSheafData` is built (a
     broken edge outranks a non-rational spectrum).  Returns the sheaf data and the
-    per-node base changes g (new = g * old), so callers can verify the transport.
+    per-node base changes g (new = g * old) with their inverses p, so callers can
+    verify the transport.
     """
     labels = node_labels(rep.type, rep.affine)
     sheaves: dict[int, TorsionSheafData] = {}
@@ -187,25 +189,18 @@ def quadruple_to_quintuple(rep: N1Representation) -> tuple[QuiverSheafData, dict
         try:
             j, p[a] = linalg.jordan_basis(rep.ints[a])
         except linalg.NonRationalSpectrum:
-            _check_intertwining(rep.ints, {k: rep.ints[k] for k in rep.B})
+            _check_intertwining(rep.ints, _arrow_ints(rep))
             raise
         sheaves[a] = _jordan_points(j)
         if sheaves[a].dimension != rep.dims[a] or sheaves[a].jordan != j:
             raise AssertionError("jordan data disagrees with the partition data")
     gi = {a: linalg.inverse_ints(p[a]) for a in labels}
-    g = {a: linalg.rational_matrix(gi[a], rep.dims[a], rep.dims[a]) for a in labels}
-    arrows = {(s, t, i): transport(gi[t], rep.ints[s, t, i], p[s], rep.dims[t], rep.dims[s])
-              for s, t, i in rep.B}
+    arrows = {(s, t, i): transport(gi[t], m, p[s], rep.dims[t], rep.dims[s])
+              for (s, t, i), m in _arrow_ints(rep).items()}
     vectors = {a: _images(gi[a], rep.I[a], rep.dims[a]) for a in labels}
-    data = QuiverSheafData(
-        type=rep.type,
-        node_sheaves=sheaves,
-        arrow_maps=arrows,
-        framing_ranks=dict(rep.framing_ranks),
-        framing_vectors=vectors,
-        affine=rep.affine,
-    )
-    return data, g
+    data = QuiverSheafData(rep.type, sheaves, arrows, dict(rep.framing_ranks), vectors,
+                           rep.affine)
+    return data, BaseChanges({a: (gi[a], p[a]) for a in labels})
 
 
 def quintuple_to_quadruple(data: QuiverSheafData) -> N1Representation:

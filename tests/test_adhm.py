@@ -156,6 +156,27 @@ class TestValidation:
                 A2, {0: 2, 1: 0, 2: 0}, framing_ranks={0: 1}, I={0: [[1]]}
             )
 
+    @pytest.mark.parametrize("loop", [([[1]], 0), ([[Fraction(3, 2)]], 1), ([[1.5]], 1),
+                                      ([[True]], 1), ([[1]], 2.0), ([[1]], True)])
+    def test_integer_rows_want_ints_over_a_nonzero_int_denominator(self, loop):
+        with pytest.raises(ValueError, match="loop at 0 wants integer rows"):
+            adhm.N1Representation(DynkinType.parse("A1"), {0: 1, 1: 1}, Psi={0: loop})
+
+    def test_integer_rows_of_the_wrong_width_name_the_arrow(self):
+        with pytest.raises(ValueError, match=r"arrow \(0, 1, 0\) wants shape \(2, 1\)"):
+            adhm.N1Representation(A2, {0: 1, 1: 2, 2: 1}, B={(0, 1, 0): ([[1], [2, 3]], 1)})
+        with pytest.raises(ValueError, match=r"arrow \(1, 2, 0\) wants integer rows"):
+            adhm.N1Representation(A2, {0: 1, 1: 2, 2: 1}, B={(1, 2, 0): ([[1, None]], 1)})
+
+    def test_a_negative_denominator_is_made_positive(self):
+        rep = adhm.N1Representation(A2, {0: 1, 1: 2, 2: 1}, B={(0, 1, 0): ([[1], [-2]], -4)},
+                                    Psi={1: ([[0, -3], [5, 0]], -6)})
+        assert rep.ints[0, 1, 0] == ([[-1], [2]], 4) and rep.ints[1] == ([[0, 3], [-5, 0]], 6)
+        assert rep.B[0, 1, 0] == [[Fraction(-1, 4)], [Fraction(1, 2)]]
+        assert rep == adhm.N1Representation(A2, {0: 1, 1: 2, 2: 1},
+                                            B={(0, 1, 0): [[Fraction(-1, 4)], [Fraction(1, 2)]]},
+                                            Psi={1: [[0, Fraction(1, 2)], [Fraction(-5, 6), 0]]})
+
     def test_missing_blocks_fill_with_zeros(self):
         rep = adhm.N1Representation(A2, {0: 1, 1: 2, 2: 0})
         assert rep.B[(0, 1, 0)] == linalg.zeros(2, 1)

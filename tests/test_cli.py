@@ -1,5 +1,6 @@
 import builtins
 import contextlib
+import copy
 import hashlib
 import io
 import json
@@ -322,6 +323,92 @@ class TestThetaFuzz:
             for command in ("theta-validate", "exc-locus"):
                 with contextlib.redirect_stdout(io.StringIO()):
                     code = cli.main([command, path, "--json"])
+                assert code in (0, 1, 2), (command, record)
+
+
+# representation and point-data files, the bases of the reader fuzzer below
+_QUIVER_BASES = [
+    rep_record(),
+    finite_rep_record(),
+    {"type": "A1", "dims": {"0": 2, "1": 1},
+     "arrows": [{"from": 0, "to": 1, "matrix": [["0", "1"]]},
+                {"from": 1, "to": 0, "matrix": [["1"], ["0"]]}],
+     "psi": {"0": [["1", "1"], ["0", "1"]], "1": [["1"]]},
+     "framing": {"0": {"rank": 1, "vectors": [["1", "0"]]}}},
+    {"type": "A2",
+     "nodes": {"1": {"points": [{"support": "0", "partition": [1]}]},
+               "2": {"points": [{"support": "0", "partition": [1]}]}},
+     "arrows": [{"from": 1, "to": 2, "matrix": [["1"]]}]},
+    {"type": "A1",
+     "nodes": {"0": {"points": [{"support": "1/2", "partition": [2]}]},
+               "1": {"points": [{"support": "1/2", "partition": [1]}]}},
+     "arrows": [{"from": 1, "to": 0, "pair_index": 1, "matrix": [["1"], ["0"]]}],
+     "framing": {"1": {"rank": 1, "vectors": [["1"]]}}},
+]
+
+# small entries only: a loop entry such as 10**400 or 2**61 - 1 keeps the rational-root
+# search busy for tens of seconds or more, a known cost of the spectra, not of a reader
+_QUIVER_VALUES = st.sampled_from([
+    True, False, None, 0, 1, -1, 2, 1.5, -0.0, "", "0", "1", "-1", "1/2", "-3/4", "1/0", "x",
+    "nan", "inf", " 2 ", "1/2/3", "0x10", [], [[]], ["1"], [["1"]], [["1", "2"]], [["1"], ["2"]],
+    [["0", "1"], ["0", "0"]], {}, {"1": "1"}, {"re": 0.5, "im": 1.0}, {"points": []},
+    {"rank": 1, "vectors": [["1"]]}, {"from": 0, "to": 1, "matrix": [["1"]]},
+])
+_SMALL_RATIONALS = st.sampled_from(["0", "1", "-1", "2", "1/2", "-3/4", "5/3"])
+
+
+def _slots(node, out: list) -> list:
+    """Every (container, key) inside a JSON value, depth first."""
+    items = (node.items() if isinstance(node, dict)
+             else enumerate(node) if isinstance(node, list) else ())
+    for key, value in list(items):
+        out.append((node, key))
+        _slots(value, out)
+    return out
+
+
+@st.composite
+def mutated_quiver_records(draw):
+    # every drawn value is copied, so no mutation reaches the bases or the value pool
+    record = copy.deepcopy(draw(st.sampled_from(_QUIVER_BASES)))
+    for _ in range(draw(st.integers(1, 2))):
+        slots = _slots(record, [])
+        kind = draw(st.sampled_from(["number"] * 4 + ["value"] * 3 + ["drop", "copy", "label",
+                                                                       "record"]))
+        if kind == "record" or not slots:
+            record = copy.deepcopy(draw(_QUIVER_VALUES))
+            continue
+        strings = [(parent, key) for parent, key in slots if isinstance(parent[key], str)]
+        if kind == "number" and strings:    # a well-formed entry, so the input reaches the checks
+            parent, key = draw(st.sampled_from(strings))
+            parent[key] = draw(_SMALL_RATIONALS)
+            continue
+        parent, key = draw(st.sampled_from(slots))
+        if kind == "value":
+            parent[key] = copy.deepcopy(draw(_QUIVER_VALUES))
+        elif kind == "drop":
+            del parent[key]
+        elif kind == "copy" and isinstance(parent, list):
+            parent.append(copy.deepcopy(parent[key]))
+        elif kind == "label" and isinstance(parent, dict):
+            parent[draw(_ODD_LABELS)] = parent.pop(key)
+    return record
+
+
+class TestQuiverFileFuzz:
+    @settings(max_examples=150)
+    @given(mutated_quiver_records())
+    def test_mutated_representation_and_point_data_files_get_a_verdict(self, record):
+        dims = record.get("dims") if isinstance(record, dict) else None
+        lam = ",".join(["1"] * (len(dims) if isinstance(dims, dict) else 3))
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "quiver.json")
+            with open(path, "w", encoding="utf-8") as fh:
+                json.dump(record, fh)
+            for command in (["sheafify"], ["matrixify"], ["roundtrip"], ["nondeg"],
+                            ["monad-check", "--lam", lam]):
+                with contextlib.redirect_stdout(io.StringIO()):
+                    code = cli.main([*command, path, "--json"])
                 assert code in (0, 1, 2), (command, record)
 
 
