@@ -16,7 +16,10 @@ Each defect is one integer pass of `linalg.sum_of_products` at its full
 shape, so empty nodes need no special case; Theta_a(Psi_a) is integer
 Horner.  Both read `N1Representation.ints`, the integer rows of B and Psi
 (`linalg.IntMat`) and their only storage, made once when it is built; B
-and Psi are Fraction views of them, built on first read.
+and Psi are Fraction views of them, built on first read.  Outside input
+goes through the validating constructors; the records that `conjugate`
+and the round trip in `sheaf` compute from validated ones are built
+directly (`_IntRows._direct`), equal field for field to those.
 """
 
 from __future__ import annotations
@@ -109,9 +112,21 @@ def _images(m: IntMat, vectors: list[Vec], rows: int) -> list[Vec]:
 class _IntRows:
     """Quiver data stored only as integer rows, `ints` by key.  The fields in `_views` read
     them as Fractions, cached on first read; `==` compares the other fields, then `ints`
-    by `linalg.equal_ints`, so it builds no Fraction."""
+    by `linalg.equal_ints`, so it builds no Fraction.  The constructor validates outside
+    input; `_direct` builds a record computed from validated ones and checks nothing."""
 
     _views: tuple[str, ...] = ()
+
+    @classmethod
+    def _direct(cls, dims: Mapping[int, int], blocks: Mapping, /, **fields):
+        """The record of fields, with nothing checked or copied; `ints` holds blocks, in the
+        constructor's order (arrows in quiver order, then loops), a None one as zero rows."""
+        record = object.__new__(cls)
+        vars(record).update(fields, ints={})
+        for k, m in blocks.items():
+            s, t = k[:2] if isinstance(k, tuple) else (k, k)
+            record.ints[k] = m or ([[0] * dims[s] for _ in range(dims[t])], 1)
+        return record
 
     def _fractions(self, keys) -> dict:
         return {k: linalg.rational_matrix(self.ints[k]) for k in keys}
@@ -375,9 +390,9 @@ def conjugate(rep: N1Representation, g: Mapping[int, Mat]) -> N1Representation:
     psi = {a: transport(pairs[a][0], rep.ints[a], pairs[a][1], rep.dims[a], rep.dims[a])
            for a in labels}
     vectors = {a: _images(pairs[a][0], rep.I[a], rep.dims[a]) for a in labels}
-    return N1Representation(
-        rep.type, dict(rep.dims), b, psi, dict(rep.framing_ranks), vectors, rep.affine
-    )
+    return N1Representation._direct(rep.dims, {**b, **psi}, type=rep.type, dims=dict(rep.dims),
+                                    framing_ranks=dict(rep.framing_ranks), I=vectors,
+                                    affine=rep.affine)
 
 
 def trace_identity_defect(rep: N1Representation, theta) -> Fraction:

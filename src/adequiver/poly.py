@@ -244,6 +244,8 @@ def _rational_roots(coeffs: Sequence) -> dict[Fraction, int]:
     zeros = next(i for i, c in enumerate(coeffs) if c)
     roots = {Fraction(0): zeros} if zeros else {}
     work = _integer_primitive(coeffs[zeros:])
+    if len(work) == 2:                  # linear: its one root, with no divisor search
+        return dict(sorted({**roots, Fraction(-work[0], work[1]): 1}.items()))
     heads = _divisors(work[0])
     for q in _divisors(work[-1]) if len(work) > 1 else ():
         for p in [s * h for h in heads if gcd(h, q) == 1 for s in (1, -1)]:

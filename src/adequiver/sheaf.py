@@ -14,6 +14,8 @@ with framing vectors carried along by the same base change.  The round
 trip runs on the integer rows (`linalg.IntMat`), the only matrix storage
 of representations and `QuiverSheafData`, and on one Jordan matrix per
 `TorsionSheafData` (`.jordan`); the base changes carry their inverses.
+Both directions build their records directly (`adhm._IntRows._direct`),
+unchecked; `quadruple_to_quintuple` runs the intertwining check itself.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ from .adhm import (ArrowKey, BaseChanges, N1Representation, _arrow_ints, _edge_d
                    _images, _IntRows, _quiver_data, transport)
 from .dynkin import DynkinType, _Frozen, _Record, node_labels
 from .linalg import ComputeFailure, IntMat, Mat, Vec
+from .quiver import build_n1_quiver
 
 
 class EdgeRelationViolated(ComputeFailure):
@@ -177,8 +180,8 @@ def quadruple_to_quintuple(rep: N1Representation) -> tuple[QuiverSheafData, Base
 
     Requires every edge defect to vanish exactly.  Arrows move to g_b B p_a,
     p a node's Jordan basis and g its inverse, on integer rows; the intertwining
-    is checked once, on the Jordan matrices, when `QuiverSheafData` is built (a
-    broken edge outranks a non-rational spectrum).  Returns the sheaf data and the
+    is checked once, on the Jordan matrices and the moved arrows (a broken edge
+    outranks a non-rational spectrum).  Returns the sheaf data and the
     per-node base changes g (new = g * old) with their inverses p, so callers can
     verify the transport.
     """
@@ -198,21 +201,20 @@ def quadruple_to_quintuple(rep: N1Representation) -> tuple[QuiverSheafData, Base
     arrows = {(s, t, i): transport(gi[t], m, p[s], rep.dims[t], rep.dims[s])
               for (s, t, i), m in _arrow_ints(rep).items()}
     vectors = {a: _images(gi[a], rep.I[a], rep.dims[a]) for a in labels}
-    data = QuiverSheafData(rep.type, sheaves, arrows, dict(rep.framing_ranks), vectors,
-                           rep.affine)
+    data = QuiverSheafData._direct(rep.dims, arrows, type=rep.type, node_sheaves=sheaves,
+                                   framing_ranks=dict(rep.framing_ranks),
+                                   framing_vectors=vectors, affine=rep.affine)
+    _check_intertwining({a: sheaves[a].jordan for a in labels}, data.ints)
     return data, BaseChanges({a: (gi[a], p[a]) for a in labels})
 
 
 def quintuple_to_quadruple(data: QuiverSheafData) -> N1Representation:
-    """Representation with Jordan loops read off the torsion data."""
+    """Representation with Jordan loops read off the torsion data; missing arrows are zero."""
     labels = node_labels(data.type, data.affine)
     _require_rational(data.node_sheaves, labels)
-    return N1Representation(
-        type=data.type,
-        dims={a: data.node_sheaves[a].dimension for a in labels},
-        B=dict(data.ints),
-        Psi={a: data.node_sheaves[a].jordan for a in labels},
-        framing_ranks=dict(data.framing_ranks),
-        I=data.framing_vectors,
-        affine=data.affine,
-    )
+    dims = {a: data.node_sheaves[a].dimension for a in labels}
+    arrows = dict.fromkeys(k.key for k in build_n1_quiver(data.type, data.affine).mckay_arrows())
+    blocks = {**arrows, **data.ints, **{a: data.node_sheaves[a].jordan for a in labels}}
+    return N1Representation._direct(dims, blocks, type=data.type, dims=dims,
+                                    framing_ranks=dict(data.framing_ranks),
+                                    I=dict(data.framing_vectors), affine=data.affine)

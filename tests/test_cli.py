@@ -1287,3 +1287,23 @@ class TestStartup:
         assert (code, err) == (0, "")
         # the package binds only its version; every other name lives in a submodule
         assert out.split() == ["0.1.0", "[]", "adequiver.dynkin"]
+
+
+class TestLinearLoops:
+    """A 1 x 1 loop has a linear characteristic polynomial, whose root is read off its
+    two coefficients.  Searching the divisors of the entry took 30 s for 10**400 and
+    did not end within 20 s for the prime 2**61 - 1; each child is cut at 10 s."""
+
+    @pytest.mark.parametrize("entry", ["1e400", "1e-400", str(2 ** 61 - 1), str(2 ** 70)])
+    def test_sheafify_and_roundtrip_read_the_root_at_once(self, tmp_path, entry):
+        rep = write(tmp_path, "loop.json",
+                    {"type": "A1", "dims": {"0": 0, "1": 1}, "psi": {"1": [[entry]]}})
+        code = ("import sys\n"
+                "from adequiver.cli import main\n"
+                "sys.exit(main(['sheafify', sys.argv[1]]) or main(['roundtrip', sys.argv[1]]))\n")
+        done = subprocess.run([sys.executable, "-c", code, rep], capture_output=True, text=True,
+                              env=dict(os.environ, PYTHONPATH=PACKAGE_ROOT), timeout=10)
+        assert done.returncode == 0, done.stdout
+        point = fileio.frac_to_str(Fraction(entry))
+        assert f"node 1: point {point} partition (1,)" in done.stdout
+        assert "check roundtrip-conjugate-to-input: pass" in done.stdout

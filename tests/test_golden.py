@@ -1,0 +1,30 @@
+"""The golden report corpus: every call of `tests/golden/cases.json`, human and
+--json, gives the checked-in stdout and exit code byte for byte.
+
+A change to a report regenerates the expected files with
+`PYTHONPATH=src python tests/golden/regenerate.py`, so the diff under
+`tests/golden/expected/` shows every changed report.
+"""
+
+import json
+
+import pytest
+
+from golden.regenerate import HERE, calls, run
+
+EXIT_CODES = json.loads((HERE / "expected" / "exit_codes.json").read_text())
+
+
+@pytest.mark.parametrize(("name", "argv", "filename"),
+                         [pytest.param(*call, id=call[2]) for call in calls()])
+def test_report_matches_the_corpus(monkeypatch, name, argv, filename):
+    monkeypatch.chdir(HERE)
+    code, out = run(argv)
+    assert out.encode() == (HERE / "expected" / filename).read_bytes()
+    assert code == EXIT_CODES[name]
+
+
+def test_every_expected_file_belongs_to_a_call():
+    names = {filename for _, _, filename in calls()} | {"exit_codes.json"}
+    assert {p.name for p in (HERE / "expected").iterdir()} == names
+    assert set(EXIT_CODES) == {name for name, _, _ in calls()}

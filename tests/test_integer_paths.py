@@ -12,7 +12,10 @@ longer intertwine, random framing and node polynomials, and a random
 base change at every node.
 """
 
+import copy
+import pickle
 import random
+from collections import Counter
 from fractions import Fraction
 from math import gcd
 
@@ -397,3 +400,105 @@ def test_records_from_integer_rows_equal_their_fraction_twins(case):
             bumped[-1][-1] += 1
             moved = {**arrows, **loops, key: (bumped, d)}
             assert build({k: moved[k] for k in arrows}, {a: moved[a] for a in loops}) != fractions
+
+
+def _count_calls(monkeypatch, names):
+    """A Counter of the calls of each (module, name), patched where the module looks it up."""
+    calls = Counter()
+    for module, name in names:
+        def counted(*args, _original=getattr(module, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+        monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+VALIDATION = ((adhm, "_quiver_data"), (sheaf, "_quiver_data"), (adhm, "_int_rows"),
+              (sheaf, "_check_intertwining"))
+
+
+def test_the_round_trip_builds_its_records_without_validating_them(monkeypatch):
+    # the first seed giving a framed intertwining case of total dimension 6 or more
+    rep = next(rep for rep, _, _, theta, _ in
+               (_planted_case(random.Random(seed)) for seed in range(100))
+               if rep.total_dim >= 6 and any(rep.I.values())
+               and adhm.check_relations(rep, theta).edges_zero)
+    calls = _count_calls(monkeypatch, VALIDATION)
+    data, g = sheaf.quadruple_to_quintuple(rep)
+    assert calls == {"_check_intertwining": 1}
+    back = sheaf.quintuple_to_quadruple(data)
+    moved = adhm.conjugate(rep, g)
+    moved_again = adhm.conjugate(rep, dict(g))
+    assert calls == {"_check_intertwining": 1}
+    assert back == moved == moved_again
+    # outside input still goes through every check
+    sheaf.QuiverSheafData(data.type, data.node_sheaves, data.arrow_maps, data.framing_ranks,
+                          data.framing_vectors)
+    adhm.N1Representation(rep.type, rep.dims, rep.B, rep.Psi, rep.framing_ranks, rep.I)
+    assert calls == {"_check_intertwining": 2, "_quiver_data": 2,
+                     "_int_rows": len(data.ints) + len(rep.ints)}
+
+
+def test_a_broken_edge_is_still_found_once_by_the_round_trip(monkeypatch):
+    # the first seed whose planted arrows fail to intertwine the loops
+    rep = next(rep for rep, _, _, theta, _ in
+               (_planted_case(random.Random(seed)) for seed in range(100))
+               if not adhm.check_relations(rep, theta).edges_zero)
+    calls = _count_calls(monkeypatch, VALIDATION)
+    with pytest.raises(sheaf.EdgeRelationViolated, match="edge defect at"):
+        sheaf.quadruple_to_quintuple(rep)
+    assert calls == {"_check_intertwining": 1}
+
+
+@pytest.mark.parametrize(("arrows", "error"), [
+    ({}, linalg.NonRationalSpectrum),
+    ({(1, 0, 0): [[1], [0]]}, sheaf.EdgeRelationViolated),      # a broken edge outranks
+])
+def test_a_non_rational_loop_is_refused_after_the_edge_check(monkeypatch, arrows, error):
+    rep = adhm.N1Representation(TYPES[0], {0: 2, 1: 1, 2: 0}, arrows,
+                                {0: [[0, 2], [1, 0]], 1: [[1]]}, {1: 1}, {1: [[1]]})
+    calls = _count_calls(monkeypatch, VALIDATION)
+    with pytest.raises(error):
+        sheaf.quadruple_to_quintuple(rep)
+    assert calls == {"_check_intertwining": 1}
+
+
+def _revalidated(record):
+    """The record built again through its validating constructor from its own fields."""
+    return type(record)(**{name: getattr(record, name) for name in record._fields})
+
+
+def _same_record(record, to_dict):
+    """record equals its validated twin field for field, in repr and JSON, and survives
+    copy and pickle."""
+    built = _revalidated(record)
+    assert list(record.ints.items()) == list(built.ints.items())
+    assert all(getattr(record, f) == getattr(built, f) for f in record._fields)
+    assert record == built and built == record
+    assert repr(record) == repr(built)
+    assert fileio.dump_json(to_dict(record)) == fileio.dump_json(to_dict(built))
+    for twin in (copy.copy(record), pickle.loads(pickle.dumps(record))):
+        assert twin == built and repr(twin) == repr(built)
+    for name in record._views:
+        assert getattr(record, name) is getattr(record, name)
+
+
+@settings(max_examples=60)
+@given(planted_cases)
+def test_records_the_round_trip_builds_equal_their_validated_twins(case):
+    rep, _, _, _, rng = case
+    g = {a: rand_invertible(rng, rep.dims[a]) for a in rep.dims}
+    _same_record(adhm.conjugate(rep, g), fileio.representation_to_dict)
+    if not adhm.check_relations(rep, {a: [] for a in rep.dims}).edges_zero:
+        return
+    data, g = sheaf.quadruple_to_quintuple(rep)
+    _same_record(data, fileio.sheaf_data_to_dict)
+    back = sheaf.quintuple_to_quadruple(data)
+    _same_record(back, fileio.representation_to_dict)
+    _same_record(adhm.conjugate(rep, g), fileio.representation_to_dict)
+    # point data from outside with only its nonzero arrows: the others read as zero
+    some = sheaf.QuiverSheafData(data.type, data.node_sheaves,
+                                 {k: m for k, m in data.arrow_maps.items() if any(map(any, m))},
+                                 data.framing_ranks, data.framing_vectors)
+    assert sheaf.quintuple_to_quadruple(some) == back
+    _same_record(sheaf.quintuple_to_quadruple(some), fileio.representation_to_dict)

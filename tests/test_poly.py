@@ -121,3 +121,14 @@ def test_divisors_and_factors_match_sympy():
         assert poly._divisors(n) == sympy.divisors(n)
         assert poly._factor(n) == sorted(p for p, k in sympy.factorint(abs(n)).items()
                                          for _ in range(k))
+
+
+@pytest.mark.parametrize(("coeffs", "roots"), [
+    ([Fraction(-3), Fraction(2)], {Fraction(3, 2): 1}),
+    ([0, 0, Fraction(1, 2), Fraction(-1, 3)], {Fraction(0): 2, Fraction(3, 2): 1}),
+    ([0, Fraction(5, 7), Fraction(5, 7)], {Fraction(-1): 1, Fraction(0): 1}),
+    ([-10 ** 40, 1], {Fraction(10 ** 40): 1}),
+])
+def test_rational_roots_of_linear_polynomials_come_ascending(coeffs, roots):
+    got = poly._rational_roots([Fraction(c) for c in coeffs])
+    assert got == roots and list(got) == sorted(roots)
