@@ -8,14 +8,15 @@ vectors only; there is no map back out of the framing).
 Two families of defects are computed exactly:
 
 * node defect at a: sum over arrows out of a of sign * (reverse o arrow)
-  plus Theta_a evaluated on the loop at a (matrix Horner);
+  plus Theta_a evaluated on the loop at a;
 * edge defect at an arrow a -> b: Psi_b o B - B o Psi_a, the failure of
   the arrow to intertwine the loops.
 
 Each defect is one integer pass of `linalg.sum_of_products` at its full
-shape, so empty nodes need no special case; Theta_a(Psi_a) is integer
-Horner.  Both read `N1Representation.ints`, the integer rows of B and Psi
-(`linalg.IntMat`) and their only storage, made once when it is built; B
+shape, so empty nodes need no special case; Theta_a(Psi_a) enters the
+node's pass as terms c_0 I, c_1 Psi and c_k Psi^(k-1) Psi, one power more
+per degree above 2.  Both read `N1Representation.ints`, the integer rows
+of B and Psi (`linalg.IntMat`) and their only storage, made once; B
 and Psi are Fraction views of them, built on first read.  Outside input
 goes through the validating constructors; the records that `conjugate`
 and the round trip in `sheaf` compute from validated ones are built
@@ -184,13 +185,16 @@ def _arrow_ints(rep: N1Representation) -> dict[ArrowKey, IntMat]:
     return {k: m for k, m in rep.ints.items() if isinstance(k, tuple)}
 
 
-def _evaluate(p: Polynomial, m: IntMat, n: int) -> IntMat | None:
-    """p(m) for an n x n integer matrix by Horner, one `linalg.sum_of_products` per
-    coefficient (acc <- acc m + c I); None when p(m) is zero."""
-    one, acc = ([[int(i == j) for j in range(n)] for i in range(n)], 1), None
-    for c in reversed(p.coefficients):
-        acc = linalg.sum_of_products([(c, one, None)] + ([(1, acc, m)] if acc else []), n, n)
-    return acc
+def _theta_terms(p: Polynomial, m: IntMat, n: int) -> list[tuple]:
+    """p(m) for an n x n integer matrix as `linalg.sum_of_products` terms c_0 I, c_1 m
+    and c_k m^(k-1) m, zero ones left out: a power of m is formed for each degree above 2."""
+    one, power, terms = ([[int(i == j) for j in range(n)] for i in range(n)], 1), m, []
+    for k, c in enumerate(p.coefficients):
+        if k > 2 and (power := linalg.sum_of_products([(1, power, m)], n, n)) is None:
+            break                   # m^(k-1) is zero, and so is every later term
+        if c:
+            terms.append((c, one, None) if k == 0 else (c, m, None) if k == 1 else (c, power, m))
+    return terms
 
 
 def _of_type(rep: N1Representation, theta: DeformationParam) -> DeformationParam:
@@ -246,8 +250,7 @@ def check_relations(rep: N1Representation, theta) -> RelationResidual:
     nodes = {}
     for a in node_labels(rep.type, rep.affine):   # theta_a(Psi_a) + sum of sign * reverse o arrow
         d = rep.dims[a]
-        theta_a = _evaluate(table[a], rep.ints[a], d)
-        terms = [(1, theta_a, None)] if theta_a else []
+        terms = _theta_terms(table[a], rep.ints[a], d)
         terms += [(arrow.sign, rep.ints[arrow.reversed_key()], rep.ints[arrow.key])
                   for arrow in rep.quiver.mckay_arrows() if arrow.source == a]
         nodes[a] = linalg.rational_matrix(linalg.sum_of_products(terms, d, d), d, d)
@@ -400,6 +403,7 @@ def trace_identity_defect(rep: N1Representation, theta) -> Fraction:
     table = _theta_table(rep, theta)
     total = Fraction(0)
     for a in node_labels(rep.type, rep.affine):
-        rows, d = _evaluate(table[a], rep.ints[a], rep.dims[a]) or ([], 1)
+        n = rep.dims[a]
+        rows, d = linalg.sum_of_products(_theta_terms(table[a], rep.ints[a], n), n, n) or ([], 1)
         total += Fraction(sum(row[i] for i, row in enumerate(rows)), d)
     return total

@@ -8,14 +8,14 @@ unique map between zero-dimensional spaces.
 The exact kernels run on Python ints and build each output Fraction
 once.  An `IntMat` is integer rows over one denominator (`int_matrix`;
 `rational_matrix` reads Fractions back, `equal_ints` compares two); it is
-the only matrix storage of representations and point data.  There is one integer product,
-`sum_of_products`: the caller gives the output shape, every term c*a*b
-or c*a on `IntMat`s accumulates in one integer pass, and the sum comes
-back over its least denominator, or as None when it is zero.  `mat_mul`
-is its Fraction front; the `monad` blocks, the `adhm` residuals, the
-point-data round trip, the characteristic polynomial (Faddeev-LeVerrier,
-its roots by `poly`) and the powers and chains of `jordan_basis` run on
-it.  Elimination (`rref`, `rank`, `nullspace`, `inverse_ints`; `inverse`
+the only matrix storage of representations and point data.  There is one
+integer product, `sum_of_products`: the caller gives the output shape,
+every term c*a*b or c*a on `IntMat`s accumulates in one integer pass, and
+the sum comes back over its least denominator, or as None when it is
+zero.  `mat_mul` is its Fraction front; the `monad` blocks, the `adhm`
+residuals, the point-data round trip, the characteristic polynomial
+(Faddeev-LeVerrier, its roots by `poly`) and the chain steps of
+`jordan_basis`, whose kernels come from reduced rows, run on it.  Elimination (`rref`, `rank`, `nullspace`, `inverse_ints`; `inverse`
 wraps it) and `SpanBasis` are fraction-free on integer rows kept
 primitive; one core serves them all.
 
@@ -28,6 +28,7 @@ from __future__ import annotations
 
 from bisect import bisect
 from fractions import Fraction
+from itertools import islice
 from math import gcd, lcm
 from typing import Iterable, Sequence
 
@@ -49,7 +50,7 @@ class NonRationalSpectrum(ComputeFailure):
 def frac(x) -> Fraction:
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, (int, str)):
+    if isinstance(x, (int, str)) and not isinstance(x, bool):
         return Fraction(x)
     raise TypeError(f"cannot coerce {x!r} to an exact rational")
 
@@ -149,28 +150,41 @@ def sum_of_products(terms: Iterable[tuple], rows: int, cols: int) -> IntMat | No
     b None stands for the term c*a alone.  Every term is scaled to the
     lcm of the terms' denominators and accumulates on one grid of ints,
     skipping zero entries of a; rows of b are added whole, with no test
-    per entry.  The sum comes back over its least denominator, or as
-    None when every entry is zero, so a zero result is never built.
+    per entry; a call of one product c*a*b builds each output row in turn
+    instead.  The sum comes back over its least denominator, or as None
+    when every entry is zero, so a zero result is never built.
     """
     terms = list(terms)
-    d = lcm(*(c.denominator * a[1] * (b[1] if b else 1) for c, a, b in terms))
-    acc = [[0] * cols for _ in range(rows)]
-    for c, (a, da), b in terms:
-        if b is None:
-            s = c.numerator * (d // (c.denominator * da))
-            for out, row in zip(acc, a):
-                for j, x in enumerate(row):
-                    if x:
-                        out[j] += s * x
-            continue
-        b, db = b
-        s = c.numerator * (d // (c.denominator * da * db))
-        for out, row in zip(acc, a):
+    if len(terms) == 1 and terms[0][2]:
+        (c, (a, da), (b, db)), = terms
+        d, s, acc = c.denominator * da * db, c.numerator, []
+        for row in a:
+            out = [0] * cols
             for x, b_row in zip(row, b):
                 if x:
                     x *= s
                     for j, y in enumerate(b_row):
                         out[j] += x * y
+            acc.append(out)
+    else:
+        d = lcm(*(c.denominator * a[1] * (b[1] if b else 1) for c, a, b in terms))
+        acc = [[0] * cols for _ in range(rows)]
+        for c, (a, da), b in terms:
+            if b is None:
+                s = c.numerator * (d // (c.denominator * da))
+                for out, row in zip(acc, a):
+                    for j, x in enumerate(row):
+                        if x:
+                            out[j] += s * x
+                continue
+            b, db = b
+            s = c.numerator * (d // (c.denominator * da * db))
+            for out, row in zip(acc, a):
+                for x, b_row in zip(row, b):
+                    if x:
+                        x *= s
+                        for j, y in enumerate(b_row):
+                            out[j] += x * y
     if not any(map(any, acc)):
         return None
     if d > 1:
@@ -255,9 +269,10 @@ def _reduced(v: list, d: int) -> tuple[list, int]:
     return ([x // g for x in v], d // g) if g > 1 else (v, d)
 
 
-def _kernel(a: list, cols: int) -> list[tuple[list, int]]:
+def _kernel(a: list, cols: int) -> tuple[list[tuple[list, int]], list]:
     """Right kernel of integer rows, one (integers, denominator) vector per free
-    column f: 1 at f, 0 at the other free columns."""
+    column f: 1 at f, 0 at the other free columns; and the nonzero reduced rows,
+    a basis of the row space."""
     red, pivots = _rref_ints(list(a))
     basis = []
     for f in sorted(set(range(cols)) - set(pivots)):
@@ -267,13 +282,13 @@ def _kernel(a: list, cols: int) -> list[tuple[list, int]]:
         for row, p in zip(red, pivots):
             v[p] = -row[f] * (e // row[p])
         basis.append(_reduced(v, e))
-    return basis
+    return basis, red[:len(pivots)]
 
 
 def nullspace(m: Mat) -> list[Vec]:
     """Basis of the right kernel, one vector per free column."""
     return [[Fraction(x, e) if x else _ZERO for x in v]
-            for v, e in _kernel(int_matrix(m)[0], shape(m)[1])]
+            for v, e in _kernel(int_matrix(m)[0], shape(m)[1])[0]]
 
 
 def inverse_ints(m: IntMat) -> IntMat:
@@ -390,9 +405,12 @@ def jordan_basis(m: IntMat) -> tuple[IntMat, IntMat]:
     m, J and p are integer rows over a denominator (`int_matrix`), with
     m p == p J exactly, the columns of p the chains bottom first;
     eigenvalues ascending, blocks per eigenvalue nonincreasing.  For
-    m = a/d and an eigenvalue s/q, the integer rows q*a - s*d*I are
-    m - s/q times q*d, so their powers have the same kernels.  Raises
-    NonRationalSpectrum when the spectrum is not rational.
+    m = a/d and an eigenvalue s/q, N = q*a - s*d*I is m - s/q times q*d;
+    ker N^(k+1) is ker R N, R the nonzero reduced rows of N^k, so no power
+    is formed.  Level l starts dim K_l - dim K_(l-1) - (chains so far)
+    chains, picked by a span unless that is 0 or all of K_l.  The check
+    reads p J off J's two diagonals.  Raises NonRationalSpectrum when the
+    spectrum is not rational.
     """
     a, d = m
     n = len(a)
@@ -403,11 +421,13 @@ def jordan_basis(m: IntMat) -> tuple[IntMat, IntMat]:
         q, s = lam.denominator, lam.numerator * d
         nmat = [[q * x - (s if j == i else 0) for j, x in enumerate(row)]
                 for i, row in enumerate(a)], 1
-        power, kernels = nmat, [[], _kernel(nmat[0], n)]
-        nmat_t = _transposed(nmat)
+        kernel, red = _kernel(nmat[0], n)
+        kernels = [[], kernel]
         while len(kernels[-1]) < eig[lam]:         # a zero power has the full kernel
-            power = sum_of_products([(1, nmat, power)], n, n)
-            kernels.append(_kernel(power[0] if power else [], n))
+            power = sum_of_products([(1, (red, 1), nmat)], len(red), n)
+            kernel, red = _kernel(power[0] if power else [[0] * n for _ in red], n)
+            kernels.append(kernel)
+        nmat_t = _transposed(nmat)
         # top down: every chain so far steps one level lower, then kernel
         # vectors independent of the level below and of those steps start chains
         lam_chains: list[list[tuple[list, int]]] = []    # each chain top first
@@ -416,19 +436,25 @@ def jordan_basis(m: IntMat) -> tuple[IntMat, IntMat]:
                 v, e = chain[-1]
                 w, f = sum_of_products([(1, ([v], e * q * d), nmat_t)], 1, n)
                 chain.append((w[0], f))
-            span = SpanBasis(n)
-            for v, _ in kernels[level - 1] + [chain[-1] for chain in lam_chains]:
-                span.add(v)
-            lam_chains += [[v] for v in kernels[level] if span.add(v[0])]
+            tops = len(kernels[level]) - len(kernels[level - 1]) - len(lam_chains)
+            starts = iter(kernels[level])
+            if 0 < tops < len(kernels[level]):
+                span = SpanBasis(n)
+                for v, _ in kernels[level - 1] + [chain[-1] for chain in lam_chains]:
+                    span.add(v)
+                starts = (v for v in starts if span.add(v[0]))
+            lam_chains += ([v] for v in islice(starts, tops))
         for chain in lam_chains:
             blocks.append((lam, len(chain)))
             cols += reversed(chain)             # bottom of chain first
     e = lcm(*(e for _, e in cols))
     p = [[v[i] * (e // ev) for v, ev in cols] for i in range(n)], e
-    j = jordan_matrix(blocks)
-    if sum_of_products([(1, m, p), (-1, p, j)], n, n) is not None:
+    j, dj = jordan_matrix(blocks)
+    pj = [[x * j[c][c] + (row[c - 1] * j[c - 1][c] if c else 0) for c, x in enumerate(row)]
+          for row in p[0]], e * dj                     # column c: lam_c p_c (+ p_(c-1) in a block)
+    if sum_of_products([(1, m, p), (-1, pj, None)], n, n) is not None:
         raise AssertionError("jordan basis failed verification")
-    return j, p
+    return (j, dj), p
 
 
 def jordan_form(m: Mat) -> tuple[Mat, Mat]:

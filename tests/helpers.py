@@ -3,14 +3,19 @@
 Everything random is driven by an explicit random.Random instance so
 tests stay reproducible.  The matrix oracles here (sympy nullspace,
 the textbook product, hand-rolled block formulas) are deliberately
-independent of the package internals they test against.
+independent of the package internals they test against.  The one
+exception is `reference_jordan_basis`: it is the dense-power Jordan chain
+construction on the package's own kernels, kept to pin the exact integer
+rows that `linalg.jordan_basis` returns.
 """
 
+import math
 from fractions import Fraction
 from random import Random
 
 import sympy
 
+from adequiver import linalg
 from adequiver.adhm import N1Representation
 from adequiver.deformation import Polynomial, complete_affine_theta
 from adequiver.dynkin import DynkinType
@@ -117,3 +122,44 @@ def mat_from_sympy(m) -> list:
          for j in range(m.cols)]
         for i in range(m.rows)
     ]
+
+
+def reference_jordan_basis(m: tuple) -> tuple:
+    """(J, p) of `linalg.jordan_basis` the direct way: the kernel (`linalg.nullspace`)
+    of every dense power of N = m - lambda, a span of the level below and the chain steps at every
+    level, and m p == p J checked with a dense product p J."""
+    a, d = m
+    n = len(a)
+
+    def kernel(rows):       # `linalg.nullspace`, each vector as (integers, least denominator)
+        return [(v[0], e) for v, e in map(linalg.int_matrix, ([v] for v in linalg.nullspace(rows)))]
+
+    eig = linalg.rational_eigenvalues(m)
+    blocks, cols = [], []
+    for lam in sorted(eig):
+        q, s = lam.denominator, lam.numerator * d
+        nmat = [[q * x - (s if j == i else 0) for j, x in enumerate(row)]
+                for i, row in enumerate(a)], 1
+        power, kernels = nmat, [[], kernel(nmat[0])]
+        while len(kernels[-1]) < eig[lam]:
+            power = linalg.sum_of_products([(1, nmat, power)], n, n)
+            kernels.append(kernel(power[0] if power else [[0] * n] * n))
+        nmat_t = linalg._transposed(nmat)
+        chains = []                             # each chain top first
+        for level in range(len(kernels) - 1, 0, -1):
+            for chain in chains:
+                v, e = chain[-1]
+                w, f = linalg.sum_of_products([(1, ([v], e * q * d), nmat_t)], 1, n)
+                chain.append((w[0], f))
+            span = linalg.SpanBasis(n)
+            for v, _ in kernels[level - 1] + [chain[-1] for chain in chains]:
+                span.add(v)
+            chains += [[v] for v in kernels[level] if span.add(v[0])]
+        for chain in chains:
+            blocks.append((lam, len(chain)))
+            cols += reversed(chain)
+    e = math.lcm(*(e for _, e in cols))
+    p = [[v[i] * (e // ev) for v, ev in cols] for i in range(n)], e
+    j = linalg.jordan_matrix(blocks)
+    assert linalg.sum_of_products([(1, m, p), (-1, p, j)], n, n) is None
+    return j, p

@@ -81,6 +81,59 @@ def test_zero_loops_cost_no_edge_product(monkeypatch):
         assert (edges[s, t, i] is None) == linalg.is_zero_matrix(want)
 
 
+@pytest.mark.parametrize(("theta_1", "extra"), [([2, 0, 1], 0), ([0, 1], 0), ([], 0),
+                                              ([1, 0, 0, 0, 3], 2)],
+                         ids=["quadratic", "linear", "zero", "quartic"])
+def test_theta_of_degree_two_costs_no_call_of_its_own(monkeypatch, theta_1, extra):
+    # one sum of products per node, Theta_a(Psi_a) among its terms, plus one per arrow
+    # with a nonzero end loop; a degree 4 theta forms Psi^2 and Psi^3 on top
+    rng = random.Random(5)
+    dims = {0: 2, 1: 3, 2: 1}
+    arrows = {arrow.key: [[rand_frac(rng) for _ in range(dims[arrow.source])]
+                          for _ in range(dims[arrow.target])]
+              for arrow in adhm.N1Representation(A2, dims).quiver.mckay_arrows()}
+    rep = adhm.N1Representation(A2, dims, arrows, Psi={1: [[1, 0, 2], [0, 0, 0], [3, 0, 1]]})
+    theta = {0: [1, -1, Fraction(1, 2)], 1: theta_1, 2: [Fraction(-3, 4)]}
+    calls = []
+    kernel = linalg.sum_of_products
+
+    def counting(terms, rows, cols):
+        calls.append(len(terms))
+        return kernel(terms, rows, cols)
+
+    monkeypatch.setattr(linalg, "sum_of_products", counting)
+    res = adhm.check_relations(rep, theta)
+    arrows_at_1 = sum(1 in key[:2] for key in rep.B)
+    assert len(calls) == len(dims) + arrows_at_1 + extra
+    monkeypatch.undo()
+    for a, coeffs in theta.items():        # the residuals as Fractions, by Horner
+        want = linalg.zeros(dims[a])
+        for c in reversed(coeffs):
+            want = linalg.mat_add(linalg.mat_mul(want, rep.Psi[a]) if dims[a] else want,
+                                  linalg.mat_scale(c, linalg.identity(dims[a])))
+        for arrow in rep.quiver.mckay_arrows():
+            if arrow.source == a:
+                want = linalg.mat_add(want, linalg.mat_scale(arrow.sign, linalg.mat_mul(
+                    rep.B[arrow.reversed_key()], rep.B[arrow.key])))
+        assert res.node_residuals[a] == want
+
+
+@pytest.mark.parametrize("coeffs", [[5], [0, 0, 1], [1, 0, 0, -2], [0, 2, 0, 0, 0, 1],
+                                    [Fraction(1, 3), -1, Fraction(5, 2), 0, 1]])
+@pytest.mark.parametrize("loop", [[[0, 1, 0], [0, 0, 1], [0, 0, 0]],      # nilpotent: Psi^3 = 0
+                                  [[Fraction(1, 2), 1, 0], [0, 2, -1], [3, 0, Fraction(-2, 3)]],
+                                  [[0, 0, 0], [0, 0, 0], [0, 0, 0]]])
+def test_theta_on_the_loop_and_its_trace_match_horner(coeffs, loop):
+    rep = adhm.N1Representation(A2, {1: 3, 2: 0}, Psi={1: loop}, affine=False)
+    m = linalg.matrix(loop)
+    want = linalg.zeros(3)
+    for c in reversed(coeffs):
+        want = linalg.mat_add(linalg.mat_mul(want, m), linalg.mat_scale(c, linalg.identity(3)))
+    theta = {1: Polynomial.of(coeffs), 2: T}
+    assert adhm.check_relations(rep, theta).node_residuals[1] == want
+    assert adhm.trace_identity_defect(rep, theta) == linalg.trace(want)
+
+
 def test_finite_pair_example_satisfies_relations():
     rep, theta = finite_pair_example()
     assert adhm.check_relations(rep, theta).is_zero
@@ -161,6 +214,11 @@ class TestValidation:
     def test_integer_rows_want_ints_over_a_nonzero_int_denominator(self, loop):
         with pytest.raises(ValueError, match="loop at 0 wants integer rows"):
             adhm.N1Representation(DynkinType.parse("A1"), {0: 1, 1: 1}, Psi={0: loop})
+
+    @pytest.mark.parametrize("loop", [[[True]], [[False]], [[1.5]]])
+    def test_fraction_rows_refuse_bools_as_integer_rows_do(self, loop):
+        with pytest.raises(TypeError, match="cannot coerce"):
+            adhm.N1Representation(DynkinType.parse("A1"), {0: 1, 1: 0}, Psi={0: loop})
 
     def test_integer_rows_of_the_wrong_width_name_the_arrow(self):
         with pytest.raises(ValueError, match=r"arrow \(0, 1, 0\) wants shape \(2, 1\)"):

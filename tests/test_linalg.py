@@ -11,13 +11,19 @@ from hypothesis import strategies as st
 
 from adequiver import linalg
 from helpers import (mat_from_sympy, naive_product, rand_frac, rand_invertible, rand_matrix,
-                     sympy_nullspace)
+                     reference_jordan_basis, sympy_nullspace)
 
 
 def test_frac_accepts_strings_ints_fractions():
     assert linalg.frac("3/4") == Fraction(3, 4)
     assert linalg.frac(2) == 2
     assert linalg.frac(Fraction(-1, 3)) == Fraction(-1, 3)
+
+
+@pytest.mark.parametrize("x", [True, False, 1.5, None])
+def test_frac_refuses_bools_and_floats(x):
+    with pytest.raises(TypeError, match="cannot coerce"):
+        linalg.frac(x)
 
 
 def test_matrix_rejects_ragged():
@@ -359,6 +365,75 @@ def test_jordan_form_recovers_planted_blocks():
                         got.append(run)
                         run = 0
             assert sorted(got, reverse=True) == sorted(ss, reverse=True)
+
+
+_EIGENVALUES = {
+    "several": st.sampled_from([-2, -1, 0, 1, 3]),
+    "nilpotent": st.just(0),
+    "semisimple": st.sampled_from([2, Fraction(-1, 3)]),
+    "denominators": st.sampled_from([Fraction(1, 2), Fraction(-3, 4), Fraction(5, 6)]),
+}
+
+
+@st.composite
+def _planted_jordan(draw):
+    """(eigenvalue, size) blocks of total size at most 8: semisimple ones all of size 1."""
+    kind = draw(st.sampled_from(sorted(_EIGENVALUES)))
+    blocks, room = [], draw(st.integers(1, 8))
+    while room:
+        size = 1 if kind == "semisimple" else draw(st.integers(1, room))
+        blocks.append((draw(_EIGENVALUES[kind]), size))
+        room -= size
+    return blocks, draw(st.integers(0, 2**32))
+
+
+@settings(max_examples=80, deadline=None)
+@given(_planted_jordan())
+def test_jordan_basis_equals_the_dense_power_reference(case):
+    # kernels from reduced rows and chain tops by count give the reference's (J, p),
+    # integer rows and denominators
+    blocks, seed = case
+    m = linalg.int_matrix(_planted(Random(seed), blocks))
+    assert linalg.jordan_basis(m) == reference_jordan_basis(m)
+
+
+@pytest.mark.parametrize("n", [1, 2, 4, 6])
+def test_jordan_basis_kernels_shrink_with_the_rank_of_the_power(monkeypatch, n):
+    # on one nilpotent block of size n the k-th kernel is taken of rank N^(k-1) rows
+    m = linalg.int_matrix(_planted(Random(n), [(0, n)]))
+    rows = []
+    kernel = linalg._kernel
+
+    def counting(a, cols):
+        rows.append(len(a))
+        return kernel(a, cols)
+
+    monkeypatch.setattr(linalg, "_kernel", counting)
+    j, p = linalg.jordan_basis(m)
+    assert rows == [n - k + 1 for k in range(1, n + 1)]
+    assert j == linalg.jordan_matrix([(0, n)])
+
+
+@pytest.mark.parametrize(("blocks", "spans"), [
+    ([(2, 1), (2, 1), (2, 1)], 0),          # every kernel vector starts a chain
+    ([(0, 2), (0, 2)], 1),                  # tops at level 2 only; level 1 has none
+    ([(1, 3), (1, 1), (Fraction(-1, 2), 2)], 3),    # levels 3 and 1 of 1; level 2 of -1/2
+    ([(0, 3)], 1),                          # one chain: a span picks its top at level 3
+])
+def test_jordan_basis_builds_a_span_only_to_pick_some_tops(monkeypatch, blocks, spans):
+    m = linalg.int_matrix(_planted(Random(3), blocks))
+    built = []
+    init = linalg.SpanBasis.__init__
+
+    def counting(self, n):
+        built.append(n)
+        init(self, n)
+
+    monkeypatch.setattr(linalg.SpanBasis, "__init__", counting)
+    j, p = linalg.jordan_basis(m)
+    assert len(built) == spans
+    monkeypatch.undo()
+    assert (j, p) == reference_jordan_basis(m)
 
 
 def test_jordan_form_rejects_irrational():
