@@ -15,9 +15,9 @@ the sum comes back over its least denominator, or as None when it is
 zero.  `mat_mul` is its Fraction front; the `monad` blocks, the `adhm`
 residuals, the point-data round trip, the characteristic polynomial
 (Faddeev-LeVerrier, its roots by `poly`) and the chain steps of
-`jordan_basis`, whose kernels come from reduced rows, run on it.  Elimination (`rref`, `rank`, `nullspace`, `inverse_ints`; `inverse`
-wraps it) and `SpanBasis` are fraction-free on integer rows kept
-primitive; one core serves them all.
+`jordan_basis` (its kernels from reduced rows, not powers) run on it.
+Elimination (`rref`, `rank`, `nullspace`, `inverse_ints`; `inverse` wraps
+it) and `SpanBasis` are fraction-free on primitive integer rows and share one core.
 
 Every exception that means "this computation gave up on this input",
 here and in the modules above, derives from `ComputeFailure`; the

@@ -126,8 +126,8 @@ def mat_from_sympy(m) -> list:
 
 def reference_jordan_basis(m: tuple) -> tuple:
     """(J, p) of `linalg.jordan_basis` the direct way: the kernel (`linalg.nullspace`)
-    of every dense power of N = m - lambda, a span of the level below and the chain steps at every
-    level, and m p == p J checked with a dense product p J."""
+    of every dense power of N = m - lambda, a span of the level below and the chain
+    steps at every level, and m p == p J checked with a dense product p J."""
     a, d = m
     n = len(a)
 
