@@ -28,7 +28,6 @@ from __future__ import annotations
 
 from bisect import bisect
 from fractions import Fraction
-from itertools import islice
 from math import gcd, lcm
 from typing import Iterable, Sequence
 
@@ -150,41 +149,28 @@ def sum_of_products(terms: Iterable[tuple], rows: int, cols: int) -> IntMat | No
     b None stands for the term c*a alone.  Every term is scaled to the
     lcm of the terms' denominators and accumulates on one grid of ints,
     skipping zero entries of a; rows of b are added whole, with no test
-    per entry; a call of one product c*a*b builds each output row in turn
-    instead.  The sum comes back over its least denominator, or as None
-    when every entry is zero, so a zero result is never built.
+    per entry.  The sum comes back over its least denominator, or as
+    None when every entry is zero, so a zero result is never built.
     """
     terms = list(terms)
-    if len(terms) == 1 and terms[0][2]:
-        (c, (a, da), (b, db)), = terms
-        d, s, acc = c.denominator * da * db, c.numerator, []
-        for row in a:
-            out = [0] * cols
+    d = lcm(*(c.denominator * a[1] * (b[1] if b else 1) for c, a, b in terms))
+    acc = [[0] * cols for _ in range(rows)]
+    for c, (a, da), b in terms:
+        if b is None:
+            s = c.numerator * (d // (c.denominator * da))
+            for out, row in zip(acc, a):
+                for j, x in enumerate(row):
+                    if x:
+                        out[j] += s * x
+            continue
+        b, db = b
+        s = c.numerator * (d // (c.denominator * da * db))
+        for out, row in zip(acc, a):
             for x, b_row in zip(row, b):
                 if x:
                     x *= s
                     for j, y in enumerate(b_row):
                         out[j] += x * y
-            acc.append(out)
-    else:
-        d = lcm(*(c.denominator * a[1] * (b[1] if b else 1) for c, a, b in terms))
-        acc = [[0] * cols for _ in range(rows)]
-        for c, (a, da), b in terms:
-            if b is None:
-                s = c.numerator * (d // (c.denominator * da))
-                for out, row in zip(acc, a):
-                    for j, x in enumerate(row):
-                        if x:
-                            out[j] += s * x
-                continue
-            b, db = b
-            s = c.numerator * (d // (c.denominator * da * db))
-            for out, row in zip(acc, a):
-                for x, b_row in zip(row, b):
-                    if x:
-                        x *= s
-                        for j, y in enumerate(b_row):
-                            out[j] += x * y
     if not any(map(any, acc)):
         return None
     if d > 1:
@@ -437,13 +423,18 @@ def jordan_basis(m: IntMat) -> tuple[IntMat, IntMat]:
                 w, f = sum_of_products([(1, ([v], e * q * d), nmat_t)], 1, n)
                 chain.append((w[0], f))
             tops = len(kernels[level]) - len(kernels[level - 1]) - len(lam_chains)
-            starts = iter(kernels[level])
-            if 0 < tops < len(kernels[level]):
+            if tops == len(kernels[level]):
+                lam_chains += ([v] for v in kernels[level])
+            elif tops:
                 span = SpanBasis(n)
                 for v, _ in kernels[level - 1] + [chain[-1] for chain in lam_chains]:
                     span.add(v)
-                starts = (v for v in starts if span.add(v[0]))
-            lam_chains += ([v] for v in islice(starts, tops))
+                for v in kernels[level]:
+                    if span.add(v[0]):
+                        lam_chains.append([v])
+                        tops -= 1
+                        if not tops:
+                            break
         for chain in lam_chains:
             blocks.append((lam, len(chain)))
             cols += reversed(chain)             # bottom of chain first
