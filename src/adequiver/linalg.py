@@ -13,9 +13,10 @@ integer product, `sum_of_products`: the caller gives the output shape,
 every term c*a*b or c*a on `IntMat`s accumulates in one integer pass, and
 the sum comes back over its least denominator, or as None when it is
 zero.  `mat_mul` is its Fraction front; the `monad` blocks, the `adhm`
-residuals, the point-data round trip, the characteristic polynomial
-(Faddeev-LeVerrier, its roots by `poly`) and the chain steps of
+residuals, the point-data round trip and the chain steps of
 `jordan_basis` (its kernels from reduced rows, not powers) run on it.
+The characteristic polynomial is division-free Berkowitz on the integer
+rows, and `poly` finds the spectrum on the integer polynomial.
 Elimination (`rref`, `rank`, `nullspace`, `inverse_ints`; `inverse` wraps
 it) and `SpanBasis` are fraction-free on primitive integer rows and share one core.
 
@@ -29,6 +30,7 @@ from __future__ import annotations
 from bisect import bisect
 from fractions import Fraction
 from math import gcd, lcm
+from operator import mul
 from typing import Iterable, Sequence
 
 Mat = list
@@ -334,39 +336,47 @@ class SpanBasis:
         return True
 
 
-def char_poly_coeffs(m: Mat | IntMat) -> list[Fraction]:
-    """Monic characteristic polynomial, coefficients ascending (Faddeev-LeVerrier).
+def _char_poly_ints(m: Mat | IntMat) -> tuple[list[int], int]:
+    """(coefficients of det(tI - a), leading first; d) for m = a / d (Berkowitz).
 
-    m is Fraction rows or an `IntMat` a / d.  It runs on the integer rows
-    a, N_1 = a and N_{k+1} = a (N_k + c_k I), c_k added to the diagonal in
-    place and one `sum_of_products` per later step: the coefficients
-    c_k = -tr N_k / k are integers, each an exact division, and m's are
-    c_k / d^k.  Once N_k is zero, so are all later N and c.
+    m is Fraction rows or an `IntMat`, a pair (rows, d) with an int d.  With
+    A_r the leading r x r block of a and a_rr, R, C the rest of A_(r+1)'s
+    last row and column, det(tI - A_(r+1)) is the Toeplitz column 1, -a_rr,
+    -R C, -R A_r C, ..., -R A_r^(r-1) C convolved with det(tI - A_r): r - 1
+    products of A_r with a vector, and no division.
     """
-    a, d = m if isinstance(m, tuple) else int_matrix(m)
-    n = len(a)
-    if any(len(row) != n for row in a):
+    a, d = m if isinstance(m, tuple) and len(m) == 2 and type(m[1]) is int else int_matrix(m)
+    if any(len(row) != len(a) for row in a):
         raise ValueError("characteristic polynomial of a non-square matrix")
-    a, cs, nk = (a, 1), [1], ([list(row) for row in a], 1)     # cs descending: leading first
-    for k in range(1, n + 1):
-        cs.append(-sum(row[i] for i, row in enumerate(nk[0])) // k)
-        if k == n:
-            break
-        for i, row in enumerate(nk[0]):     # N_k has denominator 1, as a has
-            row[i] += cs[-1]
-        nk = sum_of_products([(1, a, nk)], n, n)
-        if nk is None:
-            break
-    cs += [0] * (n + 1 - len(cs))
-    return [Fraction(ck, d ** k) for k, ck in enumerate(cs)][::-1]
+    p = [1]
+    for r, row in enumerate(a):
+        col, toeplitz = [a[i][r] for i in range(r)], [1, -row[r]]
+        for j in range(r):
+            if j:       # zip and map stop at r, so a[i] reads as row i of A_r
+                col = [sum(map(mul, a[i], col)) for i in range(r)]
+            toeplitz.append(-sum(map(mul, row, col)))
+        p = [sum(map(mul, toeplitz[k::-1], p)) for k in range(r + 2)]
+    return p, d
+
+
+def char_poly_coeffs(m: Mat | IntMat) -> list[Fraction]:
+    """Monic characteristic polynomial, coefficients ascending (Berkowitz).
+
+    m is Fraction rows or an `IntMat` a / d.  For det(tI - a) = sum p_k t^k
+    on the integer rows (`_char_poly_ints`), m's coefficient of t^k is
+    p_k / d^(n-k).
+    """
+    p, d = _char_poly_ints(m)
+    return [Fraction(c, d ** k) for k, c in enumerate(p)][::-1]
 
 
 def rational_eigenvalues(m: Mat | IntMat) -> dict[Fraction, int]:
     """Eigenvalues with algebraic multiplicity, ascending; error unless the spectrum is
-    rational.  m as in `char_poly_coeffs`; the roots come from `poly._rational_roots`."""
+    rational.  m as in `char_poly_coeffs`; `poly._rational_roots` takes the integer
+    polynomial d^n det(tI - m) = sum p_k d^k t^k."""
     from .poly import _rational_roots    # only the spectra need polynomial arithmetic
-    coeffs = char_poly_coeffs(m)
-    eig, n = _rational_roots(coeffs), len(coeffs) - 1
+    p, d = _char_poly_ints(m)
+    eig, n = _rational_roots([c * d ** k for k, c in enumerate(reversed(p))]), len(p) - 1
     if sum(eig.values()) != n:
         raise NonRationalSpectrum(f"only {sum(eig.values())} of {n} eigenvalues are rational")
     return eig

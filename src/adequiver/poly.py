@@ -239,30 +239,34 @@ def _rational_roots(coeffs: Sequence) -> dict[Fraction, int]:
     Zero is a root as often as the coefficients start with zero; the rest
     is made primitive over Z.  A candidate p/q in lowest terms, p | c_0
     and q | c_d, is a root iff sum_i c_i p^i q^(d-i) = 0; each root found
-    is divided out as the integer factor q t - p.
+    is divided out as the integer factor q t - p, and counted as (p, q).
+    Once the rest is linear, its root is read off its two coefficients.
     """
     zeros = next(i for i, c in enumerate(coeffs) if c)
-    roots = {Fraction(0): zeros} if zeros else {}
+    counts = {(0, 1): zeros} if zeros else {}
     work = _integer_primitive(coeffs[zeros:])
-    if len(work) == 2:                  # linear: its one root, with no divisor search
-        return dict(sorted({**roots, Fraction(-work[0], work[1]): 1}.items()))
-    heads = _divisors(work[0])
-    for q in _divisors(work[-1]) if len(work) > 1 else ():
-        for p in [s * h for h in heads if gcd(h, q) == 1 for s in (1, -1)]:
-            while len(work) > 1:
+    if len(work) > 2:
+        heads = _divisors(work[0])
+        for p, q in ((s * h, q) for q in _divisors(work[-1]) for h in heads if gcd(h, q) == 1
+                     for s in (1, -1)):
+            while len(work) > 2:
                 acc, qk = work[-1], 1
                 for c in reversed(work[:-1]):
                     qk *= q
                     acc = acc * p + c * qk
                 if acc:
                     break
-                root = Fraction(p, q)
-                roots[root] = roots.get(root, 0) + 1
+                counts[p, q] = counts.get((p, q), 0) + 1
                 b = 0
                 for k in range(len(work) - 1, 0, -1):
                     b = work[k] = (work[k] + p * b) // q
                 del work[0]
-    return dict(sorted(roots.items()))
+            if len(work) == 2:
+                break
+    if len(work) == 2:                  # primitive, so -c_0 / c_1 is in lowest terms
+        p, q = (-work[0], work[1]) if work[1] > 0 else (work[0], -work[1])
+        counts[p, q] = counts.get((p, q), 0) + 1
+    return dict(sorted((Fraction(p, q), k) for (p, q), k in counts.items()))
 
 
 # -- F_p[t] -----------------------------------------------------------------------

@@ -3,10 +3,11 @@
 Everything random is driven by an explicit random.Random instance so
 tests stay reproducible.  The matrix oracles here (sympy nullspace,
 the textbook product, hand-rolled block formulas) are deliberately
-independent of the package internals they test against.  The one
-exception is `reference_jordan_basis`: it is the dense-power Jordan chain
-construction on the package's own kernels, kept to pin the exact integer
-rows that `linalg.jordan_basis` returns.
+independent of the package internals they test against.  The two
+exceptions run on the package's own kernels: `reference_jordan_basis`,
+the dense-power Jordan chain construction, kept to pin the exact integer
+rows that `linalg.jordan_basis` returns; and `reference_char_poly`,
+Faddeev-LeVerrier, kept to pin `linalg.char_poly_coeffs`.
 """
 
 import math
@@ -163,3 +164,30 @@ def reference_jordan_basis(m: tuple) -> tuple:
     j = linalg.jordan_matrix(blocks)
     assert linalg.sum_of_products([(1, m, p), (-1, p, j)], n, n) is None
     return j, p
+
+
+def reference_char_poly(m) -> list:
+    """Monic characteristic polynomial, coefficients ascending (Faddeev-LeVerrier).
+
+    m is Fraction rows or an `IntMat` a / d.  It runs on the integer rows
+    a, N_1 = a and N_{k+1} = a (N_k + c_k I), c_k added to the diagonal in
+    place and one `sum_of_products` per later step: the coefficients
+    c_k = -tr N_k / k are integers, each an exact division, and m's are
+    c_k / d^k.  Once N_k is zero, so are all later N and c.
+    """
+    a, d = m if isinstance(m, tuple) else linalg.int_matrix(m)
+    n = len(a)
+    if any(len(row) != n for row in a):
+        raise ValueError("characteristic polynomial of a non-square matrix")
+    a, cs, nk = (a, 1), [1], ([list(row) for row in a], 1)     # cs descending: leading first
+    for k in range(1, n + 1):
+        cs.append(-sum(row[i] for i, row in enumerate(nk[0])) // k)
+        if k == n:
+            break
+        for i, row in enumerate(nk[0]):     # N_k has denominator 1, as a has
+            row[i] += cs[-1]
+        nk = linalg.sum_of_products([(1, a, nk)], n, n)
+        if nk is None:
+            break
+    cs += [0] * (n + 1 - len(cs))
+    return [Fraction(ck, d ** k) for k, ck in enumerate(cs)][::-1]

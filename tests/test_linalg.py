@@ -1,6 +1,7 @@
 import math
 from fractions import Fraction
 from random import Random
+from unittest import mock
 
 import pytest
 import sympy
@@ -9,9 +10,9 @@ from sympy.polys.matrices import DomainMatrix
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
-from adequiver import linalg
+from adequiver import linalg, poly
 from helpers import (mat_from_sympy, naive_product, rand_frac, rand_invertible, rand_matrix,
-                     reference_jordan_basis, sympy_nullspace)
+                     reference_char_poly, reference_jordan_basis, sympy_nullspace)
 
 
 def test_frac_accepts_strings_ints_fractions():
@@ -509,3 +510,93 @@ def test_int_matrix_round_trip():
     assert linalg.int_matrix(m) == ([[3, -4], [0, 30]], 6)
     assert linalg.rational_matrix(linalg.int_matrix(m), 2, 2) == m
     assert linalg.int_matrix([]) == ([], 1)
+
+
+@st.composite
+def _char_poly_rows(draw):
+    """Square integer rows of size 0-12: small random entries, zero, nilpotent (strictly
+    upper triangular under a permutation), conjugated Jordan blocks or 100-digit entries."""
+    n = draw(st.integers(0, 12))
+    kind = draw(st.sampled_from(["random", "zero", "nilpotent", "jordan", "huge"]))
+    rng = Random(draw(st.integers(0, 2**32)))
+    if kind == "jordan" and n:
+        sizes = []
+        while sum(sizes) < n:
+            sizes.append(rng.randint(1, n - sum(sizes)))
+        return linalg.int_matrix(_planted(rng, [(rng.choice([0, 2, -1]), k) for k in sizes]))[0]
+    span = {"random": 9, "zero": 0, "nilpotent": 9, "huge": 10**100}.get(kind, 0)
+    rows = [[rng.randint(-span, span) for _ in range(n)] for _ in range(n)]
+    if kind == "nilpotent":
+        order = rng.sample(range(n), n)
+        rows = [[rows[i][j] if order[i] < order[j] else 0 for j in range(n)] for i in range(n)]
+    return rows
+
+
+@settings(max_examples=120, deadline=None)
+@given(_char_poly_rows(), st.sampled_from([2, 6, 10**30]))
+def test_char_poly_equals_the_faddeev_leverrier_reference(rows, d):
+    # Berkowitz on the integer rows gives the reference's coefficients, over d = 1 and d > 1
+    for m in ((rows, 1), (rows, d)):
+        assert linalg.char_poly_coeffs(m) == reference_char_poly(m)
+    assert linalg.char_poly_coeffs(rows) == reference_char_poly(rows)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(_planted_jordan(), st.integers(1, 4).flatmap(lambda n: st.lists(
+    st.lists(st.integers(-9, 9), min_size=n, max_size=n), min_size=n, max_size=n))))
+def test_rational_roots_of_the_integer_polynomial_equal_those_of_its_fractions(case):
+    # rational_eigenvalues hands poly the integer polynomial d^n det(tI - m); its roots
+    # are those of m's Fraction coefficients, on planted spectra and on small integer rows
+    # (whose constant terms stay small enough for the divisor search)
+    m = linalg.int_matrix(_planted(Random(case[1]), case[0])) if type(case) is tuple \
+        else (case, 6)
+    seen = []
+    roots = poly._rational_roots
+
+    def recording(coeffs):
+        seen.append(coeffs)
+        return roots(coeffs)
+
+    with mock.patch.object(poly, "_rational_roots", recording):
+        try:
+            linalg.rational_eigenvalues(m)
+        except linalg.NonRationalSpectrum:
+            pass
+    [ints] = seen
+    assert all(type(c) is int for c in ints)
+    assert roots(ints) == roots(linalg.char_poly_coeffs(m))
+
+
+def test_char_poly_makes_no_matrix_product(monkeypatch):
+    # Berkowitz takes matrix-vector products of its own; Faddeev-LeVerrier made n - 1
+    # calls of the matrix product here
+    m = linalg.int_matrix(_planted(Random(8), [(1, 3), (Fraction(-1, 2), 2), (2, 1)]))
+    want = reference_char_poly(m)
+    calls = []
+    kernel = linalg.sum_of_products
+
+    def counting(terms, rows, cols):
+        calls.append(len(terms))
+        return kernel(terms, rows, cols)
+
+    monkeypatch.setattr(linalg, "sum_of_products", counting)
+    assert linalg.char_poly_coeffs(m) == want
+    assert linalg.rational_eigenvalues(m) == {Fraction(-1, 2): 2, Fraction(1): 3, Fraction(2): 1}
+    assert calls == []
+
+
+@pytest.mark.parametrize("rows", [[[1, 2], [2, 1]], [[2, 1, 0], [0, 2, 0], [0, 0, -1]]])
+def test_rows_as_lists_tuples_and_int_rows_agree(rows):
+    # a tuple of rows is a matrix, not an (rows, d) pair: only an int d makes an IntMat
+    spellings = [rows, tuple(map(tuple, rows)), linalg.matrix(rows), (rows, 1),
+                 ([[2 * x for x in row] for row in rows], 2)]
+    for f in (linalg.char_poly_coeffs, linalg.rational_eigenvalues):
+        assert len({repr(f(m)) for m in spellings}) == 1
+    for f in (linalg.rank, linalg.inverse, linalg.nullspace, linalg.jordan_form):
+        assert f(spellings[0]) == f(spellings[1]) == f(spellings[2])
+
+
+def test_char_poly_reads_tuples_of_rows_as_matrices():
+    assert linalg.char_poly_coeffs(((1, 2), (3, 4))) == [-2, -5, 1]
+    assert linalg.char_poly_coeffs(((1, 0, 0), (0, 2, 0), (0, 0, 3))) == [-6, 11, -6, 1]
+    assert linalg.rational_eigenvalues(((1, 2), (2, 1))) == {-1: 1, 3: 1}
