@@ -568,8 +568,7 @@ def test_rational_roots_of_the_integer_polynomial_equal_those_of_its_fractions(c
 
 
 def test_char_poly_makes_no_matrix_product(monkeypatch):
-    # Berkowitz takes matrix-vector products of its own; Faddeev-LeVerrier made n - 1
-    # calls of the matrix product here
+    # Berkowitz takes its own matrix-vector products, never the matrix product
     m = linalg.int_matrix(_planted(Random(8), [(1, 3), (Fraction(-1, 2), 2), (2, 1)]))
     want = reference_char_poly(m)
     calls = []
