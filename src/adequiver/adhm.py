@@ -51,17 +51,10 @@ def check_total_dim(total: int) -> None:
 
 
 def _int_rows(m, want: tuple, name: str, error: str) -> IntMat:
-    """m as integer rows of shape want: rationals converted, (rows, d) kept over d made positive,
-    None as zeros.  ValueError(error) on another shape, naming name on a bad d or entry."""
+    """m of shape want as `linalg.int_rows` reads it, None as zeros; else ValueError(error)."""
     if m is None:
         return [[0] * want[1] for _ in range(want[0])], 1
-    if isinstance(m, tuple) and len(m) == 2 and not isinstance(m[1], (list, tuple)):
-        rows, d = m
-        if type(d) is not int or not d or not {type(x) for row in rows for x in row} <= {int}:
-            raise ValueError(f"{name} wants integer rows as ints over a nonzero int denominator")
-        m = [[-x for x in row] if d < 0 else list(row) for row in rows], abs(d)
-    else:
-        m = linalg.int_matrix(linalg.matrix(m))
+    m = linalg.int_rows(m, name)
     if not linalg.has_shape(m[0], *want):
         raise ValueError(error)
     return m

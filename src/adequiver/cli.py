@@ -203,12 +203,11 @@ def cmd_theta_validate(args, report: RunReport) -> None:
     from . import io as fileio
     record = fileio.read_json(args.file, report.add_input(args.file))
     d = fileio.deformation_from_dict(record)
-    given_affine = "0" in record["theta"]
     delta = dynkin.marks(d.type)
     for a in sorted(d.theta):
         coeffs = " ".join(fileio.frac_to_str(c) for c in d.theta[a].coefficients) or "0"
         report.say(f"node {a}: degree {d.theta[a].degree}, coefficients {coeffs}")
-    if not given_affine:
+    if 0 not in fileio._node_table(record, "theta"):
         report.note("node 0 polynomial completed from the marks constraint")
     report.data = fileio.deformation_to_dict(d)
     report.data["marks"] = list(delta.delta)

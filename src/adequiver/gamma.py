@@ -396,14 +396,13 @@ def _lift(g: GammaGroup, values: list[list[int]], degrees: list[int]) -> list[li
     return out
 
 
-def character_table(g: GammaGroup, seed: int = 0) -> CharacterTable:
+def character_table(g: GammaGroup) -> CharacterTable:
     """Character table over F_p from the simultaneous eigenvectors of the class matrices.
 
     The class-indicator vector of the identity has a nonzero component
     chi(1)^2 / |G| along each central character; splitting it by one class
     matrix after another leaves one component per irreducible, which
-    gives chi(1)^2 and then every chi(g_j).  `seed` is accepted for
-    compatibility and drives nothing.
+    gives chi(1)^2 and then every chi(g_j).
     """
     p, order = g.fp.p, g.order
     k = len(g.classes)

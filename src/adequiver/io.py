@@ -1,14 +1,15 @@
 """JSON file formats: deformation parameters, representations, sheaf data.
 
-Rationals travel as strings "p/q" (or "p"), matrices as row-major arrays
-of such strings, complex values as {"re": float, "im": float}.  Node
-keys are decimal strings.  Malformed input raises SchemaError, which the
-command line maps to exit code 2.
+Rationals, point data supports among them, travel as strings "p/q" (or "p"),
+matrices as row-major arrays of them.  Node keys are integers as str() spells
+them ("0", "-1"; not "00"); no object repeats a key.  Malformed input raises
+SchemaError, which the command line maps to exit code 2.
 """
 
 from __future__ import annotations
 
 import json
+import re
 import sys
 from fractions import Fraction
 from typing import Any
@@ -45,8 +46,8 @@ def _expect(v, kinds, what: str):
     return v
 
 
-def frac_from_json(v) -> Fraction:
-    _expect(v, (str, int), "an exact rational string")
+def frac_from_json(v, what: str = "an exact rational string") -> Fraction:
+    _expect(v, (str, int), what)
     try:
         return Fraction(v)
     except (ValueError, ZeroDivisionError) as e:
@@ -88,7 +89,7 @@ def _node_table(record: dict, key: str) -> dict[int, Any]:
         raise SchemaError(f"'{key}' must be an object keyed by node labels")
     out = {}
     for k, v in table.items():
-        if not str(k).lstrip("-").isdigit():
+        if not re.fullmatch(r"0|-?[1-9][0-9]*", str(k)):     # one spelling: str(int(k))
             raise SchemaError(f"bad node label {k!r} under '{key}'")
         out[int(k)] = v
     return out
@@ -142,9 +143,8 @@ def _framing_to_json(ranks: dict[int, int], vectors: dict[int, list[Vec]]) -> di
 
 def deformation_from_dict(record: Any) -> DeformationParam:
     t = _parse_type(record)
-    theta_raw = _node_table(record, "theta")
     theta = {}
-    for a, coeffs in theta_raw.items():
+    for a, coeffs in _node_table(record, "theta").items():
         if not isinstance(coeffs, list):
             raise SchemaError("polynomials are arrays of rational strings, ascending")
         theta[a] = Polynomial.of([frac_from_json(c) for c in coeffs])
@@ -212,27 +212,10 @@ def load_representation(path: str, data: bytes | None = None) -> N1Representatio
 
 # -- sheaf data files -------------------------------------------------------
 
-def _support_to_json(s):
-    if isinstance(s, Fraction):
-        return frac_to_str(s)
-    z = complex(s)
-    return {"re": z.real, "im": z.imag}
-
-
-def _support_from_json(v):
-    if isinstance(v, dict):
-        if set(v) != {"re", "im"}:
-            raise SchemaError("complex supports are objects {re, im}")
-        real, imag = (_expect(v[k], (int, float), f"a number for '{k}'") for k in ("re", "im"))
-        return complex(float(real), float(imag))
-    return frac_from_json(v)
-
-
 def sheaf_data_from_dict(record: Any) -> QuiverSheafData:
     t = _parse_type(record)
-    nodes_raw = _node_table(record, "nodes")
     sheaves = {}
-    for a, v in nodes_raw.items():
+    for a, v in _node_table(record, "nodes").items():
         if not isinstance(v, dict) or "points" not in v or not isinstance(v["points"], list):
             raise SchemaError("each node carries an object with a 'points' array")
         points = []
@@ -242,7 +225,7 @@ def sheaf_data_from_dict(record: Any) -> QuiverSheafData:
             if not isinstance(pt["partition"], list):
                 raise SchemaError("'partition' must be an array of positive integers")
             parts = [_expect(x, int, "an integer partition part") for x in pt["partition"]]
-            points.append((_support_from_json(pt["support"]), parts))
+            points.append((frac_from_json(pt["support"], f"a rational support at node {a}"), parts))
         try:
             sheaves[a] = TorsionSheafData.of(points)
         except ValueError as e:
@@ -265,7 +248,7 @@ def sheaf_data_to_dict(data: QuiverSheafData) -> dict:
         "nodes": {
             str(a): {
                 "points": [
-                    {"support": _support_to_json(s), "partition": list(parts)}
+                    {"support": frac_to_str(s), "partition": list(parts)}
                     for s, parts in data.node_sheaves[a].points
                 ]
             }
@@ -288,10 +271,21 @@ def read_bytes(path: str) -> bytes:
         raise SchemaError(f"cannot read {path}: {e}") from None
 
 
+def _unique_keys(pairs: list) -> dict:
+    """The JSON object of pairs; SchemaError on a repeated key, which json keeps the last of."""
+    out = {}
+    for k, v in pairs:
+        if k in out:
+            raise SchemaError(f"duplicate key {k!r} in one JSON object")
+        out[k] = v
+    return out
+
+
 def read_json(path: str, data: bytes | None = None) -> Any:
     """The JSON value of the UTF-8 file at path, or of data, its bytes read already."""
     try:
-        return json.loads((read_bytes(path) if data is None else data).decode("utf-8"))
+        return json.loads((read_bytes(path) if data is None else data).decode("utf-8"),
+                          object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as e:
         raise SchemaError(f"{path} is not valid JSON: {e}") from None
     except RecursionError:

@@ -125,6 +125,17 @@ def int_matrix(m: Mat) -> IntMat:
     return [[x.numerator * (d // x.denominator) for x in row] for row in m], d
 
 
+def int_rows(m, name: str = "a matrix") -> IntMat:
+    """m as an `IntMat`: a pair (rows, d), int rows over an int d != 0, copied over |d|; else
+    m as `matrix` reads it.  ValueError naming name on a pair with another d or entry."""
+    if isinstance(m, tuple) and len(m) == 2 and not isinstance(m[1], (list, tuple)):
+        rows, d = m
+        if type(d) is not int or not d or not {type(x) for row in rows for x in row} <= {int}:
+            raise ValueError(f"{name} wants integer rows as ints over a nonzero int denominator")
+        return [[-x for x in row] if d < 0 else list(row) for row in rows], abs(d)
+    return int_matrix(matrix(m))
+
+
 def rational_matrix(m: IntMat | None, rows: int = 0, cols: int = 0) -> Mat:
     """The Fraction matrix of m; None, the zero of `sum_of_products`, reads as rows x cols zeros."""
     if m is None:
@@ -339,13 +350,13 @@ class SpanBasis:
 def _char_poly_ints(m: Mat | IntMat) -> tuple[list[int], int]:
     """(coefficients of det(tI - a), leading first; d) for m = a / d (Berkowitz).
 
-    m is Fraction rows or an `IntMat`, a pair (rows, d) with an int d.  With
+    m is Fraction rows or an `IntMat`, as `int_rows` reads them.  With
     A_r the leading r x r block of a and a_rr, R, C the rest of A_(r+1)'s
     last row and column, det(tI - A_(r+1)) is the Toeplitz column 1, -a_rr,
     -R C, -R A_r C, ..., -R A_r^(r-1) C convolved with det(tI - A_r): r - 1
     products of A_r with a vector, and no division.
     """
-    a, d = m if isinstance(m, tuple) and len(m) == 2 and type(m[1]) is int else int_matrix(m)
+    a, d = int_rows(m)
     if any(len(row) != len(a) for row in a):
         raise ValueError("characteristic polynomial of a non-square matrix")
     p = [1]

@@ -2,10 +2,9 @@
 
 A finite-length torsion module is recorded as a list of (support point,
 partition): the partition gives the sizes of the cyclic summands at that
-point.  The matrix side is the multiplication-by-coordinate operator on
-global sections, i.e. a block Jordan matrix.  Both directions are exact
-and need rational supports and matrices; complex supports can be held
-(point data files allow them) but have no matrix form.
+point.  Supports are rationals (Fractions), so every point list has a
+matrix side: the multiplication-by-coordinate operator on global
+sections, i.e. a block Jordan matrix.  Both directions are exact.
 
 The same dictionary upgraded to quivers: a representation whose loops
 all intertwine with the arrow maps (zero edge defects) corresponds to
@@ -36,19 +35,8 @@ class EdgeRelationViolated(ComputeFailure):
     """Arrow maps fail to intertwine the loops, so no sheaf dictionary exists."""
 
 
-Support = object   # Fraction, or complex as read from a point data file
-
-
-def _support_sort_key(s) -> tuple:
-    # exact: a Fraction compares exactly with the float parts of a complex support
-    if isinstance(s, Fraction):
-        return (s, 0)
-    z = complex(s)
-    return (z.real, z.imag)
-
-
 class TorsionSheafData(_Frozen):
-    """Canonicalised: supports sorted and distinct, partitions nonincreasing."""
+    """Canonicalised: supports Fractions, sorted and distinct; partitions nonincreasing."""
 
     _fields = ("points",)
 
@@ -56,13 +44,11 @@ class TorsionSheafData(_Frozen):
     def of(cls, points: Sequence[tuple[object, Sequence[int]]]) -> "TorsionSheafData":
         norm = []
         for s, parts in points:
-            if isinstance(s, int):
-                s = Fraction(s)
             parts = tuple(sorted((int(p) for p in parts), reverse=True))
             if not parts or any(p <= 0 for p in parts):
                 raise ValueError("partitions must be nonempty with positive parts")
-            norm.append((s, parts))
-        norm.sort(key=lambda e: _support_sort_key(e[0]))
+            norm.append((linalg.frac(s), parts))
+        norm.sort()
         for a, b in zip(norm, norm[1:]):
             if a[0] == b[0]:
                 raise ValueError(f"duplicate support {a[0]}")
@@ -74,15 +60,12 @@ class TorsionSheafData(_Frozen):
 
     @cached_property
     def jordan(self) -> IntMat:
-        """The points' Jordan matrix on integer rows, built once; TypeError on complex supports."""
+        """The points' Jordan matrix on integer rows, built once."""
         return linalg.jordan_matrix((s, size) for s, parts in self.points for size in parts)
 
 
 def sheaf_to_endo(data: TorsionSheafData) -> tuple[int, Mat]:
-    """(dimension, block Jordan matrix), supports in canonical order, blocks nonincreasing.
-
-    TypeError on a support that is not rational.
-    """
+    """(dimension, block Jordan matrix), supports in canonical order, blocks nonincreasing."""
     n = data.dimension
     return n, linalg.rational_matrix(data.jordan, n, n)
 
@@ -132,16 +115,6 @@ def endo_to_sheaf(psi) -> TorsionSheafData:
     return TorsionSheafData.of(points)
 
 
-def _require_rational(node_sheaves: Mapping[int, TorsionSheafData], nodes) -> None:
-    """ValueError naming the first node and support among nodes that is not rational."""
-    for a in nodes:
-        for s, _ in node_sheaves[a].points:
-            if not isinstance(s, Fraction):
-                raise ValueError(
-                    f"node {a}: support {s} is not rational; matrix form needs rational supports"
-                )
-
-
 def _check_intertwining(loops: Mapping[int, IntMat], arrows: Mapping[ArrowKey, IntMat]) -> None:
     """EdgeRelationViolated naming the first arrow B with Psi_target B - B Psi_source nonzero."""
     for key, defect in _edge_defects(loops, arrows).items():
@@ -167,10 +140,7 @@ class QuiverSheafData(_IntRows, _Record):
         self.ints, self.framing_ranks, self.framing_vectors = _quiver_data(
             type, affine, {a: node_sheaves[a].dimension for a in labels},
             arrow_maps, framing_ranks or {}, framing_vectors or {})
-        # Jordan matrices only where an arrow needs one, and only of rational supports
-        touched = list(dict.fromkeys(a for key in self.ints for a in key[:2]))
-        _require_rational(node_sheaves, touched)
-        _check_intertwining({a: node_sheaves[a].jordan for a in touched}, self.ints)
+        _check_intertwining({a: node_sheaves[a].jordan for a in labels}, self.ints)
 
     arrow_maps = cached_property(lambda self: self._fractions(self.ints))
 
@@ -211,7 +181,6 @@ def quadruple_to_quintuple(rep: N1Representation) -> tuple[QuiverSheafData, Base
 def quintuple_to_quadruple(data: QuiverSheafData) -> N1Representation:
     """Representation with Jordan loops read off the torsion data; missing arrows are zero."""
     labels = node_labels(data.type, data.affine)
-    _require_rational(data.node_sheaves, labels)
     dims = {a: data.node_sheaves[a].dimension for a in labels}
     arrows = dict.fromkeys(k.key for k in build_n1_quiver(data.type, data.affine).mckay_arrows())
     blocks = {**arrows, **data.ints, **{a: data.node_sheaves[a].jordan for a in labels}}

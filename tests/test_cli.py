@@ -218,6 +218,15 @@ class TestThetaValidate:
         assert code == 2
         assert [v["name"] for v in json.loads(out)["verdicts"]] == ["input-well-formed"]
 
+    @pytest.mark.parametrize("label, code", [("0", 0), ("00", 2)])
+    def test_node_zero_has_one_spelling(self, capsys, tmp_path, label, code):
+        # "00" was read as node 0, while the note took node 0 for missing
+        path = write(tmp_path, "theta.json", {"type": "A1", "theta": {label: ["-1"], "1": ["1"]}})
+        got, out = run(capsys, "theta-validate", path)
+        assert got == code
+        assert "completed from the marks constraint" not in out
+        assert ("bad node label '00' under 'theta'" in out) == (label == "00")
+
     def test_malformed_file(self, capsys, tmp_path):
         path = write(tmp_path, "theta.json", {"type": "A2", "theta": {"1": ["1"]}})
         code, out = run(capsys, "theta-validate", path)
@@ -719,7 +728,8 @@ class TestConversions:
         assert code == 2
         report = json.loads(out)
         assert [v["name"] for v in report["verdicts"]] == ["input-well-formed"]
-        assert "node 1: support (0.5+1j) is not rational" in report["verdicts"][0]["detail"]
+        assert report["verdicts"][0]["detail"] == (
+            "expected a rational support at node 1, got {'re': 0.5, 'im': 1.0}")
 
 
 def points_record():

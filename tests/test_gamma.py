@@ -131,12 +131,9 @@ def test_verify_mckay(name, capsys):
 
 def test_character_table_deterministic_per_seed():
     g = gamma.enumerate_group(DynkinType.parse("E7"))
-    t1 = gamma.character_table(g, seed=0)
-    t2 = gamma.character_table(g, seed=0)
+    t1 = gamma.character_table(g)
+    t2 = gamma.character_table(g)
     assert np.array_equal(t1.chars, t2.chars)
-    t3 = gamma.character_table(g, seed=7)
-    assert np.array_equal(t1.dims, t3.dims)
-    assert np.max(np.abs(t1.chars - t3.chars)) < 1e-6
 
 
 def test_find_labeled_isomorphism_rejects_mismatch():

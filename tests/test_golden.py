@@ -7,9 +7,12 @@ A change to a report regenerates the expected files with
 """
 
 import json
+import re
+from pathlib import Path
 
 import pytest
 
+from adequiver import cli
 from golden.regenerate import HERE, calls, run
 
 EXIT_CODES = json.loads((HERE / "expected" / "exit_codes.json").read_text())
@@ -28,3 +31,11 @@ def test_every_expected_file_belongs_to_a_call():
     names = {filename for _, _, filename in calls()} | {"exit_codes.json"}
     assert {p.name for p in (HERE / "expected").iterdir()} == names
     assert set(EXIT_CODES) == {name for name, _, _ in calls()}
+
+
+def test_every_literal_check_name_is_in_the_corpus():
+    # names built at run time (per file, or after an exception class) are not literal
+    names = set(re.findall(r'report\.check\(\s*"([^"]+)"', Path(cli.__file__).read_text()))
+    reports = "".join(p.read_text() for p in (HERE / "expected").glob("*.txt"))
+    assert len(names) > 10
+    assert sorted(n for n in names if f"check {n}: " not in reports) == []

@@ -1,4 +1,5 @@
 import json
+import re
 import sys
 from fractions import Fraction
 
@@ -198,19 +199,13 @@ class TestSheafFiles:
                                   {0: framing["rank"]}, {0: framing.get("vectors", [])})
         assert str(refused.value) == str(also.value) == message
 
-    def test_complex_support_roundtrip(self):
-        rec = {
-            "type": "A1",
-            "nodes": {
-                "0": {"points": [{"support": {"re": 0.5, "im": -1.0}, "partition": [2, 1]}]},
-                "1": {"points": []},
-            },
-        }
-        data = io.sheaf_data_from_dict(rec)
-        (s, parts), = data.node_sheaves[0].points
-        assert s == 0.5 - 1j and parts == (2, 1)
-        again = io.sheaf_data_from_dict(io.sheaf_data_to_dict(data))
-        assert again.node_sheaves == data.node_sheaves
+    @pytest.mark.parametrize("support", [{"re": 0.5, "im": -1.0}, 0.5, None, ["1"]])
+    def test_support_that_is_not_a_rational_string_is_refused_naming_its_node(self, support):
+        rec = self.rec()
+        rec["nodes"]["2"]["points"][0]["support"] = support
+        with pytest.raises(io.SchemaError) as refused:
+            io.sheaf_data_from_dict(rec)
+        assert str(refused.value) == f"expected a rational support at node 2, got {support!r}"
 
     def test_non_intertwining_arrow_rejected(self):
         # well-formed file, mathematically inconsistent content: compute error
@@ -234,7 +229,42 @@ class TestSheafFiles:
             io.sheaf_data_from_dict(rec)
 
 
+class TestNodeLabels:
+    # one spelling per node, the one str() gives: int() reads each of these ("²" excepted),
+    # so "01" and "1" were one node, the later winning
+    @pytest.mark.parametrize("label", ["01", "00", "-0", "+1", " 1", "1_0", "²", "\u0661",
+                                       "\uff11"])
+    @pytest.mark.parametrize("read, key, value", [
+        (io.representation_from_dict, "dims", 2),
+        (io.representation_from_dict, "psi", [["0"]]),
+        (io.representation_from_dict, "framing", {"rank": 0}),
+        (io.deformation_from_dict, "theta", ["1"]),
+        (io.sheaf_data_from_dict, "nodes", {"points": []}),
+    ])
+    def test_other_spellings_are_refused_naming_the_key(self, label, read, key, value):
+        rec = {"type": "A1", key: {"0": value, "1": value, label: value}}
+        with pytest.raises(io.SchemaError, match=f"^bad node label {re.escape(repr(label))} "
+                                                 f"under '{key}'$"):
+            read(rec)
+
+    def test_canonical_spellings_are_read(self):
+        rep = io.representation_from_dict({"type": "A10", "dims": {str(a): a for a in range(11)}})
+        assert rep.dims == {a: a for a in range(11)}
+        with pytest.raises(io.SchemaError, match=r"exactly the nodes"):
+            io.representation_from_dict({"type": "A1", "dims": {"-1": 1, "1": 1}})
+
+
 class TestFiles:
+    def test_read_json_refuses_a_repeated_key(self):
+        for text, key in ((b'{"type": "A1", "dims": {"1": 1, "1": 2}}', "'1'"),
+                          (b'{"type": "A1", "type": "A2"}', "'type'"),
+                          (b'[{"a": {"b": 1, "c": 2, "b": 1}}]', "'b'")):
+            with pytest.raises(io.SchemaError) as refused:
+                io.read_json("rep.json", text)
+            assert str(refused.value) == f"duplicate key {key} in one JSON object"
+        assert io.read_json("rep.json", b'{"a": {"b": 1}, "b": {"a": 2}}') == \
+            {"a": {"b": 1}, "b": {"a": 2}}
+
     def test_read_json_missing_and_invalid(self, tmp_path):
         with pytest.raises(io.SchemaError):
             io.read_json(str(tmp_path / "absent.json"))

@@ -599,3 +599,22 @@ def test_char_poly_reads_tuples_of_rows_as_matrices():
     assert linalg.char_poly_coeffs(((1, 2), (3, 4))) == [-2, -5, 1]
     assert linalg.char_poly_coeffs(((1, 0, 0), (0, 2, 0), (0, 0, 3))) == [-6, 11, -6, 1]
     assert linalg.rational_eigenvalues(((1, 2), (2, 1))) == {-1: 1, 3: 1}
+
+
+@pytest.mark.parametrize("m", [([[1]], 2.0), ([[1]], 0), ([[1]], True), ([[Fraction(1, 2)]], 1),
+                               ([[1.5]], 1), ([[True]], 1), ([[1, None]], 1)])
+def test_int_rows_refuse_a_pair_the_constructors_refuse(m):
+    # a pair (rows, d) is integer rows: ints over a nonzero int d, never a two-row matrix
+    for f in (linalg.int_rows, linalg.char_poly_coeffs, linalg.rational_eigenvalues):
+        with pytest.raises(ValueError, match="^a matrix wants integer rows as ints over a "
+                                             "nonzero int denominator$"):
+            f(m)
+
+
+def test_int_rows_copy_a_pair_over_a_positive_denominator():
+    rows = [[1, -2], [0, 3]]
+    assert linalg.int_rows((rows, 1)) == (rows, 1) and linalg.int_rows((rows, 1))[0] is not rows
+    assert linalg.int_rows((rows, -6)) == ([[-1, 2], [0, -3]], 6)
+    assert linalg.char_poly_coeffs((rows, -6)) == linalg.char_poly_coeffs(
+        [[Fraction(-1, 6), Fraction(1, 3)], [0, Fraction(-1, 2)]])
+    assert linalg.int_rows([[Fraction(1, 2), 1]]) == ([[1, 2]], 2)
