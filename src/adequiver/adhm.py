@@ -16,11 +16,13 @@ Each defect is one integer pass of `linalg.sum_of_products` at its full
 shape, so empty nodes need no special case; Theta_a(Psi_a) enters the
 node's pass as terms c_0 I, c_1 Psi and c_k Psi^(k-1) Psi, one power more
 per degree above 2.  Both read `N1Representation.ints`, the integer rows
-of B and Psi (`linalg.IntMat`) and their only storage, made once; B
-and Psi are Fraction views of them, built on first read.  Outside input
-goes through the validating constructors; the records that `conjugate`
-and the round trip in `sheaf` compute from validated ones are built
-directly (`_IntRows._direct`), equal field for field to those.
+of B and Psi (`linalg.IntMat`); `framing` holds the framing vectors as
+the rows of one integer block per node.  Each block is read once, by
+`linalg.int_rows`, and stored only so; B, Psi and I are Fraction views,
+built on first read.  Outside input goes through the validating
+constructors; the records that `conjugate` and the round trip in `sheaf`
+compute from validated ones are built directly (`_IntRows._direct`),
+equal field for field to those.
 """
 
 from __future__ import annotations
@@ -50,25 +52,15 @@ def check_total_dim(total: int) -> None:
         raise InputTooLarge(f"total dimension {total} exceeds the cap {MAX_TOTAL_DIM}")
 
 
-def _int_rows(m, want: tuple, name: str, error: str) -> IntMat:
-    """m of shape want as `linalg.int_rows` reads it, None as zeros; else ValueError(error)."""
-    if m is None:
-        return [[0] * want[1] for _ in range(want[0])], 1
-    m = linalg.int_rows(m, name)
-    if not linalg.has_shape(m[0], *want):
-        raise ValueError(error)
-    return m
-
-
 def _quiver_data(t: DynkinType, affine: bool, dims: Mapping[int, int], arrows: Mapping,
                  ranks: Mapping, vectors: Mapping) -> tuple[dict, dict, dict]:
     """The arrows and framing of quiver data whose nodes have dimensions dims, validated.
 
-    InputTooLarge past MAX_TOTAL_DIM; ValueError on an arrow not in the quiver or of
-    the wrong shape (`_int_rows`), on framing at an unknown node, on a negative rank,
-    or unless each node holds rank-many framing vectors of its dimension.  Returns the
-    given arrows (None: zeros) as integer rows, and the framing ranks and Fraction
-    vectors at every node.
+    InputTooLarge past MAX_TOTAL_DIM; ValueError on an arrow not in the quiver, on
+    framing at an unknown node or on a negative rank; `linalg.int_rows` refuses a bad
+    block, each node's framing vectors being the rows of one rank x dimension block.
+    Returns the given arrows (None: zeros), the framing ranks and the framing blocks
+    at every node, the blocks as integer rows.
     """
     check_total_dim(sum(dims.values()))
     stray = set(arrows) - {arrow.key for arrow in build_n1_quiver(t, affine).mckay_arrows()}
@@ -79,69 +71,65 @@ def _quiver_data(t: DynkinType, affine: bool, dims: Mapping[int, int], arrows: M
         raise ValueError(f"framing data at unknown nodes {sorted(stray)}")
     ints: dict[object, IntMat] = {}
     for key, m in arrows.items():
-        want = (dims[key[1]], dims[key[0]])
-        ints[key] = _int_rows(m, want, f"arrow {key}", f"arrow {key} wants shape {want}")
+        ints[key] = linalg.int_rows(m, f"arrow {key}", (dims[key[1]], dims[key[0]]))
     ranks = {a: int(ranks.get(a, 0)) for a in sorted(dims)}
     if any(r < 0 for r in ranks.values()):
         raise ValueError("framing ranks must be nonnegative")
-    out = {}
-    for a, n in sorted(dims.items()):
-        out[a] = [[linalg.frac(x) for x in v] for v in vectors.get(a, [])]
-        if len(out[a]) != ranks[a]:
-            raise ValueError(f"node {a} wants {ranks[a]} framing vectors")
-        if any(len(v) != n for v in out[a]):
-            raise ValueError(f"framing vectors at {a} must have length {n}")
-    return ints, ranks, out
+    framing = {a: linalg.int_rows(vectors.get(a, []), f"framing at node {a}", (ranks[a], n))
+               for a, n in sorted(dims.items())}
+    return ints, ranks, framing
 
 
-def _images(m: IntMat, vectors: list[Vec], rows: int) -> list[Vec]:
-    """m v as Fractions for every vector v, in one `linalg.sum_of_products`."""
-    if not vectors:
-        return []
-    moved = linalg.sum_of_products([(1, linalg.int_matrix(vectors), linalg._transposed(m))],
-                                   len(vectors), rows)
-    return linalg.rational_matrix(moved, len(vectors), rows)
+def _images(m: IntMat, vectors: IntMat) -> IntMat:
+    """The framing block whose rows are m v, v the rows of vectors, in one pass."""
+    rank, n = len(vectors[0]), len(m[0])
+    return (linalg.sum_of_products([(1, vectors, linalg._transposed(m))], rank, n)
+            or ([[0] * n for _ in range(rank)], 1))
+
+
+def _fractions(blocks: Mapping, keys=None) -> dict:
+    """The blocks at keys (default: all) as Fraction matrices."""
+    return {k: linalg.rational_matrix(blocks[k]) for k in (blocks if keys is None else keys)}
 
 
 class _IntRows:
-    """Quiver data stored only as integer rows, `ints` by key.  The fields in `_views` read
-    them as Fractions, cached on first read; `==` compares the other fields, then `ints`
-    by `linalg.equal_ints`, so it builds no Fraction.  The constructor validates outside
+    """Quiver data stored only as integer rows: `ints` by key, and `framing`, the framing
+    vectors at each node as the rows of one block.  The fields in `_views` read them as
+    Fractions, cached on first read; `==` compares the other fields, then the blocks by
+    `linalg.equal_ints`, so it builds no Fraction.  The constructor validates outside
     input; `_direct` builds a record computed from validated ones and checks nothing."""
 
     _views: tuple[str, ...] = ()
 
     @classmethod
-    def _direct(cls, dims: Mapping[int, int], blocks: Mapping, /, **fields):
+    def _direct(cls, dims: Mapping[int, int], blocks: Mapping, framing: Mapping, /, **fields):
         """The record of fields, with nothing checked or copied; `ints` holds blocks, in the
         constructor's order (arrows in quiver order, then loops), a None one as zero rows."""
         record = object.__new__(cls)
-        vars(record).update(fields, ints={})
+        vars(record).update(fields, ints={}, framing=framing)
         for k, m in blocks.items():
             s, t = k[:2] if isinstance(k, tuple) else (k, k)
             record.ints[k] = m or ([[0] * dims[s] for _ in range(dims[t])], 1)
         return record
-
-    def _fractions(self, keys) -> dict:
-        return {k: linalg.rational_matrix(self.ints[k]) for k in keys}
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
         return (all(getattr(self, f) == getattr(other, f) for f in self._fields
                     if f not in self._views) and self.ints.keys() == other.ints.keys()
-                and all(linalg.equal_ints(m, other.ints[k]) for k, m in self.ints.items()))
+                and all(linalg.equal_ints(m, other.ints[k]) for k, m in self.ints.items())
+                and all(linalg.equal_ints(m, other.framing[a]) for a, m in self.framing.items()))
 
 
 class N1Representation(_IntRows, _Record):
     """Dims, arrows B, loops Psi and framing of a representation; missing blocks are zero.
 
-    `ints` holds B and Psi as integer rows, by key: arrows first, then loops.  B and
-    Psi are its Fraction views (`_IntRows`).
+    `ints` holds B and Psi as integer rows, by key: arrows first, then loops; `framing`
+    holds the framing vectors.  B, Psi and I are their Fraction views (`_IntRows`).
     """
 
     _fields = ("type", "dims", "B", "Psi", "framing_ranks", "I", "affine")
-    _views = ("B", "Psi")
+    _views = ("B", "Psi", "I")
 
     def __init__(self, type: DynkinType, dims: dict[int, int],
                  B: dict[ArrowKey, Mat] | None = None, Psi: dict[int, Mat] | None = None,
@@ -153,17 +141,18 @@ class N1Representation(_IntRows, _Record):
             raise ValueError(f"dims must cover exactly the nodes {labels}")
         # every arrow of the quiver, zeros where none is given
         arrows = {**dict.fromkeys(arrow.key for arrow in self.quiver.mckay_arrows()), **(B or {})}
-        self.ints, self.framing_ranks, self.I = _quiver_data(
+        self.ints, self.framing_ranks, self.framing = _quiver_data(
             type, affine, dims, arrows, framing_ranks or {}, I or {})
         Psi = Psi or {}
         stray = set(Psi) - set(labels)
         if stray:
             raise ValueError(f"loop data at unknown nodes {sorted(stray)}")
-        self.ints.update({a: _int_rows(Psi.get(a), (dims[a],) * 2, f"loop at {a}",
-                                       f"loop at {a} must be {dims[a]} square") for a in labels})
+        self.ints.update({a: linalg.int_rows(Psi.get(a), f"loop at {a}", (dims[a],) * 2)
+                          for a in labels})
 
-    B = cached_property(lambda self: self._fractions(_arrow_ints(self)))
-    Psi = cached_property(lambda self: self._fractions(node_labels(self.type, self.affine)))
+    B = cached_property(lambda self: _fractions(_arrow_ints(self)))
+    Psi = cached_property(lambda self: _fractions(self.ints, node_labels(self.type, self.affine)))
+    I = cached_property(lambda self: _fractions(self.framing))
 
     @property
     def quiver(self) -> QuiverSpec:
@@ -258,19 +247,15 @@ def is_nondegenerate(rep: N1Representation) -> bool:
     Grows the span of the framing vectors under every arrow map and
     every loop: each vector that enlarges a span passes its images on, once,
     until none is left.  Then compares dimensions; zero dimensional nodes
-    are vacuously covered.  It runs on integer rows: the spans' own rows
-    and `rep.ints`, whose denominators a span ignores.
+    are vacuously covered.  It runs on integer rows, `rep.framing` and
+    `rep.ints`, whose denominators a span ignores.
     """
     labels = node_labels(rep.type, rep.affine)
     spans = {a: linalg.SpanBasis(rep.dims[a]) for a in labels}
     maps = {a: [(a, linalg._transposed(rep.ints[a]))] for a in labels}
     for k in rep.quiver.mckay_arrows():
         maps[k.source].append((k.target, linalg._transposed(rep.ints[k.key])))
-    todo = []
-    for a in labels:
-        for v in rep.I[a]:
-            spans[a].add(v)
-        todo += [(a, w) for w in spans[a].rows]
+    todo = [(a, v) for a in labels for v in rep.framing[a][0] if spans[a].add(v)]
     while todo:                     # each w lies in spans[a]; its images are not yet added
         a, w = todo.pop()
         for b, mt in maps[a]:
@@ -376,18 +361,16 @@ class BaseChanges(dict):
 def conjugate(rep: N1Representation, g: Mapping[int, Mat]) -> N1Representation:
     """Change basis at every node: arrows g_b B g_a^{-1}, loops g Psi g^{-1}, vectors g v."""
     labels = node_labels(rep.type, rep.affine)
-    for a in labels:
-        if not linalg.has_shape(g[a], rep.dims[a], rep.dims[a]):
-            raise ValueError(f"base change at {a} must be {rep.dims[a]} square")
-    pairs = g.pairs if isinstance(g, BaseChanges) else {
-        a: (m, linalg.inverse_ints(m)) for a, m in ((a, linalg.int_matrix(g[a])) for a in labels)}
+    fits = isinstance(g, BaseChanges) and all(len(g.pairs[a][0][0]) == rep.dims[a] for a in labels)
+    pairs = g.pairs if fits else {a: (m, linalg.inverse_ints(m)) for a, m in (
+        (a, linalg.int_rows(g[a], f"base change at {a}", (rep.dims[a],) * 2)) for a in labels)}
     b = {(s, t, i): transport(pairs[t][0], m, pairs[s][1], rep.dims[t], rep.dims[s])
          for (s, t, i), m in _arrow_ints(rep).items()}
     psi = {a: transport(pairs[a][0], rep.ints[a], pairs[a][1], rep.dims[a], rep.dims[a])
            for a in labels}
-    vectors = {a: _images(pairs[a][0], rep.I[a], rep.dims[a]) for a in labels}
-    return N1Representation._direct(rep.dims, {**b, **psi}, type=rep.type, dims=dict(rep.dims),
-                                    framing_ranks=dict(rep.framing_ranks), I=vectors,
+    framing = {a: _images(pairs[a][0], rep.framing[a]) for a in labels}
+    return N1Representation._direct(rep.dims, {**b, **psi}, framing, type=rep.type,
+                                    dims=dict(rep.dims), framing_ranks=dict(rep.framing_ranks),
                                     affine=rep.affine)
 
 

@@ -427,9 +427,9 @@ def cmd_monad_check(args, report: RunReport) -> None:
 
     b1, b2 = {}, {}
     for arrow in rep.quiver.mckay_arrows():
-        (b1 if arrow.sign > 0 else b2)[arrow.source] = rep.B[arrow.key]
+        (b1 if arrow.sign > 0 else b2)[arrow.source] = rep.ints[arrow.key]
     # i at node a: the framing vectors as its columns
-    i_blocks = {a: list(zip(*rep.I[a])) for a in range(n) if rep.framing_ranks[a]}
+    i_blocks = {a: linalg._transposed(rep.framing[a]) for a in range(n) if rep.framing_ranks[a]}
     m = monad.build_monad(rep.type.rank, b1, b2, i_blocks, {}, lam,
                           rep.dims, rep.framing_ranks)
     composite, holds = monad.compose_and_check(m)

@@ -33,16 +33,15 @@ from itertools import count
 from math import isqrt, lcm
 from operator import mul
 
-from .dynkin import DynkinType, _Frozen, _Record
+from .dynkin import DynkinType, _Frozen, _Record, marks
 from .linalg import ComputeFailure
 from .poly import _factor, _quotient, _split_roots
 
-CLOSURE_CAP = 200
 BASE_ORDER = 2520     # lcm(1, ..., 10): every root of unity the types up to rank 8 need
 
 
 class ClosureOverflow(ComputeFailure):
-    """Generator closure exceeded the element cap without stabilising."""
+    """Generator closure passed the group order that the marks give without stabilising."""
 
 
 class DegenerateSpectrum(ComputeFailure):
@@ -209,9 +208,10 @@ class GammaGroup(_Record):
 def enumerate_group(t: DynkinType) -> GammaGroup:
     """Closure of the generators over F_p, and conjugacy classes as orbits under them.
 
-    Raises ClosureOverflow once the closure passes `CLOSURE_CAP` elements.
+    Raises ClosureOverflow once the closure passes the sum of the squared marks,
+    the order of the group (`dynkin.MarksVector.group_order`).
     """
-    gens = generators(t)
+    cap, gens = marks(t).group_order, generators(t)
     fld = prime_field(lcm(BASE_ORDER, *(
         turn.denominator for g in gens for row in g for x in row for _, turn in x)))
     p = fld.p
@@ -233,9 +233,8 @@ def enumerate_group(t: DynkinType) -> GammaGroup:
                     fresh.append(len(residues))
                     residues.append(y)
                     tree.append((r, s))
-                    if len(residues) > CLOSURE_CAP:
-                        raise ClosureOverflow(
-                            f"closure for {t} exceeded {CLOSURE_CAP} elements")
+                    if len(residues) > cap:
+                        raise ClosureOverflow(f"closure for {t} exceeded {cap} elements")
         frontier = fresh
     conjugators = [(gen, _inv(gen, p)) for gen in exact]
     class_index = [-1] * len(residues)

@@ -2,8 +2,10 @@
 
 Rationals, point data supports among them, travel as strings "p/q" (or "p"),
 matrices as row-major arrays of them.  Node keys are integers as str() spells
-them ("0", "-1"; not "00"); no object repeats a key.  Malformed input raises
-SchemaError, which the command line maps to exit code 2.
+them ("0", "-1"; not "00"); no object repeats a key.  Arrow, loop and framing
+arrays go to the constructors as they are, which read them into integer rows
+(`linalg.int_rows`).  Malformed input raises SchemaError, which the command
+line maps to exit code 2.
 """
 
 from __future__ import annotations
@@ -50,28 +52,12 @@ def frac_from_json(v, what: str = "an exact rational string") -> Fraction:
     _expect(v, (str, int), what)
     try:
         return Fraction(v)
-    except (ValueError, ZeroDivisionError) as e:
-        raise SchemaError(f"bad rational {v!r}: {e}") from None
+    except (ValueError, ZeroDivisionError):
+        raise SchemaError(f"expected {what}, got {v!r}") from None
 
 
 def matrix_to_json(m: Mat) -> list[list[str]]:
     return [[frac_to_str(x) for x in row] for row in m]
-
-
-def matrix_from_json(v) -> Mat:
-    if not isinstance(v, list) or any(not isinstance(r, list) for r in v):
-        raise SchemaError("matrices are row-major arrays of rational strings")
-    m = [[frac_from_json(x) for x in row] for row in v]
-    widths = {len(r) for r in m}
-    if len(widths) > 1:
-        raise SchemaError("ragged matrix")
-    return m
-
-
-def vector_from_json(v) -> Vec:
-    if not isinstance(v, list):
-        raise SchemaError("vectors are arrays of rational strings")
-    return [frac_from_json(x) for x in v]
 
 
 def _parse_type(record: Any) -> DynkinType:
@@ -95,7 +81,7 @@ def _node_table(record: dict, key: str) -> dict[int, Any]:
     return out
 
 
-def _arrows_from_json(record: dict) -> dict[tuple[int, int, int], Mat]:
+def _arrows_from_json(record: dict) -> dict[tuple[int, int, int], list]:
     """The 'arrows' array of a representation or point-data file, keyed (from, to, pair_index)."""
     arrows = record.get("arrows", [])
     if not isinstance(arrows, list):
@@ -108,11 +94,11 @@ def _arrows_from_json(record: dict) -> dict[tuple[int, int, int], Mat]:
                     for f in ("from", "to", "pair_index"))
         if key in out:
             raise SchemaError(f"duplicate arrow {key}")
-        out[key] = matrix_from_json(entry["matrix"])
+        out[key] = _expect(entry["matrix"], list, f"an array of rows for arrow {key}")
     return out
 
 
-def _framing_from_json(record: dict) -> tuple[dict[int, int], dict[int, list[Vec]]]:
+def _framing_from_json(record: dict) -> tuple[dict[int, int], dict[int, list]]:
     """Framing ranks and vectors per node, from the 'framing' object."""
     ranks = {}
     vectors = {}
@@ -120,8 +106,8 @@ def _framing_from_json(record: dict) -> tuple[dict[int, int], dict[int, list[Vec
         if not isinstance(v, dict) or "rank" not in v:
             raise SchemaError("framing entries are objects with 'rank' and 'vectors'")
         ranks[a] = _expect(v["rank"], int, f"an integer framing rank at node {a}")
-        ws = _expect(v.get("vectors", []), list, f"an array of framing vectors at node {a}")
-        vectors[a] = [vector_from_json(w) for w in ws]
+        vectors[a] = _expect(v.get("vectors", []), list,
+                             f"an array of framing vectors at node {a}")
     return ranks, vectors
 
 
@@ -185,7 +171,8 @@ def representation_from_dict(record: Any) -> N1Representation:
         dims[a] = v
     affine = 0 in dims
     b = _arrows_from_json(record)
-    psi = {a: matrix_from_json(v) for a, v in _node_table(record, "psi").items()}
+    psi = {a: _expect(v, list, f"an array of rows for the loop at {a}")
+           for a, v in _node_table(record, "psi").items()}
     ranks, vectors = _framing_from_json(record)
     try:
         return N1Representation(
@@ -238,7 +225,7 @@ def sheaf_data_from_dict(record: Any) -> QuiverSheafData:
             type=t, node_sheaves=sheaves, arrow_maps=maps,
             framing_ranks=ranks, framing_vectors=vectors, affine=affine,
         )
-    except ValueError as e:
+    except (ValueError, TypeError) as e:
         raise SchemaError(str(e)) from None
 
 
@@ -286,6 +273,8 @@ def read_json(path: str, data: bytes | None = None) -> Any:
     try:
         return json.loads((read_bytes(path) if data is None else data).decode("utf-8"),
                           object_pairs_hook=_unique_keys)
+    except UnicodeDecodeError as e:
+        raise SchemaError(f"{path} is not UTF-8 JSON: {e.reason} at byte {e.start}") from None
     except json.JSONDecodeError as e:
         raise SchemaError(f"{path} is not valid JSON: {e}") from None
     except RecursionError:

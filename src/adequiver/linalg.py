@@ -8,7 +8,9 @@ unique map between zero-dimensional spaces.
 The exact kernels run on Python ints and build each output Fraction
 once.  An `IntMat` is integer rows over one denominator (`int_matrix`;
 `rational_matrix` reads Fractions back, `equal_ints` compares two); it is
-the only matrix storage of representations and point data.  There is one
+the only storage of the arrow, loop and framing blocks of representations
+and point data and of the `monad` blocks.  Matrix data from outside comes
+in through `int_rows` alone, which names the block it refuses.  There is one
 integer product, `sum_of_products`: the caller gives the output shape,
 every term c*a*b or c*a on `IntMat`s accumulates in one integer pass, and
 the sum comes back over its least denominator, or as None when it is
@@ -52,7 +54,10 @@ def frac(x) -> Fraction:
     if isinstance(x, Fraction):
         return x
     if isinstance(x, (int, str)) and not isinstance(x, bool):
-        return Fraction(x)
+        try:
+            return Fraction(x)
+        except ZeroDivisionError:
+            raise ValueError(f"bad rational {x!r}: zero denominator") from None
     raise TypeError(f"cannot coerce {x!r} to an exact rational")
 
 
@@ -66,11 +71,6 @@ def matrix(rows: Iterable[Iterable]) -> Mat:
 
 def shape(m: Mat) -> tuple[int, int]:
     return (len(m), len(m[0]) if m else 0)
-
-
-def has_shape(m: Mat, rows: int, cols: int) -> bool:
-    """True iff m is rows x cols; unlike `shape`, also for [] standing for 0 x cols."""
-    return len(m) == rows and all(len(r) == cols for r in m)
 
 
 def zeros(r: int, c: int | None = None) -> Mat:
@@ -120,20 +120,38 @@ def mat_mul(a: Mat, b: Mat) -> Mat:
 def int_matrix(m: Mat) -> IntMat:
     """m as integer rows over the lcm of its denominators; entries as `frac` takes them."""
     if not {type(x) for row in m for x in row} <= {int, Fraction}:
-        m = matrix(m)
+        m = [[frac(x) for x in row] for row in m]
     d = lcm(*{x.denominator for row in m for x in row})
+    if d == 1:
+        return [[x.numerator for x in row] for row in m], 1
     return [[x.numerator * (d // x.denominator) for x in row] for row in m], d
 
 
-def int_rows(m, name: str = "a matrix") -> IntMat:
-    """m as an `IntMat`: a pair (rows, d), int rows over an int d != 0, copied over |d|; else
-    m as `matrix` reads it.  ValueError naming name on a pair with another d or entry."""
-    if isinstance(m, tuple) and len(m) == 2 and not isinstance(m[1], (list, tuple)):
-        rows, d = m
+def int_rows(m, name: str = "a matrix", shape: tuple[int, int] | None = None) -> IntMat:
+    """m as an `IntMat`, the one door for matrix data: rows of entries as `frac` takes them,
+    a pair (rows, d) of int rows over an int d != 0 (copied over |d|), or None for the zeros
+    of shape.  Errors name name: TypeError on data that are not rows of entries or on an
+    entry `frac` refuses by type, ValueError on any other bad entry, ragged rows or a
+    shape other than shape."""
+    if m is None and shape:
+        return [[0] * shape[1] for _ in range(shape[0])], 1
+    pair = isinstance(m, tuple) and len(m) == 2 and not isinstance(m[1], (list, tuple))
+    rows, d = m if pair else (m, 1)
+    if type(rows) not in (list, tuple) or not {type(r) for r in rows} <= {list, tuple}:
+        raise TypeError(f"{name} wants a list of rows")
+    if pair:
         if type(d) is not int or not d or not {type(x) for row in rows for x in row} <= {int}:
             raise ValueError(f"{name} wants integer rows as ints over a nonzero int denominator")
-        return [[-x for x in row] if d < 0 else list(row) for row in rows], abs(d)
-    return int_matrix(matrix(m))
+        m = [[-x for x in row] if d < 0 else list(row) for row in rows], abs(d)
+    else:
+        try:
+            m = int_matrix(rows)
+        except (TypeError, ValueError) as e:
+            raise type(e)(f"{name}: {e}") from None
+    widths = {len(row) for row in m[0]}
+    if shape and (len(m[0]) != shape[0] or widths - {shape[1]}) or len(widths) > 1:
+        raise ValueError(f"{name} wants shape {shape}" if shape else f"{name} has ragged rows")
+    return m
 
 
 def rational_matrix(m: IntMat | None, rows: int = 0, cols: int = 0) -> Mat:

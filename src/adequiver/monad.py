@@ -9,10 +9,11 @@ in the normal-form basis
 via the rewrite x2*x1 -> x1*x2 + lam*zz.  Coefficients are block
 matrices over the rationals, stored as their nonzero blocks keyed by
 (row node, column node); lam acts blockwise (one rational per node)
-through left multiplication on the target layout.  Each block is kept
-as integer rows over one denominator (`linalg.int_matrix`): products
-and sums run on those ints, one `linalg.sum_of_products` pass per
-output block, and Fractions are built only when a coefficient is read.
+through left multiplication on the target layout.  Each block is read
+once into integer rows over one denominator (`linalg.int_rows`), its
+only storage: products and sums run on those ints, one
+`linalg.sum_of_products` pass per output block, and Fractions are built
+only when a coefficient is read.
 
 Only the cyclic (type A) case is wired up, rank 0 meaning the trivial
 group: the first family of maps runs along a -> a+1, the second along
@@ -73,14 +74,8 @@ def _starts(layout: Layout) -> dict[int, int]:
     return dict(zip((node for node, _ in layout), accumulate((d for _, d in layout), initial=0)))
 
 
-def _int_blocks(blocks: Mapping[tuple[int, int], Mat]) -> Blocks:
-    """The nonzero blocks, each read once into integer rows over one denominator."""
-    out = {}
-    for key, m in blocks.items():
-        ints, d = linalg.int_matrix(m)
-        if any(map(any, ints)):
-            out[key] = ints, d
-    return out
+def _nonzero_blocks(blocks: Mapping[tuple[int, int], IntMat]) -> Blocks:
+    return {key: m for key, m in blocks.items() if any(map(any, m[0]))}
 
 
 class NCElement:
@@ -95,10 +90,9 @@ class NCElement:
         for mono, m in coefficients.items():
             if mono not in DEGREE:
                 raise ValueError(f"unknown monomial {mono!r}")
-            if not linalg.has_shape(m, rows, cols):
-                raise ValueError(f"coefficient of {mono} must be {rows}x{cols}")
-            blocks[mono] = _int_blocks({
-                (r, c): [row[c0[c]:c0[c] + dc] for row in m[r0[r]:r0[r] + dr]]
+            m, d = linalg.int_rows(m, f"coefficient of {mono}", (rows, cols))
+            blocks[mono] = _nonzero_blocks({
+                (r, c): ([row[c0[c]:c0[c] + dc] for row in m[r0[r]:r0[r] + dr]], d)
                 for r, dr in row_layout for c, dc in col_layout})
         self.row_layout, self.col_layout = row_layout, col_layout
         self.blocks: dict[str, Blocks] = {mono: t for mono, t in blocks.items() if t}
@@ -231,26 +225,24 @@ def build_monad(rank: int, b1: Mapping[int, Mat], b2: Mapping[int, Mat],
     v_layout: Layout = tuple((a, dims[a]) for a in range(n))
     w_layout: Layout = tuple((a, framing[a]) for a in range(n))
 
-    def place(blocks: Mapping[int, Mat], row_dims: Mapping[int, int],
+    def place(name: str, blocks: Mapping[int, Mat], row_dims: Mapping[int, int],
               col_dims: Mapping[int, int], shift: int) -> Blocks:
         # per-node blocks sending node a into node a+shift (mod rank+1)
         stray = set(blocks) - set(range(n))
         if stray:
-            raise ValueError(f"blocks at unknown nodes {sorted(stray)}")
-        for a, m in sorted(blocks.items()):
-            want = (row_dims[(a + shift) % n], col_dims[a])
-            if not linalg.has_shape(m, *want):
-                raise ValueError(f"block at node {a} must have shape {want}")
-        return _int_blocks({((a + shift) % n, a): m for a, m in blocks.items()})
+            raise ValueError(f"{name} blocks at unknown nodes {sorted(stray)}")
+        return _nonzero_blocks({((a + shift) % n, a): linalg.int_rows(
+            m, f"{name} block at node {a}", (row_dims[(a + shift) % n], col_dims[a]))
+            for a, m in sorted(blocks.items())})
 
     def scalar(c: int) -> Blocks:
         # c times the identity at every nonempty node
         return {(a, a): ([[c if i == j else 0 for j in range(d)] for i in range(d)], 1)
                 for a, d in dims.items() if d}
 
-    b1_blocks = place(b1, dims, dims, +1)
-    b2_blocks = place(b2, dims, dims, -1)
-    i_z, j_z = place(i_blocks, dims, framing, 0), place(j_blocks, framing, dims, 0)
+    b1_blocks = place("b1", b1, dims, dims, +1)
+    b2_blocks = place("b2", b2, dims, dims, -1)
+    i_z, j_z = place("i", i_blocks, dims, framing, 0), place("j", j_blocks, framing, dims, 0)
     neg_b2 = {key: ([[-x for x in row] for row in ints], d)
               for key, (ints, d) in b2_blocks.items()}
     ident, neg_ident = scalar(1), scalar(-1)

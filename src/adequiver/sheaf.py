@@ -10,8 +10,8 @@ The same dictionary upgraded to quivers: a representation whose loops
 all intertwine with the arrow maps (zero edge defects) corresponds to
 per-node torsion modules plus arrow maps written in the Jordan bases,
 with framing vectors carried along by the same base change.  The round
-trip runs on the integer rows (`linalg.IntMat`), the only matrix storage
-of representations and `QuiverSheafData`, and on one Jordan matrix per
+trip runs on the integer rows (`linalg.IntMat`), the only storage of
+the arrow, loop and framing blocks, and on one Jordan matrix per
 `TorsionSheafData` (`.jordan`); the base changes carry their inverses.
 Both directions build their records directly (`adhm._IntRows._direct`),
 unchecked; `quadruple_to_quintuple` runs the intertwining check itself.
@@ -25,7 +25,7 @@ from typing import Mapping, Sequence
 
 from . import linalg
 from .adhm import (ArrowKey, BaseChanges, N1Representation, _arrow_ints, _edge_defects,
-                   _images, _IntRows, _quiver_data, transport)
+                   _fractions, _images, _IntRows, _quiver_data, transport)
 from .dynkin import DynkinType, _Frozen, _Record, node_labels
 from .linalg import ComputeFailure, IntMat, Mat, Vec
 from .quiver import build_n1_quiver
@@ -100,7 +100,7 @@ def endo_to_sheaf(psi) -> TorsionSheafData:
     lambda comes from the ranks of the powers of psi - lambda, independently
     of `linalg.jordan_form`.
     """
-    a, d = m = linalg.int_matrix(linalg.matrix(psi))
+    a, d = m = linalg.int_rows(psi, "the endomorphism")
     n = len(a)
     points = []
     for lam, mult in sorted(linalg.rational_eigenvalues(m).items()):
@@ -124,11 +124,12 @@ def _check_intertwining(loops: Mapping[int, IntMat], arrows: Mapping[ArrowKey, I
 
 class QuiverSheafData(_IntRows, _Record):
     """Torsion data per node, arrow maps and framing; `ints` holds the arrow maps as
-    integer rows, by key, and `arrow_maps` is its Fraction view (`adhm._IntRows`)."""
+    integer rows, by key, and `framing` the framing vectors; `arrow_maps` and
+    `framing_vectors` are their Fraction views (`adhm._IntRows`)."""
 
     _fields = ("type", "node_sheaves", "arrow_maps", "framing_ranks", "framing_vectors",
                "affine")
-    _views = ("arrow_maps",)
+    _views = ("arrow_maps", "framing_vectors")
 
     def __init__(self, type: DynkinType, node_sheaves: dict[int, TorsionSheafData],
                  arrow_maps: dict[ArrowKey, Mat], framing_ranks: dict[int, int] | None = None,
@@ -137,12 +138,13 @@ class QuiverSheafData(_IntRows, _Record):
         labels = node_labels(type, affine)
         if sorted(node_sheaves) != labels:
             raise ValueError(f"need sheaf data for exactly the nodes {labels}")
-        self.ints, self.framing_ranks, self.framing_vectors = _quiver_data(
+        self.ints, self.framing_ranks, self.framing = _quiver_data(
             type, affine, {a: node_sheaves[a].dimension for a in labels},
             arrow_maps, framing_ranks or {}, framing_vectors or {})
         _check_intertwining({a: node_sheaves[a].jordan for a in labels}, self.ints)
 
-    arrow_maps = cached_property(lambda self: self._fractions(self.ints))
+    arrow_maps = cached_property(lambda self: _fractions(self.ints))
+    framing_vectors = cached_property(lambda self: _fractions(self.framing))
 
 
 def quadruple_to_quintuple(rep: N1Representation) -> tuple[QuiverSheafData, BaseChanges]:
@@ -170,10 +172,10 @@ def quadruple_to_quintuple(rep: N1Representation) -> tuple[QuiverSheafData, Base
     gi = {a: linalg.inverse_ints(p[a]) for a in labels}
     arrows = {(s, t, i): transport(gi[t], m, p[s], rep.dims[t], rep.dims[s])
               for (s, t, i), m in _arrow_ints(rep).items()}
-    vectors = {a: _images(gi[a], rep.I[a], rep.dims[a]) for a in labels}
-    data = QuiverSheafData._direct(rep.dims, arrows, type=rep.type, node_sheaves=sheaves,
-                                   framing_ranks=dict(rep.framing_ranks),
-                                   framing_vectors=vectors, affine=rep.affine)
+    framing = {a: _images(gi[a], rep.framing[a]) for a in labels}
+    data = QuiverSheafData._direct(rep.dims, arrows, framing, type=rep.type,
+                                   node_sheaves=sheaves, framing_ranks=dict(rep.framing_ranks),
+                                   affine=rep.affine)
     _check_intertwining({a: sheaves[a].jordan for a in labels}, data.ints)
     return data, BaseChanges({a: (gi[a], p[a]) for a in labels})
 
@@ -184,6 +186,5 @@ def quintuple_to_quadruple(data: QuiverSheafData) -> N1Representation:
     dims = {a: data.node_sheaves[a].dimension for a in labels}
     arrows = dict.fromkeys(k.key for k in build_n1_quiver(data.type, data.affine).mckay_arrows())
     blocks = {**arrows, **data.ints, **{a: data.node_sheaves[a].jordan for a in labels}}
-    return N1Representation._direct(dims, blocks, type=data.type, dims=dims,
-                                    framing_ranks=dict(data.framing_ranks),
-                                    I=dict(data.framing_vectors), affine=data.affine)
+    return N1Representation._direct(dims, blocks, dict(data.framing), type=data.type, dims=dims,
+                                    framing_ranks=dict(data.framing_ranks), affine=data.affine)

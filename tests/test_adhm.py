@@ -367,7 +367,7 @@ class TestConjugation:
         rep, _ = worked_cycle_example()
         g = {a: linalg.identity(rep.dims[a]) for a in rep.dims}
         g[1] = linalg.identity(2)
-        with pytest.raises(ValueError, match="base change at 1 must be 1 square"):
+        with pytest.raises(ValueError, match=r"base change at 1 wants shape \(1, 1\)"):
             adhm.conjugate(rep, g)
 
 

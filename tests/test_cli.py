@@ -818,7 +818,7 @@ def test_point_data_rejects_framing_at_unknown_node(capsys, tmp_path):
 
 @pytest.mark.parametrize("framing, detail", [
     ({"rank": -1}, "framing ranks must be nonnegative"),
-    ({"rank": 2, "vectors": [["1", "2", "3"]]}, "node 1 wants 2 framing vectors"),
+    ({"rank": 2, "vectors": [["1", "2", "3"]]}, "framing at node 1 wants shape (2, 1)"),
 ])
 def test_point_data_refuses_bad_framing_when_read(capsys, tmp_path, framing, detail):
     record = points_record()

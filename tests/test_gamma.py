@@ -46,9 +46,11 @@ def test_elements_unique_exactly():
 
 
 def test_closure_cap_raises(monkeypatch):
-    monkeypatch.setattr(gamma, "CLOSURE_CAP", 50)
-    with pytest.raises(gamma.ClosureOverflow):
-        gamma.enumerate_group(DynkinType.parse("E8"))
+    # E8's generators close on 120 elements, past the order 2 that the marks of A1 give
+    e8 = gamma.generators(DynkinType.parse("E8"))
+    monkeypatch.setattr(gamma, "generators", lambda t: e8)
+    with pytest.raises(gamma.ClosureOverflow, match="closure for A1 exceeded 2 elements"):
+        gamma.enumerate_group(DynkinType.parse("A1"))
 
 
 @pytest.mark.parametrize("name", ALL_TYPES)

@@ -237,27 +237,21 @@ def test_relations_convert_each_matrix_once_and_the_round_trip_calls_no_mat_mul(
     monkeypatch.setattr(linalg, "int_matrix", convert)
     monkeypatch.setattr(linalg, "mat_mul", multiply)
     rep = adhm.N1Representation(rep.type, rep.dims, rep.B, rep.Psi, rep.framing_ranks, rep.I)
-    assert len(converted) == len(rep.B) + len(rep.Psi)
+    # one conversion per arrow, loop and framing block, the empty framing of a node included
+    assert len(converted) == len(rep.B) + len(rep.Psi) + len(rep.I)
     converted.clear()
-    # the relations, the span growth and the trace identity convert nothing at all
+    # past construction nothing is converted: the relations, the span growth, the trace
+    # identity and the round trip run on the integer rows, conjugate takes the base changes
+    # on integer rows, and the framing moves as integer blocks
     adhm.check_relations(rep, theta)
     adhm.is_nondegenerate(rep)
     adhm.trace_identity_defect(rep, theta)
-    assert converted == []
     data, g = sheaf.quadruple_to_quintuple(rep)
     back = sheaf.quintuple_to_quadruple(data)
     moved = adhm.conjugate(rep, g)
     assert back == moved
+    assert converted == []
     assert calls["mat_mul"] == 0
-    # past construction no matrix of a representation is converted: conjugate takes the
-    # base changes on integer rows, and both transports convert each node's framing vectors once
-    held = [*data.arrow_maps.values()] + [m for r in (rep, back, moved)
-                                          for m in [*r.B.values(), *r.Psi.values()]]
-    framed = [vs for vs in rep.I.values() if vs]
-    assert not {id(m) for m in held} & {id(m) for m in converted}
-    assert {id(m) for m in converted} >= {id(vs) for vs in framed}
-    assert len({id(m) for m in converted}) == len(framed)
-    assert len(converted) == 2 * len(framed)
 
 
 @pytest.mark.parametrize("n", [0, 1, 2, 3, 5])
@@ -403,17 +397,20 @@ def test_records_from_integer_rows_equal_their_fraction_twins(case):
 
 
 def _count_calls(monkeypatch, names):
-    """A Counter of the calls of each (module, name), patched where the module looks it up."""
+    """A Counter of the calls of each (module, name), patched where the module looks it up.
+    Of int_rows only the calls with a shape count, those validating a block of a record: the
+    characteristic polynomial reads its matrix through int_rows too, with no shape."""
     calls = Counter()
     for module, name in names:
         def counted(*args, _original=getattr(module, name), _name=name, **kwargs):
-            calls[_name] += 1
+            if _name != "int_rows" or len(args) > 2 or "shape" in kwargs:
+                calls[_name] += 1
             return _original(*args, **kwargs)
         monkeypatch.setattr(module, name, counted)
     return calls
 
 
-VALIDATION = ((adhm, "_quiver_data"), (sheaf, "_quiver_data"), (adhm, "_int_rows"),
+VALIDATION = ((adhm, "_quiver_data"), (sheaf, "_quiver_data"), (linalg, "int_rows"),
               (sheaf, "_check_intertwining"))
 
 
@@ -428,15 +425,16 @@ def test_the_round_trip_builds_its_records_without_validating_them(monkeypatch):
     assert calls == {"_check_intertwining": 1}
     back = sheaf.quintuple_to_quadruple(data)
     moved = adhm.conjugate(rep, g)
-    moved_again = adhm.conjugate(rep, dict(g))
     assert calls == {"_check_intertwining": 1}
+    # outside input still goes through every check: base changes as a plain mapping,
+    # then each record's arrows, loops and framing blocks
+    moved_again = adhm.conjugate(rep, dict(g))
     assert back == moved == moved_again
-    # outside input still goes through every check
     sheaf.QuiverSheafData(data.type, data.node_sheaves, data.arrow_maps, data.framing_ranks,
                           data.framing_vectors)
     adhm.N1Representation(rep.type, rep.dims, rep.B, rep.Psi, rep.framing_ranks, rep.I)
-    assert calls == {"_check_intertwining": 2, "_quiver_data": 2,
-                     "_int_rows": len(data.ints) + len(rep.ints)}
+    blocks = len(rep.dims) + len(data.ints) + len(data.framing) + len(rep.ints) + len(rep.framing)
+    assert calls == {"_check_intertwining": 2, "_quiver_data": 2, "int_rows": blocks}
 
 
 def test_a_broken_edge_is_still_found_once_by_the_round_trip(monkeypatch):

@@ -30,22 +30,6 @@ class TestRationals:
                 io.frac_from_json(bad)
 
 
-class TestMatrices:
-    def test_roundtrip(self):
-        m = [[Fraction(1, 2), Fraction(-3)], [Fraction(0), Fraction(7, 5)]]
-        assert io.matrix_from_json(io.matrix_to_json(m)) == m
-
-    def test_ragged_rejected(self):
-        with pytest.raises(io.SchemaError):
-            io.matrix_from_json([["1"], ["2", "3"]])
-        assert io.matrix_from_json([]) == []
-
-    def test_vector(self):
-        assert io.vector_from_json(["1", "-2/3"]) == [Fraction(1), Fraction(-2, 3)]
-        with pytest.raises(io.SchemaError):
-            io.vector_from_json("1")
-
-
 class TestDeformationFiles:
     def test_finite_table_is_completed(self):
         d = io.deformation_from_dict(
@@ -184,8 +168,8 @@ class TestSheafFiles:
 
     @pytest.mark.parametrize("framing, message", [
         ({"rank": -1}, "framing ranks must be nonnegative"),
-        ({"rank": 2, "vectors": [["1", "2", "3"]]}, "node 0 wants 2 framing vectors"),
-        ({"rank": 1, "vectors": [["1", "2", "3"]]}, "framing vectors at 0 must have length 1"),
+        ({"rank": 2, "vectors": [["1", "2", "3"]]}, "framing at node 0 wants shape (2, 1)"),
+        ({"rank": 1, "vectors": [["1", "2", "3"]]}, "framing at node 0 wants shape (1, 1)"),
     ])
     def test_framing_is_refused_in_the_words_of_a_representation(self, framing, message):
         # node 0 has dimension 1, in the point data and in its representation alike
