@@ -19,10 +19,12 @@ per degree above 2.  Both read `N1Representation.ints`, the integer rows
 of B and Psi (`linalg.IntMat`); `framing` holds the framing vectors as
 the rows of one integer block per node.  Each block is read once, by
 `linalg.int_rows`, and stored only so; B, Psi and I are Fraction views,
-built on first read.  Outside input goes through the validating
-constructors; the records that `conjugate` and the round trip in `sheaf`
-compute from validated ones are built directly (`_IntRows._direct`),
-equal field for field to those.
+built on first read.  Every record holds every arrow of its quiver, in
+quiver order, and no stored block is None: a block not given is stored
+as zeros.  Outside input goes through the validating constructors; the
+records that `conjugate` and the round trip in `sheaf` compute from
+validated ones are built directly (`_IntRows._direct`), equal field for
+field to those; `_moved` moves the arrows and framing of both.
 """
 
 from __future__ import annotations
@@ -59,19 +61,19 @@ def _quiver_data(t: DynkinType, affine: bool, dims: Mapping[int, int], arrows: M
     InputTooLarge past MAX_TOTAL_DIM; ValueError on an arrow not in the quiver, on
     framing at an unknown node or on a negative rank; `linalg.int_rows` refuses a bad
     block, each node's framing vectors being the rows of one rank x dimension block.
-    Returns the given arrows (None: zeros), the framing ranks and the framing blocks
-    at every node, the blocks as integer rows.
+    Returns every arrow of the quiver in quiver order (zeros where none is given), the
+    framing ranks and the framing blocks at every node, the blocks as integer rows.
     """
     check_total_dim(sum(dims.values()))
-    stray = set(arrows) - {arrow.key for arrow in build_n1_quiver(t, affine).mckay_arrows()}
+    keys = [arrow.key for arrow in build_n1_quiver(t, affine).mckay_arrows()]
+    stray = set(arrows) - set(keys)
     if stray:
         raise ValueError(f"arrows {sorted(stray)} are not in the {t} quiver")
     stray = (set(ranks) | set(vectors)) - set(dims)
     if stray:
         raise ValueError(f"framing data at unknown nodes {sorted(stray)}")
-    ints: dict[object, IntMat] = {}
-    for key, m in arrows.items():
-        ints[key] = linalg.int_rows(m, f"arrow {key}", (dims[key[1]], dims[key[0]]))
+    ints = {key: linalg.int_rows(arrows.get(key), f"arrow {key}", (dims[key[1]], dims[key[0]]))
+            for key in keys}
     ranks = {a: int(ranks.get(a, 0)) for a in sorted(dims)}
     if any(r < 0 for r in ranks.values()):
         raise ValueError("framing ranks must be nonnegative")
@@ -102,21 +104,18 @@ class _IntRows:
     _views: tuple[str, ...] = ()
 
     @classmethod
-    def _direct(cls, dims: Mapping[int, int], blocks: Mapping, framing: Mapping, /, **fields):
-        """The record of fields, with nothing checked or copied; `ints` holds blocks, in the
-        constructor's order (arrows in quiver order, then loops), a None one as zero rows."""
+    def _direct(cls, blocks: dict, framing: dict, /, **fields):
+        """The record of fields, with nothing checked or copied; `ints` is blocks, in the
+        constructor's order (every arrow in quiver order, then loops)."""
         record = object.__new__(cls)
-        vars(record).update(fields, ints={}, framing=framing)
-        for k, m in blocks.items():
-            s, t = k[:2] if isinstance(k, tuple) else (k, k)
-            record.ints[k] = m or ([[0] * dims[s] for _ in range(dims[t])], 1)
+        vars(record).update(fields, ints=blocks, framing=framing)
         return record
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
         return (all(getattr(self, f) == getattr(other, f) for f in self._fields
-                    if f not in self._views) and self.ints.keys() == other.ints.keys()
+                    if f not in self._views)
                 and all(linalg.equal_ints(m, other.ints[k]) for k, m in self.ints.items())
                 and all(linalg.equal_ints(m, other.framing[a]) for a, m in self.framing.items()))
 
@@ -139,10 +138,8 @@ class N1Representation(_IntRows, _Record):
         labels = node_labels(type, affine)
         if sorted(dims) != labels:
             raise ValueError(f"dims must cover exactly the nodes {labels}")
-        # every arrow of the quiver, zeros where none is given
-        arrows = {**dict.fromkeys(arrow.key for arrow in self.quiver.mckay_arrows()), **(B or {})}
         self.ints, self.framing_ranks, self.framing = _quiver_data(
-            type, affine, dims, arrows, framing_ranks or {}, I or {})
+            type, affine, dims, B or {}, framing_ranks or {}, I or {})
         Psi = Psi or {}
         stray = set(Psi) - set(labels)
         if stray:
@@ -342,10 +339,18 @@ def direct_sum(r1: N1Representation, r2: N1Representation) -> N1Representation:
     return N1Representation(r1.type, dims, b, psi, ranks, vectors, r1.affine)
 
 
-def transport(left: IntMat, m: IntMat, right: IntMat, rows: int, cols: int) -> IntMat | None:
-    """left m right, integer matrices with m rows x cols, in two passes; None when zero."""
+def transport(left: IntMat, m: IntMat, right: IntMat, rows: int, cols: int) -> IntMat:
+    """left m right, integer matrices with m rows x cols, in two passes."""
     moved = linalg.sum_of_products([(1, m, right)], rows, cols)
-    return moved and linalg.sum_of_products([(1, left, moved)], rows, cols)
+    return ((moved and linalg.sum_of_products([(1, left, moved)], rows, cols))
+            or ([[0] * cols for _ in range(rows)], 1))
+
+
+def _moved(rep: N1Representation, pairs: Mapping[int, tuple[IntMat, IntMat]]) -> tuple[dict, dict]:
+    """The arrows g_t B g_s^-1 and the framing blocks g v of rep, for pairs (g, g^-1) by node."""
+    arrows = {(s, t, i): transport(pairs[t][0], m, pairs[s][1], rep.dims[t], rep.dims[s])
+              for (s, t, i), m in _arrow_ints(rep).items()}
+    return arrows, {a: _images(pairs[a][0], m) for a, m in rep.framing.items()}
 
 
 class BaseChanges(dict):
@@ -364,14 +369,11 @@ def conjugate(rep: N1Representation, g: Mapping[int, Mat]) -> N1Representation:
     fits = isinstance(g, BaseChanges) and all(len(g.pairs[a][0][0]) == rep.dims[a] for a in labels)
     pairs = g.pairs if fits else {a: (m, linalg.inverse_ints(m)) for a, m in (
         (a, linalg.int_rows(g[a], f"base change at {a}", (rep.dims[a],) * 2)) for a in labels)}
-    b = {(s, t, i): transport(pairs[t][0], m, pairs[s][1], rep.dims[t], rep.dims[s])
-         for (s, t, i), m in _arrow_ints(rep).items()}
+    b, framing = _moved(rep, pairs)
     psi = {a: transport(pairs[a][0], rep.ints[a], pairs[a][1], rep.dims[a], rep.dims[a])
            for a in labels}
-    framing = {a: _images(pairs[a][0], rep.framing[a]) for a in labels}
-    return N1Representation._direct(rep.dims, {**b, **psi}, framing, type=rep.type,
-                                    dims=dict(rep.dims), framing_ranks=dict(rep.framing_ranks),
-                                    affine=rep.affine)
+    return N1Representation._direct({**b, **psi}, framing, type=rep.type, dims=dict(rep.dims),
+                                    framing_ranks=dict(rep.framing_ranks), affine=rep.affine)
 
 
 def trace_identity_defect(rep: N1Representation, theta) -> Fraction:

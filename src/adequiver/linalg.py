@@ -6,17 +6,18 @@ its arguments; every function hands back fresh lists.  Empty matrices
 unique map between zero-dimensional spaces.
 
 The exact kernels run on Python ints and build each output Fraction
-once.  An `IntMat` is integer rows over one denominator (`int_matrix`;
-`rational_matrix` reads Fractions back, `equal_ints` compares two); it is
-the only storage of the arrow, loop and framing blocks of representations
-and point data and of the `monad` blocks.  Matrix data from outside comes
-in through `int_rows` alone, which names the block it refuses.  There is one
-integer product, `sum_of_products`: the caller gives the output shape,
-every term c*a*b or c*a on `IntMat`s accumulates in one integer pass, and
-the sum comes back over its least denominator, or as None when it is
-zero.  `mat_mul` is its Fraction front; the `monad` blocks, the `adhm`
-residuals, the point-data round trip and the chain steps of
-`jordan_basis` (its kernels from reduced rows, not powers) run on it.
+once.  An `IntMat` is integer rows over one denominator (`rational_matrix`
+reads Fractions back, `equal_ints` compares two); it is the only storage
+of the arrow, loop and framing blocks of representations and point data
+and of the `monad` blocks.  Every matrix, from a file or from a caller of
+the Fraction API, comes in through `int_rows` alone, which names the
+matrix it refuses, ragged ones included.  There is one integer product,
+`sum_of_products`: the caller gives the output shape, every term c*a*b
+or c*a on `IntMat`s accumulates in one integer pass, and the sum comes
+back over its least denominator, or as None when it is zero.  `mat_mul`
+is its Fraction front; the `monad` blocks, the `adhm` residuals, the
+point-data round trip and the chain steps of `jordan_basis` (its kernels
+from reduced rows, not powers) run on it.
 The characteristic polynomial is division-free Berkowitz on the integer
 rows, and `poly` finds the spectrum on the integer polynomial.
 Elimination (`rref`, `rank`, `nullspace`, `inverse_ints`; `inverse` wraps
@@ -61,12 +62,8 @@ def frac(x) -> Fraction:
     raise TypeError(f"cannot coerce {x!r} to an exact rational")
 
 
-def matrix(rows: Iterable[Iterable]) -> Mat:
-    out = [[frac(x) for x in row] for row in rows]
-    widths = {len(r) for r in out}
-    if len(widths) > 1:
-        raise ValueError("ragged matrix")
-    return out
+def matrix(rows: Sequence[Sequence]) -> Mat:
+    return rational_matrix(int_rows(rows))
 
 
 def shape(m: Mat) -> tuple[int, int]:
@@ -109,30 +106,21 @@ def mat_scale(c, a: Mat) -> Mat:
 
 def mat_mul(a: Mat, b: Mat) -> Mat:
     """a b as Fractions, one `sum_of_products` pass; [] when a has no rows."""
-    if not a:
+    a, b = int_rows(a, "the left factor"), int_rows(b, "the right factor")
+    (ra, ca), (rb, cb) = shape(a[0]), shape(b[0])
+    if not ra:
         return []
-    (ra, ca), (rb, cb) = shape(a), shape(b)
     if ca != rb:
-        raise ValueError(f"shape mismatch {shape(a)} @ {shape(b)}")
-    return rational_matrix(sum_of_products([(1, int_matrix(a), int_matrix(b))], ra, cb), ra, cb)
-
-
-def int_matrix(m: Mat) -> IntMat:
-    """m as integer rows over the lcm of its denominators; entries as `frac` takes them."""
-    if not {type(x) for row in m for x in row} <= {int, Fraction}:
-        m = [[frac(x) for x in row] for row in m]
-    d = lcm(*{x.denominator for row in m for x in row})
-    if d == 1:
-        return [[x.numerator for x in row] for row in m], 1
-    return [[x.numerator * (d // x.denominator) for x in row] for row in m], d
+        raise ValueError(f"shape mismatch {(ra, ca)} @ {(rb, cb)}")
+    return rational_matrix(sum_of_products([(1, a, b)], ra, cb), ra, cb)
 
 
 def int_rows(m, name: str = "a matrix", shape: tuple[int, int] | None = None) -> IntMat:
-    """m as an `IntMat`, the one door for matrix data: rows of entries as `frac` takes them,
-    a pair (rows, d) of int rows over an int d != 0 (copied over |d|), or None for the zeros
-    of shape.  Errors name name: TypeError on data that are not rows of entries or on an
-    entry `frac` refuses by type, ValueError on any other bad entry, ragged rows or a
-    shape other than shape."""
+    """m as an `IntMat`, the one door for matrix data: rows of entries as `frac` takes them
+    (over the lcm of their denominators), a pair (rows, d) of int rows over an int d != 0
+    (copied over |d|), or None for the zeros of shape.  Errors name name: TypeError on data
+    that are not rows of entries or on an entry `frac` refuses by type, ValueError on any
+    other bad entry, ragged rows or a shape other than shape."""
     if m is None and shape:
         return [[0] * shape[1] for _ in range(shape[0])], 1
     pair = isinstance(m, tuple) and len(m) == 2 and not isinstance(m[1], (list, tuple))
@@ -144,10 +132,14 @@ def int_rows(m, name: str = "a matrix", shape: tuple[int, int] | None = None) ->
             raise ValueError(f"{name} wants integer rows as ints over a nonzero int denominator")
         m = [[-x for x in row] if d < 0 else list(row) for row in rows], abs(d)
     else:
-        try:
-            m = int_matrix(rows)
-        except (TypeError, ValueError) as e:
-            raise type(e)(f"{name}: {e}") from None
+        if not {type(x) for row in rows for x in row} <= {int, Fraction}:
+            try:
+                rows = [[frac(x) for x in row] for row in rows]
+            except (TypeError, ValueError) as e:
+                raise type(e)(f"{name}: {e}") from None
+        d = lcm(*{x.denominator for row in rows for x in row})
+        m = ([[x.numerator for x in row] for row in rows] if d == 1 else
+             [[x.numerator * (d // x.denominator) for x in row] for row in rows]), d
     widths = {len(row) for row in m[0]}
     if shape and (len(m[0]) != shape[0] or widths - {shape[1]}) or len(widths) > 1:
         raise ValueError(f"{name} wants shape {shape}" if shape else f"{name} has ragged rows")
@@ -176,7 +168,7 @@ def _transposed(m: IntMat) -> IntMat:
 def sum_of_products(terms: Iterable[tuple], rows: int, cols: int) -> IntMat | None:
     """The rows x cols sum of c*a*b over terms (c, a, b), in one integer pass.
 
-    a and b are integer matrices (`int_matrix`), c an int or a Fraction;
+    a and b are integer matrices (`IntMat`), c an int or a Fraction;
     b None stands for the term c*a alone.  Every term is scaled to the
     lcm of the terms' denominators and accumulates on one grid of ints,
     skipping zero entries of a; rows of b are added whole, with no test
@@ -268,7 +260,7 @@ def _rref_ints(a: list) -> tuple[list, list[int]]:
 
 def rref(m: Mat) -> tuple[Mat, list[int]]:
     """Reduced row echelon form and the pivot column indices (`_rref_ints`)."""
-    a, pivots = _rref_ints(int_matrix(m)[0])
+    a, pivots = _rref_ints(int_rows(m)[0])
     out = []
     for i, ints in enumerate(a):
         p = ints[pivots[i]] if i < len(pivots) else 1
@@ -277,7 +269,7 @@ def rref(m: Mat) -> tuple[Mat, list[int]]:
 
 
 def rank(m: Mat) -> int:
-    return len(_rref_ints(int_matrix(m)[0])[1])
+    return len(_rref_ints(int_rows(m)[0])[1])
 
 
 def _reduced(v: list, d: int) -> tuple[list, int]:
@@ -304,8 +296,8 @@ def _kernel(a: list, cols: int) -> tuple[list[tuple[list, int]], list]:
 
 def nullspace(m: Mat) -> list[Vec]:
     """Basis of the right kernel, one vector per free column."""
-    return [[Fraction(x, e) if x else _ZERO for x in v]
-            for v, e in _kernel(int_matrix(m)[0], shape(m)[1])[0]]
+    a = int_rows(m)[0]
+    return [[Fraction(x, e) if x else _ZERO for x in v] for v, e in _kernel(a, shape(a)[1])[0]]
 
 
 def inverse_ints(m: IntMat) -> IntMat:
@@ -327,7 +319,7 @@ def inverse_ints(m: IntMat) -> IntMat:
 
 def inverse(m: Mat) -> Mat:
     """m^-1 as Fractions (`inverse_ints`); ValueError when m is singular or not square."""
-    return rational_matrix(inverse_ints(int_matrix(m)), len(m), len(m))
+    return rational_matrix(inverse_ints(int_rows(m)))
 
 
 class SpanBasis:
@@ -427,7 +419,7 @@ def jordan_matrix(blocks: Iterable[tuple]) -> IntMat:
 def jordan_basis(m: IntMat) -> tuple[IntMat, IntMat]:
     """Jordan normal form over the rationals and a basis of Jordan chains.
 
-    m, J and p are integer rows over a denominator (`int_matrix`), with
+    m, J and p are integer rows over a denominator (`IntMat`), with
     m p == p J exactly, the columns of p the chains bottom first;
     eigenvalues ascending, blocks per eigenvalue nonincreasing.  For
     m = a/d and an eigenvalue s/q, N = q*a - s*d*I is m - s/q times q*d;
@@ -489,6 +481,5 @@ def jordan_basis(m: IntMat) -> tuple[IntMat, IntMat]:
 
 def jordan_form(m: Mat) -> tuple[Mat, Mat]:
     """(J, g) with g m g^{-1} == J exactly: `jordan_basis` with g the inverse of p."""
-    n = len(m)
-    j, p = jordan_basis(int_matrix(m))
-    return rational_matrix(j, n, n), rational_matrix(inverse_ints(p), n, n)
+    j, p = jordan_basis(int_rows(m))
+    return rational_matrix(j), rational_matrix(inverse_ints(p))

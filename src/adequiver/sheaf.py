@@ -13,8 +13,11 @@ with framing vectors carried along by the same base change.  The round
 trip runs on the integer rows (`linalg.IntMat`), the only storage of
 the arrow, loop and framing blocks, and on one Jordan matrix per
 `TorsionSheafData` (`.jordan`); the base changes carry their inverses.
-Both directions build their records directly (`adhm._IntRows._direct`),
-unchecked; `quadruple_to_quintuple` runs the intertwining check itself.
+As in `adhm`, every record holds every arrow, and no stored block is
+None.  Both directions build their records directly
+(`adhm._IntRows._direct`), unchecked, and the arrows and framing move
+as `adhm.conjugate` moves them (`adhm._moved`);
+`quadruple_to_quintuple` runs the intertwining check itself.
 """
 
 from __future__ import annotations
@@ -25,10 +28,9 @@ from typing import Mapping, Sequence
 
 from . import linalg
 from .adhm import (ArrowKey, BaseChanges, N1Representation, _arrow_ints, _edge_defects,
-                   _fractions, _images, _IntRows, _quiver_data, transport)
+                   _fractions, _IntRows, _moved, _quiver_data)
 from .dynkin import DynkinType, _Frozen, _Record, node_labels
 from .linalg import ComputeFailure, IntMat, Mat, Vec
-from .quiver import build_n1_quiver
 
 
 class EdgeRelationViolated(ComputeFailure):
@@ -123,9 +125,9 @@ def _check_intertwining(loops: Mapping[int, IntMat], arrows: Mapping[ArrowKey, I
 
 
 class QuiverSheafData(_IntRows, _Record):
-    """Torsion data per node, arrow maps and framing; `ints` holds the arrow maps as
-    integer rows, by key, and `framing` the framing vectors; `arrow_maps` and
-    `framing_vectors` are their Fraction views (`adhm._IntRows`)."""
+    """Torsion data per node, arrow maps and framing; missing arrows are zero.  `ints`
+    holds every arrow map as integer rows, by key, and `framing` the framing vectors;
+    `arrow_maps` and `framing_vectors` are their Fraction views (`adhm._IntRows`)."""
 
     _fields = ("type", "node_sheaves", "arrow_maps", "framing_ranks", "framing_vectors",
                "affine")
@@ -169,22 +171,17 @@ def quadruple_to_quintuple(rep: N1Representation) -> tuple[QuiverSheafData, Base
         sheaves[a] = _jordan_points(j)
         if sheaves[a].dimension != rep.dims[a] or sheaves[a].jordan != j:
             raise AssertionError("jordan data disagrees with the partition data")
-    gi = {a: linalg.inverse_ints(p[a]) for a in labels}
-    arrows = {(s, t, i): transport(gi[t], m, p[s], rep.dims[t], rep.dims[s])
-              for (s, t, i), m in _arrow_ints(rep).items()}
-    framing = {a: _images(gi[a], rep.framing[a]) for a in labels}
-    data = QuiverSheafData._direct(rep.dims, arrows, framing, type=rep.type,
-                                   node_sheaves=sheaves, framing_ranks=dict(rep.framing_ranks),
-                                   affine=rep.affine)
+    pairs = {a: (linalg.inverse_ints(p[a]), p[a]) for a in labels}
+    data = QuiverSheafData._direct(*_moved(rep, pairs), type=rep.type, node_sheaves=sheaves,
+                                   framing_ranks=dict(rep.framing_ranks), affine=rep.affine)
     _check_intertwining({a: sheaves[a].jordan for a in labels}, data.ints)
-    return data, BaseChanges({a: (gi[a], p[a]) for a in labels})
+    return data, BaseChanges(pairs)
 
 
 def quintuple_to_quadruple(data: QuiverSheafData) -> N1Representation:
-    """Representation with Jordan loops read off the torsion data; missing arrows are zero."""
+    """Representation with Jordan loops read off the torsion data."""
     labels = node_labels(data.type, data.affine)
     dims = {a: data.node_sheaves[a].dimension for a in labels}
-    arrows = dict.fromkeys(k.key for k in build_n1_quiver(data.type, data.affine).mckay_arrows())
-    blocks = {**arrows, **data.ints, **{a: data.node_sheaves[a].jordan for a in labels}}
-    return N1Representation._direct(dims, blocks, dict(data.framing), type=data.type, dims=dims,
+    blocks = {**data.ints, **{a: data.node_sheaves[a].jordan for a in labels}}
+    return N1Representation._direct(blocks, dict(data.framing), type=data.type, dims=dims,
                                     framing_ranks=dict(data.framing_ranks), affine=data.affine)

@@ -133,7 +133,7 @@ def reference_jordan_basis(m: tuple) -> tuple:
     n = len(a)
 
     def kernel(rows):       # `linalg.nullspace`, each vector as (integers, least denominator)
-        return [(v[0], e) for v, e in map(linalg.int_matrix, ([v] for v in linalg.nullspace(rows)))]
+        return [(v[0], e) for v, e in map(linalg.int_rows, ([v] for v in linalg.nullspace(rows)))]
 
     eig = linalg.rational_eigenvalues(m)
     blocks, cols = [], []
@@ -175,7 +175,7 @@ def reference_char_poly(m) -> list:
     c_k = -tr N_k / k are integers, each an exact division, and m's are
     c_k / d^k.  Once N_k is zero, so are all later N and c.
     """
-    a, d = m if isinstance(m, tuple) else linalg.int_matrix(m)
+    a, d = m if isinstance(m, tuple) else linalg.int_rows(m)
     n = len(a)
     if any(len(row) != n for row in a):
         raise ValueError("characteristic polynomial of a non-square matrix")

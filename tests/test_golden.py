@@ -17,6 +17,11 @@ from golden.regenerate import HERE, calls, run
 
 EXIT_CODES = json.loads((HERE / "expected" / "exit_codes.json").read_text())
 
+# (subcommand, exit code) pairs no input reaches: their checks hold on every type within
+# the rank cap (mckay-verify's since D53 to D100 close their groups), so they fail only
+# in a patched package
+UNREACHABLE = {("roots", 1), ("quiver-dot", 1), ("mckay-verify", 1)}
+
 
 @pytest.mark.parametrize(("name", "argv", "filename"),
                          [pytest.param(*call, id=call[2]) for call in calls()])
@@ -39,3 +44,10 @@ def test_every_literal_check_name_is_in_the_corpus():
     reports = "".join(p.read_text() for p in (HERE / "expected").glob("*.txt"))
     assert len(names) > 10
     assert sorted(n for n in names if f"check {n}: " not in reports) == []
+
+
+def test_every_subcommand_reaches_every_exit_code():
+    reached = {(argv[0], EXIT_CODES[name]) for name, argv, _ in calls()}
+    wanted = {(command, code) for command, _ in reached for code in (0, 1, 2)}
+    assert sorted(wanted - reached - UNREACHABLE) == []
+    assert sorted(reached & UNREACHABLE) == []     # a reached pair leaves the list

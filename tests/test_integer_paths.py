@@ -207,7 +207,7 @@ def test_jordan_basis_and_inverse_match_the_fraction_reference(case):
     rep, _, points, _, rng = case
     for a, m in rep.Psi.items():
         n = rep.dims[a]
-        j, p = linalg.jordan_basis(linalg.int_matrix(m))
+        j, p = linalg.jordan_basis(linalg.int_rows(m))
         jm, pm = linalg.rational_matrix(j, n, n), linalg.rational_matrix(p, n, n)
         assert jm == sheaf.sheaf_to_endo(points[a])[1]
         assert naive_product(m, pm, n) == naive_product(pm, jm, n)
@@ -224,17 +224,19 @@ def test_relations_convert_each_matrix_once_and_the_round_trip_calls_no_mat_mul(
                       if rep.total_dim >= 6 and any(rep.I.values())
                       and adhm.check_relations(rep, theta).edges_zero)
     converted, calls = [], {"mat_mul": 0}
-    int_matrix, mat_mul = linalg.int_matrix, linalg.mat_mul
+    int_rows, mat_mul = linalg.int_rows, linalg.mat_mul
 
-    def convert(m):
-        converted.append(m)         # kept alive, so no two arguments share an id
-        return int_matrix(m)
+    def convert(m, *args, **kwargs):
+        # only rows of entries are converted: an (int rows, d) pair is copied, None read as zeros
+        if m is not None and not (isinstance(m, tuple) and len(m) == 2 and type(m[1]) is int):
+            converted.append(m)     # kept alive, so no two arguments share an id
+        return int_rows(m, *args, **kwargs)
 
     def multiply(*args):
         calls["mat_mul"] += 1
         return mat_mul(*args)
 
-    monkeypatch.setattr(linalg, "int_matrix", convert)
+    monkeypatch.setattr(linalg, "int_rows", convert)
     monkeypatch.setattr(linalg, "mat_mul", multiply)
     rep = adhm.N1Representation(rep.type, rep.dims, rep.B, rep.Psi, rep.framing_ranks, rep.I)
     # one conversion per arrow, loop and framing block, the empty framing of a node included
@@ -259,7 +261,7 @@ def test_inverse_ints_matches_sympy_over_its_least_denominator(n):
     rng = random.Random(n)
     for _ in range(25):
         m = rand_matrix(rng, n, n)
-        a, d = linalg.int_matrix(m)
+        a, d = linalg.int_rows(m)
         scale = rng.choice((1, 2, 6))           # the same matrix over a larger denominator
         ints = [[x * scale for x in row] for row in a], d * scale
         if n and sympy.Matrix(m).det() == 0:
@@ -275,7 +277,7 @@ def test_inverse_ints_matches_sympy_over_its_least_denominator(n):
                                   [[Fraction(1, 2), 1, 0], [1, 2, 0], [0, 0, 3]]])
 def test_inverse_ints_rejects_singular(rows):
     with pytest.raises(ValueError, match="singular"):
-        linalg.inverse_ints(linalg.int_matrix(linalg.matrix(rows)))
+        linalg.inverse_ints(linalg.int_rows(rows))
 
 
 @settings(max_examples=40)

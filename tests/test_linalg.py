@@ -27,9 +27,26 @@ def test_frac_refuses_bools_and_floats(x):
         linalg.frac(x)
 
 
-def test_matrix_rejects_ragged():
-    with pytest.raises(ValueError):
-        linalg.matrix([[1, 2], [3]])
+RAGGED = [[1, 2], [3]]
+
+
+@pytest.mark.parametrize("fn, args, name", [
+    (linalg.matrix, (RAGGED,), "a matrix"),
+    (linalg.mat_mul, (RAGGED, [[1], [1]]), "the left factor"),
+    (linalg.mat_mul, ([[1, 2]], [[1], [1, 2]]), "the right factor"),
+    (linalg.rref, ([[1], [3, 4]],), "a matrix"),
+    (linalg.rank, (RAGGED,), "a matrix"),
+    (linalg.nullspace, (RAGGED,), "a matrix"),
+    (linalg.inverse, (RAGGED,), "a matrix"),
+    (linalg.char_poly_coeffs, (RAGGED,), "a matrix"),
+    (linalg.rational_eigenvalues, (RAGGED,), "a matrix"),
+    (linalg.jordan_form, (RAGGED,), "a matrix"),
+], ids=["matrix", "mat_mul-left", "mat_mul-right", "rref", "rank", "nullspace", "inverse",
+        "char_poly_coeffs", "rational_eigenvalues", "jordan_form"])
+def test_the_fraction_api_refuses_ragged_rows_naming_the_matrix(fn, args, name):
+    # every Fraction matrix enters through int_rows, so none is truncated or misread
+    with pytest.raises(ValueError, match=f"^{name} has ragged rows$"):
+        fn(*args)
 
 
 def test_identity_and_zeros_shapes():
@@ -394,14 +411,14 @@ def test_jordan_basis_equals_the_dense_power_reference(case):
     # kernels from reduced rows and chain tops by count give the reference's (J, p),
     # integer rows and denominators
     blocks, seed = case
-    m = linalg.int_matrix(_planted(Random(seed), blocks))
+    m = linalg.int_rows(_planted(Random(seed), blocks))
     assert linalg.jordan_basis(m) == reference_jordan_basis(m)
 
 
 @pytest.mark.parametrize("n", [1, 2, 4, 6])
 def test_jordan_basis_kernels_shrink_with_the_rank_of_the_power(monkeypatch, n):
     # on one nilpotent block of size n the k-th kernel is taken of rank N^(k-1) rows
-    m = linalg.int_matrix(_planted(Random(n), [(0, n)]))
+    m = linalg.int_rows(_planted(Random(n), [(0, n)]))
     rows = []
     kernel = linalg._kernel
 
@@ -422,7 +439,7 @@ def test_jordan_basis_kernels_shrink_with_the_rank_of_the_power(monkeypatch, n):
     ([(0, 3)], 1),                          # one chain: a span picks its top at level 3
 ])
 def test_jordan_basis_builds_a_span_only_to_pick_some_tops(monkeypatch, blocks, spans):
-    m = linalg.int_matrix(_planted(Random(3), blocks))
+    m = linalg.int_rows(_planted(Random(3), blocks))
     built = []
     init = linalg.SpanBasis.__init__
 
@@ -469,7 +486,7 @@ def test_sum_of_products_matches_the_naive_product_and_mat_add(case):
     for c, a, b in terms:
         term = a if b is None else naive_product(a, b, cols)
         want = linalg.mat_add(want, linalg.mat_scale(c, term))
-    ints = [(c, linalg.int_matrix(a), None if b is None else linalg.int_matrix(b))
+    ints = [(c, linalg.int_rows(a), None if b is None else linalg.int_rows(b))
             for c, a, b in terms]
     before = repr(ints)
     got = linalg.sum_of_products(ints, rows, cols)
@@ -483,10 +500,10 @@ def test_sum_of_products_matches_the_naive_product_and_mat_add(case):
 
 
 def test_sum_of_products_keeps_empty_shapes():
-    one = linalg.int_matrix([[Fraction(1, 2), 3]])
+    one = linalg.int_rows([[Fraction(1, 2), 3]])
     row_free, col_free = ([], 1), ([[], [], []], 1)
     assert linalg.sum_of_products([(1, row_free, one)], 0, 2) is None
-    assert linalg.sum_of_products([(1, linalg.int_matrix(linalg.identity(3)), col_free)],
+    assert linalg.sum_of_products([(1, linalg.int_rows(linalg.identity(3)), col_free)],
                                   3, 0) is None
     assert linalg.sum_of_products([(1, col_free, ([], 1))], 3, 4) is None
     assert linalg.sum_of_products([], 2, 2) is None
@@ -496,8 +513,8 @@ def test_sum_of_products_keeps_empty_shapes():
 
 
 def test_sum_of_products_zero_sum_and_least_denominator():
-    a = linalg.int_matrix([[Fraction(1, 2), 0], [0, Fraction(1, 3)]])
-    b = linalg.int_matrix([[2, 1], [0, 3]])
+    a = linalg.int_rows([[Fraction(1, 2), 0], [0, Fraction(1, 3)]])
+    b = linalg.int_rows([[2, 1], [0, 3]])
     assert linalg.sum_of_products([(1, a, b), (-1, a, b)], 2, 2) is None
     assert linalg.sum_of_products([(Fraction(1, 2), b, None), (-1, b, None),
                                    (Fraction(1, 2), b, None)], 2, 2) is None
@@ -505,11 +522,11 @@ def test_sum_of_products_zero_sum_and_least_denominator():
     assert linalg.sum_of_products([(Fraction(1, 4), b, None)], 2, 2) == ([[2, 1], [0, 3]], 4)
 
 
-def test_int_matrix_round_trip():
+def test_int_rows_round_trip():
     m = [[Fraction(1, 2), Fraction(-2, 3)], [0, 5]]
-    assert linalg.int_matrix(m) == ([[3, -4], [0, 30]], 6)
-    assert linalg.rational_matrix(linalg.int_matrix(m), 2, 2) == m
-    assert linalg.int_matrix([]) == ([], 1)
+    assert linalg.int_rows(m) == ([[3, -4], [0, 30]], 6)
+    assert linalg.rational_matrix(linalg.int_rows(m), 2, 2) == m
+    assert linalg.int_rows([]) == ([], 1)
 
 
 @st.composite
@@ -523,7 +540,7 @@ def _char_poly_rows(draw):
         sizes = []
         while sum(sizes) < n:
             sizes.append(rng.randint(1, n - sum(sizes)))
-        return linalg.int_matrix(_planted(rng, [(rng.choice([0, 2, -1]), k) for k in sizes]))[0]
+        return linalg.int_rows(_planted(rng, [(rng.choice([0, 2, -1]), k) for k in sizes]))[0]
     span = {"random": 9, "zero": 0, "nilpotent": 9, "huge": 10**100}.get(kind, 0)
     rows = [[rng.randint(-span, span) for _ in range(n)] for _ in range(n)]
     if kind == "nilpotent":
@@ -548,7 +565,7 @@ def test_rational_roots_of_the_integer_polynomial_equal_those_of_its_fractions(c
     # rational_eigenvalues hands poly the integer polynomial d^n det(tI - m); its roots
     # are those of m's Fraction coefficients, on planted spectra and on small integer rows
     # (whose constant terms stay small enough for the divisor search)
-    m = linalg.int_matrix(_planted(Random(case[1]), case[0])) if type(case) is tuple \
+    m = linalg.int_rows(_planted(Random(case[1]), case[0])) if type(case) is tuple \
         else (case, 6)
     seen = []
     roots = poly._rational_roots
@@ -569,7 +586,7 @@ def test_rational_roots_of_the_integer_polynomial_equal_those_of_its_fractions(c
 
 def test_char_poly_makes_no_matrix_product(monkeypatch):
     # Berkowitz takes its own matrix-vector products, never the matrix product
-    m = linalg.int_matrix(_planted(Random(8), [(1, 3), (Fraction(-1, 2), 2), (2, 1)]))
+    m = linalg.int_rows(_planted(Random(8), [(1, 3), (Fraction(-1, 2), 2), (2, 1)]))
     want = reference_char_poly(m)
     calls = []
     kernel = linalg.sum_of_products

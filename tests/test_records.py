@@ -85,8 +85,9 @@ RECORDS = [
      (A1, {0: POINT, 1: EMPTY}, {}, {0: 1}, {0: [[1]]}),
      "QuiverSheafData(type=DynkinType(family='A', rank=1), "
      "node_sheaves={0: TorsionSheafData(points=((Fraction(0, 1), (1,)),)), "
-     "1: TorsionSheafData(points=())}, arrow_maps={}, framing_ranks={0: 0, 1: 0}, "
-     "framing_vectors={0: [], 1: []}, affine=True)", False, False),
+     "1: TorsionSheafData(points=())}, "
+     "arrow_maps={(0, 1, 0): [], (1, 0, 0): [[]], (1, 0, 1): [[]], (0, 1, 1): []}, "
+     "framing_ranks={0: 0, 1: 0}, framing_vectors={0: [], 1: []}, affine=True)", False, False),
     (N1Representation, (A1, {0: 1, 1: 0}),
      dict(type=A1, dims={0: 1, 1: 0}, B={}, Psi={}, framing_ranks={}, I={}, affine=True),
      (A1, {0: 1, 1: 0}, {}, {0: [[1]]}),

@@ -184,6 +184,17 @@ class TestQuiverSheafData:
         with pytest.raises(ValueError):
             sheaf.QuiverSheafData(A2, {0: sheaf.TorsionSheafData.of([])}, {})
 
+    def test_point_data_compares_by_content(self):
+        # an arrow left out is stored as zeros, so writing the zeros out changes nothing
+        sheaves = {a: sheaf.TorsionSheafData.of([(0, [1])]) for a in range(3)}
+        keys = [arrow.key for arrow in build_n1_quiver(A2).mckay_arrows()]
+        omitted = sheaf.QuiverSheafData(A2, sheaves, {(0, 1, 0): [[1]]})
+        written = sheaf.QuiverSheafData(
+            A2, sheaves, {k: [[int(k == (0, 1, 0))]] for k in reversed(keys)})
+        assert omitted == written
+        assert list(omitted.arrow_maps) == list(written.arrow_maps) == keys
+        assert omitted.arrow_maps[(1, 0, 0)] == [[0]]
+
 
 class TestDictionary:
     def test_worked_example_scalar_case(self):
