@@ -23,15 +23,16 @@ built on first read.  Every record holds every arrow of its quiver, in
 quiver order, and no stored block is None: a block not given is stored
 as zeros.  Outside input goes through the validating constructors; the
 records that `conjugate` and the round trip in `sheaf` compute from
-validated ones are built directly (`_IntRows._direct`), equal field for
-field to those; `_moved` moves the arrows and framing of both.
+validated ones are built directly (`_direct`), equal field for field to
+those; `_moved` moves the arrows and framing of both.  Residuals and base
+changes keep integer rows too, Fractions built only where a report reads.
 """
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from fractions import Fraction
 from functools import cached_property
-from typing import Mapping
 
 from . import linalg
 from .deformation import DeformationParam
@@ -89,6 +90,13 @@ def _images(m: IntMat, vectors: IntMat) -> IntMat:
             or ([[0] * n for _ in range(rank)], 1))
 
 
+def _direct(cls, **fields):
+    """The record of cls holding fields as given, with nothing checked or copied."""
+    record = object.__new__(cls)
+    vars(record).update(fields)
+    return record
+
+
 def _fractions(blocks: Mapping, keys=None) -> dict:
     """The blocks at keys (default: all) as Fraction matrices."""
     return {k: linalg.rational_matrix(blocks[k]) for k in (blocks if keys is None else keys)}
@@ -99,17 +107,9 @@ class _IntRows:
     vectors at each node as the rows of one block.  The fields in `_views` read them as
     Fractions, cached on first read; `==` compares the other fields, then the blocks by
     `linalg.equal_ints`, so it builds no Fraction.  The constructor validates outside
-    input; `_direct` builds a record computed from validated ones and checks nothing."""
+    input; `_direct` builds one from validated ones, `ints` in the constructor's order."""
 
     _views: tuple[str, ...] = ()
-
-    @classmethod
-    def _direct(cls, blocks: dict, framing: dict, /, **fields):
-        """The record of fields, with nothing checked or copied; `ints` is blocks, in the
-        constructor's order (every arrow in quiver order, then loops)."""
-        record = object.__new__(cls)
-        vars(record).update(fields, ints=blocks, framing=framing)
-        return record
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -196,19 +196,26 @@ def _theta_table(rep: N1Representation, theta) -> dict[int, Polynomial]:
 
 
 class RelationResidual(_Record):
-    __slots__ = _fields = ("node_residuals", "edge_residuals")
+    """Node and edge residuals: `check_relations` keeps them as integer rows, None where
+    zero, in `nodes` and `edges`, shaped by the node dimensions `dims`, and builds their
+    Fraction views on first read; one built from Fraction matrices reads its rows off them."""
 
-    @property
-    def nodes_zero(self) -> bool:
-        return all(linalg.is_zero_matrix(m) for m in self.node_residuals.values())
+    _fields = ("node_residuals", "edge_residuals")
 
-    @property
-    def edges_zero(self) -> bool:
-        return all(linalg.is_zero_matrix(m) for m in self.edge_residuals.values())
+    node_residuals = cached_property(lambda self: {
+        a: linalg.rational_matrix(m, self.dims[a], self.dims[a]) for a, m in self.nodes.items()})
+    edge_residuals = cached_property(lambda self: {(s, t, i): linalg.rational_matrix(
+        m, self.dims[t], self.dims[s]) for (s, t, i), m in self.edges.items()})
+    nodes = cached_property(lambda self: _nonzero_ints(self.node_residuals))
+    edges = cached_property(lambda self: _nonzero_ints(self.edge_residuals))
+    nodes_zero = property(lambda self: not any(self.nodes.values()))
+    edges_zero = property(lambda self: not any(self.edges.values()))
+    is_zero = property(lambda self: self.nodes_zero and self.edges_zero)
 
-    @property
-    def is_zero(self) -> bool:
-        return self.nodes_zero and self.edges_zero
+
+def _nonzero_ints(blocks: Mapping) -> dict:
+    ints = {k: linalg.int_rows(m, f"residual at {k}") for k, m in blocks.items()}
+    return {k: m if any(map(any, m[0])) else None for k, m in ints.items()}
 
 
 def _edge_defects(loops: Mapping[int, IntMat],
@@ -232,10 +239,9 @@ def check_relations(rep: N1Representation, theta) -> RelationResidual:
         terms = _theta_terms(table[a], rep.ints[a], d)
         terms += [(arrow.sign, rep.ints[arrow.reversed_key()], rep.ints[arrow.key])
                   for arrow in rep.quiver.mckay_arrows() if arrow.source == a]
-        nodes[a] = linalg.rational_matrix(linalg.sum_of_products(terms, d, d), d, d)
-    edges = _edge_defects(rep.ints, _arrow_ints(rep))
-    return RelationResidual(nodes, {(s, t, i): linalg.rational_matrix(m, rep.dims[t], rep.dims[s])
-                                    for (s, t, i), m in edges.items()})
+        nodes[a] = linalg.sum_of_products(terms, d, d)
+    return _direct(RelationResidual, nodes=nodes, edges=_edge_defects(rep.ints, _arrow_ints(rep)),
+                   dims=dict(rep.dims))
 
 
 def is_nondegenerate(rep: N1Representation) -> bool:
@@ -353,14 +359,23 @@ def _moved(rep: N1Representation, pairs: Mapping[int, tuple[IntMat, IntMat]]) ->
     return arrows, {a: _images(pairs[a][0], m) for a, m in rep.framing.items()}
 
 
-class BaseChanges(dict):
-    """Base changes g by node as Fraction matrices; `pairs` holds each (g, g^-1) on integer
-    rows, which `conjugate` takes instead of converting and inverting g.  Edit neither."""
-    __slots__ = ("pairs",)
+class BaseChanges(Mapping):
+    """Base changes g by node as Fraction matrices, built on first read, from `pairs`: each
+    (g, g^-1) on integer rows, which `conjugate` takes as they are.  Edit none of them."""
 
     def __init__(self, pairs: dict[int, tuple[IntMat, IntMat]]):
-        super().__init__((a, linalg.rational_matrix(g)) for a, (g, _) in pairs.items())
         self.pairs = pairs
+
+    _views = cached_property(lambda self: _fractions({a: g for a, (g, _) in self.pairs.items()}))
+
+    def __getitem__(self, a: int) -> Mat:
+        return self._views[a]
+
+    def __iter__(self):
+        return iter(self.pairs)
+
+    def __len__(self) -> int:
+        return len(self.pairs)
 
 
 def conjugate(rep: N1Representation, g: Mapping[int, Mat]) -> N1Representation:
@@ -372,8 +387,8 @@ def conjugate(rep: N1Representation, g: Mapping[int, Mat]) -> N1Representation:
     b, framing = _moved(rep, pairs)
     psi = {a: transport(pairs[a][0], rep.ints[a], pairs[a][1], rep.dims[a], rep.dims[a])
            for a in labels}
-    return N1Representation._direct({**b, **psi}, framing, type=rep.type, dims=dict(rep.dims),
-                                    framing_ranks=dict(rep.framing_ranks), affine=rep.affine)
+    return _direct(N1Representation, ints={**b, **psi}, framing=framing, type=rep.type,
+                   dims=dict(rep.dims), framing_ranks=dict(rep.framing_ranks), affine=rep.affine)
 
 
 def trace_identity_defect(rep: N1Representation, theta) -> Fraction:

@@ -14,10 +14,10 @@ the Fraction API, comes in through `int_rows` alone, which names the
 matrix it refuses, ragged ones included.  There is one integer product,
 `sum_of_products`: the caller gives the output shape, every term c*a*b
 or c*a on `IntMat`s accumulates in one integer pass, and the sum comes
-back over its least denominator, or as None when it is zero.  `mat_mul`
-is its Fraction front; the `monad` blocks, the `adhm` residuals, the
-point-data round trip and the chain steps of `jordan_basis` (its kernels
-from reduced rows, not powers) run on it.
+back over its least denominator (a row-by-row gcd, stopped at 1), or as
+None when zero.  `mat_mul` is its Fraction front; the `monad` blocks,
+the `adhm` residuals, the point-data round trip and the chain steps of
+`jordan_basis` (its kernels from reduced rows, not powers) run on it.
 The characteristic polynomial is division-free Berkowitz on the integer
 rows, and `poly` finds the spectrum on the integer polynomial.
 Elimination (`rref`, `rank`, `nullspace`, `inverse_ints`; `inverse` wraps
@@ -62,8 +62,8 @@ def frac(x) -> Fraction:
     raise TypeError(f"cannot coerce {x!r} to an exact rational")
 
 
-def matrix(rows: Sequence[Sequence]) -> Mat:
-    return rational_matrix(int_rows(rows))
+def matrix(rows: Sequence[Sequence], name: str = "a matrix") -> Mat:
+    return rational_matrix(int_rows(rows, name))
 
 
 def shape(m: Mat) -> tuple[int, int]:
@@ -80,7 +80,8 @@ def identity(n: int) -> Mat:
 
 
 def mat_eq(a: Mat, b: Mat) -> bool:
-    return shape(a) == shape(b) and all(x == y for ra, rb in zip(a, b) for x, y in zip(ra, rb))
+    a, b = int_rows(a, "the left operand"), int_rows(b, "the right operand")
+    return shape(a[0]) == shape(b[0]) and equal_ints(a, b)
 
 
 def is_zero_matrix(m: Mat) -> bool:
@@ -88,12 +89,14 @@ def is_zero_matrix(m: Mat) -> bool:
 
 
 def mat_add(a: Mat, b: Mat) -> Mat:
+    a, b = matrix(a, "the left operand"), matrix(b, "the right operand")
     if shape(a) != shape(b):
         raise ValueError(f"shape mismatch {shape(a)} + {shape(b)}")
     return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
 
 
 def mat_sub(a: Mat, b: Mat) -> Mat:
+    a, b = matrix(a, "the left operand"), matrix(b, "the right operand")
     if shape(a) != shape(b):
         raise ValueError(f"shape mismatch {shape(a)} - {shape(b)}")
     return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
@@ -176,7 +179,7 @@ def sum_of_products(terms: Iterable[tuple], rows: int, cols: int) -> IntMat | No
     None when every entry is zero, so a zero result is never built.
     """
     terms = list(terms)
-    d = lcm(*(c.denominator * a[1] * (b[1] if b else 1) for c, a, b in terms))
+    d = lcm(*[c.denominator * a[1] * (b[1] if b else 1) for c, a, b in terms])
     acc = [[0] * cols for _ in range(rows)]
     for c, (a, da), b in terms:
         if b is None:
@@ -194,35 +197,27 @@ def sum_of_products(terms: Iterable[tuple], rows: int, cols: int) -> IntMat | No
                     x *= s
                     for j, y in enumerate(b_row):
                         out[j] += x * y
-    if not any(map(any, acc)):
+    g = d
+    for row in acc if d > 1 else ():        # the gcd with d, row by row, until it is 1
+        if (g := gcd(g, *row)) == 1:
+            return acc, d
+    if g == d and not any(map(any, acc)):    # a zero sum leaves the gcd at d
         return None
-    if d > 1:
-        g = gcd(d, *(x for row in acc for x in row))
-        if g > 1:
-            acc, d = [[x // g for x in row] for row in acc], d // g
-    return acc, d
+    return ([[x // g for x in row] for row in acc] if g > 1 else acc), d // g
 
 
 def trace(m: Mat) -> Fraction:
-    r, c = shape(m)
-    if r != c:
+    a, d = int_rows(m)
+    if any(len(row) != len(a) for row in a):
         raise ValueError("trace of a non-square matrix")
-    return sum((m[i][i] for i in range(r)), Fraction(0))
+    return Fraction(sum(row[i] for i, row in enumerate(a)), d)
 
 
 def block_diag(blocks: Sequence[Mat]) -> Mat:
-    rows = sum(shape(b)[0] for b in blocks)
-    cols = sum(shape(b)[1] for b in blocks)
-    out = zeros(rows, cols)
-    i = j = 0
-    for b in blocks:
-        r, c = shape(b)
-        for di in range(r):
-            for dj in range(c):
-                out[i + di][j + dj] = b[di][dj]
-        i += r
-        j += c
-    return out
+    blocks = [matrix(b, f"block {k}") for k, b in enumerate(blocks)]
+    cols = [shape(b)[1] for b in blocks]
+    return [[_ZERO] * sum(cols[:k]) + row + [_ZERO] * sum(cols[k + 1:])
+            for k, b in enumerate(blocks) for row in b]
 
 
 def _rref_ints(a: list) -> tuple[list, list[int]]:

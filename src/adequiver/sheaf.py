@@ -14,21 +14,22 @@ trip runs on the integer rows (`linalg.IntMat`), the only storage of
 the arrow, loop and framing blocks, and on one Jordan matrix per
 `TorsionSheafData` (`.jordan`); the base changes carry their inverses.
 As in `adhm`, every record holds every arrow, and no stored block is
-None.  Both directions build their records directly
-(`adhm._IntRows._direct`), unchecked, and the arrows and framing move
-as `adhm.conjugate` moves them (`adhm._moved`);
-`quadruple_to_quintuple` runs the intertwining check itself.
+None.  Both directions build their records directly (`adhm._direct`),
+unchecked, and the arrows and framing move as `adhm.conjugate` moves
+them (`adhm._moved`); `quadruple_to_quintuple` checks the intertwining
+itself, on the two diagonals of the Jordan loops (`_jordan_defects`).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property
-from typing import Mapping, Sequence
+from math import lcm
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from . import linalg
-from .adhm import (ArrowKey, BaseChanges, N1Representation, _arrow_ints, _edge_defects,
-                   _fractions, _IntRows, _moved, _quiver_data)
+from .adhm import (ArrowKey, BaseChanges, N1Representation, _arrow_ints, _direct,
+                   _edge_defects, _fractions, _IntRows, _moved, _quiver_data)
 from .dynkin import DynkinType, _Frozen, _Record, node_labels
 from .linalg import ComputeFailure, IntMat, Mat, Vec
 
@@ -117,11 +118,29 @@ def endo_to_sheaf(psi) -> TorsionSheafData:
     return TorsionSheafData.of(points)
 
 
-def _check_intertwining(loops: Mapping[int, IntMat], arrows: Mapping[ArrowKey, IntMat]) -> None:
-    """EdgeRelationViolated naming the first arrow B with Psi_target B - B Psi_source nonzero."""
-    for key, defect in _edge_defects(loops, arrows).items():
-        if defect is not None:
+def _check_intertwining(defects: Iterable[tuple[ArrowKey, object]]) -> None:
+    """EdgeRelationViolated at the first (arrow, defect) pair whose defect is true (nonzero)."""
+    for key, defect in defects:
+        if defect:
             raise EdgeRelationViolated(f"edge defect at {key} is nonzero")
+
+
+def _jordan_defects(jordans: Mapping[int, IntMat],
+                    arrows: Mapping[ArrowKey, IntMat]) -> Iterator[tuple[ArrowKey, bool]]:
+    """(arrow B, whether J_t B - B J_s is nonzero), off the diagonals of the Jordan matrices
+    at B's ends: with e the lcm of their denominators, l the diagonal of e J and u_k its (k-1,
+    k) entry, e (J_t B - B J_s)_ik = (l_t,i - l_s,k) B_ik + u_t,i+1 B_i+1,k - u_s,k B_i,k-1."""
+    e = lcm(*[d for _, d in jordans.values()])
+    diagonals = {a: ([row[i] * (e // d) for i, row in enumerate(j)],
+                     [0, *(row[i] * (e // d) for i, row in enumerate(j[:-1], 1)), 0])
+                 for a, (j, d) in jordans.items()}
+    for (s, t, i), (b, _) in arrows.items():
+        (ls, us), (lt, ut) = diagonals[s], diagonals[t]
+        yield (s, t, i), any(           # b[:1] stands in below the last row, where up is 0
+            any((lam - l) * x - u * y + up * z
+                for x, y, z, l, u in zip(row, [0, *row], below, ls, us)) if up else
+            any((lam - l) * x - u * y for x, y, l, u in zip(row, [0, *row], ls, us))
+            for row, below, lam, up in zip(b, b[1:] + b[:1], lt, ut[1:]))
 
 
 class QuiverSheafData(_IntRows, _Record):
@@ -143,7 +162,7 @@ class QuiverSheafData(_IntRows, _Record):
         self.ints, self.framing_ranks, self.framing = _quiver_data(
             type, affine, {a: node_sheaves[a].dimension for a in labels},
             arrow_maps, framing_ranks or {}, framing_vectors or {})
-        _check_intertwining({a: node_sheaves[a].jordan for a in labels}, self.ints)
+        _check_intertwining(_jordan_defects({a: node_sheaves[a].jordan for a in labels}, self.ints))
 
     arrow_maps = cached_property(lambda self: _fractions(self.ints))
     framing_vectors = cached_property(lambda self: _fractions(self.framing))
@@ -166,15 +185,16 @@ def quadruple_to_quintuple(rep: N1Representation) -> tuple[QuiverSheafData, Base
         try:
             j, p[a] = linalg.jordan_basis(rep.ints[a])
         except linalg.NonRationalSpectrum:
-            _check_intertwining(rep.ints, _arrow_ints(rep))
+            _check_intertwining(_edge_defects(rep.ints, _arrow_ints(rep)).items())
             raise
         sheaves[a] = _jordan_points(j)
         if sheaves[a].dimension != rep.dims[a] or sheaves[a].jordan != j:
             raise AssertionError("jordan data disagrees with the partition data")
     pairs = {a: (linalg.inverse_ints(p[a]), p[a]) for a in labels}
-    data = QuiverSheafData._direct(*_moved(rep, pairs), type=rep.type, node_sheaves=sheaves,
-                                   framing_ranks=dict(rep.framing_ranks), affine=rep.affine)
-    _check_intertwining({a: sheaves[a].jordan for a in labels}, data.ints)
+    arrows, framing = _moved(rep, pairs)
+    data = _direct(QuiverSheafData, ints=arrows, framing=framing, type=rep.type,
+                   node_sheaves=sheaves, framing_ranks=dict(rep.framing_ranks), affine=rep.affine)
+    _check_intertwining(_jordan_defects({a: sheaves[a].jordan for a in labels}, data.ints))
     return data, BaseChanges(pairs)
 
 
@@ -183,5 +203,5 @@ def quintuple_to_quadruple(data: QuiverSheafData) -> N1Representation:
     labels = node_labels(data.type, data.affine)
     dims = {a: data.node_sheaves[a].dimension for a in labels}
     blocks = {**data.ints, **{a: data.node_sheaves[a].jordan for a in labels}}
-    return N1Representation._direct(blocks, dict(data.framing), type=data.type, dims=dims,
-                                    framing_ranks=dict(data.framing_ranks), affine=data.affine)
+    return _direct(N1Representation, ints=blocks, framing=dict(data.framing), type=data.type,
+                   dims=dims, framing_ranks=dict(data.framing_ranks), affine=data.affine)

@@ -327,16 +327,36 @@ def test_the_round_trip_inverts_each_node_once_and_reads_no_fraction_view(monkey
         inverted.append(m)
         return inverse_ints(m)
 
+    views, rational_matrix = [], linalg.rational_matrix
+
+    def view(*args):
+        views.append(args)
+        return rational_matrix(*args)
+
     monkeypatch.setattr(linalg, "inverse_ints", invert)
+    monkeypatch.setattr(linalg, "rational_matrix", view)
     assert not {"B", "Psi"} & set(vars(rep))
     data, g = sheaf.quadruple_to_quintuple(rep)
     back = sheaf.quintuple_to_quadruple(data)
     moved = adhm.conjugate(rep, g)
     assert back == moved
-    assert adhm.check_relations(back, theta).is_zero == adhm.check_relations(rep, theta).is_zero
+    residual = adhm.check_relations(rep, theta)
+    assert adhm.check_relations(back, theta).is_zero == residual.is_zero
     # quadruple_to_quintuple inverts each Jordan basis; conjugate takes those inverses
     assert len(inverted) == len(rep.dims)
     assert not {"B", "Psi", "arrow_maps"} & {k for r in (rep, data, back, moved) for k in vars(r)}
+    # the round trip, conjugate and the relation check build no Fraction matrix
+    assert views == []
+    # read afterwards, the base changes and residuals are the Fractions they always were
+    for a, n in rep.dims.items():
+        assert g[a] is g[a] and all(type(x) is Fraction for row in g[a] for x in row)
+        assert g[a] == _inv(linalg.rational_matrix(g.pairs[a][1], n, n))
+        assert naive_product(naive_product(g[a], rep.Psi[a], n), _inv(g[a]), n) \
+            == sheaf.sheaf_to_endo(data.node_sheaves[a])[1]
+        assert residual.node_residuals[a] == _node_reference(rep, theta[a], a)
+    for key in rep.B:
+        assert residual.edge_residuals[key] == _edge_reference(rep, key)
+    assert dict(g) == {a: g[a] for a in sorted(rep.dims)} and len(g) == len(rep.dims)
     # any other mapping of the same base changes is converted and inverted again
     assert adhm.conjugate(rep, dict(g)) == moved
     assert len(inverted) == 2 * len(rep.dims)
@@ -396,6 +416,62 @@ def test_records_from_integer_rows_equal_their_fraction_twins(case):
             bumped[-1][-1] += 1
             moved = {**arrows, **loops, key: (bumped, d)}
             assert build({k: moved[k] for k in arrows}, {a: moved[a] for a in loops}) != fractions
+
+
+def _jordan_case(rng):
+    """(type, point data, arrows as integer rows) on an affine A2 or A3 quiver: node
+    dimensions 0-4, 1 often, Jordan blocks on one or two eigenvalues of EIGENVALUES; each
+    arrow a planted intertwiner of the Jordan matrices, that one with an entry moved, a
+    random block or zeros."""
+    t = rng.choice(TYPES)
+    palette = rng.sample(EIGENVALUES, rng.randint(1, 2))
+    points, arrows = {}, {}
+    for a in node_labels(t, True):
+        left, blocks = rng.choice((0, 1, 1, 2, 3, 4)), {}
+        while left:
+            size = rng.randint(1, left)
+            blocks.setdefault(rng.choice(palette), []).append(size)
+            left -= size
+        points[a] = sheaf.TorsionSheafData.of(list(blocks.items()))
+    canonical = {a: [(lam, n) for lam, sizes in p.points for n in sizes]
+                 for a, p in points.items()}
+    for k in build_n1_quiver(t, True).mckay_arrows():
+        m = _intertwiner(rng, canonical[k.target], canonical[k.source])
+        rows, cols = points[k.target].dimension, points[k.source].dimension
+        kind = rng.choice(("planted", "planted", "moved", "random", "zero"))
+        if kind == "moved" and rows and cols:
+            m[rng.randrange(rows)][rng.randrange(cols)] += rng.choice((1, Fraction(-1, 2)))
+        elif kind == "random":
+            m = rand_matrix(rng, rows, cols)
+        elif kind == "zero":
+            m = linalg.zeros(rows, cols)
+        arrows[k.key] = linalg.int_rows(m, shape=(rows, cols))
+    return t, points, arrows
+
+
+def _violation(check, *args):
+    """The message of the EdgeRelationViolated that check(*args) raises, or None."""
+    try:
+        check(*args)
+    except sheaf.EdgeRelationViolated as e:
+        return str(e)
+    return None
+
+
+@settings(max_examples=300)
+@given(st.randoms(use_true_random=False).map(_jordan_case))
+def test_the_jordan_edge_check_agrees_with_the_dense_defects(case):
+    t, points, arrows = case
+    jordans = {a: p.jordan for a, p in points.items()}
+    dense = adhm._edge_defects(jordans, arrows)
+    # the same verdict for every arrow, in quiver order, so the same first broken arrow
+    assert list(sheaf._jordan_defects(jordans, arrows)) \
+        == [(key, m is not None) for key, m in dense.items()]
+    broken = next((key for key, m in dense.items() if m is not None), None)
+    want = None if broken is None else f"edge defect at {broken} is nonzero"
+    assert _violation(sheaf._check_intertwining, sheaf._jordan_defects(jordans, arrows)) == want
+    fractions = {key: linalg.rational_matrix(m) for key, m in arrows.items()}
+    assert _violation(sheaf.QuiverSheafData, t, points, fractions) == want
 
 
 def _count_calls(monkeypatch, names):

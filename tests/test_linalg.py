@@ -7,7 +7,7 @@ import pytest
 import sympy
 from sympy import QQ
 from sympy.polys.matrices import DomainMatrix
-from hypothesis import Phase, given, settings
+from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 
 from adequiver import linalg, poly
@@ -41,12 +41,40 @@ RAGGED = [[1, 2], [3]]
     (linalg.char_poly_coeffs, (RAGGED,), "a matrix"),
     (linalg.rational_eigenvalues, (RAGGED,), "a matrix"),
     (linalg.jordan_form, (RAGGED,), "a matrix"),
+    (linalg.mat_eq, (RAGGED, [[1, 2], [3, 4]]), "the left operand"),
+    (linalg.mat_eq, ([[1, 2], [3, 4]], RAGGED), "the right operand"),
+    (linalg.mat_add, (RAGGED, RAGGED), "the left operand"),
+    (linalg.mat_add, ([[1, 2], [3, 4]], RAGGED), "the right operand"),
+    (linalg.mat_sub, (RAGGED, RAGGED), "the left operand"),
+    (linalg.mat_sub, ([[1, 2], [3, 4]], RAGGED), "the right operand"),
+    (linalg.trace, (RAGGED,), "a matrix"),
+    (linalg.trace, ([[1], [3, 4]],), "a matrix"),
+    (linalg.block_diag, ([[[1]], RAGGED],), "block 1"),
 ], ids=["matrix", "mat_mul-left", "mat_mul-right", "rref", "rank", "nullspace", "inverse",
-        "char_poly_coeffs", "rational_eigenvalues", "jordan_form"])
+        "char_poly_coeffs", "rational_eigenvalues", "jordan_form", "mat_eq-left",
+        "mat_eq-right", "mat_add-left", "mat_add-right", "mat_sub-left", "mat_sub-right",
+        "trace", "trace-short-first-row", "block_diag"])
 def test_the_fraction_api_refuses_ragged_rows_naming_the_matrix(fn, args, name):
     # every Fraction matrix enters through int_rows, so none is truncated or misread
     with pytest.raises(ValueError, match=f"^{name} has ragged rows$"):
         fn(*args)
+
+
+def test_the_fraction_helpers_read_whole_matrices():
+    # shapes come from every row, so a short row is no longer read as a match or an index
+    assert not linalg.mat_eq([[1, 2], [3, 4]], [[1, 2], [3, 5]])
+    assert linalg.mat_eq([[Fraction(1, 2), 2]], [["1/2", 2]])
+    assert not linalg.mat_eq([], [[]]) and linalg.mat_eq([[]], [[]])
+    assert linalg.mat_add([[1, Fraction(1, 2)]], [[2, Fraction(1, 3)]]) == [[3, Fraction(5, 6)]]
+    assert linalg.mat_sub([[]], [[]]) == [[]] and linalg.mat_add([], []) == []
+    with pytest.raises(ValueError, match=r"^shape mismatch \(1, 2\) - \(2, 1\)$"):
+        linalg.mat_sub([[1, 2]], [[1], [2]])
+    assert linalg.trace([[Fraction(1, 2), 5], [7, Fraction(1, 3)]]) == Fraction(5, 6)
+    assert linalg.trace([]) == 0
+    with pytest.raises(ValueError, match="non-square"):
+        linalg.trace([[1, 2]])
+    assert linalg.block_diag([[[1, 2]], [[]], [[Fraction(1, 2)], [3]]]) == [
+        [1, 2, 0], [0, 0, 0], [0, 0, Fraction(1, 2)], [0, 0, 3]]
 
 
 def test_identity_and_zeros_shapes():
@@ -478,14 +506,39 @@ def _sum_terms(draw):
     return rows, cols, terms
 
 
+def _sum_case(rows, cols, *terms):
+    return rows, cols, [(c, linalg.matrix(a), b and linalg.matrix(b)) for c, a, b in terms]
+
+
+_ONE = [[1, 0], [0, 1]]
+_A = [[Fraction(1, 2), 2], [3, Fraction(-4, 3)]]
+
+
 @settings(max_examples=150, deadline=None)
 @given(_sum_terms())
+# corners of the closing pass: a zero sum over d == 1 and over d > 1, every entry a
+# multiple of d (over d > 1 and for the c*a term alone), leading zero rows before the first
+# row that brings the gcd to 1, and the c*a term alone
+@example(_sum_case(2, 2, (1, [[1, 2], [3, 4]], _ONE), (-1, [[1, 2], [3, 4]], _ONE)))
+@example(_sum_case(2, 2, (Fraction(1, 3), _A, _ONE), (Fraction(-1, 3), _A, _ONE)))
+@example(_sum_case(1, 2, (Fraction(1, 2), [[0, 0]], None), (Fraction(1, 3), [[0, 0]], None)))
+@example(_sum_case(2, 2, (Fraction(1, 2), [[2, 4], [6, 8]], _ONE)))
+@example(_sum_case(2, 2, (Fraction(-5, 2), [[Fraction(2, 5), 0], [0, Fraction(4, 5)]], None)))
+@example(_sum_case(3, 2, (Fraction(1, 7), [[0, 0], [0, 0], [Fraction(1, 3), 2]], _ONE)))
+@example(_sum_case(3, 2, (Fraction(1, 2), [[0, 0], [0, 0], [1, 3]], None)))
+@example(_sum_case(2, 3, (Fraction(3, 7), [[1, 0, Fraction(-1, 2)], [0, 0, 0]], None)))
 def test_sum_of_products_matches_the_naive_product_and_mat_add(case):
     rows, cols, terms = case
-    want = linalg.zeros(rows, cols)
+    # the reference: textbook Fraction products, added entry by entry
+    want = [[Fraction(0)] * cols for _ in range(rows)]
     for c, a, b in terms:
         term = a if b is None else naive_product(a, b, cols)
-        want = linalg.mat_add(want, linalg.mat_scale(c, term))
+        want = [[x + c * y for x, y in zip(wr, tr)] for wr, tr in zip(want, term)]
+    added = linalg.zeros(rows, cols)
+    for c, a, b in terms:
+        added = linalg.mat_add(added, linalg.mat_scale(c, a if b is None else
+                                                       naive_product(a, b, cols)))
+    assert added == want
     ints = [(c, linalg.int_rows(a), None if b is None else linalg.int_rows(b))
             for c, a, b in terms]
     before = repr(ints)
