@@ -43,7 +43,7 @@ def main():
     codes = {}
     for name, argv, filename in calls():
         codes[name], out = run(argv)
-        (HERE / "expected" / filename).write_text(out)
+        (HERE / "expected" / filename).write_text(out, encoding="utf-8")
     (HERE / "expected" / "exit_codes.json").write_text(json.dumps(codes, indent=2) + "\n")
 
 

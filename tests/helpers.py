@@ -191,3 +191,60 @@ def reference_char_poly(m) -> list:
             break
     cs += [0] * (n + 1 - len(cs))
     return [Fraction(ck, d ** k) for k, ck in enumerate(cs)][::-1]
+
+
+def plant(rng: Random, name: str, x: Fraction, root: tuple | None = None) -> tuple:
+    """(finite theta, Fraction arrows, loops) of a finite representation of type name at
+    the dimension vector root (the highest root by default) whose node relations hold.
+
+    Each loop is x I.  theta_a is linear at every finite node, drawn at random but at
+    the last node with a nonzero root coefficient, where it makes theta_root(x) zero: a
+    generic representation of root dimension lifts to the deformed preprojective
+    algebra only then (Crawley-Boevey).  The arrows of sign +1 are drawn at random; the
+    node relations are linear in the reverse arrows, which sympy's linsolve finds
+    exactly (free parameters 0).  Redraws until a solution exists, then checks every
+    node relation by the textbook product.
+    """
+    from adequiver.dynkin import highest_root
+    from adequiver.quiver import build_n1_quiver
+    t = DynkinType.parse(name)
+    dims = dict(zip(range(1, t.rank + 1), root or highest_root(t).coefficients))
+    arrows = build_n1_quiver(t, affine=False).mckay_arrows()
+    last = max(a for a, n in dims.items() if n)
+    while True:
+        theta = {a: [rand_frac(rng), rand_frac(rng)] for a in dims}
+        rest = sum(dims[a] * (c + e * x) for a, (c, e) in theta.items() if a != last)
+        theta[last][0] = -rest / dims[last] - theta[last][1] * x
+        b, unknowns = {}, []
+        for k in arrows:
+            shape = dims[k.target], dims[k.source]
+            if k.sign > 0:
+                b[k.key] = sympy.Matrix(rand_matrix(rng, *shape, span=3))
+            else:
+                b[k.key] = sympy.Matrix(*shape, lambda i, j: sympy.Symbol(f"b{k.key}_{i}_{j}"))
+                unknowns += list(b[k.key])
+        equations = []
+        for a, n in dims.items():
+            value = (theta[a][0] + theta[a][1] * x) * sympy.eye(n)
+            for k in arrows:
+                if k.source == a:
+                    value += k.sign * b[k.reversed_key()] * b[k.key]
+            equations += list(value)
+        solutions = sympy.linsolve(equations, unknowns)
+        if solutions:
+            break
+    (values,) = solutions
+    free = {s: 0 for v in values for s in v.free_symbols}
+    solved = dict(zip(unknowns, (v.subs(free) for v in values)))
+    out = {key: mat_from_sympy(m.subs(solved)) for key, m in b.items()}
+    loops = {a: [[x if i == j else Fraction(0) for j in range(n)] for i in range(n)]
+             for a, n in dims.items()}
+    for a, n in dims.items():
+        total = [[theta[a][0] + theta[a][1] * x if i == j else Fraction(0) for j in range(n)]
+                 for i in range(n)]
+        for k in arrows:
+            if k.source == a:
+                product = naive_product(out[k.reversed_key()], out[k.key], n)
+                total = [[u + k.sign * v for u, v in zip(r, s)] for r, s in zip(total, product)]
+        assert all(v == 0 for row in total for v in row), f"node relation at {a} fails"
+    return {a: Polynomial.of(c) for a, c in theta.items()}, out, loops
