@@ -15,10 +15,11 @@ Two families of defects are computed exactly:
 Each defect is one integer pass of `linalg.sum_of_products` at its full
 shape, so empty nodes need no special case; Theta_a(Psi_a) enters the
 node's pass as terms c_0 I, c_1 Psi and c_k Psi^(k-1) Psi, one power more
-per degree above 2.  Both read `N1Representation.ints`, the integer rows
-of B and Psi (`linalg.IntMat`); `framing` holds the framing vectors as
-the rows of one integer block per node.  Each block is read once, by
-`linalg.int_rows`, and stored only so; B, Psi and I are Fraction views,
+per degree above 2.  A representation keeps one table of integer rows
+(`linalg.IntMat`) per kind of block: `arrows` (B, by arrow key), `loops`
+(Psi, by node) and `framing` (the framing vectors at each node as the
+rows of one block).  Each block is read once, by `linalg.int_rows`, and
+stored only so; B, Psi and I are Fraction views of one table each,
 built on first read.  Every record holds every arrow of its quiver, in
 quiver order, and no stored block is None: a block not given is stored
 as zeros.  Outside input goes through the validating constructors; the
@@ -73,14 +74,14 @@ def _quiver_data(t: DynkinType, affine: bool, dims: Mapping[int, int], arrows: M
     stray = (set(ranks) | set(vectors)) - set(dims)
     if stray:
         raise ValueError(f"framing data at unknown nodes {sorted(stray)}")
-    ints = {key: linalg.int_rows(arrows.get(key), f"arrow {key}", (dims[key[1]], dims[key[0]]))
-            for key in keys}
+    arrows = {key: linalg.int_rows(arrows.get(key), f"arrow {key}", (dims[key[1]], dims[key[0]]))
+              for key in keys}
     ranks = {a: int(ranks.get(a, 0)) for a in sorted(dims)}
     if any(r < 0 for r in ranks.values()):
         raise ValueError("framing ranks must be nonnegative")
     framing = {a: linalg.int_rows(vectors.get(a, []), f"framing at node {a}", (ranks[a], n))
                for a, n in sorted(dims.items())}
-    return ints, ranks, framing
+    return arrows, ranks, framing
 
 
 def _images(m: IntMat, vectors: IntMat) -> IntMat:
@@ -97,38 +98,38 @@ def _direct(cls, **fields):
     return record
 
 
-def _fractions(blocks: Mapping, keys=None) -> dict:
-    """The blocks at keys (default: all) as Fraction matrices."""
-    return {k: linalg.rational_matrix(blocks[k]) for k in (blocks if keys is None else keys)}
+def _fractions(blocks: Mapping) -> dict:
+    return {k: linalg.rational_matrix(m) for k, m in blocks.items()}
 
 
 class _IntRows:
-    """Quiver data stored only as integer rows: `ints` by key, and `framing`, the framing
-    vectors at each node as the rows of one block.  The fields in `_views` read them as
-    Fractions, cached on first read; `==` compares the other fields, then the blocks by
-    `linalg.equal_ints`, so it builds no Fraction.  The constructor validates outside
-    input; `_direct` builds one from validated ones, `ints` in the constructor's order."""
+    """Quiver data stored only as integer rows, one table per kind of block, named in
+    `_tables`: `arrows` by arrow key, in quiver order, `framing`, the framing vectors at each
+    node as the rows of one block, and a representation's `loops`, by node.  The fields in
+    `_views` read them as Fractions, cached on first read; `==` compares the other fields,
+    then the tables by `linalg.equal_ints`, so it builds no Fraction.  The constructor
+    validates outside input; `_direct` builds one from validated tables, in its order."""
 
     _views: tuple[str, ...] = ()
+    _tables: tuple[str, ...] = ()
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
         return (all(getattr(self, f) == getattr(other, f) for f in self._fields
                     if f not in self._views)
-                and all(linalg.equal_ints(m, other.ints[k]) for k, m in self.ints.items())
-                and all(linalg.equal_ints(m, other.framing[a]) for a, m in self.framing.items()))
+                and all(linalg.equal_ints(m, getattr(other, table)[k])
+                        for table in self._tables for k, m in getattr(self, table).items()))
 
 
 class N1Representation(_IntRows, _Record):
     """Dims, arrows B, loops Psi and framing of a representation; missing blocks are zero.
-
-    `ints` holds B and Psi as integer rows, by key: arrows first, then loops; `framing`
-    holds the framing vectors.  B, Psi and I are their Fraction views (`_IntRows`).
-    """
+    Each is stored as integer rows, in `arrows` (by arrow key), `loops` (by node) and
+    `framing`; B, Psi and I are their Fraction views (`_IntRows`)."""
 
     _fields = ("type", "dims", "B", "Psi", "framing_ranks", "I", "affine")
     _views = ("B", "Psi", "I")
+    _tables = ("arrows", "loops", "framing")
 
     def __init__(self, type: DynkinType, dims: dict[int, int],
                  B: dict[ArrowKey, Mat] | None = None, Psi: dict[int, Mat] | None = None,
@@ -138,17 +139,17 @@ class N1Representation(_IntRows, _Record):
         labels = node_labels(type, affine)
         if sorted(dims) != labels:
             raise ValueError(f"dims must cover exactly the nodes {labels}")
-        self.ints, self.framing_ranks, self.framing = _quiver_data(
+        self.arrows, self.framing_ranks, self.framing = _quiver_data(
             type, affine, dims, B or {}, framing_ranks or {}, I or {})
         Psi = Psi or {}
         stray = set(Psi) - set(labels)
         if stray:
             raise ValueError(f"loop data at unknown nodes {sorted(stray)}")
-        self.ints.update({a: linalg.int_rows(Psi.get(a), f"loop at {a}", (dims[a],) * 2)
-                          for a in labels})
+        self.loops = {a: linalg.int_rows(Psi.get(a), f"loop at {a}", (dims[a],) * 2)
+                      for a in labels}
 
-    B = cached_property(lambda self: _fractions(_arrow_ints(self)))
-    Psi = cached_property(lambda self: _fractions(self.ints, node_labels(self.type, self.affine)))
+    B = cached_property(lambda self: _fractions(self.arrows))
+    Psi = cached_property(lambda self: _fractions(self.loops))
     I = cached_property(lambda self: _fractions(self.framing))
 
     @property
@@ -158,10 +159,6 @@ class N1Representation(_IntRows, _Record):
     @property
     def total_dim(self) -> int:
         return sum(self.dims.values())
-
-
-def _arrow_ints(rep: N1Representation) -> dict[ArrowKey, IntMat]:
-    return {k: m for k, m in rep.ints.items() if isinstance(k, tuple)}
 
 
 def _theta_terms(p: Polynomial, m: IntMat, n: int) -> list[tuple]:
@@ -196,9 +193,10 @@ def _theta_table(rep: N1Representation, theta) -> dict[int, Polynomial]:
 
 
 class RelationResidual(_Record):
-    """Node and edge residuals: `check_relations` keeps them as integer rows, None where
-    zero, in `nodes` and `edges`, shaped by the node dimensions `dims`, and builds their
-    Fraction views on first read; one built from Fraction matrices reads its rows off them."""
+    """Node and edge residuals: `check_relations` keeps them as integer rows, None where zero,
+    in `nodes` (by node) and `edges` (by arrow), shaped by the node dimensions `dims`, and
+    builds their Fraction views on first read.  The zero tests read the rows, so they belong
+    to `check_relations` results; the constructor keeps only the Fraction matrices given."""
 
     _fields = ("node_residuals", "edge_residuals")
 
@@ -206,16 +204,9 @@ class RelationResidual(_Record):
         a: linalg.rational_matrix(m, self.dims[a], self.dims[a]) for a, m in self.nodes.items()})
     edge_residuals = cached_property(lambda self: {(s, t, i): linalg.rational_matrix(
         m, self.dims[t], self.dims[s]) for (s, t, i), m in self.edges.items()})
-    nodes = cached_property(lambda self: _nonzero_ints(self.node_residuals))
-    edges = cached_property(lambda self: _nonzero_ints(self.edge_residuals))
     nodes_zero = property(lambda self: not any(self.nodes.values()))
     edges_zero = property(lambda self: not any(self.edges.values()))
     is_zero = property(lambda self: self.nodes_zero and self.edges_zero)
-
-
-def _nonzero_ints(blocks: Mapping) -> dict:
-    ints = {k: linalg.int_rows(m, f"residual at {k}") for k, m in blocks.items()}
-    return {k: m if any(map(any, m[0])) else None for k, m in ints.items()}
 
 
 def _edge_defects(loops: Mapping[int, IntMat],
@@ -236,11 +227,11 @@ def check_relations(rep: N1Representation, theta) -> RelationResidual:
     nodes = {}
     for a in node_labels(rep.type, rep.affine):   # theta_a(Psi_a) + sum of sign * reverse o arrow
         d = rep.dims[a]
-        terms = _theta_terms(table[a], rep.ints[a], d)
-        terms += [(arrow.sign, rep.ints[arrow.reversed_key()], rep.ints[arrow.key])
+        terms = _theta_terms(table[a], rep.loops[a], d)
+        terms += [(arrow.sign, rep.arrows[arrow.reversed_key()], rep.arrows[arrow.key])
                   for arrow in rep.quiver.mckay_arrows() if arrow.source == a]
         nodes[a] = linalg.sum_of_products(terms, d, d)
-    return _direct(RelationResidual, nodes=nodes, edges=_edge_defects(rep.ints, _arrow_ints(rep)),
+    return _direct(RelationResidual, nodes=nodes, edges=_edge_defects(rep.loops, rep.arrows),
                    dims=dict(rep.dims))
 
 
@@ -250,31 +241,27 @@ def is_nondegenerate(rep: N1Representation) -> bool:
     Grows the span of the framing vectors under every arrow map and
     every loop: each vector that enlarges a span passes its images on, once,
     until none is left.  Then compares dimensions; zero dimensional nodes
-    are vacuously covered.  It runs on integer rows, `rep.framing` and
-    `rep.ints`, whose denominators a span ignores.
+    are vacuously covered.  It runs on the integer rows of `rep.framing`,
+    `rep.arrows` and `rep.loops`, whose denominators a span ignores.
     """
-    labels = node_labels(rep.type, rep.affine)
-    spans = {a: linalg.SpanBasis(rep.dims[a]) for a in labels}
-    maps = {a: [(a, linalg._transposed(rep.ints[a]))] for a in labels}
-    for k in rep.quiver.mckay_arrows():
-        maps[k.source].append((k.target, linalg._transposed(rep.ints[k.key])))
-    todo = [(a, v) for a in labels for v in rep.framing[a][0] if spans[a].add(v)]
+    spans = {a: linalg.SpanBasis(rep.dims[a]) for a in rep.loops}
+    maps = {a: [(a, linalg._transposed(m))] for a, m in rep.loops.items()}
+    for (s, t, _), m in rep.arrows.items():
+        maps[s].append((t, linalg._transposed(m)))
+    todo = [(a, v) for a, (vectors, _) in rep.framing.items() for v in vectors if spans[a].add(v)]
     while todo:                     # each w lies in spans[a]; its images are not yet added
         a, w = todo.pop()
         for b, mt in maps[a]:
             image = linalg.sum_of_products([(1, ([w], 1), mt)], 1, rep.dims[b])
             if image and spans[b].add(image[0][0]):
                 todo.append((b, image[0][0]))
-    return all(spans[a].dim == rep.dims[a] for a in labels)
+    return all(span.dim == rep.dims[a] for a, span in spans.items())
 
 
 def support(rep: N1Representation) -> dict[int, list[complex]]:
     """Loop eigenvalues per node, repeated by their exact multiplicity, as float labels."""
-    return {
-        a: [point for point, k in poly_roots(Polynomial.of(linalg.char_poly_coeffs(rep.ints[a])))
-            for _ in range(k)]
-        for a in node_labels(rep.type, rep.affine)
-    }
+    return {a: [point for point, k in poly_roots(Polynomial.of(linalg.char_poly_coeffs(m)))
+                for _ in range(k)] for a, m in rep.loops.items()}
 
 
 class SupportReportRow(_Record):
@@ -312,10 +299,10 @@ def check_support_property(rep: N1Representation, theta, tol: float = 1e-6) -> S
     projections = [(r.coefficients, p) for r, p in _of_type(rep, theta).projections
                    if p.degree != 0]
     rows: list[SupportReportRow] = []
-    for a in node_labels(rep.type, rep.affine):
+    for a, m in rep.loops.items():
         if rep.dims[a] == 0:
             continue
-        s = left = squarefree_part(Polynomial.of(linalg.char_poly_coeffs(rep.ints[a])))
+        s = left = squarefree_part(Polynomial.of(linalg.char_poly_coeffs(m)))
         shared = []
         for r, p in projections:
             g = poly_gcd(p, s)
@@ -355,7 +342,7 @@ def transport(left: IntMat, m: IntMat, right: IntMat, rows: int, cols: int) -> I
 def _moved(rep: N1Representation, pairs: Mapping[int, tuple[IntMat, IntMat]]) -> tuple[dict, dict]:
     """The arrows g_t B g_s^-1 and the framing blocks g v of rep, for pairs (g, g^-1) by node."""
     arrows = {(s, t, i): transport(pairs[t][0], m, pairs[s][1], rep.dims[t], rep.dims[s])
-              for (s, t, i), m in _arrow_ints(rep).items()}
+              for (s, t, i), m in rep.arrows.items()}
     return arrows, {a: _images(pairs[a][0], m) for a, m in rep.framing.items()}
 
 
@@ -385,9 +372,9 @@ def conjugate(rep: N1Representation, g: Mapping[int, Mat]) -> N1Representation:
     pairs = g.pairs if fits else {a: (m, linalg.inverse_ints(m)) for a, m in (
         (a, linalg.int_rows(g[a], f"base change at {a}", (rep.dims[a],) * 2)) for a in labels)}
     b, framing = _moved(rep, pairs)
-    psi = {a: transport(pairs[a][0], rep.ints[a], pairs[a][1], rep.dims[a], rep.dims[a])
-           for a in labels}
-    return _direct(N1Representation, ints={**b, **psi}, framing=framing, type=rep.type,
+    loops = {a: transport(pairs[a][0], m, pairs[a][1], rep.dims[a], rep.dims[a])
+             for a, m in rep.loops.items()}
+    return _direct(N1Representation, arrows=b, loops=loops, framing=framing, type=rep.type,
                    dims=dict(rep.dims), framing_ranks=dict(rep.framing_ranks), affine=rep.affine)
 
 
@@ -395,8 +382,8 @@ def trace_identity_defect(rep: N1Representation, theta) -> Fraction:
     """sum_a tr Theta_a(Psi_a); zero whenever every node relation holds."""
     table = _theta_table(rep, theta)
     total = Fraction(0)
-    for a in node_labels(rep.type, rep.affine):
+    for a, m in rep.loops.items():
         n = rep.dims[a]
-        rows, d = linalg.sum_of_products(_theta_terms(table[a], rep.ints[a], n), n, n) or ([], 1)
+        rows, d = linalg.sum_of_products(_theta_terms(table[a], m, n), n, n) or ([], 1)
         total += Fraction(sum(row[i] for i, row in enumerate(rows)), d)
     return total

@@ -32,9 +32,19 @@ def _fmt_complex(z) -> str:
 
 def _fmt_matrix(m) -> str:
     from . import io as fileio
-    if not m or not m[0]:
-        return "(empty)"
-    return "[" + "; ".join(" ".join(fileio.frac_to_str(x) for x in row) for row in m) + "]"
+    return _fmt_entries(fileio.matrix_to_json(m)) if m and m[0] else "(empty)"
+
+
+def _fmt_entries(rows) -> str:
+    """Rows of printed entries on one line; "0", a zero residual's entries, as it is."""
+    return rows if rows == "0" else "[" + "; ".join(" ".join(row) for row in rows) + "]"
+
+
+def _residual_entries(m) -> list[list[str]] | str:
+    """The printed entries of a residual kept as integer rows; "0" where it is zero (None)."""
+    from . import io as fileio
+    return "0" if m is None else [[fileio.frac_to_str(Fraction(x, m[1])) for x in row]
+                                  for row in m[0]]
 
 
 class Verdict(dynkin._Record):
@@ -269,22 +279,18 @@ def cmd_check_rep(args, report: RunReport) -> None:
         # a file refused as input fails its own verdict; the others keep theirs
         try:
             rep, residual, nondeg, support_report = _check_one_rep(path, data, theta)
-            # formatted here, so a value too long to print fails this file alone
-            nodes = {a: "0" if linalg.is_zero_matrix(m) else _fmt_matrix(m)
-                     for a, m in sorted(residual.node_residuals.items())}
-            edges = {key: _fmt_matrix(m) for key, m in sorted(residual.edge_residuals.items())
-                     if not linalg.is_zero_matrix(m)}
-            node_json = {str(a): "0" if linalg.is_zero_matrix(m) else fileio.matrix_to_json(m)
-                         for a, m in sorted(residual.node_residuals.items())}
+            # formatted here, once, so a value too long to print fails this file alone
+            nodes = {str(a): _residual_entries(m) for a, m in sorted(residual.nodes.items())}
+            edges = {key: _residual_entries(m) for key, m in sorted(residual.edges.items()) if m}
         except (dynkin.InputTooLarge, ValueError) as e:
             _refuse(report, e, f"; file {path}")
             continue
         report.say(f"-- {path} (type {rep.type}, total dimension {rep.total_dim})")
-        for a, text in nodes.items():
-            report.say(f"node {a} residual: {text}")
-        for key, text in edges.items():
-            report.say(f"edge {key} residual: {text}")
-        entry = {"path": path, "node_residuals": node_json, "edges_zero": residual.edges_zero}
+        for a, entries in nodes.items():
+            report.say(f"node {a} residual: {_fmt_entries(entries)}")
+        for key, entries in edges.items():
+            report.say(f"edge {key} residual: {_fmt_entries(entries)}")
+        entry = {"path": path, "node_residuals": nodes, "edges_zero": residual.edges_zero}
         report.check(f"{path}: node-relations", residual.nodes_zero,
                      "all node residuals vanish" if residual.nodes_zero
                      else "some node residual is nonzero")
@@ -407,7 +413,7 @@ def cmd_monad_check(args, report: RunReport) -> None:
     if rep.type.family != "A" or not rep.affine:
         _unsupported(report, "monad check covers affine type A only")
         return
-    if any(any(map(any, rep.ints[a][0])) for a in rep.dims):
+    if any(any(map(any, m[0])) for m in rep.loops.values()):
         _unsupported(
             report,
             "monad check is fiberwise: loops must be zero "
@@ -427,7 +433,7 @@ def cmd_monad_check(args, report: RunReport) -> None:
 
     b1, b2 = {}, {}
     for arrow in rep.quiver.mckay_arrows():
-        (b1 if arrow.sign > 0 else b2)[arrow.source] = rep.ints[arrow.key]
+        (b1 if arrow.sign > 0 else b2)[arrow.source] = rep.arrows[arrow.key]
     # i at node a: the framing vectors as its columns
     i_blocks = {a: linalg._transposed(rep.framing[a]) for a in range(n) if rep.framing_ranks[a]}
     m = monad.build_monad(rep.type.rank, b1, b2, i_blocks, {}, lam,

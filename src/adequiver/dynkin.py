@@ -14,6 +14,7 @@ Node labelling convention, used everywhere in this package:
 
 from __future__ import annotations
 
+import re
 from functools import lru_cache
 from operator import attrgetter
 
@@ -130,9 +131,10 @@ class DynkinType(_Frozen):
     @classmethod
     def parse(cls, text: str) -> "DynkinType":
         text = text.strip()
-        if not text or text[0].upper() not in FAMILIES or not text[1:].isdigit():
+        family, rank = text[:1].upper(), text[1:]   # the rank in ASCII digits, as str() spells it
+        if family not in FAMILIES or not re.fullmatch(r"0|[1-9][0-9]*", rank):
             raise ValueError(f"cannot parse Dynkin type {text!r}")
-        return cls(text[0].upper(), int(text[1:]))
+        return cls(family, int(rank))
 
     def __str__(self) -> str:
         return f"{self.family}{self.rank}"

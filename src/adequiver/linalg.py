@@ -8,8 +8,8 @@ unique map between zero-dimensional spaces.
 The exact kernels run on Python ints and build each output Fraction
 once.  An `IntMat` is integer rows over one denominator (`rational_matrix`
 reads Fractions back, `equal_ints` compares two); it is the only storage
-of the arrow, loop and framing blocks of representations and point data
-and of the `monad` blocks.  Every matrix, from a file or from a caller of
+of representations and point data (their `arrows`, `loops` and `framing`
+tables) and of the `monad` blocks.  Every matrix, from a file or from a caller of
 the Fraction API, comes in through `int_rows` alone, which names the
 matrix it refuses, ragged ones included.  There is one integer product,
 `sum_of_products`: the caller gives the output shape, every term c*a*b

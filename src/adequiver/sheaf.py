@@ -10,8 +10,8 @@ The same dictionary upgraded to quivers: a representation whose loops
 all intertwine with the arrow maps (zero edge defects) corresponds to
 per-node torsion modules plus arrow maps written in the Jordan bases,
 with framing vectors carried along by the same base change.  The round
-trip runs on the integer rows (`linalg.IntMat`), the only storage of
-the arrow, loop and framing blocks, and on one Jordan matrix per
+trip runs on the integer rows (`linalg.IntMat`), one table per kind of
+block (`arrows`, `loops`, `framing`), and on one Jordan matrix per
 `TorsionSheafData` (`.jordan`); the base changes carry their inverses.
 As in `adhm`, every record holds every arrow, and no stored block is
 None.  Both directions build their records directly (`adhm._direct`),
@@ -28,8 +28,8 @@ from math import lcm
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from . import linalg
-from .adhm import (ArrowKey, BaseChanges, N1Representation, _arrow_ints, _direct,
-                   _edge_defects, _fractions, _IntRows, _moved, _quiver_data)
+from .adhm import (ArrowKey, BaseChanges, N1Representation, _direct, _edge_defects,
+                   _fractions, _IntRows, _moved, _quiver_data)
 from .dynkin import DynkinType, _Frozen, _Record, node_labels
 from .linalg import ComputeFailure, IntMat, Mat, Vec
 
@@ -144,13 +144,14 @@ def _jordan_defects(jordans: Mapping[int, IntMat],
 
 
 class QuiverSheafData(_IntRows, _Record):
-    """Torsion data per node, arrow maps and framing; missing arrows are zero.  `ints`
+    """Torsion data per node, arrow maps and framing; missing arrows are zero.  `arrows`
     holds every arrow map as integer rows, by key, and `framing` the framing vectors;
     `arrow_maps` and `framing_vectors` are their Fraction views (`adhm._IntRows`)."""
 
     _fields = ("type", "node_sheaves", "arrow_maps", "framing_ranks", "framing_vectors",
                "affine")
     _views = ("arrow_maps", "framing_vectors")
+    _tables = ("arrows", "framing")
 
     def __init__(self, type: DynkinType, node_sheaves: dict[int, TorsionSheafData],
                  arrow_maps: dict[ArrowKey, Mat], framing_ranks: dict[int, int] | None = None,
@@ -159,12 +160,13 @@ class QuiverSheafData(_IntRows, _Record):
         labels = node_labels(type, affine)
         if sorted(node_sheaves) != labels:
             raise ValueError(f"need sheaf data for exactly the nodes {labels}")
-        self.ints, self.framing_ranks, self.framing = _quiver_data(
+        self.arrows, self.framing_ranks, self.framing = _quiver_data(
             type, affine, {a: node_sheaves[a].dimension for a in labels},
             arrow_maps, framing_ranks or {}, framing_vectors or {})
-        _check_intertwining(_jordan_defects({a: node_sheaves[a].jordan for a in labels}, self.ints))
+        _check_intertwining(_jordan_defects({a: node_sheaves[a].jordan for a in labels},
+                                            self.arrows))
 
-    arrow_maps = cached_property(lambda self: _fractions(self.ints))
+    arrow_maps = cached_property(lambda self: _fractions(self.arrows))
     framing_vectors = cached_property(lambda self: _fractions(self.framing))
 
 
@@ -178,30 +180,29 @@ def quadruple_to_quintuple(rep: N1Representation) -> tuple[QuiverSheafData, Base
     per-node base changes g (new = g * old) with their inverses p, so callers can
     verify the transport.
     """
-    labels = node_labels(rep.type, rep.affine)
     sheaves: dict[int, TorsionSheafData] = {}
     p: dict[int, IntMat] = {}
-    for a in labels:
+    for a, m in rep.loops.items():
         try:
-            j, p[a] = linalg.jordan_basis(rep.ints[a])
+            j, p[a] = linalg.jordan_basis(m)
         except linalg.NonRationalSpectrum:
-            _check_intertwining(_edge_defects(rep.ints, _arrow_ints(rep)).items())
+            _check_intertwining(_edge_defects(rep.loops, rep.arrows).items())
             raise
         sheaves[a] = _jordan_points(j)
         if sheaves[a].dimension != rep.dims[a] or sheaves[a].jordan != j:
             raise AssertionError("jordan data disagrees with the partition data")
-    pairs = {a: (linalg.inverse_ints(p[a]), p[a]) for a in labels}
+    pairs = {a: (linalg.inverse_ints(pa), pa) for a, pa in p.items()}
     arrows, framing = _moved(rep, pairs)
-    data = _direct(QuiverSheafData, ints=arrows, framing=framing, type=rep.type,
+    data = _direct(QuiverSheafData, arrows=arrows, framing=framing, type=rep.type,
                    node_sheaves=sheaves, framing_ranks=dict(rep.framing_ranks), affine=rep.affine)
-    _check_intertwining(_jordan_defects({a: sheaves[a].jordan for a in labels}, data.ints))
+    _check_intertwining(_jordan_defects({a: s.jordan for a, s in sheaves.items()}, arrows))
     return data, BaseChanges(pairs)
 
 
 def quintuple_to_quadruple(data: QuiverSheafData) -> N1Representation:
     """Representation with Jordan loops read off the torsion data."""
     labels = node_labels(data.type, data.affine)
-    dims = {a: data.node_sheaves[a].dimension for a in labels}
-    blocks = {**data.ints, **{a: data.node_sheaves[a].jordan for a in labels}}
-    return _direct(N1Representation, ints=blocks, framing=dict(data.framing), type=data.type,
-                   dims=dims, framing_ranks=dict(data.framing_ranks), affine=data.affine)
+    return _direct(N1Representation, arrows=dict(data.arrows), framing=dict(data.framing),
+                   loops={a: data.node_sheaves[a].jordan for a in labels}, type=data.type,
+                   dims={a: data.node_sheaves[a].dimension for a in labels},
+                   framing_ranks=dict(data.framing_ranks), affine=data.affine)

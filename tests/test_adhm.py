@@ -7,7 +7,8 @@ from adequiver import adhm, linalg
 from adequiver.deformation import DeformationParam, Polynomial, complete_affine_theta
 from adequiver.dynkin import DynkinType, InputTooLarge, node_labels
 
-from helpers import finite_pair_example, rand_frac, rand_invertible, worked_cycle_example
+from helpers import (finite_pair_example, plant, rand_frac, rand_invertible,
+                     worked_cycle_example)
 
 A2 = DynkinType.parse("A2")
 T = Polynomial.variable()
@@ -66,13 +67,13 @@ def test_zero_loops_cost_no_edge_product(monkeypatch):
 
     monkeypatch.setattr(linalg, "sum_of_products", counting)
     rep = adhm.N1Representation(A2, dims, arrows)
-    edges = adhm._edge_defects(rep.ints, {key: rep.ints[key] for key in rep.B})
+    edges = adhm._edge_defects(rep.loops, {key: rep.arrows[key] for key in rep.B})
     assert set(edges) == set(rep.B) and all(m is None for m in edges.values())
     assert calls == []
     loops = {a: linalg.zeros(d) for a, d in dims.items()}
     loops[1] = [[1, 0, 2], [0, 0, 0], [3, 0, 1]]
     rep = adhm.N1Representation(A2, dims, arrows, Psi={1: loops[1]})
-    edges = adhm._edge_defects(rep.ints, {key: rep.ints[key] for key in rep.B})
+    edges = adhm._edge_defects(rep.loops, {key: rep.arrows[key] for key in rep.B})
     assert calls == [1, 1, 1, 1]        # one single-term product per arrow at node 1
     res = adhm.check_relations(rep, {a: [1] for a in range(3)})
     for (s, t, i), b in rep.B.items():
@@ -143,6 +144,28 @@ def test_finite_pair_example_satisfies_relations():
     for row in report.rows:
         # the one eigenvalue 1/2 is where the (1, 1) projection 2t - 1 vanishes
         assert (row.distinct, row.roots, row.off_locus, row.ok) == (1, [((1, 1), 1)], 0, True)
+
+
+@pytest.mark.parametrize("name", ["A3", "D4", "D5", "E6", "E7"])
+@pytest.mark.parametrize("x", [Fraction(1, 2), Fraction(-3)])
+def test_planted_solutions_hold_and_a_moved_entry_breaks_its_two_nodes(name, x):
+    finite, arrows, loops = plant(random.Random(f"{name} at {x}"), name, x)
+    t = DynkinType.parse(name)
+    theta, dims = complete_affine_theta(t, finite), {a: len(m) for a, m in loops.items()}
+    rep = adhm.N1Representation(t, dims, arrows, loops, affine=False)
+    assert any(any(map(any, m)) for m in arrows.values())
+    assert adhm.check_relations(rep, theta).is_zero
+    assert adhm.check_support_property(rep, theta).ok
+    # B' + E_00 / d for the reverse B' of a forward arrow B: s -> t moves the node relation
+    # at s by E_00 B / d (row 0 of B) and at t by -B E_00 / d (column 0 of B)
+    s, t_, i = next(key for key, m in arrows.items() if key[0] < key[1] and any(map(any, m)))
+    forward, moved = arrows[s, t_, i], {k: [list(row) for row in m] for k, m in arrows.items()}
+    moved[t_, s, i][0][0] += Fraction(1, rep.arrows[t_, s, i][1])
+    residual = adhm.check_relations(adhm.N1Representation(t, dims, moved, loops, affine=False),
+                                    theta)
+    broken = {a for a, hit in ((s, any(forward[0])), (t_, any(row[0] for row in forward))) if hit}
+    assert broken and {a for a, m in residual.nodes.items() if m is not None} == broken
+    assert residual.edges_zero
 
 
 def test_support_check_rejects_occupied_affine_node():
@@ -229,7 +252,7 @@ class TestValidation:
     def test_a_negative_denominator_is_made_positive(self):
         rep = adhm.N1Representation(A2, {0: 1, 1: 2, 2: 1}, B={(0, 1, 0): ([[1], [-2]], -4)},
                                     Psi={1: ([[0, -3], [5, 0]], -6)})
-        assert rep.ints[0, 1, 0] == ([[-1], [2]], 4) and rep.ints[1] == ([[0, 3], [-5, 0]], 6)
+        assert rep.arrows[0, 1, 0] == ([[-1], [2]], 4) and rep.loops[1] == ([[0, 3], [-5, 0]], 6)
         assert rep.B[0, 1, 0] == [[Fraction(-1, 4)], [Fraction(1, 2)]]
         assert rep == adhm.N1Representation(A2, {0: 1, 1: 2, 2: 1},
                                             B={(0, 1, 0): [[Fraction(-1, 4)], [Fraction(1, 2)]]},

@@ -47,7 +47,7 @@ def test_every_operation_of_a_round_passes_its_check(rounds, module, count):
 
 def test_pointdata_loops_have_the_reference_char_poly(rounds):
     _, ops = rounds(pointdata_roundtrip)
-    loops = [inst.rep.ints[a] for inst in ops for a in inst.rep.dims]
+    loops = [inst.rep.loops[a] for inst in ops for a in inst.rep.dims]
     assert max(len(m[0]) for m in loops) == 10
     for m in loops:
         assert linalg.char_poly_coeffs(m) == reference_char_poly(m)

@@ -15,7 +15,8 @@ def test_parse_and_str():
     assert str(t) == "E8"
 
 
-@pytest.mark.parametrize("bad", ["", "B3", "A0", "D3", "E5", "E9", "Ax", "7"])
+@pytest.mark.parametrize("bad", ["", "B3", "A0", "D3", "E5", "E9", "Ax", "7",
+                                 "A\u00b2", "A\u0663", "E\uff106", "A03", "E06"])
 def test_parse_rejects(bad):
     with pytest.raises(ValueError):
         dynkin.DynkinType.parse(bad)

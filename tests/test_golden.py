@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from adequiver import cli
+from adequiver import cli, linalg
 from golden.regenerate import HERE, calls, run
 
 EXIT_CODES = json.loads((HERE / "expected" / "exit_codes.json").read_text())
@@ -51,3 +51,27 @@ def test_every_subcommand_reaches_every_exit_code():
     wanted = {(command, code) for command, _ in reached for code in (0, 1, 2)}
     assert sorted(wanted - reached - UNREACHABLE) == []
     assert sorted(reached & UNREACHABLE) == []     # a reached pair leaves the list
+
+
+def test_every_input_file_belongs_to_a_case_and_every_named_input_exists():
+    named = {arg for _, argv, _ in calls() for arg in argv if arg.startswith("inputs/")}
+    files = {p.relative_to(HERE).as_posix() for p in (HERE / "inputs").rglob("*") if p.is_file()}
+    assert sorted(files - named) == []
+    assert sorted(named - files) == []
+
+
+def test_check_rep_builds_no_zero_fraction_matrix(monkeypatch):
+    # a zero residual is None in the integer rows, and the report prints "0" off that
+    built, kernel = [], linalg.rational_matrix
+
+    def recording(*args):
+        built.append(kernel(*args))
+        return built[-1]
+
+    monkeypatch.setattr(linalg, "rational_matrix", recording)
+    monkeypatch.chdir(HERE)
+    cases = [argv for _, argv, _ in calls() if argv[0] == "check-rep"]
+    for argv in cases:
+        run(argv)
+    assert len(cases) > 20
+    assert [m for m in built if linalg.is_zero_matrix(m)] == []

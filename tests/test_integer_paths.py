@@ -285,11 +285,12 @@ def test_inverse_ints_rejects_singular(rows):
 def test_a_representation_built_from_integer_rows_equals_the_fraction_one(case):
     rep, _, _, _, rng = case
     scale = rng.choice((1, 3))                  # integer rows not over their least denominator
-    ints = {k: ([[x * scale for x in row] for row in a], d * scale) for k, (a, d) in rep.ints.items()}
+    ints = {k: ([[x * scale for x in row] for row in a], d * scale)
+            for k, (a, d) in {**rep.arrows, **rep.loops}.items()}
     built = adhm.N1Representation(rep.type, dict(rep.dims), {k: ints[k] for k in rep.B},
                                   {a: ints[a] for a in rep.Psi}, dict(rep.framing_ranks), rep.I)
     assert built == rep
-    assert built.ints == ints
+    assert {**built.arrows, **built.loops} == ints
     assert fileio.dump_json(fileio.representation_to_dict(built)) \
         == fileio.dump_json(fileio.representation_to_dict(rep))
 
@@ -311,7 +312,7 @@ def test_round_trip_with_a_zero_dimensional_node():
     assert back.I[2] == data.framing_vectors[2] == [[]]
     assert adhm.is_nondegenerate(back) == adhm.is_nondegenerate(planted)
     assert back.B[1, 2, 0] == [] and back.B[2, 0, 0] == [[], []]
-    assert back.ints[1, 2, 0] == ([], 1) and back.ints[2, 0, 0] == ([[], []], 1)
+    assert back.arrows[1, 2, 0] == ([], 1) and back.arrows[2, 0, 0] == ([[], []], 1)
 
 
 def test_the_round_trip_inverts_each_node_once_and_reads_no_fraction_view(monkeypatch):
@@ -511,7 +512,8 @@ def test_the_round_trip_builds_its_records_without_validating_them(monkeypatch):
     sheaf.QuiverSheafData(data.type, data.node_sheaves, data.arrow_maps, data.framing_ranks,
                           data.framing_vectors)
     adhm.N1Representation(rep.type, rep.dims, rep.B, rep.Psi, rep.framing_ranks, rep.I)
-    blocks = len(rep.dims) + len(data.ints) + len(data.framing) + len(rep.ints) + len(rep.framing)
+    blocks = (len(rep.dims) + len(data.arrows) + len(data.framing) + len(rep.arrows)
+              + len(rep.loops) + len(rep.framing))
     assert calls == {"_check_intertwining": 2, "_quiver_data": 2, "int_rows": blocks}
 
 
@@ -548,7 +550,8 @@ def _same_record(record, to_dict):
     """record equals its validated twin field for field, in repr and JSON, and survives
     copy and pickle."""
     built = _revalidated(record)
-    assert list(record.ints.items()) == list(built.ints.items())
+    for table in record._tables:
+        assert list(getattr(record, table).items()) == list(getattr(built, table).items())
     assert all(getattr(record, f) == getattr(built, f) for f in record._fields)
     assert record == built and built == record
     assert repr(record) == repr(built)
