@@ -19,7 +19,8 @@ import sympy
 from adequiver import linalg
 from adequiver.adhm import N1Representation
 from adequiver.deformation import Polynomial, complete_affine_theta
-from adequiver.dynkin import DynkinType
+from adequiver.dynkin import DynkinType, highest_root
+from adequiver.quiver import build_n1_quiver
 
 
 def rand_frac(rng: Random, span: int = 4, denominators=(1, 1, 2, 3)) -> Fraction:
@@ -193,24 +194,21 @@ def reference_char_poly(m) -> list:
     return [Fraction(ck, d ** k) for k, ck in enumerate(cs)][::-1]
 
 
-def plant(rng: Random, name: str, x: Fraction, root: tuple | None = None) -> tuple:
-    """(finite theta, Fraction arrows, loops) of a finite representation of type name at
-    the dimension vector root (the highest root by default) whose node relations hold.
+def plant(rng: Random, name: str, x: Fraction) -> tuple:
+    """(finite theta, Fraction arrows, loops) of a finite representation of type name whose
+    dimension vector is the highest root and whose node relations hold.
 
     Each loop is x I.  theta_a is linear at every finite node, drawn at random but at
-    the last node with a nonzero root coefficient, where it makes theta_root(x) zero: a
-    generic representation of root dimension lifts to the deformed preprojective
-    algebra only then (Crawley-Boevey).  The arrows of sign +1 are drawn at random; the
-    node relations are linear in the reverse arrows, which sympy's linsolve finds
-    exactly (free parameters 0).  Redraws until a solution exists, then checks every
-    node relation by the textbook product.
+    the last node, where it makes theta_root(x) zero: a generic representation of root
+    dimension lifts to the deformed preprojective algebra only then (Crawley-Boevey).
+    The arrows of sign +1 are drawn at random; the node relations are linear in the
+    reverse arrows, which sympy's linsolve finds exactly (free parameters 0).  Redraws
+    until a solution exists, then checks every node relation by the textbook product.
     """
-    from adequiver.dynkin import highest_root
-    from adequiver.quiver import build_n1_quiver
     t = DynkinType.parse(name)
-    dims = dict(zip(range(1, t.rank + 1), root or highest_root(t).coefficients))
+    dims = dict(zip(range(1, t.rank + 1), highest_root(t).coefficients))
     arrows = build_n1_quiver(t, affine=False).mckay_arrows()
-    last = max(a for a, n in dims.items() if n)
+    last = t.rank
     while True:
         theta = {a: [rand_frac(rng), rand_frac(rng)] for a in dims}
         rest = sum(dims[a] * (c + e * x) for a, (c, e) in theta.items() if a != last)
