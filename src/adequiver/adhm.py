@@ -26,7 +26,9 @@ as zeros.  Outside input goes through the validating constructors; the
 records that `conjugate` and the round trip in `sheaf` compute from
 validated ones are built directly (`_direct`), equal field for field to
 those; `_moved` moves the arrows and framing of both.  Residuals and base
-changes keep integer rows too, Fractions built only where a report reads.
+changes keep integer rows too.  Checks and reports read only integer rows;
+the Fraction views serve callers that ask for them.  `_edge_defects` is the
+one intertwining check, for `check_relations` and the round trip in `sheaf`.
 """
 
 from __future__ import annotations

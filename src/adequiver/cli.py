@@ -4,7 +4,10 @@ One executable, one subcommand per check.  Reports carry the command
 name, sha256 digests of every input file, and a list of named verdicts;
 exit code 0 means every verdict passed, 1 means some check failed or a
 computation gave up, 2 means the input was malformed or unsupported.
-Identical inputs and options produce byte-identical output.
+Identical inputs and options produce byte-identical output.  Every
+matrix a report prints, residuals, base changes and the blocks of a
+monad alike, is printed from integer rows by `io.matrix_to_json` (None, a
+zero block, as "0"), and every check compares integer rows.
 """
 
 from __future__ import annotations
@@ -30,21 +33,21 @@ def _fmt_complex(z) -> str:
     return f"{re_:.10g}{im:+.10g}j"
 
 
-def _fmt_matrix(m) -> str:
+def _residual_entries(m) -> list[list[str]] | str:
+    """The printed entries of a matrix (`io.matrix_to_json`); "0" for None, a zero block."""
     from . import io as fileio
-    return _fmt_entries(fileio.matrix_to_json(m)) if m and m[0] else "(empty)"
+    return "0" if m is None else fileio.matrix_to_json(m)
 
 
 def _fmt_entries(rows) -> str:
-    """Rows of printed entries on one line; "0", a zero residual's entries, as it is."""
-    return rows if rows == "0" else "[" + "; ".join(" ".join(row) for row in rows) + "]"
+    """Printed entries on one line: "0" as it is, "(empty)" for a matrix without entries."""
+    if rows == "0":
+        return rows
+    return "[" + "; ".join(" ".join(row) for row in rows) + "]" if rows and rows[0] else "(empty)"
 
 
-def _residual_entries(m) -> list[list[str]] | str:
-    """The printed entries of a residual kept as integer rows; "0" where it is zero (None)."""
-    from . import io as fileio
-    return "0" if m is None else [[fileio.frac_to_str(Fraction(x, m[1])) for x in row]
-                                  for row in m[0]]
+def _fmt_matrix(m) -> str:
+    return _fmt_entries(_residual_entries(m))
 
 
 class Verdict(dynkin._Record):
@@ -360,7 +363,7 @@ def cmd_sheafify(args, report: RunReport) -> None:
         report.say(f"node {a}: {desc}")
     report.data = {
         "sheaf": record,
-        "base_changes": {str(a): fileio.matrix_to_json(m) for a, m in sorted(g.items())},
+        "base_changes": {str(a): fileio.matrix_to_json(m) for a, (m, _) in sorted(g.pairs.items())},
     }
     if args.out:
         fileio.write_json(args.out, record)
@@ -389,10 +392,11 @@ def cmd_roundtrip(args, report: RunReport) -> None:
     back = sheaf.quintuple_to_quadruple(data)
     expected = adhm.conjugate(rep, g)
     same = back == expected
-    for a in sorted(g):
-        report.say(f"base change at node {a}: {_fmt_matrix(g[a])}")
+    changes = {str(a): fileio.matrix_to_json(m) for a, (m, _) in sorted(g.pairs.items())}
+    for a, entries in changes.items():
+        report.say(f"base change at node {a}: {_fmt_entries(entries)}")
     report.data = {
-        "base_changes": {str(a): fileio.matrix_to_json(m) for a, m in sorted(g.items())},
+        "base_changes": changes,
         "conjugate_to_input": same,
     }
     report.check("roundtrip-conjugate-to-input", same,
@@ -440,11 +444,13 @@ def cmd_monad_check(args, report: RunReport) -> None:
                           rep.dims, rep.framing_ranks)
     composite, holds = monad.compose_and_check(m)
 
-    # a monomial has blocks in the composite only where its coefficient is nonzero
+    # a monomial has blocks in the composite only where its coefficient is nonzero, and
+    # both the zz blocks and the node residuals are integer rows, None where zero
     surviving = sorted(set(monad.STRUCTURAL_ZERO_MONOMIALS) & set(composite.blocks))
-    defects = monad.node_relation_defects(m)
-    residuals = adhm.check_relations(rep, {a: [lam[a]] for a in range(n)}).node_residuals
-    differ = [a for a in range(n) if residuals[a] != defects[a]]
+    zz = {a: composite.blocks.get("zz", {}).get((a, a)) for a in range(n)}
+    residuals = adhm.check_relations(rep, {a: [lam[a]] for a in range(n)}).nodes
+    differ = [a for a in range(n) if (zz[a] is None) != (residuals[a] is None)
+              or zz[a] is not None and not linalg.equal_ints(zz[a], residuals[a])]
 
     if holds:
         report.say("b o a = 0")
@@ -453,11 +459,10 @@ def cmd_monad_check(args, report: RunReport) -> None:
         for mono, c in sorted(composite.coefficients.items()):
             report.say(f"  {mono}: {_fmt_matrix(c)}")
     for a in range(n):
-        text = "0" if linalg.is_zero_matrix(defects[a]) else _fmt_matrix(defects[a])
-        report.say(f"node {a} quadratic block: {text}")
+        report.say(f"node {a} quadratic block: {_fmt_matrix(zz[a])}")
     report.data = {
         "lam": {str(a): fileio.frac_to_str(lam[a]) for a in range(n)},
-        "zz_blocks": {str(a): fileio.matrix_to_json(defects[a]) for a in range(n)},
+        "zz_blocks": {str(a): fileio.matrix_to_json(zz[a], (rep.dims[a],) * 2) for a in range(n)},
         "composite_zero": holds,
     }
     report.check("structural-cancellation", not surviving,

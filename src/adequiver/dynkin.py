@@ -130,8 +130,7 @@ class DynkinType(_Frozen):
 
     @classmethod
     def parse(cls, text: str) -> "DynkinType":
-        text = text.strip()
-        family, rank = text[:1].upper(), text[1:]   # the rank in ASCII digits, as str() spells it
+        family, rank = text[:1], text[1:]       # one spelling, the one str() prints
         if family not in FAMILIES or not re.fullmatch(r"0|[1-9][0-9]*", rank):
             raise ValueError(f"cannot parse Dynkin type {text!r}")
         return cls(family, int(rank))

@@ -4,7 +4,9 @@ Rationals, point data supports among them, travel as strings "p/q" (or "p"),
 matrices as row-major arrays of them.  Node keys are integers as str() spells
 them ("0", "-1"; not "00"); no object repeats a key.  Arrow, loop and framing
 arrays go to the constructors as they are, which read them into integer rows
-(`linalg.int_rows`).  Malformed input raises SchemaError, which the command
+(`linalg.int_rows`).  Every matrix written back, files and reports alike, is
+printed by `matrix_to_json` from the records' integer tables (`arrows`,
+`loops`, `framing`).  Malformed input raises SchemaError, which the command
 line maps to exit code 2.
 """
 
@@ -16,10 +18,11 @@ import sys
 from fractions import Fraction
 from typing import Any
 
+from . import linalg
 from .adhm import N1Representation
 from .deformation import DeformationParam, complete_affine_theta, make_deformation
 from .dynkin import DynkinType, InputTooLarge, node_labels
-from .linalg import Mat, Vec
+from .linalg import IntMat
 from .poly import Polynomial
 from .sheaf import QuiverSheafData, TorsionSheafData
 
@@ -56,8 +59,11 @@ def frac_from_json(v, what: str = "an exact rational string") -> Fraction:
         raise SchemaError(f"expected {what}, got {v!r}") from None
 
 
-def matrix_to_json(m: Mat) -> list[list[str]]:
-    return [[frac_to_str(x) for x in row] for row in m]
+def matrix_to_json(m, shape: tuple[int, int] | None = None) -> list[list[str]]:
+    """The printed entries of m, row by row: any matrix `linalg.int_rows` reads, None as
+    the zeros of shape."""
+    rows, d = linalg.int_rows(m, "a printed matrix", shape)
+    return [[frac_to_str(Fraction(x, d)) for x in row] for row in rows]
 
 
 def _parse_type(record: Any) -> DynkinType:
@@ -117,12 +123,11 @@ def _arrows_to_json(arrows: dict) -> list[dict]:
             for (s, t, i), m in sorted(arrows.items())]
 
 
-def _framing_to_json(ranks: dict[int, int], vectors: dict[int, list[Vec]]) -> dict:
-    """The 'framing' object: rank and vectors at each node of positive rank."""
-    return {
-        str(a): {"rank": ranks[a], "vectors": [[frac_to_str(x) for x in v] for v in vectors[a]]}
-        for a in sorted(ranks) if ranks[a]
-    }
+def _framing_to_json(ranks: dict[int, int], framing: dict[int, IntMat]) -> dict:
+    """The 'framing' object: rank and vectors (the rows of the framing block) at each node
+    of positive rank."""
+    return {str(a): {"rank": ranks[a], "vectors": matrix_to_json(framing[a])}
+            for a in sorted(ranks) if ranks[a]}
 
 
 # -- deformation files ------------------------------------------------------
@@ -187,9 +192,9 @@ def representation_to_dict(rep: N1Representation) -> dict:
     return {
         "type": str(rep.type),
         "dims": {str(a): rep.dims[a] for a in sorted(rep.dims)},
-        "arrows": _arrows_to_json(rep.B),
-        "psi": {str(a): matrix_to_json(rep.Psi[a]) for a in sorted(rep.Psi)},
-        "framing": _framing_to_json(rep.framing_ranks, rep.I),
+        "arrows": _arrows_to_json(rep.arrows),
+        "psi": {str(a): matrix_to_json(m) for a, m in sorted(rep.loops.items())},
+        "framing": _framing_to_json(rep.framing_ranks, rep.framing),
     }
 
 
@@ -241,8 +246,8 @@ def sheaf_data_to_dict(data: QuiverSheafData) -> dict:
             }
             for a in sorted(data.node_sheaves)
         },
-        "arrows": _arrows_to_json(data.arrow_maps),
-        "framing": _framing_to_json(data.framing_ranks, data.framing_vectors),
+        "arrows": _arrows_to_json(data.arrows),
+        "framing": _framing_to_json(data.framing_ranks, data.framing),
     }
 
 

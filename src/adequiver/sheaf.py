@@ -16,16 +16,17 @@ block (`arrows`, `loops`, `framing`), and on one Jordan matrix per
 As in `adhm`, every record holds every arrow, and no stored block is
 None.  Both directions build their records directly (`adhm._direct`),
 unchecked, and the arrows and framing move as `adhm.conjugate` moves
-them (`adhm._moved`); `quadruple_to_quintuple` checks the intertwining
-itself, on the two diagonals of the Jordan loops (`_jordan_defects`).
+them (`adhm._moved`).  Every intertwining decision is one pass of
+`adhm._edge_defects`: `QuiverSheafData` runs it on its points' Jordan
+matrices, and `quadruple_to_quintuple` on the Jordan loops and the moved
+arrows.  Reports print the tables; the Fraction views serve callers.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property
-from math import lcm
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from . import linalg
 from .adhm import (ArrowKey, BaseChanges, N1Representation, _direct, _edge_defects,
@@ -118,29 +119,11 @@ def endo_to_sheaf(psi) -> TorsionSheafData:
     return TorsionSheafData.of(points)
 
 
-def _check_intertwining(defects: Iterable[tuple[ArrowKey, object]]) -> None:
-    """EdgeRelationViolated at the first (arrow, defect) pair whose defect is true (nonzero)."""
-    for key, defect in defects:
-        if defect:
+def _check_intertwining(defects: Mapping[ArrowKey, IntMat | None]) -> None:
+    """EdgeRelationViolated at the first arrow whose defect (`adhm._edge_defects`) is nonzero."""
+    for key, defect in defects.items():
+        if defect is not None:
             raise EdgeRelationViolated(f"edge defect at {key} is nonzero")
-
-
-def _jordan_defects(jordans: Mapping[int, IntMat],
-                    arrows: Mapping[ArrowKey, IntMat]) -> Iterator[tuple[ArrowKey, bool]]:
-    """(arrow B, whether J_t B - B J_s is nonzero), off the diagonals of the Jordan matrices
-    at B's ends: with e the lcm of their denominators, l the diagonal of e J and u_k its (k-1,
-    k) entry, e (J_t B - B J_s)_ik = (l_t,i - l_s,k) B_ik + u_t,i+1 B_i+1,k - u_s,k B_i,k-1."""
-    e = lcm(*[d for _, d in jordans.values()])
-    diagonals = {a: ([row[i] * (e // d) for i, row in enumerate(j)],
-                     [0, *(row[i] * (e // d) for i, row in enumerate(j[:-1], 1)), 0])
-                 for a, (j, d) in jordans.items()}
-    for (s, t, i), (b, _) in arrows.items():
-        (ls, us), (lt, ut) = diagonals[s], diagonals[t]
-        yield (s, t, i), any(           # b[:1] stands in below the last row, where up is 0
-            any((lam - l) * x - u * y + up * z
-                for x, y, z, l, u in zip(row, [0, *row], below, ls, us)) if up else
-            any((lam - l) * x - u * y for x, y, l, u in zip(row, [0, *row], ls, us))
-            for row, below, lam, up in zip(b, b[1:] + b[:1], lt, ut[1:]))
 
 
 class QuiverSheafData(_IntRows, _Record):
@@ -163,8 +146,8 @@ class QuiverSheafData(_IntRows, _Record):
         self.arrows, self.framing_ranks, self.framing = _quiver_data(
             type, affine, {a: node_sheaves[a].dimension for a in labels},
             arrow_maps, framing_ranks or {}, framing_vectors or {})
-        _check_intertwining(_jordan_defects({a: node_sheaves[a].jordan for a in labels},
-                                            self.arrows))
+        _check_intertwining(_edge_defects({a: node_sheaves[a].jordan for a in labels},
+                                          self.arrows))
 
     arrow_maps = cached_property(lambda self: _fractions(self.arrows))
     framing_vectors = cached_property(lambda self: _fractions(self.framing))
@@ -186,7 +169,7 @@ def quadruple_to_quintuple(rep: N1Representation) -> tuple[QuiverSheafData, Base
         try:
             j, p[a] = linalg.jordan_basis(m)
         except linalg.NonRationalSpectrum:
-            _check_intertwining(_edge_defects(rep.loops, rep.arrows).items())
+            _check_intertwining(_edge_defects(rep.loops, rep.arrows))
             raise
         sheaves[a] = _jordan_points(j)
         if sheaves[a].dimension != rep.dims[a] or sheaves[a].jordan != j:
@@ -195,7 +178,7 @@ def quadruple_to_quintuple(rep: N1Representation) -> tuple[QuiverSheafData, Base
     arrows, framing = _moved(rep, pairs)
     data = _direct(QuiverSheafData, arrows=arrows, framing=framing, type=rep.type,
                    node_sheaves=sheaves, framing_ranks=dict(rep.framing_ranks), affine=rep.affine)
-    _check_intertwining(_jordan_defects({a: s.jordan for a, s in sheaves.items()}, arrows))
+    _check_intertwining(_edge_defects({a: s.jordan for a, s in sheaves.items()}, arrows))
     return data, BaseChanges(pairs)
 
 

@@ -1,0 +1,142 @@
+"""A second judge of the golden corpus: relation verdicts re-derived by textbook products.
+
+Imports nothing from `adequiver`.  It reads the input files with `json`, computes with
+sympy rationals, and takes the sign convention and the marks as written down here:
+
+* sign convention, as the `quiver` module docstring states it: on the affine type A
+  cycle the positive arrow runs a -> a+1 (mod n+1), and of the doubled A1 bond
+  0 -> 1 is positive in pair 0 and 1 -> 0 in pair 1; on the D and E trees the positive
+  arrow runs from the lower node label to the higher; opposite arrows carry opposite
+  signs;
+* marks over the affine nodes 0..n, in the labelling of the `dynkin` diagrams (the
+  same table as `bench/cli_verify.marks`).
+
+The relations, on a representation with arrows B, loops Psi and node polynomials theta
+(a node 0 polynomial left out is completed by sum_a delta_a theta_a = 0, delta_0 = 1):
+
+* node relation at a: theta_a(Psi_a) + sum over arrows a -> b of sign * B_(b->a) B_(a->b);
+* edge relation at a -> b: Psi_b B - B Psi_a.
+
+The monad of an affine type A representation with zero loops composes to zz times one
+block per node, B2 B1 - B1 B2 + lam (B1 the positive arrow out of a node, B2 the negative
+one; a representation has no map out of the framing, so no IJ term); every other
+coefficient cancels identically.  So the composite is zero iff every block is, and the
+blocks match the node relations with theta_a = lam_a.
+"""
+
+import json
+from fractions import Fraction
+from pathlib import Path
+
+import sympy
+
+
+def marks(family: str, rank: int) -> list[int]:
+    if family == "A":
+        return [1] * (rank + 1)
+    if family == "D":
+        return [1, 1] + [2] * (rank - 3) + [1, 1]
+    return {6: [1, 1, 2, 3, 2, 1, 2], 7: [1, 2, 3, 4, 3, 2, 1, 2],
+            8: [1, 2, 3, 4, 5, 6, 4, 2, 3]}[rank]
+
+
+def sign(family: str, rank: int, key: tuple) -> int:
+    s, t, _ = key
+    if family == "A" and rank == 1:
+        return 1 if key in ((0, 1, 0), (1, 0, 1)) else -1
+    if family == "A":
+        return 1 if t == (s + 1) % (rank + 1) else -1
+    return 1 if s < t else -1
+
+
+def _rational(x) -> sympy.Rational:
+    q = Fraction(str(x))
+    return sympy.Rational(q.numerator, q.denominator)
+
+
+def _matrix(rows: list, r: int, c: int) -> sympy.Matrix:
+    return sympy.Matrix(r, c, [_rational(x) for row in rows for x in row])
+
+
+class Representation:
+    """Type, node dimensions, arrows by (source, target, pair index) and loops of a
+    representation file; an arrow or loop not given is zero."""
+
+    def __init__(self, path: Path):
+        record = json.loads(path.read_text(encoding="utf-8"))
+        self.family, self.rank = record["type"][0], int(record["type"][1:])
+        self.dims = {int(a): d for a, d in record["dims"].items()}
+        self.arrows = {}
+        for e in record.get("arrows", []):
+            s, t = e["from"], e["to"]
+            self.arrows[s, t, e.get("pair_index", 0)] = _matrix(e["matrix"], self.dims[t],
+                                                                self.dims[s])
+        psi = record.get("psi", {})
+        self.loops = {a: _matrix(psi[str(a)], d, d) if str(a) in psi else sympy.zeros(d, d)
+                      for a, d in self.dims.items()}
+
+    def arrow(self, key: tuple) -> sympy.Matrix:
+        s, t, _ = key
+        return self.arrows.get(key, sympy.zeros(self.dims[t], self.dims[s]))
+
+    def node_residual(self, a: int, theta: list) -> sympy.Matrix:
+        d = self.dims[a]
+        out, power = sympy.zeros(d, d), sympy.eye(d)
+        for c in theta:
+            out += c * power
+            power = power * self.loops[a]
+        for (s, t, i), b in self.arrows.items():
+            if s == a:
+                out += sign(self.family, self.rank, (s, t, i)) * self.arrow((t, s, i)) * b
+        return out
+
+    def edges_zero(self) -> bool:
+        return all((self.loops[t] * b - b * self.loops[s]).is_zero_matrix
+                   for (s, t, _), b in self.arrows.items())
+
+
+def theta_table(path: Path) -> dict[int, list]:
+    """Node polynomials of a deformation file, ascending coefficients, node 0 completed."""
+    record = json.loads(path.read_text(encoding="utf-8"))
+    family, rank = record["type"][0], int(record["type"][1:])
+    table = {int(a): [_rational(c) for c in cs] for a, cs in record["theta"].items()}
+    if 0 not in table:
+        delta = marks(family, rank)
+        width = max((len(p) for p in table.values()), default=0)
+        table[0] = [-sum(delta[a] * (p[k] if k < len(p) else 0) for a, p in table.items())
+                    / delta[0] for k in range(width)]
+    return table
+
+
+def check_rep(argv: list, path: str, root: Path) -> dict[str, bool]:
+    """The node-relations and edge-relations verdicts of one file of a check-rep call."""
+    theta = theta_table(root / argv[argv.index("--theta") + 1])
+    rep = Representation(root / path)
+    return {f"{path}: node-relations": all(rep.node_residual(a, theta[a]).is_zero_matrix
+                                           for a in rep.dims),
+            f"{path}: edge-relations": rep.edges_zero()}
+
+
+def monad_check(argv: list, root: Path) -> tuple[dict[str, bool], dict[str, sympy.Matrix]]:
+    """The matches-node-relation-residuals and composite-zero verdicts of a monad-check
+    call, with the zz block at each node."""
+    paths, rest = [], iter(argv[1:])
+    for arg in rest:
+        if arg.startswith("--lam"):
+            text = arg.partition("=")[2] or next(rest)
+        elif not arg.startswith("--"):
+            paths.append(arg)
+    (path,) = paths
+    rep = Representation(root / path)
+    n = rep.rank + 1
+    lam = [_rational(x.strip()) for x in text.split(",")]
+    keys = [(a, (a + d) % n, 0) for a in range(n) for d in (1, -1)]
+    keys += [(0, 1, 1), (1, 0, 1)] * (n == 2)       # the second pair of the doubled A1 bond
+    b1 = {k[0]: rep.arrow(k) for k in keys if sign("A", rep.rank, k) > 0}
+    b2 = {k[0]: rep.arrow(k) for k in keys if sign("A", rep.rank, k) < 0}
+    zz = {a: b2[(a + 1) % n] * b1[a] - b1[(a - 1) % n] * b2[a] + lam[a] * sympy.eye(rep.dims[a])
+          for a in range(n)}
+    verdicts = {"matches-node-relation-residuals":
+                all(zz[a] == rep.node_residual(a, [lam[a]]) for a in range(n)),
+                "composite-zero": all(m.is_zero_matrix for m in zz.values())}
+    return verdicts, {str(a): m for a, m in zz.items()}

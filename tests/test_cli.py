@@ -954,24 +954,20 @@ class TestMonadCheck:
         assert out == MONAD_CHECK_RANK1_JSON
 
     def test_failing_details_name_what_was_found(self, capsys, tmp_path, monkeypatch):
-        # neither check can fail on real data; break the composite and the defects
+        # neither check can fail on real data; break the composite, its zz blocks at
+        # nodes 1 and 2 among them
         from adequiver import monad
-        compose, defects = monad.compose_and_check, monad.node_relation_defects
+        compose = monad.compose_and_check
 
         def broken_compose(m):
             composite, _ = compose(m)
             lay = composite.row_layout
             extra = monad.NCElement(lay, lay, {"zx1": linalg.identity(3), "x1x2": [
-                [1, 0, 0], [0, 0, 0], [0, 0, 0]]})
+                [1, 0, 0], [0, 0, 0], [0, 0, 0]], "zz": [[0, 0, 0], [0, 1, 0], [0, 0, 2]]})
             return composite + extra, False
-
-        def broken_defects(m):
-            return {a: [[d + a for d in row] for row in block]
-                    for a, block in defects(m).items()}
 
         rep = write(tmp_path, "rep.json", rep_record())
         monkeypatch.setattr(monad, "compose_and_check", broken_compose)
-        monkeypatch.setattr(monad, "node_relation_defects", broken_defects)
         code, out = run(capsys, "monad-check", rep, "--lam", "1,0,-1")
         assert code == 1
         assert "check structural-cancellation: FAIL  (x1x2, zx1 survive)" in out

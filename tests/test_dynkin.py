@@ -10,13 +10,14 @@ ALL_TYPES = ["A1", "A2", "A3", "A4", "A5", "A6", "A7", "A8",
 
 
 def test_parse_and_str():
-    t = dynkin.DynkinType.parse("e8")
+    t = dynkin.DynkinType.parse("E8")
     assert (t.family, t.rank) == ("E", 8)
     assert str(t) == "E8"
 
 
 @pytest.mark.parametrize("bad", ["", "B3", "A0", "D3", "E5", "E9", "Ax", "7",
-                                 "A\u00b2", "A\u0663", "E\uff106", "A03", "E06"])
+                                 "A\u00b2", "A\u0663", "E\uff106", "A03", "E06",
+                                 "e8", "a2", " A2 ", "A3 ", " d5", "D5\n"])
 def test_parse_rejects(bad):
     with pytest.raises(ValueError):
         dynkin.DynkinType.parse(bad)

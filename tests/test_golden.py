@@ -60,8 +60,11 @@ def test_every_input_file_belongs_to_a_case_and_every_named_input_exists():
     assert sorted(named - files) == []
 
 
-def test_check_rep_builds_no_zero_fraction_matrix(monkeypatch):
-    # a zero residual is None in the integer rows, and the report prints "0" off that
+@pytest.mark.parametrize("command", ["check-rep", "sheafify", "matrixify", "roundtrip",
+                                     "monad-check"])
+def test_only_surviving_coefficients_build_fraction_matrices(monkeypatch, command):
+    # every report prints and compares integer rows, a zero block as None; only monad-check's
+    # listing of the surviving coefficients of a nonzero composite reads Fraction matrices
     built, kernel = [], linalg.rational_matrix
 
     def recording(*args):
@@ -70,8 +73,12 @@ def test_check_rep_builds_no_zero_fraction_matrix(monkeypatch):
 
     monkeypatch.setattr(linalg, "rational_matrix", recording)
     monkeypatch.chdir(HERE)
-    cases = [argv for _, argv, _ in calls() if argv[0] == "check-rep"]
+    cases = [argv for _, argv, _ in calls() if argv[0] == command]
     for argv in cases:
-        run(argv)
-    assert len(cases) > 20
+        before = len(built)
+        _, out = run(argv)
+        listed = "b o a is nonzero" in out or '"composite_zero": false' in out
+        assert len(built) == before or listed, argv
+    assert len(cases) >= 16
+    assert bool(built) == (command == "monad-check")
     assert [m for m in built if linalg.is_zero_matrix(m)] == []

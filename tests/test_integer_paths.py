@@ -461,17 +461,21 @@ def _violation(check, *args):
 
 @settings(max_examples=300)
 @given(st.randoms(use_true_random=False).map(_jordan_case))
-def test_the_jordan_edge_check_agrees_with_the_dense_defects(case):
+def test_the_edge_check_on_jordan_loops_names_the_first_broken_arrow(case):
     t, points, arrows = case
     jordans = {a: p.jordan for a, p in points.items()}
-    dense = adhm._edge_defects(jordans, arrows)
-    # the same verdict for every arrow, in quiver order, so the same first broken arrow
-    assert list(sheaf._jordan_defects(jordans, arrows)) \
-        == [(key, m is not None) for key, m in dense.items()]
-    broken = next((key for key, m in dense.items() if m is not None), None)
-    want = None if broken is None else f"edge defect at {broken} is nonzero"
-    assert _violation(sheaf._check_intertwining, sheaf._jordan_defects(jordans, arrows)) == want
+    defects = adhm._edge_defects(jordans, arrows)
+    # a defect for every arrow, in quiver order, None exactly where the textbook one is zero
     fractions = {key: linalg.rational_matrix(m) for key, m in arrows.items()}
+    loops = {a: sheaf.sheaf_to_endo(p)[1] for a, p in points.items()}
+    assert list(defects) == list(arrows)
+    for (s, tgt, i), m in defects.items():
+        b, cols = fractions[s, tgt, i], points[s].dimension
+        want = linalg.mat_sub(naive_product(loops[tgt], b, cols), naive_product(b, loops[s], cols))
+        assert (m is None) == linalg.is_zero_matrix(want)
+    broken = next((key for key, m in defects.items() if m is not None), None)
+    want = None if broken is None else f"edge defect at {broken} is nonzero"
+    assert _violation(sheaf._check_intertwining, defects) == want
     assert _violation(sheaf.QuiverSheafData, t, points, fractions) == want
 
 

@@ -234,4 +234,4 @@ def test_group_elements_compare_and_hash_by_their_matrices():
 
 def test_dynkin_type_prints_as_its_name():
     assert str(DynkinType("E", 6)) == "E6"
-    assert str(DynkinType.parse(" d5")) == "D5"
+    assert str(DynkinType.parse("D5")) == "D5"

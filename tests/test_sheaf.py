@@ -278,8 +278,8 @@ class TestDictionary:
         rng = random.Random(5)
         rep = nilpotent_cycle_rep()
         rep = adhm.conjugate(rep, {a: rand_invertible(rng, rep.dims[a]) for a in rep.dims})
-        calls = {"inverse_ints": 0, "_edge_defects": 0, "_jordan_defects": 0}
-        kernel, loops_seen = sheaf._jordan_defects, []
+        calls = {"inverse_ints": 0, "_edge_defects": 0}
+        kernel, loops_seen = adhm._edge_defects, []
 
         def counted(name, fn):
             def wrapper(*args):
@@ -287,18 +287,16 @@ class TestDictionary:
                 return fn(*args)
             return wrapper
 
-        def jordan_defects(loops, arrows):
+        def edge_defects(loops, arrows):
             loops_seen.append(loops)
             return kernel(loops, arrows)
 
         monkeypatch.setattr(linalg, "inverse_ints", counted("inverse_ints", linalg.inverse_ints))
-        # every module-level name bound to the dense edge kernel counts, imported copies too
+        # every module-level name bound to the edge kernel counts, imported copies too
         for module in (adhm, sheaf):
-            monkeypatch.setattr(module, "_edge_defects",
-                                counted("_edge_defects", adhm._edge_defects))
-        monkeypatch.setattr(sheaf, "_jordan_defects", counted("_jordan_defects", jordan_defects))
+            monkeypatch.setattr(module, "_edge_defects", counted("_edge_defects", edge_defects))
         data, g = sheaf.quadruple_to_quintuple(rep)
-        assert calls == {"inverse_ints": len(rep.dims), "_edge_defects": 0, "_jordan_defects": 1}
+        assert calls == {"inverse_ints": len(rep.dims), "_edge_defects": 1}
         # the one edge pass reads the Jordan loops of the point data, not the dense ones
         assert loops_seen == [{a: data.node_sheaves[a].jordan for a in rep.dims}]
         monkeypatch.undo()
