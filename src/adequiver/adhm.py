@@ -62,8 +62,8 @@ def _quiver_data(t: DynkinType, affine: bool, dims: Mapping[int, int], arrows: M
                  ranks: Mapping, vectors: Mapping) -> tuple[dict, dict, dict]:
     """The arrows and framing of quiver data whose nodes have dimensions dims, validated.
 
-    InputTooLarge past MAX_TOTAL_DIM; ValueError on an arrow not in the quiver, on
-    framing at an unknown node or on a negative rank; `linalg.int_rows` refuses a bad
+    InputTooLarge past MAX_TOTAL_DIM; ValueError on an arrow not in the quiver or on
+    framing at an unknown node; `linalg.integer` refuses a bad rank, `linalg.int_rows` a bad
     block, each node's framing vectors being the rows of one rank x dimension block.
     Returns every arrow of the quiver in quiver order (zeros where none is given), the
     framing ranks and the framing blocks at every node, the blocks as integer rows.
@@ -78,9 +78,8 @@ def _quiver_data(t: DynkinType, affine: bool, dims: Mapping[int, int], arrows: M
         raise ValueError(f"framing data at unknown nodes {sorted(stray)}")
     arrows = {key: linalg.int_rows(arrows.get(key), f"arrow {key}", (dims[key[1]], dims[key[0]]))
               for key in keys}
-    ranks = {a: int(ranks.get(a, 0)) for a in sorted(dims)}
-    if any(r < 0 for r in ranks.values()):
-        raise ValueError("framing ranks must be nonnegative")
+    ranks = {a: linalg.integer(ranks.get(a, 0), f"the framing rank at node {a}")
+             for a in sorted(dims)}
     framing = {a: linalg.int_rows(vectors.get(a, []), f"framing at node {a}", (ranks[a], n))
                for a, n in sorted(dims.items())}
     return arrows, ranks, framing
@@ -137,12 +136,13 @@ class N1Representation(_IntRows, _Record):
                  B: dict[ArrowKey, Mat] | None = None, Psi: dict[int, Mat] | None = None,
                  framing_ranks: dict[int, int] | None = None,
                  I: dict[int, list[Vec]] | None = None, affine: bool = True):
-        self.type, self.dims, self.affine = type, dims, affine
+        self.type, self.affine = type, affine
         labels = node_labels(type, affine)
         if sorted(dims) != labels:
             raise ValueError(f"dims must cover exactly the nodes {labels}")
+        self.dims = {a: linalg.integer(dims[a], f"dims[{a}]") for a in labels}
         self.arrows, self.framing_ranks, self.framing = _quiver_data(
-            type, affine, dims, B or {}, framing_ranks or {}, I or {})
+            type, affine, self.dims, B or {}, framing_ranks or {}, I or {})
         Psi = Psi or {}
         stray = set(Psi) - set(labels)
         if stray:
@@ -386,6 +386,5 @@ def trace_identity_defect(rep: N1Representation, theta) -> Fraction:
     total = Fraction(0)
     for a, m in rep.loops.items():
         n = rep.dims[a]
-        rows, d = linalg.sum_of_products(_theta_terms(table[a], m, n), n, n) or ([], 1)
-        total += Fraction(sum(row[i] for i, row in enumerate(rows)), d)
+        total += linalg.trace(linalg.sum_of_products(_theta_terms(table[a], m, n), n, n) or ([], 1))
     return total

@@ -7,7 +7,8 @@ computation gave up, 2 means the input was malformed or unsupported.
 Identical inputs and options produce byte-identical output.  Every
 matrix a report prints, residuals, base changes and the blocks of a
 monad alike, is printed from integer rows by `io.matrix_to_json` (None, a
-zero block, as "0"), and every check compares integer rows.
+zero block, as "0"), and every check compares integer rows.  Rationals on
+the command line (`--lam`) are read by `linalg.frac`, in the spelling of files.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ import argparse
 import json
 import re
 import sys
-from fractions import Fraction
 
 from . import dynkin, linalg, quiver
 
@@ -425,14 +425,13 @@ def cmd_monad_check(args, report: RunReport) -> None:
         )
         return
     n = rep.type.rank + 1
-    lam_parts = [s.strip() for s in args.lam.split(",")]
-    if len(lam_parts) != n:
-        _unsupported(report, f"--lam wants {n} comma-separated rationals (nodes 0..{n - 1})")
-        return
     try:
-        lam = {a: Fraction(lam_parts[a]) for a in range(n)}
-    except (ValueError, ZeroDivisionError):
+        lam = dict(enumerate(map(linalg.frac, args.lam.split(","))))
+    except ValueError:
         _unsupported(report, f"cannot parse --lam {args.lam!r}")
+        return
+    if len(lam) != n:
+        _unsupported(report, f"--lam wants {n} comma-separated rationals (nodes 0..{n - 1})")
         return
 
     b1, b2 = {}, {}
@@ -544,7 +543,7 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="compose the two-term complex and compare with node relations")
     p.add_argument("file", help="affine type A representation file (zero loops)")
     p.add_argument("--lam", required=True,
-                   help="comma-separated rationals, one per node starting at node 0")
+                   help="comma-separated rationals as files spell them, one per node from 0")
     p.set_defaults(func=cmd_monad_check)
 
     return parser

@@ -76,17 +76,19 @@ def _of_capped_degree(theta: Mapping[int, Polynomial]) -> dict[int, Polynomial]:
     return theta
 
 
+def _weighted_sum(t: DynkinType, theta: Mapping[int, Polynomial]) -> Polynomial:
+    """sum_a delta_a * theta_a over the nodes a of theta, delta the marks of t."""
+    delta = marks(t).delta
+    return sum((p.scale(delta[a]) for a, p in theta.items()), Polynomial(()))
+
+
 def make_deformation(t: DynkinType, theta: Mapping[int, Polynomial]) -> DeformationParam:
     """Wrap a full node -> polynomial table; the constraint flag is computed."""
     labels = node_labels(t, affine=True)
     if sorted(theta) != labels:
         raise ValueError(f"need one polynomial per node {labels}")
     theta = _of_capped_degree(theta)
-    delta = marks(t).delta
-    total = Polynomial(())
-    for a in node_labels(t, affine=True):
-        total = total + theta[a].scale(delta[a])
-    return DeformationParam(t, theta, total.is_zero)
+    return DeformationParam(t, theta, _weighted_sum(t, theta).is_zero)
 
 
 def complete_affine_theta(t: DynkinType, finite_theta: Mapping[int, Polynomial]) -> DeformationParam:
@@ -95,11 +97,7 @@ def complete_affine_theta(t: DynkinType, finite_theta: Mapping[int, Polynomial])
     if sorted(finite_theta) != finite:
         raise ValueError(f"need one polynomial per finite node {finite}")
     theta = _of_capped_degree(finite_theta)
-    delta = marks(t).delta
-    total = Polynomial(())
-    for a in finite:
-        total = total + theta[a].scale(delta[a])
-    theta[0] = total.scale(Fraction(-1, delta[0]))
+    theta[0] = _weighted_sum(t, theta).scale(Fraction(-1, marks(t).delta[0]))
     d = make_deformation(t, theta)
     if not d.constrained:
         raise AssertionError("completion must satisfy the marks identity")

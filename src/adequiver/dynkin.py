@@ -18,6 +18,8 @@ import re
 from functools import lru_cache
 from operator import attrgetter
 
+from .linalg import integer
+
 FAMILIES = ("A", "D", "E")
 
 _MIN_RANK = {"A": 1, "D": 4}
@@ -117,7 +119,7 @@ class DynkinType(_Frozen):
     __slots__ = _fields = ("family", "rank")
 
     def __init__(self, family: str, rank: int):
-        super().__init__(family, rank)
+        super().__init__(family, integer(rank, "the rank", None))
         if self.family not in FAMILIES:
             raise ValueError(f"unknown family {self.family!r}")
         if self.family == "E":
@@ -280,7 +282,7 @@ def _positive_root_set(t: DynkinType) -> frozenset[Root]:
 
 
 def is_positive_root(t: DynkinType, coefficients) -> bool:
-    coeffs = tuple(int(x) for x in coefficients)
+    coeffs = tuple(integer(x, "a root coefficient", None) for x in coefficients)
     if len(coeffs) != t.rank:
         raise ValueError(f"expected {t.rank} coefficients, got {len(coeffs)}")
     return Root(coeffs) in _positive_root_set(t)

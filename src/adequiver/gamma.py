@@ -34,7 +34,7 @@ from math import isqrt, lcm
 from operator import mul
 
 from .dynkin import DynkinType, _Frozen, _Record, marks
-from .linalg import ComputeFailure
+from .linalg import ComputeFailure, frac
 from .poly import _factor, _quotient, _split_roots
 
 BASE_ORDER = 2520     # lcm(1, ..., 10): every root of unity the types up to rank 8 need
@@ -58,7 +58,7 @@ class NonIntegralMultiplicity(ComputeFailure):
 # sum c * e^{2 pi i turn} with rational c and turn; addition is concatenation.
 
 def _root(turn, c=1) -> tuple:
-    return ((Fraction(c), Fraction(turn) % 1),)
+    return ((frac(c), frac(turn) % 1),)
 
 
 def _rotate(x: tuple, turn) -> tuple:
@@ -103,7 +103,7 @@ class PrimeField(_Frozen):
 
     def root(self, turn) -> int:
         """The residue of e^{2 pi i turn}; turn * n must be an integer."""
-        e = Fraction(turn) * self.n
+        e = frac(turn) * self.n
         if e.denominator != 1:
             raise ValueError(f"e^(2 pi i {turn}) is not an {self.n}-th root of unity")
         return pow(self.omega, e.numerator % self.n, self.p)

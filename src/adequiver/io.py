@@ -1,10 +1,13 @@
 """JSON file formats: deformation parameters, representations, sheaf data.
 
-Rationals, point data supports among them, travel as strings "p/q" (or "p"),
-matrices as row-major arrays of them.  Node keys are integers as str() spells
+Rationals, point data supports among them, travel as strings in the one
+spelling `frac_to_str` prints, "p/q" in lowest terms or "p" ("-3", "1/2"; not
+"0.5", "+3", "2/4"), or as JSON integers; `linalg.frac` reads them all.
+Matrices are row-major arrays of them.  Node keys are integers as str() spells
 them ("0", "-1"; not "00"); no object repeats a key.  Arrow, loop and framing
-arrays go to the constructors as they are, which read them into integer rows
-(`linalg.int_rows`).  Every matrix written back, files and reports alike, is
+arrays, dimensions, framing ranks and partitions go to the constructors as they
+are, which read the blocks into integer rows (`linalg.int_rows`) and the counts
+with `linalg.integer`.  Every matrix written back, files and reports alike, is
 printed by `matrix_to_json` from the records' integer tables (`arrows`,
 `loops`, `framing`).  Malformed input raises SchemaError, which the command
 line maps to exit code 2.
@@ -32,10 +35,10 @@ class SchemaError(ValueError):
 
 
 def frac_to_str(x: Fraction) -> str:
-    """x as p/q, or as p when it is an integer; InputTooLarge past the interpreter's
-    cap on the digits of a printed integer."""
+    """x as p/q, or as p when it is an integer (`str` of a Fraction, the spelling `linalg.frac`
+    reads); InputTooLarge past the interpreter's cap on the digits of a printed integer."""
     try:
-        return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
+        return str(x)
     except ValueError:
         n = max(abs(x.numerator), x.denominator)
         digits = int(n.bit_length() * 0.30102999566398120)      # log10(2), one short at most
@@ -52,10 +55,10 @@ def _expect(v, kinds, what: str):
 
 
 def frac_from_json(v, what: str = "an exact rational string") -> Fraction:
-    _expect(v, (str, int), what)
+    """v read by `linalg.frac`; SchemaError naming what on anything it refuses."""
     try:
-        return Fraction(v)
-    except (ValueError, ZeroDivisionError):
+        return linalg.frac(v)
+    except (TypeError, ValueError):
         raise SchemaError(f"expected {what}, got {v!r}") from None
 
 
@@ -106,15 +109,12 @@ def _arrows_from_json(record: dict) -> dict[tuple[int, int, int], list]:
 
 def _framing_from_json(record: dict) -> tuple[dict[int, int], dict[int, list]]:
     """Framing ranks and vectors per node, from the 'framing' object."""
-    ranks = {}
-    vectors = {}
-    for a, v in _node_table(record, "framing").items():
-        if not isinstance(v, dict) or "rank" not in v:
-            raise SchemaError("framing entries are objects with 'rank' and 'vectors'")
-        ranks[a] = _expect(v["rank"], int, f"an integer framing rank at node {a}")
-        vectors[a] = _expect(v.get("vectors", []), list,
-                             f"an array of framing vectors at node {a}")
-    return ranks, vectors
+    table = _node_table(record, "framing")
+    if not all(isinstance(v, dict) and "rank" in v for v in table.values()):
+        raise SchemaError("framing entries are objects with 'rank' and 'vectors'")
+    return ({a: v["rank"] for a, v in table.items()},
+            {a: _expect(v.get("vectors", []), list, f"an array of framing vectors at node {a}")
+             for a, v in table.items()})
 
 
 def _arrows_to_json(arrows: dict) -> list[dict]:
@@ -168,22 +168,14 @@ def load_deformation(path: str, data: bytes | None = None) -> DeformationParam:
 
 def representation_from_dict(record: Any) -> N1Representation:
     t = _parse_type(record)
-    dims_raw = _node_table(record, "dims")
-    dims = {}
-    for a, v in dims_raw.items():
-        if not isinstance(v, int) or isinstance(v, bool) or v < 0:
-            raise SchemaError(f"dims[{a}] must be a nonnegative integer")
-        dims[a] = v
-    affine = 0 in dims
+    dims = _node_table(record, "dims")
     b = _arrows_from_json(record)
     psi = {a: _expect(v, list, f"an array of rows for the loop at {a}")
            for a, v in _node_table(record, "psi").items()}
     ranks, vectors = _framing_from_json(record)
     try:
-        return N1Representation(
-            type=t, dims=dims, B=b, Psi=psi,
-            framing_ranks=ranks, I=vectors, affine=affine,
-        )
+        return N1Representation(type=t, dims=dims, B=b, Psi=psi, framing_ranks=ranks,
+                                I=vectors, affine=0 in dims)
     except (ValueError, TypeError) as e:
         raise SchemaError(str(e)) from None
 
@@ -206,30 +198,24 @@ def load_representation(path: str, data: bytes | None = None) -> N1Representatio
 
 def sheaf_data_from_dict(record: Any) -> QuiverSheafData:
     t = _parse_type(record)
-    sheaves = {}
+    points = {}
     for a, v in _node_table(record, "nodes").items():
         if not isinstance(v, dict) or "points" not in v or not isinstance(v["points"], list):
             raise SchemaError("each node carries an object with a 'points' array")
-        points = []
+        points[a] = []
         for pt in v["points"]:
             if not isinstance(pt, dict) or not {"support", "partition"} <= set(pt):
                 raise SchemaError("points are objects with 'support' and 'partition'")
             if not isinstance(pt["partition"], list):
                 raise SchemaError("'partition' must be an array of positive integers")
-            parts = [_expect(x, int, "an integer partition part") for x in pt["partition"]]
-            points.append((frac_from_json(pt["support"], f"a rational support at node {a}"), parts))
-        try:
-            sheaves[a] = TorsionSheafData.of(points)
-        except ValueError as e:
-            raise SchemaError(str(e)) from None
-    affine = 0 in sheaves
+            points[a].append((frac_from_json(pt["support"], f"a rational support at node {a}"),
+                              pt["partition"]))
     maps = _arrows_from_json(record)
     ranks, vectors = _framing_from_json(record)
     try:
-        return QuiverSheafData(
-            type=t, node_sheaves=sheaves, arrow_maps=maps,
-            framing_ranks=ranks, framing_vectors=vectors, affine=affine,
-        )
+        sheaves = {a: TorsionSheafData.of(p) for a, p in points.items()}
+        return QuiverSheafData(type=t, node_sheaves=sheaves, arrow_maps=maps,
+                               framing_ranks=ranks, framing_vectors=vectors, affine=0 in sheaves)
     except (ValueError, TypeError) as e:
         raise SchemaError(str(e)) from None
 

@@ -3,7 +3,9 @@
 Matrices are lists of rows of Fractions.  Nothing in this module mutates
 its arguments; every function hands back fresh lists.  Empty matrices
 (zero rows or zero columns) are legal everywhere and behave like the
-unique map between zero-dimensional spaces.
+unique map between zero-dimensional spaces.  Every scalar comes in through
+`frac` (rationals: Fractions, ints, and strings only as `io.frac_to_str`
+prints them) or `integer` (counts: ints only, never truncated).
 
 The exact kernels run on Python ints and build each output Fraction
 once.  An `IntMat` is integer rows over one denominator (`rational_matrix`
@@ -52,14 +54,29 @@ class NonRationalSpectrum(ComputeFailure):
 
 
 def frac(x) -> Fraction:
+    """x as a Fraction, the one reader of rationals: a Fraction, an int but not a bool, or a
+    str only in the spelling `io.frac_to_str` prints ("-3", "1/2"; not "0.5", "+3", "2/4").
+    TypeError on any other kind of x, ValueError on any other str, naming x."""
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, (int, str)) and not isinstance(x, bool):
-        try:
-            return Fraction(x)
-        except ZeroDivisionError:
-            raise ValueError(f"bad rational {x!r}: zero denominator") from None
-    raise TypeError(f"cannot coerce {x!r} to an exact rational")
+    if not isinstance(x, (int, str)) or isinstance(x, bool):
+        raise TypeError(f"cannot coerce {x!r} to an exact rational")
+    try:
+        y = Fraction(x)
+    except ZeroDivisionError:
+        raise ValueError(f"bad rational {x!r}: zero denominator") from None
+    if isinstance(x, str) and str(y) != x:     # str(y) is what `io.frac_to_str` prints
+        raise ValueError(f"bad rational {x!r}: write it {str(y)!r}")
+    return y
+
+
+def integer(x, name: str, least: int | None = 0) -> int:
+    """x if it is an int but not a bool, and at least least unless that is None: the one
+    reader of counts, which truncates nothing.  ValueError naming name and x otherwise."""
+    if type(x) is int and (least is None or x >= least):
+        return x
+    wanted = "an integer" if least is None else f"an integer >= {least}"
+    raise ValueError(f"{name} must be {wanted}, got {x!r}")
 
 
 def matrix(rows: Sequence[Sequence], name: str = "a matrix") -> Mat:
@@ -103,7 +120,7 @@ def mat_sub(a: Mat, b: Mat) -> Mat:
 
 
 def mat_scale(c, a: Mat) -> Mat:
-    c = frac(c)
+    c, a = frac(c), matrix(a, "the matrix")
     return [[c * x for x in row] for row in a]
 
 

@@ -216,11 +216,9 @@ def build_monad(rank: int, b1: Mapping[int, Mat], b2: Mapping[int, Mat],
     and j_blocks are the framing maps in and out, per node.  Missing
     blocks are zero.
     """
-    if rank < 0:
-        raise ValueError("rank must be >= 0")
-    n = rank + 1
-    dims = {a: int(dims[a]) for a in range(n)}
-    framing = {a: int(framing_dims.get(a, 0)) for a in range(n)}
+    n = linalg.integer(rank, "rank") + 1
+    dims = {a: linalg.integer(dims[a], f"dims[{a}]") for a in range(n)}
+    framing = {a: linalg.integer(framing_dims.get(a, 0), f"framing_dims[{a}]") for a in range(n)}
     lam_full = {a: linalg.frac(lam.get(a, 0)) for a in range(n)}
     v_layout: Layout = tuple((a, dims[a]) for a in range(n))
     w_layout: Layout = tuple((a, framing[a]) for a in range(n))

@@ -48,7 +48,8 @@ class TorsionSheafData(_Frozen):
     def of(cls, points: Sequence[tuple[object, Sequence[int]]]) -> "TorsionSheafData":
         norm = []
         for s, parts in points:
-            parts = tuple(sorted((int(p) for p in parts), reverse=True))
+            parts = tuple(sorted((linalg.integer(p, "a partition part", None) for p in parts),
+                                 reverse=True))
             if not parts or any(p <= 0 for p in parts):
                 raise ValueError("partitions must be nonempty with positive parts")
             norm.append((linalg.frac(s), parts))

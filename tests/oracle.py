@@ -1,4 +1,5 @@
-"""A second judge of the golden corpus: relation verdicts re-derived by textbook products.
+"""A second judge of the golden corpus: relation, nondegeneracy and marks verdicts
+re-derived by textbook linear algebra.
 
 Imports nothing from `adequiver`.  It reads the input files with `json`, computes with
 sympy rationals, and takes the sign convention and the marks as written down here:
@@ -16,6 +17,11 @@ The relations, on a representation with arrows B, loops Psi and node polynomials
 
 * node relation at a: theta_a(Psi_a) + sum over arrows a -> b of sign * B_(b->a) B_(a->b);
 * edge relation at a -> b: Psi_b B - B Psi_a.
+
+A representation is nondegenerate when its framing vectors generate every node under the
+arrows and the loops: the spans they grow to, column spaces by sympy, fill every node.
+A deformation parameter satisfies the marks constraint when sum_a delta_a theta_a = 0,
+its node 0 polynomial completed first when the file leaves it out.
 
 The monad of an affine type A representation with zero loops composes to zz times one
 block per node, B2 B1 - B1 B2 + lam (B1 the positive arrow out of a node, B2 the negative
@@ -74,6 +80,11 @@ class Representation:
         psi = record.get("psi", {})
         self.loops = {a: _matrix(psi[str(a)], d, d) if str(a) in psi else sympy.zeros(d, d)
                       for a, d in self.dims.items()}
+        framing = {int(a): f for a, f in record.get("framing", {}).items()}
+        self.framed = any(f["rank"] for f in framing.values())
+        # the framing vectors at each node as the columns of one matrix
+        self.framing = {a: _matrix(framing[a].get("vectors", []), framing[a]["rank"], d).T
+                        if a in framing else sympy.zeros(d, 0) for a, d in self.dims.items()}
 
     def arrow(self, key: tuple) -> sympy.Matrix:
         s, t, _ = key
@@ -90,9 +101,30 @@ class Representation:
                 out += sign(self.family, self.rank, (s, t, i)) * self.arrow((t, s, i)) * b
         return out
 
+    def nondegenerate(self) -> bool:
+        """Whether the framing vectors, moved by arrows and loops until nothing grows, span
+        every node."""
+        span = {a: _basis(m) for a, m in self.framing.items()}
+        maps = [(s, t, b) for (s, t, _), b in self.arrows.items()]
+        maps += [(a, a, psi) for a, psi in self.loops.items()]
+        grew = True
+        while grew:
+            grew = False
+            for s, t, b in maps:
+                joined = _basis(span[t].row_join(b * span[s]))
+                grew |= joined.cols > span[t].cols
+                span[t] = joined
+        return all(span[a].cols == d for a, d in self.dims.items())
+
     def edges_zero(self) -> bool:
         return all((self.loops[t] * b - b * self.loops[s]).is_zero_matrix
                    for (s, t, _), b in self.arrows.items())
+
+
+def _basis(m: sympy.Matrix) -> sympy.Matrix:
+    """Independent columns spanning the column space of m, as one matrix."""
+    cols = m.columnspace()
+    return sympy.Matrix.hstack(*cols) if cols else sympy.zeros(m.rows, 0)
 
 
 def theta_table(path: Path) -> dict[int, list]:
@@ -108,13 +140,32 @@ def theta_table(path: Path) -> dict[int, list]:
     return table
 
 
+def theta_validate(argv: list, root: Path) -> dict[str, bool]:
+    """The marks-weighted-sum-vanishes verdict of a theta-validate call."""
+    record = json.loads((root / argv[1]).read_text(encoding="utf-8"))
+    delta = marks(record["type"][0], int(record["type"][1:]))
+    theta = theta_table(root / argv[1])
+    width = max(len(p) for p in theta.values())
+    total = [sum(delta[a] * p[k] for a, p in theta.items() if k < len(p)) for k in range(width)]
+    return {"marks-weighted-sum-vanishes": not any(total)}
+
+
+def nondeg(argv: list, root: Path) -> dict[str, bool]:
+    """The nondegenerate verdict of a nondeg call."""
+    return {"nondegenerate": Representation(root / argv[1]).nondegenerate()}
+
+
 def check_rep(argv: list, path: str, root: Path) -> dict[str, bool]:
-    """The node-relations and edge-relations verdicts of one file of a check-rep call."""
+    """The node-relations, edge-relations and nondegenerate verdicts of one file of a
+    check-rep call; nondegeneracy is judged only with framing or with every node empty."""
     theta = theta_table(root / argv[argv.index("--theta") + 1])
     rep = Representation(root / path)
-    return {f"{path}: node-relations": all(rep.node_residual(a, theta[a]).is_zero_matrix
-                                           for a in rep.dims),
-            f"{path}: edge-relations": rep.edges_zero()}
+    verdicts = {f"{path}: node-relations": all(rep.node_residual(a, theta[a]).is_zero_matrix
+                                               for a in rep.dims),
+                f"{path}: edge-relations": rep.edges_zero()}
+    if rep.framed or not any(rep.dims.values()):
+        verdicts[f"{path}: nondegenerate"] = rep.nondegenerate()
+    return verdicts
 
 
 def monad_check(argv: list, root: Path) -> tuple[dict[str, bool], dict[str, sympy.Matrix]]:

@@ -263,7 +263,7 @@ class TestExcLocus:
 
     def test_coefficient_beyond_float_range_is_input_too_large(self, capsys, tmp_path):
         # exact checks take it; only the printed float points cannot
-        rec = {"type": "A2", "theta": {"1": ["1e400", "1"], "2": ["0", "1"]}}
+        rec = {"type": "A2", "theta": {"1": [str(10 ** 400), "1"], "2": ["0", "1"]}}
         path = write(tmp_path, "theta.json", rec)
         code, out = run(capsys, "exc-locus", path, "--json")
         assert code == 2
@@ -358,7 +358,8 @@ _QUIVER_BASES = [
 # small entries only: a loop entry such as 10**400 or 2**61 - 1 keeps the rational-root
 # search busy for tens of seconds or more, a known cost of the spectra, not of a reader
 _QUIVER_VALUES = st.sampled_from([
-    True, False, None, 0, 1, -1, 2, 1.5, -0.0, "", "0", "1", "-1", "1/2", "-3/4", "1/0", "x",
+    True, False, None, 0, 1, -1, 2, 1.5, 1.9, 2.5, 2.0, -0.0, "", "0", "1", "-1", "1/2", "-3/4",
+    "1/0", "x", "0.5", "+3", "2/4", "1_000", "١",
     "nan", "inf", " 2 ", "1/2/3", "0x10", [], [[]], ["1"], [["1"]], [["1", "2"]], [["1"], ["2"]],
     [["0", "1"], ["0", "0"]], {}, {"1": "1"}, {"re": 0.5, "im": 1.0}, {"points": []},
     {"rank": 1, "vectors": [["1"]]}, {"from": 0, "to": 1, "matrix": [["1"]]},
@@ -419,6 +420,54 @@ class TestQuiverFileFuzz:
                 with contextlib.redirect_stdout(io.StringIO()):
                     code = cli.main([*command, path, "--json"])
                 assert code in (0, 1, 2), (command, record)
+
+
+# --lam entries: the spelling of files, spellings `fractions.Fraction` also reads, and any
+# string over their alphabet
+_ODD_LAM_ENTRIES = st.one_of(
+    st.sampled_from(["1_0", " 1", "1 ", "+1", "2/4", "0.5", "1e3", "١", "-0", "", "x"]),
+    st.text(alphabet="-+0123456789/ ._e١", max_size=5))
+
+
+@st.composite
+def lams(draw, n: int) -> list[str]:
+    """n entries of the spelling of files, then up to two mutations: an odd entry, a dropped
+    entry or one entry too many."""
+    entries = draw(st.lists(_SMALL_RATIONALS, min_size=n, max_size=n))
+    for _ in range(draw(st.integers(0, 2))):
+        kind = draw(st.sampled_from(["odd", "odd", "drop", "extra"]))
+        if kind == "odd" and entries:
+            entries[draw(st.integers(0, len(entries) - 1))] = draw(_ODD_LAM_ENTRIES)
+        elif kind == "drop" and entries:
+            entries.pop()
+        elif kind == "extra":
+            entries.append(draw(_SMALL_RATIONALS))
+    return entries
+
+
+class TestLamFuzz:
+    @settings(max_examples=150)
+    @given(st.sampled_from(["A1", "A2"]).flatmap(lambda f: st.tuples(st.just(f), lams(
+        2 if f == "A1" else 3))))
+    def test_any_lam_gets_a_verdict_and_only_the_spelling_of_files_runs(self, drawn):
+        family, entries = drawn
+        record = rep_record() if family == "A2" else {"type": "A1", "dims": {"0": 1, "1": 2}}
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "rep.json")
+            with open(path, "w", encoding="utf-8") as fh:
+                json.dump(record, fh)
+            with contextlib.redirect_stdout(io.StringIO()):
+                code = cli.main(["monad-check", "--lam=" + ",".join(entries), path, "--json"])
+        read = all(_printed_back(x) for x in entries) and len(entries) == len(record["dims"])
+        assert code in ((0, 1) if read else (2,)), (family, entries)
+
+
+def _printed_back(text: str) -> bool:
+    """Whether text is the printed spelling of the rational `fractions.Fraction` reads."""
+    try:
+        return fileio.frac_to_str(Fraction(text)) == text
+    except (ValueError, ZeroDivisionError):
+        return False
 
 
 class TestCheckRep:
@@ -817,7 +866,7 @@ def test_point_data_rejects_framing_at_unknown_node(capsys, tmp_path):
 
 
 @pytest.mark.parametrize("framing, detail", [
-    ({"rank": -1}, "framing ranks must be nonnegative"),
+    ({"rank": -1}, "the framing rank at node 1 must be an integer >= 0, got -1"),
     ({"rank": 2, "vectors": [["1", "2", "3"]]}, "framing at node 1 wants shape (2, 1)"),
 ])
 def test_point_data_refuses_bad_framing_when_read(capsys, tmp_path, framing, detail):
@@ -833,7 +882,7 @@ def test_point_data_refuses_bad_framing_when_read(capsys, tmp_path, framing, det
 def test_support_beyond_the_float_range_gets_a_verdict(capsys, tmp_path):
     # supports are ordered exactly, so one no float can hold is a plain rational
     record = {"type": "A2", "nodes": {"1": {"points": [
-        {"support": "1e400", "partition": [1]}, {"support": "0", "partition": [1]}]},
+        {"support": str(10 ** 400), "partition": [1]}, {"support": "0", "partition": [1]}]},
         "2": {"points": []}}}
     out_path = tmp_path / "rep.json"
     code, out = run(capsys, "matrixify", write(tmp_path, "sheaf.json", record),
@@ -1098,7 +1147,7 @@ class TestSizeCaps:
                 {0: [0] * dynkin.MAX_DEGREE + [1, 1], 1: [0, 1]})
         # at the cap a dense rational theta still gets its locus, well inside the limit
         rng = random.Random(3)
-        dense = {str(a): [f"{rng.randint(-9, 9)}/{rng.randint(1, 9)}"
+        dense = {str(a): [fileio.frac_to_str(Fraction(rng.randint(-9, 9), rng.randint(1, 9)))
                           for _ in range(dynkin.MAX_DEGREE)] + ["1"] for a in (1, 2)}
         at_cap = write(tmp_path, "cap.json", {"type": "A2", "theta": dense})
         with time_limit(5):
@@ -1300,7 +1349,9 @@ class TestLinearLoops:
     two coefficients.  Searching the divisors of the entry took 30 s for 10**400 and
     did not end within 20 s for the prime 2**61 - 1; each child is cut at 10 s."""
 
-    @pytest.mark.parametrize("entry", ["1e400", "1e-400", str(2 ** 61 - 1), str(2 ** 70)])
+    @pytest.mark.parametrize("entry", [str(10 ** 400), "1/" + str(10 ** 400), str(2 ** 61 - 1),
+                                       str(2 ** 70)], ids=["10**400", "10**-400", "2**61-1",
+                                                           "2**70"])
     def test_sheafify_and_roundtrip_read_the_root_at_once(self, tmp_path, entry):
         rep = write(tmp_path, "loop.json",
                     {"type": "A1", "dims": {"0": 0, "1": 1}, "psi": {"1": [[entry]]}})

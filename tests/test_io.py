@@ -167,7 +167,7 @@ class TestSheafFiles:
         assert io.sheaf_data_from_dict(self.rec()).node_sheaves == data.node_sheaves
 
     @pytest.mark.parametrize("framing, message", [
-        ({"rank": -1}, "framing ranks must be nonnegative"),
+        ({"rank": -1}, "the framing rank at node 0 must be an integer >= 0, got -1"),
         ({"rank": 2, "vectors": [["1", "2", "3"]]}, "framing at node 0 wants shape (2, 1)"),
         ({"rank": 1, "vectors": [["1", "2", "3"]]}, "framing at node 0 wants shape (1, 1)"),
     ])

@@ -47,13 +47,14 @@ RAGGED = [[1, 2], [3]]
     (linalg.mat_add, ([[1, 2], [3, 4]], RAGGED), "the right operand"),
     (linalg.mat_sub, (RAGGED, RAGGED), "the left operand"),
     (linalg.mat_sub, ([[1, 2], [3, 4]], RAGGED), "the right operand"),
+    (linalg.mat_scale, (2, RAGGED), "the matrix"),
     (linalg.trace, (RAGGED,), "a matrix"),
     (linalg.trace, ([[1], [3, 4]],), "a matrix"),
     (linalg.block_diag, ([[[1]], RAGGED],), "block 1"),
 ], ids=["matrix", "mat_mul-left", "mat_mul-right", "rref", "rank", "nullspace", "inverse",
         "char_poly_coeffs", "rational_eigenvalues", "jordan_form", "mat_eq-left",
         "mat_eq-right", "mat_add-left", "mat_add-right", "mat_sub-left", "mat_sub-right",
-        "trace", "trace-short-first-row", "block_diag"])
+        "mat_scale", "trace", "trace-short-first-row", "block_diag"])
 def test_the_fraction_api_refuses_ragged_rows_naming_the_matrix(fn, args, name):
     # every Fraction matrix enters through int_rows, so none is truncated or misread
     with pytest.raises(ValueError, match=f"^{name} has ragged rows$"):

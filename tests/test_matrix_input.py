@@ -96,6 +96,18 @@ def test_a_malformed_block_in_a_file_is_refused_by_name(capsys, tmp_path, kind, 
     assert KINDS[kind][0] in verdict["detail"] and FAULTS[fault][2] in verdict["detail"]
 
 
+@pytest.mark.parametrize(("m", "error", "message"), [
+    ([[0.5]], TypeError, "the matrix: cannot coerce 0.5 to an exact rational"),
+    ([[1, 2], [3]], ValueError, "the matrix has ragged rows"),
+], ids=["float", "ragged"])
+def test_the_fraction_api_reads_a_scaled_matrix_through_the_same_door(m, error, message):
+    # a float entry came back as a float from the exact API, and ragged rows passed
+    with pytest.raises(error) as refused:
+        linalg.mat_scale(2, m)
+    assert type(refused.value) is error and str(refused.value) == message
+    assert linalg.mat_scale(2, [["1/4", 1]]) == [[Fraction(1, 2), 2]]
+
+
 def test_a_file_matrix_reads_back_as_written():
     m = [[Fraction(1, 2), Fraction(-3)], [Fraction(0), Fraction(7, 5)]]
     read = linalg.int_rows(fileio.matrix_to_json(m), "m", (2, 2))
