@@ -19,16 +19,20 @@ per degree above 2.  A representation keeps one table of integer rows
 (`linalg.IntMat`) per kind of block: `arrows` (B, by arrow key), `loops`
 (Psi, by node) and `framing` (the framing vectors at each node as the
 rows of one block).  Each block is read once, by `linalg.int_rows`, and
-stored only so; B, Psi and I are Fraction views of one table each,
-built on first read.  Every record holds every arrow of its quiver, in
-quiver order, and no stored block is None: a block not given is stored
+stored only so, over its least denominator; B, Psi and I are Fraction
+views of one table each, built on first read and not fields.  So every
+record's `_fields` names what it stores, and `==` compares them: equal
+matrices are equal rows.  Every record holds every arrow of its quiver,
+in quiver order, and no stored block is None: a block not given is stored
 as zeros.  Outside input goes through the validating constructors; the
 records that `conjugate` and the round trip in `sheaf` compute from
 validated ones are built directly (`_direct`), equal field for field to
 those; `_moved` moves the arrows and framing of both.  Residuals and base
-changes keep integer rows too.  Checks and reports read only integer rows;
-the Fraction views serve callers that ask for them.  `_edge_defects` is the
-one intertwining check, for `check_relations` and the round trip in `sheaf`.
+changes keep integer rows too, and a record derives what its data decide
+(`RelationResidual.is_zero`, `SupportReport.ok`) rather than storing it.
+Checks and reports read only integer rows; the Fraction views serve
+callers that ask for them.  `_edge_defects` is the one intertwining
+check, for `check_relations` and the round trip in `sheaf`.
 """
 
 from __future__ import annotations
@@ -103,34 +107,15 @@ def _fractions(blocks: Mapping) -> dict:
     return {k: linalg.rational_matrix(m) for k, m in blocks.items()}
 
 
-class _IntRows:
-    """Quiver data stored only as integer rows, one table per kind of block, named in
-    `_tables`: `arrows` by arrow key, in quiver order, `framing`, the framing vectors at each
-    node as the rows of one block, and a representation's `loops`, by node.  The fields in
-    `_views` read them as Fractions, cached on first read; `==` compares the other fields,
-    then the tables by `linalg.equal_ints`, so it builds no Fraction.  The constructor
-    validates outside input; `_direct` builds one from validated tables, in its order."""
-
-    _views: tuple[str, ...] = ()
-    _tables: tuple[str, ...] = ()
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (all(getattr(self, f) == getattr(other, f) for f in self._fields
-                    if f not in self._views)
-                and all(linalg.equal_ints(m, getattr(other, table)[k])
-                        for table in self._tables for k, m in getattr(self, table).items()))
-
-
-class N1Representation(_IntRows, _Record):
+class N1Representation(_Record):
     """Dims, arrows B, loops Psi and framing of a representation; missing blocks are zero.
-    Each is stored as integer rows, in `arrows` (by arrow key), `loops` (by node) and
-    `framing`; B, Psi and I are their Fraction views (`_IntRows`)."""
+    Each is stored as integer rows, in `arrows` (by arrow key, in quiver order), `loops` (by
+    node) and `framing` (the framing vectors at each node as the rows of one block); B, Psi
+    and I are their Fraction views, cached on first read.  The constructor validates outside
+    input, B, Psi and I as any matrix `linalg.int_rows` reads; `_direct` builds one from
+    tables already validated."""
 
-    _fields = ("type", "dims", "B", "Psi", "framing_ranks", "I", "affine")
-    _views = ("B", "Psi", "I")
-    _tables = ("arrows", "loops", "framing")
+    _fields = ("type", "dims", "arrows", "loops", "framing_ranks", "framing", "affine")
 
     def __init__(self, type: DynkinType, dims: dict[int, int],
                  B: dict[ArrowKey, Mat] | None = None, Psi: dict[int, Mat] | None = None,
@@ -195,12 +180,11 @@ def _theta_table(rep: N1Representation, theta) -> dict[int, Polynomial]:
 
 
 class RelationResidual(_Record):
-    """Node and edge residuals: `check_relations` keeps them as integer rows, None where zero,
-    in `nodes` (by node) and `edges` (by arrow), shaped by the node dimensions `dims`, and
-    builds their Fraction views on first read.  The zero tests read the rows, so they belong
-    to `check_relations` results; the constructor keeps only the Fraction matrices given."""
+    """Node and edge residuals as integer rows (`linalg.IntMat`), None where zero, in `nodes`
+    (by node) and `edges` (by arrow), shaped by the node dimensions `dims`.  Their Fraction
+    views are built on first read, and the zero tests read the rows."""
 
-    _fields = ("node_residuals", "edge_residuals")
+    _fields = ("nodes", "edges", "dims")
 
     node_residuals = cached_property(lambda self: {
         a: linalg.rational_matrix(m, self.dims[a], self.dims[a]) for a, m in self.nodes.items()})
@@ -233,8 +217,7 @@ def check_relations(rep: N1Representation, theta) -> RelationResidual:
         terms += [(arrow.sign, rep.arrows[arrow.reversed_key()], rep.arrows[arrow.key])
                   for arrow in rep.quiver.mckay_arrows() if arrow.source == a]
         nodes[a] = linalg.sum_of_products(terms, d, d)
-    return _direct(RelationResidual, nodes=nodes, edges=_edge_defects(rep.loops, rep.arrows),
-                   dims=dict(rep.dims))
+    return RelationResidual(nodes, _edge_defects(rep.loops, rep.arrows), dict(rep.dims))
 
 
 def is_nondegenerate(rep: N1Representation) -> bool:
@@ -278,7 +261,13 @@ class SupportReportRow(_Record):
 
 
 class SupportReport(_Record):
-    __slots__ = _fields = ("rows", "ok")
+    """The rows of the occupied nodes; ok when every row is."""
+
+    __slots__ = _fields = ("rows",)
+
+    @property
+    def ok(self) -> bool:
+        return all(r.ok for r in self.rows)
 
 
 def check_support_property(rep: N1Representation, theta, tol: float = 1e-6) -> SupportReport:
@@ -312,7 +301,7 @@ def check_support_property(rep: N1Representation, theta, tol: float = 1e-6) -> S
                 shared.append((r, g.degree))
                 left = left.divmod(poly_gcd(left, g))[0]
         rows.append(SupportReportRow(a, s.degree, shared, left.degree))
-    return SupportReport(rows, all(r.ok for r in rows))
+    return SupportReport(rows)
 
 
 def direct_sum(r1: N1Representation, r2: N1Representation) -> N1Representation:
@@ -355,10 +344,11 @@ class BaseChanges(Mapping):
     def __init__(self, pairs: dict[int, tuple[IntMat, IntMat]]):
         self.pairs = pairs
 
-    _views = cached_property(lambda self: _fractions({a: g for a, (g, _) in self.pairs.items()}))
+    _matrices = cached_property(
+        lambda self: _fractions({a: g for a, (g, _) in self.pairs.items()}))
 
     def __getitem__(self, a: int) -> Mat:
-        return self._views[a]
+        return self._matrices[a]
 
     def __iter__(self):
         return iter(self.pairs)

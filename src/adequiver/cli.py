@@ -444,12 +444,12 @@ def cmd_monad_check(args, report: RunReport) -> None:
     composite, holds = monad.compose_and_check(m)
 
     # a monomial has blocks in the composite only where its coefficient is nonzero, and
-    # both the zz blocks and the node residuals are integer rows, None where zero
+    # both the zz blocks and the node residuals are integer rows over their least
+    # denominator, None where zero, so == compares them
     surviving = sorted(set(monad.STRUCTURAL_ZERO_MONOMIALS) & set(composite.blocks))
     zz = {a: composite.blocks.get("zz", {}).get((a, a)) for a in range(n)}
     residuals = adhm.check_relations(rep, {a: [lam[a]] for a in range(n)}).nodes
-    differ = [a for a in range(n) if (zz[a] is None) != (residuals[a] is None)
-              or zz[a] is not None and not linalg.equal_ints(zz[a], residuals[a])]
+    differ = [a for a in range(n) if zz[a] != residuals[a]]
 
     if holds:
         report.say("b o a = 0")

@@ -3,8 +3,9 @@
 A parameter assigns each node a polynomial in one variable with exact
 rational coefficients.  The geometric regime demands
 sum_a delta_a * Theta_a = 0 identically; `complete_affine_theta` solves
-for the affine node's polynomial, and the `constrained` flag records
-whether a given parameter satisfies the identity.
+for the affine node's polynomial.  A `DeformationParam` stores its type
+and table only; `constrained`, whether the table satisfies the identity,
+is derived from them on first read.
 
 Projections along positive roots, their vanishing loci on the affine
 line, and the genericity test live here too.  Genericity and root
@@ -53,13 +54,21 @@ class _ReadOnlyDict(dict):
 
 
 class DeformationParam(_Frozen):
-    _fields = ("type", "theta", "constrained")
+    """One polynomial per affine node label, read by `Polynomial.of`; ValueError unless theta
+    covers exactly the affine nodes of type, InputTooLarge past MAX_DEGREE."""
 
-    def __init__(self, type: DynkinType, theta: Mapping[int, Polynomial], constrained: bool):
-        super().__init__(type, _ReadOnlyDict(theta), constrained)  # keyed by affine node label
-        labels = node_labels(self.type, affine=True)
-        if sorted(self.theta) != labels:
+    _fields = ("type", "theta")
+
+    def __init__(self, type: DynkinType, theta: Mapping[int, Polynomial]):
+        labels = node_labels(type, affine=True)
+        if sorted(theta) != labels:
             raise ValueError(f"need one polynomial per node {labels}")
+        super().__init__(type, _ReadOnlyDict(_of_capped_degree(theta)))
+
+    @cached_property
+    def constrained(self) -> bool:
+        """Whether sum_a delta_a * theta_a vanishes identically, delta the marks."""
+        return _weighted_sum(self.type, self.theta).is_zero
 
     @cached_property
     def projections(self) -> tuple[tuple[Root, Polynomial], ...]:
@@ -83,12 +92,8 @@ def _weighted_sum(t: DynkinType, theta: Mapping[int, Polynomial]) -> Polynomial:
 
 
 def make_deformation(t: DynkinType, theta: Mapping[int, Polynomial]) -> DeformationParam:
-    """Wrap a full node -> polynomial table; the constraint flag is computed."""
-    labels = node_labels(t, affine=True)
-    if sorted(theta) != labels:
-        raise ValueError(f"need one polynomial per node {labels}")
-    theta = _of_capped_degree(theta)
-    return DeformationParam(t, theta, _weighted_sum(t, theta).is_zero)
+    """The parameter of a full node -> polynomial table: `DeformationParam(t, theta)`."""
+    return DeformationParam(t, theta)
 
 
 def complete_affine_theta(t: DynkinType, finite_theta: Mapping[int, Polynomial]) -> DeformationParam:
@@ -98,7 +103,7 @@ def complete_affine_theta(t: DynkinType, finite_theta: Mapping[int, Polynomial])
         raise ValueError(f"need one polynomial per finite node {finite}")
     theta = _of_capped_degree(finite_theta)
     theta[0] = _weighted_sum(t, theta).scale(Fraction(-1, marks(t).delta[0]))
-    d = make_deformation(t, theta)
+    d = DeformationParam(t, theta)
     if not d.constrained:
         raise AssertionError("completion must satisfy the marks identity")
     return d

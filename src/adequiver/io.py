@@ -138,7 +138,8 @@ def deformation_from_dict(record: Any) -> DeformationParam:
     for a, coeffs in _node_table(record, "theta").items():
         if not isinstance(coeffs, list):
             raise SchemaError("polynomials are arrays of rational strings, ascending")
-        theta[a] = Polynomial.of([frac_from_json(c) for c in coeffs])
+        theta[a] = Polynomial.of([frac_from_json(c, f"an exact rational string at theta[{a}][{k}]")
+                                  for k, c in enumerate(coeffs)])
     finite = node_labels(t, affine=False)
     if sorted(theta) == finite:
         return complete_affine_theta(t, theta)
@@ -198,22 +199,25 @@ def load_representation(path: str, data: bytes | None = None) -> N1Representatio
 
 def sheaf_data_from_dict(record: Any) -> QuiverSheafData:
     t = _parse_type(record)
-    points = {}
+    sheaves = {}
     for a, v in _node_table(record, "nodes").items():
         if not isinstance(v, dict) or "points" not in v or not isinstance(v["points"], list):
             raise SchemaError("each node carries an object with a 'points' array")
-        points[a] = []
+        points = []
         for pt in v["points"]:
             if not isinstance(pt, dict) or not {"support", "partition"} <= set(pt):
                 raise SchemaError("points are objects with 'support' and 'partition'")
             if not isinstance(pt["partition"], list):
                 raise SchemaError("'partition' must be an array of positive integers")
-            points[a].append((frac_from_json(pt["support"], f"a rational support at node {a}"),
-                              pt["partition"]))
+            points.append((frac_from_json(pt["support"], f"a rational support at node {a}"),
+                           pt["partition"]))
+        try:
+            sheaves[a] = TorsionSheafData.of(points)
+        except ValueError as e:
+            raise SchemaError(f"node {a}: {e}") from None
     maps = _arrows_from_json(record)
     ranks, vectors = _framing_from_json(record)
     try:
-        sheaves = {a: TorsionSheafData.of(p) for a, p in points.items()}
         return QuiverSheafData(type=t, node_sheaves=sheaves, arrow_maps=maps,
                                framing_ranks=ranks, framing_vectors=vectors, affine=0 in sheaves)
     except (ValueError, TypeError) as e:

@@ -8,22 +8,24 @@ unique map between zero-dimensional spaces.  Every scalar comes in through
 prints them) or `integer` (counts: ints only, never truncated).
 
 The exact kernels run on Python ints and build each output Fraction
-once.  An `IntMat` is integer rows over one denominator (`rational_matrix`
-reads Fractions back, `equal_ints` compares two); it is the only storage
-of representations and point data (their `arrows`, `loops` and `framing`
-tables) and of the `monad` blocks.  Every matrix, from a file or from a caller of
-the Fraction API, comes in through `int_rows` alone, which names the
-matrix it refuses, ragged ones included.  There is one integer product,
-`sum_of_products`: the caller gives the output shape, every term c*a*b
-or c*a on `IntMat`s accumulates in one integer pass, and the sum comes
-back over its least denominator (a row-by-row gcd, stopped at 1), or as
-None when zero.  `mat_mul` is its Fraction front; the `monad` blocks,
+once.  An `IntMat` is integer rows (lists) over their least positive
+denominator, so each matrix has one `IntMat` and `==` is matrix equality
+(`rational_matrix` reads Fractions back); it is the only storage of
+representations and point data (their `arrows`, `loops` and `framing`
+tables) and of the `monad` blocks.  Every matrix, from a file or from a
+caller of the Fraction API, comes in through `int_rows` alone, which
+names the matrix it refuses, ragged ones included, and reduces the rest
+to that form.  There is one integer product, `sum_of_products`: the
+caller gives the output shape, every term c*a*b or c*a on `IntMat`s
+accumulates in one integer pass, and the sum comes back over its least
+denominator (a row-by-row gcd, stopped at 1), or as None when zero.  `mat_mul` is its Fraction front; the `monad` blocks,
 the `adhm` residuals, the point-data round trip and the chain steps of
 `jordan_basis` (its kernels from reduced rows, not powers) run on it.
 The characteristic polynomial is division-free Berkowitz on the integer
 rows, and `poly` finds the spectrum on the integer polynomial.
 Elimination (`rref`, `rank`, `nullspace`, `inverse_ints`; `inverse` wraps
-it) and `SpanBasis` are fraction-free on primitive integer rows and share one core.
+it) runs fraction-free on primitive integer rows in `_rref_ints`;
+`SpanBasis` reduces each new vector the same way against its own rows.
 
 Every exception that means "this computation gave up on this input",
 here and in the modules above, derives from `ComputeFailure`; the
@@ -40,7 +42,7 @@ from typing import Iterable, Sequence
 
 Mat = list
 Vec = list
-IntMat = tuple      # (rows of ints, denominator d > 0): the matrix rows / d
+IntMat = tuple      # (rows, d): the matrix rows / d, rows lists of ints, d > 0, gcd(d, rows) 1
 
 _ZERO = Fraction(0)
 
@@ -97,12 +99,11 @@ def identity(n: int) -> Mat:
 
 
 def mat_eq(a: Mat, b: Mat) -> bool:
-    a, b = int_rows(a, "the left operand"), int_rows(b, "the right operand")
-    return shape(a[0]) == shape(b[0]) and equal_ints(a, b)
+    return int_rows(a, "the left operand") == int_rows(b, "the right operand")
 
 
 def is_zero_matrix(m: Mat) -> bool:
-    return all(x == 0 for row in m for x in row)
+    return not any(map(any, int_rows(m, "the matrix")[0]))
 
 
 def mat_add(a: Mat, b: Mat) -> Mat:
@@ -136,11 +137,11 @@ def mat_mul(a: Mat, b: Mat) -> Mat:
 
 
 def int_rows(m, name: str = "a matrix", shape: tuple[int, int] | None = None) -> IntMat:
-    """m as an `IntMat`, the one door for matrix data: rows of entries as `frac` takes them
-    (over the lcm of their denominators), a pair (rows, d) of int rows over an int d != 0
-    (copied over |d|), or None for the zeros of shape.  Errors name name: TypeError on data
-    that are not rows of entries or on an entry `frac` refuses by type, ValueError on any
-    other bad entry, ragged rows or a shape other than shape."""
+    """m as an `IntMat`, the one door for matrix data: rows of entries as `frac` takes them,
+    a pair (rows, d) of int rows over an int d != 0, or None for the zeros of shape; each
+    comes back as new list rows over its least positive denominator.  Errors name name:
+    TypeError on data that are not rows of entries or on an entry `frac` refuses by type,
+    ValueError on any other bad entry, ragged rows or a shape other than shape."""
     if m is None and shape:
         return [[0] * shape[1] for _ in range(shape[0])], 1
     pair = isinstance(m, tuple) and len(m) == 2 and not isinstance(m[1], (list, tuple))
@@ -150,7 +151,8 @@ def int_rows(m, name: str = "a matrix", shape: tuple[int, int] | None = None) ->
     if pair:
         if type(d) is not int or not d or not {type(x) for row in rows for x in row} <= {int}:
             raise ValueError(f"{name} wants integer rows as ints over a nonzero int denominator")
-        m = [[-x for x in row] if d < 0 else list(row) for row in rows], abs(d)
+        g = gcd(d, *(x for row in rows for x in row)) * (-1 if d < 0 else 1)
+        m = [[x // g for x in row] for row in rows], d // g
     else:
         if not {type(x) for row in rows for x in row} <= {int, Fraction}:
             try:
@@ -172,12 +174,6 @@ def rational_matrix(m: IntMat | None, rows: int = 0, cols: int = 0) -> Mat:
         return zeros(rows, cols)
     ints, d = m
     return [[Fraction(x, d) if x else _ZERO for x in row] for row in ints]
-
-
-def equal_ints(m: IntMat, n: IntMat) -> bool:
-    """m == n for two matrices of one shape, rows as lists: a/d against b/e as a e == b d."""
-    (a, d), (b, e) = m, n
-    return a == b if d == e else all(x * e == y * d for r, s in zip(a, b) for x, y in zip(r, s))
 
 
 def _transposed(m: IntMat) -> IntMat:

@@ -10,8 +10,8 @@ via the rewrite x2*x1 -> x1*x2 + lam*zz.  Coefficients are block
 matrices over the rationals, stored as their nonzero blocks keyed by
 (row node, column node); lam acts blockwise (one rational per node)
 through left multiplication on the target layout.  Each block is read
-once into integer rows over one denominator (`linalg.int_rows`), its
-only storage: products and sums run on those ints, one
+once into integer rows over its least denominator (`linalg.int_rows`),
+its only storage: products and sums run on those ints, one
 `linalg.sum_of_products` pass per output block, and Fractions are built
 only when a coefficient is read.
 
@@ -91,8 +91,8 @@ class NCElement:
             if mono not in DEGREE:
                 raise ValueError(f"unknown monomial {mono!r}")
             m, d = linalg.int_rows(m, f"coefficient of {mono}", (rows, cols))
-            blocks[mono] = _nonzero_blocks({
-                (r, c): ([row[c0[c]:c0[c] + dc] for row in m[r0[r]:r0[r] + dr]], d)
+            blocks[mono] = _nonzero_blocks({(r, c): linalg.int_rows(
+                ([row[c0[c]:c0[c] + dc] for row in m[r0[r]:r0[r] + dr]], d))
                 for r, dr in row_layout for c, dc in col_layout})
         self.row_layout, self.col_layout = row_layout, col_layout
         self.blocks: dict[str, Blocks] = {mono: t for mono, t in blocks.items() if t}

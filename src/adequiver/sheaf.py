@@ -13,8 +13,10 @@ with framing vectors carried along by the same base change.  The round
 trip runs on the integer rows (`linalg.IntMat`), one table per kind of
 block (`arrows`, `loops`, `framing`), and on one Jordan matrix per
 `TorsionSheafData` (`.jordan`); the base changes carry their inverses.
-As in `adhm`, every record holds every arrow, and no stored block is
-None.  Both directions build their records directly (`adhm._direct`),
+As in `adhm`, every record holds every arrow, no stored block is None,
+each is stored over its least denominator, and `_fields` names the
+tables, so `==` compares them and the Fraction views are no fields.
+Both directions build their records directly (`adhm._direct`),
 unchecked, and the arrows and framing move as `adhm.conjugate` moves
 them (`adhm._moved`).  Every intertwining decision is one pass of
 `adhm._edge_defects`: `QuiverSheafData` runs it on its points' Jordan
@@ -30,7 +32,7 @@ from typing import Mapping, Sequence
 
 from . import linalg
 from .adhm import (ArrowKey, BaseChanges, N1Representation, _direct, _edge_defects,
-                   _fractions, _IntRows, _moved, _quiver_data)
+                   _fractions, _moved, _quiver_data)
 from .dynkin import DynkinType, _Frozen, _Record, node_labels
 from .linalg import ComputeFailure, IntMat, Mat, Vec
 
@@ -40,7 +42,8 @@ class EdgeRelationViolated(ComputeFailure):
 
 
 class TorsionSheafData(_Frozen):
-    """Canonicalised: supports Fractions, sorted and distinct; partitions nonincreasing."""
+    """Canonicalised: supports Fractions, sorted and distinct; partitions nonempty and
+    nonincreasing, of parts read by `linalg.integer`."""
 
     _fields = ("points",)
 
@@ -48,10 +51,10 @@ class TorsionSheafData(_Frozen):
     def of(cls, points: Sequence[tuple[object, Sequence[int]]]) -> "TorsionSheafData":
         norm = []
         for s, parts in points:
-            parts = tuple(sorted((linalg.integer(p, "a partition part", None) for p in parts),
+            parts = tuple(sorted((linalg.integer(p, "a partition part", 1) for p in parts),
                                  reverse=True))
-            if not parts or any(p <= 0 for p in parts):
-                raise ValueError("partitions must be nonempty with positive parts")
+            if not parts:
+                raise ValueError("a partition must be nonempty")
             norm.append((linalg.frac(s), parts))
         norm.sort()
         for a, b in zip(norm, norm[1:]):
@@ -127,15 +130,12 @@ def _check_intertwining(defects: Mapping[ArrowKey, IntMat | None]) -> None:
             raise EdgeRelationViolated(f"edge defect at {key} is nonzero")
 
 
-class QuiverSheafData(_IntRows, _Record):
+class QuiverSheafData(_Record):
     """Torsion data per node, arrow maps and framing; missing arrows are zero.  `arrows`
     holds every arrow map as integer rows, by key, and `framing` the framing vectors;
-    `arrow_maps` and `framing_vectors` are their Fraction views (`adhm._IntRows`)."""
+    `arrow_maps` and `framing_vectors` are their Fraction views, cached on first read."""
 
-    _fields = ("type", "node_sheaves", "arrow_maps", "framing_ranks", "framing_vectors",
-               "affine")
-    _views = ("arrow_maps", "framing_vectors")
-    _tables = ("arrows", "framing")
+    _fields = ("type", "node_sheaves", "arrows", "framing_ranks", "framing", "affine")
 
     def __init__(self, type: DynkinType, node_sheaves: dict[int, TorsionSheafData],
                  arrow_maps: dict[ArrowKey, Mat], framing_ranks: dict[int, int] | None = None,

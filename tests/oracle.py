@@ -1,5 +1,5 @@
-"""A second judge of the golden corpus: relation, nondegeneracy and marks verdicts
-re-derived by textbook linear algebra.
+"""A second judge of the golden corpus: relation, nondegeneracy, marks, support and root
+verdicts re-derived by textbook linear algebra.
 
 Imports nothing from `adequiver`.  It reads the input files with `json`, computes with
 sympy rationals, and takes the sign convention and the marks as written down here:
@@ -10,7 +10,14 @@ sympy rationals, and takes the sign convention and the marks as written down her
   arrow runs from the lower node label to the higher; opposite arrows carry opposite
   signs;
 * marks over the affine nodes 0..n, in the labelling of the `dynkin` diagrams (the
-  same table as `bench/cli_verify.marks`).
+  same table as `bench/cli_verify.marks`), and the edges of those diagrams and the
+  closed form of the number of positive roots (as `bench/cli_verify.affine_edges` and
+  `bench/cli_verify.positive_root_count` write them).
+
+The positive roots of a finite type are the nonzero vectors v >= 0 over the nodes 1..n
+with q(v) = sum_a v_a^2 - sum over edges v_a v_b = 1, the roots of the Tits form; every
+one above a simple root is another plus a simple root, so they grow from the simple
+roots one step at a time.  The highest root is the one of greatest height.
 
 The relations, on a representation with arrows B, loops Psi and node polynomials theta
 (a node 0 polynomial left out is completed by sum_a delta_a theta_a = 0, delta_0 = 1):
@@ -22,6 +29,13 @@ A representation is nondegenerate when its framing vectors generate every node u
 arrows and the loops: the spans they grow to, column spaces by sympy, fill every node.
 A deformation parameter satisfies the marks constraint when sum_a delta_a theta_a = 0,
 its node 0 polynomial completed first when the file leaves it out.
+
+A finite representation (node 0 absent or empty) has its support on the vanishing locus
+when every eigenvalue of every loop is a zero of some positive-root projection
+theta_alpha = sum_a alpha_a theta_a.  The eigenvalues are grouped by the irreducible
+factors over Q of the loop's characteristic polynomial (sympy `charpoly` and
+`factor_list`); a group is on the locus when its factor divides some projection, so
+the zero projection, which vanishes everywhere, holds every group.
 
 The monad of an affine type A representation with zero loops composes to zz times one
 block per node, B2 B1 - B1 B2 + lam (B1 the positive arrow out of a node, B2 the negative
@@ -44,6 +58,46 @@ def marks(family: str, rank: int) -> list[int]:
         return [1, 1] + [2] * (rank - 3) + [1, 1]
     return {6: [1, 1, 2, 3, 2, 1, 2], 7: [1, 2, 3, 4, 3, 2, 1, 2],
             8: [1, 2, 3, 4, 5, 6, 4, 2, 3]}[rank]
+
+
+def affine_edges(family: str, rank: int) -> list[tuple[int, int]]:
+    """Edges of the affine diagram in the `dynkin` labelling; the doubled A1 bond twice."""
+    n = rank
+    if family == "A":
+        return [(0, 1), (0, 1)] if n == 1 else [(a, (a + 1) % (n + 1)) for a in range(n + 1)]
+    if family == "D":
+        return ([(0, 2), (1, 2)] + [(a, a + 1) for a in range(2, n - 2)]
+                + [(n - 2, n - 1), (n - 2, n)])
+    if n == 6:
+        return [(a, a + 1) for a in range(1, 5)] + [(3, 6), (0, 6)]
+    return [(a, a + 1) for a in range(n - 1)] + [({7: 3, 8: 5}[n], n)]
+
+
+def positive_root_count(family: str, rank: int) -> int:
+    if family == "A":
+        return rank * (rank + 1) // 2
+    if family == "D":
+        return rank * (rank - 1)
+    return {6: 36, 7: 63, 8: 120}[rank]
+
+
+def positive_roots(family: str, rank: int) -> list[tuple]:
+    """The positive roots over the finite nodes 1..rank, in sorted order."""
+    edges = [(a - 1, b - 1) for a, b in affine_edges(family, rank) if a and b]
+
+    def q(v: tuple) -> int:
+        return sum(x * x for x in v) - sum(v[a] * v[b] for a, b in edges)
+
+    simple = [tuple(int(i == j) for j in range(rank)) for i in range(rank)]
+    found, todo = set(simple), list(simple)
+    while todo:
+        v = todo.pop()
+        for i in range(rank):
+            w = v[:i] + (v[i] + 1,) + v[i + 1:]
+            if w not in found and q(w) == 1:
+                found.add(w)
+                todo.append(w)
+    return sorted(found)
 
 
 def sign(family: str, rank: int, key: tuple) -> int:
@@ -120,6 +174,22 @@ class Representation:
         return all((self.loops[t] * b - b * self.loops[s]).is_zero_matrix
                    for (s, t, _), b in self.arrows.items())
 
+    def support_on_locus(self, theta: dict) -> bool:
+        """Whether every loop eigenvalue is a zero of some positive-root projection."""
+        x = sympy.Symbol("x")
+        polys = {a: sympy.Poly(list(reversed(p)) or [0], x, domain=sympy.QQ)
+                 for a, p in theta.items()}
+        projections = [sum((c * polys[a] for a, c in enumerate(root, 1)),
+                           sympy.Poly(0, x, domain=sympy.QQ))
+                       for root in positive_roots(self.family, self.rank)]
+        for a, d in self.dims.items():
+            if not d:
+                continue
+            _, factors = sympy.factor_list(self.loops[a].charpoly(x))
+            if not all(any(p.rem(f).is_zero for p in projections) for f, _ in factors):
+                return False
+        return True
+
 
 def _basis(m: sympy.Matrix) -> sympy.Matrix:
     """Independent columns spanning the column space of m, as one matrix."""
@@ -157,7 +227,8 @@ def nondeg(argv: list, root: Path) -> dict[str, bool]:
 
 def check_rep(argv: list, path: str, root: Path) -> dict[str, bool]:
     """The node-relations, edge-relations and nondegenerate verdicts of one file of a
-    check-rep call; nondegeneracy is judged only with framing or with every node empty."""
+    check-rep call, and its support-on-vanishing-locus verdict when it is finite (node 0
+    absent or empty); nondegeneracy is judged only with framing or with every node empty."""
     theta = theta_table(root / argv[argv.index("--theta") + 1])
     rep = Representation(root / path)
     verdicts = {f"{path}: node-relations": all(rep.node_residual(a, theta[a]).is_zero_matrix
@@ -165,7 +236,22 @@ def check_rep(argv: list, path: str, root: Path) -> dict[str, bool]:
                 f"{path}: edge-relations": rep.edges_zero()}
     if rep.framed or not any(rep.dims.values()):
         verdicts[f"{path}: nondegenerate"] = rep.nondegenerate()
+    if not rep.dims.get(0):
+        verdicts[f"{path}: support-on-vanishing-locus"] = rep.support_on_locus(theta)
     return verdicts
+
+
+def roots(argv: list) -> tuple[dict[str, bool], dict]:
+    """The count-matches-closed-form and highest-root-equals-finite-marks verdicts of a
+    roots call, with the data it prints: the marks, the count, the roots and the highest."""
+    family, rank = argv[1][0], int(argv[1][1:])
+    found = positive_roots(family, rank)
+    highest = max(found, key=sum)
+    delta = marks(family, rank)
+    verdicts = {"count-matches-closed-form": len(found) == positive_root_count(family, rank),
+                "highest-root-equals-finite-marks": list(highest) == delta[1:]}
+    return verdicts, {"marks": delta, "count": len(found), "roots": found,
+                      "highest_root": list(highest)}
 
 
 def monad_check(argv: list, root: Path) -> tuple[dict[str, bool], dict[str, sympy.Matrix]]:

@@ -24,13 +24,16 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from adequiver import adhm, io as fileio, linalg, sheaf
+from adequiver import adhm, io as fileio, linalg, monad, sheaf
 from adequiver.dynkin import DynkinType, node_labels
 from adequiver.quiver import build_n1_quiver
 
 from helpers import mat_from_sympy, naive_product, rand_frac, rand_invertible, rand_matrix
 
 TYPES = (DynkinType.parse("A2"), DynkinType.parse("A3"))
+# the Fraction views of each record's integer tables, built on first read and no fields
+VIEWS = {adhm.N1Representation: ("B", "Psi", "I"),
+         sheaf.QuiverSheafData: ("arrow_maps", "framing_vectors")}
 EIGENVALUES = (Fraction(0), Fraction(1, 2), Fraction(-2, 3), Fraction(3))
 
 
@@ -290,7 +293,8 @@ def test_a_representation_built_from_integer_rows_equals_the_fraction_one(case):
     built = adhm.N1Representation(rep.type, dict(rep.dims), {k: ints[k] for k in rep.B},
                                   {a: ints[a] for a in rep.Psi}, dict(rep.framing_ranks), rep.I)
     assert built == rep
-    assert {**built.arrows, **built.loops} == ints
+    # stored over the least denominator, whichever pair was given
+    assert {**built.arrows, **built.loops} == {**rep.arrows, **rep.loops}
     assert fileio.dump_json(fileio.representation_to_dict(built)) \
         == fileio.dump_json(fileio.representation_to_dict(rep))
 
@@ -402,11 +406,12 @@ def test_records_from_integer_rows_equal_their_fraction_twins(case):
     for build, to_dict, blocks in ((rep, fileio.representation_to_dict, {**arrows, **loops}),
                                    (data, fileio.sheaf_data_to_dict, arrows)):
         ints, fractions = build(arrows, loops), build(_as_fractions(arrows), _as_fractions(loops))
+        views = VIEWS[type(ints)]
         assert ints == fractions and fractions == ints
-        assert not set(ints._views) & {*vars(ints), *vars(fractions)}     # == builds no Fraction
+        assert not set(views) & {*vars(ints), *vars(fractions)}     # == builds no Fraction
         assert repr(ints) == repr(fractions)
         assert fileio.dump_json(to_dict(ints)) == fileio.dump_json(to_dict(fractions))
-        for name in ints._views:
+        for name in views:
             assert getattr(ints, name) is getattr(ints, name)
         # one entry moved by 1/d
         filled = [k for k, (rows, _) in blocks.items() if rows and rows[0]]
@@ -546,23 +551,26 @@ def test_a_non_rational_loop_is_refused_after_the_edge_check(monkeypatch, arrows
 
 
 def _revalidated(record):
-    """The record built again through its validating constructor from its own fields."""
-    return type(record)(**{name: getattr(record, name) for name in record._fields})
+    """The record built again through its validating constructor from its own fields, which
+    the constructor takes in their order (the integer tables where it takes matrices)."""
+    return type(record)(*record._values)
 
 
 def _same_record(record, to_dict):
-    """record equals its validated twin field for field, in repr and JSON, and survives
-    copy and pickle."""
+    """record equals its validated twin field for field, tables in the same order, in repr
+    and JSON, and survives copy and pickle."""
     built = _revalidated(record)
-    for table in record._tables:
-        assert list(getattr(record, table).items()) == list(getattr(built, table).items())
-    assert all(getattr(record, f) == getattr(built, f) for f in record._fields)
+    for f in record._fields:
+        mine, theirs = getattr(record, f), getattr(built, f)
+        assert mine == theirs
+        if isinstance(mine, dict):
+            assert list(mine.items()) == list(theirs.items())
     assert record == built and built == record
     assert repr(record) == repr(built)
     assert fileio.dump_json(to_dict(record)) == fileio.dump_json(to_dict(built))
     for twin in (copy.copy(record), pickle.loads(pickle.dumps(record))):
         assert twin == built and repr(twin) == repr(built)
-    for name in record._views:
+    for name in VIEWS[type(record)]:
         assert getattr(record, name) is getattr(record, name)
 
 
@@ -585,3 +593,55 @@ def test_records_the_round_trip_builds_equal_their_validated_twins(case):
                                  data.framing_ranks, data.framing_vectors)
     assert sheaf.quintuple_to_quadruple(some) == back
     _same_record(sheaf.quintuple_to_quadruple(some), fileio.representation_to_dict)
+
+
+def _is_least(m) -> bool:
+    """m is an `IntMat` over its least positive denominator, its rows lists of ints."""
+    rows, d = m
+    return (type(rows) is list and all(type(row) is list for row in rows)
+            and all(type(x) is int for row in rows for x in row)
+            and type(d) is int and d > 0 and gcd(d, *(x for row in rows for x in row)) == 1)
+
+
+def _stored_blocks(record):
+    """Every integer matrix record stores: the tables of a representation, of point data
+    (with each point's Jordan matrix) and of a residual (where nonzero), and both matrices
+    of each base change."""
+    if isinstance(record, adhm.BaseChanges):
+        return [m for pair in record.pairs.values() for m in pair]
+    if isinstance(record, adhm.RelationResidual):
+        return [m for m in (*record.nodes.values(), *record.edges.values()) if m is not None]
+    blocks = [*record.arrows.values(), *record.framing.values()]
+    if isinstance(record, sheaf.QuiverSheafData):
+        return blocks + [s.jordan for s in record.node_sheaves.values()]
+    return blocks + list(record.loops.values())
+
+
+@settings(max_examples=60)
+@given(planted_cases)
+def test_every_stored_table_is_over_its_least_denominator(case):
+    rep, planted, _, theta, rng = case
+    scale = rng.choice((2, -3))             # every block given over a larger denominator
+
+    def scaled(blocks):
+        return {k: ([[x * scale for x in row] for row in a], d * scale)
+                for k, (a, d) in blocks.items()}
+
+    built = adhm.N1Representation(rep.type, dict(rep.dims), scaled(rep.arrows), scaled(rep.loops),
+                                  dict(rep.framing_ranks), scaled(rep.framing))
+    assert built == rep
+    records = [rep, planted, built, adhm.check_relations(rep, theta),
+               adhm.conjugate(rep, {a: rand_invertible(rng, n) for a, n in rep.dims.items()})]
+    if adhm.check_relations(rep, {a: [] for a in rep.dims}).edges_zero:
+        data, g = sheaf.quadruple_to_quintuple(rep)
+        records += [data, g, sheaf.quintuple_to_quadruple(data), adhm.conjugate(rep, g),
+                    sheaf.QuiverSheafData(data.type, data.node_sheaves, scaled(data.arrows),
+                                          data.framing_ranks, scaled(data.framing))]
+    for record in records:
+        assert all(_is_least(m) for m in _stored_blocks(record)), record
+    # a monad coefficient keeps each nonzero block of a dense matrix over its own least
+    # denominator: the loops, from their block diagonal, come back as the loops
+    layout = tuple(rep.dims.items())
+    element = monad.NCElement(layout, layout, {"x1": linalg.block_diag(list(rep.Psi.values()))})
+    assert element.blocks.get("x1", {}) == {(a, a): m for a, m in rep.loops.items()
+                                            if any(map(any, m[0]))}

@@ -99,13 +99,21 @@ def test_a_malformed_block_in_a_file_is_refused_by_name(capsys, tmp_path, kind, 
 @pytest.mark.parametrize(("m", "error", "message"), [
     ([[0.5]], TypeError, "the matrix: cannot coerce 0.5 to an exact rational"),
     ([[1, 2], [3]], ValueError, "the matrix has ragged rows"),
-], ids=["float", "ragged"])
+    ([["x"]], ValueError, "the matrix: Invalid literal for Fraction: 'x'"),
+    ([[0.0]], TypeError, "the matrix: cannot coerce 0.0 to an exact rational"),
+    ([[False]], TypeError, "the matrix: cannot coerce False to an exact rational"),
+    ([[0, 0], [0]], ValueError, "the matrix has ragged rows"),
+], ids=["float", "ragged", "word", "float-zero", "bool-zero", "ragged-zeros"])
 def test_the_fraction_api_reads_a_scaled_matrix_through_the_same_door(m, error, message):
-    # a float entry came back as a float from the exact API, and ragged rows passed
-    with pytest.raises(error) as refused:
-        linalg.mat_scale(2, m)
-    assert type(refused.value) is error and str(refused.value) == message
+    # a float entry came back as a float from the exact API, and ragged rows passed; the
+    # zero test read "x" as nonzero, and 0.0, False and ragged zeros as a zero matrix
+    for read in (lambda m: linalg.mat_scale(2, m), linalg.is_zero_matrix):
+        with pytest.raises(error) as refused:
+            read(m)
+        assert type(refused.value) is error and str(refused.value) == message
     assert linalg.mat_scale(2, [["1/4", 1]]) == [[Fraction(1, 2), 2]]
+    assert linalg.is_zero_matrix([["0", 0], [Fraction(0), 0]])
+    assert not linalg.is_zero_matrix([[0, 0], [0, "1/2"]])
 
 
 def test_a_file_matrix_reads_back_as_written():

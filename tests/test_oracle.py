@@ -1,8 +1,10 @@
 """The golden corpus against `oracle`, which decides the same questions without the package:
-every node-relations, edge-relations and nondegenerate verdict of check-rep, every
-nondegenerate verdict of nondeg, every marks-weighted-sum-vanishes verdict of
-theta-validate, and every matches-node-relation-residuals and composite-zero verdict of
-monad-check, with the zz blocks monad-check prints.  A disagreement is a defect of the
+every node-relations, edge-relations, nondegenerate and support-on-vanishing-locus verdict
+of check-rep, every nondegenerate verdict of nondeg, every marks-weighted-sum-vanishes
+verdict of theta-validate, every matches-node-relation-residuals and composite-zero
+verdict of monad-check, with the zz blocks monad-check prints, and every
+count-matches-closed-form and highest-root-equals-finite-marks verdict of roots, with the
+marks, count, roots and highest root roots prints.  A disagreement is a defect of the
 package or of the oracle, never a reason to edit an expected file."""
 
 import json
@@ -12,11 +14,12 @@ import oracle
 from golden.regenerate import HERE, calls
 
 FAMILIES = ("node-relations", "edge-relations", "nondegenerate", "marks-weighted-sum-vanishes",
-            "matches-node-relation-residuals", "composite-zero")
+            "matches-node-relation-residuals", "composite-zero", "support-on-vanishing-locus",
+            "count-matches-closed-form", "highest-root-equals-finite-marks")
 
 
 def test_the_oracle_rederives_the_verdicts_of_the_corpus():
-    seen = {"check-rep": 0, "monad-check": 0, "nondeg": 0, "theta-validate": 0}
+    seen = {"check-rep": 0, "monad-check": 0, "nondeg": 0, "theta-validate": 0, "roots": 0}
     disagree = []
     for name, argv, filename in calls():
         if argv[0] not in seen or "--json" not in argv:
@@ -37,6 +40,12 @@ def test_the_oracle_rederives_the_verdicts_of_the_corpus():
             want = oracle.nondeg(argv, HERE)
         elif argv[0] == "theta-validate" and "constrained" in report["data"]:
             want = oracle.theta_validate(argv, HERE)
+        elif argv[0] == "roots" and "count" in report["data"]:
+            want, data = oracle.roots(argv)
+            printed = {k: sorted(map(tuple, v)) if k == "roots" else v
+                       for k, v in report["data"].items() if k in data}
+            if printed != data:
+                disagree.append((name, "data"))
         # every verdict of these families is re-derived, and no other is claimed
         ours = sorted(k for k in got if k.split(": ")[-1] in FAMILIES)
         if ours != sorted(want):
@@ -44,5 +53,5 @@ def test_the_oracle_rederives_the_verdicts_of_the_corpus():
         disagree += [(name, k, got[k]) for k in want if k in got and got[k] != want[k]]
         seen[argv[0]] += len(want)
     assert disagree == []
-    assert seen["check-rep"] >= 113 and seen["monad-check"] >= 10
-    assert seen["nondeg"] >= 6 and seen["theta-validate"] >= 4
+    assert seen["check-rep"] >= 139 and seen["monad-check"] >= 10
+    assert seen["nondeg"] >= 8 and seen["theta-validate"] >= 4 and seen["roots"] >= 8

@@ -9,21 +9,25 @@ copy, a deep copy and a pickle round trip give an equal record.
 
 import copy
 import pickle
+import re
 from fractions import Fraction as F
 
 import pytest
 
-from adequiver.adhm import N1Representation, RelationResidual, SupportReport, SupportReportRow
+from adequiver.adhm import (N1Representation, RelationResidual, SupportReport, SupportReportRow,
+                            check_relations, check_support_property)
 from adequiver.cli import RunReport, Verdict
 from adequiver.deformation import (DeformationParam, ExceptionalLocus, LocusEntry,
                                    complete_affine_theta, make_deformation, theta_of_root)
-from adequiver.dynkin import CartanMatrix, DynkinType, MarksVector, Root
+from adequiver.dynkin import CartanMatrix, DynkinType, InputTooLarge, MarksVector, Root
 from adequiver.gamma import (CharacterTable, GammaGroup, GroupElement, PrimeField,
                              enumerate_group)
 from adequiver.monad import MonadData
 from adequiver.poly import Polynomial
 from adequiver.quiver import Arrow, QuiverSpec
 from adequiver.sheaf import QuiverSheafData, TorsionSheafData
+
+from helpers import finite_pair_example, worked_cycle_example
 
 A1 = DynkinType("A", 1)
 IDENTITY = (1, 0, 0, 1)
@@ -53,12 +57,12 @@ RECORDS = [
      "nodes=(1,), arrows=())", True, True),
     (Polynomial, ((F(1), F(-2)),), dict(coefficients=(F(1), F(-2))), ((F(1),),),
      "Polynomial(coefficients=(Fraction(1, 1), Fraction(-2, 1)))", True, True),
-    (DeformationParam, (A1, {0: Polynomial((F(1),)), 1: Polynomial((F(-1),))}, True),
-     dict(type=A1, theta={0: Polynomial((F(1),)), 1: Polynomial((F(-1),))}, constrained=True),
-     (A1, {0: Polynomial((F(1),)), 1: Polynomial((F(-1),))}, False),
+    (DeformationParam, (A1, {0: Polynomial((F(1),)), 1: Polynomial((F(-1),))}),
+     dict(type=A1, theta={0: Polynomial((F(1),)), 1: Polynomial((F(-1),))}),
+     (A1, {0: Polynomial((F(1),)), 1: Polynomial((F(1),))}),
      "DeformationParam(type=DynkinType(family='A', rank=1), "
      "theta={0: Polynomial(coefficients=(Fraction(1, 1),)), "
-     "1: Polynomial(coefficients=(Fraction(-1, 1),))}, constrained=True)", True, True),
+     "1: Polynomial(coefficients=(Fraction(-1, 1),))})", True, True),
     (LocusEntry, (0.5 + 0j, Root((1,)), 2), dict(point=0.5 + 0j, root=Root((1,)), multiplicity=2),
      (0.5 + 0j, Root((1,)), 1),
      "LocusEntry(point=(0.5+0j), root=Root(coefficients=(1,)), multiplicity=2)", True, True),
@@ -86,23 +90,23 @@ RECORDS = [
      "QuiverSheafData(type=DynkinType(family='A', rank=1), "
      "node_sheaves={0: TorsionSheafData(points=((Fraction(0, 1), (1,)),)), "
      "1: TorsionSheafData(points=())}, "
-     "arrow_maps={(0, 1, 0): [], (1, 0, 0): [[]], (1, 0, 1): [[]], (0, 1, 1): []}, "
-     "framing_ranks={0: 0, 1: 0}, framing_vectors={0: [], 1: []}, affine=True)", False, False),
+     "arrows={(0, 1, 0): ([], 1), (1, 0, 0): ([[]], 1), (1, 0, 1): ([[]], 1), (0, 1, 1): ([], 1)}, "
+     "framing_ranks={0: 0, 1: 0}, framing={0: ([], 1), 1: ([], 1)}, affine=True)", False, False),
     (N1Representation, (A1, {0: 1, 1: 0}),
      dict(type=A1, dims={0: 1, 1: 0}, B={}, Psi={}, framing_ranks={}, I={}, affine=True),
      (A1, {0: 1, 1: 0}, {}, {0: [[1]]}),
      "N1Representation(type=DynkinType(family='A', rank=1), dims={0: 1, 1: 0}, "
-     "B={(0, 1, 0): [], (1, 0, 0): [[]], (1, 0, 1): [[]], (0, 1, 1): []}, "
-     "Psi={0: [[Fraction(0, 1)]], 1: []}, framing_ranks={0: 0, 1: 0}, I={0: [], 1: []}, "
-     "affine=True)", False, False),
-    (RelationResidual, ({0: [[F(0)]]}, {}), dict(node_residuals={0: [[F(0)]]}, edge_residuals={}),
-     ({0: [[F(1)]]}, {}),
-     "RelationResidual(node_residuals={0: [[Fraction(0, 1)]]}, edge_residuals={})", False, False),
+     "arrows={(0, 1, 0): ([], 1), (1, 0, 0): ([[]], 1), (1, 0, 1): ([[]], 1), (0, 1, 1): ([], 1)}, "
+     "loops={0: ([[0]], 1), 1: ([], 1)}, framing_ranks={0: 0, 1: 0}, "
+     "framing={0: ([], 1), 1: ([], 1)}, affine=True)", False, False),
+    (RelationResidual, ({0: None}, {}, {0: 1}), dict(nodes={0: None}, edges={}, dims={0: 1}),
+     ({0: ([[1]], 1)}, {}, {0: 1}),
+     "RelationResidual(nodes={0: None}, edges={}, dims={0: 1})", False, False),
     (SupportReportRow, (1, 1, [((1,), 1)], 0),
      dict(node=1, distinct=1, roots=[((1,), 1)], off_locus=0), (1, 1, [((1,), 1)], 1),
      "SupportReportRow(node=1, distinct=1, roots=[((1,), 1)], off_locus=0)", False, False),
-    (SupportReport, ([], True), dict(rows=[], ok=True), ([], False),
-     "SupportReport(rows=[], ok=True)", False, False),
+    (SupportReport, ([],), dict(rows=[]), ([SupportReportRow(1, 1, [], 1)],),
+     "SupportReport(rows=[])", False, False),
     (MonadData, (0, {0: 1}, {0: 0}, {0: F(0)}, [], []),
      dict(rank=0, dims={0: 1}, framing_dims={0: 0}, lam={0: F(0)}, a=[], b=[]),
      (0, {0: 1}, {0: 0}, {0: F(1)}, [], []),
@@ -207,6 +211,44 @@ def test_deformation_table_refuses_in_place_edits():
     assert sorted(d.theta) == [0, 1, 2] and d.theta[1] == Polynomial.of([1, 1])
     assert theta_of_root(d, root) == dict(d.projections)[root] == Polynomial.of([1, 1])
     assert hash(d) == hash(make_deformation(t, dict(d.theta)))
+
+
+def test_records_derive_what_their_data_decide():
+    # a residual stores its dimensions, a report its rows and a parameter its table; the
+    # verdicts are read off those, so no argument can disagree with the data
+    with pytest.raises(TypeError, match=re.escape("missing arguments ['dims']")):
+        RelationResidual({0: None}, {})
+    residual = RelationResidual({0: None, 1: None}, {(0, 1, 0): ([[2]], 1)}, {0: 1, 1: 1})
+    assert residual.nodes_zero and not residual.edges_zero and not residual.is_zero
+    assert residual.node_residuals == {0: [[F(0)]], 1: [[F(0)]]}
+    assert residual.edge_residuals == {(0, 1, 0): [[F(2)]]}
+    t = Polynomial.of([0, 1])
+    assert not DeformationParam(A1, {0: t, 1: t}).constrained
+    assert DeformationParam(A1, {0: -t, 1: t}).constrained
+    with pytest.raises(TypeError):
+        DeformationParam(A1, {0: t, 1: t}, True)
+    with pytest.raises(InputTooLarge, match="theta degree 40 exceeds the cap 32"):
+        DeformationParam(A1, {0: Polynomial.of([0] * 40 + [1]), 1: t})
+    with pytest.raises(ValueError, match=re.escape("need one polynomial per node [0, 1]")):
+        DeformationParam(A1, {1: t})
+    off = SupportReportRow(1, 1, [], 1)
+    assert not SupportReport([off]).ok and SupportReport([]).ok
+    with pytest.raises(TypeError):
+        SupportReport([off], True)
+
+
+def test_records_built_from_their_fields_equal_the_computed_ones():
+    rep, theta = worked_cycle_example()
+    for table in (theta, {a: [1] for a in rep.dims}):      # all zero, then all nonzero
+        residual = check_relations(rep, table)
+        assert RelationResidual(residual.nodes, residual.edges, residual.dims) == residual
+    assert not residual.nodes_zero
+    rep, theta = finite_pair_example()
+    report = check_support_property(rep, theta)
+    assert SupportReport(report.rows) == report and report.ok
+    for table in (dict(theta.theta), {a: list(p.coefficients) for a, p in theta.theta.items()}):
+        twin = DeformationParam(theta.type, table)
+        assert twin == theta and hash(twin) == hash(theta) and twin.constrained
 
 
 def test_group_elements_compare_and_hash_by_their_matrices():

@@ -83,7 +83,7 @@ REFUSED_COUNTS = {
     "framing-rank": (lambda: adhm.N1Representation(A1, {0: 1, 1: 1}, framing_ranks={0: 1.9}),
                      "the framing rank at node 0 must be an integer >= 0, got 1.9"),
     "partition-part": (lambda: sheaf.TorsionSheafData.of([(0, [2.5])]),
-                       "a partition part must be an integer, got 2.5"),
+                       "a partition part must be an integer >= 1, got 2.5"),
     "dimension": (lambda: adhm.N1Representation(A1, {0: 1.0, 1: 1}),
                   "dims[0] must be an integer >= 0, got 1.0"),
     "monad-rank": (lambda: monad.build_monad(1.5, {}, {}, {}, {}, {}, {0: 1, 1: 1}, {}),
@@ -128,9 +128,9 @@ POINTS = {"type": "A1", "nodes": {"0": {"points": [{"support": "0", "partition":
     ("nondeg", REP, ("dims", "1"), 1.5, "dims[1] must be an integer >= 0, got 1.5"),
     ("nondeg", REP, ("dims", "1"), "1", "dims[1] must be an integer >= 0, got '1'"),
     ("matrixify", POINTS, ("nodes", "1", "points", 0, "partition", 0), 2.5,
-     "a partition part must be an integer, got 2.5"),
+     "node 1: a partition part must be an integer >= 1, got 2.5"),
     ("matrixify", POINTS, ("nodes", "1", "points", 0, "partition", 0), True,
-     "a partition part must be an integer, got True"),
+     "node 1: a partition part must be an integer >= 1, got True"),
 ])
 def test_a_count_in_a_file_is_refused_by_name(tmp_path, command, record, where, value, detail):
     record = json.loads(json.dumps(record))
