@@ -18,8 +18,9 @@ names the matrix it refuses, ragged ones included, and reduces the rest
 to that form.  There is one integer product, `sum_of_products`: the
 caller gives the output shape, every term c*a*b or c*a on `IntMat`s
 accumulates in one integer pass, and the sum comes back over its least
-denominator (a row-by-row gcd, stopped at 1), or as None when zero.  `mat_mul` is its Fraction front; the `monad` blocks,
-the `adhm` residuals, the point-data round trip and the chain steps of
+denominator (a row-by-row gcd, stopped at 1), or as None when zero.
+`mat_mul` is its Fraction front; the `monad` blocks, the `adhm`
+residuals, the point-data round trip and the chain steps of
 `jordan_basis` (its kernels from reduced rows, not powers) run on it.
 The characteristic polynomial is division-free Berkowitz on the integer
 rows, and `poly` finds the spectrum on the integer polynomial.
