@@ -322,6 +322,18 @@ def test_support_check_separates_an_eigenvalue_near_the_locus():
     assert (row.node, row.distinct, row.roots, row.off_locus) == (1, 2, [((1, 1), 1)], 1)
 
 
+def test_support_check_keeps_an_identically_zero_projection():
+    # theta_1 = t and theta_2 = -t put the root (1, 1) on the zero polynomial, which
+    # vanishes everywhere: 5 is on no other root's locus, so only that projection holds it
+    theta = complete_affine_theta(A2, {1: T, 2: Polynomial.of([0, -1])})
+    assert [r.coefficients for r, p in theta.projections if not p.coefficients] == [(1, 1)]
+    rep = adhm.N1Representation(A2, {0: 0, 1: 1, 2: 0}, Psi={1: [[5]]})
+    report = adhm.check_support_property(rep, theta)
+    assert report.ok
+    (row,) = report.rows
+    assert (row.node, row.distinct, row.roots, row.off_locus) == (1, 1, [((1, 1), 1)], 0)
+
+
 def test_direct_sum_blocks():
     rep, theta = worked_cycle_example()
     both = adhm.direct_sum(rep, rep)
