@@ -151,12 +151,12 @@ class N1Representation(_Record):
 def _theta_terms(p: Polynomial, m: IntMat, n: int) -> list[tuple]:
     """p(m) for an n x n integer matrix as `linalg.sum_of_products` terms c_0 I, c_1 m
     and c_k m^(k-1) m, zero ones left out: a power of m is formed for each degree above 2."""
-    one, power, terms = ([[int(i == j) for j in range(n)] for i in range(n)], 1), m, []
+    power, terms = m, []
     for k, c in enumerate(p.coefficients):
         if k > 2 and (power := linalg.sum_of_products([(1, power, m)], n, n)) is None:
             break                   # m^(k-1) is zero, and so is every later term
         if c:
-            terms.append((c, one, None) if k == 0 else (c, m, None) if k == 1 else (c, power, m))
+            terms.append((c, None, None) if k == 0 else (c, m, None) if k == 1 else (c, power, m))
     return terms
 
 

@@ -9,24 +9,21 @@ prints them) or `integer` (counts: ints only, never truncated).
 
 The exact kernels run on Python ints and build each output Fraction
 once.  An `IntMat` is integer rows (lists) over their least positive
-denominator, so each matrix has one `IntMat` and `==` is matrix equality
-(`rational_matrix` reads Fractions back); it is the only storage of
-representations and point data (their `arrows`, `loops` and `framing`
-tables) and of the `monad` blocks.  Every matrix, from a file or from a
-caller of the Fraction API, comes in through `int_rows` alone, which
-names the matrix it refuses, ragged ones included, and reduces the rest
-to that form.  There is one integer product, `sum_of_products`: the
-caller gives the output shape, every term c*a*b or c*a on `IntMat`s
-accumulates in one integer pass, and the sum comes back over its least
-denominator (a row-by-row gcd, stopped at 1), or as None when zero.
-`mat_mul` is its Fraction front; the `monad` blocks, the `adhm`
-residuals, the point-data round trip and the chain steps of
-`jordan_basis` (its kernels from reduced rows, not powers) run on it.
-The characteristic polynomial is division-free Berkowitz on the integer
-rows, and `poly` finds the spectrum on the integer polynomial.
-Elimination (`rref`, `rank`, `nullspace`, `inverse_ints`; `inverse` wraps
-it) runs fraction-free on primitive integer rows in `_rref_ints`;
-`SpanBasis` reduces each new vector the same way against its own rows.
+denominator, so `==` on it is matrix equality (`rational_matrix` reads
+Fractions back); it stores representations and point data (their
+`arrows`, `loops` and `framing`) and the nonscalar `monad` blocks.  Every
+matrix, from a file or from a caller of the Fraction API, enters through
+`int_rows` alone, which names the matrix it refuses, ragged ones
+included.  There is one integer product, `sum_of_products`: the caller
+gives the output shape, every term c*a*b, c*a or c*I accumulates in one
+integer pass, and the sum comes back over its least denominator (a
+row-by-row gcd, stopped at 1), or as None when zero.  `mat_mul` is its
+Fraction front; the `monad` blocks, the `adhm` residuals, the round trip
+and the chain steps of `jordan_basis` run on it.  The characteristic
+polynomial is division-free Berkowitz on the integer rows, and `poly`
+finds the spectrum on the integer polynomial.  Elimination (`rank`,
+`inverse_ints`, `_kernel`) runs fraction-free on primitive integer rows
+in `_rref_ints`; `SpanBasis` reduces each new vector the same way.
 
 Every exception that means "this computation gave up on this input",
 here and in the modules above, derives from `ComputeFailure`; the
@@ -66,8 +63,9 @@ def frac(x) -> Fraction:
         raise TypeError(f"cannot coerce {x!r} to an exact rational")
     try:
         y = Fraction(x)
-    except ZeroDivisionError:
-        raise ValueError(f"bad rational {x!r}: zero denominator") from None
+    except (ZeroDivisionError, ValueError) as e:     # only a str reaches here
+        why = "zero denominator" if isinstance(e, ZeroDivisionError) else "not a number"
+        raise ValueError(f"bad rational {x!r}: {why}") from None
     if isinstance(x, str) and str(y) != x:     # str(y) is what `io.frac_to_str` prints
         raise ValueError(f"bad rational {x!r}: write it {str(y)!r}")
     return y
@@ -183,19 +181,25 @@ def _transposed(m: IntMat) -> IntMat:
 
 
 def sum_of_products(terms: Iterable[tuple], rows: int, cols: int) -> IntMat | None:
-    """The rows x cols sum of c*a*b over terms (c, a, b), in one integer pass.
+    """The rows x cols sum of the terms, in one integer pass: (c, a, b) is c*a*b for integer
+    matrices (`IntMat`) a and b, (c, a, None) is c*a, and (c, None, None) is c*I, n additions
+    down the diagonal of a square output (ValueError if rows != cols); c an int or a Fraction.
 
-    a and b are integer matrices (`IntMat`), c an int or a Fraction;
-    b None stands for the term c*a alone.  Every term is scaled to the
-    lcm of the terms' denominators and accumulates on one grid of ints,
-    skipping zero entries of a; rows of b are added whole, with no test
-    per entry.  The sum comes back over its least denominator, or as
-    None when every entry is zero, so a zero result is never built.
+    Every term is scaled to the lcm of the denominators and accumulates on one grid of ints,
+    skipping zero entries of a; rows of b are added whole, with no test per entry.  The sum
+    comes back over its least denominator, or as None when zero, so no zero is ever built.
     """
     terms = list(terms)
-    d = lcm(*[c.denominator * a[1] * (b[1] if b else 1) for c, a, b in terms])
+    d = lcm(*[c.denominator * (a[1] if a else 1) * (b[1] if b else 1) for c, a, b in terms])
     acc = [[0] * cols for _ in range(rows)]
-    for c, (a, da), b in terms:
+    for c, a, b in terms:
+        if a is None:
+            if rows != cols:
+                raise ValueError(f"a multiple of I needs a square output, not {rows} x {cols}")
+            for i, out in enumerate(acc):
+                out[i] += c.numerator * (d // c.denominator)
+            continue
+        a, da = a
         if b is None:
             s = c.numerator * (d // (c.denominator * da))
             for out, row in zip(acc, a):
@@ -267,16 +271,6 @@ def _rref_ints(a: list) -> tuple[list, list[int]]:
     return a, pivots
 
 
-def rref(m: Mat) -> tuple[Mat, list[int]]:
-    """Reduced row echelon form and the pivot column indices (`_rref_ints`)."""
-    a, pivots = _rref_ints(int_rows(m)[0])
-    out = []
-    for i, ints in enumerate(a):
-        p = ints[pivots[i]] if i < len(pivots) else 1
-        out.append([Fraction(x, p) if x else _ZERO for x in ints])
-    return out, pivots
-
-
 def rank(m: Mat) -> int:
     return len(_rref_ints(int_rows(m)[0])[1])
 
@@ -303,12 +297,6 @@ def _kernel(a: list, cols: int) -> tuple[list[tuple[list, int]], list]:
     return basis, red[:len(pivots)]
 
 
-def nullspace(m: Mat) -> list[Vec]:
-    """Basis of the right kernel, one vector per free column."""
-    a = int_rows(m)[0]
-    return [[Fraction(x, e) if x else _ZERO for x in v] for v, e in _kernel(a, shape(a)[1])[0]]
-
-
 def inverse_ints(m: IntMat) -> IntMat:
     """m^-1 on integer rows: for m = a / d, [a | d I] reduces to [I | m^-1] fraction-free
     (`_rref_ints`), and the inverse comes back over its least denominator."""
@@ -333,7 +321,7 @@ def inverse(m: Mat) -> Mat:
 
 class SpanBasis:
     """Incrementally maintained span of rational vectors: primitive integer rows in
-    echelon form, pivots increasing; new vectors reduce fraction-free, as in `rref`."""
+    echelon form, pivots increasing; new vectors reduce fraction-free, as in `_rref_ints`."""
 
     def __init__(self, ambient_dim: int):
         self.ambient_dim = ambient_dim

@@ -8,12 +8,12 @@ in the normal-form basis
 
 via the rewrite x2*x1 -> x1*x2 + lam*zz.  Coefficients are block
 matrices over the rationals, stored as their nonzero blocks keyed by
-(row node, column node); lam acts blockwise (one rational per node)
-through left multiplication on the target layout.  Each block is read
-once into integer rows over its least denominator (`linalg.int_rows`),
-its only storage: products and sums run on those ints, one
-`linalg.sum_of_products` pass per output block, and Fractions are built
-only when a coefficient is read.
+(row node, column node), each as integer rows over its least denominator
+(`linalg.int_rows`) or as an int c, meaning c*I on a nonempty node; lam
+acts blockwise (one rational per node) through left multiplication on
+the target layout.  Products and sums run on those ints, one
+`linalg.sum_of_products` pass per output block with each scalar folded
+into its term's coefficient; Fractions are built only when read.
 
 Only the cyclic (type A) case is wired up, rank 0 meaning the trivial
 group: the first family of maps runs along a -> a+1, the second along
@@ -23,12 +23,14 @@ only.  The two three-term maps
     a = (B1 z - x1, -(B2 z - x2), J z)^T
     b = (B2 z - x2,   B1 z - x1,  I z)
 
-compose to a pure zz term whose block at node a is the node relation
-defect B2B1 - B1B2 + IJ + lam there; every other degree-2 coefficient
-cancels identically, whatever the input.  Each monad is composed once,
-on the first read of `MonadData.composite`, in one pass over the three
-products b_i a_i (`nc_sum_of_products`): every output block is summed
-once, so cancellation and the zz defects come out of that one sum.
+have the scalars -+1 as every x1 and x2 coefficient.  They compose to a
+pure zz term whose block at node a is the node relation defect
+B2B1 - B1B2 + IJ + lam there; every other degree-2 coefficient cancels
+identically, whatever the input.  Each monad is composed once, on the
+first read of `MonadData.composite`, in one pass over the three products
+b_i a_i (`nc_sum_of_products`) that sums every output block once into
+integer rows: on n-dimensional nodes only B2B1, B1B2 and IJ multiply
+(n^3 each), a z*x term is -+B (n^2), an x*x term -+I or lam*I (n).
 """
 
 from __future__ import annotations
@@ -62,7 +64,7 @@ _PRODUCTS: dict[tuple[str, str], list[tuple[str, bool]]] = {
 }
 
 Layout = tuple[tuple[int, int], ...]    # ((node, dim), ...)
-Blocks = dict[tuple[int, int], IntMat]  # (row node, column node) -> nonzero block
+Blocks = dict[tuple[int, int], IntMat | int]   # (row node, column node) -> nonzero block
 
 
 def layout_dim(layout: Layout) -> int:
@@ -76,6 +78,19 @@ def _starts(layout: Layout) -> dict[int, int]:
 
 def _nonzero_blocks(blocks: Mapping[tuple[int, int], IntMat]) -> Blocks:
     return {key: m for key, m in blocks.items() if any(map(any, m[0]))}
+
+
+def _term(c, a: IntMat | int, b: IntMat | int | None = None) -> tuple:
+    """The `linalg.sum_of_products` term c*a*b, each int block s folded into c as s*I."""
+    if isinstance(b, int):
+        c, b = c * b, None
+    return (c * a, b, None) if isinstance(a, int) else (c, a, b)
+
+
+def _rational(m: IntMat | int | None, rows: int, cols: int) -> Mat:
+    """The Fraction matrix of a block (None: zero), an int c read as c*I."""
+    return linalg.rational_matrix(([[m * (i == j) for j in range(cols)] for i in range(rows)], 1)
+                                  if isinstance(m, int) else m, rows, cols)
 
 
 class NCElement:
@@ -111,7 +126,7 @@ class NCElement:
         rows, cols = dict(self.row_layout), dict(self.col_layout)
         out = linalg.zeros(layout_dim(self.row_layout), layout_dim(self.col_layout))
         for (r, c), m in table.items():
-            for i, row in enumerate(linalg.rational_matrix(m, rows[r], cols[c])):
+            for i, row in enumerate(_rational(m, rows[r], cols[c])):
                 out[r0[r] + i][c0[c]:c0[c] + len(row)] = row
         return out
 
@@ -131,7 +146,7 @@ class NCElement:
         if self.row_layout != other.row_layout or self.col_layout != other.col_layout:
             raise ValueError("layout mismatch in addition")
         return _summed(self.row_layout, self.col_layout, [
-            (mono, key, (1, m, None))
+            (mono, key, _term(1, m))
             for e in (self, other) for mono, table in e.blocks.items() for key, m in table.items()])
 
     def diagonal_block(self, mono: str, node: int) -> Mat:
@@ -139,7 +154,7 @@ class NCElement:
         dr, dc = dict(self.row_layout).get(node), dict(self.col_layout).get(node)
         if dr is None or dc is None:
             raise KeyError(f"node {node} is not in both layouts")
-        return linalg.rational_matrix(self.blocks.get(mono, {}).get((node, node)), dr, dc)
+        return _rational(self.blocks.get(mono, {}).get((node, node)), dr, dc)
 
 
 def nc_sum_of_products(pairs: Sequence[tuple[NCElement, NCElement]],
@@ -177,7 +192,7 @@ def nc_sum_of_products(pairs: Sequence[tuple[NCElement, NCElement]],
                         for mono, needs_lam in words:
                             scalar = lam[r] if needs_lam else 1
                             if scalar:
-                                terms.append((mono, (r, c), (scalar, bu, bv)))
+                                terms.append((mono, (r, c), _term(scalar, bu, bv)))
     return _summed(rows_at, cols_at, terms)
 
 
@@ -233,17 +248,13 @@ def build_monad(rank: int, b1: Mapping[int, Mat], b2: Mapping[int, Mat],
             m, f"{name} block at node {a}", (row_dims[(a + shift) % n], col_dims[a]))
             for a, m in sorted(blocks.items())})
 
-    def scalar(c: int) -> Blocks:
-        # c times the identity at every nonempty node
-        return {(a, a): ([[c if i == j else 0 for j in range(d)] for i in range(d)], 1)
-                for a, d in dims.items() if d}
-
     b1_blocks = place("b1", b1, dims, dims, +1)
     b2_blocks = place("b2", b2, dims, dims, -1)
     i_z, j_z = place("i", i_blocks, dims, framing, 0), place("j", j_blocks, framing, dims, 0)
     neg_b2 = {key: ([[-x for x in row] for row in ints], d)
               for key, (ints, d) in b2_blocks.items()}
-    ident, neg_ident = scalar(1), scalar(-1)
+    ident = {(a, a): 1 for a, d in dims.items() if d}     # I at every nonempty node
+    neg_ident = dict.fromkeys(ident, -1)
     a_col = [
         NCElement._from_blocks(v_layout, v_layout, {"z": b1_blocks, "x1": neg_ident}),
         NCElement._from_blocks(v_layout, v_layout, {"z": neg_b2, "x2": ident}),

@@ -3,10 +3,12 @@
 Everything random is driven by an explicit random.Random instance so
 tests stay reproducible.  The matrix oracles here (sympy nullspace,
 the textbook product, hand-rolled block formulas) are deliberately
-independent of the package internals they test against.  The two
-exceptions run on the package's own kernels: `reference_jordan_basis`,
-the dense-power Jordan chain construction, kept to pin the exact integer
-rows that `linalg.jordan_basis` returns; and `reference_char_poly`,
+independent of the package internals they test against.  The
+exceptions run on the package's own kernels: `rref` and `nullspace`,
+Fraction fronts of the elimination in `linalg` that no package code
+calls, kept to pin it; `reference_jordan_basis`, the dense-power Jordan
+chain construction, kept to pin the exact integer rows that
+`linalg.jordan_basis` returns; and `reference_char_poly`,
 Faddeev-LeVerrier, kept to pin `linalg.char_poly_coeffs`.
 """
 
@@ -90,6 +92,23 @@ def naive_product(a: list, b: list, cols: int | None = None) -> list:
              for j in range(cols)] for row in a]
 
 
+def rref(m: list) -> tuple[list, list[int]]:
+    """Reduced row echelon form as Fractions and the pivot columns, from `linalg._rref_ints`
+    on the matrix as `linalg.int_rows` reads it."""
+    a, pivots = linalg._rref_ints(linalg.int_rows(m)[0])
+    out = []
+    for i, ints in enumerate(a):
+        p = ints[pivots[i]] if i < len(pivots) else 1
+        out.append([Fraction(x, p) for x in ints])
+    return out, pivots
+
+
+def nullspace(m: list) -> list:
+    """Basis of the right kernel as Fractions, one vector per free column (`linalg._kernel`)."""
+    a = linalg.int_rows(m)[0]
+    return [[Fraction(x, e) for x in v] for v, e in linalg._kernel(a, len(a[0]) if a else 0)[0]]
+
+
 def sympy_nullspace(rows: list) -> list:
     """Rational kernel basis via sympy, returned as lists of Fractions."""
     m = sympy.Matrix([[sympy.Rational(x) for x in row] for row in rows])
@@ -127,14 +146,14 @@ def mat_from_sympy(m) -> list:
 
 
 def reference_jordan_basis(m: tuple) -> tuple:
-    """(J, p) of `linalg.jordan_basis` the direct way: the kernel (`linalg.nullspace`)
+    """(J, p) of `linalg.jordan_basis` the direct way: the kernel (`nullspace`)
     of every dense power of N = m - lambda, a span of the level below and the chain
     steps at every level, and m p == p J checked with a dense product p J."""
     a, d = m
     n = len(a)
 
-    def kernel(rows):       # `linalg.nullspace`, each vector as (integers, least denominator)
-        return [(v[0], e) for v, e in map(linalg.int_rows, ([v] for v in linalg.nullspace(rows)))]
+    def kernel(rows):       # `nullspace`, each vector as (integers, least denominator)
+        return [(v[0], e) for v, e in map(linalg.int_rows, ([v] for v in nullspace(rows)))]
 
     eig = linalg.rational_eigenvalues(m)
     blocks, cols = [], []

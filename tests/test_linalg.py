@@ -11,8 +11,9 @@ from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 
 from adequiver import linalg, poly
-from helpers import (mat_from_sympy, naive_product, rand_frac, rand_invertible, rand_matrix,
-                     reference_char_poly, reference_jordan_basis, sympy_nullspace)
+from helpers import (mat_from_sympy, naive_product, nullspace, rand_frac, rand_invertible,
+                     rand_matrix, reference_char_poly, reference_jordan_basis, rref,
+                     sympy_nullspace)
 
 
 def test_frac_accepts_strings_ints_fractions():
@@ -34,9 +35,9 @@ RAGGED = [[1, 2], [3]]
     (linalg.matrix, (RAGGED,), "a matrix"),
     (linalg.mat_mul, (RAGGED, [[1], [1]]), "the left factor"),
     (linalg.mat_mul, ([[1, 2]], [[1], [1, 2]]), "the right factor"),
-    (linalg.rref, ([[1], [3, 4]],), "a matrix"),
+    (rref, ([[1], [3, 4]],), "a matrix"),
     (linalg.rank, (RAGGED,), "a matrix"),
-    (linalg.nullspace, (RAGGED,), "a matrix"),
+    (nullspace, (RAGGED,), "a matrix"),
     (linalg.inverse, (RAGGED,), "a matrix"),
     (linalg.char_poly_coeffs, (RAGGED,), "a matrix"),
     (linalg.rational_eigenvalues, (RAGGED,), "a matrix"),
@@ -173,7 +174,7 @@ def _rref_inputs(draw):
 @given(_rref_inputs())
 def test_rref_matches_naive_gauss_jordan(m):
     before = _typed(m)
-    red, pivots = linalg.rref(m)
+    red, pivots = rref(m)
     want, want_pivots = _naive_rref(m)
     assert pivots == want_pivots
     assert _typed(red) == _typed(want)
@@ -253,7 +254,7 @@ def test_inverse_times_matrix_is_identity(m):
 def test_rank_and_nullspace_small():
     m = [[1, 2], [2, 4]]
     assert linalg.rank(linalg.matrix(m)) == 1
-    ns = linalg.nullspace(linalg.matrix(m))
+    ns = nullspace(linalg.matrix(m))
     assert len(ns) == 1
     x, y = ns[0]
     assert x + 2 * y == 0
@@ -264,7 +265,7 @@ def test_nullspace_matches_sympy_spans():
     for _ in range(20):
         rows, cols = rng.randint(1, 4), rng.randint(1, 4)
         m = rand_matrix(rng, rows, cols)
-        ours = linalg.nullspace(linalg.matrix(m))
+        ours = nullspace(linalg.matrix(m))
         theirs = sympy_nullspace(m)
         assert len(ours) == len(theirs)
         for v in ours:
@@ -553,6 +554,49 @@ def test_sum_of_products_matches_the_naive_product_and_mat_add(case):
         assert math.gcd(d, *(x for row in m for x in row)) == 1
 
 
+@st.composite
+def _terms_with_scalars(draw):
+    """n x n terms c*a*b, c*a and c*I, the c*I as (c, None, None); and, half the time,
+    every term again negated with its c*I as a dense identity, so the sum is zero."""
+    n = draw(st.integers(0, 5))
+    scalars = st.sampled_from([1, -1, 2, Fraction(3, 7), Fraction(-5, 2)])
+    square = st.lists(st.lists(_entries, min_size=n, max_size=n),
+                      min_size=n, max_size=n).map(linalg.matrix)
+    terms = [(draw(scalars), None, None)]
+    for _ in range(draw(st.integers(0, 3))):
+        kind = draw(st.sampled_from(["product", "single", "identity"]))
+        terms.append((draw(scalars), None if kind == "identity" else draw(square),
+                      draw(square) if kind == "product" else None))
+    if draw(st.booleans()):
+        terms += [(-c, linalg.identity(n) if a is None else a, b) for c, a, b in terms]
+    return n, terms
+
+
+@settings(max_examples=150, deadline=None)
+@given(_terms_with_scalars())
+@example((2, [(Fraction(1, 2), None, None), (Fraction(-1, 2), [[1, 0], [0, 1]], None)]))
+@example((2, [(3, None, None), (-1, None, None), (-2, None, None)]))
+@example((0, [(5, None, None)]))
+def test_sum_of_products_reads_a_scalar_term_as_c_times_the_identity(case):
+    n, terms = case
+    want = linalg.zeros(n)
+    for c, a, b in terms:
+        term = linalg.identity(n) if a is None else a if b is None else naive_product(a, b, n)
+        want = [[x + c * y for x, y in zip(wr, tr)] for wr, tr in zip(want, term)]
+    ints = [(c, None if a is None else linalg.int_rows(a), None if b is None else
+             linalg.int_rows(b)) for c, a, b in terms]
+    got = linalg.sum_of_products(ints, n, n)
+    assert (got is None) == linalg.is_zero_matrix(want)
+    assert linalg.rational_matrix(got, n, n) == want
+    dense = [(c, linalg.int_rows(linalg.identity(n)) if a is None else a, b) for c, a, b in ints]
+    assert got == linalg.sum_of_products(dense, n, n)      # the same least denominator
+
+
+def test_sum_of_products_refuses_a_scalar_term_on_a_non_square_output():
+    with pytest.raises(ValueError, match="^a multiple of I needs a square output, not 2 x 3$"):
+        linalg.sum_of_products([(1, None, None)], 2, 3)
+
+
 def test_sum_of_products_keeps_empty_shapes():
     one = linalg.int_rows([[Fraction(1, 2), 3]])
     row_free, col_free = ([], 1), ([[], [], []], 1)
@@ -662,7 +706,7 @@ def test_rows_as_lists_tuples_and_int_rows_agree(rows):
                  ([[2 * x for x in row] for row in rows], 2)]
     for f in (linalg.char_poly_coeffs, linalg.rational_eigenvalues):
         assert len({repr(f(m)) for m in spellings}) == 1
-    for f in (linalg.rank, linalg.inverse, linalg.nullspace, linalg.jordan_form):
+    for f in (linalg.rank, linalg.inverse, nullspace, linalg.jordan_form):
         assert f(spellings[0]) == f(spellings[1]) == f(spellings[2])
 
 

@@ -99,7 +99,7 @@ def test_a_malformed_block_in_a_file_is_refused_by_name(capsys, tmp_path, kind, 
 @pytest.mark.parametrize(("m", "error", "message"), [
     ([[0.5]], TypeError, "the matrix: cannot coerce 0.5 to an exact rational"),
     ([[1, 2], [3]], ValueError, "the matrix has ragged rows"),
-    ([["x"]], ValueError, "the matrix: Invalid literal for Fraction: 'x'"),
+    ([["x"]], ValueError, "the matrix: bad rational 'x': not a number"),
     ([[0.0]], TypeError, "the matrix: cannot coerce 0.0 to an exact rational"),
     ([[False]], TypeError, "the matrix: cannot coerce False to an exact rational"),
     ([[0, 0], [0]], ValueError, "the matrix has ragged rows"),

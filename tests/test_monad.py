@@ -385,6 +385,37 @@ class TestMonad:
                 assert m.composite.blocks == want.blocks, (rank, trial)
                 assert m.composite.coefficients == want.coefficients, (rank, trial)
 
+    def test_an_affine_a2_monad_multiplies_by_no_identity(self, monkeypatch):
+        # the -+I coefficients of x1 and x2 reach the kernel as scalars, each added down a
+        # diagonal, never as a dense identity factor of n^3 additions
+        rng = random.Random(34)
+        dims = {a: rng.randint(2, 40) for a in range(3)}
+        dims[rng.randrange(3)] = 40
+        framing = {a: rng.randrange(3) for a in range(3)}
+        b1 = {a: rand_matrix(rng, dims[(a + 1) % 3], dims[a]) for a in range(3)}
+        b2 = {a: rand_matrix(rng, dims[(a - 1) % 3], dims[a]) for a in range(3)}
+        i_blocks = {a: rand_matrix(rng, dims[a], framing[a]) for a in range(3)}
+        j_blocks = {a: rand_matrix(rng, framing[a], dims[a]) for a in range(3)}
+        lam = {0: Fraction(1, 2), 1: 0, 2: -3}
+        m = monad.build_monad(2, b1, b2, i_blocks, j_blocks, lam, dims, framing)
+        terms, kernel = [], linalg.sum_of_products
+
+        def spying(block_terms, rows, cols):
+            terms.extend(block_terms)
+            return kernel(block_terms, rows, cols)
+
+        def signed_identity(f):
+            return f is not None and f[1] == 1 and any(f[0] == [
+                [s if i == j else 0 for j in range(len(f[0]))] for i in range(len(f[0]))]
+                for s in (1, -1))
+
+        monkeypatch.setattr(linalg, "sum_of_products", spying)
+        assert set(m.composite.blocks) == {"zz"}
+        assert [t for t in terms if signed_identity(t[1]) or signed_identity(t[2])] == []
+        # x1x2 from x2*x1 and from x1*x2 at each node, and lam*zz at the two nodes lam != 0
+        assert sorted(c for c, a, b in terms if a is None) == sorted(
+            [1, -1] * 3 + [Fraction(1, 2), -3])
+
     def test_one_pass_refuses_mismatched_outer_layouts(self):
         lay2 = ((0, 1), (1, 1))
         u, v = scalar("x1", 1), scalar("z", 2)
@@ -509,9 +540,14 @@ def test_composite_matches_dense_expansion(case):
     defects = monad.node_relation_defects(m)
     for a in range(rank + 1):
         assert defects[a] == [row[at[a]:at[a + 1]] for row in want["zz"][at[a]:at[a + 1]]]
-    # no zero block and no empty table is stored, in the inputs or in the composite
+    # no zero block and no empty table is stored, in the inputs or in the composite; the
+    # inputs keep +-I as the int +-1, and the composite's blocks are integer rows
     for e in [*m.a, *m.b, composite]:
         for table in e.blocks.values():
             assert table
-            for ints, d in table.values():
-                assert d > 0 and any(map(any, ints))
+            for block in table.values():
+                if isinstance(block, int):
+                    assert e is not composite and block in (1, -1)
+                else:
+                    ints, d = block
+                    assert d > 0 and any(map(any, ints))
