@@ -313,7 +313,7 @@ def cmd_check_rep(args, report: RunReport) -> None:
             entry["support_ok"] = support_report.ok
             for row in support_report.rows:
                 roots = ", ".join(
-                    "root (" + ", ".join(str(c) for c in r) + f") vanishes at {k}"
+                    "root (" + ", ".join(str(c) for c in r) + f") vanishes at {k} of them"
                     for r, k in row.roots
                 ) or "no root vanishes there"
                 plural = "" if row.distinct == 1 else "s"

@@ -91,11 +91,6 @@ def _weighted_sum(t: DynkinType, theta: Mapping[int, Polynomial]) -> Polynomial:
     return sum((p.scale(delta[a]) for a, p in theta.items()), Polynomial(()))
 
 
-def make_deformation(t: DynkinType, theta: Mapping[int, Polynomial]) -> DeformationParam:
-    """The parameter of a full node -> polynomial table: `DeformationParam(t, theta)`."""
-    return DeformationParam(t, theta)
-
-
 def complete_affine_theta(t: DynkinType, finite_theta: Mapping[int, Polynomial]) -> DeformationParam:
     """Solve for the affine node's polynomial from the marks identity."""
     finite = node_labels(t, affine=False)

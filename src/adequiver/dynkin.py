@@ -215,6 +215,7 @@ _E_MARKS = {
 }
 
 
+@lru_cache(maxsize=None)
 def marks(t: DynkinType) -> MarksVector:
     """Primitive positive null vector of the affine Cartan matrix, entry 1 at node 0.
 
@@ -222,11 +223,6 @@ def marks(t: DynkinType) -> MarksVector:
     tail 2..n-2 for D_n; a fixed table for E6, E7, E8.  Built once per
     type; the result is immutable and shared.
     """
-    return _marks_cached(t)
-
-
-@lru_cache(maxsize=None)
-def _marks_cached(t: DynkinType) -> MarksVector:
     n = t.rank
     if t.family == "A":
         delta = (1,) * (n + 1)

@@ -23,7 +23,7 @@ from typing import Any
 
 from . import linalg
 from .adhm import N1Representation
-from .deformation import DeformationParam, complete_affine_theta, make_deformation
+from .deformation import DeformationParam, complete_affine_theta
 from .dynkin import DynkinType, InputTooLarge, node_labels
 from .linalg import IntMat
 from .poly import Polynomial
@@ -144,7 +144,7 @@ def deformation_from_dict(record: Any) -> DeformationParam:
     if sorted(theta) == finite:
         return complete_affine_theta(t, theta)
     if sorted(theta) == node_labels(t, affine=True):
-        return make_deformation(t, theta)
+        return DeformationParam(t, theta)
     raise SchemaError(
         f"theta must cover the finite nodes {finite} (affine node optional)"
     )

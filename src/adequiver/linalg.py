@@ -21,9 +21,11 @@ row-by-row gcd, stopped at 1), or as None when zero.  `mat_mul` is its
 Fraction front; the `monad` blocks, the `adhm` residuals, the round trip
 and the chain steps of `jordan_basis` run on it.  The characteristic
 polynomial is division-free Berkowitz on the integer rows, and `poly`
-finds the spectrum on the integer polynomial.  Elimination (`rank`,
-`inverse_ints`, `_kernel`) runs fraction-free on primitive integer rows
-in `_rref_ints`; `SpanBasis` reduces each new vector the same way.
+finds the spectrum on the integer polynomial.  There is one eliminator,
+`_insert`: it reduces an integer row into primitive rows in reduced
+echelon form, one fraction-free row step per pivot, each divided by its
+content.  `_rref_ints` (under `rank`, `inverse_ints` and `_kernel`)
+inserts the rows of a matrix, and `SpanBasis` each new vector.
 
 Every exception that means "this computation gave up on this input",
 here and in the modules above, derives from `ComputeFailure`; the
@@ -238,37 +240,46 @@ def block_diag(blocks: Sequence[Mat]) -> Mat:
             for k, b in enumerate(blocks) for row in b]
 
 
-def _rref_ints(a: list) -> tuple[list, list[int]]:
-    """Fraction-free Gauss-Jordan on the integer rows a, and the pivot columns.
+def _step(x: list, y: list, p: int) -> list:
+    # x with column p cleared by y, the one fraction-free row step: y[p] x - x[p] y over
+    # their gcd, divided by its content, so a primitive row comes back
+    g = gcd(y[p], x[p])
+    a, b = y[p] // g, x[p] // g
+    new = [a * s - b * t for s, t in zip(x, y)]
+    g = gcd(*new)
+    return [s // g for s in new] if g > 1 else new
 
-    Every row operation is an integer one and each updated row is divided
-    by its content, so rows stay primitive: row i comes back as its pivot
-    times row i of the reduced echelon form.  Rows of a are rebound, never
-    changed in place.
-    """
-    r, c = len(a), len(a[0]) if a else 0
+
+def _insert(rows: list, pivots: list[int], v: list) -> bool:
+    """Reduce the int row v by rows, primitive and in reduced echelon form at the increasing
+    pivots; if anything is left, insert it at its first nonzero column, cleared from the
+    other rows, and say True.  Rows are rebound, never changed in place."""
+    for row, p in zip(rows, pivots):
+        if v[p]:
+            v = _step(v, row, p)
+    p = next((j for j, x in enumerate(v) if x), None)
+    if p is None:
+        return False
+    g = gcd(*v)
+    v = [x // g for x in v] if g > 1 else v
+    for i, row in enumerate(rows):
+        if row[p]:
+            rows[i] = _step(row, v, p)
+    at = bisect(pivots, p)
+    rows.insert(at, v)
+    pivots.insert(at, p)
+    return True
+
+
+def _rref_ints(a: list) -> tuple[list, list[int]]:
+    """The nonzero rows of the fraction-free reduced echelon form of the integer rows a, one
+    `_insert` each, and their pivot columns: row i is primitive, its pivot times row i of
+    the reduced echelon form.  a is not changed."""
+    rows: list = []
     pivots: list[int] = []
-    row = 0
-    for col in range(c):
-        piv = next((i for i in range(row, r) if a[i][col]), None)
-        if piv is None:
-            continue
-        a[row], a[piv] = a[piv], a[row]
-        top = a[row]
-        pivot = top[col]
-        for i in range(r):
-            f = a[i][col]
-            if i != row and f:
-                g = gcd(pivot, f)
-                p, f = pivot // g, f // g
-                new = [p * x - f * y for x, y in zip(a[i], top)]
-                g = gcd(*new)
-                a[i] = [x // g for x in new] if g > 1 else new
-        pivots.append(col)
-        row += 1
-        if row == r:
-            break
-    return a, pivots
+    for v in a:
+        _insert(rows, pivots, v)
+    return rows, pivots
 
 
 def rank(m: Mat) -> int:
@@ -285,7 +296,7 @@ def _kernel(a: list, cols: int) -> tuple[list[tuple[list, int]], list]:
     """Right kernel of integer rows, one (integers, denominator) vector per free
     column f: 1 at f, 0 at the other free columns; and the nonzero reduced rows,
     a basis of the row space."""
-    red, pivots = _rref_ints(list(a))
+    red, pivots = _rref_ints(a)
     basis = []
     for f in sorted(set(range(cols)) - set(pivots)):
         e = lcm(*(row[p] for row, p in zip(red, pivots) if row[f]))
@@ -294,7 +305,7 @@ def _kernel(a: list, cols: int) -> tuple[list[tuple[list, int]], list]:
         for row, p in zip(red, pivots):
             v[p] = -row[f] * (e // row[p])
         basis.append(_reduced(v, e))
-    return basis, red[:len(pivots)]
+    return basis, red
 
 
 def inverse_ints(m: IntMat) -> IntMat:
@@ -320,8 +331,8 @@ def inverse(m: Mat) -> Mat:
 
 
 class SpanBasis:
-    """Incrementally maintained span of rational vectors: primitive integer rows in
-    echelon form, pivots increasing; new vectors reduce fraction-free, as in `_rref_ints`."""
+    """Incrementally maintained span of rational vectors: the rows and pivots of
+    `_rref_ints`, grown one `_insert` per new vector."""
 
     def __init__(self, ambient_dim: int):
         self.ambient_dim = ambient_dim
@@ -337,21 +348,7 @@ class SpanBasis:
         if len(v) != self.ambient_dim:
             raise ValueError("vector has the wrong length")
         d = lcm(*{x.denominator for x in v})
-        w = [x.numerator * (d // x.denominator) for x in v]
-        for row, p in zip(self.rows, self.pivots):
-            f = w[p]
-            if f:
-                g = gcd(row[p], f)
-                w = [row[p] // g * x - f // g * y for x, y in zip(w, row)]
-        g = gcd(*w)
-        if not g:
-            return False
-        w = [x // g for x in w]
-        p = next(j for j, x in enumerate(w) if x)
-        at = bisect(self.pivots, p)
-        self.rows.insert(at, w)
-        self.pivots.insert(at, p)
-        return True
+        return _insert(self.rows, self.pivots, [x.numerator * (d // x.denominator) for x in v])
 
 
 def _char_poly_ints(m: Mat | IntMat) -> tuple[list[int], int]:

@@ -93,6 +93,8 @@ def build_n1_quiver(t: DynkinType, affine: bool = True) -> QuiverSpec:
 
 @lru_cache(maxsize=None)
 def _n1_quiver_cached(t: DynkinType, affine: bool) -> QuiverSpec:
+    # lru_cache keys on how a call is spelled, so (t), (t, True) and (t, affine=True) on
+    # build_n1_quiver itself would build three quivers; the wrapper passes one spelling
     nodes = tuple(node_labels(t, affine))
     arrows = _doubled_arrows(t, affine)
     for a in nodes:

@@ -94,13 +94,11 @@ def naive_product(a: list, b: list, cols: int | None = None) -> list:
 
 def rref(m: list) -> tuple[list, list[int]]:
     """Reduced row echelon form as Fractions and the pivot columns, from `linalg._rref_ints`
-    on the matrix as `linalg.int_rows` reads it."""
-    a, pivots = linalg._rref_ints(linalg.int_rows(m)[0])
-    out = []
-    for i, ints in enumerate(a):
-        p = ints[pivots[i]] if i < len(pivots) else 1
-        out.append([Fraction(x, p) for x in ints])
-    return out, pivots
+    on the matrix as `linalg.int_rows` reads it, padded with its zero rows."""
+    a = linalg.int_rows(m)[0]
+    rows, pivots = linalg._rref_ints(a)
+    out = [[Fraction(x, row[p]) for x in row] for row, p in zip(rows, pivots)]
+    return out + [[Fraction(0)] * len(row) for row in a[len(rows):]], pivots
 
 
 def nullspace(m: list) -> list:

@@ -489,7 +489,7 @@ class TestCheckRep:
         assert code == 0
         assert f"check {rep}: support-on-vanishing-locus: pass" in out
         assert "non-degeneracy skipped (no framing)" in out
-        assert ("support node 1: 1 distinct eigenvalue; root (1, 1) vanishes at 1; "
+        assert ("support node 1: 1 distinct eigenvalue; root (1, 1) vanishes at 1 of them; "
                 "0 off the locus") in out
         assert f"check {rep}: support-on-vanishing-locus: pass  (2 eigenvalues examined)" in out
 
@@ -511,7 +511,7 @@ class TestCheckRep:
         for path in paths:
             assert f"check {path}: support-on-vanishing-locus: pass  (1 eigenvalues" in out
         assert out.count("support node 1: 1 distinct eigenvalue; "
-                         "root (1) vanishes at 1; 0 off the locus") == 4
+                         "root (1) vanishes at 1 of them; 0 off the locus") == 4
 
     def test_violating_rep_fails_with_residuals_shown(self, capsys, tmp_path):
         theta = write(tmp_path, "theta.json", theta_record())
@@ -553,7 +553,7 @@ class TestCheckRep:
                 "node 1 residual: [9/2]", "node 2 residual: 0",
                 "edge (1, 2, 0) residual: [-9/2]", "edge (2, 1, 0) residual: [-9/4]",
                 "support node 1: 1 distinct eigenvalue; no root vanishes there; 1 off the locus",
-                "support node 2: 1 distinct eigenvalue; root (1, 1) vanishes at 1; "
+                "support node 2: 1 distinct eigenvalue; root (1, 1) vanishes at 1 of them; "
                 "0 off the locus",
                 "check {}: node-relations: FAIL  (some node residual is nonzero)",
                 "check {}: edge-relations: FAIL  (some edge residual is nonzero)",
@@ -1143,7 +1143,7 @@ class TestSizeCaps:
                 assert ("check input-too-large: FAIL  (theta degree 3000 exceeds the cap "
                         f"{dynkin.MAX_DEGREE})") in out
         with pytest.raises(dynkin.InputTooLarge):
-            deformation.make_deformation(
+            deformation.DeformationParam(
                 dynkin.DynkinType.parse("A1"),
                 {0: [0] * dynkin.MAX_DEGREE + [1, 1], 1: [0, 1]})
         # at the cap a dense rational theta still gets its locus, well inside the limit

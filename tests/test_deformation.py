@@ -121,7 +121,7 @@ class TestPolynomial:
 class TestDeformationParam:
     def test_make_requires_full_table(self):
         with pytest.raises(ValueError):
-            dfm.make_deformation(A2, {1: T, 2: T})
+            dfm.DeformationParam(A2, {1: T, 2: T})
 
     def test_completion_a1(self):
         d = dfm.complete_affine_theta(A1, {1: T})
@@ -140,9 +140,9 @@ class TestDeformationParam:
         assert d.constrained
 
     def test_unconstrained_detected(self):
-        d = dfm.make_deformation(A1, {0: T, 1: T})
+        d = dfm.DeformationParam(A1, {0: T, 1: T})
         assert not d.constrained
-        assert dfm.make_deformation(A1, {0: -T, 1: T}).constrained
+        assert dfm.DeformationParam(A1, {0: -T, 1: T}).constrained
 
     def test_theta_of_root_linearity(self):
         d = dfm.complete_affine_theta(A2, {1: T, 2: T - ONE})

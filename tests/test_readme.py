@@ -3,8 +3,11 @@
 Each `$ adequiver ...` block in the README is run in process, next to
 the `theta.json` and `rep.json` records the README shows, and the lines
 the block shows must appear, in the same order, in the real output.
+Every name the README spells `module.name` resolves in the package, and
+its Layout table lists every module.
 """
 
+import importlib
 import json
 import re
 import shlex
@@ -12,9 +15,12 @@ from pathlib import Path
 
 import pytest
 
+import adequiver
 from adequiver import cli
 
 README = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+MODULES = sorted(p.stem for p in Path(adequiver.__file__).parent.glob("*.py")
+                 if p.stem not in ("__init__", "__main__"))
 BLOCKS = re.findall(r"^```(\w*)\n(.*?)^```", README, re.M | re.S)
 EXAMPLES = [body.splitlines() for lang, body in BLOCKS
             if not lang and body.startswith("$ adequiver ")]
@@ -52,3 +58,35 @@ def test_readme_example(lines, tmp_path, monkeypatch, capsys):
     actual = capsys.readouterr().out.splitlines()
     assert code in (0, 1, 2)
     assert _in_order(lines[1:], actual), "\n".join(actual)
+
+
+def _module(name: str):
+    return importlib.import_module(f"adequiver.{name}")
+
+
+def _package_names() -> list[str]:
+    # every backticked dotted name whose head is the package, one of its modules or a name
+    # one of its modules defines (`GammaGroup.elements`); `fractions.Fraction` is not one
+    heads = {"adequiver", *MODULES} | {k for m in MODULES for k in vars(_module(m))
+                                       if not k.startswith("_")}
+    return sorted({name for name in re.findall(r"`(\w+(?:\.\w+)+)`", README)
+                   if name.split(".")[0] in heads})
+
+
+def test_readme_names_resolve_in_the_package():
+    names = _package_names()
+    assert len(names) >= 15, names
+    for name in names:
+        head, *rest = name.removeprefix("adequiver.").split(".")
+        if head in MODULES:
+            obj = _module(head)
+        else:
+            obj = next(getattr(_module(m), head) for m in MODULES if hasattr(_module(m), head))
+        for part in rest:
+            assert hasattr(obj, part), f"README names {name}, which does not resolve"
+            obj = getattr(obj, part)
+
+
+def test_readme_layout_lists_every_module():
+    layout = README.split("## Layout", 1)[1].split("\n## ", 1)[0]
+    assert sorted(re.findall(r"^\| `adequiver\.(\w+)` \|", layout, re.M)) == MODULES

@@ -18,7 +18,7 @@ from adequiver.adhm import (N1Representation, RelationResidual, SupportReport, S
                             check_relations, check_support_property)
 from adequiver.cli import RunReport, Verdict
 from adequiver.deformation import (DeformationParam, ExceptionalLocus, LocusEntry,
-                                   complete_affine_theta, make_deformation, theta_of_root)
+                                   complete_affine_theta, theta_of_root)
 from adequiver.dynkin import CartanMatrix, DynkinType, InputTooLarge, MarksVector, Root
 from adequiver.gamma import (CharacterTable, GammaGroup, GroupElement, PrimeField,
                              enumerate_group)
@@ -210,7 +210,7 @@ def test_deformation_table_refuses_in_place_edits():
         d.theta |= {1: five}
     assert sorted(d.theta) == [0, 1, 2] and d.theta[1] == Polynomial.of([1, 1])
     assert theta_of_root(d, root) == dict(d.projections)[root] == Polynomial.of([1, 1])
-    assert hash(d) == hash(make_deformation(t, dict(d.theta)))
+    assert hash(d) == hash(DeformationParam(t, dict(d.theta)))
 
 
 def test_records_derive_what_their_data_decide():
