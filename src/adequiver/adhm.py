@@ -45,7 +45,8 @@ from . import linalg
 from .deformation import DeformationParam
 from .dynkin import DynkinType, InputTooLarge, _Record, node_labels
 from .linalg import IntMat, Mat, Vec
-from .poly import Polynomial, poly_gcd, poly_roots, squarefree_part
+from .poly import (Polynomial, _exact_quotient, _gcd_ints, _integer_primitive,
+                   _squarefree_ints, poly_roots)
 from .quiver import QuiverSpec, build_n1_quiver
 
 ArrowKey = tuple  # (source, target, pair_index)
@@ -276,8 +277,10 @@ def check_support_property(rep: N1Representation, theta, tol: float = 1e-6) -> S
     At each occupied node, s is the square-free part of the loop's
     characteristic polynomial, one simple factor per distinct eigenvalue.
     Every projection takes its common factor with s away; the node passes
-    when nothing of positive degree is left.  tol is ignored: no tolerance
-    enters the decision.
+    when nothing of positive degree is left.  All of it runs on primitive
+    integer polynomials, where every quotient is exact over Z (Gauss's
+    lemma); only degrees leave it.  tol is ignored: no tolerance enters
+    the decision.
 
     Meaningful for finite representations (node 0 absent or of dimension
     zero); the relation-satisfying hypothesis is the caller's business.
@@ -287,20 +290,22 @@ def check_support_property(rep: N1Representation, theta, tol: float = 1e-6) -> S
     if not isinstance(theta, DeformationParam):
         raise TypeError("support check needs a DeformationParam")
     # a zero projection vanishes everywhere, so it stays and shares all of s
-    projections = [(r.coefficients, p) for r, p in _of_type(rep, theta).projections
-                   if p.degree != 0]
+    projections = [(r.coefficients, _integer_primitive(p.coefficients))
+                   for r, p in _of_type(rep, theta).projections if p.degree != 0]
     rows: list[SupportReportRow] = []
     for a, m in rep.loops.items():
         if rep.dims[a] == 0:
             continue
-        s = left = squarefree_part(Polynomial.of(linalg.char_poly_coeffs(m)))
+        # det(t - d m) = sum c_k t^k, so d^n det(t - m) = sum c_k d^k t^k
+        p, d = linalg._char_poly_ints(m)
+        f = _integer_primitive([c * d ** k for k, c in enumerate(reversed(p))])
+        s = left = _squarefree_ints(f)
         shared = []
-        for r, p in projections:
-            g = poly_gcd(p, s)
-            if g.degree > 0:
-                shared.append((r, g.degree))
-                left = left.divmod(poly_gcd(left, g))[0]
-        rows.append(SupportReportRow(a, s.degree, shared, left.degree))
+        for r, q in projections:
+            if len(g := _gcd_ints(q, s)) > 1:
+                shared.append((r, len(g) - 1))
+                left = _exact_quotient(left, _gcd_ints(left, g))
+        rows.append(SupportReportRow(a, len(s) - 1, shared, len(left) - 1))
     return SupportReport(rows)
 
 

@@ -8,12 +8,12 @@ in the normal-form basis
 
 via the rewrite x2*x1 -> x1*x2 + lam*zz.  Coefficients are block
 matrices over the rationals, stored as their nonzero blocks keyed by
-(row node, column node), each as integer rows over its least denominator
-(`linalg.int_rows`) or as an int c, meaning c*I on a nonempty node; lam
-acts blockwise (one rational per node) through left multiplication on
-the target layout.  Products and sums run on those ints, one
-`linalg.sum_of_products` pass per output block with each scalar folded
-into its term's coefficient; Fractions are built only when read.
+(row node, column node).  A block is a scalar times one stored matrix:
+integer rows over their least denominator (`linalg.int_rows`), an int c
+for c*I on a nonempty node, or (c, rows) for c times rows stored
+elsewhere.  lam acts blockwise (one rational per node) through left
+multiplication on the target layout.  Products and sums run on those
+ints; Fractions are built only when read.
 
 Only the cyclic (type A) case is wired up, rank 0 meaning the trivial
 group: the first family of maps runs along a -> a+1, the second along
@@ -23,14 +23,15 @@ only.  The two three-term maps
     a = (B1 z - x1, -(B2 z - x2), J z)^T
     b = (B2 z - x2,   B1 z - x1,  I z)
 
-have the scalars -+1 as every x1 and x2 coefficient.  They compose to a
-pure zz term whose block at node a is the node relation defect
-B2B1 - B1B2 + IJ + lam there; every other degree-2 coefficient cancels
-identically, whatever the input.  Each monad is composed once, on the
-first read of `MonadData.composite`, in one pass over the three products
-b_i a_i (`nc_sum_of_products`) that sums every output block once into
-integer rows: on n-dimensional nodes only B2B1, B1B2 and IJ multiply
-(n^3 each), a z*x term is -+B (n^2), an x*x term -+I or lam*I (n).
+have the scalars -+1 as every x1 and x2 coefficient, and -B2 is (-1, B2)
+on B2's own rows.  They compose to a pure zz term whose block at node a
+is the node relation defect B2B1 - B1B2 + IJ + lam there; every other
+degree-2 coefficient cancels identically, whatever the input.  Each
+monad is composed once, on the first read of `MonadData.composite`, in
+one pass over the three products b_i a_i (`nc_sum_of_products`).  Like
+terms add their scalars before any product, so the cancelling blocks
+(-+B +- B, -+1 +- 1) cost nothing: one `linalg.sum_of_products` call per
+node, for zz, where only B2B1, B1B2 and IJ multiply (n^3 on dimension n).
 """
 
 from __future__ import annotations
@@ -64,7 +65,8 @@ _PRODUCTS: dict[tuple[str, str], list[tuple[str, bool]]] = {
 }
 
 Layout = tuple[tuple[int, int], ...]    # ((node, dim), ...)
-Blocks = dict[tuple[int, int], IntMat | int]   # (row node, column node) -> nonzero block
+Block = IntMat | int | tuple[int, IntMat]    # rows, c*I, or c*rows
+Blocks = dict[tuple[int, int], Block]           # (row node, column node) -> nonzero block
 
 
 def layout_dim(layout: Layout) -> int:
@@ -80,17 +82,18 @@ def _nonzero_blocks(blocks: Mapping[tuple[int, int], IntMat]) -> Blocks:
     return {key: m for key, m in blocks.items() if any(map(any, m[0]))}
 
 
-def _term(c, a: IntMat | int, b: IntMat | int | None = None) -> tuple:
-    """The `linalg.sum_of_products` term c*a*b, each int block s folded into c as s*I."""
-    if isinstance(b, int):
-        c, b = c * b, None
-    return (c * a, b, None) if isinstance(a, int) else (c, a, b)
+def _scaled(m: Block) -> tuple[int, IntMat | None]:
+    """A block as (c, rows), rows None for I."""
+    return (m, None) if isinstance(m, int) else m if isinstance(m[1], tuple) else (1, m)
 
 
-def _rational(m: IntMat | int | None, rows: int, cols: int) -> Mat:
-    """The Fraction matrix of a block (None: zero), an int c read as c*I."""
-    return linalg.rational_matrix(([[m * (i == j) for j in range(cols)] for i in range(rows)], 1)
-                                  if isinstance(m, int) else m, rows, cols)
+def _rational(m: Block | None, rows: int, cols: int) -> Mat:
+    """The Fraction matrix of a block (None: zero)."""
+    if m is not None:
+        c, m = _scaled(m)
+        m = (([[c * (i == j) for j in range(cols)] for i in range(rows)], 1) if m is None
+             else ([[c * x for x in row] for row in m[0]], m[1]) if c != 1 else m)
+    return linalg.rational_matrix(m, rows, cols)
 
 
 class NCElement:
@@ -146,7 +149,7 @@ class NCElement:
         if self.row_layout != other.row_layout or self.col_layout != other.col_layout:
             raise ValueError("layout mismatch in addition")
         return _summed(self.row_layout, self.col_layout, [
-            (mono, key, _term(1, m))
+            (mono, key, (*_scaled(m), None))
             for e in (self, other) for mono, table in e.blocks.items() for key, m in table.items()])
 
     def diagonal_block(self, mono: str, node: int) -> Mat:
@@ -168,6 +171,8 @@ def nc_sum_of_products(pairs: Sequence[tuple[NCElement, NCElement]],
     The product of the monomial parts must stay inside the degree <= 2 basis,
     so in each pair both factors of degree 1, or either factor of degree 0.
     """
+    if not pairs:
+        raise ValueError("nc_sum_of_products needs at least one pair (u, v), not an empty list")
     rows_at, cols_at = pairs[0][0].row_layout, pairs[0][1].col_layout
     lam = {node: linalg.frac(x) for node, x in lam.items()}
     terms = []      # (monomial, output block, (scalar, left factor, right factor))
@@ -176,31 +181,40 @@ def nc_sum_of_products(pairs: Sequence[tuple[NCElement, NCElement]],
             raise ValueError("inner layouts do not match")
         if u.row_layout != rows_at or v.col_layout != cols_at:
             raise ValueError("outer layouts differ between the products")
-        # v's blocks of each monomial, by row node: k -> [(c, block), ...]
-        v_rows: dict[str, dict[int, list[tuple[int, IntMat]]]] = {}
+        # v's blocks of each monomial, by row node: k -> [(c, scalar, rows or None), ...]
+        v_rows: dict[str, dict[int, list[tuple]]] = {}
         for mv, table in v.blocks.items():
             for (k, c), m in table.items():
-                v_rows.setdefault(mv, {}).setdefault(k, []).append((c, m))
+                v_rows.setdefault(mv, {}).setdefault(k, []).append((c, *_scaled(m)))
         for mu, cu in u.blocks.items():
+            u_blocks = [(r, k, *_scaled(m)) for (r, k), m in cu.items()]
             for mv, rows_of in v_rows.items():
                 words = ([(mv, False)] if mu == "1" else [(mu, False)] if mv == "1"
                          else _PRODUCTS.get((mu, mv)))
                 if words is None:
                     raise ValueError(f"product {mu} * {mv} leaves the degree-2 normal form")
-                for (r, k), bu in cu.items():
-                    for c, bv in rows_of.get(k, ()):
+                for r, k, su, bu in u_blocks:
+                    for c, sv, bv in rows_of.get(k, ()):
                         for mono, needs_lam in words:
-                            scalar = lam[r] if needs_lam else 1
-                            if scalar:
-                                terms.append((mono, (r, c), _term(scalar, bu, bv)))
+                            if scalar := (su * sv * lam[r] if needs_lam else su * sv):
+                                terms.append((mono, (r, c), (scalar, bu, bv) if bu else
+                                              (scalar, bv, None)))
     return _summed(rows_at, cols_at, terms)
 
 
 def _summed(row_layout: Layout, col_layout: Layout, terms: Iterable[tuple]) -> NCElement:
-    """Element whose block at each (monomial, block) sums the terms (c, a, b) given there."""
+    """Element whose block at each (monomial, block) sums the terms (c, a, b) given there;
+    terms with the same factor objects add their scalars first, as c*a*b + c'*a*b =
+    (c + c')*a*b, so a block whose scalars all cancel makes no kernel call."""
+    like: dict[tuple, tuple] = {}       # (monomial, block, factor ids) -> merged term
+    for mono, key, (c, a, b) in terms:
+        if (f := (mono, key, id(a), id(b))) in like:
+            c += like[f][0]
+        like[f] = c, a, b
     at: dict[tuple[str, tuple[int, int]], list] = {}
-    for mono, key, term in terms:
-        at.setdefault((mono, key), []).append(term)
+    for (mono, key, _, _), term in like.items():
+        if term[0]:
+            at.setdefault((mono, key), []).append(term)
     rows, cols = dict(row_layout), dict(col_layout)
     blocks: dict[str, Blocks] = {}
     for (mono, (r, c)), block_terms in at.items():
@@ -229,9 +243,14 @@ def build_monad(rank: int, b1: Mapping[int, Mat], b2: Mapping[int, Mat],
 
     b1[a] maps node a to a+1, b2[a] maps a to a-1 (mod rank+1); i_blocks
     and j_blocks are the framing maps in and out, per node.  Missing
-    blocks are zero.
+    blocks are zero; an entry at a node outside 0..rank is refused.
     """
     n = linalg.integer(rank, "rank") + 1
+    for name, table in (("b1 blocks", b1), ("b2 blocks", b2), ("i blocks", i_blocks),
+                        ("j blocks", j_blocks), ("lam", lam), ("dims", dims),
+                        ("framing_dims", framing_dims)):
+        if stray := set(table).difference(range(n)):
+            raise ValueError(f"{name} at unknown nodes {sorted(stray)}")
     dims = {a: linalg.integer(dims[a], f"dims[{a}]") for a in range(n)}
     framing = {a: linalg.integer(framing_dims.get(a, 0), f"framing_dims[{a}]") for a in range(n)}
     lam_full = {a: linalg.frac(lam.get(a, 0)) for a in range(n)}
@@ -241,9 +260,6 @@ def build_monad(rank: int, b1: Mapping[int, Mat], b2: Mapping[int, Mat],
     def place(name: str, blocks: Mapping[int, Mat], row_dims: Mapping[int, int],
               col_dims: Mapping[int, int], shift: int) -> Blocks:
         # per-node blocks sending node a into node a+shift (mod rank+1)
-        stray = set(blocks) - set(range(n))
-        if stray:
-            raise ValueError(f"{name} blocks at unknown nodes {sorted(stray)}")
         return _nonzero_blocks({((a + shift) % n, a): linalg.int_rows(
             m, f"{name} block at node {a}", (row_dims[(a + shift) % n], col_dims[a]))
             for a, m in sorted(blocks.items())})
@@ -251,13 +267,12 @@ def build_monad(rank: int, b1: Mapping[int, Mat], b2: Mapping[int, Mat],
     b1_blocks = place("b1", b1, dims, dims, +1)
     b2_blocks = place("b2", b2, dims, dims, -1)
     i_z, j_z = place("i", i_blocks, dims, framing, 0), place("j", j_blocks, framing, dims, 0)
-    neg_b2 = {key: ([[-x for x in row] for row in ints], d)
-              for key, (ints, d) in b2_blocks.items()}
+    minus_b2 = {key: (-1, m) for key, m in b2_blocks.items()}    # -B2 on B2's own rows
     ident = {(a, a): 1 for a, d in dims.items() if d}     # I at every nonempty node
     neg_ident = dict.fromkeys(ident, -1)
     a_col = [
         NCElement._from_blocks(v_layout, v_layout, {"z": b1_blocks, "x1": neg_ident}),
-        NCElement._from_blocks(v_layout, v_layout, {"z": neg_b2, "x2": ident}),
+        NCElement._from_blocks(v_layout, v_layout, {"z": minus_b2, "x2": ident}),
         NCElement._from_blocks(w_layout, v_layout, {"z": j_z}),
     ]
     b_row = [

@@ -3,9 +3,11 @@
 Coefficients run lowest degree first, with no trailing zeros (`_trim`).
 Over Q: `Polynomial`, monic gcds by a primitive remainder sequence on
 integers (`poly_gcd`), Yun's square-free decomposition and the float
-root labels of the exceptional locus (`poly_roots`).  Over Z: every
-rational root with its multiplicity, from the divisors of the end
-coefficients (`_rational_roots`; `_factor` is trial division).  Over
+root labels of the exceptional locus (`poly_roots`).  Over Z, on
+primitive polynomials: gcds (`_gcd_ints`, the sequence `poly_gcd` runs),
+exact quotients and square-free parts; and every rational root with its
+multiplicity, from the divisors of the end coefficients
+(`_rational_roots`; `_factor` is trial division).  Over
 F_p, p prime: division by a monic polynomial, products and powers modulo
 one, monic gcds, synthetic division, and `_split_roots`, the roots of a
 product of distinct linear factors (Cantor-Zassenhaus).
@@ -133,18 +135,21 @@ def _integer_primitive(coeffs: Sequence) -> list[int]:
 
 
 def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
-    """Monic greatest common divisor over the rationals.
+    """Monic greatest common divisor over the rationals, by `_gcd_ints` on the primitive
+    integer polynomials proportional to a and b."""
+    return Polynomial.of(_gcd_ints(_integer_primitive(a.coefficients),
+                                   _integer_primitive(b.coefficients))).monic()
 
-    Runs the primitive remainder sequence on the integer polynomials
-    proportional to a and b: the content is divided out of every
-    pseudo-remainder, which keeps the integers near the size of the
+
+def _gcd_ints(x: list[int], y: list[int]) -> list[int]:
+    """A primitive greatest common divisor of primitive integer polynomials ([] for two zeros).
+
+    Runs the primitive remainder sequence: the content is divided out of
+    every pseudo-remainder, which keeps the integers near the size of the
     result, where Euclid over Q lets them grow at every step.
     """
-    if a.degree < b.degree:
-        a, b = b, a
-    if b.is_zero:
-        return a.monic()
-    x, y = _integer_primitive(a.coefficients), _integer_primitive(b.coefficients)
+    if len(x) < len(y):
+        x, y = y, x
     while y:
         lead, r = y[-1], list(x)
         while len(r) >= len(y):            # pseudo-remainder: lead^k * x mod y
@@ -155,7 +160,20 @@ def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
                 r[k + i] -= f * c
             _trim(r)
         x, y = y, (_integer_primitive(r) if r else [])
-    return Polynomial.of(x).monic()
+    return x
+
+
+def _exact_quotient(a: list[int], b: list[int]) -> list[int]:
+    """a / b for integer polynomials with b primitive and dividing a over Q; by Gauss's
+    lemma the quotient has integer coefficients, so every step divides exactly."""
+    a, top = list(a), len(b) - 1
+    q = [0] * (len(a) - top)
+    for k in range(len(q) - 1, -1, -1):
+        if c := a[k + top] // b[-1]:
+            q[k] = c
+            for i, y in enumerate(b):
+                a[k + i] -= c * y
+    return q
 
 
 def squarefree_decomposition(p: Polynomial) -> list[tuple[Polynomial, int]]:
@@ -182,7 +200,13 @@ def squarefree_decomposition(p: Polynomial) -> list[tuple[Polynomial, int]]:
 
 def squarefree_part(p: Polynomial) -> Polynomial:
     """Monic p / gcd(p, p'): one simple factor per distinct root of nonzero p."""
-    return p.divmod(poly_gcd(p, p.derivative()))[0].monic()
+    return Polynomial.of(_squarefree_ints(_integer_primitive(p.coefficients))).monic()
+
+
+def _squarefree_ints(f: list[int]) -> list[int]:
+    """f / gcd(f, f') for a nonzero primitive integer polynomial f, primitive too."""
+    return _exact_quotient(f, _gcd_ints(f, _integer_primitive(
+        [k * c for k, c in enumerate(f)][1:])))
 
 
 def poly_roots(p: Polynomial) -> list[tuple[complex, int]]:

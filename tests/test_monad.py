@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -356,12 +357,12 @@ class TestMonad:
                               {0: 1, 1: -1}, {0: 1, 1: 1}, {})
         composite, ok = monad.compose_and_check(m)
         assert monad.node_relation_defects(m) == {0: [[14]], 1: [[-14]]}
-        # one kernel call per output block over all three products: zz, zx1, zx2
-        # and x1x2 (which cancels) at two blocks each; the framing adds none
-        assert len(calls) == 8
+        # one kernel call per node, for zz: the like terms of zx1, zx2 and x1x2 cancel
+        # before any product, and the framing adds none
+        assert len(calls) == 2
         assert monad.compose_and_check(m) == (composite, ok)
         monad.node_relation_defects(m)
-        assert len(calls) == 8
+        assert len(calls) == 2
 
     def test_one_pass_equals_the_sum_of_the_three_products(self):
         rng = random.Random(17)
@@ -412,9 +413,8 @@ class TestMonad:
         monkeypatch.setattr(linalg, "sum_of_products", spying)
         assert set(m.composite.blocks) == {"zz"}
         assert [t for t in terms if signed_identity(t[1]) or signed_identity(t[2])] == []
-        # x1x2 from x2*x1 and from x1*x2 at each node, and lam*zz at the two nodes lam != 0
-        assert sorted(c for c, a, b in terms if a is None) == sorted(
-            [1, -1] * 3 + [Fraction(1, 2), -3])
+        # lam*zz at the two nodes lam != 0; the x1x2 pairs +-1 cancel before the kernel
+        assert sorted(c for c, a, b in terms if a is None) == [-3, Fraction(1, 2)]
 
     def test_one_pass_refuses_mismatched_outer_layouts(self):
         lay2 = ((0, 1), (1, 1))
@@ -428,6 +428,20 @@ class TestMonad:
             monad.nc_sum_of_products([(u, v), (u, tall)], {0: 1})
         assert monad.nc_sum_of_products([(u, v), (u, v)], {0: 1}).coefficients == {
             "zx1": [[4]]}
+
+    @pytest.mark.parametrize("argument, at", [(5, {0: 1, 1: -1, 7: 5}),
+                                              (6, {0: 1, 1: 1, 9: 4}),
+                                              (7, {3: 2})])
+    def test_build_monad_refuses_entries_at_unknown_nodes(self, argument, at):
+        args = [1, {}, {}, {}, {}, {}, {0: 1, 1: 1}, {}]
+        args[argument] = at
+        name = ("lam", "dims", "framing_dims")[argument - 5]
+        with pytest.raises(ValueError, match=rf"^{name} at unknown nodes \[{max(at)}\]$"):
+            monad.build_monad(*args)
+
+    def test_an_empty_pair_list_is_refused_by_name(self):
+        with pytest.raises(ValueError, match="empty list"):
+            monad.nc_sum_of_products([], {0: 1})
 
     def test_empty_monad(self):
         m = monad.build_monad(2, {}, {}, {}, {}, {}, {0: 0, 1: 0, 2: 0}, {})
@@ -541,13 +555,70 @@ def test_composite_matches_dense_expansion(case):
     for a in range(rank + 1):
         assert defects[a] == [row[at[a]:at[a + 1]] for row in want["zz"][at[a]:at[a + 1]]]
     # no zero block and no empty table is stored, in the inputs or in the composite; the
-    # inputs keep +-I as the int +-1, and the composite's blocks are integer rows
+    # inputs keep +-I as the int +-1 and -B2 as (-1, B2) on the very rows b stores for B2,
+    # and the composite's blocks are integer rows
     for e in [*m.a, *m.b, composite]:
         for table in e.blocks.values():
             assert table
-            for block in table.values():
+            for key, block in table.items():
                 if isinstance(block, int):
                     assert e is not composite and block in (1, -1)
+                elif isinstance(block[1], tuple):
+                    assert e is m.a[1] and block[0] == -1
+                    assert block[1] is m.b[0].blocks["z"][key]
                 else:
                     ints, d = block
                     assert d > 0 and any(map(any, ints))
+
+
+@st.composite
+def like_terms(draw):
+    """Terms (monomial, block, (c, a, b)) on two n-dimensional nodes, over a pool of factor
+    objects that includes two equal but distinct matrices; each term may have a twin with
+    the opposite scalar."""
+    n = draw(st.integers(1, 3))
+    rows = st.lists(st.lists(st.integers(-3, 3), min_size=n, max_size=n), min_size=n,
+                    max_size=n)
+    pool = [(draw(rows), draw(st.integers(1, 3))) for _ in range(3)]
+    pool.append((pool[0][0], pool[0][1]))
+    factors = [(None, None)] + [(a, None) for a in pool] + [(a, b) for a in pool for b in pool]
+    scalars = st.sampled_from([1, -1, 2, -3, Fraction(1, 2), Fraction(-2, 3)])
+    terms = []
+    for mono, key, c, f, twin in draw(st.lists(st.tuples(
+            st.sampled_from(["zz", "zx1"]), st.sampled_from([(0, 0), (0, 1), (1, 1)]), scalars,
+            st.integers(0, len(factors) - 1), st.booleans()), max_size=12)):
+        terms += [(mono, key, (s, *factors[f])) for s in ([c, -c] if twin else [c])]
+    return ((0, n), (1, n)), terms
+
+
+@settings(max_examples=150)
+@given(like_terms())
+def test_summed_merges_like_terms_before_the_kernel(case):
+    layout, terms = case
+    kernel, n = linalg.sum_of_products, layout[0][1]
+    at = {}
+    for mono, key, term in terms:
+        at.setdefault((mono, key), []).append(term)
+    want = {}
+    for (mono, key), block_terms in at.items():
+        if (total := kernel(block_terms, n, n)) is not None:
+            want.setdefault(mono, {})[key] = total
+    calls = []
+
+    def spying(block_terms, rows, cols):
+        calls.append(block_terms)
+        return kernel(block_terms, rows, cols)
+
+    with mock.patch.object(linalg, "sum_of_products", spying):
+        got = monad._summed(layout, layout, terms)
+    assert got.blocks == want
+    # like terms reach the kernel merged, with a nonzero scalar each, and a block whose
+    # scalars all cancel makes no call
+    for block_terms in calls:
+        assert all(c for c, _, _ in block_terms)
+        assert len({(id(a), id(b)) for _, a, b in block_terms}) == len(block_terms)
+    sums = [{} for _ in at]
+    for sum_, block_terms in zip(sums, at.values()):
+        for c, a, b in block_terms:
+            sum_[id(a), id(b)] = sum_.get((id(a), id(b)), 0) + c
+    assert len(calls) == sum(any(sum_.values()) for sum_ in sums)

@@ -132,3 +132,29 @@ def test_divisors_and_factors_match_sympy():
 def test_rational_roots_of_linear_polynomials_come_ascending(coeffs, roots):
     got = poly._rational_roots([Fraction(c) for c in coeffs])
     assert got == roots and list(got) == sorted(roots)
+
+
+def integer_poly(min_size: int = 1, max_size: int = 4):
+    return st.lists(st.integers(-6, 6), min_size=min_size, max_size=max_size).filter(
+        lambda c: c[-1] != 0)
+
+
+@settings(max_examples=100)
+@given(integer_poly(), integer_poly(), integer_poly())
+def test_gcd_ints_and_exact_quotient_work_over_z(a, b, common):
+    # primitive products over Z share at least the primitive part of common; the gcd is
+    # sympy's up to sign, and dividing by it is exact with integer quotients
+    def prim(f):
+        return poly._integer_primitive([int(c) for c in reversed(f.all_coeffs())])
+
+    fa, fb = (sympy.Poly(list(reversed(x)), t) * sympy.Poly(list(reversed(common)), t)
+              for x in (a, b))
+    x, y = prim(fa), prim(fb)
+    g = poly._gcd_ints(x, y)
+    want = prim(sympy.gcd(fa, fb))
+    assert g in (want, [-c for c in want])
+    for f in (x, y):
+        q = poly._exact_quotient(f, g)
+        assert sympy.Poly(list(reversed(q)), t) * sympy.Poly(list(reversed(g)), t) == \
+            sympy.Poly(list(reversed(f)), t)
+    assert poly._gcd_ints(x, []) == x and poly._gcd_ints([], y) == y
