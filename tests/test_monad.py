@@ -429,15 +429,14 @@ class TestMonad:
         assert monad.nc_sum_of_products([(u, v), (u, v)], {0: 1}).coefficients == {
             "zx1": [[4]]}
 
-    @pytest.mark.parametrize("argument, at", [(5, {0: 1, 1: -1, 7: 5}),
-                                              (6, {0: 1, 1: 1, 9: 4}),
-                                              (7, {3: 2})])
-    def test_build_monad_refuses_entries_at_unknown_nodes(self, argument, at):
-        args = [1, {}, {}, {}, {}, {}, {0: 1, 1: 1}, {}]
-        args[argument] = at
-        name = ("lam", "dims", "framing_dims")[argument - 5]
+    @pytest.mark.parametrize("name, at", [("lam", {0: 1, 1: -1, 7: 5}),
+                                          ("dims", {0: 1, 1: 1, 9: 4}),
+                                          ("framing_dims", {3: 2})])
+    def test_build_monad_refuses_entries_at_unknown_nodes(self, name, at):
+        args = {**dict(rank=1, b1={}, b2={}, i_blocks={}, j_blocks={}, lam={},
+                       dims={0: 1, 1: 1}, framing_dims={}), name: at}
         with pytest.raises(ValueError, match=rf"^{name} at unknown nodes \[{max(at)}\]$"):
-            monad.build_monad(*args)
+            monad.build_monad(**args)
 
     def test_an_empty_pair_list_is_refused_by_name(self):
         with pytest.raises(ValueError, match="empty list"):
