@@ -296,10 +296,7 @@ def check_support_property(rep: N1Representation, theta, tol: float = 1e-6) -> S
     for a, m in rep.loops.items():
         if rep.dims[a] == 0:
             continue
-        # det(t - d m) = sum c_k t^k, so d^n det(t - m) = sum c_k d^k t^k
-        p, d = linalg._char_poly_ints(m)
-        f = _integer_primitive([c * d ** k for k, c in enumerate(reversed(p))])
-        s = left = _squarefree_ints(f)
+        s = left = _squarefree_ints(_integer_primitive(linalg._char_poly_ints(m)))
         shared = []
         for r, q in projections:
             if len(g := _gcd_ints(q, s)) > 1:

@@ -9,9 +9,9 @@ is derived from them on first read.
 
 Projections along positive roots, their vanishing loci on the affine
 line, and the genericity test live here too.  Genericity and root
-multiplicities are decided exactly, by the gcds and square-free parts of
-`poly`, which holds the polynomial arithmetic; root locations are float
-labels that no verdict reads (`poly.poly_roots`).
+multiplicities are decided exactly, by the gcds, square-free parts and
+Yun factors of `poly` on primitive integer polynomials; root locations
+are float labels that no verdict reads (`poly.poly_roots`).
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from typing import Mapping
 from .dynkin import (MAX_DEGREE, DynkinType, InputTooLarge, Root, _Frozen, is_positive_root,
                      marks, node_labels, positive_roots)
 from .linalg import ComputeFailure
-from .poly import Polynomial, poly_gcd, poly_roots, squarefree_part
+from .poly import Polynomial, _gcd_ints, _integer_primitive, _squarefree_ints, poly_roots
 
 
 class NotARoot(ComputeFailure):
@@ -150,24 +150,27 @@ def exceptional_locus(d: DeformationParam) -> ExceptionalLocus:
 def is_generic(d: DeformationParam) -> bool:
     """Every projection is square-free and no two share a factor; exact.
 
-    Linear projections are compared by their rational roots; gcds run
-    only where a degree is above one.
+    Linear projections are compared by their rational roots; the others
+    run as primitive integer polynomials, square-free when `_squarefree_ints`
+    keeps their degree and coprime when `_gcd_ints` is a constant, so gcds
+    run only where a degree is above one.
     """
     points: set[Fraction] = set()
-    higher: list[Polynomial] = []
+    higher: list[tuple[Polynomial, list[int]]] = []
     for _, p in _projections(d):
         if p.degree == 1:
             x = -p.coefficients[0] / p.coefficients[1]
             if x in points:
                 return False
             points.add(x)
-        elif squarefree_part(p).degree < p.degree:
+            continue
+        f = _integer_primitive(p.coefficients)
+        if len(_squarefree_ints(f)) < len(f):
             return False
-        else:
-            higher.append(p)
-    for i, p in enumerate(higher):
+        higher.append((p, f))
+    for i, (p, f) in enumerate(higher):
         if any(p(x) == 0 for x in points):
             return False
-        if any(poly_gcd(p, q).degree > 0 for q in higher[i + 1:]):
+        if any(len(_gcd_ints(f, g)) > 1 for _, g in higher[i + 1:]):
             return False
     return True

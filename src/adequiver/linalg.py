@@ -20,12 +20,13 @@ integer pass, and the sum comes back over its least denominator (a
 row-by-row gcd, stopped at 1), or as None when zero.  `mat_mul` is its
 Fraction front; the `monad` blocks, the `adhm` residuals, the round trip
 and the chain steps of `jordan_basis` run on it.  The characteristic
-polynomial is division-free Berkowitz on the integer rows, and `poly`
-finds the spectrum on the integer polynomial.  There is one eliminator,
-`_insert`: it reduces an integer row into primitive rows in reduced
-echelon form, one fraction-free row step per pivot, each divided by its
-content.  `_rref_ints` (under `rank`, `inverse_ints` and `_kernel`)
-inserts the rows of a matrix, and `SpanBasis` each new vector.
+polynomial is one integer polynomial, d^n det(t - m) for m = a / d, by
+division-free Berkowitz on the integer rows (`_char_poly_ints`), and
+`poly` finds the spectrum on it.  There is one eliminator, `_insert`: it
+reduces an integer row into primitive rows in reduced echelon form, one
+fraction-free row step per pivot, each divided by its content.
+`_rref_ints` (under `rank`, `inverse_ints` and `_kernel`) inserts the
+rows of a matrix, and `SpanBasis` each new vector.
 
 Every exception that means "this computation gave up on this input",
 here and in the modules above, derives from `ComputeFailure`; the
@@ -351,8 +352,9 @@ class SpanBasis:
         return _insert(self.rows, self.pivots, [x.numerator * (d // x.denominator) for x in v])
 
 
-def _char_poly_ints(m: Mat | IntMat) -> tuple[list[int], int]:
-    """(coefficients of det(tI - a), leading first; d) for m = a / d (Berkowitz).
+def _char_poly_ints(m: Mat | IntMat) -> list[int]:
+    """The integer polynomial d^n det(t - m) = det(d t - a), coefficients ascending, for
+    m = a / d of size n (Berkowitz).
 
     m is Fraction rows or an `IntMat`, as `int_rows` reads them.  With
     A_r the leading r x r block of a and a_rr, R, C the rest of A_(r+1)'s
@@ -371,27 +373,23 @@ def _char_poly_ints(m: Mat | IntMat) -> tuple[list[int], int]:
                 col = [sum(map(mul, a[i], col)) for i in range(r)]
             toeplitz.append(-sum(map(mul, row, col)))
         p = [sum(map(mul, toeplitz[k::-1], p)) for k in range(r + 2)]
-    return p, d
+    return [c * d ** k for k, c in enumerate(reversed(p))]
 
 
 def char_poly_coeffs(m: Mat | IntMat) -> list[Fraction]:
-    """Monic characteristic polynomial, coefficients ascending (Berkowitz).
-
-    m is Fraction rows or an `IntMat` a / d.  For det(tI - a) = sum p_k t^k
-    on the integer rows (`_char_poly_ints`), m's coefficient of t^k is
-    p_k / d^(n-k).
-    """
-    p, d = _char_poly_ints(m)
-    return [Fraction(c, d ** k) for k, c in enumerate(p)][::-1]
+    """Monic characteristic polynomial det(t - m), coefficients ascending (Berkowitz):
+    the integer polynomial of `_char_poly_ints` over its leading coefficient d^n."""
+    f = _char_poly_ints(m)
+    return [Fraction(c, f[-1]) for c in f]
 
 
 def rational_eigenvalues(m: Mat | IntMat) -> dict[Fraction, int]:
     """Eigenvalues with algebraic multiplicity, ascending; error unless the spectrum is
-    rational.  m as in `char_poly_coeffs`; `poly._rational_roots` takes the integer
-    polynomial d^n det(tI - m) = sum p_k d^k t^k."""
+    rational.  m as in `char_poly_coeffs`; `poly._rational_roots` finds them on the
+    integer polynomial of `_char_poly_ints`."""
     from .poly import _rational_roots    # only the spectra need polynomial arithmetic
-    p, d = _char_poly_ints(m)
-    eig, n = _rational_roots([c * d ** k for k, c in enumerate(reversed(p))]), len(p) - 1
+    f = _char_poly_ints(m)
+    eig, n = _rational_roots(f), len(f) - 1
     if sum(eig.values()) != n:
         raise NonRationalSpectrum(f"only {sum(eig.values())} of {n} eigenvalues are rational")
     return eig

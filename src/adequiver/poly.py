@@ -1,21 +1,22 @@
 """Polynomials in one variable over Q, Z and F_p.
 
 Coefficients run lowest degree first, with no trailing zeros (`_trim`).
-Over Q: `Polynomial`, monic gcds by a primitive remainder sequence on
-integers (`poly_gcd`), Yun's square-free decomposition and the float
-root labels of the exceptional locus (`poly_roots`).  Over Z, on
-primitive polynomials: gcds (`_gcd_ints`, the sequence `poly_gcd` runs),
-exact quotients and square-free parts; and every rational root with its
-multiplicity, from the divisors of the end coefficients
-(`_rational_roots`; `_factor` is trial division).  Over
-F_p, p prime: division by a monic polynomial, products and powers modulo
-one, monic gcds, synthetic division, and `_split_roots`, the roots of a
-product of distinct linear factors (Cantor-Zassenhaus).
+Over Q, `Polynomial` is a record with ring operations, and `poly_roots`
+gives the float root labels of the exceptional locus.  Every gcd,
+square-free part, Yun factor and rational root runs over Z, on primitive
+integer polynomials (`_integer_primitive`): the primitive remainder
+sequence (`_gcd_ints`), exact quotients, Yun's `_squarefree_factors`,
+and `_rational_roots`, with multiplicity, from the divisors of the end
+coefficients (`_factor` is trial division).  Over F_p, p prime: division
+by a monic polynomial, products and powers modulo one, monic gcds,
+synthetic division, and `_split_roots`, the roots of a product of
+distinct linear factors (Cantor-Zassenhaus).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import zip_longest
 from math import gcd, lcm
 from typing import Sequence
 
@@ -100,31 +101,36 @@ class Polynomial(_Frozen):
             acc = acc * x + c
         return acc
 
-    def derivative(self) -> "Polynomial":
-        return Polynomial.of([i * c for i, c in enumerate(self.coefficients)][1:])
 
-    def monic(self) -> "Polynomial":
-        if self.is_zero:
-            return self
-        lead = self.coefficients[-1]
-        return Polynomial(tuple(c / lead for c in self.coefficients))
+def poly_roots(p: Polynomial) -> list[tuple[complex, int]]:
+    """Complex roots with exact multiplicities, sorted by (real, imag).
 
-    def divmod(self, other: "Polynomial") -> tuple["Polynomial", "Polynomial"]:
-        if other.is_zero:
-            raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coefficients)
-        div = other.coefficients
-        q = [Fraction(0)] * max(0, len(rem) - len(div) + 1)
-        while len(rem) >= len(div):
-            f = rem[-1] / div[-1]
-            k = len(rem) - len(div)
-            q[k] = f
-            for i, d in enumerate(div):
-                rem[k + i] -= f * d
-            if not _trim(rem):
-                break
-        return Polynomial.of(q), Polynomial.of(rem)
+    Multiplicities come from Yun's square-free decomposition over Z
+    (`_squarefree_factors`), whose factors are square-free and coprime,
+    so no root repeats.  Each factor is read through its monic
+    coefficients, as floats: a linear factor t + c0 gives its root -c0
+    directly (0.0 for c0 = 0, as the companion-matrix solver returns it);
+    longer factors go to that solver (numpy), whose simple roots are well
+    conditioned.  The locations are float labels: InputTooLarge when a
+    monic coefficient leaves the float range.
+    """
+    if p.is_zero:
+        raise ValueError("the zero polynomial has no root locus")
+    entries: list[tuple[complex, int]] = []
+    for g, mult in _squarefree_factors(_integer_primitive(p.coefficients)):
+        try:
+            coeffs = [float(Fraction(c, g[-1])) for c in reversed(g)]
+        except OverflowError:
+            raise InputTooLarge("a root lies beyond the float range of the points") from None
+        if len(g) == 2:
+            entries.append((complex(-coeffs[1] if coeffs[1] else 0.0), mult))
+            continue
+        import numpy as np
+        entries.extend((complex(r), mult) for r in np.roots(coeffs))
+    return sorted(entries, key=lambda e: (e[0].real, e[0].imag))
 
+
+# -- Z[t] -------------------------------------------------------------------------
 
 def _integer_primitive(coeffs: Sequence) -> list[int]:
     """The primitive integer coefficients proportional to nonzero rational ones."""
@@ -132,13 +138,6 @@ def _integer_primitive(coeffs: Sequence) -> list[int]:
     ints = [c.numerator * (d // c.denominator) for c in coeffs]
     g = gcd(*ints)
     return [x // g for x in ints] if g > 1 else ints
-
-
-def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
-    """Monic greatest common divisor over the rationals, by `_gcd_ints` on the primitive
-    integer polynomials proportional to a and b."""
-    return Polynomial.of(_gcd_ints(_integer_primitive(a.coefficients),
-                                   _integer_primitive(b.coefficients))).monic()
 
 
 def _gcd_ints(x: list[int], y: list[int]) -> list[int]:
@@ -176,67 +175,38 @@ def _exact_quotient(a: list[int], b: list[int]) -> list[int]:
     return q
 
 
-def squarefree_decomposition(p: Polynomial) -> list[tuple[Polynomial, int]]:
-    """Yun's algorithm: p = lead * prod g_i^i with g_i square-free and coprime."""
-    if p.degree < 1:
-        return []
-    p = p.monic()
-    d = p.derivative()
-    a = poly_gcd(p, d)
-    b = p.divmod(a)[0]
-    c = d.divmod(a)[0]
-    out = []
-    i = 1
-    while b.degree > 0:
-        z = c - b.derivative()
-        g = poly_gcd(b, z)
-        if g.degree > 0:
-            out.append((g, i))
-        b = b.divmod(g)[0]
-        c = z.divmod(g)[0]
-        i += 1
-    return out
-
-
-def squarefree_part(p: Polynomial) -> Polynomial:
-    """Monic p / gcd(p, p'): one simple factor per distinct root of nonzero p."""
-    return Polynomial.of(_squarefree_ints(_integer_primitive(p.coefficients))).monic()
+def _derivative(f: list[int]) -> list[int]:
+    return [k * c for k, c in enumerate(f)][1:]
 
 
 def _squarefree_ints(f: list[int]) -> list[int]:
     """f / gcd(f, f') for a nonzero primitive integer polynomial f, primitive too."""
-    return _exact_quotient(f, _gcd_ints(f, _integer_primitive(
-        [k * c for k, c in enumerate(f)][1:])))
+    return _exact_quotient(f, _gcd_ints(f, _integer_primitive(_derivative(f))))
 
 
-def poly_roots(p: Polynomial) -> list[tuple[complex, int]]:
-    """Complex roots with exact multiplicities, sorted by (real, imag).
+def _squarefree_factors(f: list[int]) -> list[tuple[list[int], int]]:
+    """Yun's square-free decomposition of a nonzero primitive integer polynomial:
+    f = +-prod g_i^i, as the (g_i, i) with g_i of positive degree, i ascending.
 
-    Multiplicities come from the square-free decomposition, whose factors
-    are monic, square-free and coprime, so no root repeats.  A linear
-    factor t + c0 gives its root -c0 directly (0.0 for c0 = 0, as the
-    companion-matrix solver returns it); longer factors go to that
-    solver (numpy), whose simple roots are well conditioned.  The
-    locations are float labels: InputTooLarge when a factor's
-    coefficients leave the float range.
+    Each g_i is primitive, square-free and coprime to the others.  With
+    a = gcd(f, f'), b = f / a and c = f' / a, each step takes
+    g = gcd(b, c - b') and goes on with b / g and (c - b') / g, every
+    quotient exact over Z (Gauss's lemma).  b and c keep one scale, so a
+    derivative is made primitive only where it enters a gcd, never where
+    it is divided.
     """
-    if p.is_zero:
-        raise ValueError("the zero polynomial has no root locus")
-    entries: list[tuple[complex, int]] = []
-    for factor, mult in squarefree_decomposition(p):
-        try:
-            coeffs = [float(c) for c in reversed(factor.coefficients)]
-        except OverflowError:
-            raise InputTooLarge("a root lies beyond the float range of the points") from None
-        if factor.degree == 1:
-            entries.append((complex(-coeffs[1] if coeffs[1] else 0.0), mult))
-            continue
-        import numpy as np
-        entries.extend((complex(r), mult) for r in np.roots(coeffs))
-    return sorted(entries, key=lambda e: (e[0].real, e[0].imag))
+    df = _derivative(f)
+    a = _gcd_ints(f, _integer_primitive(df))
+    b, c = _exact_quotient(f, a), _exact_quotient(df, a)
+    out, i = [], 1
+    while len(b) > 1:
+        z = _trim([x - y for x, y in zip_longest(c, _derivative(b), fillvalue=0)])
+        g = _gcd_ints(b, _integer_primitive(z))
+        if len(g) > 1:
+            out.append((g, i))
+        b, c, i = _exact_quotient(b, g), _exact_quotient(z, g), i + 1
+    return out
 
-
-# -- Z[t] -------------------------------------------------------------------------
 
 def _factor(n: int) -> list[int]:
     """The prime factors of nonzero n with repetition, ascending, by trial division."""

@@ -1,5 +1,5 @@
-"""A second judge of the golden corpus: relation, nondegeneracy, marks, support and root
-verdicts re-derived by textbook linear algebra.
+"""A second judge of the golden corpus: relation, nondegeneracy, marks, support, root and
+exceptional-locus verdicts re-derived by textbook linear algebra.
 
 Imports nothing from `adequiver`.  It reads the input files with `json`, computes with
 sympy rationals, and takes the sign convention and the marks as written down here:
@@ -37,6 +37,11 @@ factors over Q of the loop's characteristic polynomial (sympy `charpoly` and
 `factor_list`); a group is on the locus when its factor divides some projection, so
 the zero projection, which vanishes everywhere, holds every group.
 
+A deformation parameter is generic when every nonconstant projection is square-free and
+no two share a factor (sympy `sqf_part` and `gcd`); its exceptional locus has one entry per
+zero of each projection, with the zero's multiplicity (sympy `sqf_list`), and cannot be
+computed when some projection is identically zero.
+
 The monad of an affine type A representation with zero loops composes to zz times one
 block per node, B2 B1 - B1 B2 + lam (B1 the positive arrow out of a node, B2 the negative
 one; a representation has no map out of the framing, so no IJ term); every other
@@ -49,6 +54,8 @@ from fractions import Fraction
 from pathlib import Path
 
 import sympy
+
+X = sympy.Symbol("x")
 
 
 def marks(family: str, rank: int) -> list[int]:
@@ -176,19 +183,31 @@ class Representation:
 
     def support_on_locus(self, theta: dict) -> bool:
         """Whether every loop eigenvalue is a zero of some positive-root projection."""
-        x = sympy.Symbol("x")
-        polys = {a: sympy.Poly(list(reversed(p)) or [0], x, domain=sympy.QQ)
-                 for a, p in theta.items()}
-        projections = [sum((c * polys[a] for a, c in enumerate(root, 1)),
-                           sympy.Poly(0, x, domain=sympy.QQ))
-                       for root in positive_roots(self.family, self.rank)]
+        found = [p for _, p in projections(self.family, self.rank, theta)]
         for a, d in self.dims.items():
             if not d:
                 continue
-            _, factors = sympy.factor_list(self.loops[a].charpoly(x))
-            if not all(any(p.rem(f).is_zero for p in projections) for f, _ in factors):
+            _, factors = sympy.factor_list(self.loops[a].charpoly(X))
+            if not all(any(p.rem(f).is_zero for p in found) for f, _ in factors):
                 return False
         return True
+
+
+def projections(family: str, rank: int, theta: dict) -> list[tuple[tuple, sympy.Poly]]:
+    """Every positive root alpha with theta_alpha = sum_a alpha_a theta_a over the finite
+    nodes, theta a table of ascending coefficients."""
+    polys = {a: sympy.Poly(list(reversed(p)) or [0], X, domain=sympy.QQ)
+             for a, p in theta.items()}
+    return [(root, sum((c * polys[a] for a, c in enumerate(root, 1)),
+                       sympy.Poly(0, X, domain=sympy.QQ)))
+            for root in positive_roots(family, rank)]
+
+
+def generic(found: list[tuple[tuple, sympy.Poly]]) -> bool:
+    """Whether every nonconstant projection is square-free and no two share a factor."""
+    live = [p for _, p in found if p.degree() > 0]
+    return (all(p.sqf_part().degree() == p.degree() for p in live)
+            and all(p.gcd(q).degree() == 0 for i, p in enumerate(live) for q in live[i + 1:]))
 
 
 def _basis(m: sympy.Matrix) -> sympy.Matrix:
@@ -277,3 +296,18 @@ def monad_check(argv: list, root: Path) -> tuple[dict[str, bool], dict[str, symp
                 all(zz[a] == rep.node_residual(a, [lam[a]]) for a in range(n)),
                 "composite-zero": all(m.is_zero_matrix for m in zz.values())}
     return verdicts, {str(a): m for a, m in zz.items()}
+
+
+def exc_locus(argv: list, root: Path) -> tuple[dict[str, bool], dict]:
+    """The locus-computed or identically-zero-projection verdict of an exc-locus call, with
+    the data it prints when the locus is computed: generic, and the entries as sorted
+    (root, multiplicity) pairs, one per point, so a square-free factor of degree k of a
+    projection gives k of them."""
+    path = root / argv[1]
+    record = json.loads(path.read_text(encoding="utf-8"))
+    found = projections(record["type"][0], int(record["type"][1:]), theta_table(path))
+    if any(p.is_zero for _, p in found):
+        return {"identically-zero-projection": False}, {}
+    entries = sorted((alpha, k) for alpha, p in found for f, k in p.sqf_list()[1]
+                     for _ in range(f.degree()))
+    return {"locus-computed": True}, {"generic": generic(found), "entries": entries}

@@ -7,6 +7,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracle
 from adequiver import deformation as dfm, poly
 from adequiver.dynkin import DynkinType, Root, positive_roots
 
@@ -23,6 +24,18 @@ def to_sympy(p):
     return sum(sympy.Rational(c) * t ** k for k, c in enumerate(p.coefficients))
 
 
+def ints(p) -> list[int]:
+    """The primitive integer polynomial proportional to a Polynomial or a sympy Poly,
+    with a positive leading coefficient."""
+    coeffs = p.coefficients if isinstance(p, dfm.Polynomial) else [
+        Fraction(int(c.p), int(c.q)) for c in reversed(p.all_coeffs())]
+    return up_to_sign(poly._integer_primitive(coeffs))
+
+
+def up_to_sign(f: list[int]) -> list[int]:
+    return [-c for c in f] if f and f[-1] < 0 else f
+
+
 class TestPolynomial:
     def test_canonical_trailing_zeros(self):
         assert dfm.Polynomial.of([1, 2, 0, 0]) == dfm.Polynomial.of([1, 2])
@@ -32,32 +45,23 @@ class TestPolynomial:
     def test_arith_matches_sympy(self):
         import random
         rng = random.Random(5)
-        t = sympy.Symbol("t")
         for _ in range(25):
             a = dfm.Polynomial.of([Fraction(rng.randint(-4, 4), rng.choice([1, 2, 3])) for _ in range(rng.randint(0, 4))])
             b = dfm.Polynomial.of([Fraction(rng.randint(-4, 4), rng.choice([1, 2, 3])) for _ in range(rng.randint(0, 4))])
             assert sympy.expand(to_sympy(a) * to_sympy(b) - to_sympy(a * b)) == 0
             assert sympy.expand(to_sympy(a) + to_sympy(b) - to_sympy(a + b)) == 0
-            if not b.is_zero:
-                q, r = a.divmod(b)
-                qs, rs = sympy.div(to_sympy(a), to_sympy(b), t)
-                assert sympy.expand(to_sympy(q) - qs) == 0
-                assert sympy.expand(to_sympy(r) - rs) == 0
 
-    def test_eval_and_derivative(self):
+    def test_eval(self):
         p = dfm.Polynomial.of([1, -3, 2])        # 2t^2 - 3t + 1
         assert p(Fraction(1)) == 0
         assert p(Fraction(1, 2)) == 0
         assert p(0) == 1
-        assert p.derivative() == dfm.Polynomial.of([-3, 4])
-        assert ONE.derivative().is_zero
 
-    def test_monic_and_gcd(self):
-        p = dfm.Polynomial.of([-2, 0, 2])        # 2(t-1)(t+1)
-        assert p.monic() == dfm.Polynomial.of([-1, 0, 1])
-        q = dfm.Polynomial.of([-1, 1])           # t - 1
-        assert dfm.poly_gcd(p, q) == q.monic()
-        assert dfm.poly_gcd(q, dfm.Polynomial.of([1, 1])) == ONE
+    def test_gcd_up_to_sign(self):
+        p = ints(dfm.Polynomial.of([-2, 0, 2]))  # 2(t-1)(t+1), primitive (t-1)(t+1)
+        q = [-1, 1]                              # t - 1
+        assert up_to_sign(poly._gcd_ints(p, q)) == q
+        assert up_to_sign(poly._gcd_ints(q, [1, 1])) == [1]
 
     def test_gcd_matches_sympy(self):
         rng = random.Random(6)
@@ -71,8 +75,8 @@ class TestPolynomial:
             common = rand(rng.randint(0, 3))
             a, b = rand(rng.randint(0, 8)) * common, rand(rng.randint(0, 8)) * common
             want = sympy.Poly(sympy.gcd(to_sympy(a), to_sympy(b)), t)
-            got = dfm.poly_gcd(a, b)
-            assert got.is_zero if want.is_zero else to_sympy(got) == want.monic().as_expr()
+            got = poly._gcd_ints(ints(a), ints(b))
+            assert got == [] if want.is_zero else up_to_sign(got) == ints(want)
 
     def test_gcd_of_large_polynomials_finishes(self):
         # Euclid over Q grows these coefficients at every step: about 20 s before
@@ -81,15 +85,16 @@ class TestPolynomial:
                                for _ in range(31)])
         x = T - dfm.Polynomial.constant(Fraction(1, 3))
         start = time.perf_counter()
-        assert dfm.poly_gcd(a, a.derivative()) == ONE
-        assert dfm.poly_gcd(a * x * x, (a * x * x).derivative()) == x
+        f, g = ints(a), ints(a * x * x)
+        assert up_to_sign(poly._gcd_ints(f, poly._integer_primitive(poly._derivative(f)))) == [1]
+        assert up_to_sign(poly._gcd_ints(g, poly._integer_primitive(poly._derivative(g)))) \
+            == ints(x)
         assert time.perf_counter() - start < 5
 
     def test_squarefree_decomposition(self):
         # t (t-1)^2
-        p = dfm.Polynomial.of([0, 1, -2, 1])
-        parts = poly.squarefree_decomposition(p)
-        got = {(tuple(f.coefficients), k) for f, k in parts}
+        parts = poly._squarefree_factors([0, 1, -2, 1])
+        got = {(tuple(up_to_sign(f)), k) for f, k in parts}
         assert got == {((0, 1), 1), ((-1, 1), 2)}
 
     def test_poly_roots_with_multiplicity(self):
@@ -114,8 +119,8 @@ class TestPolynomial:
 
     def test_squarefree_part(self):
         p = (T - ONE) * (T - ONE) * T          # t (t - 1)^2
-        assert dfm.squarefree_part(p.scale(3)) == (T - ONE) * T
-        assert dfm.squarefree_part(ONE.scale(5)) == ONE
+        assert up_to_sign(poly._squarefree_ints(ints(p.scale(3)))) == ints((T - ONE) * T)
+        assert up_to_sign(poly._squarefree_ints(ints(ONE.scale(5)))) == [1]
 
 
 class TestDeformationParam:
@@ -272,3 +277,56 @@ def test_poly_roots_on_linear_inputs_match_the_companion_solver(c0, c1, power):
         # LAPACK rescales a matrix whose norm leaves [6.7e-139, 1.5e138], which
         # can cost the solver's root its last bit; the exact root keeps it
         assert abs(got[0][0] - want) <= 4e-16 * abs(want)
+
+
+def _small(min_degree: int):
+    """Nonzero polynomials over Q of degree min_degree to 2."""
+    return st.lists(st.fractions(min_value=-4, max_value=4, max_denominator=3),
+                    min_size=min_degree + 1, max_size=3).filter(lambda c: c[-1] != 0)
+
+
+@settings(max_examples=100)
+@given(st.sampled_from(["A1", "A2", "A3", "D4", "D5", "E6"]), _small(1), st.data())
+def test_is_generic_matches_the_oracle(name, planted, data):
+    # random nodes; the planted factor times one or two of them, so that their projections
+    # share it, or its square times one, so that a projection repeats it, or neither
+    t, s = DynkinType.parse(name), dfm.Polynomial.of(planted)
+    finite = {a: dfm.Polynomial.of(data.draw(_small(0))) for a in range(1, t.rank + 1)}
+    nodes = data.draw(st.lists(st.integers(1, t.rank), min_size=1, max_size=2, unique=True))
+    factor = data.draw(st.sampled_from([ONE, s, s * s]))
+    for a in nodes[:1] if factor == s * s else nodes:
+        finite[a] = finite[a] * factor
+    d = dfm.complete_affine_theta(t, finite)
+    found = oracle.projections(name[0], t.rank, {a: [sympy.Rational(c.numerator, c.denominator)
+                                                     for c in p.coefficients]
+                                                 for a, p in finite.items()})
+    if any(p.is_zero for _, p in found):
+        with pytest.raises(dfm.IdenticallyZeroProjection):
+            dfm.is_generic(d)
+    else:
+        assert dfm.is_generic(d) is oracle.generic(found)
+
+
+_factors = st.lists(st.integers(-5, 5), min_size=2, max_size=4).filter(lambda c: c[-1] != 0)
+
+
+@settings(max_examples=60)
+@given(st.lists(st.tuples(_factors, st.integers(1, 3)), min_size=1, max_size=3),
+       st.fractions(min_value=-9, max_value=9, max_denominator=9).filter(bool))
+def test_poly_roots_are_the_companion_roots_of_the_monic_sqf_factors(factors, content):
+    # the float labels are exactly those of the monic square-free factors of sympy, a linear
+    # one read as -c0 (0.0 for c0 = 0) and a longer one by numpy's companion solver
+    np = pytest.importorskip("numpy")
+    t = sympy.Symbol("t")
+    f = sympy.Poly(sympy.Rational(content.numerator, content.denominator), t, domain="QQ")
+    for c, k in factors:
+        f *= sympy.Poly(list(reversed(c)), t) ** k
+    want = []
+    for g, k in f.sqf_list()[1]:
+        coeffs = [float(Fraction(int(c.p), int(c.q))) for c in g.monic().all_coeffs()]
+        if len(coeffs) == 2:
+            want.append((complex(-coeffs[1] if coeffs[1] else 0.0), k))
+        else:
+            want.extend((complex(r), k) for r in np.roots(coeffs))
+    p = dfm.Polynomial.of([Fraction(int(c.p), int(c.q)) for c in reversed(f.all_coeffs())])
+    assert dfm.poly_roots(p) == sorted(want, key=lambda e: (e[0].real, e[0].imag))

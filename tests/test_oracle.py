@@ -4,7 +4,9 @@ of check-rep, every nondegenerate verdict of nondeg, every marks-weighted-sum-va
 verdict of theta-validate, every matches-node-relation-residuals and composite-zero
 verdict of monad-check, with the zz blocks monad-check prints, and every
 count-matches-closed-form and highest-root-equals-finite-marks verdict of roots, with the
-marks, count, roots and highest root roots prints.  A disagreement is a defect of the
+marks, count, roots and highest root roots prints, and every locus-computed and
+identically-zero-projection verdict of exc-locus, with the genericity and the (root,
+multiplicity) entries it prints.  A disagreement is a defect of the
 package or of the oracle, never a reason to edit an expected file."""
 
 import json
@@ -15,11 +17,13 @@ from golden.regenerate import HERE, calls
 
 FAMILIES = ("node-relations", "edge-relations", "nondegenerate", "marks-weighted-sum-vanishes",
             "matches-node-relation-residuals", "composite-zero", "support-on-vanishing-locus",
-            "count-matches-closed-form", "highest-root-equals-finite-marks")
+            "count-matches-closed-form", "highest-root-equals-finite-marks", "locus-computed",
+            "identically-zero-projection")
 
 
 def test_the_oracle_rederives_the_verdicts_of_the_corpus():
-    seen = {"check-rep": 0, "monad-check": 0, "nondeg": 0, "theta-validate": 0, "roots": 0}
+    seen = {"check-rep": 0, "monad-check": 0, "nondeg": 0, "theta-validate": 0, "roots": 0,
+            "exc-locus": 0}
     disagree = []
     for name, argv, filename in calls():
         if argv[0] not in seen or "--json" not in argv:
@@ -46,6 +50,14 @@ def test_the_oracle_rederives_the_verdicts_of_the_corpus():
                        for k, v in report["data"].items() if k in data}
             if printed != data:
                 disagree.append((name, "data"))
+        elif argv[0] == "exc-locus" and report["exit_code"] != 2:     # 2: input refused
+            want, data = oracle.exc_locus(argv, HERE)
+            printed = {k: v for k, v in report["data"].items() if k != "type"}
+            if "entries" in printed:
+                printed["entries"] = sorted((tuple(e["root"]), e["multiplicity"])
+                                            for e in printed["entries"])
+            if printed != data:
+                disagree.append((name, "data"))
         # every verdict of these families is re-derived, and no other is claimed
         ours = sorted(k for k in got if k.split(": ")[-1] in FAMILIES)
         if ours != sorted(want):
@@ -55,3 +67,4 @@ def test_the_oracle_rederives_the_verdicts_of_the_corpus():
     assert disagree == []
     assert seen["check-rep"] >= 139 and seen["monad-check"] >= 10
     assert seen["nondeg"] >= 8 and seen["theta-validate"] >= 4 and seen["roots"] >= 8
+    assert seen["exc-locus"] >= 8

@@ -158,3 +158,24 @@ def test_gcd_ints_and_exact_quotient_work_over_z(a, b, common):
         assert sympy.Poly(list(reversed(q)), t) * sympy.Poly(list(reversed(g)), t) == \
             sympy.Poly(list(reversed(f)), t)
     assert poly._gcd_ints(x, []) == x and poly._gcd_ints([], y) == y
+
+
+def positive_lead(f: list[int]) -> list[int]:
+    return [-c for c in f] if f and f[-1] < 0 else f
+
+
+@settings(max_examples=60)
+@given(st.lists(st.tuples(integer_poly(2, 4), st.integers(1, 4)), min_size=1, max_size=3),
+       st.fractions(min_value=-9, max_value=9, max_denominator=9).filter(bool))
+def test_squarefree_factors_match_sympy(factors, content):
+    # content * prod factor^k made primitive: Yun's factors over Z are sympy's sqf_list
+    # factors over Q, up to a scalar, with the same multiplicities, ascending
+    f = sympy.Poly(sympy.Rational(content.numerator, content.denominator), t, domain="QQ")
+    for c, k in factors:
+        f *= sympy.Poly(list(reversed(c)), t) ** k
+    coeffs = [Fraction(int(c.p), int(c.q)) for c in reversed(f.all_coeffs())]
+    got = poly._squarefree_factors(poly._integer_primitive(coeffs))
+    want = [(positive_lead(poly._integer_primitive(
+        [Fraction(int(c.p), int(c.q)) for c in reversed(g.all_coeffs())])), k)
+        for g, k in f.sqf_list()[1]]
+    assert [(positive_lead(g), k) for g, k in got] == sorted(want, key=lambda e: e[1])
